@@ -1,5 +1,5 @@
 // Command restat is a live terminal dashboard for a resvc fleet: it polls
-// /metrics and /debug/vars on every node, reassembles the Prometheus
+// /v1/metrics and /debug/vars on every node, reassembles the Prometheus
 // histograms client-side, and renders per-node queue depth, peer health and
 // request-latency quantiles next to the cluster-wide job-elimination and
 // tile-skip ratios — the service's two Rendering Elimination numbers, live.
@@ -218,7 +218,7 @@ func scrapeNode(client *http.Client, node string) NodeStat {
 		ns.P50, ns.P95, ns.P99 = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 	}
 	// /debug/vars is the cross-check source: its cache gauge reads the pool
-	// directly, so a divergence from the /metrics value flags a stale scrape.
+	// directly, so a divergence from the /v1/metrics value flags a stale scrape.
 	if vars, err := fetchVars(client, node); err == nil {
 		if v, ok := vars["resvc_cache_entries"].(float64); ok {
 			ns.CacheEntries = int64(v)

@@ -79,7 +79,7 @@ func TestRestatOnceJSONAgainstCluster(t *testing.T) {
 	// fleet-wide deduped counter must be ≥ 2 out of 3 submissions.
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`
 	for _, addr := range addrs {
-		resp, err := http.Post("http://"+addr+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post("http://"+addr+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 	pool := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st), jobs.WithLogger(quiet))
 	ts := httptest.NewServer(server.New(pool, server.Limits{}).Handler())
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`
-	resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,21 +26,21 @@
 // proxies it to the owner, so the owner's result cache and singleflight
 // eliminate identical jobs cluster-wide; if the owner is unreachable the
 // node degrades to simulating locally. Peers are health-checked over
-// /healthz — a draining peer (503) is routed around before it goes away.
+// /v1/healthz — a draining peer (503) is routed around before it goes away.
 //
 // Overload and failure handling: the submission queue is bounded — when it
-// is full, POST /jobs sheds load with 429 + Retry-After instead of queueing
+// is full, POST /v1/jobs sheds load with 429 + Retry-After instead of queueing
 // unboundedly. A per-benchmark circuit breaker opens after repeated
 // non-transient failures (503 until the cooldown passes). On SIGTERM/SIGINT
-// the service drains gracefully: /healthz flips to 503 {"status":"draining"},
+// the service drains gracefully: /v1/healthz flips to 503 {"status":"draining"},
 // the listener closes, and in-flight jobs get -drain to finish.
 //
 // Endpoints:
 //
-//	POST /jobs          submit a workload spec (JSON) or a trace binary; ?wait=1 blocks
-//	GET  /jobs/{id}     job status and result summary
-//	GET  /healthz       liveness
-//	GET  /metrics       Prometheus text: submissions, eliminations, latencies,
+//	POST /v1/jobs       submit a workload spec (JSON) or a trace binary; ?wait=1 blocks
+//	GET  /v1/jobs/{id}  job status and result summary
+//	GET  /v1/healthz    liveness
+//	GET  /v1/metrics    Prometheus text: submissions, eliminations, latencies,
 //	                    per-pipeline-stage simulated cycles, tile classes
 //	GET  /debug/pprof   runtime profiling (CPU, heap, goroutines, ...)
 //	GET  /debug/vars    expvar: build info, queue depth, cache size
@@ -105,7 +105,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	clusterAddr := fs.String("cluster-addr", "", "this node's advertised host:port for clustering (required with -peer)")
 	var peers peerList
 	fs.Var(&peers, "peer", "peer node host:port; repeat for each member (enables clustering)")
-	healthInterval := fs.Duration("health-interval", 2*time.Second, "gap between peer /healthz probes")
+	healthInterval := fs.Duration("health-interval", 2*time.Second, "gap between peer /v1/healthz probes")
 	resultTTL := fs.Duration("result-ttl", 30*time.Second, "how long a non-owner serves a remote result locally (read-through cache; negative = off)")
 	dataDir := fs.String("data-dir", "", "durable state directory: WAL + result/checkpoint snapshots; replayed on startup so results and in-flight jobs survive restarts (empty = memory-only)")
 	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON (HTTP request and cluster forward spans) here on shutdown")
@@ -246,7 +246,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		log.Info("draining", "signal", sig.String(), "budget", *drain)
 	}
 
-	// Flip /healthz to 503 "draining" first so load balancers stop routing
+	// Flip /v1/healthz to 503 "draining" first so load balancers stop routing
 	// here, then stop accepting, then drain the pool.
 	srv.StartDraining()
 	ctx, cancel := context.WithTimeout(context.Background(), *drain)

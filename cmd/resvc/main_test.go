@@ -33,7 +33,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Health must respond before any job.
-	resp, err := http.Get(base + "/healthz")
+	resp, err := http.Get(base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`
 	post := func() map[string]any {
-		resp, err := http.Post(base+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("second submission not eliminated: %+v", second)
 	}
 
-	mresp, err := http.Get(base + "/metrics")
+	mresp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	}
 	post := func(base string) map[string]any {
 		t.Helper()
-		resp, err := http.Post(base+"/jobs?wait=1", "application/json", strings.NewReader(body))
+		resp, err := http.Post(base+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,7 +148,7 @@ func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	if again["deduped"] != true {
 		t.Fatalf("restarted daemon did not eliminate the recovered job: %+v", again)
 	}
-	mresp, err := http.Get(base + "/metrics")
+	mresp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

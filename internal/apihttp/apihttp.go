@@ -5,11 +5,7 @@
 // path strings; now a field added to JobResponse, or a route moved, is one
 // edit that every side of the wire sees.
 //
-// The API is versioned under /v1. The unversioned routes ("/jobs",
-// "/healthz", "/metrics") remain as deprecated aliases — the server answers
-// them identically but logs the first hit per route and stamps a
-// Deprecation header, so operators can find stale clients before the
-// aliases are ever removed.
+// The API is versioned under /v1; it has no unversioned routes.
 package apihttp
 
 import (
@@ -26,37 +22,13 @@ const (
 	PathMetrics = "/v1/metrics"
 )
 
-// Legacy unversioned aliases, kept for compatibility with pre-v1 clients.
-//
-// Deprecated: use the /v1 paths.
-const (
-	LegacyPathJobs    = "/jobs"
-	LegacyPathHealthz = "/healthz"
-	LegacyPathMetrics = "/metrics"
-)
-
 // JobPath renders the status URL for a job id under the versioned API.
 func JobPath(id string) string { return PathJobs + "/" + id }
 
-// JobID extracts the job id from a request path under either the versioned
-// or the legacy jobs route; ok is false for any other path.
+// JobID extracts the job id from a request path under the jobs route; ok
+// is false for any other path.
 func JobID(path string) (id string, ok bool) {
-	for _, prefix := range []string{PathJobs + "/", LegacyPathJobs + "/"} {
-		if rest, found := strings.CutPrefix(path, prefix); found {
-			return rest, true
-		}
-	}
-	return "", false
-}
-
-// JobsPrefix returns the jobs collection path matching the version of the
-// incoming request path, so Location fields send a client back through the
-// same API generation it called in on.
-func JobsPrefix(requestPath string) string {
-	if strings.HasPrefix(requestPath, "/v1/") {
-		return PathJobs
-	}
-	return LegacyPathJobs
+	return strings.CutPrefix(path, PathJobs+"/")
 }
 
 // SubmitRequest is the JSON body of POST /v1/jobs for workload-spec jobs.

@@ -52,7 +52,7 @@ type Reply struct {
 	Owner      string
 }
 
-// ForwardSubmit proxies one POST /jobs to the owner. body and contentType
+// ForwardSubmit proxies one POST /v1/jobs to the owner. body and contentType
 // are the client's original payload; query is relayed so ?wait and ?tech
 // survive the hop. key is the job signature being routed — it rides into
 // error wrap messages (satisfying "which key failed against which peer")

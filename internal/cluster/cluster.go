@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/jobs"
 	"rendelim/internal/obs"
 )
@@ -38,7 +39,7 @@ type Options struct {
 	// Replicas is the virtual-node count per member; default 128.
 	Replicas int
 
-	// HealthInterval is the gap between /healthz probes of each peer;
+	// HealthInterval is the gap between /v1/healthz probes of each peer;
 	// default 2s. HealthTimeout bounds one probe; default 1s.
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
@@ -332,14 +333,14 @@ func (c *Cluster) checkAll() {
 	c.metrics.HealthChecks.Add(1)
 }
 
-// probe reports whether one peer is routable: /healthz answering 200. A 503
+// probe reports whether one peer is routable: /v1/healthz answering 200. A 503
 // — which is what a draining peer reports — counts as down, so a drain
 // rebalances that peer's key range onto its ring successors before its
 // listener ever closes.
 func (c *Cluster) probe(addr string) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), c.healthTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+"/healthz", nil)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+addr+apihttp.PathHealthz, nil)
 	if err != nil {
 		return false
 	}

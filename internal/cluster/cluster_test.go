@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/obs"
 )
 
@@ -67,14 +68,14 @@ func TestValidatePeersRejectsSelfAndDuplicates(t *testing.T) {
 	}
 }
 
-// The health loop must mark a peer down when /healthz reports 503 (the
+// The health loop must mark a peer down when /v1/healthz reports 503 (the
 // draining state) or the connection fails, and back up when it recovers.
 func TestHealthCheckHonorsDraining(t *testing.T) {
 	var status atomic.Int32
 	status.Store(http.StatusOK)
 	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/healthz" {
-			t.Errorf("probe hit %s, want /healthz", r.URL.Path)
+		if r.URL.Path != apihttp.PathHealthz {
+			t.Errorf("probe hit %s, want %s", r.URL.Path, apihttp.PathHealthz)
 		}
 		w.WriteHeader(int(status.Load()))
 	}))

@@ -10,7 +10,7 @@
 // is a property of the workload, not of the node that receives it).
 //
 // Membership is static (the -peer flags at startup) but routing is not:
-// peers are health-checked over their /healthz endpoint, and a peer that is
+// peers are health-checked over their /v1/healthz endpoint, and a peer that is
 // down — or draining, which reports 503 — is skipped on the ring walk so its
 // key range rebalances onto its successors until it returns.
 package cluster

@@ -11,19 +11,22 @@ import (
 	"rendelim/internal/fb"
 	"rendelim/internal/shader"
 	"rendelim/internal/sig"
-	"rendelim/internal/texture"
 )
 
-// Checkpoint is a frame-boundary snapshot of every piece of cross-frame
-// simulator state: the double-buffered framebuffer, the RE controller with
-// its Signature Buffer, the TE signature buffer and CRC counters, the
-// memoization baselines, the DRAM row-buffer state, all cache tag/LRU
-// arrays, the upload-mutable program/texture tables, the API state, and the
-// counters. A run restored from a checkpoint is byte-identical — same
-// per-frame stats, same pixels — to one that ran straight through, because
-// frame statistics are computed as deltas of these counters and every
-// timing-relevant structure (cache LRU clocks, DRAM open rows, signature
-// parity) is captured.
+// Checkpoint is a frame-boundary snapshot of the cross-frame simulator state
+// that the trace cannot rebuild: the double-buffered framebuffer, the RE
+// controller with its Signature Buffer, the TE signature buffer and CRC
+// counters, the memoization baselines, the DRAM row-buffer state, all cache
+// tag/LRU arrays, the API state, and the counters. A run restored from a
+// checkpoint is byte-identical — same per-frame stats, same pixels — to one
+// that ran straight through, because frame statistics are computed as deltas
+// of these counters and every timing-relevant structure (cache LRU clocks,
+// DRAM open rows, signature parity) is captured.
+//
+// The upload-mutable program and texture tables are not captured: they are
+// a function of the trace and the frame index, so Resume rebuilds them from
+// the trace's registries plus the uploads of the frames the checkpoint
+// covers (loadUploadTables), exactly as New and RunFrame build them.
 //
 // Frame boundaries are the natural checkpoint for the same reason they are
 // RE's comparison point: RunFrame never leaves state half-committed
@@ -58,10 +61,6 @@ type Checkpoint struct {
 
 	dram   dram.Snapshot
 	caches []cache.Snapshot // vcache, tcache[0..3], tilecache, l2
-
-	programs []*shader.Program
-	fsMasks  []progMask
-	textures []*texture.Texture
 
 	vsCounts   shader.Counts
 	skipCounts []uint32
@@ -98,10 +97,6 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 
 		dram: s.dram.Snapshot(),
 
-		programs: append([]*shader.Program(nil), s.programs...),
-		fsMasks:  append([]progMask(nil), s.fsMasks...),
-		textures: append([]*texture.Texture(nil), s.textures...),
-
 		vsCounts:   s.vsExec.Counts,
 		skipCounts: append([]uint32(nil), s.skipCounts...),
 	}
@@ -112,12 +107,16 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 	return cp
 }
 
-// Resume restores the simulator to the checkpointed frame boundary. The
-// checkpoint must come from a simulator over the same trace and technique
-// (same dimensions, frame count and cache geometry); otherwise an error
-// wrapping nothing in particular is returned and the simulator is left
-// untouched. After a successful Resume, RunFrame(&trace.Frames[cp.Frame()])
-// continues the run exactly where the checkpoint left off.
+// Resume restores the simulator to the checkpointed frame boundary, rebuilding
+// the program and texture tables from the trace. The checkpoint must come
+// from a simulator over the same trace and technique (same dimensions, frame
+// count and cache geometry); otherwise an error is returned and the simulator
+// is left untouched. A checkpoint whose contents do not fit this simulator —
+// possible only for a blob that crossed a process boundary and passed its
+// CRC — is rejected with an error wrapping ErrCheckpointFormat, before
+// anything is written. After a successful Resume,
+// RunFrame(&trace.Frames[cp.Frame()]) continues the run exactly where the
+// checkpoint left off.
 func (s *Simulator) Resume(cp *Checkpoint) error {
 	if cp == nil {
 		return fmt.Errorf("gpusim: nil checkpoint")
@@ -126,18 +125,8 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 		return fmt.Errorf("gpusim: checkpoint mismatch: snapshot of a %dx%d %s run cannot restore this simulator",
 			cp.width, cp.height, cp.technique)
 	}
-	// Structural guards for checkpoints that crossed a process boundary
-	// (DecodeCheckpoint): the CRC seal makes these unreachable for honest
-	// corruption, but a mismatched cache geometry or tile count must error
-	// here rather than panic inside a Restore.
-	if got, want := len(cp.caches), len(s.checkpointCaches()); got != want {
-		return fmt.Errorf("gpusim: checkpoint carries %d cache snapshots, simulator has %d caches", got, want)
-	}
-	if got, want := len(cp.memoPrev), len(s.memo.prev); got != want {
-		return fmt.Errorf("gpusim: checkpoint carries %d memo tiles, simulator has %d", got, want)
-	}
-	if got, want := len(cp.fbuf.Bufs[0]), s.trace.Width*s.trace.Height; got != want {
-		return fmt.Errorf("gpusim: checkpoint framebuffer has %d pixels, simulator has %d", got, want)
+	if err := s.checkShape(cp); err != nil {
+		return fmt.Errorf("%w: %v", ErrCheckpointFormat, err)
 	}
 	s.fbuf.Restore(cp.fbuf)
 	s.re.Restore(cp.re)
@@ -153,15 +142,57 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 		c.Restore(cp.caches[i])
 	}
 
-	s.programs = append(s.programs[:0], cp.programs...)
-	s.fsMasks = append(s.fsMasks[:0], cp.fsMasks...)
-	s.textures = append(s.textures[:0], cp.textures...)
+	s.loadUploadTables(s.trace.Frames[:cp.frameIdx])
 
 	s.vsExec.Counts = cp.vsCounts
 	copy(s.skipCounts, cp.skipCounts)
 	*s.state = cp.stateVal
 	s.frameIdx = cp.frameIdx
 	return nil
+}
+
+// checkShape verifies that every length and index in cp fits this
+// simulator, so the Restore calls that follow can neither panic nor copy
+// short. The simulator's own snapshots always fit; the check guards decoded
+// blobs, whose CRC proves only that they are the bytes that were written.
+func (s *Simulator) checkShape(cp *Checkpoint) error {
+	if cp.frameIdx < 0 || cp.frameIdx > len(s.trace.Frames) {
+		return fmt.Errorf("frame %d outside a %d-frame trace", cp.frameIdx, len(s.trace.Frames))
+	}
+	re, te := cp.re.Unit.Buf, cp.teBuf
+	// The front buffer and both signature parities index two-entry arrays.
+	for _, i := range []int{cp.fbuf.Front, re.Parity, te.Parity} {
+		if i != 0 && i != 1 {
+			return fmt.Errorf("buffer index %d, want 0 or 1", i)
+		}
+	}
+	var err error
+	want := func(what string, got, n int) {
+		if err == nil && got != n {
+			err = fmt.Errorf("%s: %d, simulator has %d", what, got, n)
+		}
+	}
+	tiles, pixels := s.fbuf.NumTiles(), s.trace.Width*s.trace.Height
+	want("framebuffer 0 pixels", len(cp.fbuf.Bufs[0]), pixels)
+	want("framebuffer 1 pixels", len(cp.fbuf.Bufs[1]), pixels)
+	for _, b := range []sig.BufferSnapshot{re, te} {
+		for _, n := range []int{len(b.Building), len(b.Prev[0]), len(b.Prev[1]), len(b.Valid[0]), len(b.Valid[1])} {
+			want("signature buffer tiles", n, tiles)
+		}
+	}
+	want("RE bitmap tiles", len(cp.re.Unit.Bitmap), tiles)
+	want("memo tiles", len(cp.memoPrev), tiles)
+	want("skip counters", len(cp.skipCounts), tiles)
+	want("DRAM banks", len(cp.dram.Banks), s.cfg.DRAM.Channels*s.cfg.DRAM.BanksPerChannel)
+	caches := s.checkpointCaches()
+	want("cache snapshots", len(cp.caches), len(caches))
+	if err == nil {
+		for i, c := range caches {
+			cc := c.Config()
+			want("cache "+cc.Name+" lines", len(cp.caches[i].Lines), cc.Sets()*cc.Ways)
+		}
+	}
+	return err
 }
 
 // checkpointCaches lists every cache in a fixed order shared by Checkpoint

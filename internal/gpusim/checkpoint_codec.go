@@ -8,9 +8,7 @@ import (
 	"rendelim/internal/crc"
 	"rendelim/internal/dram"
 	"rendelim/internal/geom"
-	"rendelim/internal/shader"
 	"rendelim/internal/sig"
-	"rendelim/internal/texture"
 	"rendelim/internal/wire"
 )
 
@@ -18,11 +16,15 @@ import (
 // can reject foreign files and future formats before touching anything else;
 // a trailing CRC32 over everything prior catches torn writes and bit rot
 // independently of whatever integrity the store layer adds. Version bumps
-// are append-only history: a v1 decoder must refuse v2 bytes (see
-// TestCheckpointCodecVersionRejected), never misparse them.
+// are append-only history: a decoder must refuse any other version (see
+// TestCheckpointCodecVersionRejected), never misparse it.
+//
+// Version 2 dropped the program and texture tables that version 1 carried:
+// Resume rebuilds them from the trace. A v1 blob is rejected, which recovery
+// treats like any undecodable checkpoint — the job restarts from frame 0.
 const (
 	ckptMagic   = "RECK"
-	ckptVersion = uint16(1)
+	ckptVersion = uint16(2)
 )
 
 // ErrCheckpointFormat is wrapped by every DecodeCheckpoint failure: bad
@@ -90,21 +92,6 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 		b = cs.AppendBinary(b)
 	}
 
-	// Upload-mutable tables.
-	b = wire.AppendU32(b, uint32(len(cp.programs)))
-	for _, p := range cp.programs {
-		b = appendProgram(b, p)
-	}
-	b = wire.AppendU32(b, uint32(len(cp.fsMasks)))
-	for _, m := range cp.fsMasks {
-		b = wire.AppendU16(b, m.in)
-		b = wire.AppendU32(b, m.consts)
-	}
-	b = wire.AppendU32(b, uint32(len(cp.textures)))
-	for _, t := range cp.textures {
-		b = appendTexture(b, t)
-	}
-
 	// Counters.
 	b = wire.AppendU64(b, cp.vsCounts.Instructions)
 	b = wire.AppendU64(b, cp.vsCounts.TexSamples)
@@ -116,15 +103,9 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 }
 
 // encodedSizeHint estimates the blob size to avoid re-allocation churn; the
-// framebuffer and textures dominate.
+// framebuffer dominates.
 func (cp *Checkpoint) encodedSizeHint() int {
-	n := 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1]))
-	for _, t := range cp.textures {
-		if t != nil {
-			n += 4 * len(t.Pix)
-		}
-	}
-	return n
+	return 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1]))
 }
 
 // DecodeCheckpoint parses a blob produced by EncodeBinary. Every failure
@@ -201,26 +182,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		cp.caches = make([]cache.Snapshot, 0, n)
 		for i := 0; i < n; i++ {
 			cp.caches = append(cp.caches, cache.DecodeSnapshot(r))
-		}
-	}
-
-	if n, ok := decodeCount(r, 1); ok {
-		cp.programs = make([]*shader.Program, n)
-		for i := range cp.programs {
-			cp.programs[i] = decodeProgram(r)
-		}
-	}
-	if n, ok := decodeCount(r, 6); ok {
-		cp.fsMasks = make([]progMask, n)
-		for i := range cp.fsMasks {
-			cp.fsMasks[i].in = r.U16()
-			cp.fsMasks[i].consts = r.U32()
-		}
-	}
-	if n, ok := decodeCount(r, 1); ok {
-		cp.textures = make([]*texture.Texture, n)
-		for i := range cp.textures {
-			cp.textures[i] = decodeTexture(r)
 		}
 	}
 
@@ -375,78 +336,4 @@ func decodeUnitSnapshot(r *wire.Reader) sig.UnitSnapshot {
 	s.SUClock = r.U64()
 	s.Stats = decodeSigStats(r)
 	return s
-}
-
-func appendProgram(b []byte, p *shader.Program) []byte {
-	if p == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
-	b = wire.AppendString(b, p.Name)
-	b = wire.AppendU32(b, uint32(len(p.Instrs)))
-	for _, in := range p.Instrs {
-		b = wire.AppendU8(b, uint8(in.Op))
-		b = wire.AppendU8(b, uint8(in.Dst.File))
-		b = wire.AppendU8(b, in.Dst.Idx)
-		b = wire.AppendU8(b, in.Dst.Mask)
-		for _, src := range in.Src {
-			b = wire.AppendU8(b, uint8(src.File))
-			b = wire.AppendU8(b, src.Idx)
-			b = append(b, src.Swz[0], src.Swz[1], src.Swz[2], src.Swz[3])
-			b = wire.AppendBool(b, src.Neg)
-		}
-		b = wire.AppendU8(b, in.TexUnit)
-	}
-	return b
-}
-
-func decodeProgram(r *wire.Reader) *shader.Program {
-	if !r.Bool() {
-		return nil
-	}
-	p := &shader.Program{Name: r.String()}
-	n, ok := decodeCount(r, 26)
-	if !ok {
-		return p
-	}
-	p.Instrs = make([]shader.Instr, n)
-	for i := range p.Instrs {
-		in := &p.Instrs[i]
-		in.Op = shader.Op(r.U8())
-		in.Dst.File = shader.File(r.U8())
-		in.Dst.Idx = r.U8()
-		in.Dst.Mask = r.U8()
-		for s := range in.Src {
-			in.Src[s].File = shader.File(r.U8())
-			in.Src[s].Idx = r.U8()
-			in.Src[s].Swz = shader.Swizzle{r.U8(), r.U8(), r.U8(), r.U8()}
-			in.Src[s].Neg = r.Bool()
-		}
-		in.TexUnit = r.U8()
-	}
-	return p
-}
-
-func appendTexture(b []byte, t *texture.Texture) []byte {
-	if t == nil {
-		return wire.AppendBool(b, false)
-	}
-	b = wire.AppendBool(b, true)
-	b = wire.AppendI64(b, int64(t.ID))
-	b = wire.AppendI64(b, int64(t.W))
-	b = wire.AppendI64(b, int64(t.H))
-	b = wire.AppendU32s(b, t.Pix)
-	b = wire.AppendU8(b, uint8(t.Filter))
-	return wire.AppendU64(b, t.Base)
-}
-
-func decodeTexture(r *wire.Reader) *texture.Texture {
-	if !r.Bool() {
-		return nil
-	}
-	t := &texture.Texture{ID: int(r.I64()), W: int(r.I64()), H: int(r.I64())}
-	t.Pix = r.U32s()
-	t.Filter = texture.Filter(r.U8())
-	t.Base = r.U64()
-	return t
 }

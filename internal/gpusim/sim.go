@@ -142,17 +142,7 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.teBuf = sig.NewBuffer(s.fbuf.NumTiles())
 	s.memo = newMemoState(s.fbuf.NumTiles(), cfg.MemoLUTEntries)
 
-	s.programs = append([]*shader.Program(nil), trace.Programs...)
-	s.fsMasks = make([]progMask, len(s.programs))
-	for i, p := range s.programs {
-		in, consts := p.ReadMasks()
-		s.fsMasks[i] = progMask{in: in, consts: consts}
-	}
-	s.textures = make([]*texture.Texture, len(trace.Textures))
-	for i, spec := range trace.Textures {
-		s.textures[i] = spec.Build(i)
-		s.textures[i].Base = addrTexBase + uint64(i)<<24
-	}
+	s.loadUploadTables(nil)
 	s.clearColor = texture.PackColor(trace.ClearColor)
 	s.skipCounts = make([]uint32, s.fbuf.NumTiles())
 
@@ -176,6 +166,56 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 		s.tr = cfg.Tracer.Thread("sim " + trace.Name + " [" + cfg.Technique.String() + "]")
 	}
 	return s, nil
+}
+
+// loadUploadTables resets the program and texture tables to the trace's
+// initial registries, then re-applies the UploadProgram and UploadTexture
+// commands of frames — the tables as they stand after those frames ran. New
+// loads them with no frames; Resume with the frames its checkpoint covers,
+// which is why a checkpoint need not carry either table.
+func (s *Simulator) loadUploadTables(frames []api.Frame) {
+	s.programs, s.fsMasks, s.textures = s.programs[:0], s.fsMasks[:0], s.textures[:0]
+	for i, p := range s.trace.Programs {
+		s.setProgram(i, p)
+	}
+	for i, spec := range s.trace.Textures {
+		s.setTexture(i, spec)
+	}
+	for f := range frames {
+		for _, cmd := range frames[f].Commands {
+			switch c := cmd.(type) {
+			case api.UploadProgram:
+				s.setProgram(int(c.ID), c.Program)
+			case api.UploadTexture:
+				s.setTexture(int(c.ID), c.Spec)
+			}
+		}
+	}
+}
+
+// setProgram installs p as program id along with its cached read masks.
+// Both tables persist across frames and grow once to the trace's program-ID
+// high-water mark.
+func (s *Simulator) setProgram(id int, p *shader.Program) {
+	for id >= len(s.programs) {
+		s.programs = append(s.programs, nil)
+		s.fsMasks = append(s.fsMasks, progMask{})
+	}
+	s.programs[id] = p
+	in, consts := p.ReadMasks()
+	s.fsMasks[id] = progMask{in: in, consts: consts}
+}
+
+// setTexture synthesizes spec as texture id and places it in the simulated
+// address map. The table persists across frames and grows once per new
+// texture ID.
+func (s *Simulator) setTexture(id int, spec api.TextureSpec) {
+	for id >= len(s.textures) {
+		s.textures = append(s.textures, nil)
+	}
+	t := spec.Build(id)
+	t.Base = addrTexBase + uint64(id)<<24
+	s.textures[id] = t
 }
 
 // SetTracer (re)binds the simulator to a trace sink, opening a new track.
@@ -309,27 +349,10 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 			s.processDraw(c, st, &geo)
 		case api.UploadProgram:
 			s.state.Apply(cmd)
-			for int(c.ID) >= len(s.programs) {
-				// Both tables persist across frames and grow once to the
-				// trace's program-ID high-water mark.
-				//re:arena
-				s.programs = append(s.programs, nil)
-				//re:arena
-				s.fsMasks = append(s.fsMasks, progMask{})
-			}
-			s.programs[c.ID] = c.Program
-			in, consts := c.Program.ReadMasks()
-			s.fsMasks[c.ID] = progMask{in: in, consts: consts}
+			s.setProgram(int(c.ID), c.Program)
 		case api.UploadTexture:
 			s.state.Apply(cmd)
-			for int(c.ID) >= len(s.textures) {
-				// Persists across frames; grows once per new texture ID.
-				//re:arena
-				s.textures = append(s.textures, nil)
-			}
-			t := c.Spec.Build(int(c.ID))
-			t.Base = addrTexBase + uint64(c.ID)<<24
-			s.textures[c.ID] = t
+			s.setTexture(int(c.ID), c.Spec)
 		case api.SetRenderTargets:
 			s.state.Apply(cmd)
 			if c.N > 1 {

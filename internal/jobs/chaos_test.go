@@ -75,7 +75,7 @@ func TestChaosSoak(t *testing.T) {
 	specs := chaosSpecs(t)
 
 	// Fault-free baseline, same runner and checkpoint cadence.
-	base := New(Options{Workers: 4, Retries: 20, Backoff: time.Millisecond, CheckpointInterval: 1})
+	base := NewPool(WithWorkers(4), WithRetries(20), WithBackoff(time.Millisecond), WithCheckpointInterval(1))
 	want := runSuite(t, base, specs)
 	base.Close(context.Background())
 
@@ -87,8 +87,7 @@ func TestChaosSoak(t *testing.T) {
 		With(fault.SiteTraceDecode, fault.Site{Prob: 0.5, Limit: 2, Kinds: []fault.Kind{fault.Corrupt}})
 
 	const workers = 4
-	chaos := New(Options{Workers: workers, Retries: 20, Backoff: time.Millisecond,
-		CheckpointInterval: 1, Fault: plan})
+	chaos := NewPool(WithWorkers(workers), WithRetries(20), WithBackoff(time.Millisecond), WithCheckpointInterval(1), WithFault(plan))
 	defer chaos.Close(context.Background())
 
 	got := runSuite(t, chaos, specs)
@@ -141,7 +140,7 @@ func TestChaosSoak(t *testing.T) {
 func TestChaosResumeAfterTimeout(t *testing.T) {
 	sp := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 6, Seed: 1}, Tech: gpusim.RE}
 
-	clean := New(Options{Workers: 1, CheckpointInterval: 1})
+	clean := NewPool(WithWorkers(1), WithCheckpointInterval(1))
 	want := runSuite(t, clean, []Spec{sp})[0]
 	clean.Close(context.Background())
 
@@ -151,8 +150,7 @@ func TestChaosResumeAfterTimeout(t *testing.T) {
 	// checkpointed before the attempt dies.
 	plan := fault.New(1).
 		With(fault.SiteDRAMRead, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Latency}, Latency: 1500 * time.Millisecond})
-	p := New(Options{Workers: 1, Timeout: 500 * time.Millisecond, Retries: 10,
-		Backoff: time.Millisecond, CheckpointInterval: 1, Fault: plan})
+	p := NewPool(WithWorkers(1), WithTimeout(500*time.Millisecond), WithRetries(10), WithBackoff(time.Millisecond), WithCheckpointInterval(1), WithFault(plan))
 	defer p.Close(context.Background())
 
 	got := runSuite(t, p, []Spec{sp})[0]
@@ -188,8 +186,7 @@ func TestChaosWorkerPanicReplacement(t *testing.T) {
 		With(fault.SiteWorker, fault.Site{Prob: 1, Limit: 3, Kinds: []fault.Kind{fault.Panic}})
 	var runs atomic.Int64
 	const workers = 2
-	p := New(Options{Workers: workers, Retries: 5, Backoff: time.Millisecond,
-		Fault: plan, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(workers), WithRetries(5), WithBackoff(time.Millisecond), WithFault(plan), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 
 	var js []*Job
@@ -226,7 +223,7 @@ func TestCloseDrainNoLeaks(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	var runs atomic.Int64
-	p := New(Options{Workers: 3, Run: fakeRun(&runs, 200*time.Millisecond)})
+	p := NewPool(WithWorkers(3), WithRun(fakeRun(&runs, 200*time.Millisecond)))
 	var js []*Job
 	for _, alias := range []string{"ccs", "mst", "hop", "coc", "cde", "ctr", "abi", "csn"} {
 		j, err := p.Submit(spec(alias))
@@ -286,7 +283,7 @@ func TestTrySubmitShedsLoad(t *testing.T) {
 			return gpusim.Result{}, ctx.Err()
 		}
 	}
-	p := New(Options{Workers: 1, QueueDepth: 1, Run: run})
+	p := NewPool(WithWorkers(1), WithQueueDepth(1), WithRun(run))
 	defer func() { close(block); p.Close(context.Background()) }()
 
 	a, err := p.Submit(spec("ccs"))
@@ -327,7 +324,7 @@ func TestBreakerOpensAndRecovers(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := New(Options{Workers: 1, Run: run, BreakerThreshold: 2, BreakerCooldown: 100 * time.Millisecond})
+	p := NewPool(WithWorkers(1), WithRun(run), WithBreaker(2, 100*time.Millisecond))
 	defer p.Close(context.Background())
 
 	// Two terminal failures trip the breaker (threshold 2). Vary the seed

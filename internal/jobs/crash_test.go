@@ -79,7 +79,7 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 	specs := chaosSpecs(t)
 
 	st := openTestStore(t, dir, nil)
-	p := New(Options{Workers: 4, CheckpointInterval: 1, Store: st, Logger: quietLogger()})
+	p := NewPool(WithWorkers(4), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
 	want := runSuite(t, p, specs)
 	// Kill, not Close: completion must already be durable — there is no
 	// graceful-shutdown flush to rely on.
@@ -90,7 +90,7 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 
 	st2 := openTestStore(t, dir, nil)
 	defer st2.Close()
-	p2 := New(Options{Workers: 4, Store: st2, Logger: quietLogger()})
+	p2 := NewPool(WithWorkers(4), WithStore(st2), WithLogger(quietLogger()))
 	defer p2.Close(context.Background())
 
 	if n := st2.Metrics().ResultsRecovered.Load(); n != uint64(len(specs)) {
@@ -143,13 +143,13 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	spec := Spec{TraceBin: buf.Bytes(), Tech: gpusim.RE}
 
 	// The never-interrupted reference.
-	ref := New(Options{Workers: 1, CheckpointInterval: 1})
+	ref := NewPool(WithWorkers(1), WithCheckpointInterval(1))
 	want := runSuite(t, ref, []Spec{spec})[0]
 	ref.Close(context.Background())
 
 	dir := t.TempDir()
 	st := openTestStore(t, dir, nil)
-	p := New(Options{Workers: 1, CheckpointInterval: 1, Store: st, Logger: quietLogger()})
+	p := NewPool(WithWorkers(1), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
 	if _, err := p.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
 	}
 
-	p2 := New(Options{Workers: 1, CheckpointInterval: 1, Store: st2, Logger: quietLogger()})
+	p2 := NewPool(WithWorkers(1), WithCheckpointInterval(1), WithStore(st2), WithLogger(quietLogger()))
 	defer p2.Close(context.Background())
 	// Joining the recovered in-flight job (or hitting the cache once it
 	// completes) yields the resumed result.
@@ -216,7 +216,7 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, nil)
-	p := New(Options{Workers: 1, Store: st, BreakerThreshold: -1, Logger: quietLogger()})
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()), WithBreaker(-1, 0))
 	j, err := p.Submit(Spec{Alias: "no-such-benchmark", Tech: gpusim.RE})
 	if err != nil {
 		t.Fatal(err)
@@ -247,7 +247,7 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 	}
 	specs := chaosSpecs(t)
 
-	base := New(Options{Workers: 4, CheckpointInterval: 1})
+	base := NewPool(WithWorkers(4), WithCheckpointInterval(1))
 	want := runSuite(t, base, specs)
 	base.Close(context.Background())
 	wantByKey := make(map[string]gpusim.Result)
@@ -264,7 +264,7 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 				With(fault.SiteStoreRename, fault.Site{Prob: 0.2})
 			dir := t.TempDir()
 			st := openTestStore(t, dir, plan)
-			p := New(Options{Workers: 4, CheckpointInterval: 1, Store: st, Logger: quietLogger()})
+			p := NewPool(WithWorkers(4), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
 			got := runSuite(t, p, specs)
 			for i := range specs {
 				if !reflect.DeepEqual(got[i], want[i]) {
@@ -303,7 +303,7 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 func TestNonDurableSpecsStayOffTheWAL(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, nil)
-	p := New(Options{Workers: 1, Store: st, Logger: quietLogger()})
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
 	b, err := workload.ByAlias("ccs")
 	if err != nil {
 		t.Fatal(err)

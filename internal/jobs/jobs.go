@@ -10,13 +10,11 @@
 package jobs
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"log/slog"
 	"math/rand"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -29,8 +27,6 @@ import (
 	"rendelim/internal/gpusim"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
-	"rendelim/internal/store"
-	"rendelim/internal/trace"
 	"rendelim/internal/workload"
 )
 
@@ -178,7 +174,8 @@ type Job struct {
 	// resume carries checkpoint state across retry attempts and worker
 	// panics, so recovery continues from the last completed frame instead
 	// of recomputing from frame 0. Owned by the single worker executing
-	// the job (workers never share an in-flight job).
+	// the job (workers never share an in-flight job); released once the
+	// job is done or failed.
 	resume *resume
 	// walled is set once the job's submitted record reached the durable
 	// WAL; only walled jobs append further lifecycle records. Written
@@ -253,81 +250,13 @@ func (j *Job) Cancel() {
 // pool metrics; implementations may ignore it.
 type RunFunc func(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error)
 
-// Options configures a Pool. Zero values select the documented defaults.
-type Options struct {
-	Workers    int           // concurrent simulations; default GOMAXPROCS/TileWorkers
-	QueueDepth int           // Submit blocks past this many waiting jobs; default 1024
-	CacheSize  int           // LRU result entries; default 512
-	Timeout    time.Duration // per-attempt deadline; 0 = none
-	Retries    int           // transient-failure/timeout retries; default 0
-	Backoff    time.Duration // initial retry backoff (doubles); default 50ms
-	Run        RunFunc       // job executor; default: built-in resumable runner
-	Logger     *slog.Logger  // structured job-lifecycle logs; default slog.Default
-
-	// CheckpointInterval makes the built-in runner snapshot the simulator
-	// every n completed frames, so a retried attempt (transient failure,
-	// panic, or per-attempt timeout) resumes from the last checkpoint
-	// instead of frame 0. 0 disables checkpointing. Ignored when a custom
-	// Run is set.
-	CheckpointInterval int
-
-	// Fault, when non-nil, injects deterministic faults at the pool's
-	// sites (fault.SiteWorker before each attempt, fault.SiteTraceDecode
-	// before decoding uploads) and is threaded into each simulation's
-	// config (dram.read / dram.write). Nil costs nothing.
-	Fault *fault.Plan
-
-	// BreakerThreshold opens a per-benchmark circuit breaker after this
-	// many consecutive non-transient terminal failures; submissions for
-	// that benchmark are rejected with ErrBreakerOpen until
-	// BreakerCooldown passes, then a half-open trial admits one. 0 selects
-	// the default (5); negative disables the breaker.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration // default 30s
-
-	// Journal, when non-nil, receives notable job-lifecycle events
-	// (accepted, eliminated, shed, panicked, breaker transitions) for the
-	// /debug/events flight recorder. Nil costs nothing.
-	Journal *obs.Journal
-
-	// Store, when non-nil, makes job state durable: leader submissions,
-	// starts, frame-boundary checkpoints, completions and terminal failures
-	// are WAL-logged and snapshotted, and at construction the pool replays
-	// the store's recovery set — completed results re-enter the cache and
-	// interrupted jobs are resubmitted from their last checkpoint. Nil (the
-	// default) keeps the pool memory-only. The caller owns the store's
-	// lifecycle and must close it after the pool.
-	Store *store.Store
-
-	// TileWorkers sets each simulation's raster-phase parallelism (see
-	// gpusim.Config.TileWorkers): 0 or 1 renders serially, n > 1 uses n
-	// goroutines per running job, negative uses one per host CPU. When
-	// Workers is left zero it defaults to GOMAXPROCS divided by the
-	// effective tile-worker count, so the job pool and the per-job tile
-	// pools compose without oversubscribing the host. Results never depend
-	// on this knob, so it is excluded from job signatures.
-	TileWorkers int
-}
-
-// effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
-func (o Options) effectiveTileWorkers() int {
-	tw := o.TileWorkers
-	if tw < 0 {
-		tw = runtime.GOMAXPROCS(0)
-	}
-	if tw < 1 {
-		tw = 1
-	}
-	return tw
-}
-
 // Pool is the bounded scheduler: a FIFO queue drained by Workers goroutines,
 // fronted by the signature cache and singleflight dedup.
 type Pool struct {
-	opts    Options
+	opts    options
 	metrics *Metrics
 	log     *slog.Logger
-	journal *obs.Journal // nil-safe; see Options.Journal
+	journal *obs.Journal // nil-safe; see WithJournal
 
 	queue    chan *Job
 	draining chan struct{} // closed when Close or Kill begins; aborts retry backoffs
@@ -350,66 +279,6 @@ type Pool struct {
 
 // registryLimit bounds how many finished jobs stay addressable by ID.
 const registryLimit = 4096
-
-// New builds a pool and starts its workers.
-//
-// Deprecated: use NewPool with functional options (WithWorkers,
-// WithTileWorkers, WithCheckpointInterval, ...). New remains as a one-call
-// compatibility shim and builds an identical pool.
-func New(opts Options) *Pool {
-	if opts.Workers <= 0 {
-		// Share the host between the job pool and each job's tile workers:
-		// Workers * TileWorkers ≈ GOMAXPROCS.
-		opts.Workers = runtime.GOMAXPROCS(0) / opts.effectiveTileWorkers()
-		if opts.Workers < 1 {
-			opts.Workers = 1
-		}
-	}
-	if opts.QueueDepth <= 0 {
-		opts.QueueDepth = 1024
-	}
-	if opts.CacheSize <= 0 {
-		opts.CacheSize = 512
-	}
-	if opts.Backoff <= 0 {
-		opts.Backoff = 50 * time.Millisecond
-	}
-	if opts.BreakerThreshold == 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 30 * time.Second
-	}
-	if opts.Logger == nil {
-		opts.Logger = slog.Default()
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	p := &Pool{
-		opts:       opts,
-		metrics:    newMetrics(),
-		log:        opts.Logger,
-		journal:    opts.Journal,
-		queue:      make(chan *Job, opts.QueueDepth),
-		draining:   make(chan struct{}),
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		cache:      newLRU(opts.CacheSize),
-		flight:     newFlight(),
-		reg:        make(map[string]*Job),
-	}
-	if opts.BreakerThreshold > 0 {
-		p.brk = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown)
-	}
-	p.metrics.inflightFn = p.flight.len
-	for i := 0; i < opts.Workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
-	if opts.Store != nil {
-		p.recoverFromStore()
-	}
-	return p
-}
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.opts.Workers }
@@ -711,6 +580,7 @@ func (p *Pool) requeue(j *Job) bool {
 
 // finishFailed terminally fails a job outside the normal execute path.
 func (p *Pool) finishFailed(j *Job, err error) {
+	j.resume = nil // as in execute: a failed job is never resumed
 	p.mu.Lock()
 	p.flight.forget(j.Key)
 	p.mu.Unlock()
@@ -737,6 +607,10 @@ func (p *Pool) execute(j *Job) {
 
 	start := time.Now()
 	res, err := p.runWithRetry(j.call.ctx, j)
+	// Done or failed, nothing resumes this job again: release its checkpoint
+	// (framebuffers, cache arrays, memo baselines) instead of keeping it
+	// alive for as long as the registry remembers the job.
+	j.resume = nil
 
 	p.mu.Lock()
 	if err == nil {
@@ -842,48 +716,16 @@ func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Du
 }
 
 // DefaultRun builds the trace (decode upload, custom builder, or suite
-// alias), then simulates with cancellation honored at frame boundaries, so
-// timeouts and cancellation interrupt long runs. Simulations render
-// serially; RunWithTileWorkers parallelizes them.
+// alias), then simulates serially with cancellation honored at frame
+// boundaries, so timeouts and cancellation interrupt long runs. It is the
+// pool's runner without the pool: no checkpoints, no fault plan.
 func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
-	return runSpec(ctx, spec, observe, 0)
-}
-
-// RunWithTileWorkers returns a RunFunc like DefaultRun whose simulations
-// render tiles on the given number of goroutines (gpusim.Config.TileWorkers
-// semantics). Results are byte-identical at any worker count.
-func RunWithTileWorkers(tileWorkers int) RunFunc {
-	return func(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
-		return runSpec(ctx, spec, observe, tileWorkers)
-	}
-}
-
-func runSpec(ctx context.Context, spec Spec, observe func(stage string, d time.Duration), tileWorkers int) (gpusim.Result, error) {
 	buildStart := time.Now()
-	var tr *api.Trace
-	switch {
-	case len(spec.TraceBin) > 0:
-		var err error
-		tr, err = trace.Decode(bytes.NewReader(spec.TraceBin))
-		if err != nil {
-			return gpusim.Result{}, fmt.Errorf("jobs: %w", err)
-		}
-	case spec.Build != nil:
-		tr = spec.Build(spec.Params)
-	default:
-		b, err := workload.ByAlias(spec.Alias)
-		if err != nil {
-			return gpusim.Result{}, err
-		}
-		tr = b.Build(spec.Params)
+	tr, err := specTrace(spec, nil)
+	if err != nil {
+		return gpusim.Result{}, err
 	}
-	cfg := gpusim.DefaultConfig()
-	cfg.Technique = spec.Tech
-	cfg.TileWorkers = tileWorkers
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	sim, err := gpusim.New(tr, cfg)
+	sim, err := gpusim.New(tr, specConfig(spec, 0, nil))
 	if err != nil {
 		return gpusim.Result{}, err
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,7 +74,7 @@ func TestKeyDiscriminates(t *testing.T) {
 // one leader simulates, every other submission joins it (singleflight).
 func TestDedupConcurrentSubmissions(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 4, Run: fakeRun(&runs, 30*time.Millisecond)})
+	p := NewPool(WithWorkers(4), WithRun(fakeRun(&runs, 30*time.Millisecond)))
 	defer p.Close(context.Background())
 
 	const n = 16
@@ -127,7 +128,7 @@ func TestDedupConcurrentSubmissions(t *testing.T) {
 // result cache.
 func TestCacheHitAfterCompletion(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 2, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(2), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 
 	j1, err := p.Submit(spec("cde"))
@@ -166,7 +167,7 @@ func TestCacheHitAfterCompletion(t *testing.T) {
 
 func TestTimeoutFires(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Timeout: 20 * time.Millisecond, Run: fakeRun(&runs, 5*time.Second)})
+	p := NewPool(WithWorkers(1), WithTimeout(20*time.Millisecond), WithRun(fakeRun(&runs, 5*time.Second)))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("mst"))
@@ -194,7 +195,7 @@ func TestTimeoutFires(t *testing.T) {
 
 func TestCancel(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 5*time.Second)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 5*time.Second)))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("ter"))
@@ -216,7 +217,7 @@ func TestRetryThenSucceed(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := New(Options{Workers: 1, Retries: 3, Backoff: time.Millisecond, Run: run})
+	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(spec("abi"))
@@ -245,7 +246,7 @@ func TestPermanentFailureNoRetry(t *testing.T) {
 		attempts.Add(1)
 		return gpusim.Result{}, fmt.Errorf("bad trace")
 	}
-	p := New(Options{Workers: 1, Retries: 3, Backoff: time.Millisecond, Run: run})
+	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
 	defer p.Close(context.Background())
 
 	j, _ := p.Submit(spec("tib"))
@@ -267,7 +268,7 @@ func TestPanicContained(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := New(Options{Workers: 1, Run: run})
+	p := NewPool(WithWorkers(1), WithRun(run))
 	defer p.Close(context.Background())
 
 	j1, _ := p.Submit(spec("hop"))
@@ -284,7 +285,7 @@ func TestPanicContained(t *testing.T) {
 // submissions are rejected.
 func TestGracefulDrain(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 2, Run: fakeRun(&runs, 20*time.Millisecond)})
+	p := NewPool(WithWorkers(2), WithRun(fakeRun(&runs, 20*time.Millisecond)))
 
 	var jobs []*Job
 	for i := 0; i < 8; i++ {
@@ -316,7 +317,7 @@ func TestGracefulDrain(t *testing.T) {
 // An expired drain deadline cancels outstanding jobs instead of hanging.
 func TestDrainDeadline(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 10*time.Second)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 10*time.Second)))
 	j, err := p.Submit(spec("slow"))
 	if err != nil {
 		t.Fatal(err)
@@ -338,7 +339,7 @@ func TestDrainDeadline(t *testing.T) {
 
 func TestGetRegistry(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 
 	j, _ := p.Submit(spec("ccs"))
@@ -371,7 +372,7 @@ func TestLRUEviction(t *testing.T) {
 
 func TestMetricsPrometheusFormat(t *testing.T) {
 	var runs atomic.Int64
-	p := New(Options{Workers: 1, Run: fakeRun(&runs, 0)})
+	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 0)))
 	defer p.Close(context.Background())
 	j, _ := p.Submit(spec("ccs"))
 	j.Wait(context.Background())
@@ -410,7 +411,7 @@ func TestSingleflightInflightGauge(t *testing.T) {
 			return gpusim.Result{}, ctx.Err()
 		}
 	}
-	p := New(Options{Workers: 1, Run: run})
+	p := NewPool(WithWorkers(1), WithRun(run))
 	defer p.Close(context.Background())
 
 	if got := p.Metrics().InflightKeys(); got != 0 {
@@ -443,7 +444,7 @@ func TestDefaultRunRealWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	p := New(Options{Workers: 2})
+	p := NewPool(WithWorkers(2))
 	defer p.Close(context.Background())
 
 	s := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE}
@@ -461,6 +462,38 @@ func TestDefaultRunRealWorkload(t *testing.T) {
 	sum := Summarize(res)
 	if sum.Technique != "re" || sum.Frames != 3 || sum.Cycles == 0 {
 		t.Errorf("bad summary: %+v", sum)
+	}
+	direct, err := DefaultRun(context.Background(), s, func(string, time.Duration) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(direct, res) {
+		t.Errorf("DefaultRun disagrees with the pool's runner:\n direct %+v\n pool   %+v", direct.Total, res.Total)
+	}
+}
+
+// A finished job holds no resume state: the registry keeps finished jobs
+// addressable, and their last checkpoint (framebuffers, cache arrays, memo
+// baselines) must not live on with them.
+func TestFinishedJobReleasesCheckpoint(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation in -short mode")
+	}
+	p := NewPool(WithWorkers(1), WithCheckpointInterval(1))
+	defer p.Close(context.Background())
+
+	j, err := p.Submit(Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := j.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Metrics().FramesSimulated.Load(); got != 3 {
+		t.Fatalf("simulated %d frames, want 3 (two checkpointed boundaries)", got)
+	}
+	if j.resume != nil {
+		t.Errorf("completed job still holds its frame-%d checkpoint", j.resume.cp.Frame())
 	}
 }
 

@@ -1,7 +1,9 @@
 package jobs
 
 import (
+	"context"
 	"log/slog"
+	"runtime"
 	"time"
 
 	"rendelim/internal/fault"
@@ -9,78 +11,163 @@ import (
 	"rendelim/internal/store"
 )
 
-// Option configures a Pool built with NewPool. The zero configuration is
-// usable: NewPool() sizes itself from GOMAXPROCS with the same defaults New
-// has always applied. Options compose left to right; later options win.
-type Option func(*Options)
+// options is a Pool's resolved configuration; each field is documented on
+// the With* option that sets it.
+type options struct {
+	Workers            int
+	QueueDepth         int
+	CacheSize          int
+	Timeout            time.Duration
+	Retries            int
+	Backoff            time.Duration
+	Run                RunFunc
+	Logger             *slog.Logger
+	CheckpointInterval int
+	Fault              *fault.Plan
+	BreakerThreshold   int
+	BreakerCooldown    time.Duration
+	Journal            *obs.Journal
+	Store              *store.Store
+	TileWorkers        int
+}
 
-// NewPool builds a worker pool from functional options. It is the preferred
-// constructor; New(Options{...}) remains as a compatibility shim and both
-// produce identical pools (see TestNewPoolOptionsEquivalence).
+// effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
+func (o options) effectiveTileWorkers() int {
+	tw := o.TileWorkers
+	if tw < 0 {
+		tw = runtime.GOMAXPROCS(0)
+	}
+	if tw < 1 {
+		tw = 1
+	}
+	return tw
+}
+
+// Option configures a Pool built with NewPool. Options compose left to
+// right; later options win.
+type Option func(*options)
+
+// NewPool builds a worker pool and starts its workers. The zero
+// configuration is usable: NewPool() sizes itself from GOMAXPROCS, and every
+// option left unset takes the default its With* function documents.
 func NewPool(opts ...Option) *Pool {
-	var o Options
+	var o options
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
 		}
 	}
-	return New(o)
+	if o.Workers <= 0 {
+		// Share the host between the job pool and each job's tile workers:
+		// Workers * TileWorkers ≈ GOMAXPROCS.
+		o.Workers = runtime.GOMAXPROCS(0) / o.effectiveTileWorkers()
+		if o.Workers < 1 {
+			o.Workers = 1
+		}
+	}
+	if o.QueueDepth <= 0 {
+		o.QueueDepth = 1024
+	}
+	if o.CacheSize <= 0 {
+		o.CacheSize = 512
+	}
+	if o.Backoff <= 0 {
+		o.Backoff = 50 * time.Millisecond
+	}
+	if o.BreakerThreshold == 0 {
+		o.BreakerThreshold = 5
+	}
+	if o.BreakerCooldown <= 0 {
+		o.BreakerCooldown = 30 * time.Second
+	}
+	if o.Logger == nil {
+		o.Logger = slog.Default()
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	p := &Pool{
+		opts:       o,
+		metrics:    newMetrics(),
+		log:        o.Logger,
+		journal:    o.Journal,
+		queue:      make(chan *Job, o.QueueDepth),
+		draining:   make(chan struct{}),
+		baseCtx:    ctx,
+		baseCancel: cancel,
+		cache:      newLRU(o.CacheSize),
+		flight:     newFlight(),
+		reg:        make(map[string]*Job),
+	}
+	if o.BreakerThreshold > 0 {
+		p.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown)
+	}
+	p.metrics.inflightFn = p.flight.len
+	for i := 0; i < o.Workers; i++ {
+		p.wg.Add(1)
+		go p.worker()
+	}
+	if o.Store != nil {
+		p.recoverFromStore()
+	}
+	return p
 }
 
 // WithWorkers sets the number of concurrent simulations. Zero or negative
 // selects the default: GOMAXPROCS divided by the effective tile-worker
 // count, so job-level and tile-level parallelism compose without
 // oversubscribing the host.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
+func WithWorkers(n int) Option { return func(o *options) { o.Workers = n } }
 
 // WithTileWorkers sets each simulation's raster-phase parallelism (see
 // gpusim.Config.TileWorkers): 0 or 1 renders serially, n > 1 uses n
 // goroutines per running job, negative uses one per host CPU. Results never
 // depend on this knob, so it is excluded from job signatures.
-func WithTileWorkers(n int) Option { return func(o *Options) { o.TileWorkers = n } }
+func WithTileWorkers(n int) Option { return func(o *options) { o.TileWorkers = n } }
 
 // WithQueueDepth bounds the number of waiting jobs before Submit blocks.
 // Default 1024.
-func WithQueueDepth(n int) Option { return func(o *Options) { o.QueueDepth = n } }
+func WithQueueDepth(n int) Option { return func(o *options) { o.QueueDepth = n } }
 
 // WithCacheSize sets the LRU result-cache capacity in entries. Default 512.
-func WithCacheSize(n int) Option { return func(o *Options) { o.CacheSize = n } }
+func WithCacheSize(n int) Option { return func(o *options) { o.CacheSize = n } }
 
 // WithTimeout sets the per-attempt deadline. Zero means no deadline.
-func WithTimeout(d time.Duration) Option { return func(o *Options) { o.Timeout = d } }
+func WithTimeout(d time.Duration) Option { return func(o *options) { o.Timeout = d } }
 
 // WithRetries sets how many times a transient failure or per-attempt
 // timeout is retried. Default 0.
-func WithRetries(n int) Option { return func(o *Options) { o.Retries = n } }
+func WithRetries(n int) Option { return func(o *options) { o.Retries = n } }
 
 // WithBackoff sets the initial retry backoff, which doubles per attempt.
 // Default 50ms.
-func WithBackoff(d time.Duration) Option { return func(o *Options) { o.Backoff = d } }
+func WithBackoff(d time.Duration) Option { return func(o *options) { o.Backoff = d } }
 
 // WithRun replaces the built-in resumable runner with a custom job
 // executor.
-func WithRun(fn RunFunc) Option { return func(o *Options) { o.Run = fn } }
+func WithRun(fn RunFunc) Option { return func(o *options) { o.Run = fn } }
 
 // WithLogger sets the structured job-lifecycle logger. Default
 // slog.Default().
-func WithLogger(l *slog.Logger) Option { return func(o *Options) { o.Logger = l } }
+func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l } }
 
 // WithCheckpointInterval makes the built-in runner snapshot the simulator
-// every n completed frames, so a retried attempt resumes from the last
-// checkpoint instead of frame 0. Zero disables checkpointing. Ignored when
-// a custom Run is set.
-func WithCheckpointInterval(n int) Option { return func(o *Options) { o.CheckpointInterval = n } }
+// every n completed frames, so a retried attempt (transient failure, panic,
+// or per-attempt timeout) resumes from the last checkpoint instead of frame
+// 0. Zero disables checkpointing. Ignored when a custom Run is set.
+func WithCheckpointInterval(n int) Option { return func(o *options) { o.CheckpointInterval = n } }
 
-// WithFault injects deterministic faults at the pool's sites and threads
-// the plan into each simulation's config. Nil costs nothing.
-func WithFault(p *fault.Plan) Option { return func(o *Options) { o.Fault = p } }
+// WithFault injects deterministic faults at the pool's sites
+// (fault.SiteWorker before each attempt, fault.SiteTraceDecode before
+// decoding uploads) and threads the plan into each simulation's config
+// (dram.read / dram.write). Nil costs nothing.
+func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
 // WithBreaker configures the per-benchmark circuit breaker: it opens after
-// threshold consecutive non-transient terminal failures and admits a
-// half-open trial after cooldown. threshold 0 selects the default (5),
-// negative disables the breaker; cooldown <= 0 selects the default (30s).
+// threshold consecutive non-transient terminal failures, rejecting that
+// benchmark's submissions with ErrBreakerOpen, and admits a half-open trial
+// after cooldown. threshold 0 selects the default (5), negative disables
+// the breaker; cooldown <= 0 selects the default (30s).
 func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(o *Options) {
+	return func(o *options) {
 		o.BreakerThreshold = threshold
 		o.BreakerCooldown = cooldown
 	}
@@ -93,9 +180,9 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 // resubmitted from their last persisted checkpoint. Nil keeps the pool
 // memory-only. The caller owns the store's lifecycle and must close it
 // after the pool.
-func WithStore(st *store.Store) Option { return func(o *Options) { o.Store = st } }
+func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }
 
 // WithJournal routes notable job-lifecycle events (accepted, eliminated,
 // shed, panicked, breaker transitions) to the /debug/events flight
 // recorder. Nil costs nothing.
-func WithJournal(j *obs.Journal) Option { return func(o *Options) { o.Journal = j } }
+func WithJournal(j *obs.Journal) Option { return func(o *options) { o.Journal = j } }

@@ -3,87 +3,28 @@ package jobs
 import (
 	"context"
 	"log/slog"
+	"runtime"
 	"testing"
 	"time"
-
-	"rendelim/internal/fault"
-	"rendelim/internal/gpusim"
-	"rendelim/internal/obs"
 )
 
-// TestNewPoolOptionsEquivalence proves the functional-options constructor is
-// a faithful re-skin of the legacy struct constructor: the same settings,
-// expressed either way, produce pools with identical resolved
-// configuration (after New's defaulting has been applied to both).
-func TestNewPoolOptionsEquivalence(t *testing.T) {
-	plan := &fault.Plan{}
-	journal := obs.NewJournal(4)
-	logger := slog.Default()
-	run := func(ctx context.Context, spec Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
-		return gpusim.Result{}, nil
-	}
-
-	legacy := New(Options{
-		Workers:            3,
-		QueueDepth:         7,
-		CacheSize:          9,
-		Timeout:            time.Second,
-		Retries:            2,
-		Backoff:            10 * time.Millisecond,
-		Run:                run,
-		Logger:             logger,
-		CheckpointInterval: 5,
-		Fault:              plan,
-		BreakerThreshold:   4,
-		BreakerCooldown:    time.Minute,
-		Journal:            journal,
-		TileWorkers:        2,
-	})
-	defer legacy.Close(context.Background())
-
-	modern := NewPool(
-		WithWorkers(3),
-		WithQueueDepth(7),
-		WithCacheSize(9),
-		WithTimeout(time.Second),
-		WithRetries(2),
-		WithBackoff(10*time.Millisecond),
-		WithRun(run),
-		WithLogger(logger),
-		WithCheckpointInterval(5),
-		WithFault(plan),
-		WithBreaker(4, time.Minute),
-		WithJournal(journal),
-		WithTileWorkers(2),
-	)
-	defer modern.Close(context.Background())
-
-	a, b := legacy.opts, modern.opts
-	if a.Workers != b.Workers || a.QueueDepth != b.QueueDepth ||
-		a.CacheSize != b.CacheSize || a.Timeout != b.Timeout ||
-		a.Retries != b.Retries || a.Backoff != b.Backoff ||
-		a.CheckpointInterval != b.CheckpointInterval ||
-		a.BreakerThreshold != b.BreakerThreshold ||
-		a.BreakerCooldown != b.BreakerCooldown ||
-		a.TileWorkers != b.TileWorkers ||
-		a.Fault != b.Fault || a.Journal != b.Journal || a.Logger != b.Logger ||
-		(a.Run == nil) != (b.Run == nil) {
-		t.Errorf("resolved options diverge:\n legacy %+v\n modern %+v", a, b)
-	}
-}
-
-// TestNewPoolDefaults: the zero-argument NewPool applies exactly the
-// defaults the legacy New(Options{}) applies.
+// TestNewPoolDefaults: NewPool() with no options applies the defaults its
+// With* functions document.
 func TestNewPoolDefaults(t *testing.T) {
-	legacy := New(Options{})
-	defer legacy.Close(context.Background())
-	modern := NewPool()
-	defer modern.Close(context.Background())
+	p := NewPool()
+	defer p.Close(context.Background())
 
-	a, b := legacy.opts, modern.opts
-	if a.Workers != b.Workers || a.QueueDepth != b.QueueDepth ||
-		a.CacheSize != b.CacheSize || a.Backoff != b.Backoff ||
-		a.BreakerThreshold != b.BreakerThreshold || a.BreakerCooldown != b.BreakerCooldown {
-		t.Errorf("defaults diverge:\n legacy %+v\n modern %+v", a, b)
+	o := p.opts
+	wantWorkers := runtime.GOMAXPROCS(0)
+	if o.Workers != wantWorkers || o.QueueDepth != 1024 || o.CacheSize != 512 ||
+		o.Backoff != 50*time.Millisecond || o.BreakerThreshold != 5 ||
+		o.BreakerCooldown != 30*time.Second || o.Logger != slog.Default() ||
+		o.Timeout != 0 || o.Retries != 0 || o.CheckpointInterval != 0 || o.TileWorkers != 0 ||
+		o.Run != nil || o.Fault != nil || o.Journal != nil || o.Store != nil {
+		t.Errorf("NewPool() defaults = %+v, want Workers=%d QueueDepth=1024 CacheSize=512 Backoff=50ms "+
+			"BreakerThreshold=5 BreakerCooldown=30s Logger=slog.Default() and everything else zero", o, wantWorkers)
+	}
+	if p.brk == nil {
+		t.Error("NewPool() built no circuit breaker; the default threshold enables it")
 	}
 }

@@ -17,50 +17,18 @@ import (
 // runResumable is the pool's built-in executor: like DefaultRun it builds
 // the trace and simulates with cancellation honored at frame boundaries, but
 // it also threads the pool's fault plan into the simulation and — when
-// Options.CheckpointInterval > 0 — snapshots the simulator at frame
+// WithCheckpointInterval is set — snapshots the simulator at frame
 // boundaries into the job. A later attempt of the same job (after a
 // transient failure, a contained or worker-level panic, or a per-attempt
 // timeout) resumes from the last checkpoint instead of frame 0, so the total
 // frames simulated across all attempts stays close to the trace length.
 func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
-	var tr *api.Trace
-	switch {
-	case len(j.spec.TraceBin) > 0:
-		// Injected decode fault. The Corrupt kind additionally runs a
-		// deterministically mangled copy of the upload through the decoder
-		// — which must reject or misparse it gracefully, never crash (the
-		// fuzz target guards the same property) — before failing the
-		// attempt the way a detected checksum mismatch would: transiently,
-		// so the retry re-reads the pristine bytes.
-		if ferr := p.opts.Fault.Check(fault.SiteTraceDecode); ferr != nil {
-			var fe *fault.Error
-			if errors.As(ferr, &fe) && fe.Kind == fault.Corrupt {
-				_, _ = trace.Decode(bytes.NewReader(fe.Mangle(j.spec.TraceBin)))
-			}
-			return gpusim.Result{}, Transient(fmt.Errorf("jobs: trace read: %w", ferr))
-		}
-		var err error
-		tr, err = trace.Decode(bytes.NewReader(j.spec.TraceBin))
-		if err != nil {
-			return gpusim.Result{}, fmt.Errorf("jobs: %w", err)
-		}
-	case j.spec.Build != nil:
-		tr = j.spec.Build(j.spec.Params)
-	default:
-		b, err := workload.ByAlias(j.spec.Alias)
-		if err != nil {
-			return gpusim.Result{}, err
-		}
-		tr = b.Build(j.spec.Params)
+	tr, err := specTrace(j.spec, p.opts.Fault)
+	if err != nil {
+		return gpusim.Result{}, err
 	}
-	cfg := gpusim.DefaultConfig()
-	cfg.Technique = j.spec.Tech
-	cfg.TileWorkers = p.opts.TileWorkers
-	cfg.Fault = p.opts.Fault
-	if j.spec.Mutate != nil {
-		j.spec.Mutate(&cfg)
-	}
+	cfg := specConfig(j.spec, p.opts.TileWorkers, p.opts.Fault)
 	sim, err := gpusim.New(tr, cfg)
 	if err != nil {
 		return gpusim.Result{}, err
@@ -118,4 +86,53 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 	res.FBCRC = sim.FrameBufferCRC()
 	observe(StageSimulate, time.Since(simStart))
 	return res, nil
+}
+
+// specTrace resolves spec to its trace: it decodes an upload, runs a custom
+// builder, or builds the suite alias. A nil plan injects nothing.
+func specTrace(spec Spec, plan *fault.Plan) (*api.Trace, error) {
+	var tr *api.Trace
+	switch {
+	case len(spec.TraceBin) > 0:
+		// Injected decode fault. The Corrupt kind additionally runs a
+		// deterministically mangled copy of the upload through the decoder
+		// — which must reject or misparse it gracefully, never crash (the
+		// fuzz target guards the same property) — before failing the
+		// attempt the way a detected checksum mismatch would: transiently,
+		// so the retry re-reads the pristine bytes.
+		if ferr := plan.Check(fault.SiteTraceDecode); ferr != nil {
+			var fe *fault.Error
+			if errors.As(ferr, &fe) && fe.Kind == fault.Corrupt {
+				_, _ = trace.Decode(bytes.NewReader(fe.Mangle(spec.TraceBin)))
+			}
+			return nil, Transient(fmt.Errorf("jobs: trace read: %w", ferr))
+		}
+		var err error
+		tr, err = trace.Decode(bytes.NewReader(spec.TraceBin))
+		if err != nil {
+			return nil, fmt.Errorf("jobs: %w", err)
+		}
+	case spec.Build != nil:
+		tr = spec.Build(spec.Params)
+	default:
+		b, err := workload.ByAlias(spec.Alias)
+		if err != nil {
+			return nil, err
+		}
+		tr = b.Build(spec.Params)
+	}
+	return tr, nil
+}
+
+// specConfig is the simulation config of spec: DefaultConfig with the
+// spec's technique, tileWorkers and plan, then the spec's Mutate.
+func specConfig(spec Spec, tileWorkers int, plan *fault.Plan) gpusim.Config {
+	cfg := gpusim.DefaultConfig()
+	cfg.Technique = spec.Tech
+	cfg.TileWorkers = tileWorkers
+	cfg.Fault = plan
+	if spec.Mutate != nil {
+		spec.Mutate(&cfg)
+	}
+	return cfg
 }

@@ -13,7 +13,7 @@ import (
 func TestTileWorkersComposition(t *testing.T) {
 	maxprocs := runtime.GOMAXPROCS(0)
 
-	p := New(Options{TileWorkers: 4})
+	p := NewPool(WithTileWorkers(4))
 	defer p.Close(context.Background())
 	want := maxprocs / 4
 	if want < 1 {
@@ -24,14 +24,14 @@ func TestTileWorkersComposition(t *testing.T) {
 	}
 
 	// Auto tile workers (one per CPU) leave a single job worker.
-	pa := New(Options{TileWorkers: -1})
+	pa := NewPool(WithTileWorkers(-1))
 	defer pa.Close(context.Background())
 	if pa.Workers() != 1 {
 		t.Errorf("TileWorkers=-1: pool workers = %d, want 1", pa.Workers())
 	}
 
 	// Explicit Workers always wins.
-	pe := New(Options{Workers: 3, TileWorkers: 8})
+	pe := NewPool(WithWorkers(3), WithTileWorkers(8))
 	defer pe.Close(context.Background())
 	if pe.Workers() != 3 {
 		t.Errorf("explicit workers: pool workers = %d, want 3", pe.Workers())
@@ -44,7 +44,7 @@ func TestTileWorkersComposition(t *testing.T) {
 func TestTileWorkersIdenticalResults(t *testing.T) {
 	s := spec("ccs")
 
-	serial := New(Options{Workers: 1})
+	serial := NewPool(WithWorkers(1))
 	defer serial.Close(context.Background())
 	js, err := serial.Submit(s)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestTileWorkersIdenticalResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	par := New(Options{Workers: 1, TileWorkers: 4})
+	par := NewPool(WithWorkers(1), WithTileWorkers(4))
 	defer par.Close(context.Background())
 	jp, err := par.Submit(s)
 	if err != nil {

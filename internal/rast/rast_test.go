@@ -23,7 +23,7 @@ func mkTri(t *testing.T, w, h int, pts [3][2]float32, cull bool) (ScreenTri, boo
 
 func collect(st *ScreenTri, rect geom.Rect) map[[2]int]Fragment {
 	got := map[[2]int]Fragment{}
-	st.Rasterize(rect, nil, func(f *Fragment) {
+	st.RasterizeInto(rect, new(Fragment), nil, func(f *Fragment) {
 		got[[2]int{f.X, f.Y}] = *f
 	})
 	return got
@@ -88,7 +88,7 @@ func TestSharedEdgeExactlyOnce(t *testing.T) {
 		if !ok {
 			t.Fatal("setup failed")
 		}
-		st.Rasterize(fullRect(n, n), nil, func(f *Fragment) {
+		st.RasterizeInto(fullRect(n, n), new(Fragment), nil, func(f *Fragment) {
 			counts[[2]int{f.X, f.Y}]++
 		})
 	}
@@ -127,7 +127,7 @@ func TestQuickFanPartition(t *testing.T) {
 			if !ok {
 				continue
 			}
-			st.Rasterize(fullRect(n, n), nil, func(f *Fragment) {
+			st.RasterizeInto(fullRect(n, n), new(Fragment), nil, func(f *Fragment) {
 				counts[[2]int{f.X, f.Y}]++
 			})
 		}
@@ -159,7 +159,7 @@ func TestVaryingInterpolationAffine(t *testing.T) {
 	if !ok {
 		t.Fatal("setup failed")
 	}
-	st.Rasterize(fullRect(32, 32), nil, func(f *Fragment) {
+	st.RasterizeInto(fullRect(32, 32), new(Fragment), nil, func(f *Fragment) {
 		wantX := float32(f.X) + 0.5
 		wantY := float32(f.Y) + 0.5
 		if absf(f.Var[0].X-wantX) > 0.01 || absf(f.Var[0].Y-wantY) > 0.01 {
@@ -185,7 +185,7 @@ func TestPerspectiveCorrection(t *testing.T) {
 		t.Fatal("setup failed")
 	}
 	var centerVal float32 = -1
-	st.Rasterize(fullRect(32, 32), nil, func(f *Fragment) {
+	st.RasterizeInto(fullRect(32, 32), new(Fragment), nil, func(f *Fragment) {
 		if f.X == 8 && f.Y == 20 { // interior pixel, away from edge ties
 			centerVal = f.Var[0].X
 		}
@@ -211,7 +211,7 @@ func TestQuadCallbackCountsCoveredQuads(t *testing.T) {
 	quads := 0
 	frags := 0
 	pixInQuads := 0
-	st.Rasterize(fullRect(16, 16), func(qx, qy int, mask uint8) {
+	st.RasterizeInto(fullRect(16, 16), new(Fragment), func(qx, qy int, mask uint8) {
 		quads++
 		for b := 0; b < 4; b++ {
 			if mask&(1<<uint(b)) != 0 {

@@ -142,7 +142,7 @@ func clusterSpec() (string, jobs.Key) {
 // postJob submits body to node and decodes the response.
 func postJob(t *testing.T, node *clusterNode, body string) (int, JobResponse) {
 	t.Helper()
-	resp, err := http.Post(node.ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+	resp, err := http.Post(node.ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func postJob(t *testing.T, node *clusterNode, body string) (int, JobResponse) {
 // scrape fetches a node's /metrics text.
 func scrape(t *testing.T, node *clusterNode) string {
 	t.Helper()
-	resp, err := http.Get(node.ts.URL + "/metrics")
+	resp, err := http.Get(node.ts.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +354,7 @@ func TestClusterOwnerDeathDegradesLocally(t *testing.T) {
 		t.Error("degraded submission did not simulate locally")
 	}
 	if !strings.Contains(scrape(t, entry), "resvc_cluster_degraded_total 1") {
-		t.Error("/metrics missing resvc_cluster_degraded_total 1")
+		t.Error("/v1/metrics missing resvc_cluster_degraded_total 1")
 	}
 }
 
@@ -386,7 +386,7 @@ func TestClusterHealthAndDrainRebalance(t *testing.T) {
 	}
 	gauge := fmt.Sprintf("resvc_cluster_peer_up{peer=%q} 1", nodes[1].addr)
 	if !strings.Contains(scrape(t, nodes[0]), gauge) {
-		t.Errorf("/metrics missing %s", gauge)
+		t.Errorf("/v1/metrics missing %s", gauge)
 	}
 
 	// Draining flips the peer down (healthz 503) while it still serves.
@@ -394,7 +394,7 @@ func TestClusterHealthAndDrainRebalance(t *testing.T) {
 	waitPeer(nodes[0], nodes[1].addr, false)
 	gauge = fmt.Sprintf("resvc_cluster_peer_up{peer=%q} 0", nodes[1].addr)
 	if !strings.Contains(scrape(t, nodes[0]), gauge) {
-		t.Errorf("/metrics missing %s after drain", gauge)
+		t.Errorf("/v1/metrics missing %s after drain", gauge)
 	}
 
 	// While node 1 drains, nothing routes to it: every key's owner is one

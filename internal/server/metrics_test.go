@@ -103,12 +103,12 @@ func parsePromText(t *testing.T, body string) (map[string]bool, map[string]strin
 // counters the simulator feeds in.
 func TestMetricsWellFormed(t *testing.T) {
 	srv, _ := newTestServer(t)
-	_, jr := postJSON(t, srv.URL+"/jobs?wait=1", `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`)
+	_, jr := postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`)
 	if jr.State != "done" {
 		t.Fatalf("job did not finish: %+v", jr)
 	}
 
-	resp, err := http.Get(srv.URL + "/metrics")
+	resp, err := http.Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestMetricsWellFormed(t *testing.T) {
 			t.Errorf("family %s type = %q, want histogram", name, families[name])
 		}
 	}
-	if !series[`resvc_http_request_duration_seconds_bucket{route="/jobs",status="200",le="+Inf"}`] {
-		t.Error(`missing +Inf bucket for route="/jobs",status="200" (the completed ?wait=1 submit)`)
+	if !series[`resvc_http_request_duration_seconds_bucket{route="/v1/jobs",status="200",le="+Inf"}`] {
+		t.Error(`missing +Inf bucket for route="/v1/jobs",status="200" (the completed ?wait=1 submit)`)
 	}
 	if !series[`resvc_sim_frame_eliminated_ratio_count`] || !series[`resvc_sim_frame_eliminated_ratio_sum`] {
 		t.Error("frame-elimination histogram missing _count/_sum series")

@@ -54,11 +54,11 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	pool := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st), jobs.WithLogger(quietSlog()))
 	ts := httptest.NewServer(New(pool, Limits{}).Handler())
 
-	code, firstJSON := postJSON(t, ts.URL+"/jobs?wait=1", jsonBody)
+	code, firstJSON := postJSON(t, ts.URL+"/v1/jobs?wait=1", jsonBody)
 	if code != http.StatusOK || firstJSON.State != "done" {
 		t.Fatalf("json submission: code %d, %+v", code, firstJSON)
 	}
-	resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
+	resp, err := http.Post(ts.URL+"/v1/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	ts2 := httptest.NewServer(New(pool2, Limits{}).Handler())
 	defer ts2.Close()
 
-	code, again := postJSON(t, ts2.URL+"/jobs?wait=1", jsonBody)
+	code, again := postJSON(t, ts2.URL+"/v1/jobs?wait=1", jsonBody)
 	if code != http.StatusOK || again.State != "done" {
 		t.Fatalf("post-restart json submission: code %d, %+v", code, again)
 	}
@@ -95,7 +95,7 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 		t.Fatalf("post-restart result differs:\n%s\n%s", r1, r2)
 	}
 
-	resp, err = http.Post(ts2.URL+"/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
+	resp, err = http.Post(ts2.URL+"/v1/jobs?wait=1", "application/octet-stream", bytes.NewReader(traceBuf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 	st := openRecoveryStore(t, dir)
 	pool := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st), jobs.WithLogger(quietSlog()))
 	ts := httptest.NewServer(New(pool, Limits{}).Handler())
-	code, first := postJSON(t, ts.URL+"/jobs?wait=1", body)
+	code, first := postJSON(t, ts.URL+"/v1/jobs?wait=1", body)
 	if code != http.StatusOK || first.State != "done" {
 		t.Fatalf("pre-crash submission: code %d, %+v", code, first)
 	}
@@ -204,7 +204,7 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 
 	// Enter through the peer: forwarded to the recovered owner, served
 	// from the cache the store rebuilt, no simulation anywhere.
-	code, jr := postJSON(t, ts1.URL+"/jobs?wait=1", body)
+	code, jr := postJSON(t, ts1.URL+"/v1/jobs?wait=1", body)
 	if code != http.StatusOK || jr.State != "done" {
 		t.Fatalf("post-restart submission via peer: code %d, %+v", code, jr)
 	}

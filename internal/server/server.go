@@ -1,6 +1,7 @@
-// Package server exposes the jobs pool over HTTP: POST /jobs submits a
-// workload spec (JSON) or an uploaded internal/trace binary, GET /jobs/{id}
-// reports status and results, GET /healthz liveness, and GET /metrics the
+// Package server exposes the jobs pool over HTTP: POST /v1/jobs submits a
+// workload spec (JSON) or an uploaded internal/trace binary, GET
+// /v1/jobs/{id} reports status and results, GET /v1/healthz liveness, and
+// GET /v1/metrics the
 // Prometheus-text pool counters — including the job-elimination ratio (the
 // service-level twin of the paper's tile skip fraction) and the simulator's
 // per-pipeline-stage cycle and tile-class totals. Runtime introspection
@@ -88,15 +89,10 @@ type Server struct {
 	fplan    atomic.Pointer[fault.Plan]
 
 	// httpHists distributes request latency per (route, status) — routes are
-	// normalized patterns ("/jobs/{id}"), never raw paths, so cardinality
+	// normalized patterns ("/v1/jobs/{id}"), never raw paths, so cardinality
 	// stays bounded.
 	httpMu    sync.Mutex
 	httpHists map[httpLabel]*stats.Histogram
-
-	// legacyWarned dedups the per-route deprecation warning for the
-	// unversioned route aliases (keyed by normalized route label, so job-id
-	// paths cannot grow it without bound).
-	legacyWarned sync.Map
 }
 
 // httpLabel keys one HTTP latency series.
@@ -191,7 +187,7 @@ func (s *Server) SetJournal(j *obs.Journal) { s.journal = j }
 // request serving; nil disarms.
 func (s *Server) SetFaultPlan(p *fault.Plan) { s.fplan.Store(p) }
 
-// StartDraining flips /healthz to 503 {"status":"draining"} so load
+// StartDraining flips /v1/healthz to 503 {"status":"draining"} so load
 // balancers stop routing here while in-flight jobs finish. Submissions are
 // still accepted until the listener closes: draining is advisory,
 // shutdown-ordering (Shutdown, then Pool.Close) does the real work.
@@ -227,12 +223,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc(apihttp.PathJobs+"/", s.handleJobByID)
 	mux.HandleFunc(apihttp.PathHealthz, s.handleHealthz)
 	mux.HandleFunc(apihttp.PathMetrics, s.handleMetrics)
-	// Unversioned aliases: same handlers, but stamped with deprecation
-	// headers and logged on first hit so stale clients are discoverable.
-	mux.HandleFunc(apihttp.LegacyPathJobs, s.legacy(apihttp.PathJobs, s.handleJobs))
-	mux.HandleFunc(apihttp.LegacyPathJobs+"/", s.legacy(apihttp.PathJobs+"/{id}", s.handleJobByID))
-	mux.HandleFunc(apihttp.LegacyPathHealthz, s.legacy(apihttp.PathHealthz, s.handleHealthz))
-	mux.HandleFunc(apihttp.LegacyPathMetrics, s.legacy(apihttp.PathMetrics, s.handleMetrics))
 	mux.HandleFunc("/debug/events", s.handleEvents)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -291,38 +281,16 @@ func (s *Server) Handler() http.Handler {
 	})
 }
 
-// legacy wraps a handler reached through a deprecated unversioned route:
-// every reply carries Deprecation and successor-version Link headers, and
-// the first hit per route logs a warning naming the /v1 replacement.
-func (s *Server) legacy(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+successor+`>; rel="successor-version"`)
-		route := routeLabel(r.URL.Path)
-		if _, warned := s.legacyWarned.LoadOrStore(route, true); !warned {
-			s.log.Warn("deprecated unversioned route", "route", route, "successor", successor)
-		}
-		h(w, r)
-	}
-}
-
 // routeLabel normalizes a request path to a bounded label set for the
 // latency histogram — raw paths (job ids, pprof profiles) would explode
 // series cardinality.
 func routeLabel(path string) string {
 	switch {
-	case path == apihttp.LegacyPathJobs:
-		return "/jobs"
-	case path == apihttp.PathJobs:
-		return "/v1/jobs"
+	case path == apihttp.PathJobs, path == apihttp.PathHealthz, path == apihttp.PathMetrics,
+		path == "/debug/vars", path == "/debug/events":
+		return path
 	case strings.HasPrefix(path, apihttp.PathJobs+"/"):
-		return "/v1/jobs/{id}"
-	case strings.HasPrefix(path, apihttp.LegacyPathJobs+"/"):
-		return "/jobs/{id}"
-	case path == apihttp.PathHealthz, path == apihttp.PathMetrics:
-		return path
-	case path == "/healthz", path == "/metrics", path == "/debug/vars", path == "/debug/events":
-		return path
+		return apihttp.PathJobs + "/{id}"
 	case strings.HasPrefix(path, "/debug/pprof"):
 		return "/debug/pprof"
 	}
@@ -422,7 +390,7 @@ func (s *Server) submitLocal(w http.ResponseWriter, r *http.Request, spec jobs.S
 	if resp.State == "done" || resp.State == "failed" {
 		status = http.StatusOK
 	}
-	resp.Location = apihttp.JobsPrefix(r.URL.Path) + "/" + job.ID
+	resp.Location = apihttp.JobPath(job.ID)
 	writeJSON(w, status, resp)
 }
 
@@ -539,7 +507,7 @@ type relayMode int
 const (
 	relayForwarded   relayMode = iota // fresh reply to a forwarded submit
 	relayReadThrough                  // served from the local read-through cache
-	relayStatus                       // proxied GET /jobs/{id}
+	relayStatus                       // proxied GET /v1/jobs/{id}
 )
 
 // relayReply writes a forwarded (or read-through-cached) owner reply to the
@@ -562,7 +530,7 @@ func (s *Server) relayReply(w http.ResponseWriter, r *http.Request, rep *cluster
 		return
 	}
 	resp.Node = rep.Owner
-	resp.Location = apihttp.JobsPrefix(r.URL.Path) + "/" + resp.ID + "?peer=" + url.QueryEscape(rep.Owner)
+	resp.Location = apihttp.JobPath(resp.ID) + "?peer=" + url.QueryEscape(rep.Owner)
 	// The reply's trace id is the *owner's view* of the hop that produced it
 	// (a read-through hit may carry a long-finished trace). Overwrite with
 	// this request's trace id so clients always correlate to their own call.

@@ -51,7 +51,7 @@ func postJSON(t *testing.T, url string, body string) (int, JobResponse) {
 
 func metricValue(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(base + "/metrics")
+	resp, err := http.Get(base + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 	srv, _ := newTestServer(t)
 	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 3}`
 
-	code1, jr1 := postJSON(t, srv.URL+"/jobs?wait=1", body)
+	code1, jr1 := postJSON(t, srv.URL+"/v1/jobs?wait=1", body)
 	if code1 != http.StatusOK {
 		t.Fatalf("first POST: status %d (%+v)", code1, jr1)
 	}
@@ -87,7 +87,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 		t.Error("first submission must not be deduped")
 	}
 
-	code2, jr2 := postJSON(t, srv.URL+"/jobs?wait=1", body)
+	code2, jr2 := postJSON(t, srv.URL+"/v1/jobs?wait=1", body)
 	if code2 != http.StatusOK {
 		t.Fatalf("second POST: status %d", code2)
 	}
@@ -117,7 +117,7 @@ func TestEndToEndJobElimination(t *testing.T) {
 	}
 
 	// A different technique must NOT be eliminated (config hash differs).
-	_, jr3 := postJSON(t, srv.URL+"/jobs?wait=1", `{"alias": "ccs", "tech": "base", "width": 96, "height": 64, "frames": 3}`)
+	_, jr3 := postJSON(t, srv.URL+"/v1/jobs?wait=1", `{"alias": "ccs", "tech": "base", "width": 96, "height": 64, "frames": 3}`)
 	if jr3.Deduped {
 		t.Error("different config wrongly eliminated")
 	}
@@ -138,7 +138,7 @@ func TestTraceUpload(t *testing.T) {
 	raw := buf.Bytes()
 
 	post := func() (int, JobResponse) {
-		resp, err := http.Post(srv.URL+"/jobs?wait=1&tech=re", "application/octet-stream", bytes.NewReader(raw))
+		resp, err := http.Post(srv.URL+"/v1/jobs?wait=1&tech=re", "application/octet-stream", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestTraceUpload(t *testing.T) {
 	}
 
 	// Malformed upload must 400, not crash.
-	resp, err := http.Post(srv.URL+"/jobs", "application/octet-stream", bytes.NewReader(raw[:37]))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/octet-stream", bytes.NewReader(raw[:37]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,8 @@ func TestTraceUpload(t *testing.T) {
 
 func TestJobStatusEndpoint(t *testing.T) {
 	srv, _ := newTestServer(t)
-	_, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "cde", "width": 96, "height": 64, "frames": 2}`)
-	if jr.ID == "" || jr.Location != "/jobs/"+jr.ID {
+	_, jr := postJSON(t, srv.URL+"/v1/jobs", `{"alias": "cde", "width": 96, "height": 64, "frames": 2}`)
+	if jr.ID == "" || jr.Location != "/v1/jobs/"+jr.ID {
 		t.Fatalf("bad submit response %+v", jr)
 	}
 
@@ -197,8 +197,8 @@ func TestJobStatusEndpoint(t *testing.T) {
 		path string
 		want int
 	}{
-		{"/jobs/j-999999", http.StatusNotFound},
-		{"/jobs/", http.StatusNotFound},
+		{"/v1/jobs/j-999999", http.StatusNotFound},
+		{"/v1/jobs/", http.StatusNotFound},
 	} {
 		resp, err := http.Get(srv.URL + tc.path)
 		if err != nil {
@@ -213,7 +213,7 @@ func TestJobStatusEndpoint(t *testing.T) {
 
 func TestHealthz(t *testing.T) {
 	srv, pool := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,24 +240,24 @@ func TestBadRequests(t *testing.T) {
 		do   func() (*http.Response, error)
 		want int
 	}{
-		{"GET /jobs", func() (*http.Response, error) { return http.Get(srv.URL + "/jobs") }, http.StatusMethodNotAllowed},
+		{"GET /v1/jobs", func() (*http.Response, error) { return http.Get(srv.URL + "/v1/jobs") }, http.StatusMethodNotAllowed},
 		{"bad JSON", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{"))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{"))
 		}, http.StatusBadRequest},
 		{"missing alias", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader("{}"))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader("{}"))
 		}, http.StatusBadRequest},
 		{"unknown alias", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "nope"}`))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alias": "nope"}`))
 		}, http.StatusBadRequest},
 		{"unknown tech", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "tech": "quantum"}`))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "tech": "quantum"}`))
 		}, http.StatusBadRequest},
 		{"over-limit resolution", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "width": 100000, "height": 100000}`))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "width": 100000, "height": 100000}`))
 		}, http.StatusBadRequest},
 		{"over-limit frames", func() (*http.Response, error) {
-			return http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "frames": 100000}`))
+			return http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alias": "ccs", "frames": 100000}`))
 		}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
@@ -274,14 +274,14 @@ func TestBadRequests(t *testing.T) {
 }
 
 // The async path: POST without wait returns 202 and the job converges via
-// polling GET /jobs/{id}.
+// polling GET /v1/jobs/{id}.
 func TestAsyncSubmit(t *testing.T) {
 	srv, _ := newTestServer(t)
-	code, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "ctr", "width": 96, "height": 64, "frames": 2}`)
+	code, jr := postJSON(t, srv.URL+"/v1/jobs", `{"alias": "ctr", "width": 96, "height": 64, "frames": 2}`)
 	if code != http.StatusAccepted && code != http.StatusOK {
 		t.Fatalf("async POST: status %d", code)
 	}
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s?wait=1", srv.URL, jr.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s?wait=1", srv.URL, jr.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 		{"over-limit frames", `{"alias": "ccs", "frames": 100000}`},
 	}
 	for _, tc := range jsonCases {
-		r := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(tc.body))
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(tc.body))
 		_, _, err := srv.specFromJSON(r)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
@@ -353,7 +353,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 			t.Errorf("%s: maps to %d, want 400", tc.name, statusForError(err))
 		}
 	}
-	r := httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(`{"alias": "nope"}`))
+	r := httptest.NewRequest(http.MethodPost, "/v1/jobs", strings.NewReader(`{"alias": "nope"}`))
 	if _, _, err := srv.specFromJSON(r); !errors.Is(err, rerr.ErrUnknownBenchmark) {
 		t.Errorf("unknown alias: %v does not wrap ErrUnknownBenchmark", err)
 	}
@@ -366,7 +366,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 		{"empty body", nil},
 	}
 	for _, tc := range traceCases {
-		r := httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(tc.body))
+		r := httptest.NewRequest(http.MethodPost, "/v1/jobs", bytes.NewReader(tc.body))
 		_, _, err := srv.specFromTrace(r)
 		if err == nil {
 			t.Fatalf("%s: accepted", tc.name)
@@ -387,7 +387,7 @@ func TestSpecErrorsWrapSentinels(t *testing.T) {
 	if err := trace.Encode(&buf, b.Build(workload.Params{Width: 64, Height: 48, Frames: 1, Seed: 1})); err != nil {
 		t.Fatal(err)
 	}
-	r = httptest.NewRequest(http.MethodPost, "/jobs?tech=quantum", bytes.NewReader(buf.Bytes()))
+	r = httptest.NewRequest(http.MethodPost, "/v1/jobs?tech=quantum", bytes.NewReader(buf.Bytes()))
 	if _, _, err := srv.specFromTrace(r); !errors.Is(err, rerr.ErrBadConfig) {
 		t.Errorf("bad upload tech: %v does not wrap ErrBadConfig", err)
 	}
@@ -410,13 +410,13 @@ func TestOverloadSheds429(t *testing.T) {
 	t.Cleanup(srv.Close)
 
 	// First job occupies the worker, second the queue slot.
-	code, jr := postJSON(t, srv.URL+"/jobs", `{"alias": "ccs"}`)
+	code, jr := postJSON(t, srv.URL+"/v1/jobs", `{"alias": "ccs"}`)
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: %d", code)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(srv.URL + "/jobs/" + jr.ID)
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + jr.ID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,11 +428,11 @@ func TestOverloadSheds429(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if code, _ := postJSON(t, srv.URL+"/jobs", `{"alias": "mst"}`); code != http.StatusAccepted {
+	if code, _ := postJSON(t, srv.URL+"/v1/jobs", `{"alias": "mst"}`); code != http.StatusAccepted {
 		t.Fatalf("queue-filling submit: %d", code)
 	}
 
-	resp, err := http.Post(srv.URL+"/jobs", "application/json", strings.NewReader(`{"alias": "hop"}`))
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(`{"alias": "hop"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +445,7 @@ func TestOverloadSheds429(t *testing.T) {
 	}
 }
 
-// StartDraining must flip /healthz to 503 {"status":"draining"}.
+// StartDraining must flip /v1/healthz to 503 {"status":"draining"}.
 func TestHealthzDraining(t *testing.T) {
 	pool := jobs.NewPool(jobs.WithWorkers(1), jobs.WithCacheSize(8))
 	t.Cleanup(func() { pool.Close(context.Background()) })
@@ -457,7 +457,7 @@ func TestHealthzDraining(t *testing.T) {
 	if !s.Draining() {
 		t.Fatal("Draining() false after StartDraining")
 	}
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +487,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	s.SetFaultPlan(fault.New(5).
 		With(fault.SiteServerAccept, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Panic}}))
-	resp, err := http.Get(srv.URL + "/healthz")
+	resp, err := http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +499,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	s.SetFaultPlan(fault.New(5).
 		With(fault.SiteServerAccept, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Transient}}))
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +514,7 @@ func TestHandlerFaultInjection(t *testing.T) {
 
 	// Plan exhausted (Limit 1 each): the server must be healthy again.
 	s.SetFaultPlan(nil)
-	resp, err = http.Get(srv.URL + "/healthz")
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

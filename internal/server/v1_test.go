@@ -10,9 +10,9 @@ import (
 	"rendelim/internal/apihttp"
 )
 
-// TestV1Routes: the versioned surface answers identically to the legacy
-// routes, and Location fields keep a client on the API generation it called
-// in on.
+// TestV1Routes: the versioned surface is the whole API — submit, status,
+// health and metrics answer under /v1, Location fields point there, and the
+// unversioned paths are not routes.
 func TestV1Routes(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -39,21 +39,12 @@ func TestV1Routes(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || jr2.ID != jr.ID || jr2.State != "done" {
 		t.Errorf("GET %s: status %d, id %q state %q", apihttp.JobPath(jr.ID), resp.StatusCode, jr2.ID, jr2.State)
 	}
-	if resp.Header.Get("Deprecation") != "" {
-		t.Errorf("versioned route carries a Deprecation header")
-	}
 
-	// A legacy submit of the same job gets a legacy Location...
-	code, jl := postJSON(t, srv.URL+"/jobs?wait=1",
+	// A re-submit of the same job is eliminated and gets its own Location.
+	code, again := postJSON(t, srv.URL+apihttp.PathJobs+"?wait=1",
 		`{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`)
-	if code != http.StatusOK {
-		t.Fatalf("POST /jobs: status %d", code)
-	}
-	if !jl.Deduped {
-		t.Errorf("legacy re-submit of the same spec was not eliminated")
-	}
-	if jl.Location != "/jobs/"+jl.ID {
-		t.Errorf("legacy submit Location = %q, want %q", jl.Location, "/jobs/"+jl.ID)
+	if code != http.StatusOK || !again.Deduped || again.Location != apihttp.JobPath(again.ID) {
+		t.Errorf("re-submit: status %d, deduped %v, Location %q", code, again.Deduped, again.Location)
 	}
 
 	// /v1/healthz decodes into the shared typed response.
@@ -80,30 +71,16 @@ func TestV1Routes(t *testing.T) {
 	if mresp.StatusCode != http.StatusOK || !strings.Contains(string(mraw), "resvc_jobs_submitted_total") {
 		t.Errorf("GET %s: status %d, body %.80s", apihttp.PathMetrics, mresp.StatusCode, mraw)
 	}
-}
 
-// TestLegacyRoutesDeprecationHeaders: unversioned aliases still work but
-// announce their replacement on every reply.
-func TestLegacyRoutesDeprecationHeaders(t *testing.T) {
-	srv, _ := newTestServer(t)
-	for legacy, successor := range map[string]string{
-		"/healthz": apihttp.PathHealthz,
-		"/metrics": apihttp.PathMetrics,
-	} {
-		resp, err := http.Get(srv.URL + legacy)
+	for _, path := range []string{"/jobs", "/jobs/" + jr.ID, "/healthz", "/metrics"} {
+		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("GET %s: status %d", legacy, resp.StatusCode)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("GET %s: missing Deprecation header", legacy)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, successor) {
-			t.Errorf("GET %s: Link %q does not name successor %s", legacy, link, successor)
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404 (unversioned paths are not routes)", path, resp.StatusCode)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"rendelim"
 )
 
-// TestOptionsEquivalence: the functional-options API and the deprecated
-// explicit-Config API must produce identical results for the same settings.
+// TestOptionsEquivalence: selecting a technique by option and passing a
+// whole Config that selects it must produce identical results.
 func TestOptionsEquivalence(t *testing.T) {
 	tr, err := rendelim.Build("ccs", tinyParams())
 	if err != nil {
@@ -24,13 +24,12 @@ func TestOptionsEquivalence(t *testing.T) {
 		}
 		cfg := rendelim.DefaultConfig()
 		cfg.Technique = tech
-		//lint:ignore SA1019 exercising the deprecated compatibility shim on purpose
-		old, err := rendelim.RunConfig(tr, cfg)
+		whole, err := rendelim.Run(tr, rendelim.WithConfig(cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(opt, old) {
-			t.Errorf("%s: options API and Config API disagree:\n opt %+v\n cfg %+v", tech, opt.Total, old.Total)
+		if !reflect.DeepEqual(opt, whole) {
+			t.Errorf("%s: WithTechnique and WithConfig disagree:\n opt %+v\n cfg %+v", tech, opt.Total, whole.Total)
 		}
 	}
 }
@@ -119,9 +118,8 @@ func TestSentinelErrors(t *testing.T) {
 	if _, err := rendelim.NewSimulator(tr, rendelim.WithConfig(bad)); !errors.Is(err, rendelim.ErrBadConfig) {
 		t.Errorf("NewSimulator: err = %v, want ErrBadConfig", err)
 	}
-	//lint:ignore SA1019 the deprecated shim must keep returning typed errors
-	if _, err := rendelim.RunConfig(tr, bad); !errors.Is(err, rendelim.ErrBadConfig) {
-		t.Errorf("RunConfig: err = %v, want ErrBadConfig", err)
+	if _, err := rendelim.Run(tr, rendelim.WithConfig(bad)); !errors.Is(err, rendelim.ErrBadConfig) {
+		t.Errorf("Run: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -142,24 +142,6 @@ func RunContext(ctx context.Context, tr *Trace, opts ...Option) (Result, error) 
 	return sim.RunContext(ctx)
 }
 
-// NewSimulatorConfig builds a simulator from a fully explicit Config.
-//
-// Deprecated: use NewSimulator with options (WithConfig for a custom base).
-func NewSimulatorConfig(tr *Trace, cfg Config) (*Simulator, error) {
-	return gpusim.New(tr, cfg)
-}
-
-// RunConfig replays the whole trace under a fully explicit Config.
-//
-// Deprecated: use Run with options (WithConfig for a custom base).
-func RunConfig(tr *Trace, cfg Config) (Result, error) {
-	sim, err := gpusim.New(tr, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	return sim.Run(), nil
-}
-
 // ComputeEnergy evaluates the default energy model over a result's
 // activity.
 func ComputeEnergy(r Result) EnergyBreakdown {
