@@ -25,7 +25,8 @@ type frameArena struct {
 	// stats accumulates the frame's statistics; RunFrame returns a copy.
 	stats Stats
 
-	// Raster phase: one reusable entry per tile; access logs keep capacity.
+	// Raster phase: reusable tile results — one for the serial path, one
+	// per tile for the parallel one; access logs keep capacity.
 	tileRes []tileResult
 
 	// Geometry phase scratch.
@@ -48,9 +49,9 @@ func (a *frameArena) beginFrame() {
 	a.pendingConsts = a.pendingConsts[:0]
 }
 
-// tiles returns the per-tile result entries for an n-tile frame, growing the
-// backing array only when the tile count does (i.e. never, for a fixed
-// framebuffer). Entries are reset individually by decideTile.
+// tiles returns n tile result entries, growing the backing array only when
+// n does (i.e. never, for a fixed framebuffer and worker count). Entries
+// are reset individually by decideTile.
 func (a *frameArena) tiles(n int) []tileResult {
 	if cap(a.tileRes) < n {
 		a.tileRes = make([]tileResult, n)

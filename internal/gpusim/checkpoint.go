@@ -97,7 +97,7 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 
 		dram: s.dram.Snapshot(),
 
-		vsCounts:   s.vsExec.Counts,
+		vsCounts:   s.vs.Counts,
 		skipCounts: append([]uint32(nil), s.skipCounts...),
 	}
 	for _, c := range s.checkpointCaches() {
@@ -144,7 +144,7 @@ func (s *Simulator) Resume(cp *Checkpoint) error {
 
 	s.loadUploadTables(s.trace.Frames[:cp.frameIdx])
 
-	s.vsExec.Counts = cp.vsCounts
+	s.vs.Counts = cp.vsCounts
 	copy(s.skipCounts, cp.skipCounts)
 	*s.state = cp.stateVal
 	s.frameIdx = cp.frameIdx

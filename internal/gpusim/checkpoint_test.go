@@ -19,7 +19,9 @@ type checkpointInput struct {
 }
 
 // checkpointInputs pairs a suite workload with uploadTrace, the only input
-// whose program and texture tables change before the checkpoint.
+// whose program and texture tables change before the checkpoint, and
+// unsetTrace, the only input whose programs read registers an invocation
+// never set.
 func checkpointInputs(t *testing.T, alias string, params workload.Params) []checkpointInput {
 	t.Helper()
 	b, err := workload.ByAlias(alias)
@@ -29,7 +31,57 @@ func checkpointInputs(t *testing.T, alias string, params workload.Params) []chec
 	return []checkpointInput{
 		{build: func() *api.Trace { return b.Build(params) }},
 		{prefix: "uploads/", build: uploadTrace},
+		{prefix: "unset/", build: unsetTrace},
 	}
+}
+
+// unsetTrace is a six-frame scene whose first draw reads registers no
+// invocation of it sets: the draw submits two attributes to a vertex
+// shader that also reads v2, and its fragment program writes only o0.xyz
+// and alpha-blends, so o0.w is whatever the register holds. A FlatFS draw
+// with a translucent tint follows and leaves its own v2 and o0.w behind.
+// Shading starts every invocation from zeroed registers, so what the first
+// draw renders cannot depend on the invocation before it — which a
+// resumed simulator never ran. The first quad stands still, so ground
+// truth compares its tiles across frames; the second moves.
+func unsetTrace() *api.Trace {
+	const W, H, frames = 96, 64, 6
+	partialFS := &shader.Program{Name: "partial-fs", Instrs: []shader.Instr{
+		{Op: shader.OpTex, Dst: shader.RD(0), Src: [3]shader.Src{shader.V(2)}},
+		{Op: shader.OpMul, Dst: shader.OD(0).Masked(shader.MaskX | shader.MaskY | shader.MaskZ), Src: [3]shader.Src{shader.R(0), shader.C(4)}},
+	}}
+	tr := &api.Trace{
+		Name: "unset", Width: W, Height: H,
+		ClearColor: geom.V4(0.1, 0.1, 0.1, 1),
+		Programs:   []*shader.Program{shader.TransformVS(2), partialFS, shader.FlatFS()},
+		Textures: []api.TextureSpec{
+			{Kind: api.TexChecker, W: 16, H: 16, Cell: 4, A: geom.V4(0.9, 0.3, 0.1, 1), B: geom.V4(0.1, 0.3, 0.9, 1)},
+		},
+	}
+	corners := [6][2]float32{{0, 0}, {1, 0}, {1, 1}, {0, 0}, {1, 1}, {0, 1}}
+	quad := func(x, y, w, h float32, attrs int) []geom.Vec4 {
+		var out []geom.Vec4
+		for _, c := range corners {
+			out = append(out, geom.V4(x+c[0]*w, y+c[1]*h, 0, 1), geom.V4(1, 1, 1, 1))
+			if attrs == 3 {
+				out = append(out, geom.V4(0.25+c[0]/2, 0.75-c[1]/2, 0, 0))
+			}
+		}
+		return out
+	}
+	ortho := geom.Ortho(0, W, 0, H, -1, 1)
+	for f := 0; f < frames; f++ {
+		tr.Frames = append(tr.Frames, api.Frame{Commands: []api.Command{
+			api.SetUniforms{First: 0, Values: []geom.Vec4{ortho.Row(0), ortho.Row(1), ortho.Row(2), ortho.Row(3)}},
+			api.SetUniforms{First: 4, Values: []geom.Vec4{geom.V4(1, 1, 1, 1)}},
+			api.SetPipeline{VS: 0, FS: 1, Tex: [api.MaxTexUnits]api.TextureID{0}, Blend: api.BlendAlpha},
+			api.Draw{NumAttrs: 2, Data: quad(8, 8, 56, 44, 2)},
+			api.SetUniforms{First: 4, Values: []geom.Vec4{geom.V4(0.2, 0.6, 1, 0.5)}},
+			api.SetPipeline{VS: 0, FS: 2},
+			api.Draw{NumAttrs: 3, Data: quad(70-float32(5*f), 20, 20, 30, 3)},
+		}})
+	}
+	return tr
 }
 
 // uploadTrace is a six-frame scene whose frames 1 and 2 upload a fragment

@@ -6,6 +6,7 @@ import (
 
 	"rendelim/internal/crc"
 	"rendelim/internal/geom"
+	"rendelim/internal/rast"
 )
 
 // Fragment Memoization (Arnau et al. [17]) as configured in Section V-A: a
@@ -203,6 +204,12 @@ func (m *memoState) insert(cur *memoTable, h uint32, color geom.Vec4) {
 	cur.insert(h, color)
 }
 
+// hasRoom reports whether insert will take one more entry once the pending
+// inserts before it have been made.
+func (m *memoState) hasRoom(cur *memoTable, pending int) bool {
+	return cur.n+pending < m.cap
+}
+
 // snapshotPrev deep-copies the per-tile baselines for a checkpoint. The
 // pooled tables are mutated again two frames later (their roles swap), so —
 // unlike the old per-frame maps — sharing them with a checkpoint is not
@@ -308,13 +315,18 @@ func (m *memoLUT) insert(h uint32, color geom.Vec4) {
 // fragmentHasher builds the 32-bit memoization key from the inputs the
 // fragment shader actually reads: the program, the textures it can sample,
 // the read uniform registers and the read varyings. Screen coordinates are
-// deliberately excluded (Section V-A).
+// deliberately excluded (Section V-A). All but the varyings are fixed for a
+// bin entry, so begin CRCs that prefix once and hash continues the raw CRC
+// state over each fragment's read varyings; Update(Update(0, A), B) equals
+// Checksum(A‖B), so the key is the CRC of the whole input.
 type fragmentHasher struct {
-	buf [8 + 32*16 + 3*16]byte
+	prefix uint32
+	inMask uint16
+	buf    [8 + 32*16]byte
 }
 
-func (fh *fragmentHasher) hash(fsID uint8, texIDs [4]uint8, inMask uint16, constMask uint32,
-	uniforms []geom.Vec4, varyings *[3]geom.Vec4) uint32 {
+// begin CRCs the per-draw prefix of the key.
+func (fh *fragmentHasher) begin(fsID uint8, texIDs [4]uint8, inMask uint16, constMask uint32, uniforms []geom.Vec4) {
 	b := fh.buf[:0]
 	b = append(b, fsID, texIDs[0], texIDs[1], texIDs[2], texIDs[3], 0, 0, 0)
 	for i, u := range uniforms {
@@ -322,13 +334,20 @@ func (fh *fragmentHasher) hash(fsID uint8, texIDs [4]uint8, inMask uint16, const
 			b = appendVec(b, u)
 		}
 	}
+	fh.prefix = crc.Checksum(b)
+	fh.inMask = inMask
+}
+
+// hash returns the key of a fragment with the given varyings.
+func (fh *fragmentHasher) hash(varyings *[rast.MaxVaryings]geom.Vec4) uint32 {
+	b := fh.buf[:0]
 	for i := range varyings {
 		// Varying v_{i+1} corresponds to rast.Fragment.Var[i].
-		if inMask&(1<<uint(i+1)) != 0 {
+		if fh.inMask&(1<<uint(i+1)) != 0 {
 			b = appendVec(b, varyings[i])
 		}
 	}
-	return crc.Checksum(b)
+	return crc.Update(fh.prefix, b)
 }
 
 func appendVec(b []byte, v geom.Vec4) []byte {

@@ -103,12 +103,20 @@ type rasterWorker struct {
 	s  *Simulator
 	id int
 
-	fsExec    shader.Exec
+	fs        shader.Batch
 	sampler   workerSampler
 	hasher    fragmentHasher
 	frag      rast.Fragment // rasterizer fragment scratch (RasterizeInto)
 	teCRC     crc.ComputeUnit
 	teByteBuf [fb.TileSize * fb.TileSize * 4]byte
+
+	// The open batch's fragments that wait for a shaded colour, in
+	// fragment order. A triangle covers a pixel at most once, so a bin
+	// entry queues at most one fragment per tile pixel.
+	queue [fb.TileSize * fb.TileSize]queuedFrag
+	nq    int
+	// pend holds the memo keys the open batch will insert (Memo only).
+	pend pendingKeys
 
 	// tr is the worker's own trace track ("raster worker N"); lazily opened
 	// so untraced runs pay nothing.
@@ -148,11 +156,70 @@ func (w *rasterWorker) thread() *obs.Thread {
 	return w.tr
 }
 
+// queuedFrag is a fragment waiting for the colour of lane: pix is its
+// index in the tile buffer.
+type queuedFrag struct {
+	pix  uint16
+	lane uint8
+}
+
+// pendingKeys holds the memo keys the open batch will insert, each with the
+// lane that shades it: in fragment order, for the inserts once the batch is
+// shaded, and in a small epoch-tagged hash index, so a later fragment with
+// the same key reuses that lane's colour — the colour a serial run would
+// have inserted by then.
+type pendingKeys struct {
+	n     int
+	keys  [shader.Lanes]uint32
+	lanes [shader.Lanes]uint8
+
+	epoch uint32 // tag of the open batch's index slots; bumped per batch
+	tags  [2 * shader.Lanes]uint32
+	slots [2 * shader.Lanes]uint8 // index into keys and lanes
+}
+
+const pendSlotMask = 2*shader.Lanes - 1
+
+// lookup returns the lane shading key h in the open batch, if any.
+//
+//re:hotpath
+func (p *pendingKeys) lookup(h uint32) (int, bool) {
+	if p.n == 0 {
+		return 0, false
+	}
+	for j := h & pendSlotMask; p.tags[j] == p.epoch; j = (j + 1) & pendSlotMask {
+		if k := p.slots[j]; p.keys[k] == h {
+			return int(p.lanes[k]), true
+		}
+	}
+	return 0, false
+}
+
+// add records that lane shades the absent key h.
+//
+//re:hotpath
+func (p *pendingKeys) add(h uint32, lane int) {
+	if p.n == 0 {
+		p.epoch++
+		if p.epoch == 0 { // wrapped: stale tags could alias the new epoch
+			p.tags = [2 * shader.Lanes]uint32{}
+			p.epoch = 1
+		}
+	}
+	j := h & pendSlotMask
+	for p.tags[j] == p.epoch {
+		j = (j + 1) & pendSlotMask
+	}
+	p.tags[j], p.slots[j] = p.epoch, uint8(p.n)
+	p.keys[p.n], p.lanes[p.n] = h, uint8(lane)
+	p.n++
+}
+
 // newRasterWorker builds one worker bound to the simulator's shared
 // read-only tables.
 func newRasterWorker(s *Simulator, id int) *rasterWorker {
 	w := &rasterWorker{s: s, id: id}
-	w.fsExec.Sampler = &w.sampler
+	w.fs.Sampler = &w.sampler
 	return w
 }
 
@@ -199,7 +266,7 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 		res.tw.FetchBytes += uint64(e.Bytes) + tiling.PtrEntryBytes
 	}
 
-	fsBefore := w.fsExec.Counts.Instructions
+	fsBefore := w.fs.Counts.Instructions
 	if tr != nil {
 		tr.Begin("fragment-shading")
 	}
@@ -214,6 +281,12 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	st := &res.shard
 	w.sampler.res = res
 
+	// Early-Z survivors of one bin entry are gathered into the shader batch
+	// and shaded a batch at a time; a batch never spans two entries, since
+	// the next entry's program, constants, textures, depth and colour
+	// depend on this one being finished. A shaded fragment blends once its
+	// batch has run, a memo hit at once: a triangle covers each pixel at
+	// most once, so no fragment of an entry reads a colour another writes.
 	for _, e := range bin {
 		tri := &s.arena.tris[e.Ref.Tri]
 		draw := &s.arena.draws[e.Ref.Draw]
@@ -221,8 +294,15 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 		for u := range w.sampler.tex {
 			w.sampler.tex[u] = s.textures[draw.pipe.Tex[u]]
 		}
-		w.fsExec.Consts = draw.uniforms[:]
+		w.fs.Consts = draw.uniforms[:]
 		res.tw.SetupAttrs += uint64(3 * e.NumAttrs * 4)
+		if memoCur != nil {
+			mask := s.fsMasks[draw.pipe.FS]
+			w.hasher.begin(uint8(draw.pipe.FS), [4]uint8{
+				uint8(draw.pipe.Tex[0]), uint8(draw.pipe.Tex[1]),
+				uint8(draw.pipe.Tex[2]), uint8(draw.pipe.Tex[3]),
+			}, mask.in, mask.consts, draw.uniforms[:])
+		}
 
 		depthTest := draw.pipe.DepthTest
 		depthWrite := draw.pipe.DepthWrite
@@ -250,48 +330,42 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 				st.fragsRasterized++
 				tileFrags++
 
-				var color geom.Vec4
-				reused := false
-				if s.cfg.Technique == Memo {
-					mask := s.fsMasks[draw.pipe.FS]
-					h := w.hasher.hash(uint8(draw.pipe.FS), [4]uint8{
-						uint8(draw.pipe.Tex[0]), uint8(draw.pipe.Tex[1]),
-						uint8(draw.pipe.Tex[2]), uint8(draw.pipe.Tex[3]),
-					}, mask.in, mask.consts, draw.uniforms[:], &f.Var)
+				// Memo lookups and inserts stay in fragment order: a miss's
+				// key is pending until its batch is shaded, and a later
+				// fragment with that key takes the pending lane's colour.
+				var h uint32
+				if memoCur != nil {
+					h = w.hasher.hash(&f.Var)
 					st.memoLookups++
-					if c, ok := s.memo.lookup(memoCur, tile, h, crossFrame); ok {
-						color = c
-						reused = true
+					if lane, ok := w.pend.lookup(h); ok {
 						st.memoHits++
 						st.fragsMemoReused++
+						w.enqueue(idx, lane)
+						return
 					}
-					if !reused {
-						color = w.shadeFragment(fsProg, f)
-						st.fragsShaded++
-						s.memo.insert(memoCur, h, color)
+					if c, ok := s.memo.lookup(memoCur, tile, h, crossFrame); ok {
+						st.memoHits++
+						st.fragsMemoReused++
+						blendPixel(res, idx, c, blend)
+						return
 					}
-				} else {
-					color = w.shadeFragment(fsProg, f)
-					st.fragsShaded++
 				}
-
-				packed := texture.PackColor(color)
-				if blend == api.BlendAlpha {
-					dst := texture.UnpackColor(res.tb.Color[idx])
-					a := color.W
-					out := color.Scale(a).Add(dst.Scale(1 - a))
-					out.W = a + dst.W*(1-a)
-					packed = texture.PackColor(out)
-					st.colorBufAcc++ // destination read
+				lane := w.fs.Push(1, f.Var[:])
+				st.fragsShaded++
+				if memoCur != nil && s.memo.hasRoom(memoCur, w.pend.n) {
+					w.pend.add(h, lane)
 				}
-				res.tb.Color[idx] = packed
-				st.colorBufAcc++
+				w.enqueue(idx, lane)
+				if lane == shader.Lanes-1 {
+					w.shadeBatch(fsProg, res, memoCur, blend)
+				}
 			})
+		w.shadeBatch(fsProg, res, memoCur, blend)
 	}
 	if s.cfg.Technique == Memo {
 		s.memo.commitTile(tile, memoCur)
 	}
-	res.tw.FSInstructions = w.fsExec.Counts.Instructions - fsBefore
+	res.tw.FSInstructions = w.fs.Counts.Instructions - fsBefore
 	res.tw.BlendFrags = tileFrags
 	if tr != nil {
 		tr.End() // fragment-shading
@@ -323,15 +397,50 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	}
 }
 
-// shadeFragment runs the fragment shader VM on one rasterized fragment.
+// enqueue queues the fragment at tile pixel idx for the colour of lane.
 //
 //re:hotpath
-func (w *rasterWorker) shadeFragment(p *shader.Program, f *rast.Fragment) geom.Vec4 {
-	for i := 0; i < rast.MaxVaryings; i++ {
-		w.fsExec.In[i+1] = f.Var[i]
+func (w *rasterWorker) enqueue(idx, lane int) {
+	w.queue[w.nq] = queuedFrag{pix: uint16(idx), lane: uint8(lane)}
+	w.nq++
+}
+
+// shadeBatch runs the fragment program over the open batch, memoizes the
+// colours of the keys it was pending, in fragment order, and blends every
+// queued fragment.
+//
+//re:hotpath
+func (w *rasterWorker) shadeBatch(p *shader.Program, res *tileResult, memoCur *memoTable, blend api.BlendMode) {
+	if w.nq == 0 {
+		return
 	}
-	w.fsExec.Run(p)
-	return w.fsExec.Out[0]
+	w.fs.Run(p)
+	for i := 0; i < w.pend.n; i++ {
+		w.s.memo.insert(memoCur, w.pend.keys[i], w.fs.Out(int(w.pend.lanes[i]), 0))
+	}
+	w.pend.n = 0
+	for _, q := range w.queue[:w.nq] {
+		blendPixel(res, int(q.pix), w.fs.Out(int(q.lane), 0), blend)
+	}
+	w.nq = 0
+}
+
+// blendPixel writes a fragment's colour into the tile's Color Buffer,
+// alpha-blending over the destination when the draw asks for it.
+//
+//re:hotpath
+func blendPixel(res *tileResult, idx int, color geom.Vec4, blend api.BlendMode) {
+	packed := texture.PackColor(color)
+	if blend == api.BlendAlpha {
+		dst := texture.UnpackColor(res.tb.Color[idx])
+		a := color.W
+		out := color.Scale(a).Add(dst.Scale(1 - a))
+		out.W = a + dst.W*(1-a)
+		packed = texture.PackColor(out)
+		res.shard.colorBufAcc++ // destination read
+	}
+	res.tb.Color[idx] = packed
+	res.shard.colorBufAcc++
 }
 
 // commitTile is the serial post-raster stage: it replays the tile's recorded
@@ -447,13 +556,13 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 }
 
 // rasterPhase executes the frame's raster pipeline over all tiles. With one
-// worker the three stages run inline per tile (the serial execution order);
-// with more, decisions are made up front, tiles render concurrently on the
-// worker pool, and commits replay in tile order — simulated results are
-// byte-identical either way.
+// worker the three stages run inline per tile (the serial execution order)
+// through a single tile result; with more, decisions are made up front,
+// tiles render concurrently on the worker pool into one result each, and
+// commits replay in tile order — simulated results are byte-identical
+// either way.
 func (s *Simulator) rasterPhase(st *Stats) {
 	n := s.fbuf.NumTiles()
-	tiles := s.arena.tiles(n)
 
 	nw := s.tileWorkers
 	if nw > n {
@@ -461,8 +570,8 @@ func (s *Simulator) rasterPhase(st *Stats) {
 	}
 	if nw <= 1 {
 		w := s.workers[0]
+		res := &s.arena.tiles(1)[0]
 		for tile := 0; tile < n; tile++ {
-			res := &tiles[tile]
 			s.decideTile(tile, res)
 			if !res.skipped {
 				w.renderTile(tile, res, s.tr)
@@ -472,6 +581,7 @@ func (s *Simulator) rasterPhase(st *Stats) {
 		return
 	}
 
+	tiles := s.arena.tiles(n)
 	for tile := 0; tile < n; tile++ {
 		s.decideTile(tile, &tiles[tile])
 	}

@@ -83,7 +83,7 @@ type Simulator struct {
 	fsMasks  []progMask
 	textures []*texture.Texture
 
-	vsExec shader.Exec
+	vs shader.Batch // vertex-shader VM
 
 	// Raster-phase execution (parallel.go): resolved worker count and the
 	// persistent workers holding all per-goroutine mutable state.
@@ -326,7 +326,7 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	sbBefore := s.re.Unit().Buffer().Reads + s.re.Unit().Buffer().Writes
 	teCRCBefore := s.teCRC.Stats
 	teBufBefore := s.teBuf.Reads + s.teBuf.Writes
-	vsBefore := s.vsExec.Counts
+	vsBefore := s.vs.Counts
 	cacheBefore := [4]cache.Stats{s.vcache.Stats, s.tcache[0].Stats, s.tilecache.Stats, s.l2.Stats}
 	var tcacheBefore cache.Stats
 	for _, tc := range s.tcache {
@@ -406,7 +406,7 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	// fragment shaders run on per-worker VMs, so there is no single
 	// cumulative counter to diff.)
 	a := &st.Activity
-	a.VSInstructions = s.vsExec.Counts.Instructions - vsBefore.Instructions
+	a.VSInstructions = s.vs.Counts.Instructions - vsBefore.Instructions
 	a.VertexCacheAccesses = s.vcache.Stats.Accesses - cacheBefore[0].Accesses
 	var tcacheNow cache.Stats
 	for _, tc := range s.tcache {
@@ -529,19 +529,21 @@ func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork)
 		geo.VertexMissCycles += s.accessExtra(s.vcache, vbase+uint64(off), n, false)
 	}
 
-	// Vertex shading.
+	// Vertex shading, up to shader.Lanes vertices per program run.
 	vs := s.programs[rec.pipe.VS]
-	s.vsExec.Consts = rec.uniforms[:]
+	s.vs.Consts = rec.uniforms[:]
 	shaded := s.arena.shaded(nv)
-	for v := 0; v < nv; v++ {
-		attrs := d.Vertex(v)
-		for i := range attrs {
-			s.vsExec.In[i] = attrs[i]
+	for first := 0; first < nv; first += shader.Lanes {
+		last := min(first+shader.Lanes, nv)
+		for v := first; v < last; v++ {
+			s.vs.Push(0, d.Vertex(v))
 		}
-		s.vsExec.Run(vs)
-		shaded[v].Pos = s.vsExec.Out[0]
-		for i := 0; i < rast.MaxVaryings; i++ {
-			shaded[v].Var[i] = s.vsExec.Out[i+1]
+		s.vs.Run(vs)
+		for v := first; v < last; v++ {
+			shaded[v].Pos = s.vs.Out(v-first, 0)
+			for i := 0; i < rast.MaxVaryings; i++ {
+				shaded[v].Var[i] = s.vs.Out(v-first, i+1)
+			}
 		}
 	}
 	geo.VSInstructions += uint64(nv * vs.Len())

@@ -1,9 +1,12 @@
 package gpusim
 
 import (
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"rendelim/internal/api"
+	"rendelim/internal/crc"
 	"rendelim/internal/geom"
 	"rendelim/internal/shader"
 	"rendelim/internal/texture"
@@ -258,6 +261,41 @@ func TestMemoOddFramesCannotReuseCrossFrame(t *testing.T) {
 	if frames[1].FragsMemoReused <= frames[2].FragsMemoReused {
 		t.Fatalf("PFR pairing broken: odd frame reused %d, even frame %d",
 			frames[1].FragsMemoReused, frames[2].FragsMemoReused)
+	}
+}
+
+// The memo key is the raw CRC32 of the whole shader input — program and
+// texture IDs, read uniforms, read varyings — even though the hasher CRCs
+// the per-draw prefix once and continues it per fragment.
+func TestFragmentKeyIsCRCOfWholeInput(t *testing.T) {
+	uniforms := []geom.Vec4{geom.V4(1, 2, 3, 4), geom.V4(-0.5, 0, 9, 1), geom.V4(7, 7, 7, 7)}
+	varyings := [3]geom.Vec4{geom.V4(0.25, 0.5, 0.75, 1), geom.V4(3, 1, 4, 1), geom.V4(-2, 0, 2, 8)}
+	vec := func(b []byte, v geom.Vec4) []byte {
+		for _, c := range []float32{v.X, v.Y, v.Z, v.W} {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(c))
+		}
+		return b
+	}
+	for _, m := range []struct {
+		in     uint16
+		consts uint32
+	}{{0, 0}, {1 << 1, 1 << 0}, {1<<2 | 1<<3, 1<<0 | 1<<2}, {0xe, 0x7}} {
+		var fh fragmentHasher
+		fh.begin(5, [4]uint8{1, 0, 3, 2}, m.in, m.consts, uniforms)
+		want := []byte{5, 1, 0, 3, 2, 0, 0, 0}
+		for i, u := range uniforms {
+			if m.consts&(1<<i) != 0 {
+				want = vec(want, u)
+			}
+		}
+		for i, v := range varyings {
+			if m.in&(1<<(i+1)) != 0 {
+				want = vec(want, v)
+			}
+		}
+		if got := fh.hash(&varyings); got != crc.Checksum(want) {
+			t.Errorf("masks %+v: key %08x, want %08x", m, got, crc.Checksum(want))
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package shader
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -14,17 +15,72 @@ func (s fixedSampler) Sample(unit int, u, v float32) geom.Vec4 {
 	return s.v.Add(geom.V4(float32(unit), u, v, 0))
 }
 
-func run(t *testing.T, p *Program, setup func(*Exec)) *Exec {
+// result is what one invocation leaves behind: its outputs and the counts
+// of running it once.
+type result struct {
+	Out    [MaxOutputs]geom.Vec4
+	Counts Counts
+}
+
+// run executes the invocation setup describes on p three ways — the scalar
+// reference, and Batch with that invocation in 1 and in Lanes lanes — and
+// requires every lane to match the reference bit for bit and the counts to
+// scale with the lanes. It returns the single-lane Batch result.
+func run(t *testing.T, p *Program, setup func(*Exec)) result {
 	t.Helper()
 	if err := p.Validate(); err != nil {
 		t.Fatalf("validate: %v", err)
 	}
-	e := &Exec{Sampler: fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}}
+	sampler := fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}
+	ref := &Exec{Sampler: sampler}
 	if setup != nil {
-		setup(e)
+		setup(ref)
 	}
-	e.Run(p)
-	return e
+	in := ref.In
+	ref.Run(p)
+
+	var got result
+	for _, n := range []int{1, Lanes} {
+		b := &Batch{Consts: ref.Consts, Sampler: sampler}
+		for i := 0; i < n; i++ {
+			b.Push(0, in[:])
+		}
+		b.Run(p)
+		for lane := 0; lane < n; lane++ {
+			for r := 0; r < MaxOutputs; r++ {
+				if o := b.Out(lane, r); !sameBits(o, ref.Out[r]) {
+					t.Fatalf("N=%d lane %d o%d = %v, reference %v", n, lane, r, o, ref.Out[r])
+				}
+			}
+		}
+		want := Counts{
+			Instructions: ref.Counts.Instructions * uint64(n),
+			TexSamples:   ref.Counts.TexSamples * uint64(n),
+			Invocations:  ref.Counts.Invocations * uint64(n),
+		}
+		if b.Counts != want {
+			t.Fatalf("N=%d counts = %+v, want %+v", n, b.Counts, want)
+		}
+		if n == 1 {
+			for r := range got.Out {
+				got.Out[r] = b.Out(0, r)
+			}
+			got.Counts = b.Counts
+		}
+	}
+	return got
+}
+
+// sameBits compares two vectors bit for bit, so signed zeros and infinities
+// count, except that any NaN matches any NaN: Go fixes no NaN payload, and
+// when both operands of an add are NaN the compiler's choice of operand
+// order decides which one the sum returns.
+func sameBits(a, b geom.Vec4) bool {
+	return sameFloat(a.X, b.X) && sameFloat(a.Y, b.Y) && sameFloat(a.Z, b.Z) && sameFloat(a.W, b.W)
+}
+
+func sameFloat(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
 }
 
 func TestOpSemantics(t *testing.T) {
@@ -56,9 +112,6 @@ func TestOpSemantics(t *testing.T) {
 			{Op: tc.op, Dst: OD(0), Src: [3]Src{V(0), V(1), V(2)}},
 		}}
 		e := run(t, p, func(e *Exec) { e.In[0], e.In[1], e.In[2] = a, b, c })
-		if tc.op == OpRcp || tc.op == OpRsq {
-			// a.X == 1 so both are exactly 1.
-		}
 		if e.Out[0] != tc.want {
 			t.Errorf("%v: got %v, want %v", tc.op, e.Out[0], tc.want)
 		}
@@ -105,14 +158,26 @@ func TestWriteMask(t *testing.T) {
 }
 
 func TestRcpRsqSpecialValues(t *testing.T) {
-	if !math.IsInf(float64(rcp(0)), 1) {
-		t.Fatal("rcp(0) should be +Inf")
+	inf := float32(math.Inf(1))
+	negZero := float32(math.Copysign(0, -1))
+	cases := []struct {
+		op   Op
+		x    float32
+		want float32
+	}{
+		{OpRcp, 0, inf},
+		{OpRcp, negZero, inf},
+		{OpRcp, inf, 0},
+		{OpRsq, 0, inf},
+		{OpRsq, -4, 0.5}, // abs semantics
+		{OpRsq, 4, 0.5},
 	}
-	if !math.IsInf(float64(rsq(0)), 1) {
-		t.Fatal("rsq(0) should be +Inf")
-	}
-	if got := rsq(-4); got != 0.5 {
-		t.Fatalf("rsq(-4) = %v, want 0.5 (abs semantics)", got)
+	for _, tc := range cases {
+		p := &Program{Name: "t", Instrs: []Instr{{Op: tc.op, Dst: OD(0), Src: [3]Src{V(0)}}}}
+		e := run(t, p, func(e *Exec) { e.In[0] = geom.V4(tc.x, 7, 7, 7) })
+		if e.Out[0] != splat(tc.want) {
+			t.Errorf("%v(%v) = %v, want %v", tc.op, tc.x, e.Out[0], tc.want)
+		}
 	}
 }
 
@@ -121,10 +186,81 @@ func TestTempsZeroedBetweenRuns(t *testing.T) {
 		{Op: OpAdd, Dst: RD(0), Src: [3]Src{R(0), V(0)}},
 		{Op: OpMov, Dst: OD(0), Src: [3]Src{R(0)}},
 	}}
-	e := run(t, p, func(e *Exec) { e.In[0] = geom.V4(1, 1, 1, 1) })
-	e.Run(p)
-	if e.Out[0] != geom.V4(1, 1, 1, 1) {
-		t.Fatalf("temps leaked across invocations: %v", e.Out[0])
+	b := &Batch{}
+	for run := 0; run < 2; run++ {
+		for i := 0; i < Lanes; i++ {
+			b.Push(0, []geom.Vec4{geom.V4(1, 1, 1, 1)})
+		}
+		b.Run(p)
+		for lane := 0; lane < Lanes; lane++ {
+			if got := b.Out(lane, 0); got != geom.V4(1, 1, 1, 1) {
+				t.Fatalf("run %d lane %d: temps leaked across invocations: %v", run, lane, got)
+			}
+		}
+	}
+}
+
+// Outputs a program leaves unwritten, and inputs a Push did not set, read
+// as zero — whatever an earlier batch left behind.
+func TestUnsetRegistersReadZero(t *testing.T) {
+	fill := &Program{Name: "fill", Instrs: []Instr{
+		{Op: OpMov, Dst: OD(0), Src: [3]Src{V(0)}},
+		{Op: OpMov, Dst: OD(1), Src: [3]Src{V(1)}},
+		{Op: OpMov, Dst: OD(2), Src: [3]Src{V(2)}},
+	}}
+	partial := &Program{Name: "partial", Instrs: []Instr{
+		{Op: OpMov, Dst: OD(0).Masked(MaskX | MaskY), Src: [3]Src{V(1)}},
+		{Op: OpMov, Dst: OD(1), Src: [3]Src{V(2)}},
+	}}
+	ones := []geom.Vec4{geom.V4(1, 1, 1, 1), geom.V4(2, 2, 2, 2), geom.V4(3, 3, 3, 3)}
+
+	b := &Batch{}
+	for i := 0; i < Lanes; i++ {
+		b.Push(0, ones)
+	}
+	b.Run(fill)
+	for i := 0; i < 3; i++ {
+		b.Push(1, ones[1:2]) // v1 only: v0 and v2 must read as zero
+	}
+	b.Run(partial)
+	for lane := 0; lane < 3; lane++ {
+		if got := b.Out(lane, 0); got != geom.V4(2, 2, 0, 0) {
+			t.Errorf("lane %d: o0 = %v, want unwritten components zero", lane, got)
+		}
+		if got := b.Out(lane, 1); got != (geom.Vec4{}) {
+			t.Errorf("lane %d: o1 = %v, want the unset input v2 to read zero", lane, got)
+		}
+		if got := b.Out(lane, 2); got != (geom.Vec4{}) {
+			t.Errorf("lane %d: o2 = %v, want the unwritten output zero", lane, got)
+		}
+	}
+}
+
+// A program with two tex instructions runs one invocation at a time, so the
+// sampler sees each invocation's samples together, in invocation order.
+func TestTwoTexProgramSamplesInInvocationOrder(t *testing.T) {
+	p := &Program{Name: "t", Instrs: []Instr{
+		{Op: OpTex, Dst: RD(0), Src: [3]Src{V(0)}, TexUnit: 0},
+		{Op: OpTex, Dst: RD(1), Src: [3]Src{V(1)}, TexUnit: 1},
+		{Op: OpAdd, Dst: OD(0), Src: [3]Src{R(0), R(1)}},
+	}}
+	s := &logSampler{}
+	b := &Batch{Sampler: s}
+	for i := 0; i < 3; i++ {
+		b.Push(0, []geom.Vec4{geom.V4(float32(i), 0, 0, 0), geom.V4(float32(10+i), 0, 0, 0)})
+	}
+	b.Run(p)
+	var units []int
+	var us []float32
+	for _, c := range s.calls {
+		units = append(units, c.unit)
+		us = append(us, math.Float32frombits(c.u))
+	}
+	if want := []int{0, 1, 0, 1, 0, 1}; !reflect.DeepEqual(units, want) {
+		t.Fatalf("sample units %v, want %v", units, want)
+	}
+	if want := []float32{0, 10, 1, 11, 2, 12}; !reflect.DeepEqual(us, want) {
+		t.Fatalf("sample u %v, want %v", us, want)
 	}
 }
 
@@ -226,17 +362,18 @@ func TestQuickDeterminism(t *testing.T) {
 	p := LambertTexFS()
 	f := func(in1, in2 [4]float32, tint [4]float32) bool {
 		mk := func() geom.Vec4 {
-			e := &Exec{Sampler: fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}}
-			e.Consts = make([]geom.Vec4, 8)
-			e.Consts[4] = geom.V4(tint[0], tint[1], tint[2], tint[3])
-			e.Consts[5] = geom.V4(0.3, 0.3, 0.9, 0.2)
-			e.In[1] = geom.V4(in1[0], in1[1], in1[2], in1[3])
-			e.In[2] = geom.V4(in2[0], in2[1], in2[2], in2[3])
-			e.Run(p)
-			return e.Out[0]
+			b := &Batch{Sampler: fixedSampler{geom.V4(0.5, 0.5, 0.5, 1)}}
+			b.Consts = make([]geom.Vec4, 8)
+			b.Consts[4] = geom.V4(tint[0], tint[1], tint[2], tint[3])
+			b.Consts[5] = geom.V4(0.3, 0.3, 0.9, 0.2)
+			b.Push(1, []geom.Vec4{
+				geom.V4(in1[0], in1[1], in1[2], in1[3]),
+				geom.V4(in2[0], in2[1], in2[2], in2[3]),
+			})
+			b.Run(p)
+			return b.Out(0, 0)
 		}
-		a, b := mk(), mk()
-		return a == b || (a != a) == (b != b) // NaN-tolerant equality
+		return sameBits(mk(), mk())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
