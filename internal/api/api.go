@@ -7,6 +7,7 @@
 package api
 
 import (
+	"errors"
 	"fmt"
 
 	"rendelim/internal/geom"
@@ -185,6 +186,15 @@ type TextureSpec struct {
 	Filter texture.Filter
 }
 
+// validate checks that the texture has at least one texel in each
+// dimension; Build panics otherwise.
+func (s TextureSpec) validate() error {
+	if s.W < 1 || s.H < 1 {
+		return fmt.Errorf("texture: bad size %dx%d", s.W, s.H)
+	}
+	return nil
+}
+
 // Build synthesizes the texture.
 func (s TextureSpec) Build(id int) *texture.Texture {
 	t := texture.New(id, s.W, s.H)
@@ -220,11 +230,13 @@ func (t *Trace) Validate() error {
 		return fmt.Errorf("trace %q: bad dimensions %dx%d", t.Name, t.Width, t.Height)
 	}
 	for i, p := range t.Programs {
-		if p == nil {
-			return fmt.Errorf("trace %q: nil program %d", t.Name, i)
+		if err := validateProgram(p); err != nil {
+			return fmt.Errorf("trace %q program %d: %w", t.Name, i, err)
 		}
-		if err := p.Validate(); err != nil {
-			return fmt.Errorf("trace %q: %w", t.Name, err)
+	}
+	for i, spec := range t.Textures {
+		if err := spec.validate(); err != nil {
+			return fmt.Errorf("trace %q texture %d: %w", t.Name, i, err)
 		}
 	}
 	for fi, f := range t.Frames {
@@ -252,8 +264,24 @@ func (t *Trace) Validate() error {
 				if c.N < 1 {
 					return fmt.Errorf("trace %q frame %d cmd %d: render targets %d", t.Name, fi, ci, c.N)
 				}
+			case UploadProgram:
+				if err := validateProgram(c.Program); err != nil {
+					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
+				}
+			case UploadTexture:
+				if err := c.Spec.validate(); err != nil {
+					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
+				}
 			}
 		}
 	}
 	return nil
+}
+
+// validateProgram checks a registry or uploaded program.
+func validateProgram(p *shader.Program) error {
+	if p == nil {
+		return errors.New("nil program")
+	}
+	return p.Validate()
 }

@@ -202,4 +202,23 @@ func TestTraceValidate(t *testing.T) {
 	if badDraw.Validate() == nil {
 		t.Fatal("ragged draw accepted")
 	}
+
+	writesR200 := &shader.Program{Name: "bad", Instrs: []shader.Instr{{Op: shader.OpMov, Dst: shader.RD(200)}}}
+	badUpload := *good
+	badUpload.Frames = []Frame{{Commands: []Command{UploadProgram{ID: 0, Program: writesR200}}}}
+	if badUpload.Validate() == nil {
+		t.Fatal("invalid uploaded program accepted")
+	}
+
+	badTexSize := *good
+	badTexSize.Textures = []TextureSpec{{Kind: TexChecker, W: 0, H: 4, Cell: 2}}
+	if badTexSize.Validate() == nil {
+		t.Fatal("zero-width registry texture accepted")
+	}
+
+	badUploadTex := *good
+	badUploadTex.Frames = []Frame{{Commands: []Command{UploadTexture{ID: 0, Spec: TextureSpec{Kind: TexChecker, W: 4, H: -1}}}}}
+	if badUploadTex.Validate() == nil {
+		t.Fatal("negative-height uploaded texture accepted")
+	}
 }

@@ -156,13 +156,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	cp.teBuf = decodeBufferSnapshot(r)
 	cp.teCRC = decodeUnitStats(r)
 
-	if n, ok := decodeCount(r, 4); ok {
+	if n := r.Count(int(r.U32()), 4); n > 0 {
 		cp.memoPrev = make([][]memoEntry, n)
 		for i := range cp.memoPrev {
-			m, ok := decodeCount(r, 20)
-			if !ok {
-				break
-			}
+			m := r.Count(int(r.U32()), 20)
 			if m == 0 {
 				continue
 			}
@@ -178,10 +175,10 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	cp.memoHits = r.U64()
 
 	cp.dram = dram.DecodeSnapshot(r)
-	if n, ok := decodeCount(r, 4); ok {
-		cp.caches = make([]cache.Snapshot, 0, n)
-		for i := 0; i < n; i++ {
-			cp.caches = append(cp.caches, cache.DecodeSnapshot(r))
+	if n := r.Count(int(r.U32()), 4); n > 0 {
+		cp.caches = make([]cache.Snapshot, n)
+		for i := range cp.caches {
+			cp.caches[i] = cache.DecodeSnapshot(r)
 		}
 	}
 
@@ -197,18 +194,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointFormat, r.Len())
 	}
 	return cp, nil
-}
-
-// decodeCount reads a u32 element count and sanity-checks it against the
-// remaining input (elemSize = minimum encoded bytes per element), so a
-// corrupted count cannot drive a huge allocation. The CRC makes this
-// unreachable in practice; it is defense in depth.
-func decodeCount(r *wire.Reader, elemSize int) (int, bool) {
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n*elemSize > r.Len() {
-		return 0, false
-	}
-	return n, true
 }
 
 func appendVec4(b []byte, v geom.Vec4) []byte {

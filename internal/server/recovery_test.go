@@ -154,23 +154,25 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 	pool0 := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st2), jobs.WithLogger(quietSlog()))
 	defer pool0.Close(context.Background())
 	srv0 := New(pool0, Limits{})
-	ts0 := httptest.NewServer(srv0.Handler())
-	defer ts0.Close()
-	addr0 := strings.TrimPrefix(ts0.URL, "http://")
 
-	// The peer's listener address decides ring ownership; re-roll the peer
-	// until the key lands on the recovered node so the remote-hit path is
-	// the one under test.
+	// Both listener addresses decide ring ownership; re-roll both until the
+	// key lands on the recovered node so the remote-hit path is the one
+	// under test. Re-rolling only the peer can fail every try: when the
+	// recovered node's ring points all sit far past the key, nearly every
+	// peer address takes it.
 	var (
-		pool1 *jobs.Pool
-		ts1   *httptest.Server
-		c0    *cluster.Cluster
-		c1    *cluster.Cluster
+		pool1    *jobs.Pool
+		ts0, ts1 *httptest.Server
+		addr0    string
+		c0       *cluster.Cluster
+		c1       *cluster.Cluster
 	)
 	for attempt := 0; ; attempt++ {
 		if attempt >= 64 {
 			t.Fatal("could not place key ownership on the recovered node in 64 tries")
 		}
+		ts0 = httptest.NewServer(srv0.Handler())
+		addr0 = strings.TrimPrefix(ts0.URL, "http://")
 		pool1 = jobs.NewPool(jobs.WithWorkers(2), jobs.WithLogger(quietSlog()))
 		srv1 := New(pool1, Limits{})
 		ts1 = httptest.NewServer(srv1.Handler())
@@ -194,10 +196,12 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 		if c0.Owner(key) == addr0 {
 			srv0.SetCluster(c0)
 			srv1.SetCluster(c1)
+			defer ts0.Close()
 			defer ts1.Close()
 			defer pool1.Close(context.Background())
 			break
 		}
+		ts0.Close()
 		ts1.Close()
 		pool1.Close(context.Background())
 	}

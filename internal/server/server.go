@@ -28,6 +28,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rendelim/internal/api"
 	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/fault"
@@ -431,7 +432,7 @@ func (s *Server) specFromJSON(r *http.Request) ([]byte, jobs.Spec, error) {
 	if req.Seed != 0 {
 		p.Seed = req.Seed
 	}
-	if p.Width*p.Height > s.limits.MaxPixels {
+	if pixelsLeft(s.limits.MaxPixels, p.Width, p.Height) < 0 {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: resolution %dx%d over limit", rerr.ErrBadConfig, p.Width, p.Height)
 	}
 	if p.Frames > s.limits.MaxFrames {
@@ -454,8 +455,24 @@ func (s *Server) specFromTrace(r *http.Request) ([]byte, jobs.Spec, error) {
 	if err != nil {
 		return nil, jobs.Spec{}, err // wraps rerr.ErrBadTrace
 	}
-	if tr.Width*tr.Height > s.limits.MaxPixels {
+	if pixelsLeft(s.limits.MaxPixels, tr.Width, tr.Height) < 0 {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: trace resolution %dx%d over limit", rerr.ErrBadTrace, tr.Width, tr.Height)
+	}
+	// The simulator builds every texture spec in full, so their texels
+	// share the same budget as the framebuffer's pixels.
+	texels := s.limits.MaxPixels
+	for _, spec := range tr.Textures {
+		texels = pixelsLeft(texels, spec.W, spec.H)
+	}
+	for _, f := range tr.Frames {
+		for _, cmd := range f.Commands {
+			if up, ok := cmd.(api.UploadTexture); ok {
+				texels = pixelsLeft(texels, up.Spec.W, up.Spec.H)
+			}
+		}
+	}
+	if texels < 0 {
+		return nil, jobs.Spec{}, fmt.Errorf("%w: trace textures over the %d-texel limit", rerr.ErrBadTrace, s.limits.MaxPixels)
 	}
 	if len(tr.Frames) > s.limits.MaxFrames {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: trace frame count %d over limit %d", rerr.ErrBadTrace, len(tr.Frames), s.limits.MaxFrames)
@@ -469,6 +486,17 @@ func (s *Server) specFromTrace(r *http.Request) ([]byte, jobs.Spec, error) {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: %v", rerr.ErrBadConfig, err)
 	}
 	return body, jobs.Spec{TraceBin: body, Tech: tech, Tag: r.URL.Query().Get("tag")}, nil
+}
+
+// pixelsLeft returns budget minus w*h, or -1 when w*h does not fit in
+// budget, so a chain of calls stays negative once one fails. It divides
+// before it multiplies: sizes whose product would overflow are rejected,
+// not wrapped.
+func pixelsLeft(budget, w, h int) int {
+	if budget < 0 || w < 0 || h < 0 || (w > 0 && h > budget/w) {
+		return -1
+	}
+	return budget - w*h
 }
 
 // forwardSubmit proxies a submission to its ring owner, serving from the

@@ -16,11 +16,13 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/api"
 	"rendelim/internal/cluster"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
 	"rendelim/internal/rerr"
+	"rendelim/internal/shader"
 	"rendelim/internal/trace"
 	"rendelim/internal/workload"
 )
@@ -269,6 +271,65 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
 			t.Errorf("%s: status %d, want %d", tc.name, resp.StatusCode, tc.want)
+		}
+	}
+}
+
+// TestUnrunnableInputsRejected: inputs the simulator cannot run are client
+// errors at submission (400), not jobs that panic or allocate per texel:
+// an uploaded program that writes past the temporaries, a texture with no
+// texels, a texture bigger than the pixel limit, and resolutions whose
+// pixel count overflows int. The pool's runner never simulates, so a
+// regression fails the test instead of allocating 16 GiB of texels.
+func TestUnrunnableInputsRejected(t *testing.T) {
+	run := func(ctx context.Context, spec jobs.Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
+		t.Errorf("submission reached the runner: %+v", spec.Params)
+		return gpusim.Result{}, errors.New("not simulated")
+	}
+	pool := jobs.NewPool(jobs.WithWorkers(1), jobs.WithRun(run))
+	t.Cleanup(func() { pool.Close(context.Background()) })
+	srv := httptest.NewServer(New(pool, Limits{}).Handler())
+	t.Cleanup(srv.Close)
+
+	b, err := workload.ByAlias("ccs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	upload := func(mutate func(*api.Trace)) []byte {
+		tr := b.Build(workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1})
+		mutate(tr)
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	writesR200 := &shader.Program{Name: "bad", Instrs: []shader.Instr{{Op: shader.OpMov, Dst: shader.RD(200), Src: [3]shader.Src{shader.R(0)}}}}
+	cases := []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"uploaded program writes r200", "application/octet-stream", upload(func(tr *api.Trace) {
+			tr.Frames[1].Commands = append([]api.Command{api.UploadProgram{ID: 0, Program: writesR200}}, tr.Frames[1].Commands...)
+		})},
+		{"0x0 texture", "application/octet-stream", upload(func(tr *api.Trace) {
+			tr.Textures = append(tr.Textures, api.TextureSpec{Kind: api.TexChecker, Cell: 1})
+		})},
+		{"65536x65536 texture", "application/octet-stream", upload(func(tr *api.Trace) {
+			tr.Textures = append(tr.Textures, api.TextureSpec{Kind: api.TexChecker, W: 65536, H: 65536, Cell: 1})
+		})},
+		{"resolution product wraps to 0", "application/json", []byte(`{"alias": "ccs", "width": 4294967296, "height": 4294967296}`)},
+		{"resolution product wraps negative", "application/json", []byte(`{"alias": "ccs", "width": 3037000500, "height": 3037000500}`)},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(srv.URL+"/v1/jobs?wait=1", tc.contentType, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, raw)
 		}
 	}
 }

@@ -2,24 +2,22 @@
 // binary format, making the simulator trace-driven the way Teapot is: the
 // retrace tool records command streams once, and resim/reexp replay them.
 // The format is versioned, little-endian, and self-contained (shader
-// programs and procedural texture specs travel inside the file).
+// programs and procedural texture specs travel inside the file). It encodes
+// and decodes through internal/wire, the repo's one binary codec.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"rendelim/internal/api"
 	"rendelim/internal/geom"
 	"rendelim/internal/rerr"
 	"rendelim/internal/shader"
 	"rendelim/internal/texture"
+	"rendelim/internal/wire"
 )
-
-func texFilter(v uint8) texture.Filter { return texture.Filter(v) }
 
 // Magic and version identify the format.
 const (
@@ -37,430 +35,317 @@ const (
 	tagSetRenderTargets = 6
 )
 
-type writer struct {
-	w   *bufio.Writer
-	err error
-}
+// Count caps: input checks on a trace's shape, on top of the bytes-left
+// bound every count gets from wire.Reader.Count.
+const (
+	maxFrames      = 1 << 20 // per trace
+	maxCommands    = 1 << 22 // per frame
+	maxDrawVec4s   = 1 << 26 // per draw
+	maxDrawIndices = 1 << 26 // per draw
+)
 
-func (w *writer) bytes(b []byte) {
-	if w.err == nil {
-		_, w.err = w.w.Write(b)
-	}
-}
+// Minimum encoded size of each counted element, in bytes: a count is
+// checked against the bytes left at these sizes before its slice is
+// allocated.
+const (
+	sizeProgram = 4  // u16 name length, u16 instruction count
+	sizeInstr   = 17 // five bytes, then three 4-byte sources
+	sizeTexSpec = 58 // kind, W, H, Cell, Seed, A, B, Amp, Filter
+	sizeFrame   = 4  // u32 command count
+	sizeCommand = 2  // tag and SetRenderTargets' count
+	sizeVec4    = 16
+	sizeIndex   = 2
+)
 
-func (w *writer) u8(v uint8) { w.bytes([]byte{v}) }
-
-func (w *writer) bool(v bool) {
-	if v {
-		w.u8(1)
-	} else {
-		w.u8(0)
-	}
-}
-func (w *writer) u16(v uint16)  { var b [2]byte; binary.LittleEndian.PutUint16(b[:], v); w.bytes(b[:]) }
-func (w *writer) u32(v uint32)  { var b [4]byte; binary.LittleEndian.PutUint32(b[:], v); w.bytes(b[:]) }
-func (w *writer) u64(v uint64)  { var b [8]byte; binary.LittleEndian.PutUint64(b[:], v); w.bytes(b[:]) }
-func (w *writer) f32(v float32) { w.u32(math.Float32bits(v)) }
-
-func (w *writer) str(s string) {
-	if len(s) > 0xFFFF {
-		s = s[:0xFFFF]
-	}
-	w.u16(uint16(len(s)))
-	w.bytes([]byte(s))
-}
-
-func (w *writer) vec4(v geom.Vec4) { w.f32(v.X); w.f32(v.Y); w.f32(v.Z); w.f32(v.W) }
-
-type reader struct {
-	r   *bufio.Reader
-	err error
-}
-
-func (r *reader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
-		r.err = err
-		return nil
-	}
-	return b
-}
-
-func (r *reader) u8() uint8 {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) bool() bool { return r.u8() != 0 }
-
-func (r *reader) u16() uint16 {
-	b := r.bytes(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *reader) u32() uint32 {
-	b := r.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *reader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) f32() float32 { return math.Float32frombits(r.u32()) }
-
-func (r *reader) str() string {
-	n := int(r.u16())
-	b := r.bytes(n)
-	return string(b)
-}
-
-func (r *reader) vec4() geom.Vec4 {
-	return geom.Vec4{X: r.f32(), Y: r.f32(), Z: r.f32(), W: r.f32()}
-}
-
-// capHint bounds slice preallocation from an untrusted length field: a
-// hostile header can claim millions of elements while carrying none, so
-// never allocate more than maxPrealloc up front — append grows the slice if
-// the elements actually arrive.
-const maxPrealloc = 4096
-
-func capHint(n int) int {
-	if n > maxPrealloc {
-		return maxPrealloc
-	}
-	return n
-}
-
-// Encode writes tr to w.
+// Encode writes tr to out in a single write.
 func Encode(out io.Writer, tr *api.Trace) error {
-	w := &writer{w: bufio.NewWriter(out)}
-	w.bytes([]byte(Magic))
-	w.u32(Version)
-	w.str(tr.Name)
-	w.u32(uint32(tr.Width))
-	w.u32(uint32(tr.Height))
-	w.vec4(tr.ClearColor)
+	b := append([]byte(nil), Magic...)
+	b = wire.AppendU32(b, Version)
+	b = appendStr(b, tr.Name)
+	b = wire.AppendU32(b, uint32(tr.Width))
+	b = wire.AppendU32(b, uint32(tr.Height))
+	b = appendVec4(b, tr.ClearColor)
 
-	w.u16(uint16(len(tr.Programs)))
+	b = wire.AppendU16(b, uint16(len(tr.Programs)))
 	for _, p := range tr.Programs {
-		encodeProgram(w, p)
+		b = appendProgram(b, p)
 	}
-	w.u16(uint16(len(tr.Textures)))
+	b = wire.AppendU16(b, uint16(len(tr.Textures)))
 	for _, t := range tr.Textures {
-		encodeTexSpec(w, t)
+		b = appendTexSpec(b, t)
 	}
-	w.u32(uint32(len(tr.Frames)))
+	b = wire.AppendU32(b, uint32(len(tr.Frames)))
 	for i := range tr.Frames {
-		f := &tr.Frames[i]
-		w.u32(uint32(len(f.Commands)))
-		for _, cmd := range f.Commands {
-			encodeCommand(w, cmd)
+		cmds := tr.Frames[i].Commands
+		b = wire.AppendU32(b, uint32(len(cmds)))
+		for _, cmd := range cmds {
+			var err error
+			if b, err = appendCommand(b, cmd); err != nil {
+				return err
+			}
 		}
 	}
-	if w.err != nil {
-		return w.err
-	}
-	return w.w.Flush()
+	_, err := out.Write(b)
+	return err
 }
 
-// Decoder decodes traces into reusable backing arenas: the per-command
-// slices (Draw.Data, Draw.Indices, SetUniforms.Values, Program.Instrs) of a
-// decoded trace are carved out of a handful of arena slices owned by the
-// Decoder instead of being individually allocated, so a caller that decodes
-// trace after trace (the job pool, the bench harness) reaches a steady
-// state where decode only boxes the command values themselves.
-//
-// Ownership: every Trace returned by Decode aliases the Decoder's arenas.
-// Reset reclaims the arenas for the next decode — callers must not use
-// previously decoded Traces after calling Reset. A zero Decoder is ready to
-// use; the package-level Decode is the convenience form that dedicates a
-// fresh Decoder (and thus fresh backing) to a single trace.
-type Decoder struct {
-	vec4s   []geom.Vec4
-	indices []uint16
-	instrs  []shader.Instr
-}
-
-// Reset reclaims the decoder's arenas, keeping their capacity, so the next
-// Decode reuses the memory of traces decoded before the Reset.
-func (d *Decoder) Reset() {
-	d.vec4s = d.vec4s[:0]
-	d.indices = d.indices[:0]
-	d.instrs = d.instrs[:0]
-}
-
-// vec4Span appends n vec4s read from r to the arena and returns the span as
-// a capacity-capped slice: later arena appends can never write into it.
-// Growth is driven by data actually arriving, never by the untrusted length
-// field alone, which subsumes the old capHint hostile-header defense.
-func (d *Decoder) vec4Span(r *reader, n int) []geom.Vec4 {
-	start := len(d.vec4s)
-	for i := 0; i < n && r.err == nil; i++ {
-		d.vec4s = append(d.vec4s, r.vec4())
-	}
-	end := len(d.vec4s)
-	return d.vec4s[start:end:end]
-}
-
-// indexSpan is vec4Span for uint16 index data.
-func (d *Decoder) indexSpan(r *reader, n int) []uint16 {
-	start := len(d.indices)
-	for i := 0; i < n && r.err == nil; i++ {
-		d.indices = append(d.indices, r.u16())
-	}
-	end := len(d.indices)
-	return d.indices[start:end:end]
-}
-
-// instrSpan decodes n shader instructions into the arena.
-func (d *Decoder) instrSpan(r *reader, n int) []shader.Instr {
-	start := len(d.instrs)
-	for i := 0; i < n && r.err == nil; i++ {
-		var in shader.Instr
-		in.Op = shader.Op(r.u8())
-		in.Dst.File = shader.File(r.u8())
-		in.Dst.Idx = r.u8()
-		in.Dst.Mask = r.u8()
-		in.TexUnit = r.u8()
-		for s := range in.Src {
-			in.Src[s].File = shader.File(r.u8())
-			in.Src[s].Idx = r.u8()
-			sw := r.u8()
-			in.Src[s].Swz = shader.Swz(sw&3, sw>>2&3, sw>>4&3, sw>>6&3)
-			in.Src[s].Neg = r.bool()
-		}
-		d.instrs = append(d.instrs, in)
-	}
-	end := len(d.instrs)
-	return d.instrs[start:end:end]
-}
-
-// Decode reads a trace and validates it.
+// Decode reads a trace in full, decodes it and validates it. Every error
+// wraps rerr.ErrBadTrace.
 func Decode(in io.Reader) (*api.Trace, error) {
-	return new(Decoder).Decode(in)
-}
-
-// Decode reads one trace from in; see the type comment for arena ownership.
-func (d *Decoder) Decode(in io.Reader) (*api.Trace, error) {
-	r := &reader{r: bufio.NewReader(in)}
-	if string(r.bytes(4)) != Magic {
-		return nil, fmt.Errorf("trace: %w: bad magic", rerr.ErrBadTrace)
+	data, err := io.ReadAll(in)
+	if err != nil {
+		return nil, fmt.Errorf("trace: %w: read: %v", rerr.ErrBadTrace, err)
 	}
-	if v := r.u32(); v != Version {
-		return nil, fmt.Errorf("trace: %w: unsupported version %d", rerr.ErrBadTrace, v)
+	tr, err := decode(wire.NewReader(data))
+	if err == nil {
+		err = tr.Validate()
 	}
-	tr := &api.Trace{}
-	tr.Name = r.str()
-	tr.Width = int(r.u32())
-	tr.Height = int(r.u32())
-	tr.ClearColor = r.vec4()
-
-	np := int(r.u16())
-	for i := 0; i < np && r.err == nil; i++ {
-		tr.Programs = append(tr.Programs, d.decodeProgram(r))
-	}
-	nt := int(r.u16())
-	for i := 0; i < nt && r.err == nil; i++ {
-		tr.Textures = append(tr.Textures, decodeTexSpec(r))
-	}
-	nf := int(r.u32())
-	if nf > 1<<20 {
-		return nil, fmt.Errorf("trace: %w: implausible frame count %d", rerr.ErrBadTrace, nf)
-	}
-	for i := 0; i < nf && r.err == nil; i++ {
-		nc := int(r.u32())
-		if nc > 1<<22 {
-			return nil, fmt.Errorf("trace: %w: implausible command count %d", rerr.ErrBadTrace, nc)
-		}
-		var f api.Frame
-		if nc > 0 {
-			f.Commands = make([]api.Command, 0, capHint(nc))
-		}
-		for c := 0; c < nc && r.err == nil; c++ {
-			f.Commands = append(f.Commands, d.decodeCommand(r))
-		}
-		tr.Frames = append(tr.Frames, f)
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("trace: %w: decode: %v", rerr.ErrBadTrace, r.err)
-	}
-	if err := tr.Validate(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("trace: %w: %v", rerr.ErrBadTrace, err)
 	}
 	return tr, nil
 }
 
-func encodeProgram(w *writer, p *shader.Program) {
-	w.str(p.Name)
-	w.u16(uint16(len(p.Instrs)))
-	for _, in := range p.Instrs {
-		w.u8(uint8(in.Op))
-		w.u8(uint8(in.Dst.File))
-		w.u8(in.Dst.Idx)
-		w.u8(in.Dst.Mask)
-		w.u8(in.TexUnit)
-		for _, s := range in.Src {
-			w.u8(uint8(s.File))
-			w.u8(s.Idx)
-			w.u8(s.Swz[0] | s.Swz[1]<<2 | s.Swz[2]<<4 | s.Swz[3]<<6)
-			w.bool(s.Neg)
+// decode decodes one trace from r. Each slice is allocated once, at a
+// length Count has checked against the bytes left, so a hostile length
+// field fails as wire.ErrCorrupt instead of allocating.
+func decode(r *wire.Reader) (*api.Trace, error) {
+	if string(r.Raw(len(Magic))) != Magic {
+		return nil, errors.New("bad magic")
+	}
+	if v := r.U32(); v != Version {
+		return nil, fmt.Errorf("unsupported version %d", v)
+	}
+	tr := &api.Trace{Name: str(r), Width: int(r.U32()), Height: int(r.U32()), ClearColor: vec4(r)}
+
+	if n := r.Count(int(r.U16()), sizeProgram); n > 0 {
+		tr.Programs = make([]*shader.Program, n)
+		for i := range tr.Programs {
+			tr.Programs[i] = decodeProgram(r)
 		}
 	}
+	if n := r.Count(int(r.U16()), sizeTexSpec); n > 0 {
+		tr.Textures = make([]api.TextureSpec, n)
+		for i := range tr.Textures {
+			tr.Textures[i] = decodeTexSpec(r)
+		}
+	}
+	nf := int(r.U32())
+	if nf > maxFrames {
+		return nil, fmt.Errorf("implausible frame count %d", nf)
+	}
+	if nf = r.Count(nf, sizeFrame); nf > 0 {
+		tr.Frames = make([]api.Frame, nf)
+	}
+	for i := range tr.Frames {
+		nc := int(r.U32())
+		if nc > maxCommands {
+			return nil, fmt.Errorf("implausible command count %d", nc)
+		}
+		if nc = r.Count(nc, sizeCommand); nc > 0 {
+			tr.Frames[i].Commands = make([]api.Command, nc)
+		}
+		for c := range tr.Frames[i].Commands {
+			cmd, err := decodeCommand(r)
+			if err != nil {
+				return nil, err
+			}
+			tr.Frames[i].Commands[c] = cmd
+		}
+	}
+	if err := r.Err(); err != nil {
+		return nil, err
+	}
+	return tr, nil
 }
 
-func (d *Decoder) decodeProgram(r *reader) *shader.Program {
-	p := &shader.Program{Name: r.str()}
-	p.Instrs = d.instrSpan(r, int(r.u16()))
+// appendStr appends a u16-length-prefixed string, truncated to fit.
+func appendStr(b []byte, s string) []byte {
+	if len(s) > 0xFFFF {
+		s = s[:0xFFFF]
+	}
+	b = wire.AppendU16(b, uint16(len(s)))
+	return append(b, s...)
+}
+
+func str(r *wire.Reader) string { return string(r.Raw(int(r.U16()))) }
+
+func appendVec4(b []byte, v geom.Vec4) []byte {
+	b = wire.AppendF32(b, v.X)
+	b = wire.AppendF32(b, v.Y)
+	b = wire.AppendF32(b, v.Z)
+	return wire.AppendF32(b, v.W)
+}
+
+func vec4(r *wire.Reader) geom.Vec4 {
+	return geom.Vec4{X: r.F32(), Y: r.F32(), Z: r.F32(), W: r.F32()}
+}
+
+// vec4s decodes n vec4s; a zero count decodes as nil.
+func vec4s(r *wire.Reader, n int) []geom.Vec4 {
+	n = r.Count(n, sizeVec4)
+	if n == 0 {
+		return nil
+	}
+	v := make([]geom.Vec4, n)
+	for i := range v {
+		v[i] = vec4(r)
+	}
+	return v
+}
+
+func appendProgram(b []byte, p *shader.Program) []byte {
+	b = appendStr(b, p.Name)
+	b = wire.AppendU16(b, uint16(len(p.Instrs)))
+	for _, in := range p.Instrs {
+		b = append(b, uint8(in.Op), uint8(in.Dst.File), in.Dst.Idx, in.Dst.Mask, in.TexUnit)
+		for _, s := range in.Src {
+			b = append(b, uint8(s.File), s.Idx, s.Swz[0]|s.Swz[1]<<2|s.Swz[2]<<4|s.Swz[3]<<6)
+			b = wire.AppendBool(b, s.Neg)
+		}
+	}
+	return b
+}
+
+func decodeProgram(r *wire.Reader) *shader.Program {
+	p := &shader.Program{Name: str(r)}
+	if n := r.Count(int(r.U16()), sizeInstr); n > 0 {
+		p.Instrs = make([]shader.Instr, n)
+		for i := range p.Instrs {
+			in := &p.Instrs[i]
+			in.Op = shader.Op(r.U8())
+			in.Dst.File = shader.File(r.U8())
+			in.Dst.Idx = r.U8()
+			in.Dst.Mask = r.U8()
+			in.TexUnit = r.U8()
+			for s := range in.Src {
+				in.Src[s].File = shader.File(r.U8())
+				in.Src[s].Idx = r.U8()
+				sw := r.U8()
+				in.Src[s].Swz = shader.Swz(sw&3, sw>>2&3, sw>>4&3, sw>>6&3)
+				in.Src[s].Neg = r.Bool()
+			}
+		}
+	}
 	return p
 }
 
-func encodeTexSpec(w *writer, t api.TextureSpec) {
-	w.u8(uint8(t.Kind))
-	w.u32(uint32(t.W))
-	w.u32(uint32(t.H))
-	w.u32(uint32(t.Cell))
-	w.u64(t.Seed)
-	w.vec4(t.A)
-	w.vec4(t.B)
-	w.f32(t.Amp)
-	w.u8(uint8(t.Filter))
+func appendTexSpec(b []byte, t api.TextureSpec) []byte {
+	b = wire.AppendU8(b, uint8(t.Kind))
+	b = wire.AppendU32(b, uint32(t.W))
+	b = wire.AppendU32(b, uint32(t.H))
+	b = wire.AppendU32(b, uint32(t.Cell))
+	b = wire.AppendU64(b, t.Seed)
+	b = appendVec4(b, t.A)
+	b = appendVec4(b, t.B)
+	b = wire.AppendF32(b, t.Amp)
+	return wire.AppendU8(b, uint8(t.Filter))
 }
 
-func decodeTexSpec(r *reader) api.TextureSpec {
-	var t api.TextureSpec
-	t.Kind = api.TextureKind(r.u8())
-	t.W = int(r.u32())
-	t.H = int(r.u32())
-	t.Cell = int(r.u32())
-	t.Seed = r.u64()
-	t.A = r.vec4()
-	t.B = r.vec4()
-	t.Amp = r.f32()
-	t.Filter = texFilter(r.u8())
-	return t
-}
-
-func encodeCommand(w *writer, cmd api.Command) {
-	switch c := cmd.(type) {
-	case api.SetPipeline:
-		w.u8(tagSetPipeline)
-		w.u8(uint8(c.VS))
-		w.u8(uint8(c.FS))
-		for _, t := range c.Tex {
-			w.u8(uint8(t))
-		}
-		w.u8(uint8(c.Blend))
-		w.bool(c.DepthTest)
-		w.bool(c.DepthWrite)
-		w.bool(c.CullBack)
-	case api.SetUniforms:
-		w.u8(tagSetUniforms)
-		w.u16(uint16(c.First))
-		w.u16(uint16(len(c.Values)))
-		for _, v := range c.Values {
-			w.vec4(v)
-		}
-	case api.Draw:
-		w.u8(tagDraw)
-		w.u8(uint8(c.NumAttrs))
-		w.u32(uint32(len(c.Data)))
-		for _, v := range c.Data {
-			w.vec4(v)
-		}
-		w.u32(uint32(len(c.Indices)))
-		for _, ix := range c.Indices {
-			w.u16(ix)
-		}
-	case api.UploadProgram:
-		w.u8(tagUploadProgram)
-		w.u8(uint8(c.ID))
-		encodeProgram(w, c.Program)
-	case api.UploadTexture:
-		w.u8(tagUploadTexture)
-		w.u8(uint8(c.ID))
-		encodeTexSpec(w, c.Spec)
-	case api.SetRenderTargets:
-		w.u8(tagSetRenderTargets)
-		w.u8(uint8(c.N))
-	default:
-		w.err = fmt.Errorf("trace: unknown command %T", cmd)
+func decodeTexSpec(r *wire.Reader) api.TextureSpec {
+	return api.TextureSpec{
+		Kind:   api.TextureKind(r.U8()),
+		W:      int(r.U32()),
+		H:      int(r.U32()),
+		Cell:   int(r.U32()),
+		Seed:   r.U64(),
+		A:      vec4(r),
+		B:      vec4(r),
+		Amp:    r.F32(),
+		Filter: texture.Filter(r.U8()),
 	}
 }
 
-func (d *Decoder) decodeCommand(r *reader) api.Command {
-	switch tag := r.u8(); tag {
+func appendCommand(b []byte, cmd api.Command) ([]byte, error) {
+	switch c := cmd.(type) {
+	case api.SetPipeline:
+		b = append(b, tagSetPipeline, uint8(c.VS), uint8(c.FS))
+		for _, t := range c.Tex {
+			b = wire.AppendU8(b, uint8(t))
+		}
+		b = wire.AppendU8(b, uint8(c.Blend))
+		b = wire.AppendBool(b, c.DepthTest)
+		b = wire.AppendBool(b, c.DepthWrite)
+		b = wire.AppendBool(b, c.CullBack)
+	case api.SetUniforms:
+		b = wire.AppendU8(b, tagSetUniforms)
+		b = wire.AppendU16(b, uint16(c.First))
+		b = wire.AppendU16(b, uint16(len(c.Values)))
+		for _, v := range c.Values {
+			b = appendVec4(b, v)
+		}
+	case api.Draw:
+		b = append(b, tagDraw, uint8(c.NumAttrs))
+		b = wire.AppendU32(b, uint32(len(c.Data)))
+		for _, v := range c.Data {
+			b = appendVec4(b, v)
+		}
+		b = wire.AppendU32(b, uint32(len(c.Indices)))
+		for _, ix := range c.Indices {
+			b = wire.AppendU16(b, ix)
+		}
+	case api.UploadProgram:
+		b = append(b, tagUploadProgram, uint8(c.ID))
+		b = appendProgram(b, c.Program)
+	case api.UploadTexture:
+		b = append(b, tagUploadTexture, uint8(c.ID))
+		b = appendTexSpec(b, c.Spec)
+	case api.SetRenderTargets:
+		b = append(b, tagSetRenderTargets, uint8(c.N))
+	default:
+		return b, fmt.Errorf("trace: unknown command %T", cmd)
+	}
+	return b, nil
+}
+
+// decodeCommand decodes one command. Read failures latch in r; the error
+// reports a cap exceeded or an unknown tag. A latched failure reads as tag 0,
+// so an unknown tag returns the reader's error when it has one.
+func decodeCommand(r *wire.Reader) (api.Command, error) {
+	switch tag := r.U8(); tag {
 	case tagSetPipeline:
 		var c api.SetPipeline
-		c.VS = api.ProgramID(r.u8())
-		c.FS = api.ProgramID(r.u8())
+		c.VS = api.ProgramID(r.U8())
+		c.FS = api.ProgramID(r.U8())
 		for i := range c.Tex {
-			c.Tex[i] = api.TextureID(r.u8())
+			c.Tex[i] = api.TextureID(r.U8())
 		}
-		c.Blend = api.BlendMode(r.u8())
-		c.DepthTest = r.bool()
-		c.DepthWrite = r.bool()
-		c.CullBack = r.bool()
-		return c
+		c.Blend = api.BlendMode(r.U8())
+		c.DepthTest = r.Bool()
+		c.DepthWrite = r.Bool()
+		c.CullBack = r.Bool()
+		return c, nil
 	case tagSetUniforms:
-		var c api.SetUniforms
-		c.First = int(r.u16())
-		c.Values = d.vec4Span(r, int(r.u16()))
-		return c
+		return api.SetUniforms{First: int(r.U16()), Values: vec4s(r, int(r.U16()))}, nil
 	case tagDraw:
-		var c api.Draw
-		c.NumAttrs = int(r.u8())
-		n := int(r.u32())
-		if n > 1<<26 {
-			r.fail("implausible draw size %d", n)
-			return c
+		c := api.Draw{NumAttrs: int(r.U8())}
+		n := int(r.U32())
+		if n > maxDrawVec4s {
+			return nil, fmt.Errorf("implausible draw size %d", n)
 		}
-		c.Data = d.vec4Span(r, n)
-		ni := int(r.u32())
-		if ni > 1<<26 {
-			r.fail("implausible index count %d", ni)
-			return c
+		c.Data = vec4s(r, n)
+		ni := int(r.U32())
+		if ni > maxDrawIndices {
+			return nil, fmt.Errorf("implausible index count %d", ni)
 		}
-		if ni > 0 {
-			c.Indices = d.indexSpan(r, ni)
+		// Indices stay nil for a non-indexed draw: TriangleCount branches on it.
+		if ni = r.Count(ni, sizeIndex); ni > 0 {
+			c.Indices = make([]uint16, ni)
+			for i := range c.Indices {
+				c.Indices[i] = r.U16()
+			}
 		}
-		return c
+		return c, nil
 	case tagUploadProgram:
-		var c api.UploadProgram
-		c.ID = api.ProgramID(r.u8())
-		c.Program = d.decodeProgram(r)
-		return c
+		return api.UploadProgram{ID: api.ProgramID(r.U8()), Program: decodeProgram(r)}, nil
 	case tagUploadTexture:
-		var c api.UploadTexture
-		c.ID = api.TextureID(r.u8())
-		c.Spec = decodeTexSpec(r)
-		return c
+		return api.UploadTexture{ID: api.TextureID(r.U8()), Spec: decodeTexSpec(r)}, nil
 	case tagSetRenderTargets:
-		return api.SetRenderTargets{N: int(r.u8())}
+		return api.SetRenderTargets{N: int(r.U8())}, nil
 	default:
-		r.fail("unknown command tag %d", tag)
-		return api.SetRenderTargets{N: 1}
+		if err := r.Err(); err != nil {
+			return nil, err
+		}
+		return nil, fmt.Errorf("unknown command tag %d", tag)
 	}
 }

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
 
 	"rendelim/internal/api"
+	"rendelim/internal/rerr"
+	"rendelim/internal/shader"
 	"rendelim/internal/workload"
 )
 
@@ -113,6 +116,39 @@ func TestDecodeRejectsUnknownCommandTag(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnrunnableUploads: a trace whose bytes are well formed
+// but whose uploads the simulator cannot run (a program writing past the
+// temporaries, a texture without texels) fails Decode with ErrBadTrace
+// instead of panicking the run that replays it.
+func TestDecodeRejectsUnrunnableUploads(t *testing.T) {
+	p := workload.Params{Width: 96, Height: 64, Frames: 2, Seed: 1}
+	b, _ := workload.ByAlias("ccs")
+	writesR200 := &shader.Program{Name: "bad", Instrs: []shader.Instr{{Op: shader.OpMov, Dst: shader.RD(200), Src: [3]shader.Src{shader.R(0)}}}}
+	empty := api.TextureSpec{Kind: api.TexChecker, Cell: 1}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*api.Trace)
+	}{
+		{"uploaded program writes r200", func(tr *api.Trace) {
+			tr.Frames[1].Commands = append([]api.Command{api.UploadProgram{ID: 0, Program: writesR200}}, tr.Frames[1].Commands...)
+		}},
+		{"0x0 registry texture", func(tr *api.Trace) { tr.Textures = append(tr.Textures, empty) }},
+		{"0x0 uploaded texture", func(tr *api.Trace) {
+			tr.Frames[1].Commands = append([]api.Command{api.UploadTexture{ID: 0, Spec: empty}}, tr.Frames[1].Commands...)
+		}},
+	} {
+		tr := b.Build(p)
+		tc.mutate(tr)
+		var buf bytes.Buffer
+		if err := Encode(&buf, tr); err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		if _, err := Decode(&buf); !errors.Is(err, rerr.ErrBadTrace) {
+			t.Errorf("%s: Decode error %v, want ErrBadTrace", tc.name, err)
+		}
+	}
+}
+
 func TestDecodedTraceSimulatesIdentically(t *testing.T) {
 	// The decisive property: a decoded trace is byte-equivalent for the
 	// Signature Unit, so the simulation outcome matches exactly. Verified
@@ -141,57 +177,6 @@ func TestDecodedTraceSimulatesIdentically(t *testing.T) {
 					t.Fatalf("frame %d cmd %d: primitive bytes differ", f, c)
 				}
 			}
-		}
-	}
-}
-
-// TestDecoderArenaReuse: a Decoder reused across decodes (Reset between
-// them) produces traces identical to fresh decodes, and its arenas actually
-// retain capacity — the second decode of the same bytes must not grow them.
-func TestDecoderArenaReuse(t *testing.T) {
-	p := workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}
-	b, _ := workload.ByAlias("ccs")
-	orig := b.Build(p)
-	var buf bytes.Buffer
-	if err := Encode(&buf, orig); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-
-	var d Decoder
-	first, err := d.Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	capAfterFirst := cap(d.vec4s)
-
-	// The returned trace must survive further decodes that do NOT Reset:
-	// spans are capacity-capped, so arena growth never aliases them.
-	if _, err := d.Decode(bytes.NewReader(raw)); err != nil {
-		t.Fatal(err)
-	}
-	for f := range first.Frames {
-		if !reflect.DeepEqual(first.Frames[f], orig.Frames[f]) {
-			t.Fatalf("frame %d corrupted by a later decode on the same Decoder", f)
-		}
-	}
-
-	// After Reset, the arenas are recycled: same bytes, no further growth.
-	d.Reset()
-	capBefore := cap(d.vec4s)
-	if capBefore < capAfterFirst {
-		t.Errorf("Reset shrank the vec4 arena: %d -> %d", capAfterFirst, capBefore)
-	}
-	again, err := d.Decode(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cap(d.vec4s) != capBefore {
-		t.Errorf("vec4 arena grew across Reset reuse: %d -> %d", capBefore, cap(d.vec4s))
-	}
-	for f := range again.Frames {
-		if !reflect.DeepEqual(again.Frames[f], orig.Frames[f]) {
-			t.Fatalf("frame %d differs after arena reuse", f)
 		}
 	}
 }

@@ -1,10 +1,10 @@
-// Package wire provides the length-checked little-endian binary primitives
-// the durability layer is built from: checkpoint snapshots
+// Package wire provides the repo's one set of length-checked little-endian
+// binary primitives: the trace format (internal/trace), checkpoint snapshots
 // (internal/gpusim), their per-subsystem sub-codecs (internal/dram,
 // internal/cache) and the on-disk store framing (internal/store) all encode
 // through the same Append* helpers and decode through the same error-latching
-// Reader, so torn or corrupted bytes surface as a typed error instead of a
-// panic or a multi-gigabyte allocation.
+// Reader, so torn, corrupted or hostile bytes surface as a typed error instead
+// of a panic or a multi-gigabyte allocation.
 package wire
 
 import (
@@ -158,17 +158,21 @@ func (r *Reader) I64() int64 { return int64(r.U64()) }
 // F32 reads a float32 by bit pattern.
 func (r *Reader) F32() float32 { return math.Float32frombits(r.U32()) }
 
-// sliceLen reads a u32 length prefix and validates it against the remaining
-// input, assuming each element occupies at least elemSize bytes. This is the
-// guard that keeps a corrupted length field from allocating unbounded
-// memory.
-func (r *Reader) sliceLen(elemSize int) int {
-	n := int(r.U32())
+// Raw returns the next n bytes. They alias the input: copy them to keep
+// them past the input's lifetime.
+func (r *Reader) Raw(n int) []byte { return r.take(n) }
+
+// Count validates n, an element count read from the input at any width,
+// against the remaining input, assuming each element occupies at least
+// elemSize bytes, and returns it; a count the input cannot hold latches
+// ErrCorrupt and returns 0. This is the guard that keeps a corrupted length
+// field from allocating unbounded memory.
+func (r *Reader) Count(n, elemSize int) int {
 	if r.err != nil {
 		return 0
 	}
-	if n < 0 || n*elemSize > r.Len() {
-		r.fail(fmt.Errorf("%w: slice length %d exceeds %d remaining bytes", ErrCorrupt, n, r.Len()))
+	if n < 0 || n > r.Len()/elemSize {
+		r.fail(fmt.Errorf("%w: count %d of %d-byte elements exceeds %d remaining bytes", ErrCorrupt, n, elemSize, r.Len()))
 		return 0
 	}
 	return n
@@ -176,7 +180,7 @@ func (r *Reader) sliceLen(elemSize int) int {
 
 // Bytes reads a u32-length-prefixed byte slice (copied out of the input).
 func (r *Reader) Bytes() []byte {
-	n := r.sliceLen(1)
+	n := r.Count(int(r.U32()), 1)
 	v := r.take(n)
 	if v == nil {
 		return nil
@@ -186,14 +190,14 @@ func (r *Reader) Bytes() []byte {
 
 // String reads a u32-length-prefixed string.
 func (r *Reader) String() string {
-	n := r.sliceLen(1)
+	n := r.Count(int(r.U32()), 1)
 	v := r.take(n)
 	return string(v)
 }
 
 // U32s reads a u32-length-prefixed []uint32.
 func (r *Reader) U32s() []uint32 {
-	n := r.sliceLen(4)
+	n := r.Count(int(r.U32()), 4)
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -206,7 +210,7 @@ func (r *Reader) U32s() []uint32 {
 
 // Bools reads a u32-length-prefixed []bool.
 func (r *Reader) Bools() []bool {
-	n := r.sliceLen(1)
+	n := r.Count(int(r.U32()), 1)
 	if r.err != nil || n == 0 {
 		return nil
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -91,5 +92,56 @@ func TestHostileLength(t *testing.T) {
 	}
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt", r.Err())
+	}
+}
+
+func TestCount(t *testing.T) {
+	b := make([]byte, 58)
+	if n := NewReader(b).Count(2, 29); n != 2 {
+		t.Errorf("Count fitting exactly = %d, want 2", n)
+	}
+
+	for _, tc := range []struct {
+		name        string
+		n, elemSize int
+	}{
+		{"short by one byte", 1, 59},
+		{"negative", -1, 1},
+		{"u32 max at 58 bytes", 1<<32 - 1, 58},
+		{"n*elemSize overflows int", math.MaxInt/4 + 1, 4},
+	} {
+		r := NewReader(b)
+		if n := r.Count(tc.n, tc.elemSize); n != 0 {
+			t.Errorf("%s: Count = %d, want 0", tc.name, n)
+		}
+		if !errors.Is(r.Err(), ErrCorrupt) {
+			t.Errorf("%s: Err = %v, want ErrCorrupt", tc.name, r.Err())
+		}
+	}
+
+	// Once an error is latched, even a count that fits reads as 0.
+	r := NewReader(b[:2])
+	r.U32()
+	if n := r.Count(0, 1); n != 0 || !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("Count after latched error = %d, Err = %v", n, r.Err())
+	}
+}
+
+func TestRaw(t *testing.T) {
+	b := []byte("RDLMxyz")
+	r := NewReader(b)
+	v := r.Raw(4)
+	if string(v) != "RDLM" {
+		t.Fatalf("Raw = %q", v)
+	}
+	b[0] = 'X'
+	if v[0] != 'X' {
+		t.Error("Raw copied its bytes; want them to alias the input")
+	}
+	if v := r.Raw(4); v != nil {
+		t.Errorf("Raw past the end = %q, want nil", v)
+	}
+	if !errors.Is(r.Err(), ErrTruncated) {
+		t.Errorf("Err = %v, want ErrTruncated", r.Err())
 	}
 }
