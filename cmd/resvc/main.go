@@ -1,12 +1,13 @@
 // Command resvc is the simulation-job daemon: it serves gpusim runs over
 // HTTP with Rendering Elimination applied at job granularity — a CRC32
 // signature of each job's inputs eliminates re-runs of identical
-// (trace, config) submissions before they enter the worker pool.
+// (trace, config, model) submissions before they enter the worker pool.
 //
 // Usage:
 //
-//	resvc [-addr :8080] [-workers N] [-cache 512] [-timeout 10m] [-retries 2]
-//	      [-checkpoint-interval 1] [-breaker-threshold 5] [-breaker-cooldown 30s]
+//	resvc [-addr :8080] [-workers N] [-tile-workers 0] [-cache 512]
+//	      [-timeout 10m] [-retries 2] [-max-body 64MiB] [-drain 30s]
+//	      [-checkpoint-interval 1]
 //	      [-inject PLAN] [-inject-seed 1] [-log-level info] [-log-format text]
 //	      [-cluster-addr host:port] [-peer host:port]... [-health-interval 2s]
 //	      [-result-ttl 30s] [-tracefile out.json] [-journal 256] [-data-dir DIR]
@@ -18,7 +19,9 @@
 // never a refusal to boot): completed results re-enter the elimination
 // cache, so identical submissions are deduplicated across restarts, and
 // jobs that were running when the process died resume from their last
-// persisted checkpoint instead of frame 0.
+// persisted checkpoint instead of frame 0. Job keys sign the simulator's
+// model fingerprint, so after an upgrade that changes simulated numbers the
+// stored results no longer match and each job is simulated once more.
 //
 // Clustering: with one or more -peer flags (and -cluster-addr naming this
 // node's own advertised address), the nodes form a static consistent-hash
@@ -30,8 +33,9 @@
 //
 // Overload and failure handling: the submission queue is bounded — when it
 // is full, POST /v1/jobs sheds load with 429 + Retry-After instead of queueing
-// unboundedly. A per-benchmark circuit breaker opens after repeated
-// non-transient failures (503 until the cooldown passes). On SIGTERM/SIGINT
+// unboundedly. Transient failures retry with backoff (-retries), resuming
+// from the last checkpoint; a job that exhausts its attempts fails alone,
+// never blocking others. On SIGTERM/SIGINT
 // the service drains gracefully: /v1/healthz flips to 503 {"status":"draining"},
 // the listener closes, and in-flight jobs get -drain to finish.
 //
@@ -96,8 +100,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	maxBody := fs.Int64("max-body", 64<<20, "max trace upload bytes")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
 	ckptInterval := fs.Int("checkpoint-interval", 1, "checkpoint the simulator every n frames so retries resume instead of restarting (0 = off)")
-	brkThreshold := fs.Int("breaker-threshold", 5, "consecutive non-transient failures before a benchmark's circuit breaker opens (negative = disabled)")
-	brkCooldown := fs.Duration("breaker-cooldown", 30*time.Second, "how long an open circuit breaker rejects before a half-open trial")
 	inject := fs.String("inject", "", "fault-injection plan, e.g. 'dram.read:panic:0.01:4,server.accept:latency:0.1,store.write:error:0.05'; store.write/store.sync/store.rename exercise the durability layer (chaos testing; empty = off)")
 	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
@@ -191,7 +193,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		jobs.WithLogger(log),
 		jobs.WithTileWorkers(*tileWorkers),
 		jobs.WithCheckpointInterval(*ckptInterval),
-		jobs.WithBreaker(*brkThreshold, *brkCooldown),
 		jobs.WithFault(plan),
 		jobs.WithJournal(journal),
 		jobs.WithStore(st),

@@ -3,7 +3,7 @@
 //
 // httpError maps errors to status codes with errors.Is against the rerr
 // sentinels (ErrBadTrace/ErrBadConfig/ErrUnknownBenchmark → 400,
-// ErrOverloaded → 429, ErrBreakerOpen/ErrClosed/ErrPeerUnavailable → 503,
+// ErrOverloaded → 429, ErrClosed/ErrPeerUnavailable → 503,
 // ErrPeerBadResponse → 502). That mapping only works while every layer
 // preserves the chain: one fmt.Errorf("...: %v", err) between the sentinel
 // and the handler silently downgrades a 400 into a 500 — and nothing fails

@@ -120,6 +120,17 @@ func Schemes() []Scheme {
 	return []Scheme{CRC32Scheme{}, RotXORScheme{}, XORFoldScheme{}, Add32Scheme{}}
 }
 
+// SchemeByName returns the scheme whose Name is name; ok is false for an
+// unknown name.
+func SchemeByName(name string) (Scheme, bool) {
+	for _, s := range Schemes() {
+		if s.Name() == name {
+			return s, true
+		}
+	}
+	return nil, false
+}
+
 func word(b []byte) uint32 {
 	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }

@@ -20,13 +20,8 @@ func (r *Runner) HashAblation() *stats.Table {
 		"skip_frac", "false_pos_suite", "false_pos_adv")
 	aliases := SuiteAliases()
 	for _, scheme := range crc.Schemes() {
-		scheme := scheme
-		variant := Config{
-			Tag: "hash-" + scheme.Name(),
-			Mutate: func(c *gpusim.Config) {
-				c.Sig.Scheme = scheme
-			},
-		}
+		variant := gpusim.DefaultConfig()
+		variant.Sig.Scheme = scheme.Name()
 		var skipped, total, falsePos uint64
 		for _, a := range aliases {
 			res := r.ResultCfg(a, gpusim.Baseline, variant).Total
@@ -50,13 +45,8 @@ func (r *Runner) HashAblation() *stats.Table {
 func (r *Runner) OTQueueAblation() *stats.Table {
 	t := stats.NewTable("Ablation: OT queue depth vs geometry stalls", "stall_%geom_mst", "stall_%geom_ccs")
 	for _, depth := range []int{2, 4, 8, 16, 32, 64} {
-		depth := depth
-		variant := Config{
-			Tag: fmt2("otq-%d", depth),
-			Mutate: func(c *gpusim.Config) {
-				c.Sig.OTQueueDepth = depth
-			},
-		}
+		variant := gpusim.DefaultConfig()
+		variant.Sig.OTQueueDepth = depth
 		row := make([]float64, 0, 2)
 		for _, a := range []string{"mst", "ccs"} {
 			res := r.ResultCfg(a, gpusim.RE, variant).Total
@@ -77,13 +67,8 @@ func (r *Runner) OTQueueAblation() *stats.Table {
 func (r *Runner) MemoLUTAblation() *stats.Table {
 	t := stats.NewTable("Ablation: memo LUT entries vs fragments shaded", "hop", "ccs", "mst")
 	for _, entries := range []int{64, 256, 512, 2048, 4096} {
-		entries := entries
-		variant := Config{
-			Tag: fmt2("memolut-%d", entries),
-			Mutate: func(c *gpusim.Config) {
-				c.MemoLUTEntries = entries
-			},
-		}
+		variant := gpusim.DefaultConfig()
+		variant.MemoLUTEntries = entries
 		row := make([]float64, 0, 3)
 		for _, a := range []string{"hop", "ccs", "mst"} {
 			base := float64(r.Result(a, gpusim.Baseline).Total.FragsShaded)
@@ -105,13 +90,8 @@ func (r *Runner) RefreshAblation() *stats.Table {
 	t := stats.NewTable("Ablation: refresh interval on cde", "skip_frac", "norm_cycles")
 	base := float64(r.Result("cde", gpusim.Baseline).Total.TotalCycles())
 	for _, interval := range []int{0, 2, 4, 8, 16} {
-		interval := interval
-		variant := Config{
-			Tag: fmt2("refresh-%d", interval),
-			Mutate: func(c *gpusim.Config) {
-				c.RefreshInterval = interval
-			},
-		}
+		variant := gpusim.DefaultConfig()
+		variant.RefreshInterval = interval
 		res := r.ResultCfg("cde", gpusim.RE, variant).Total
 		t.Add(fmt2("every-%d", interval), res.SkipFraction(), float64(res.TotalCycles())/base)
 	}
@@ -125,12 +105,11 @@ func (r *Runner) RefreshAblation() *stats.Table {
 func (r *Runner) BinningAblation() *stats.Table {
 	t := stats.NewTable("Ablation: PLB binning precision (RE skip fraction)",
 		"bbox", "exact")
+	variant := gpusim.DefaultConfig()
+	variant.ExactBinning = true
 	for _, a := range []string{"coc", "mst", "ctr", "tib"} {
 		bbox := r.Result(a, gpusim.RE).Total
-		exact := r.ResultCfg(a, gpusim.RE, Config{
-			Tag:    "exact-binning",
-			Mutate: func(c *gpusim.Config) { c.ExactBinning = true },
-		}).Total
+		exact := r.ResultCfg(a, gpusim.RE, variant).Total
 		t.Add(a, bbox.SkipFraction(), exact.SkipFraction())
 	}
 	return t

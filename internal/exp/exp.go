@@ -61,27 +61,22 @@ func (r *Runner) Pool() *jobs.Pool { return r.pool }
 // SetTracer attaches a pipeline-trace sink to every simulation the runner
 // schedules (each unique run opens its own track). The tracer is excluded
 // from job signatures, so cached re-requests stay eliminated — every
-// distinct (benchmark, technique, variant) is traced exactly once.
+// distinct (benchmark, technique, config) is traced exactly once.
 func (r *Runner) SetTracer(t *obs.Tracer) { r.tracer = t }
 
-// Config customizes a run beyond the technique (hash scheme, queue depth,
-// memo LUT size, refresh interval). Tag must uniquely identify the variant
-// for caching.
-type Config struct {
-	Tag    string
-	Mutate func(*gpusim.Config)
-}
-
-// Result returns the (cached) outcome of one benchmark under a technique.
+// Result returns the (cached) outcome of one benchmark under a technique
+// and the default config.
 func (r *Runner) Result(alias string, tech gpusim.Technique) gpusim.Result {
-	return r.ResultCfg(alias, tech, Config{})
+	return r.ResultCfg(alias, tech, gpusim.DefaultConfig())
 }
 
-// ResultCfg returns the (cached) outcome of a customized run. Concurrent
-// callers with the same key share one execution (the pool's singleflight)
-// instead of each running the full simulation.
-func (r *Runner) ResultCfg(alias string, tech gpusim.Technique, variant Config) gpusim.Result {
-	job, err := r.pool.Submit(r.spec(alias, tech, variant))
+// ResultCfg returns the (cached) outcome of one benchmark under a technique
+// and cfg (whose Technique is ignored). The job key signs cfg itself, so a
+// variant equal to the default shares the default run, and concurrent
+// callers with the same key share one execution (the pool's singleflight).
+func (r *Runner) ResultCfg(alias string, tech gpusim.Technique, cfg gpusim.Config) gpusim.Result {
+	cfg.Tracer = r.tracer
+	job, err := r.pool.Submit(jobs.Spec{Alias: alias, Params: r.Params, Tech: tech, Config: &cfg})
 	if err != nil {
 		panic(err) // experiment misconfiguration, not a runtime condition
 	}
@@ -90,32 +85,6 @@ func (r *Runner) ResultCfg(alias string, tech gpusim.Technique, variant Config) 
 		panic(err)
 	}
 	return res
-}
-
-// spec translates an experiment request into a pool job. The adversarial
-// workload is not a suite alias, so it rides in as an explicit builder.
-func (r *Runner) spec(alias string, tech gpusim.Technique, variant Config) jobs.Spec {
-	s := jobs.Spec{
-		Alias:  alias,
-		Params: r.Params,
-		Tech:   tech,
-		Tag:    variant.Tag,
-		Mutate: variant.Mutate,
-	}
-	if alias == "adversarial" {
-		s.Build = workload.Adversarial
-	}
-	if r.tracer != nil {
-		userMutate := s.Mutate
-		tracer := r.tracer
-		s.Mutate = func(c *gpusim.Config) {
-			if userMutate != nil {
-				userMutate(c)
-			}
-			c.Tracer = tracer
-		}
-	}
-	return s
 }
 
 // Prefetch computes the given (alias, technique) pairs in parallel, warming

@@ -50,12 +50,20 @@ func TestResultCaching(t *testing.T) {
 	if a.Total.TotalCycles() != b.Total.TotalCycles() {
 		t.Fatal("cache returned different results")
 	}
-	// Different variants must not collide in the cache.
-	c := r.ResultCfg("ccs", gpusim.Baseline, Config{
-		Tag:    "half-lut",
-		Mutate: func(cfg *gpusim.Config) { cfg.MemoLUTEntries = 512 },
-	})
-	_ = c
+	// A variant equal to the default shares the default run; any other
+	// config is a run of its own.
+	m := r.Pool().Metrics()
+	before := m.Completed.Load()
+	r.ResultCfg("ccs", gpusim.Baseline, gpusim.DefaultConfig())
+	if n := m.Completed.Load() - before; n != 0 {
+		t.Errorf("the default config as a variant ran %d new simulations, want 0", n)
+	}
+	half := gpusim.DefaultConfig()
+	half.MemoLUTEntries = 512
+	r.ResultCfg("ccs", gpusim.Baseline, half)
+	if n := m.Completed.Load() - before; n != 1 {
+		t.Errorf("a 512-entry LUT variant ran %d new simulations, want 1", n)
+	}
 }
 
 func TestFig02Shape(t *testing.T) {

@@ -9,15 +9,17 @@ package gpusim
 
 import (
 	"fmt"
+	"math"
 
 	"rendelim/internal/cache"
+	"rendelim/internal/crc"
 	"rendelim/internal/dram"
-	"rendelim/internal/energy"
 	"rendelim/internal/fault"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
 	"rendelim/internal/sig"
 	"rendelim/internal/timing"
+	"rendelim/internal/wire"
 )
 
 // Technique selects the redundancy-elimination scheme under evaluation.
@@ -80,9 +82,8 @@ type Config struct {
 	// Technique under test.
 	Technique Technique
 
-	// Timing and energy models.
+	// Timing and memory models.
 	Timing timing.Params
-	Energy energy.Params
 	DRAM   dram.Config
 
 	// Cache geometries (Table I).
@@ -118,14 +119,14 @@ type Config struct {
 	// events for tile eliminations. Nil (the default) costs nothing on the
 	// simulation hot path. Excluded from the job signature: tracing never
 	// changes results.
-	Tracer *obs.Tracer
+	Tracer *obs.Tracer `json:"-"`
 
 	// Fault, when non-nil, threads a fault-injection plan into the
 	// simulator (currently the DRAM model's dram.read / dram.write sites).
 	// Injection is host-level chaos: a run that completes despite faults
 	// is byte-identical to a fault-free run, so — like Tracer and
 	// TileWorkers — the plan is excluded from the job signature.
-	Fault *fault.Plan
+	Fault *fault.Plan `json:"-"`
 
 	// TileWorkers sets how many host goroutines render tiles concurrently
 	// during the raster phase: 0 or 1 runs serially, n > 1 uses exactly n
@@ -134,7 +135,7 @@ type Config struct {
 	// cycles, traffic, classifications and pixels are byte-identical at any
 	// worker count (see parallel.go) — so it is excluded from the job
 	// signature, like Tracer.
-	TileWorkers int
+	TileWorkers int `json:"-"`
 }
 
 // DefaultConfig returns the Table I configuration.
@@ -142,7 +143,6 @@ func DefaultConfig() Config {
 	return Config{
 		Technique: Baseline,
 		Timing:    timing.Default(),
-		Energy:    energy.Default(),
 		DRAM:      dram.Default(),
 		VertexCache: cache.Config{
 			Name: "vertex", LineBytes: 64, Ways: 2, SizeBytes: 4 << 10, Banks: 1, Latency: 1,
@@ -181,7 +181,59 @@ func (c Config) Validate() error {
 	if c.RefreshInterval < 0 {
 		return fmt.Errorf("gpusim: %w: negative refresh interval", rerr.ErrBadConfig)
 	}
+	if _, ok := crc.SchemeByName(c.Sig.Scheme); !ok && c.Sig.Scheme != "" {
+		return fmt.Errorf("gpusim: %w: unknown signature scheme %q", rerr.ErrBadConfig, c.Sig.Scheme)
+	}
 	return nil
+}
+
+// ModelFingerprint identifies the simulator's behaviour: it is the CRC32 of
+// testdata/golden.json, which TestSuiteGolden requires. A change that moves
+// any simulated number rewrites the golden and must move this constant with
+// it, and since AppendSigned leads with it, every job key moves too: a
+// result simulated by another model is never served as this one's.
+const ModelFingerprint uint32 = 0x1e1973fc
+
+// AppendSigned appends the canonical encoding of everything in c that can
+// change a simulated result: ModelFingerprint, then every field not tagged
+// json:"-", in declaration order. Job keys sign these bytes; the host-only
+// fields (Tracer, Fault, TileWorkers) never change a result and are left
+// out.
+func (c *Config) AppendSigned(b []byte) []byte {
+	b = wire.AppendU32(b, ModelFingerprint)
+	b = wire.AppendU8(b, uint8(c.Technique))
+
+	t := &c.Timing
+	b = wire.AppendU64(b, math.Float64bits(t.FreqHz))
+	for _, v := range [...]int{t.VertexProcessors, t.FragmentProcessors, t.TrianglesPerCycle,
+		t.RasterAttrsPerCycle, t.QuadsPerCycle, t.BlendFragsPerCycle, t.VFetchBytesPerCycle,
+		t.TileFetchBytesPerCycle, t.FlushBytesPerCycle} {
+		b = wire.AppendI64(b, int64(v))
+	}
+	b = wire.AppendU64(b, math.Float64bits(t.GeomOverlap))
+	b = wire.AppendU64(b, math.Float64bits(t.FragOverlap))
+
+	d := &c.DRAM
+	for _, v := range [...]int{d.Channels, d.BanksPerChannel, d.RowBytes, d.CASLat, d.RowCycleLat, d.QueueLat, d.BytesPerCycle} {
+		b = wire.AppendI64(b, int64(v))
+	}
+
+	for _, cc := range [...]*cache.Config{&c.VertexCache, &c.TextureCache, &c.TileCache, &c.L2Cache} {
+		b = wire.AppendString(b, cc.Name)
+		for _, v := range [...]int{cc.LineBytes, cc.Ways, cc.SizeBytes, cc.Banks, cc.Latency} {
+			b = wire.AppendI64(b, int64(v))
+		}
+	}
+
+	b = wire.AppendI64(b, int64(c.Sig.OTQueueDepth))
+	b = wire.AppendI64(b, int64(c.Sig.AccumCyclesPerTile))
+	b = wire.AppendString(b, c.Sig.Scheme)
+
+	b = wire.AppendI64(b, int64(c.RefreshInterval))
+	b = wire.AppendBool(b, c.ExactBinning)
+	b = wire.AppendI64(b, int64(c.MemoLUTEntries))
+	b = wire.AppendI64(b, int64(c.MemoLUTWays))
+	return wire.AppendBool(b, c.TrackGroundTruth)
 }
 
 // Simulated address map: disjoint regions so traffic classes never alias.

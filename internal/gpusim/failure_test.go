@@ -16,12 +16,16 @@ import (
 // (Section III-B) expressed as a test.
 func TestWeakHashCorruptsPixelsUnderRE(t *testing.T) {
 	p := workload.Params{Width: 128, Height: 96, Frames: 8, Seed: 1}
-	tr := workload.Adversarial(p)
+	adv, err := workload.ByAlias("adversarial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := adv.Build(p)
 
 	run := func(scheme crc.Scheme, tech Technique) *Simulator {
 		cfg := DefaultConfig()
 		cfg.Technique = tech
-		cfg.Sig.Scheme = scheme
+		cfg.Sig.Scheme = scheme.Name()
 		sim, err := New(tr, cfg)
 		if err != nil {
 			t.Fatal(err)

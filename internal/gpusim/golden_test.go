@@ -11,6 +11,7 @@ import (
 	"sort"
 	"testing"
 
+	"rendelim/internal/crc"
 	"rendelim/internal/workload"
 )
 
@@ -113,7 +114,8 @@ func goldenConfigs() map[string]Config {
 // golden configuration must equal testdata/golden.json. The determinism
 // tests compare the code with itself; this one compares it with the
 // committed outcome, so a change that moves every run alike still fails
-// here. Run with -update only for a declared behaviour change.
+// here. Run with -update only for a declared behaviour change, then move
+// ModelFingerprint to the CRC32 the test prints.
 func TestSuiteGolden(t *testing.T) {
 	params := workload.Params{Width: 96, Height: 64, Frames: 6, Seed: 1}
 	cfgs := goldenConfigs()
@@ -154,12 +156,21 @@ func TestSuiteGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", goldenPath)
-		return
 	}
 
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("%v (generate with go test -run TestSuiteGolden -update)", err)
+	}
+	// The golden file is the model's behaviour, so its CRC is the model
+	// fingerprint every job key signs: moving a simulated number without
+	// moving the constant would let stale results be served as fresh.
+	if sum := crc.Checksum(data); sum != ModelFingerprint {
+		t.Errorf("ModelFingerprint = %#08x, but %s has CRC32 %#08x: set ModelFingerprint to %#08x",
+			ModelFingerprint, goldenPath, sum, sum)
+	}
+	if *update {
+		return
 	}
 	var want goldenFile
 	if err := json.Unmarshal(data, &want); err != nil {

@@ -2,12 +2,14 @@ package gpusim
 
 import (
 	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
 	"rendelim/internal/api"
 	"rendelim/internal/crc"
 	"rendelim/internal/geom"
+	"rendelim/internal/rerr"
 	"rendelim/internal/shader"
 	"rendelim/internal/texture"
 	"rendelim/internal/workload"
@@ -92,6 +94,11 @@ func TestConfigValidate(t *testing.T) {
 	bad.RefreshInterval = -1
 	if bad.Validate() == nil {
 		t.Fatal("negative refresh accepted")
+	}
+	bad = cfg
+	bad.Sig.Scheme = "md5"
+	if err := bad.Validate(); !errors.Is(err, rerr.ErrBadConfig) {
+		t.Fatalf("unknown signature scheme: err = %v, want ErrBadConfig", err)
 	}
 }
 

@@ -310,77 +310,3 @@ func TestTrySubmitShedsLoad(t *testing.T) {
 		t.Errorf("resvc_load_shed_total = %d, want 1", got)
 	}
 }
-
-// TestBreakerOpensAndRecovers: repeated non-transient failures of one
-// benchmark open its circuit; submissions are rejected with a typed
-// retryable error until the cooldown passes, then a half-open trial's
-// success closes it again.
-func TestBreakerOpensAndRecovers(t *testing.T) {
-	var failing atomic.Bool
-	failing.Store(true)
-	run := func(ctx context.Context, spec Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
-		if failing.Load() {
-			return gpusim.Result{}, errors.New("permanent defect")
-		}
-		return gpusim.Result{Name: spec.Alias}, nil
-	}
-	p := NewPool(WithWorkers(1), WithRun(run), WithBreaker(2, 100*time.Millisecond))
-	defer p.Close(context.Background())
-
-	// Two terminal failures trip the breaker (threshold 2). Vary the seed
-	// so neither the cache nor singleflight eliminates the submissions.
-	for i := 0; i < 2; i++ {
-		sp := spec("ccs")
-		sp.Params.Seed = int64(i + 1)
-		j, err := p.Submit(sp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := j.Wait(context.Background()); err == nil {
-			t.Fatal("failing run succeeded")
-		}
-	}
-
-	sp := spec("ccs")
-	sp.Params.Seed = 99
-	_, err := p.Submit(sp)
-	if !errors.Is(err, ErrBreakerOpen) {
-		t.Fatalf("err = %v, want ErrBreakerOpen", err)
-	}
-	var bo *BreakerOpenError
-	if !errors.As(err, &bo) || bo.Benchmark != "ccs" || bo.RetryAfter <= 0 {
-		t.Fatalf("bad BreakerOpenError: %+v", err)
-	}
-	if st := p.BreakerState(); !st["ccs"] {
-		t.Errorf("breaker state for ccs = %v, want open", st)
-	}
-	if got := p.Metrics().BreakerRejected.Load(); got == 0 {
-		t.Error("resvc_breaker_rejected_total = 0")
-	}
-
-	// Unrelated benchmarks are unaffected.
-	failing.Store(false)
-	if j, err := p.Submit(spec("mst")); err != nil {
-		t.Fatalf("unrelated benchmark rejected: %v", err)
-	} else if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	// After the cooldown a half-open trial is admitted; its success closes
-	// the circuit for good.
-	time.Sleep(120 * time.Millisecond)
-	trial, err := p.Submit(sp)
-	if err != nil {
-		t.Fatalf("half-open trial rejected: %v", err)
-	}
-	if _, err := trial.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if st := p.BreakerState(); st["ccs"] {
-		t.Error("breaker still open after successful trial")
-	}
-	sp.Params.Seed = 100
-	if _, err := p.Submit(sp); err != nil {
-		t.Fatalf("closed breaker still rejecting: %v", err)
-	}
-}

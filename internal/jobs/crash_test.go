@@ -124,9 +124,12 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 // kill the pool mid-job after a frame-boundary checkpoint has been
 // persisted, restart on the same data dir, and require the resumed job's
 // result — per-frame stats and framebuffer CRC — to be byte-identical to a
-// run that was never interrupted. The interrupted job is an uploaded-trace
-// spec, so the content-addressed blob round-trip is on the recovery path
-// too.
+// run that was never interrupted. One job is an uploaded-trace spec, so the
+// content-addressed blob round-trip is on the recovery path too. The other
+// is an ablation spec (memo with a 512-entry LUT): had its config not
+// survived the WAL, the recovered spec would re-sign to another key and
+// recovery would drop it, so resuming it proves the config crossed the
+// restart.
 func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash soak is seconds-long; skipped in -short")
@@ -140,8 +143,22 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if err := trace.Encode(&buf, b.Build(params)); err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{TraceBin: buf.Bytes(), Tech: gpusim.RE}
+	lut := gpusim.DefaultConfig()
+	lut.MemoLUTEntries = 512
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"upload", Spec{TraceBin: buf.Bytes(), Tech: gpusim.RE}},
+		{"memo-lut512", Spec{Alias: "ccs", Params: params, Tech: gpusim.Memo, Config: &lut}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { crashAndResume(t, tc.spec, params.Frames) })
+	}
+}
 
+// crashAndResume kills a store-backed pool once spec's first checkpoint is
+// persisted, restarts on the same data dir and checks the resumed result.
+func crashAndResume(t *testing.T, spec Spec, frames int) {
 	// The never-interrupted reference.
 	ref := NewPool(WithWorkers(1), WithCheckpointInterval(1))
 	want := runSuite(t, ref, []Spec{spec})[0]
@@ -155,7 +172,7 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 	// Kill as soon as the first checkpoint snapshot is published — the
 	// window between first checkpoint (after frame 1) and job completion
-	// (frame 12) is wide open.
+	// (the last frame) is wide open.
 	ckptPath := st.Dir() + "/checkpoints/" + spec.Key().String() + ".snap"
 	deadline := time.Now().Add(30 * time.Second)
 	for {
@@ -206,7 +223,7 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	}
 	// Resuming from frame k must skip k frames: strictly fewer simulated
 	// than the trace length proves the checkpoint was actually used.
-	if n := p2.Metrics().FramesSimulated.Load(); n >= uint64(params.Frames) {
+	if n := p2.Metrics().FramesSimulated.Load(); n >= uint64(frames) {
 		t.Fatalf("restarted pool simulated %d frames; resume saved nothing", n)
 	}
 }
@@ -216,7 +233,7 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 	dir := t.TempDir()
 	st := openTestStore(t, dir, nil)
-	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()), WithBreaker(-1, 0))
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
 	j, err := p.Submit(Spec{Alias: "no-such-benchmark", Tech: gpusim.RE})
 	if err != nil {
 		t.Fatal(err)
@@ -295,38 +312,5 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 				t.Fatalf("store faults left %d corrupt snapshots; failed writes must not publish", n)
 			}
 		})
-	}
-}
-
-// TestNonDurableSpecsStayOffTheWAL: closure-carrying specs cannot cross a
-// restart, so they must never leave pending WAL state behind.
-func TestNonDurableSpecsStayOffTheWAL(t *testing.T) {
-	dir := t.TempDir()
-	st := openTestStore(t, dir, nil)
-	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
-	b, err := workload.ByAlias("ccs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	j, err := p.Submit(Spec{
-		Alias:  "custom-ccs",
-		Params: chaosParams,
-		Build:  b.Build,
-		Tech:   gpusim.RE,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	p.Kill()
-	st.Close()
-
-	st2 := openTestStore(t, dir, nil)
-	defer st2.Close()
-	rec := st2.Recovered()
-	if len(rec.Pending) != 0 || len(rec.Results) != 0 {
-		t.Fatalf("non-durable spec left durable state: pending=%d results=%d", len(rec.Pending), len(rec.Results))
 	}
 }

@@ -1,9 +1,10 @@
 // Package jobs is the simulation-job service layer: a bounded worker pool
 // that schedules gpusim runs, with Rendering Elimination applied one level
 // up — every job is keyed by a CRC32 signature of its *inputs* (the trace
-// bytes or workload spec, plus the simulation config), and a key match
-// eliminates the whole run, either from the LRU result cache (the previous
-// "frame") or by joining an identical in-flight execution (singleflight).
+// bytes or workload spec, plus the simulation config and the model that
+// runs it), and a key match eliminates the whole run, either from the LRU
+// result cache (the previous "frame") or by joining an identical in-flight
+// execution (singleflight).
 // The same pool schedules both the resvc HTTP service and the reexp batch
 // harness, so the service is a live demonstration of the paper's idea:
 // redundant work is discarded before it enters the pipeline.
@@ -20,42 +21,40 @@ import (
 	"sync/atomic"
 	"time"
 
-	"rendelim/internal/api"
 	"rendelim/internal/crc"
 	"rendelim/internal/energy"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
+	"rendelim/internal/wire"
 	"rendelim/internal/workload"
 )
 
 // Spec describes one simulation job. Exactly one input form is used: an
-// uploaded trace binary (TraceBin), a custom builder (Build, keyed by
-// Alias), or a suite benchmark alias resolved via workload.ByAlias.
+// uploaded trace binary (TraceBin) or a workload alias resolved through
+// workload.ByAlias and built at Params. A Spec is plain data, so every job
+// can be written to the store's WAL and re-run in a fresh process.
 type Spec struct {
-	// Alias names the workload; with TraceBin empty and Build nil it is
-	// resolved through workload.ByAlias.
+	// Alias names the workload; it is resolved when TraceBin is empty.
 	Alias  string
 	Params workload.Params
 
 	// TraceBin is an encoded internal/trace binary (untrusted upload).
 	TraceBin []byte
 
-	// Build overrides alias resolution with a custom trace builder; the
-	// Alias string must still uniquely identify it for signing.
-	Build func(workload.Params) *api.Trace
-
-	// Tech selects the technique; Mutate customizes the config further and
-	// Tag must uniquely identify that customization for signing.
+	// Tech selects the technique. Config is the rest of the simulation
+	// config: nil means gpusim.DefaultConfig(), and Config.Technique is
+	// ignored in favour of Tech. Tag is an opaque salt: specs that differ
+	// only in Tag get different keys.
 	Tech   gpusim.Technique
+	Config *gpusim.Config
 	Tag    string
-	Mutate func(*gpusim.Config)
 }
 
 // Key is a job signature: CRC32 over the job's inputs and CRC32 over its
-// configuration — the (trace signature, config hash) pair of the issue, and
-// the job-level analogue of the per-tile signature of Section III.
+// configuration — the (trace signature, config hash) pair, and the
+// job-level analogue of the per-tile signature of Section III.
 type Key struct {
 	TraceSig uint32
 	CfgHash  uint32
@@ -64,32 +63,41 @@ type Key struct {
 // String renders the key for logs and API payloads.
 func (k Key) String() string { return fmt.Sprintf("%08x-%08x", k.TraceSig, k.CfgHash) }
 
-// Key signs the spec. Uploaded traces are signed over their raw bytes;
-// builder specs over the canonical (alias, params) encoding.
+// Key signs everything a result depends on, as RE signs every input of a
+// tile. Uploaded traces are signed over their raw bytes; alias specs over
+// workload.Fingerprint, the alias and the params. The config half signs
+// the tag and the effective config (gpusim.Config.AppendSigned, which
+// leads with gpusim.ModelFingerprint), so a result simulated under another
+// config or by another model never matches.
 func (s *Spec) Key() Key {
+	b := make([]byte, 0, 512)
 	var tsig uint32
 	if len(s.TraceBin) > 0 {
 		tsig = crc.Checksum(s.TraceBin)
 	} else {
-		tsig = crc.Checksum([]byte(fmt.Sprintf("alias:%s/%dx%d/f%d/s%d",
-			s.Alias, s.Params.Width, s.Params.Height, s.Params.Frames, s.Params.Seed)))
+		b = wire.AppendU32(b, workload.Fingerprint)
+		b = wire.AppendString(b, s.Alias)
+		for _, v := range [...]int64{int64(s.Params.Width), int64(s.Params.Height), int64(s.Params.Frames), s.Params.Seed} {
+			b = wire.AppendI64(b, v)
+		}
+		tsig = crc.Checksum(b)
+		b = b[:0]
 	}
-	cfg := crc.Checksum([]byte(fmt.Sprintf("tech:%s/tag:%s", s.Tech, s.Tag)))
-	return Key{TraceSig: tsig, CfgHash: cfg}
+	b = wire.AppendString(b, s.Tag)
+	cfg := s.config()
+	b = cfg.AppendSigned(b)
+	return Key{TraceSig: tsig, CfgHash: crc.Checksum(b)}
 }
 
-// breakerKey buckets the spec for the per-benchmark circuit breaker:
-// uploaded traces share one bucket ("upload" — their failure modes are about
-// decode and limits, not a named benchmark), alias and custom-builder specs
-// are keyed by benchmark name.
-func (s *Spec) breakerKey() string {
-	if len(s.TraceBin) > 0 {
-		return "upload"
+// config returns the spec's effective simulation config: Config, or the
+// default when nil, with Tech as its technique.
+func (s *Spec) config() gpusim.Config {
+	cfg := gpusim.DefaultConfig()
+	if s.Config != nil {
+		cfg = *s.Config
 	}
-	if s.Alias != "" {
-		return s.Alias
-	}
-	return "custom"
+	cfg.Technique = s.Tech
+	return cfg
 }
 
 // transientError marks failures worth retrying.
@@ -263,7 +271,6 @@ type Pool struct {
 	sendMu   sync.RWMutex  // Submit sends under RLock; Close closes queue under Lock
 	wg       sync.WaitGroup
 	live     atomic.Int64 // currently-running worker goroutines; never shrinks below Workers
-	brk      *breaker     // per-benchmark circuit breaker; nil when disabled
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -357,18 +364,6 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		return j, nil
 	}
 
-	// Circuit breaker: after repeated non-transient failures of this
-	// benchmark, reject fresh executions until the cooldown passes. Checked
-	// after the cache (a cached result is free and known good) and before
-	// singleflight (an open breaker means nothing identical is in flight).
-	if p.brk != nil {
-		if retryAfter, open := p.brk.check(spec.breakerKey()); open {
-			p.mu.Unlock()
-			p.metrics.BreakerRejected.Add(1)
-			return nil, &BreakerOpenError{Benchmark: spec.breakerKey(), RetryAfter: retryAfter}
-		}
-	}
-
 	// Level-2 elimination: join an identical in-flight job (singleflight).
 	ctx, cancel := context.WithCancel(p.baseCtx)
 	c := newCall(ctx, cancel)
@@ -385,9 +380,9 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		return j, nil
 	}
 
-	// This job is the leader: queue it for a worker. Durable specs hit the
-	// WAL first — after the fsynced submitted record lands, a crash at any
-	// later point recovers this job.
+	// This job is the leader: queue it for a worker. With a store, the spec
+	// hits the WAL first — after the fsynced submitted record lands, a crash
+	// at any later point recovers this job.
 	j.call = c
 	p.register(j)
 	p.mu.Unlock()
@@ -584,11 +579,6 @@ func (p *Pool) finishFailed(j *Job, err error) {
 	p.mu.Lock()
 	p.flight.forget(j.Key)
 	p.mu.Unlock()
-	if p.brk != nil && !IsTransient(err) && !errors.Is(err, context.Canceled) {
-		if p.brk.onFailure(j.spec.breakerKey()) {
-			p.journal.Record("breaker.open", "circuit opened after repeated failures", "benchmark", j.spec.breakerKey())
-		}
-	}
 	p.metrics.Failed.Add(1)
 	p.persistFailure(j, err)
 	j.call.finish(gpusim.Result{}, err)
@@ -620,9 +610,6 @@ func (p *Pool) execute(j *Job) {
 	p.mu.Unlock()
 
 	if err == nil {
-		if p.brk != nil && p.brk.onSuccess(j.spec.breakerKey()) {
-			p.journal.Record("breaker.close", "half-open trial succeeded; circuit closed", "benchmark", j.spec.breakerKey())
-		}
 		p.metrics.Completed.Add(1)
 		p.metrics.ObserveResult(res)
 		p.persistResult(j, res)
@@ -630,11 +617,6 @@ func (p *Pool) execute(j *Job) {
 			"frames", len(res.Frames), "tiles_skipped", res.Total.TilesSkipped,
 			"duration", time.Since(start))
 	} else {
-		if p.brk != nil && !IsTransient(err) && !errors.Is(err, context.Canceled) {
-			if p.brk.onFailure(j.spec.breakerKey()) {
-				p.journal.Record("breaker.open", "circuit opened after repeated failures", "benchmark", j.spec.breakerKey())
-			}
-		}
 		p.metrics.Failed.Add(1)
 		p.persistFailure(j, err)
 		p.log.Warn("job failed", "id", j.ID, "key", j.Key.String(),
@@ -715,17 +697,17 @@ func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Du
 	return p.runResumable(ctx, j, observe)
 }
 
-// DefaultRun builds the trace (decode upload, custom builder, or suite
-// alias), then simulates serially with cancellation honored at frame
-// boundaries, so timeouts and cancellation interrupt long runs. It is the
-// pool's runner without the pool: no checkpoints, no fault plan.
+// DefaultRun builds the trace (decode the upload or build the alias), then
+// simulates serially with cancellation honored at frame boundaries, so
+// timeouts and cancellation interrupt long runs. It is the pool's runner
+// without the pool: no checkpoints, no fault plan of its own.
 func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
 	tr, err := specTrace(spec, nil)
 	if err != nil {
 		return gpusim.Result{}, err
 	}
-	sim, err := gpusim.New(tr, specConfig(spec, 0, nil))
+	sim, err := gpusim.New(tr, spec.config())
 	if err != nil {
 		return gpusim.Result{}, err
 	}

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
+	"rendelim/internal/obs"
 	"rendelim/internal/workload"
 )
 
@@ -59,6 +61,35 @@ func TestKeyDiscriminates(t *testing.T) {
 	if a.Key().TraceSig == e.Key().TraceSig {
 		t.Error("different seeds must differ in TraceSig")
 	}
+
+	// The config half signs the effective config: nil means the default,
+	// host-only fields and Config.Technique (Tech wins) never move it, and
+	// any simulated parameter does.
+	def := gpusim.DefaultConfig()
+	f := spec("ccs")
+	f.Config = &def
+	if a.Key() != f.Key() {
+		t.Error("nil Config and &DefaultConfig() must share a key")
+	}
+	host := gpusim.DefaultConfig()
+	host.Tracer = obs.NewTracer()
+	host.TileWorkers = 4
+	host.Fault = fault.New(1)
+	host.Technique = gpusim.Memo
+	g := spec("ccs")
+	g.Config = &host
+	if a.Key() != g.Key() {
+		t.Error("Tracer, TileWorkers, Fault or Config.Technique moved the key")
+	}
+	lut512, lut2048 := gpusim.DefaultConfig(), gpusim.DefaultConfig()
+	lut512.MemoLUTEntries = 512
+	lut2048.MemoLUTEntries = 2048
+	small, large := spec("ccs"), spec("ccs")
+	small.Config, large.Config = &lut512, &lut2048
+	if small.Key().CfgHash == large.Key().CfgHash {
+		t.Error("MemoLUTEntries 512 and 2048 must differ in CfgHash")
+	}
+
 	up := Spec{TraceBin: []byte("RDLM....bytes"), Tech: gpusim.RE}
 	up2 := Spec{TraceBin: []byte("RDLM....bytes"), Tech: gpusim.RE}
 	if up.Key() != up2.Key() {
@@ -67,6 +98,16 @@ func TestKeyDiscriminates(t *testing.T) {
 	up2.TraceBin = []byte("RDLM...Xbytes")
 	if up.Key().TraceSig == up2.Key().TraceSig {
 		t.Error("different uploads must differ in TraceSig")
+	}
+}
+
+// BenchmarkKey measures signing one alias spec under the default config,
+// the per-request cost on the server's submit and forward paths.
+func BenchmarkKey(b *testing.B) {
+	s := spec("ccs")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Key()
 	}
 }
 

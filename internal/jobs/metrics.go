@@ -44,7 +44,6 @@ type Metrics struct {
 	Panics          atomic.Uint64 // contained run panics + worker-level panics
 	Resumed         atomic.Uint64 // attempts that resumed from a checkpoint
 	LoadShed        atomic.Uint64 // TrySubmit rejections on a full queue
-	BreakerRejected atomic.Uint64 // submissions rejected by an open circuit breaker
 	FramesSimulated atomic.Uint64 // frames actually executed (resume skips don't count)
 
 	// inflightFn reads the pool's live singleflight population at scrape
@@ -167,7 +166,6 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("resvc_jobs_panics_total", "Panics contained (in-run recover or worker replacement).", m.Panics.Load())
 	counter("resvc_jobs_resumed_total", "Job attempts resumed from a frame-boundary checkpoint.", m.Resumed.Load())
 	counter("resvc_load_shed_total", "Submissions rejected because the queue was full.", m.LoadShed.Load())
-	counter("resvc_breaker_rejected_total", "Submissions rejected by an open circuit breaker.", m.BreakerRejected.Load())
 	counter("resvc_sim_frames_executed_total", "Frames actually executed by the built-in runner (checkpoint-resumed frames are not re-executed).", m.FramesSimulated.Load())
 	gaugeF("resvc_job_elimination_ratio", "Fraction of submitted jobs eliminated without simulating (cf. tile skip fraction).", m.EliminationRatio())
 	gaugeF("resvc_cache_hit_ratio", "LRU result cache hit ratio (hits / lookups).", m.CacheHitRatio())

@@ -24,8 +24,6 @@ type options struct {
 	Logger             *slog.Logger
 	CheckpointInterval int
 	Fault              *fault.Plan
-	BreakerThreshold   int
-	BreakerCooldown    time.Duration
 	Journal            *obs.Journal
 	Store              *store.Store
 	TileWorkers        int
@@ -74,12 +72,6 @@ func NewPool(opts ...Option) *Pool {
 	if o.Backoff <= 0 {
 		o.Backoff = 50 * time.Millisecond
 	}
-	if o.BreakerThreshold == 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 30 * time.Second
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -96,9 +88,6 @@ func NewPool(opts ...Option) *Pool {
 		cache:      newLRU(o.CacheSize),
 		flight:     newFlight(),
 		reg:        make(map[string]*Job),
-	}
-	if o.BreakerThreshold > 0 {
-		p.brk = newBreaker(o.BreakerThreshold, o.BreakerCooldown)
 	}
 	p.metrics.inflightFn = p.flight.len
 	for i := 0; i < o.Workers; i++ {
@@ -161,18 +150,6 @@ func WithCheckpointInterval(n int) Option { return func(o *options) { o.Checkpoi
 // (dram.read / dram.write). Nil costs nothing.
 func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
-// WithBreaker configures the per-benchmark circuit breaker: it opens after
-// threshold consecutive non-transient terminal failures, rejecting that
-// benchmark's submissions with ErrBreakerOpen, and admits a half-open trial
-// after cooldown. threshold 0 selects the default (5), negative disables
-// the breaker; cooldown <= 0 selects the default (30s).
-func WithBreaker(threshold int, cooldown time.Duration) Option {
-	return func(o *options) {
-		o.BreakerThreshold = threshold
-		o.BreakerCooldown = cooldown
-	}
-}
-
 // WithStore makes job state durable: leader submissions, starts,
 // frame-boundary checkpoints, completions and terminal failures are logged
 // to the store's WAL, and the new pool replays the store's recovery set —
@@ -183,6 +160,6 @@ func WithBreaker(threshold int, cooldown time.Duration) Option {
 func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }
 
 // WithJournal routes notable job-lifecycle events (accepted, eliminated,
-// shed, panicked, breaker transitions) to the /debug/events flight
+// shed, panicked, recovered from the store) to the /debug/events flight
 // recorder. Nil costs nothing.
 func WithJournal(j *obs.Journal) Option { return func(o *options) { o.Journal = j } }

@@ -37,18 +37,9 @@ func ParseKey(s string) (Key, error) {
 // memory-only.
 func (p *Pool) Store() *store.Store { return p.opts.Store }
 
-// durable reports whether spec can be rebuilt in a fresh process: closures
-// (Build, Mutate) cannot cross a crash, so jobs carrying them are executed
-// but never WAL-recorded.
-func (s *Spec) durable() bool { return s.Build == nil && s.Mutate == nil }
-
 // specRecord converts spec to its store form, persisting an uploaded trace
-// as a content-addressed blob. ok is false when the spec is not durable or
-// the blob write failed.
+// as a content-addressed blob. ok is false when the blob write failed.
 func (p *Pool) specRecord(spec Spec) (store.JobSpec, bool) {
-	if !spec.durable() {
-		return store.JobSpec{}, false
-	}
 	rec := store.JobSpec{
 		Alias:  spec.Alias,
 		Width:  spec.Params.Width,
@@ -57,6 +48,7 @@ func (p *Pool) specRecord(spec Spec) (store.JobSpec, bool) {
 		Seed:   spec.Params.Seed,
 		Tech:   spec.Tech.String(),
 		Tag:    spec.Tag,
+		Config: spec.Config,
 	}
 	if len(spec.TraceBin) > 0 {
 		sum, err := p.opts.Store.SaveTrace(spec.TraceBin)
@@ -82,6 +74,7 @@ func specFromRecord(st *store.Store, rec store.JobSpec) (Spec, error) {
 		Params: workload.Params{Width: rec.Width, Height: rec.Height, Frames: rec.Frames, Seed: rec.Seed},
 		Tech:   tech,
 		Tag:    rec.Tag,
+		Config: rec.Config,
 	}
 	if rec.TraceCRC != 0 {
 		bin, err := st.LoadTrace(rec.TraceCRC)
@@ -133,17 +126,17 @@ func (p *Pool) persistCheckpoint(j *Job) {
 	}
 }
 
-// persistResult durably saves a completed result. Results are persisted
-// even for non-WAL-tracked jobs when possible: the signature cache they
-// repopulate is keyed by inputs, so serving them after a restart is exactly
-// as correct as serving them now.
+// persistResult durably saves a completed result. The signature cache it
+// repopulates is keyed by inputs, so serving it after a restart is exactly
+// as correct as serving it now.
 func (p *Pool) persistResult(j *Job, res gpusim.Result) {
-	if p.opts.Store == nil || !j.spec.durable() {
+	if p.opts.Store == nil {
 		return
 	}
 	if !j.walled {
-		// Without a submitted record a bare result snapshot is unreachable
-		// on replay; re-append the spec first so the completion is linked.
+		// The submitted record failed to land (a store write error), and a
+		// bare result snapshot is unreachable on replay; re-append the spec
+		// first so the completion is linked.
 		p.recordSubmitted(j)
 		if !j.walled {
 			return

@@ -28,7 +28,9 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 	if err != nil {
 		return gpusim.Result{}, err
 	}
-	cfg := specConfig(j.spec, p.opts.TileWorkers, p.opts.Fault)
+	cfg := j.spec.config()
+	cfg.TileWorkers = p.opts.TileWorkers
+	cfg.Fault = p.opts.Fault
 	sim, err := gpusim.New(tr, cfg)
 	if err != nil {
 		return gpusim.Result{}, err
@@ -88,8 +90,8 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 	return res, nil
 }
 
-// specTrace resolves spec to its trace: it decodes an upload, runs a custom
-// builder, or builds the suite alias. A nil plan injects nothing.
+// specTrace resolves spec to its trace: it decodes an upload or builds the
+// alias. A nil plan injects nothing.
 func specTrace(spec Spec, plan *fault.Plan) (*api.Trace, error) {
 	var tr *api.Trace
 	switch {
@@ -112,8 +114,6 @@ func specTrace(spec Spec, plan *fault.Plan) (*api.Trace, error) {
 		if err != nil {
 			return nil, fmt.Errorf("jobs: %w", err)
 		}
-	case spec.Build != nil:
-		tr = spec.Build(spec.Params)
 	default:
 		b, err := workload.ByAlias(spec.Alias)
 		if err != nil {
@@ -122,17 +122,4 @@ func specTrace(spec Spec, plan *fault.Plan) (*api.Trace, error) {
 		tr = b.Build(spec.Params)
 	}
 	return tr, nil
-}
-
-// specConfig is the simulation config of spec: DefaultConfig with the
-// spec's technique, tileWorkers and plan, then the spec's Mutate.
-func specConfig(spec Spec, tileWorkers int, plan *fault.Plan) gpusim.Config {
-	cfg := gpusim.DefaultConfig()
-	cfg.Technique = spec.Tech
-	cfg.TileWorkers = tileWorkers
-	cfg.Fault = plan
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	return cfg
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // JournalEvent is one notable service event: a job accepted, eliminated,
-// forwarded, shed or panicked; a breaker transition; a peer health flip.
+// forwarded, shed or panicked; store recovery; a peer health flip.
 // Attrs carry the event's identifiers (job id, key, peer, trace id) as flat
 // strings so the JSON at /debug/events needs no schema per kind.
 type JournalEvent struct {

@@ -153,24 +153,15 @@ func TestMetricsWellFormed(t *testing.T) {
 		"resvc_sim_frames_total", "resvc_sim_tiles_total", "resvc_sim_tiles_skipped_total",
 		"resvc_http_requests_total",
 		// Failure-model counters: panics contained, checkpoint resumes,
-		// load shedding, breaker rejections, frames actually executed.
+		// load shedding, frames actually executed.
 		"resvc_jobs_panics_total", "resvc_jobs_resumed_total",
-		"resvc_load_shed_total", "resvc_breaker_rejected_total",
+		"resvc_load_shed_total",
 		"resvc_sim_frames_executed_total",
 	} {
 		if !series[name] {
 			t.Errorf("missing series %s", name)
 		}
 	}
-	// The completed ccs job registers a (closed) per-benchmark breaker
-	// circuit in the gauge.
-	if !series[`resvc_breaker_open{benchmark="ccs"}`] {
-		t.Error(`missing series resvc_breaker_open{benchmark="ccs"}`)
-	}
-	if v := metricValue(t, srv.URL, `resvc_breaker_open{benchmark="ccs"}`); v != 0 {
-		t.Errorf("resvc_breaker_open{ccs} = %v, want 0 (closed)", v)
-	}
-
 	// The RE run on a redundant workload must actually report stage cycles
 	// and skipped tiles, not just declare the families.
 	if v := metricValue(t, srv.URL, `resvc_sim_stage_cycles_total{stage="sig-check"}`); v <= 0 {

@@ -358,8 +358,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	// A request that already carries the forward header is processed locally
 	// unconditionally — divergent ring views must never bounce a job around.
 	if s.cluster != nil && r.Header.Get(cluster.ForwardHeader) == "" {
-		if owner := s.cluster.Owner(spec.Key()); !s.cluster.IsSelf(owner) {
-			if s.forwardSubmit(w, r, owner, spec.Key(), body, ct) {
+		key := spec.Key()
+		if owner := s.cluster.Owner(key); !s.cluster.IsSelf(owner) {
+			if s.forwardSubmit(w, r, owner, key, body, ct) {
 				return
 			}
 			// Owner unreachable: degraded mode — fall through and simulate
@@ -705,22 +706,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		hists[i].WritePrometheus(w, rdname, fmt.Sprintf("route=%q,status=\"%d\"", l.route, l.status))
 	}
 	fmt.Fprintf(w, "# HELP resvc_result_cache_entries Cached simulation results.\n# TYPE resvc_result_cache_entries gauge\nresvc_result_cache_entries %d\n", s.pool.CacheLen())
-	// Per-benchmark breaker gauge: emitted here (not in jobs.Metrics)
-	// because the breaker state lives on the pool, not the counters.
-	fmt.Fprintf(w, "# HELP resvc_breaker_open Whether the per-benchmark circuit breaker is open (1) or closed (0).\n# TYPE resvc_breaker_open gauge\n")
-	states := s.pool.BreakerState()
-	keys := make([]string, 0, len(states))
-	for k := range states {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		v := 0
-		if states[k] {
-			v = 1
-		}
-		fmt.Fprintf(w, "resvc_breaker_open{benchmark=%q} %d\n", k, v)
-	}
 }
 
 // timeoutCtx bounds a ?wait request by the request context and the
@@ -742,8 +727,8 @@ func httpError(w http.ResponseWriter, status int, msg string) {
 }
 
 // statusForError maps error classes to HTTP statuses: client mistakes (bad
-// trace, bad config, unknown benchmark) are 400, overload is 429, an open
-// breaker or a draining pool is 503. Cluster-layer failures are gateway
+// trace, bad config, unknown benchmark) are 400, overload is 429, a
+// draining pool is 503. Cluster-layer failures are gateway
 // statuses — 503 + Retry-After for an unreachable peer, 502 for a peer that
 // answered garbage. Anything unclassified is a server-side 500 — never
 // blamed on the client.
@@ -755,8 +740,7 @@ func statusForError(err error) int {
 		return http.StatusBadRequest
 	case errors.Is(err, jobs.ErrOverloaded):
 		return http.StatusTooManyRequests
-	case errors.Is(err, jobs.ErrBreakerOpen), errors.Is(err, jobs.ErrClosed),
-		errors.Is(err, cluster.ErrPeerUnavailable):
+	case errors.Is(err, jobs.ErrClosed), errors.Is(err, cluster.ErrPeerUnavailable):
 		return http.StatusServiceUnavailable
 	case errors.Is(err, cluster.ErrPeerBadResponse):
 		return http.StatusBadGateway
@@ -767,14 +751,6 @@ func statusForError(err error) int {
 // retryAfter suggests a client back-off in whole seconds for retryable
 // rejections; 0 means no Retry-After header.
 func retryAfter(err error) int {
-	var bo *jobs.BreakerOpenError
-	if errors.As(err, &bo) {
-		sec := int(bo.RetryAfter / time.Second)
-		if sec < 1 {
-			sec = 1
-		}
-		return sec
-	}
 	if errors.Is(err, jobs.ErrOverloaded) || errors.Is(err, cluster.ErrPeerUnavailable) {
 		return 1
 	}

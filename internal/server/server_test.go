@@ -369,7 +369,6 @@ func TestStatusForError(t *testing.T) {
 		{"bad config", fmt.Errorf("wrap: %w", rerr.ErrBadConfig), http.StatusBadRequest},
 		{"unknown benchmark", fmt.Errorf("wrap: %w", rerr.ErrUnknownBenchmark), http.StatusBadRequest},
 		{"overloaded", jobs.ErrOverloaded, http.StatusTooManyRequests},
-		{"breaker open", &jobs.BreakerOpenError{Benchmark: "ccs", RetryAfter: time.Second}, http.StatusServiceUnavailable},
 		{"pool closed", jobs.ErrClosed, http.StatusServiceUnavailable},
 		{"peer unreachable", fmt.Errorf("forward to 10.0.0.2:80: %w: dial refused", cluster.ErrPeerUnavailable), http.StatusServiceUnavailable},
 		{"peer garbage", fmt.Errorf("forward to 10.0.0.2:80: %w: status 500", cluster.ErrPeerBadResponse), http.StatusBadGateway},

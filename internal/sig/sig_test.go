@@ -256,7 +256,7 @@ func TestOTQueueStallsOnHugePrimitive(t *testing.T) {
 		t.Fatal("expected OT queue stall for a full-screen primitive")
 	}
 	// A deeper queue absorbs more before stalling.
-	deep := NewUnit(Config{OTQueueDepth: 4096, AccumCyclesPerTile: 2, Scheme: crc.CRC32Scheme{}}, NewBuffer(512))
+	deep := NewUnit(Config{OTQueueDepth: 4096, AccumCyclesPerTile: 2, Scheme: "crc32"}, NewBuffer(512))
 	deep.BeginFrame()
 	deep.AddPrimitive(make([]byte, 144), tiles, 40)
 	if deep.Stats.StallCycles >= u.Stats.StallCycles {
@@ -306,7 +306,7 @@ func TestSyncStatsExposesCRCActivity(t *testing.T) {
 func TestAlternativeSchemesDetectIdenticalFrames(t *testing.T) {
 	for _, s := range crc.Schemes() {
 		cfg := DefaultConfig()
-		cfg.Scheme = s
+		cfg.Scheme = s.Name()
 		u := NewUnit(cfg, NewBuffer(2))
 		for f := 0; f < 3; f++ {
 			u.BeginFrame()

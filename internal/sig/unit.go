@@ -1,6 +1,8 @@
 package sig
 
 import (
+	"fmt"
+
 	"rendelim/internal/crc"
 )
 
@@ -17,15 +19,15 @@ type Config struct {
 	// the shift amount (Section III-G discusses the latency/storage
 	// trade-off).
 	AccumCyclesPerTile int
-	// Scheme is the signature function (CRC32 in the paper; the hash
-	// ablation swaps it).
-	Scheme crc.Scheme
+	// Scheme names the signature function (crc.Scheme.Name): "crc32" in
+	// the paper; the hash ablation swaps it. Empty selects CRC32.
+	Scheme string
 }
 
 // DefaultConfig returns the paper's configuration: a 16-entry OT queue
 // (matching the Table I queue depths) and the CRC32 scheme.
 func DefaultConfig() Config {
-	return Config{OTQueueDepth: 16, AccumCyclesPerTile: 1, Scheme: crc.CRC32Scheme{}}
+	return Config{OTQueueDepth: 16, AccumCyclesPerTile: 1, Scheme: crc.CRC32Scheme{}.Name()}
 }
 
 // Stats aggregates the Signature Unit's activity for timing and energy.
@@ -68,8 +70,9 @@ func (s *Stats) Add(o Stats) {
 // overlapped tiles, and the Command Processor feeds it constants blocks; it
 // incrementally maintains one signature per tile in the Signature Buffer.
 type Unit struct {
-	cfg Config
-	buf *Buffer
+	cfg    Config
+	scheme crc.Scheme // cfg.Scheme, resolved once
+	buf    *Buffer
 
 	compute    crc.ComputeUnit
 	accumulate crc.AccumulateUnit
@@ -89,7 +92,9 @@ type Unit struct {
 	Stats Stats
 }
 
-// NewUnit builds a Signature Unit over the given buffer.
+// NewUnit builds a Signature Unit over the given buffer. It panics on an
+// unknown scheme name; callers validate configs first (gpusim.Config.Validate
+// rejects one).
 func NewUnit(cfg Config, buf *Buffer) *Unit {
 	if cfg.OTQueueDepth <= 0 {
 		cfg.OTQueueDepth = 16
@@ -97,10 +102,14 @@ func NewUnit(cfg Config, buf *Buffer) *Unit {
 	if cfg.AccumCyclesPerTile <= 0 {
 		cfg.AccumCyclesPerTile = 2
 	}
-	if cfg.Scheme == nil {
-		cfg.Scheme = crc.CRC32Scheme{}
+	scheme := crc.Scheme(crc.CRC32Scheme{})
+	if cfg.Scheme != "" {
+		var ok bool
+		if scheme, ok = crc.SchemeByName(cfg.Scheme); !ok {
+			panic(fmt.Sprintf("sig: unknown signature scheme %q", cfg.Scheme))
+		}
 	}
-	return &Unit{cfg: cfg, buf: buf, bitmap: make([]bool, buf.NumTiles())}
+	return &Unit{cfg: cfg, scheme: scheme, buf: buf, bitmap: make([]bool, buf.NumTiles())}
 }
 
 // Buffer returns the unit's Signature Buffer.
@@ -126,10 +135,10 @@ func (u *Unit) clearBitmap() {
 // signBlock signs one block through the Compute CRC unit (or the ablation
 // scheme), charging the hardware cost either way.
 func (u *Unit) signBlock(block []byte) (sigVal uint32, shift int, cycles uint64) {
-	if _, isCRC := u.cfg.Scheme.(crc.CRC32Scheme); isCRC {
+	if _, isCRC := u.scheme.(crc.CRC32Scheme); isCRC {
 		sigVal, shift = u.compute.Sign(block)
 	} else {
-		sigVal, shift = u.cfg.Scheme.SignBlock(block)
+		sigVal, shift = u.scheme.SignBlock(block)
 		// Charge the same datapath cost so the ablation isolates hash
 		// quality from hash cost.
 		padded := crc.PaddedLen(len(block)) / crc.SubblockBytes
@@ -229,13 +238,13 @@ func (u *Unit) AddPrimitive(block []byte, tiles []int, producerCycles uint64) {
 // the Accumulate CRC unit (Algorithm 3) for the CRC scheme, or the ablation
 // scheme's combiner otherwise; hardware activity is charged identically.
 func (u *Unit) accumulateCombine(acc, blockSig uint32, shiftAmount int) uint32 {
-	if _, isCRC := u.cfg.Scheme.(crc.CRC32Scheme); isCRC {
+	if _, isCRC := u.scheme.(crc.CRC32Scheme); isCRC {
 		return u.accumulate.Shift(acc, shiftAmount) ^ blockSig
 	}
 	u.accumulate.Stats.Cycles += uint64(shiftAmount)
 	u.accumulate.Stats.LUTAccesses += 4 * uint64(shiftAmount)
 	u.accumulate.Stats.Subblocks += uint64(shiftAmount)
-	return u.cfg.Scheme.Accumulate(acc, blockSig, shiftAmount)
+	return u.scheme.Accumulate(acc, blockSig, shiftAmount)
 }
 
 // GeometryOverheadCycles returns the extra geometry-pipeline cycles this

@@ -22,9 +22,8 @@
 //
 // Keys are jobs.Key strings ("%08x-%08x"), which are filesystem-safe by
 // construction. The store never imports internal/jobs (jobs imports store);
-// specs cross the boundary as the serializable JobSpec subset — jobs built
-// from in-process closures (custom Build/Mutate funcs) are not durable and
-// are simply never recorded.
+// specs cross the boundary as JobSpec, which holds everything a job is, so
+// every job is recorded.
 package store
 
 import (
@@ -65,15 +64,17 @@ type Record struct {
 // JobSpec is the serializable identity of a job — enough to rebuild and
 // re-run it in a fresh process. Trace uploads are referenced by the CRC32 of
 // their bytes (the content address of the blob in traces/), never inlined.
+// A nil Config means the default config and is left out of the record.
 type JobSpec struct {
-	Alias    string `json:"alias,omitempty"`
-	Width    int    `json:"width,omitempty"`
-	Height   int    `json:"height,omitempty"`
-	Frames   int    `json:"frames,omitempty"`
-	Seed     int64  `json:"seed,omitempty"`
-	TraceCRC uint32 `json:"trace_crc,omitempty"`
-	Tech     string `json:"tech"`
-	Tag      string `json:"tag,omitempty"`
+	Alias    string         `json:"alias,omitempty"`
+	Width    int            `json:"width,omitempty"`
+	Height   int            `json:"height,omitempty"`
+	Frames   int            `json:"frames,omitempty"`
+	Seed     int64          `json:"seed,omitempty"`
+	TraceCRC uint32         `json:"trace_crc,omitempty"`
+	Tech     string         `json:"tech"`
+	Tag      string         `json:"tag,omitempty"`
+	Config   *gpusim.Config `json:"config,omitempty"`
 }
 
 // PendingJob is an interrupted job recovered from the WAL: it was submitted

@@ -27,8 +27,10 @@ type goldenTrace struct {
 // TestEncodeGolden pins the trace format across commits: each alias must
 // encode to exactly the bytes recorded in testdata/golden.json. The
 // determinism test compares two encodes in one process, so only this test
-// catches a format drift, which would silently change every upload's job
-// key. Run with -update only for a declared format change.
+// catches a format or generator drift, which would silently change every
+// upload's job key or leave alias keys signing the old generators. Run with
+// -update only for a declared format or generator change, then move
+// workload.Fingerprint to the CRC32 the test prints.
 func TestEncodeGolden(t *testing.T) {
 	p := workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}
 	got := map[string]goldenTrace{}
@@ -52,12 +54,20 @@ func TestEncodeGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Logf("wrote %s", goldenPath)
-		return
 	}
 
 	data, err := os.ReadFile(goldenPath)
 	if err != nil {
 		t.Fatalf("%v (generate with go test -run TestEncodeGolden -update)", err)
+	}
+	// Alias job keys sign workload.Fingerprint in place of the trace bytes,
+	// so it must move whenever a generator's output does.
+	if sum := crc.Checksum(data); sum != workload.Fingerprint {
+		t.Errorf("workload.Fingerprint = %#08x, but %s has CRC32 %#08x: set workload.Fingerprint to %#08x",
+			workload.Fingerprint, goldenPath, sum, sum)
+	}
+	if *update {
+		return
 	}
 	var want map[string]goldenTrace
 	if err := json.Unmarshal(data, &want); err != nil {

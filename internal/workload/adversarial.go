@@ -6,7 +6,7 @@ import (
 	"rendelim/internal/texture"
 )
 
-// Adversarial returns the hash-ablation stress workload: scenes engineered
+// buildAdversarial returns the hash-ablation stress workload: scenes engineered
 // so that weak (order- or position-insensitive) signature functions alias
 // genuinely different tile inputs while CRC32 does not. Used by the Section
 // III-B / V hash comparison ("CRC32 outperforms well-known hashing
@@ -23,7 +23,7 @@ import (
 //
 // A second region swaps the x/y coordinates of a sprite between frames
 // (word-transposition), aliasing under xor-fold but not under CRC32.
-func Adversarial(p Params) *api.Trace {
+func buildAdversarial(p Params) *api.Trace {
 	tr := newTrace("adversarial", p, geom.V4(0, 0, 0, 1), []api.TextureSpec{
 		{Kind: api.TexChecker, W: 16, H: 16, Cell: 4, A: geom.V4(1, 1, 1, 1), B: geom.V4(0.8, 0.8, 0.8, 1), Filter: texture.Nearest},
 	})

@@ -22,6 +22,14 @@ import (
 	"rendelim/internal/shader"
 )
 
+// Fingerprint identifies what the generators build: it is the CRC32 of
+// internal/trace/testdata/golden.json, the encoded length and CRC32 of
+// every alias at a fixed scale, which TestEncodeGolden requires. A change
+// to any generator rewrites that golden and must move this constant with
+// it; alias job keys sign it, so a trace another generator built is never
+// served as this one's.
+const Fingerprint uint32 = 0xc71e33ca
+
 // Params scales a benchmark build.
 type Params struct {
 	Width, Height int
@@ -95,11 +103,13 @@ func ByAlias(alias string) (Benchmark, error) {
 	return Benchmark{}, fmt.Errorf("workload: %w %q", rerr.ErrUnknownBenchmark, alias)
 }
 
-// Extras returns the non-suite reference workloads used by Figure 1:
-// the (near-idle) Android desktop and an Antutu-like GPU stress test.
+// Extras returns the non-suite reference workloads: the (near-idle)
+// Android desktop and an Antutu-like GPU stress test used by Figure 1, and
+// the adversarial scenes of the hash ablation.
 func Extras() []Benchmark {
 	return []Benchmark{
 		{"desktop", "Android Desktop", "Launcher", "2D", buildDesktop},
 		{"antutu", "Antutu 3D", "Synthetic Stress", "3D", buildAntutu},
+		{"adversarial", "Adversarial Hash Stress", "Hash Ablation", "2D", buildAdversarial},
 	}
 }

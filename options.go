@@ -26,8 +26,10 @@ func WithTechnique(t Technique) Option {
 }
 
 // WithConfig replaces the entire configuration with cfg, for callers that
-// build a gpusim.Config directly (custom cache geometries, timing or energy
-// parameters). Options after it still apply on top.
+// build a gpusim.Config directly (custom cache geometries, timing or memory
+// parameters). Options after it still apply on top. Energy is not part of
+// a config: ComputeEnergy applies the default energy model to a result's
+// activity counts.
 func WithConfig(cfg Config) Option {
 	return func(c *gpusim.Config) { *c = cfg }
 }

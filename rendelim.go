@@ -104,8 +104,8 @@ func DefaultParams() Params { return workload.DefaultParams() }
 // Benchmarks returns the Table II suite in paper order.
 func Benchmarks() []Benchmark { return workload.Suite() }
 
-// ExtraBenchmarks returns the Figure 1 reference workloads (desktop,
-// antutu).
+// ExtraBenchmarks returns the non-suite workloads: the Figure 1 references
+// (desktop, antutu) and the hash ablation's adversarial scenes.
 func ExtraBenchmarks() []Benchmark { return workload.Extras() }
 
 // Build synthesizes the named benchmark's trace at the given scale.

@@ -44,8 +44,8 @@ func TestBenchmarkListing(t *testing.T) {
 	if len(rendelim.Benchmarks()) != 10 {
 		t.Fatal("suite should have 10 entries")
 	}
-	if len(rendelim.ExtraBenchmarks()) != 2 {
-		t.Fatal("extras should have 2 entries")
+	if len(rendelim.ExtraBenchmarks()) != 3 {
+		t.Fatal("extras should have 3 entries")
 	}
 }
 
