@@ -3,28 +3,18 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"sort"
 )
 
-// compareReports is the perf gate: it loads two rebench reports, matches
-// their runs by (alias, tech), and fails when the new report regresses
-// beyond tolerance. Two budgets are enforced per matched run:
-//
-//   - throughput: new frames/sec must stay above old * (1 - maxRegress);
-//   - allocator discipline: new allocs/frame must stay below
-//     old * (1 + maxRegress) + allocSlack. The additive slack keeps the
-//     gate meaningful when old is near zero (the goal state), where a
-//     purely multiplicative bound would reject runtime noise.
-//
-// Runs present on only one side are reported but never fail the gate, so
-// the benchmark matrix can grow without invalidating the trajectory.
-func compareReports(stdout *os.File, oldPath, newPath string, maxRegress float64) error {
-	// Host-noise floor for the allocator bound: goroutine bookkeeping,
-	// timer wheels and GC metadata move a handful of objects per frame
-	// between otherwise identical runs.
-	const allocSlack = 64.0
-
+// compareReports diffs two reports workload by workload. It fails when the
+// simulated totals differ at a seed both reports ran, naming the workload,
+// seed and field. Each end-to-end metric prints as old median [q1, q3] →
+// new median and is marked when the median moved by more than the old
+// q3 − q1; a timing never fails the compare.
+func compareReports(w io.Writer, oldPath, newPath string) error {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		return err
@@ -33,66 +23,57 @@ func compareReports(stdout *os.File, oldPath, newPath string, maxRegress float64
 	if err != nil {
 		return err
 	}
-
-	type key struct{ alias, tech string }
-	oldRuns := make(map[key]Run, len(oldRep.Runs))
-	for _, r := range oldRep.Runs {
-		oldRuns[key{r.Alias, r.Tech}] = r
-	}
-
-	failures := 0
-	matched := 0
-	for _, nr := range newRep.Runs {
-		or, ok := oldRuns[key{nr.Alias, nr.Tech}]
-		if !ok {
-			fmt.Fprintf(stdout, "NEW   %-4s %-5s %8.1f frames/s (no baseline run)\n", nr.Alias, nr.Tech, nr.FramesPerSec)
-			continue
+	var shared []string
+	for _, name := range sortedKeys(newRep.Workloads) {
+		if _, ok := oldRep.Workloads[name]; ok {
+			shared = append(shared, name)
 		}
-		matched++
-		delete(oldRuns, key{nr.Alias, nr.Tech})
-
-		fpsFloor := or.FramesPerSec * (1 - maxRegress)
-		fpsOK := nr.FramesPerSec >= fpsFloor
-		// Reports from before the allocator columns existed carry zeros;
-		// a zero baseline with a nonzero measurement would always "fail",
-		// so the alloc bound only applies once the baseline records it.
-		allocCeil := or.AllocsPerFrame*(1+maxRegress) + allocSlack
-		allocOK := or.AllocsPerFrame == 0 || nr.AllocsPerFrame <= allocCeil
-
-		verdict := "ok   "
-		if !fpsOK || !allocOK {
-			verdict = "FAIL "
-			failures++
-		}
-		fmt.Fprintf(stdout, "%s %-4s %-5s  fps %8.1f -> %8.1f (floor %8.1f)  allocs/frame %9.1f -> %9.1f",
-			verdict, nr.Alias, nr.Tech, or.FramesPerSec, nr.FramesPerSec, fpsFloor, or.AllocsPerFrame, nr.AllocsPerFrame)
-		if or.AllocsPerFrame > 0 {
-			fmt.Fprintf(stdout, " (ceil %9.1f)", allocCeil)
-		}
-		fmt.Fprintln(stdout)
 	}
-	// Sorted so the report is byte-stable run to run (map order is random).
-	gone := make([]key, 0, len(oldRuns))
-	for k := range oldRuns {
-		gone = append(gone, k)
-	}
-	sort.Slice(gone, func(i, j int) bool {
-		if gone[i].alias != gone[j].alias {
-			return gone[i].alias < gone[j].alias
-		}
-		return gone[i].tech < gone[j].tech
-	})
-	for _, k := range gone {
-		fmt.Fprintf(stdout, "GONE  %-4s %-5s (in baseline only)\n", k.alias, k.tech)
+	if len(shared) == 0 {
+		return fmt.Errorf("%s and %s share no workload", oldPath, newPath)
 	}
 
-	if matched == 0 {
-		return fmt.Errorf("no runs in common between %s and %s", oldPath, newPath)
+	diffs, pairs := 0, 0
+	for _, name := range shared {
+		o, n := oldRep.Workloads[name], newRep.Workloads[name]
+		for _, seed := range sortedKeys(n.Sim) {
+			ot, ok := o.Sim[seed]
+			if !ok {
+				continue
+			}
+			pairs++
+			nt := n.Sim[seed]
+			fields := sortedKeys(ot)
+			for _, f := range sortedKeys(nt) {
+				if _, ok := ot[f]; !ok {
+					fields = append(fields, f)
+				}
+			}
+			for _, f := range fields {
+				if ot[f] != nt[f] {
+					diffs++
+					fmt.Fprintf(w, "SIM DIFF  %s seed %s: %s %q → %q\n", name, seed, f, ot[f], nt[f])
+				}
+			}
+		}
+		for _, m := range sortedKeys(o.Metrics) {
+			om := o.Metrics[m]
+			nm, ok := n.Metrics[m]
+			if !ok {
+				continue
+			}
+			mark := ""
+			if math.Abs(nm.Median-om.Median) > om.Q3-om.Q1 {
+				mark = "  * moved beyond the old IQR"
+			}
+			fmt.Fprintf(w, "%-12s %-14s %12.5g [%.5g, %.5g] → %.5g %s%s\n",
+				name, m, om.Median, om.Q1, om.Q3, nm.Median, om.Unit, mark)
+		}
 	}
-	if failures > 0 {
-		return fmt.Errorf("%d of %d matched runs regressed beyond %.0f%%", failures, matched, maxRegress*100)
+	if diffs > 0 {
+		return fmt.Errorf("%d simulated totals differ between %s and %s", diffs, oldPath, newPath)
 	}
-	fmt.Fprintf(stdout, "compare: %d matched runs within tolerance (-max-regress %.2f)\n", matched, maxRegress)
+	fmt.Fprintf(w, "compare: simulated totals equal at %d shared (workload, seed) pairs\n", pairs)
 	return nil
 }
 
@@ -105,8 +86,17 @@ func loadReport(path string) (*Report, error) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		return nil, fmt.Errorf("%s: %v", path, err)
 	}
-	if rep.Schema != "rebench/1" {
-		return nil, fmt.Errorf("%s: unknown schema %q", path, rep.Schema)
+	if rep.Schema != schema {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, schema)
 	}
 	return &rep, nil
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }

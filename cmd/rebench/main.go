@@ -1,152 +1,110 @@
-// Command rebench records the performance trajectory of the simulator: it
-// runs a matrix of (benchmark, technique) jobs through the same pool resvc
-// uses, measures host throughput, and emits a machine-readable BENCH_<n>.json
-// so successive runs (CI keeps them as artifacts) can be diffed for
-// regressions in frames/sec, elimination ratio, or per-stage cycle counts.
+// Command rebench records the repository benchmark into the performance
+// trajectory. It runs perfbench (bash perfbench/run.sh) for every workload
+// over seeds 1..N, refuses any run whose output checks fail, and writes
+// BENCH_<n>.json: each end-to-end metric's median, quartiles and sample
+// count over the untraced runs, one traced run's per-layer metrics, and
+// each batch run's simulated totals.
 //
-// Usage:
+// Usage, from the repository root (run.sh builds the tree it sits in):
 //
-//	rebench [-out results] [-benchmarks ccs,mst] [-techs base,re]
-//	        [-width 480] [-height 272] [-frames 50] [-seed 1]
-//	        [-workers 0] [-tile-workers 0] [-smoke]
-//	rebench -compare [-max-regress 0.10] old.json new.json
+//	rebench [-out results] [-seeds 10] [-seconds 20]
+//	rebench -compare old.json new.json
 //
-// The second form is the regression gate: it diffs two reports run for run
-// and fails (exit 1) when new frames/sec drops more than -max-regress below
-// old, or when the allocator discipline regresses — allocations per frame
-// are recorded in every report precisely so the zero-allocation hot path
-// stays enforced by CI, not by folklore.
-//
-// Every unique job is submitted twice: the second pass is eliminated by the
-// pool's signature cache, so the report also demonstrates (and records) the
-// job-elimination ratio, the service-level twin of the paper's tile skip
-// fraction.
-//
-// -smoke shrinks the matrix to a seconds-long run (4 frames, 96x64, two
-// benchmarks) for CI.
+// The second form diffs two reports. Simulated totals repeat exactly for a
+// seed, so a difference at a seed both reports ran is a behaviour change:
+// it is printed field by field and fails the compare. A timing never fails
+// it: each end-to-end metric prints as old median [q1, q3] → new median,
+// marked when the median moved by more than the old interquartile range.
 package main
 
 import (
-	"context"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
-	"runtime/debug"
-	"strings"
-	"time"
-
-	"rendelim/internal/energy"
-	"rendelim/internal/exp"
-	"rendelim/internal/gpusim"
-	"rendelim/internal/jobs"
-	"rendelim/internal/workload"
+	"sort"
+	"strconv"
 )
 
-// Report is the top-level BENCH_<n>.json document.
+// schema names the report format; -compare refuses any other.
+const schema = "rebench/2"
+
+// workloads are the workloads BENCHMARK.json declares, in its order.
+var workloads = []string{"render", "eliminate", "service-cold", "service-hot"}
+
+// Report is the BENCH_<n>.json document. The provenance fields come from
+// perfbench's record line.
 type Report struct {
-	Schema      string    `json:"schema"` // "rebench/1"
-	Started     time.Time `json:"started"`
-	GeneratedAt string    `json:"generated_at"`           // ISO-8601 UTC, stamped at write time
-	GitRevision string    `json:"git_revision,omitempty"` // VCS commit the binary was built from
-	GoVersion   string    `json:"go_version"`
-	GOMAXPROCS  int       `json:"gomaxprocs"`
-	Smoke       bool      `json:"smoke"`
-	Params      Params    `json:"params"`
-	Runs        []Run     `json:"runs"`
-	Totals      Totals    `json:"totals"`
+	Schema     string               `json:"schema"`
+	Revision   string               `json:"revision"`
+	GoVersion  string               `json:"go_version"`
+	Nproc      int                  `json:"nproc"`
+	GOMAXPROCS int                  `json:"gomaxprocs"`
+	Seconds    int                  `json:"seconds"`
+	Seeds      []int                `json:"seeds"`
+	Workloads  map[string]*Workload `json:"workloads"`
 }
 
-// gitRevision identifies the commit this binary was built from: the
-// build-info VCS stamp when the binary was built from a checkout (`go build`
-// embeds it), falling back to asking git directly for `go run` / `go test`
-// invocations, where the stamp is absent. Empty when neither source knows.
-func gitRevision() string {
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			if s.Key == "vcs.revision" && s.Value != "" {
-				return s.Value
-			}
-		}
-	}
-	out, err := exec.Command("git", "rev-parse", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
+// Workload is one workload's part of the report.
+type Workload struct {
+	Metrics  map[string]Spread    `json:"metrics"`       // end-to-end, over the untraced runs
+	PerLayer map[string]float64   `json:"per_layer"`     // from the traced run at seed 1
+	Sim      map[string]simTotals `json:"sim,omitempty"` // seed → one pass's totals (batch workloads)
 }
 
-// Params echoes the workload scaling of every run.
-type Params struct {
-	Width       int   `json:"width"`
-	Height      int   `json:"height"`
-	Frames      int   `json:"frames"`
-	Seed        int64 `json:"seed"`
-	Workers     int   `json:"workers"`
-	TileWorkers int   `json:"tile_workers"`
+// simTotals are one pass's simulated totals as perfbench printed them; the
+// numbers stay literal so that comparing them is exact.
+type simTotals map[string]json.Number
+
+// Spread summarizes one metric's samples.
+type Spread struct {
+	Unit   string  `json:"unit"`
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
+	N      int     `json:"n"`
 }
 
-// Run is one (benchmark, technique) measurement.
-type Run struct {
-	Alias        string  `json:"alias"`
-	Tech         string  `json:"tech"`
-	WallSeconds  float64 `json:"wall_seconds"`
-	Frames       int     `json:"frames"`
-	FramesPerSec float64 `json:"frames_per_sec"` // host throughput, not simulated FPS
+// runFunc runs perfbench once and returns its standard output.
+type runFunc func(workload string, seed, seconds int, traced bool) ([]byte, error)
 
-	// Host allocator behaviour across the run, from runtime.MemStats
-	// deltas (the measurement pass is serialized, so the deltas belong to
-	// this run). The steady-state budget is asserted exactly by the
-	// testing.AllocsPerRun tests in internal/gpusim; these trajectory
-	// numbers exist so -compare can flag a drift between two commits.
-	AllocsPerFrame     float64 `json:"allocs_per_frame"`
-	AllocBytesPerFrame float64 `json:"alloc_bytes_per_frame"`
-
-	Cycles           uint64            `json:"cycles"`
-	TilesTotal       uint64            `json:"tiles_total"`
-	TilesSkipped     uint64            `json:"tiles_skipped"`
-	TileSkipFraction float64           `json:"tile_skip_fraction"`
-	StageCycles      map[string]uint64 `json:"stage_cycles"`
-	FragsShaded      uint64            `json:"frags_shaded"`
-	DRAMBytes        uint64            `json:"dram_bytes"`
-	EnergyMJ         float64           `json:"energy_mj"`
-}
-
-// Totals aggregates the whole session, including the elimination pass.
-type Totals struct {
-	WallSeconds         float64 `json:"wall_seconds"`
-	Frames              uint64  `json:"frames"`
-	FramesPerSec        float64 `json:"frames_per_sec"`
-	JobsSubmitted       uint64  `json:"jobs_submitted"`
-	JobsDeduped         uint64  `json:"jobs_deduped"`
-	JobEliminationRatio float64 `json:"job_elimination_ratio"`
-	EliminationPassSec  float64 `json:"elimination_pass_sec"` // wall time of the all-cached second pass
+// perfOut is what rebench reads of one perfbench run: the record line
+// (provenance and, for batch workloads, the simulated totals) and the
+// result line.
+type perfOut struct {
+	Record struct {
+		Revision   string    `json:"revision"`
+		GoVersion  string    `json:"go_version"`
+		Nproc      int       `json:"nproc"`
+		GOMAXPROCS int       `json:"gomaxprocs"`
+		Sim        simTotals `json:"sim_totals_per_pass"`
+	} `json:"record"`
+	Correct   bool `json:"correct"`
+	Attempted int  `json:"attempted"`
+	Failed    int  `json:"failed"`
+	Metrics   map[string]struct {
+		Value float64 `json:"value"`
+		Unit  string  `json:"unit"`
+	} `json:"metrics"`
 }
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	if err := run(os.Args[1:], os.Stdout, perfbench); err != nil {
 		fmt.Fprintln(os.Stderr, "rebench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string, stdout *os.File) error {
+func run(args []string, stdout io.Writer, perf runFunc) error {
 	fs := flag.NewFlagSet("rebench", flag.ContinueOnError)
 	out := fs.String("out", "results", "output directory for BENCH_<n>.json")
-	benchmarks := fs.String("benchmarks", "", "comma-separated aliases (default: full Table II suite; smoke: ccs,mst)")
-	techs := fs.String("techs", "base,re", "comma-separated techniques to measure")
-	width := fs.Int("width", 480, "frame width")
-	height := fs.Int("height", 272, "frame height")
-	frames := fs.Int("frames", 50, "frames per run")
-	seed := fs.Int64("seed", 1, "workload seed")
-	workers := fs.Int("workers", 0, "pool workers (0 = host CPUs / tile-workers)")
-	tileWorkers := fs.Int("tile-workers", 0, "raster goroutines per simulation")
-	smoke := fs.Bool("smoke", false, "seconds-long CI mode: 4 frames, 96x64, ccs+mst")
-	compare := fs.Bool("compare", false, "compare two reports (old.json new.json) and fail on regression")
-	maxRegress := fs.Float64("max-regress", 0.10, "with -compare: tolerated fractional drop in frames/sec (and rise in allocs/frame)")
+	seeds := fs.Int("seeds", 10, "run every workload at seeds 1..N")
+	seconds := fs.Int("seconds", 20, "measured seconds of each perfbench run")
+	compare := fs.Bool("compare", false, "compare two reports: -compare old.json new.json")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -154,152 +112,141 @@ func run(args []string, stdout *os.File) error {
 		if fs.NArg() != 2 {
 			return fmt.Errorf("-compare needs exactly two report paths, got %d", fs.NArg())
 		}
-		return compareReports(stdout, fs.Arg(0), fs.Arg(1), *maxRegress)
+		return compareReports(stdout, fs.Arg(0), fs.Arg(1))
+	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	if *seeds < 1 || *seconds < 1 {
+		return fmt.Errorf("-seeds %d -seconds %d: want at least 1 each", *seeds, *seconds)
 	}
 
-	p := workload.Params{Width: *width, Height: *height, Frames: *frames, Seed: *seed}
-	aliases := exp.SuiteAliases()
-	if *smoke {
-		// 4 frames, not fewer: the RE signature pipeline is double-buffered,
-		// so tile skipping only begins at frame 2.
-		p = workload.Params{Width: 96, Height: 64, Frames: 4, Seed: *seed}
-		aliases = []string{"ccs", "mst"}
+	rep, err := record(stdout, perf, *seeds, *seconds)
+	if err != nil {
+		return err
 	}
-	if *benchmarks != "" {
-		aliases = splitList(*benchmarks)
+	raw, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
 	}
-	var techniques []gpusim.Technique
-	for _, ts := range splitList(*techs) {
-		tech, err := gpusim.ParseTechnique(ts)
-		if err != nil {
-			return err
-		}
-		techniques = append(techniques, tech)
-	}
-	for _, a := range aliases {
-		if _, err := workload.ByAlias(a); err != nil {
-			return err
-		}
-	}
-
-	pool := jobs.NewPool(jobs.WithWorkers(*workers), jobs.WithTileWorkers(*tileWorkers))
-	defer pool.Close(context.Background())
-
-	report := Report{
-		Schema:      "rebench/1",
-		Started:     time.Now().UTC(),
-		GitRevision: gitRevision(),
-		GoVersion:   runtime.Version(),
-		GOMAXPROCS:  runtime.GOMAXPROCS(0),
-		Smoke:       *smoke,
-		Params: Params{
-			Width: p.Width, Height: p.Height, Frames: p.Frames, Seed: p.Seed,
-			Workers: pool.Workers(), TileWorkers: *tileWorkers,
-		},
-	}
-
-	// Measurement pass: every unique (benchmark, technique) simulated once.
-	// Submissions are serialized so per-run wall time is not confounded by
-	// co-scheduled jobs; within a run, -tile-workers parallelism applies.
-	sessionStart := time.Now()
-	for _, alias := range aliases {
-		for _, tech := range techniques {
-			spec := jobs.Spec{Alias: alias, Params: p, Tech: tech}
-			var msBefore runtime.MemStats
-			runtime.ReadMemStats(&msBefore)
-			start := time.Now()
-			job, err := pool.Submit(spec)
-			if err != nil {
-				return err
-			}
-			res, err := job.Wait(context.Background())
-			if err != nil {
-				return fmt.Errorf("%s/%s: %w", alias, tech, err)
-			}
-			wall := time.Since(start).Seconds()
-			var msAfter runtime.MemStats
-			runtime.ReadMemStats(&msAfter)
-			stage := make(map[string]uint64, int(gpusim.NumPipeStages))
-			for st := gpusim.PipeStage(0); st < gpusim.NumPipeStages; st++ {
-				stage[st.String()] = res.Total.StageCycles[st]
-			}
-			eb := energy.Default().Compute(res.Total.Activity)
-			report.Runs = append(report.Runs, Run{
-				Alias:              alias,
-				Tech:               tech.String(),
-				WallSeconds:        wall,
-				Frames:             len(res.Frames),
-				FramesPerSec:       ratio(float64(len(res.Frames)), wall),
-				AllocsPerFrame:     ratio(float64(msAfter.Mallocs-msBefore.Mallocs), float64(len(res.Frames))),
-				AllocBytesPerFrame: ratio(float64(msAfter.TotalAlloc-msBefore.TotalAlloc), float64(len(res.Frames))),
-				Cycles:             res.Total.TotalCycles(),
-				TilesTotal:         res.Total.TilesTotal,
-				TilesSkipped:       res.Total.TilesSkipped,
-				TileSkipFraction:   res.Total.SkipFraction(),
-				StageCycles:        stage,
-				FragsShaded:        res.Total.FragsShaded,
-				DRAMBytes:          res.Total.TotalTraffic(),
-				EnergyMJ:           eb.Total() * 1e3,
-			})
-			fmt.Fprintf(stdout, "%-4s %-5s %8.3fs %8.1f frames/s  skip %.3f\n",
-				alias, tech, wall, ratio(float64(len(res.Frames)), wall), res.Total.SkipFraction())
-		}
-	}
-
-	// Elimination pass: resubmit the identical matrix. Every job is
-	// eliminated by signature match, which both validates the cache and
-	// records how cheap the eliminated path is.
-	elimStart := time.Now()
-	for _, alias := range aliases {
-		for _, tech := range techniques {
-			job, err := pool.Submit(jobs.Spec{Alias: alias, Params: p, Tech: tech})
-			if err != nil {
-				return err
-			}
-			if _, err := job.Wait(context.Background()); err != nil {
-				return err
-			}
-			if !job.Deduped {
-				return fmt.Errorf("%s/%s: second submission was not eliminated", alias, tech)
-			}
-		}
-	}
-	elimWall := time.Since(elimStart).Seconds()
-	totalWall := time.Since(sessionStart).Seconds()
-
-	m := pool.Metrics()
-	totalFrames := m.FramesSimulated.Load()
-	report.Totals = Totals{
-		WallSeconds:         totalWall,
-		Frames:              totalFrames,
-		FramesPerSec:        ratio(float64(totalFrames), totalWall),
-		JobsSubmitted:       m.Submitted.Load(),
-		JobsDeduped:         m.Deduped.Load(),
-		JobEliminationRatio: m.EliminationRatio(),
-		EliminationPassSec:  elimWall,
-	}
-
-	report.GeneratedAt = time.Now().UTC().Format(time.RFC3339)
 	path, err := nextBenchPath(*out)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
 		return err
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(report); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "wrote %s (%d runs, elimination ratio %.2f)\n",
-		path, len(report.Runs), report.Totals.JobEliminationRatio)
+	fmt.Fprintf(stdout, "wrote %s\n", path)
 	return nil
+}
+
+// record runs every workload untraced at seeds 1..seeds, then once traced
+// at seed 1, and folds the runs into a report. The first failed run ends
+// the recording.
+func record(stdout io.Writer, perf runFunc, seeds, seconds int) (*Report, error) {
+	rep := &Report{Schema: schema, Seconds: seconds, Workloads: map[string]*Workload{}}
+	samples := map[string]map[string][]float64{} // workload → metric → values
+	units := map[string]string{}
+	for seed := 1; seed <= seeds; seed++ {
+		rep.Seeds = append(rep.Seeds, seed)
+		for _, w := range workloads {
+			po, err := runOnce(perf, w, seed, seconds, false)
+			if err != nil {
+				return nil, err
+			}
+			if rep.Revision == "" {
+				r := po.Record
+				rep.Revision, rep.GoVersion, rep.Nproc, rep.GOMAXPROCS = r.Revision, r.GoVersion, r.Nproc, r.GOMAXPROCS
+			}
+			if samples[w] == nil {
+				samples[w] = map[string][]float64{}
+				rep.Workloads[w] = &Workload{}
+			}
+			for name, m := range po.Metrics {
+				samples[w][name] = append(samples[w][name], m.Value)
+				units[name] = m.Unit
+			}
+			if po.Record.Sim != nil {
+				wl := rep.Workloads[w]
+				if wl.Sim == nil {
+					wl.Sim = map[string]simTotals{}
+				}
+				wl.Sim[strconv.Itoa(seed)] = po.Record.Sim
+			}
+			fmt.Fprintf(stdout, "%-12s seed %2d  %8.2f frames/s  %9.2f requests/s  %d checks ok\n", w, seed,
+				po.Metrics["frames_per_s"].Value, po.Metrics["requests_per_s"].Value, po.Attempted)
+		}
+	}
+	for _, w := range workloads {
+		po, err := runOnce(perf, w, 1, seconds, true)
+		if err != nil {
+			return nil, err
+		}
+		wl := rep.Workloads[w]
+		wl.PerLayer = make(map[string]float64, len(po.Metrics))
+		for name, m := range po.Metrics {
+			wl.PerLayer[name] = m.Value
+		}
+		wl.Metrics = make(map[string]Spread, len(samples[w]))
+		for name, vs := range samples[w] {
+			wl.Metrics[name] = spread(units[name], vs)
+		}
+		fmt.Fprintf(stdout, "%-12s seed  1  traced  %d checks ok\n", w, po.Attempted)
+	}
+	return rep, nil
+}
+
+// runOnce runs perfbench once and reads its last two lines. A run that
+// fails, prints no result line or fails an output check is an error.
+func runOnce(perf runFunc, w string, seed, seconds int, traced bool) (*perfOut, error) {
+	name := fmt.Sprintf("%s seed %d", w, seed)
+	if traced {
+		name += " traced"
+	}
+	raw, err := perf(w, seed, seconds, traced)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(raw), []byte("\n"))
+	var po perfOut
+	if len(lines) < 2 || json.Unmarshal(lines[len(lines)-2], &po) != nil ||
+		json.Unmarshal(lines[len(lines)-1], &po) != nil || po.Metrics == nil {
+		return nil, fmt.Errorf("%s: no record and result line in the output", name)
+	}
+	if !po.Correct {
+		return nil, fmt.Errorf("%s: %d of %d output checks failed", name, po.Failed, po.Attempted)
+	}
+	return &po, nil
+}
+
+// perfbench runs perfbench/run.sh once from the current directory, which
+// must be the repository root. Its standard error — the build and any
+// failed check — passes through.
+func perfbench(workload string, seed, seconds int, traced bool) ([]byte, error) {
+	trace := "0"
+	if traced {
+		trace = "1"
+	}
+	cmd := exec.Command("bash", "perfbench/run.sh", "--workload", workload,
+		"--seed", strconv.Itoa(seed), "--seconds", strconv.Itoa(seconds), "--trace", trace)
+	cmd.Stderr = os.Stderr
+	return cmd.Output()
+}
+
+// spread summarizes vs: the median and quartiles, each interpolated
+// linearly between the two closest ranks.
+func spread(unit string, vs []float64) Spread {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	q := func(p float64) float64 {
+		pos := p * float64(len(s)-1)
+		i := int(pos)
+		if i+1 == len(s) {
+			return s[i]
+		}
+		return s[i] + (pos-float64(i))*(s[i+1]-s[i])
+	}
+	return Spread{Unit: unit, Median: q(0.5), Q1: q(0.25), Q3: q(0.75), N: len(s)}
 }
 
 // nextBenchPath picks BENCH_<n>.json with n one past the highest existing
@@ -320,21 +267,4 @@ func nextBenchPath(dir string) (string, error) {
 		}
 	}
 	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", max+1)), nil
-}
-
-func splitList(s string) []string {
-	var out []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func ratio(num, den float64) float64 {
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }

@@ -18,8 +18,8 @@ import (
 //     execution (the goroutine spawns and their closures).
 //
 // These tests are the enforcement teeth: they fail the build if a change
-// reintroduces allocator churn into the frame loop, before it ever shows up
-// as a rebench regression.
+// reintroduces allocator churn into the frame loop. perfbench's traced
+// render and eliminate runs report gpusim.allocs_per_frame alongside.
 
 // warmSim builds a simulator and runs the whole trace through it twice, so
 // every pooled buffer (access logs, binner bins, geometry scratch, memo

@@ -431,19 +431,25 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	return j, nil
 }
 
-// register indexes the job by ID; caller holds p.mu.
+// register indexes the job by ID and drops the oldest finished jobs past
+// registryLimit; caller holds p.mu. A live job is never dropped: at the
+// head of the order it moves to the back, so it cannot pin the finished
+// jobs behind it. One call looks at each entry at most once, and a moved
+// job comes back to the head only after everything newer, so while fewer
+// than registryLimit jobs are live a submission costs O(1) amortised.
 func (p *Pool) register(j *Job) {
 	p.reg[j.ID] = j
 	p.regOrder = append(p.regOrder, j.ID)
-	for len(p.regOrder) > registryLimit {
+	for n := len(p.regOrder); n > 0 && len(p.regOrder) > registryLimit; n-- {
 		old := p.regOrder[0]
+		p.regOrder = p.regOrder[1:]
 		if oj, ok := p.reg[old]; ok {
-			if oj.State() == Queued || oj.State() == Running {
-				break // never drop a live job; registry shrinks once it finishes
+			if s := oj.State(); s == Queued || s == Running {
+				p.regOrder = append(p.regOrder, old)
+				continue
 			}
 			delete(p.reg, old)
 		}
-		p.regOrder = p.regOrder[1:]
 	}
 }
 

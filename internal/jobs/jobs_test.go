@@ -393,6 +393,54 @@ func TestGetRegistry(t *testing.T) {
 	}
 }
 
+// One job blocked in its RunFunc must not pin the finished jobs submitted
+// after it: the registry stays at registryLimit jobs, and the live job
+// stays addressable.
+func TestRegistryPrunesPastLiveJob(t *testing.T) {
+	release := make(chan struct{})
+	run := func(ctx context.Context, s Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
+		if s.Alias == "ccs" {
+			<-release
+		}
+		return gpusim.Result{Name: s.Alias}, nil
+	}
+	p := NewPool(WithWorkers(2), WithRun(run))
+	defer p.Close(context.Background())
+
+	live, err := p.Submit(spec("ccs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := p.Submit(spec("mst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3*registryLimit; i++ {
+		if _, err := p.Submit(spec("mst")); err != nil { // cache hits, done at once
+			t.Fatal(err)
+		}
+	}
+	p.mu.Lock()
+	n, order := len(p.reg), len(p.regOrder)
+	p.mu.Unlock()
+	if n != registryLimit || order != n {
+		t.Errorf("registry holds %d jobs (order %d) behind one live job, want %d", n, order, registryLimit)
+	}
+	if got, ok := p.Get(live.ID); !ok || got != live {
+		t.Error("the live job was dropped from the registry")
+	}
+	if _, ok := p.Get(first.ID); ok {
+		t.Error("the oldest finished job was kept past the limit")
+	}
+	close(release)
+	if _, err := live.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
 	k := func(i uint32) Key { return Key{TraceSig: i} }

@@ -53,40 +53,39 @@ func (tc TraceContext) Traceparent() string {
 	return "00-" + tc.TraceIDString() + "-" + tc.SpanIDString() + "-01"
 }
 
-// ParseTraceparent parses a traceparent header value. Unknown future
-// versions are accepted as long as the first four fields parse (per the
-// spec's forward-compatibility rule); version "ff" and all-zero ids are
+// ParseTraceparent parses a traceparent header value by the W3C Trace
+// Context grammar: version-traceid-parentid-flags, in lowercase hex of 2,
+// 32, 16 and 2 digits. Version 00 is exactly those 55 bytes. A higher
+// version may carry more after the flags, but only behind a dash (the
+// spec's forward-compatibility rule). Version ff and all-zero ids are
 // rejected.
 func ParseTraceparent(s string) (TraceContext, error) {
 	var tc TraceContext
-	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 4 {
-		return tc, fmt.Errorf("obs: traceparent %q: want version-traceid-spanid-flags", s)
+	var version, flags [1]byte
+	if len(s) < 55 || s[2] != '-' || s[35] != '-' || s[52] != '-' ||
+		!unhex(version[:], s[:2]) || !unhex(tc.TraceID[:], s[3:35]) ||
+		!unhex(tc.SpanID[:], s[36:52]) || !unhex(flags[:], s[53:55]) {
+		return TraceContext{}, fmt.Errorf("obs: traceparent %q: want version-traceid-spanid-flags in lowercase hex", s)
 	}
-	version, traceID, spanID := parts[0], parts[1], parts[2]
-	if len(version) != 2 || !isHex(version) {
-		return tc, fmt.Errorf("obs: traceparent %q: bad version %q", s, version)
-	}
-	if strings.EqualFold(version, "ff") {
-		return tc, fmt.Errorf("obs: traceparent %q: forbidden version ff", s)
-	}
-	if len(traceID) != 32 || len(spanID) != 16 {
-		return tc, fmt.Errorf("obs: traceparent %q: want 32-hex trace id and 16-hex span id", s)
-	}
-	if _, err := hex.Decode(tc.TraceID[:], []byte(traceID)); err != nil {
-		return tc, fmt.Errorf("obs: traceparent %q: trace id: %v", s, err)
-	}
-	if _, err := hex.Decode(tc.SpanID[:], []byte(spanID)); err != nil {
-		return tc, fmt.Errorf("obs: traceparent %q: span id: %v", s, err)
-	}
-	if !tc.Valid() {
+	switch {
+	case version[0] == 0xff:
+		return TraceContext{}, fmt.Errorf("obs: traceparent %q: forbidden version ff", s)
+	case version[0] == 0 && len(s) != 55:
+		return TraceContext{}, fmt.Errorf("obs: traceparent %q: version 00 has exactly four fields", s)
+	case len(s) > 55 && s[55] != '-':
+		return TraceContext{}, fmt.Errorf("obs: traceparent %q: flags must end the value or precede a dash", s)
+	case !tc.Valid():
 		return TraceContext{}, fmt.Errorf("obs: traceparent %q: all-zero id", s)
 	}
 	return tc, nil
 }
 
-func isHex(s string) bool {
-	_, err := hex.DecodeString(s)
+// unhex decodes s, exactly 2*len(dst) lowercase hex digits, into dst.
+func unhex(dst []byte, s string) bool {
+	if len(s) != 2*len(dst) || strings.ToLower(s) != s {
+		return false
+	}
+	_, err := hex.Decode(dst, []byte(s))
 	return err == nil
 }
 

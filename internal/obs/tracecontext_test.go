@@ -39,16 +39,26 @@ func TestTraceContextChild(t *testing.T) {
 	}
 }
 
+// badTraceparents are header values ParseTraceparent must reject.
+var badTraceparents = []string{
+	"",
+	"00-abc",
+	"00-" + strings.Repeat("0", 32) + "-1111111111111111-01", // zero trace id
+	"00-" + strings.Repeat("1", 32) + "-0000000000000000-01", // zero span id
+	"ff-" + strings.Repeat("1", 32) + "-1111111111111111-01", // forbidden version
+	"zz-" + strings.Repeat("1", 32) + "-1111111111111111-01", // non-hex version
+	"00-shorttrace-1111111111111111-01",
+	"00-" + strings.Repeat("1", 32) + "-1111111111111111-zz",       // non-hex flags
+	"00-" + strings.Repeat("1", 32) + "-1111111111111111-",         // empty flags
+	"00-" + strings.Repeat("1", 32) + "-1111111111111111-001",      // three-digit flags
+	"00-" + strings.Repeat("1", 32) + "-1111111111111111-01-extra", // fifth field in version 00
+	"00-" + strings.Repeat("A", 32) + "-1111111111111111-01",       // uppercase trace id
+	"00-" + strings.Repeat("1", 32) + "-BBBBBBBBBBBBBBBB-01",       // uppercase span id
+	"01-" + strings.Repeat("2", 32) + "-3333333333333333-01.what",  // future version, no dash after flags
+}
+
 func TestParseTraceparentRejects(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"00-abc",
-		"00-" + strings.Repeat("0", 32) + "-1111111111111111-01", // zero trace id
-		"00-" + strings.Repeat("1", 32) + "-0000000000000000-01", // zero span id
-		"ff-" + strings.Repeat("1", 32) + "-1111111111111111-01", // forbidden version
-		"zz-" + strings.Repeat("1", 32) + "-1111111111111111-01", // non-hex version
-		"00-shorttrace-1111111111111111-01",
-	} {
+	for _, bad := range badTraceparents {
 		if _, err := ParseTraceparent(bad); err == nil {
 			t.Errorf("ParseTraceparent(%q) accepted", bad)
 		}
@@ -58,6 +68,30 @@ func TestParseTraceparentRejects(t *testing.T) {
 	if _, err := ParseTraceparent(future); err != nil {
 		t.Errorf("future version rejected: %v", err)
 	}
+}
+
+// FuzzParseTraceparent: no input panics, an accepted version-00 value is
+// exactly 55 bytes of lowercase hex and dashes, and the accepted ids render
+// to a value that parses back to the same ids.
+func FuzzParseTraceparent(f *testing.F) {
+	f.Add(NewTraceContext().Traceparent())
+	f.Add("01-" + strings.Repeat("2", 32) + "-3333333333333333-01-extrafield")
+	for _, bad := range badTraceparents {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		tc, err := ParseTraceparent(s)
+		if err != nil {
+			return
+		}
+		if strings.HasPrefix(s, "00") && (len(s) != 55 || strings.Trim(s, "0123456789abcdef-") != "") {
+			t.Fatalf("accepted version-00 value %q is not 55 bytes of [0-9a-f-]", s)
+		}
+		got, err := ParseTraceparent(tc.Traceparent())
+		if err != nil || got != tc {
+			t.Fatalf("%q: round trip gave %+v, %v; want %+v", s, got, err, tc)
+		}
+	})
 }
 
 func TestTraceContextInContext(t *testing.T) {

@@ -90,13 +90,16 @@ func TestHistogramRoundTrip(t *testing.T) {
 	}
 }
 
+// malformed are expositions Parse must reject.
+var malformed = []string{
+	"name_without_value\n",
+	`m{key} 1` + "\n",
+	`m{k="v} 1` + "\n",
+	"m not-a-number\n",
+}
+
 func TestParseRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"name_without_value\n",
-		`m{key} 1` + "\n",
-		`m{k="v} 1` + "\n",
-		"m not-a-number\n",
-	} {
+	for _, bad := range malformed {
 		if _, err := Parse(strings.NewReader(bad)); err == nil {
 			t.Errorf("Parse(%q) accepted malformed input", bad)
 		}
@@ -104,8 +107,10 @@ func TestParseRejectsMalformed(t *testing.T) {
 }
 
 // Label values containing escapes must unquote correctly.
+const escaped = `m{k="a\"b\\c"} 3` + "\n"
+
 func TestParseEscapedLabels(t *testing.T) {
-	m, err := Parse(strings.NewReader(`m{k="a\"b\\c"} 3` + "\n"))
+	m, err := Parse(strings.NewReader(escaped))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,10 @@
 package store
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -90,5 +93,69 @@ func FuzzOpenWAL(f *testing.F) {
 			}
 		}
 		t.Fatal("record appended after Open was not recovered")
+	})
+}
+
+// snapshotFiles returns a result and a checkpoint snapshot written through
+// the real store.
+func snapshotFiles(f *testing.F) (result, checkpoint []byte) {
+	f.Helper()
+	s, err := Open(f.TempDir(), quietOpts())
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer s.Close()
+	const key = "dead0001-beef0001"
+	if err := s.SaveResult(key, testResult(2)); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.SaveCheckpoint(key, 4, []gpusim.Stats{{Frames: 1}}, []byte("encoded")); err != nil {
+		f.Fatal(err)
+	}
+	if result, err = os.ReadFile(s.resultPath(key)); err != nil {
+		f.Fatal(err)
+	}
+	if checkpoint, err = os.ReadFile(s.checkpointPath(key)); err != nil {
+		f.Fatal(err)
+	}
+	return result, checkpoint
+}
+
+// FuzzParseSnapshot feeds arbitrary bytes to the snapshot envelope parser.
+// It must never panic, must accept exactly the inputs whose magic, version
+// and CRC hold (checked here with encoding/binary and hash/crc32), and an
+// accepted body must re-wrap to the input bytes. Seeds are real snapshots
+// and the quarantine tests' damage: a flipped body byte, a flipped last
+// byte, plus truncation, a wrong magic and a wrong version.
+func FuzzParseSnapshot(f *testing.F) {
+	result, checkpoint := snapshotFiles(f)
+	f.Add(result)
+	f.Add(checkpoint)
+	flip := func(raw []byte, i int, mask byte) []byte {
+		raw = bytes.Clone(raw)
+		raw[i] ^= mask
+		return raw
+	}
+	f.Add(flip(result, len(result)/2, 0x20))
+	f.Add(flip(checkpoint, len(checkpoint)-1, 0xff))
+	f.Add(flip(result, 0, 0x01))
+	f.Add(flip(result, 4, 0x03))
+	f.Add(result[:snapHdrLen-1])
+	f.Add(result[:snapHdrLen])
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		body, err := parseSnapshot(raw)
+		// The envelope's CRC is the raw CRC-32: zero initial state, no
+		// final inversion.
+		intact := len(raw) >= 10 && string(raw[:4]) == "RESN" &&
+			binary.LittleEndian.Uint16(raw[4:]) == 1 &&
+			binary.LittleEndian.Uint32(raw[6:]) == ^crc32.Update(^uint32(0), crc32.IEEETable, raw[10:])
+		if (err == nil) != intact {
+			t.Fatalf("parseSnapshot(% x): err = %v, but magic, version and CRC hold = %v", raw[:min(len(raw), 16)], err, intact)
+		}
+		if err == nil && !bytes.Equal(append(snapHeader(body), body...), raw) {
+			t.Fatalf("parseSnapshot(% x): body does not re-wrap to the input", raw[:min(len(raw), 16)])
+		}
 	})
 }

@@ -34,14 +34,18 @@ const (
 	QuarantineSuffix = ".quarantined"
 )
 
-// writeSnapshot atomically publishes body (wrapped in the self-checking
-// header) at path.
-func (s *Store) writeSnapshot(path string, body []byte) error {
+// snapHeader is the self-checking header that precedes body on disk.
+func snapHeader(body []byte) []byte {
 	hdr := make([]byte, 0, snapHdrLen)
 	hdr = append(hdr, snapMagic...)
 	hdr = wire.AppendU16(hdr, snapVersion)
-	hdr = wire.AppendU32(hdr, crc.Checksum(body))
+	return wire.AppendU32(hdr, crc.Checksum(body))
+}
 
+// writeSnapshot atomically publishes body (wrapped in the self-checking
+// header) at path.
+func (s *Store) writeSnapshot(path string, body []byte) error {
+	hdr := snapHeader(body)
 	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return fmt.Errorf("store: temp snapshot: %w", err)
