@@ -15,22 +15,24 @@
 //
 //   - Combine, the submessage combination step of Algorithm 1.
 //
-// The reflected IEEE polynomial 0xEDB88320 is used, so results can be
-// cross-checked against hash/crc32 modulo its init/final conditioning (see
-// the package tests).
+// The reflected IEEE polynomial 0xEDB88320 is used, so the raw CRC is
+// hash/crc32's IEEE CRC without its conditioning: hash/crc32 complements
+// the state on entry and on exit, so ^crc32.Update(^c, crc32.IEEETable, m)
+// is the raw update of state c by m. Update computes it that way, through
+// the standard library's slicing-by-8 and carry-less-multiply kernels;
+// UpdateBitwise is the shift-register reference the tests pin it to.
 package crc
+
+import "hash/crc32"
 
 // Poly is the reflected CRC-32 (IEEE 802.3) polynomial.
 const Poly uint32 = 0xEDB88320
 
 // byteTable[b] is the raw CRC32 of the single byte b, i.e. the state after
 // feeding b into a zero-initialized register. It is the classic
-// byte-at-a-time table.
+// byte-at-a-time table; ShiftZeros iterates it, since shifting state s
+// through one zero byte is byteTable[byte(s)] ^ s>>8.
 var byteTable [256]uint32
-
-// zeroTable[b] maps a CRC state byte to its contribution after shifting the
-// state through one zero byte; used by ShiftZeros.
-var zeroTable [256]uint32
 
 func init() {
 	for i := 0; i < 256; i++ {
@@ -44,11 +46,6 @@ func init() {
 		}
 		byteTable[i] = c
 	}
-	for i := 0; i < 256; i++ {
-		// Shifting state s through a zero byte is Update(s, [0]):
-		// table[s&0xff] ^ s>>8, whose low-byte-dependent part is byteTable.
-		zeroTable[i] = byteTable[i]
-	}
 	initMatrices()
 	initSubunitTables()
 }
@@ -56,14 +53,11 @@ func init() {
 // Update feeds data into the raw CRC state crc and returns the new state.
 // Update(0, m) is the raw CRC32 of message m.
 func Update(crc uint32, data []byte) uint32 {
-	for _, b := range data {
-		crc = byteTable[byte(crc)^b] ^ (crc >> 8)
-	}
-	return crc
+	return ^crc32.Update(^crc, crc32.IEEETable, data)
 }
 
 // UpdateBitwise is the shift-register reference implementation of Update
-// (paper [22]); it exists to validate the table and LUT paths.
+// (paper [22]); it exists to validate Update and the LUT paths.
 func UpdateBitwise(crc uint32, data []byte) uint32 {
 	for _, b := range data {
 		crc ^= uint32(b)
@@ -86,7 +80,7 @@ func Checksum(data []byte) uint32 { return Update(0, data) }
 // b = 8n bits. It iterates the zero-byte table, costing O(n).
 func ShiftZeros(crc uint32, n int) uint32 {
 	for ; n > 0; n-- {
-		crc = zeroTable[byte(crc)] ^ (crc >> 8)
+		crc = byteTable[byte(crc)] ^ (crc >> 8)
 	}
 	return crc
 }

@@ -139,3 +139,36 @@ func TestAllocsFrameBufferCRC(t *testing.T) {
 		t.Errorf("FrameBufferCRC: %.1f allocs, want 0", avg)
 	}
 }
+
+// TestAllocsCheckpointEncode: EncodeBinary sizes its buffer from the
+// checkpoint's contents, so persisting a frame-boundary checkpoint makes
+// one allocation, the blob itself.
+func TestAllocsCheckpointEncode(t *testing.T) {
+	b, err := workload.ByAlias("ccs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := b.Build(workload.Params{Width: 128, Height: 96, Frames: 4, Seed: 1})
+	for _, tech := range []Technique{Baseline, RE, TE, Memo} {
+		t.Run(tech.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Technique = tech
+			sim, err := New(tr, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 3; i++ {
+				sim.RunFrame(&tr.Frames[i])
+			}
+			cp := sim.Checkpoint()
+			var blob []byte
+			if avg := testing.AllocsPerRun(10, func() { blob = cp.EncodeBinary() }); avg != 1 {
+				t.Errorf("EncodeBinary: %.1f allocs, want 1", avg)
+			}
+			if hint := cp.encodedSizeHint(); hint < len(blob) {
+				t.Errorf("size hint %d B < blob %d B", hint, len(blob))
+			}
+			t.Logf("size hint %d B for a %d B blob", cp.encodedSizeHint(), len(blob))
+		})
+	}
+}

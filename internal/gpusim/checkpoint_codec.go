@@ -102,10 +102,24 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 	return wire.AppendU32(b, crc.Checksum(b))
 }
 
-// encodedSizeHint estimates the blob size to avoid re-allocation churn; the
-// framebuffer dominates.
+// encodedSizeHint bounds the blob size from above, so EncodeBinary
+// allocates once: it counts the element bytes of every variable-length part
+// and allows 4 KiB for the fixed-size fields and length prefixes (about
+// 1.4 KiB). The framebuffers dominate.
 func (cp *Checkpoint) encodedSizeHint() int {
-	return 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1]))
+	sigBuf := func(b *sig.BufferSnapshot) int {
+		return 4*(len(b.Building)+len(b.Prev[0])+len(b.Prev[1])) + len(b.Valid[0]) + len(b.Valid[1])
+	}
+	n := 4096 + 4*(len(cp.fbuf.Bufs[0])+len(cp.fbuf.Bufs[1])+len(cp.skipCounts))
+	n += sigBuf(&cp.re.Unit.Buf) + len(cp.re.Unit.Bitmap) + sigBuf(&cp.teBuf)
+	for _, entries := range cp.memoPrev {
+		n += 4 + 20*len(entries)
+	}
+	n += 9 * len(cp.dram.Banks)
+	for i := range cp.caches {
+		n += 14 * len(cp.caches[i].Lines)
+	}
+	return n
 }
 
 // DecodeCheckpoint parses a blob produced by EncodeBinary. Every failure

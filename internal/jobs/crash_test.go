@@ -252,6 +252,69 @@ func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryRejectsMismatchedCheckpoint: a checkpoint file is the
+// job's only checkpoint record, so its frame stats and its blob must agree.
+// A file holding one frame's stats beside a frame-2 blob is not resumed
+// (that would publish a 3-frame result for a 4-frame trace); the job
+// re-runs from frame 0 and its result matches an uninterrupted run.
+func TestCrashRecoveryRejectsMismatchedCheckpoint(t *testing.T) {
+	params := workload.Params{Width: 64, Height: 48, Frames: 4, Seed: 2}
+	spec := Spec{Alias: "ccs", Params: params, Tech: gpusim.RE}
+	ref := NewPool(WithWorkers(1))
+	want := runSuite(t, ref, []Spec{spec})[0]
+	ref.Close(context.Background())
+
+	b, err := workload.ByAlias(spec.Alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := b.Build(params)
+	sim, err := gpusim.New(tr, spec.config())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames []gpusim.Stats
+	for i := 0; i < 2; i++ {
+		frames = append(frames, sim.RunFrame(&tr.Frames[i]))
+	}
+
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	key := spec.Key().String()
+	rec := store.JobSpec{Alias: spec.Alias, Width: params.Width, Height: params.Height,
+		Frames: params.Frames, Seed: params.Seed, Tech: spec.Tech.String()}
+	if err := st.RecordSubmitted(key, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(key, frames[:1], sim.Checkpoint().EncodeBinary()); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := openTestStore(t, dir, nil)
+	defer st2.Close()
+	if n := st2.Metrics().CheckpointsRecovered.Load(); n != 1 {
+		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
+	}
+	p := NewPool(WithWorkers(1), WithStore(st2), WithLogger(quietLogger()))
+	defer p.Close(context.Background())
+	j, err := p.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered job: %d frames, FB CRC %08x; want %d frames, %08x",
+			len(got.Frames), got.FBCRC, len(want.Frames), want.FBCRC)
+	}
+	if n := st2.Metrics().JobsResumed.Load(); n != 0 {
+		t.Fatalf("JobsResumed = %d, want 0", n)
+	}
+}
+
 // TestCrashSoakWithStoreFaults runs the suite with seeded store.write /
 // store.sync / store.rename faults firing throughout. Live results must
 // stay correct (durability degrades, correctness never), and whatever the

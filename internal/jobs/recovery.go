@@ -120,7 +120,7 @@ func (p *Pool) persistCheckpoint(j *Job) {
 	if !j.walled || j.resume == nil || j.resume.cp == nil {
 		return
 	}
-	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.cp.Frame(), j.resume.frames, j.resume.cp.EncodeBinary())
+	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.frames, j.resume.cp.EncodeBinary())
 	if err != nil {
 		p.log.Warn("store: checkpoint write failed; crash recovery falls back to an earlier frame", "id", j.ID, "err", err)
 	}
@@ -195,9 +195,15 @@ func (p *Pool) recoverFromStore() {
 		var rs *resume
 		if len(pj.Checkpoint) > 0 {
 			cp, derr := gpusim.DecodeCheckpoint(pj.Checkpoint)
-			if derr != nil {
+			switch {
+			case derr != nil:
 				p.log.Warn("store: recovered checkpoint undecodable; restarting job from frame 0", "key", pj.Key, "err", derr)
-			} else {
+			case cp.Frame() != pj.Frame:
+				// Resuming would splice the file's stats onto the wrong
+				// frame and publish a result of the wrong length.
+				p.log.Warn("store: recovered checkpoint disagrees with its frame stats; restarting job from frame 0",
+					"key", pj.Key, "checkpoint_frame", cp.Frame(), "stats_frames", pj.Frame)
+			default:
 				rs = &resume{cp: cp, frames: append([]gpusim.Stats(nil), pj.Frames...), recovered: true}
 			}
 		}

@@ -109,7 +109,7 @@ func snapshotFiles(f *testing.F) (result, checkpoint []byte) {
 	if err := s.SaveResult(key, testResult(2)); err != nil {
 		f.Fatal(err)
 	}
-	if err := s.SaveCheckpoint(key, 4, []gpusim.Stats{{Frames: 1}}, []byte("encoded")); err != nil {
+	if err := s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("encoded")); err != nil {
 		f.Fatal(err)
 	}
 	if result, err = os.ReadFile(s.resultPath(key)); err != nil {

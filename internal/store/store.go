@@ -17,7 +17,7 @@
 //
 //	wal.log                  job lifecycle records (appended, fsynced)
 //	results/<key>.snap       completed gpusim.Result (JSON body)
-//	checkpoints/<key>.snap   spec + per-frame stats (JSON) + encoded checkpoint
+//	checkpoints/<key>.snap   per-frame stats (JSON) + encoded checkpoint
 //	traces/<crc32>.snap      content-addressed uploaded trace binaries
 //
 // Keys are jobs.Key strings ("%08x-%08x"), which are filesystem-safe by
@@ -28,6 +28,7 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io/fs"
 	"log/slog"
@@ -45,20 +46,23 @@ import (
 
 // Record types, in lifecycle order.
 const (
-	RecSubmitted    = "submitted"
-	RecStarted      = "started"
+	RecSubmitted = "submitted"
+	RecStarted   = "started"
+	RecCompleted = "completed"
+	RecFailed    = "failed"
+
+	// RecCheckpointed is no longer written: a checkpoint's snapshot file is
+	// its only record. Replaying an older WAL treats it like RecStarted,
+	// and its "frame" key is ignored.
 	RecCheckpointed = "checkpointed"
-	RecCompleted    = "completed"
-	RecFailed       = "failed"
 )
 
 // Record is one WAL entry (JSON payload inside the CRC'd frame).
 type Record struct {
-	Type  string   `json:"t"`
-	Key   string   `json:"key"`
-	Spec  *JobSpec `json:"spec,omitempty"`  // on submitted
-	Frame int      `json:"frame,omitempty"` // on checkpointed
-	Err   string   `json:"err,omitempty"`   // on failed
+	Type string   `json:"t"`
+	Key  string   `json:"key"`
+	Spec *JobSpec `json:"spec,omitempty"` // on submitted
+	Err  string   `json:"err,omitempty"`  // on failed
 }
 
 // JobSpec is the serializable identity of a job — enough to rebuild and
@@ -78,14 +82,15 @@ type JobSpec struct {
 }
 
 // PendingJob is an interrupted job recovered from the WAL: it was submitted
-// (and possibly started and checkpointed) but neither completed nor failed
-// before the process died.
+// (and possibly started) but neither completed nor failed before the
+// process died.
 type PendingJob struct {
 	Key  string
 	Spec JobSpec
-	// Frame is the last persisted frame-boundary checkpoint (0 = resume
-	// from scratch); Frames carries the per-frame stats completed before
-	// it and Checkpoint the encoded gpusim checkpoint blob.
+	// Frame is the frame boundary of the job's checkpoint file, the number
+	// of per-frame stats it holds (0 = no readable checkpoint: the job
+	// starts over); Frames carries those stats and Checkpoint the encoded
+	// gpusim checkpoint blob.
 	Frame      int
 	Frames     []gpusim.Stats
 	Checkpoint []byte
@@ -148,7 +153,6 @@ func Open(dir string, opts Options) (*Store, error) {
 	type keyState struct {
 		last    string
 		spec    *JobSpec
-		frame   int
 		seenAt  int // record index of last transition, for stable ordering
 		doneAt  int
 		pending bool
@@ -175,12 +179,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		case RecSubmitted:
 			st.spec = rec.Spec
 			st.pending = true
-			st.frame = 0
-		case RecStarted:
+		case RecStarted, RecCheckpointed:
 			st.pending = true
-		case RecCheckpointed:
-			st.pending = true
-			st.frame = rec.Frame
 		case RecCompleted:
 			st.pending = false
 			st.doneAt = idx
@@ -226,7 +226,6 @@ func Open(dir string, opts Options) (*Store, error) {
 				s.log.Warn("store: completed result unreadable; will re-run", "key", d.key, "err", err)
 				pendings = append(pendings, st)
 				pendingKey[st] = d.key
-				st.frame = 0
 			} else {
 				s.log.Warn("store: completed result unreadable and spec unknown; dropped", "key", d.key, "err", err)
 			}
@@ -244,16 +243,21 @@ func Open(dir string, opts Options) (*Store, error) {
 			continue
 		}
 		pj := PendingJob{Key: key, Spec: *st.spec}
-		if st.frame > 0 {
-			frames, blob, err := s.loadCheckpoint(key)
-			if err != nil {
-				s.log.Warn("store: checkpoint unreadable; resuming from frame 0", "key", key, "err", err)
-			} else {
-				pj.Frame = st.frame
-				pj.Frames = frames
-				pj.Checkpoint = blob
-				s.metrics.CheckpointsRecovered.Add(1)
-			}
+		// The checkpoint file, when there is one, is the job's only
+		// checkpoint record. A file left by an earlier run of the same key
+		// is as good as a fresh one: the key signs trace, config and model,
+		// and Resume re-checks the blob.
+		frames, blob, err := s.loadCheckpoint(key)
+		switch {
+		case errors.Is(err, fs.ErrNotExist):
+			// Never checkpointed: resume from frame 0.
+		case err != nil:
+			s.log.Warn("store: checkpoint unreadable; resuming from frame 0", "key", key, "err", err)
+		default:
+			pj.Frame = len(frames)
+			pj.Frames = frames
+			pj.Checkpoint = blob
+			s.metrics.CheckpointsRecovered.Add(1)
 		}
 		s.recovered.Pending = append(s.recovered.Pending, pj)
 		s.metrics.JobsRecovered.Add(1)
@@ -362,18 +366,17 @@ func checkpointBody(frames []gpusim.Stats, ckpt []byte) ([]byte, error) {
 	return body, nil
 }
 
-// SaveCheckpoint atomically persists key's frame-boundary checkpoint (the
+// SaveCheckpoint atomically persists key's frame-boundary checkpoint: the
 // encoded simulator state plus the stats of every frame completed before
-// it), then logs the checkpointed record.
-func (s *Store) SaveCheckpoint(key string, frame int, frames []gpusim.Stats, ckpt []byte) error {
+// it, whose count is the checkpoint's frame. The published file is the
+// checkpoint's only record; no WAL record is appended, and Open finds the
+// file by key.
+func (s *Store) SaveCheckpoint(key string, frames []gpusim.Stats, ckpt []byte) error {
 	body, err := checkpointBody(frames, ckpt)
 	if err != nil {
 		return err
 	}
-	if err := s.writeSnapshot(s.checkpointPath(key), body); err != nil {
-		return err
-	}
-	return s.appendRecord(Record{Type: RecCheckpointed, Key: key, Frame: frame})
+	return s.writeSnapshot(s.checkpointPath(key), body)
 }
 
 // loadCheckpoint reads and verifies a checkpoint snapshot.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log/slog"
@@ -29,8 +30,16 @@ func testResult(n int) gpusim.Result {
 
 // The headline contract: a store reopened on the same directory hands back
 // completed results verbatim, interrupted jobs with their checkpoints, and
-// nothing for failed jobs.
+// nothing for failed jobs. A pending job's checkpoint is its checkpoint
+// file, found by key; the WAL holds no record of it.
 func TestStoreRecovery(t *testing.T) {
+	t.Run("lifecycle", testRecoveryLifecycle)
+	t.Run("checkpoint file without a record", testRecoveryCheckpointWithoutRecord)
+	t.Run("legacy checkpointed records", testRecoveryLegacyCheckpointedRecords)
+	t.Run("no checkpoint file", testRecoveryNoCheckpointFile)
+}
+
+func testRecoveryLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
 	if err != nil {
@@ -55,8 +64,12 @@ func TestStoreRecovery(t *testing.T) {
 	if err := s.RecordSubmitted("aaaa0002-bbbb0002", specB); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SaveCheckpoint("aaaa0002-bbbb0002", 2, framesB, ckptB); err != nil {
+	appended := s.Metrics().RecordsAppended.Load()
+	if err := s.SaveCheckpoint("aaaa0002-bbbb0002", framesB, ckptB); err != nil {
 		t.Fatal(err)
+	}
+	if n := s.Metrics().RecordsAppended.Load() - appended; n != 0 {
+		t.Fatalf("SaveCheckpoint appended %d WAL records, want 0", n)
 	}
 
 	if err := s.RecordSubmitted("aaaa0003-bbbb0003", JobSpec{Alias: "ccs", Tech: "re"}); err != nil {
@@ -110,6 +123,159 @@ func TestStoreRecovery(t *testing.T) {
 	}
 }
 
+// A checkpoint snapshot that no WAL record mentions is recovered, and its
+// frame is the number of per-frame stats it holds. An older store left
+// exactly this when it died between publishing the file and appending its
+// checkpointed record.
+func testRecoveryCheckpointWithoutRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "c0de0001-c0de0002"
+	spec := JobSpec{Alias: "ccs", Width: 64, Height: 48, Frames: 6, Seed: 3, Tech: "re"}
+	frames := []gpusim.Stats{{Frames: 1, TilesTotal: 1}, {Frames: 1, TilesTotal: 2}, {Frames: 1, TilesTotal: 3}}
+	ckpt := []byte("frame-3-checkpoint")
+	s.RecordSubmitted(key, spec)
+	s.RecordStarted(key)
+	body, err := checkpointBody(frames, ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.writeSnapshot(s.checkpointPath(key), body); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	r, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec := r.Recovered()
+	if len(rec.Pending) != 1 {
+		t.Fatalf("pending = %+v", rec.Pending)
+	}
+	p := rec.Pending[0]
+	if p.Key != key || p.Spec != spec || p.Frame != len(frames) ||
+		!reflect.DeepEqual(p.Frames, frames) || string(p.Checkpoint) != string(ckpt) {
+		t.Fatalf("pending = %+v, want frame %d with its stats and blob", p, len(frames))
+	}
+	if n := r.Metrics().CheckpointsRecovered.Load(); n != 1 {
+		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
+	}
+}
+
+// A WAL written by an older store, with a checkpointed record per
+// checkpoint, recovers the same pending set: the records count as started
+// and their frame field is ignored in favour of the file.
+func testRecoveryLegacyCheckpointedRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := func(key string, frame int) {
+		t.Helper()
+		payload := fmt.Sprintf(`{"t":"checkpointed","key":%q,"frame":%d}`, key, frame)
+		if err := s.wal.append([]byte(payload)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stats := func(n int) []gpusim.Stats {
+		out := make([]gpusim.Stats, n)
+		for i := range out {
+			out[i] = gpusim.Stats{Frames: 1, TilesTotal: uint64(10 + i)}
+		}
+		return out
+	}
+	// Interrupted after two checkpoints.
+	running := "1e9a0001-1e9a0001"
+	spec := JobSpec{Alias: "mot", Width: 32, Height: 32, Frames: 5, Seed: 7, Tech: "te"}
+	s.RecordSubmitted(running, spec)
+	s.RecordStarted(running)
+	for f := 1; f <= 2; f++ {
+		if err := s.SaveCheckpoint(running, stats(f), []byte(fmt.Sprintf("frame-%d", f))); err != nil {
+			t.Fatal(err)
+		}
+		legacy(running, f)
+	}
+	// Checkpointed, then completed: its result wins and its file is gone.
+	done := "1e9a0002-1e9a0002"
+	s.RecordSubmitted(done, JobSpec{Alias: "ccs", Tech: "re"})
+	s.SaveCheckpoint(done, stats(1), []byte("frame-1"))
+	legacy(done, 1)
+	if err := s.SaveResult(done, testResult(4)); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpointed, then failed: its recovery window is closed.
+	failed := "1e9a0003-1e9a0003"
+	s.RecordSubmitted(failed, JobSpec{Alias: "fly", Tech: "memo"})
+	s.SaveCheckpoint(failed, stats(1), []byte("frame-1"))
+	legacy(failed, 1)
+	s.RecordFailed(failed, "boom")
+	s.Close()
+
+	r, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec := r.Recovered()
+	if n := r.Metrics().RecordsUnparseable.Load(); n != 0 {
+		t.Fatalf("%d legacy records unparseable", n)
+	}
+	if len(rec.Pending) != 1 {
+		t.Fatalf("pending = %+v, want only %s", rec.Pending, running)
+	}
+	p := rec.Pending[0]
+	if p.Key != running || p.Spec != spec || p.Frame != 2 ||
+		!reflect.DeepEqual(p.Frames, stats(2)) || string(p.Checkpoint) != "frame-2" {
+		t.Fatalf("pending = %+v, want %s at frame 2", p, running)
+	}
+	if _, ok := rec.Results[done]; !ok || len(rec.Results) != 1 {
+		t.Fatalf("results = %v, want only %s", rec.ResultOrder, done)
+	}
+}
+
+// A pending job that never reached a checkpoint has no file: it resumes
+// from frame 0, and the missing file is not damage.
+func testRecoveryNoCheckpointFile(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "0ff10001-0ff10002"
+	spec := JobSpec{Alias: "ccs", Width: 32, Height: 32, Frames: 3, Seed: 8, Tech: "re"}
+	s.RecordSubmitted(key, spec)
+	s.RecordStarted(key)
+	s.Close()
+
+	var logs bytes.Buffer
+	r, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	rec := r.Recovered()
+	if len(rec.Pending) != 1 {
+		t.Fatalf("pending = %+v", rec.Pending)
+	}
+	if p := rec.Pending[0]; p.Key != key || p.Spec != spec || p.Frame != 0 || p.Frames != nil || p.Checkpoint != nil {
+		t.Fatalf("pending = %+v, want frame 0 with no checkpoint", p)
+	}
+	if logs.Len() != 0 {
+		t.Fatalf("missing checkpoint file logged a warning: %s", logs.String())
+	}
+	m := r.Metrics()
+	if m.SnapshotsQuarantined.Load() != 0 || m.CheckpointsRecovered.Load() != 0 || len(r.QuarantinedFiles()) != 0 {
+		t.Fatalf("missing checkpoint file counted: quarantined=%d recovered=%d",
+			m.SnapshotsQuarantined.Load(), m.CheckpointsRecovered.Load())
+	}
+}
+
 // SaveResult removes the superseded checkpoint, and a completed job beats
 // its stale checkpoint record on replay.
 func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
@@ -120,7 +286,7 @@ func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	}
 	key := "cafe0001-cafe0002"
 	s.RecordSubmitted(key, JobSpec{Alias: "ccs", Tech: "re"})
-	s.SaveCheckpoint(key, 3, []gpusim.Stats{{Frames: 1}}, []byte("ckpt"))
+	s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("ckpt"))
 	if err := s.SaveResult(key, testResult(9)); err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +368,7 @@ func TestStoreCorruptCheckpointFallsBackToFrameZero(t *testing.T) {
 	key := "feed0001-f00d0001"
 	spec := JobSpec{Alias: "mot", Width: 32, Height: 32, Frames: 6, Seed: 3, Tech: "memo"}
 	s.RecordSubmitted(key, spec)
-	s.SaveCheckpoint(key, 4, []gpusim.Stats{{Frames: 1}}, []byte("encoded"))
+	s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("encoded"))
 	path := s.checkpointPath(key)
 	s.Close()
 
@@ -283,7 +449,7 @@ func TestStoreFaultInjectionNeverCorruptsState(t *testing.T) {
 				// promises recovery.
 				s.RecordSubmitted(key, JobSpec{Alias: "ccs", Tech: "re", Seed: int64(i)})
 				if i%3 == 0 {
-					s.SaveCheckpoint(key, 1, []gpusim.Stats{{Frames: 1}}, []byte("ck"))
+					s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("ck"))
 				}
 				if err := s.SaveResult(key, res); err == nil {
 					want[key] = res
