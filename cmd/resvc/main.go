@@ -7,19 +7,20 @@
 //
 //	resvc [-addr :8080] [-workers N] [-tile-workers 0] [-cache 512]
 //	      [-timeout 10m] [-retries 2] [-max-body 64MiB] [-drain 30s]
-//	      [-checkpoint-interval 1]
 //	      [-inject PLAN] [-inject-seed 1] [-log-level info] [-log-format text]
 //	      [-cluster-addr host:port] [-peer host:port]... [-health-interval 2s]
 //	      [-result-ttl 30s] [-tracefile out.json] [-journal 256] [-data-dir DIR]
 //
 // Durability: with -data-dir the node journals job lifecycle to a
-// CRC-protected write-ahead log and snapshots completed results and
-// frame-boundary checkpoints under that directory. On startup the WAL is
-// replayed (a torn tail is truncated, corrupt snapshots are quarantined —
-// never a refusal to boot): completed results re-enter the elimination
-// cache, so identical submissions are deduplicated across restarts, and
-// jobs that were running when the process died resume from their last
-// persisted checkpoint instead of frame 0. Job keys sign the simulator's
+// CRC-protected write-ahead log and snapshots completed results under that
+// directory, plus a frame-boundary checkpoint of each running job once per
+// second of simulation (a job that ends sooner writes none). On startup the
+// WAL is replayed (a torn tail is truncated, corrupt snapshots are
+// quarantined — never a refusal to boot): completed results re-enter the
+// elimination cache, so identical submissions are deduplicated across
+// restarts, and jobs that were running when the process died resume from
+// their last persisted checkpoint, losing at most a second plus a frame of
+// simulation, instead of starting over. Job keys sign the simulator's
 // model fingerprint, so after an upgrade that changes simulated numbers the
 // stored results no longer match and each job is simulated once more.
 //
@@ -99,7 +100,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	retries := fs.Int("retries", 2, "transient-failure retries per job")
 	maxBody := fs.Int64("max-body", 64<<20, "max trace upload bytes")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	ckptInterval := fs.Int("checkpoint-interval", 1, "checkpoint the simulator every n frames so retries resume instead of restarting (0 = off)")
 	inject := fs.String("inject", "", "fault-injection plan, e.g. 'dram.read:panic:0.01:4,server.accept:latency:0.1,store.write:error:0.05'; store.write/store.sync/store.rename exercise the durability layer (chaos testing; empty = off)")
 	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
@@ -192,7 +192,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		jobs.WithRetries(*retries),
 		jobs.WithLogger(log),
 		jobs.WithTileWorkers(*tileWorkers),
-		jobs.WithCheckpointInterval(*ckptInterval),
 		jobs.WithFault(plan),
 		jobs.WithJournal(journal),
 		jobs.WithStore(st),

@@ -277,11 +277,7 @@ func (s Snapshot) AppendBinary(b []byte) []byte {
 // DecodeSnapshot is the inverse of AppendBinary; errors are latched on r.
 func DecodeSnapshot(r *wire.Reader) Snapshot {
 	var s Snapshot
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n*14 > r.Len() {
-		return s
-	}
-	s.Lines = make([]line, n)
+	s.Lines = make([]line, r.Count(int(r.U32()), 14))
 	for i := range s.Lines {
 		s.Lines[i].tag = r.U64()
 		s.Lines[i].valid = r.Bool()

@@ -1,9 +1,14 @@
 package cache
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"rendelim/internal/wire"
 )
 
 // recorder is a NextLevel that records traffic.
@@ -240,5 +245,28 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	c.Access(0x100, 4, false)
 	if c.Stats.Hits != 1 || c.Stats.Accesses != 1 {
 		t.Fatalf("stats after reset: %+v", c.Stats)
+	}
+}
+
+// A snapshot round-trips through its wire form, and a line count the input
+// cannot hold is latched as corruption instead of decoding to no lines.
+func TestDecodeSnapshotRejectsBadCount(t *testing.T) {
+	c := small(&recorder{})
+	for addr := uint64(0); addr < 4096; addr += 96 {
+		c.Access(addr, 4, addr%192 == 0)
+	}
+	want := c.Snapshot()
+	blob := want.AppendBinary(nil)
+
+	r := wire.NewReader(blob)
+	if got := DecodeSnapshot(r); r.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: err %v, equal %v", r.Err(), reflect.DeepEqual(got, want))
+	}
+
+	bad := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(bad, 1<<30)
+	r = wire.NewReader(bad)
+	if got := DecodeSnapshot(r); !errors.Is(r.Err(), wire.ErrCorrupt) || len(got.Lines) != 0 {
+		t.Fatalf("line count 2^30 decoded to %d lines with err %v, want wire.ErrCorrupt", len(got.Lines), r.Err())
 	}
 }

@@ -228,11 +228,7 @@ func (s Snapshot) AppendBinary(b []byte) []byte {
 // DecodeSnapshot is the inverse of AppendBinary; errors are latched on r.
 func DecodeSnapshot(r *wire.Reader) Snapshot {
 	var s Snapshot
-	n := int(r.U32())
-	if r.Err() != nil || n < 0 || n*9 > r.Len() {
-		return s
-	}
-	s.Banks = make([]bank, n)
+	s.Banks = make([]bank, r.Count(int(r.U32()), 9))
 	for i := range s.Banks {
 		s.Banks[i].openRow = r.U64()
 		s.Banks[i].valid = r.Bool()

@@ -1,8 +1,13 @@
 package dram
 
 import (
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"rendelim/internal/wire"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -149,5 +154,28 @@ func TestResetStats(t *testing.T) {
 	d.Read(64, 64)
 	if d.Stats.RowHits != 1 {
 		t.Fatal("row state should survive ResetStats")
+	}
+}
+
+// A snapshot round-trips through its wire form, and a bank count the input
+// cannot hold is latched as corruption instead of decoding to no banks.
+func TestDecodeSnapshotRejectsBadCount(t *testing.T) {
+	d := New(Default())
+	for addr := uint64(0); addr < 1<<20; addr += 4096 + 64 {
+		d.Read(addr, 64)
+	}
+	want := d.Snapshot()
+	blob := want.AppendBinary(nil)
+
+	r := wire.NewReader(blob)
+	if got := DecodeSnapshot(r); r.Err() != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip: err %v, equal %v", r.Err(), reflect.DeepEqual(got, want))
+	}
+
+	bad := append([]byte(nil), blob...)
+	binary.LittleEndian.PutUint32(bad, 1<<30)
+	r = wire.NewReader(bad)
+	if got := DecodeSnapshot(r); !errors.Is(r.Err(), wire.ErrCorrupt) || len(got.Banks) != 0 {
+		t.Fatalf("bank count 2^30 decoded to %d banks with err %v, want wire.ErrCorrupt", len(got.Banks), r.Err())
 	}
 }

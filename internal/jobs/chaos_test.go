@@ -75,7 +75,7 @@ func TestChaosSoak(t *testing.T) {
 	specs := chaosSpecs(t)
 
 	// Fault-free baseline, same runner and checkpoint cadence.
-	base := NewPool(WithWorkers(4), WithRetries(20), WithBackoff(time.Millisecond), WithCheckpointInterval(1))
+	base := NewPool(WithWorkers(4), WithRetries(20), WithBackoff(time.Millisecond), withCheckpointPeriod(0))
 	want := runSuite(t, base, specs)
 	base.Close(context.Background())
 
@@ -87,7 +87,7 @@ func TestChaosSoak(t *testing.T) {
 		With(fault.SiteTraceDecode, fault.Site{Prob: 0.5, Limit: 2, Kinds: []fault.Kind{fault.Corrupt}})
 
 	const workers = 4
-	chaos := NewPool(WithWorkers(workers), WithRetries(20), WithBackoff(time.Millisecond), WithCheckpointInterval(1), WithFault(plan))
+	chaos := NewPool(WithWorkers(workers), WithRetries(20), WithBackoff(time.Millisecond), withCheckpointPeriod(0), WithFault(plan))
 	defer chaos.Close(context.Background())
 
 	got := runSuite(t, chaos, specs)
@@ -140,7 +140,7 @@ func TestChaosSoak(t *testing.T) {
 func TestChaosResumeAfterTimeout(t *testing.T) {
 	sp := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 6, Seed: 1}, Tech: gpusim.RE}
 
-	clean := NewPool(WithWorkers(1), WithCheckpointInterval(1))
+	clean := NewPool(WithWorkers(1), withCheckpointPeriod(0))
 	want := runSuite(t, clean, []Spec{sp})[0]
 	clean.Close(context.Background())
 
@@ -150,7 +150,7 @@ func TestChaosResumeAfterTimeout(t *testing.T) {
 	// checkpointed before the attempt dies.
 	plan := fault.New(1).
 		With(fault.SiteDRAMRead, fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Latency}, Latency: 1500 * time.Millisecond})
-	p := NewPool(WithWorkers(1), WithTimeout(500*time.Millisecond), WithRetries(10), WithBackoff(time.Millisecond), WithCheckpointInterval(1), WithFault(plan))
+	p := NewPool(WithWorkers(1), WithTimeout(500*time.Millisecond), WithRetries(10), WithBackoff(time.Millisecond), withCheckpointPeriod(0), WithFault(plan))
 	defer p.Close(context.Background())
 
 	got := runSuite(t, p, []Spec{sp})[0]

@@ -79,7 +79,7 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 	specs := chaosSpecs(t)
 
 	st := openTestStore(t, dir, nil)
-	p := NewPool(WithWorkers(4), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
+	p := NewPool(WithWorkers(4), withCheckpointPeriod(0), WithStore(st), WithLogger(quietLogger()))
 	want := runSuite(t, p, specs)
 	// Kill, not Close: completion must already be durable — there is no
 	// graceful-shutdown flush to rely on.
@@ -160,13 +160,13 @@ func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 // persisted, restarts on the same data dir and checks the resumed result.
 func crashAndResume(t *testing.T, spec Spec, frames int) {
 	// The never-interrupted reference.
-	ref := NewPool(WithWorkers(1), WithCheckpointInterval(1))
+	ref := NewPool(WithWorkers(1), withCheckpointPeriod(0))
 	want := runSuite(t, ref, []Spec{spec})[0]
 	ref.Close(context.Background())
 
 	dir := t.TempDir()
 	st := openTestStore(t, dir, nil)
-	p := NewPool(WithWorkers(1), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
+	p := NewPool(WithWorkers(1), withCheckpointPeriod(0), WithStore(st), WithLogger(quietLogger()))
 	if _, err := p.Submit(spec); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +200,7 @@ func crashAndResume(t *testing.T, spec Spec, frames int) {
 		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
 	}
 
-	p2 := NewPool(WithWorkers(1), WithCheckpointInterval(1), WithStore(st2), WithLogger(quietLogger()))
+	p2 := NewPool(WithWorkers(1), withCheckpointPeriod(0), WithStore(st2), WithLogger(quietLogger()))
 	defer p2.Close(context.Background())
 	// Joining the recovered in-flight job (or hitting the cache once it
 	// completes) yields the resumed result.
@@ -226,6 +226,73 @@ func crashAndResume(t *testing.T, spec Spec, frames int) {
 	if n := p2.Metrics().FramesSimulated.Load(); n >= uint64(frames) {
 		t.Fatalf("restarted pool simulated %d frames; resume saved nothing", n)
 	}
+}
+
+// TestCheckpointPeriod: the runner checkpoints a job at the first frame
+// boundary one period after the attempt began or after its previous
+// checkpoint, never after the last frame, and where it checkpoints never
+// changes the result. Each case runs one 3-frame job on its own store.
+func TestCheckpointPeriod(t *testing.T) {
+	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE}
+	run := func(t *testing.T, opts ...Option) (gpusim.Result, *store.Store) {
+		t.Helper()
+		st := openTestStore(t, t.TempDir(), nil)
+		t.Cleanup(func() { st.Close() })
+		p := NewPool(append([]Option{WithWorkers(1), WithStore(st), WithLogger(quietLogger())}, opts...)...)
+		defer p.Close(context.Background())
+		return runSuite(t, p, []Spec{spec})[0], st
+	}
+	checkpointFiles := func(t *testing.T, st *store.Store) int {
+		t.Helper()
+		files, err := os.ReadDir(filepath.Join(st.Dir(), "checkpoints"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(files)
+	}
+	want, _ := run(t, withCheckpointPeriod(0))
+
+	t.Run("default period", func(t *testing.T) {
+		got, st := run(t)
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 1 {
+			t.Errorf("published %d snapshots, want 1: the result, and no checkpoint of a job that ends within a period", n)
+		}
+		if n := checkpointFiles(t, st); n != 0 {
+			t.Errorf("%d files left under checkpoints/, want 0", n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("result differs from the same job checkpointed at every boundary")
+		}
+	})
+
+	t.Run("period 0", func(t *testing.T) {
+		_, st := run(t, withCheckpointPeriod(0))
+		// Boundaries after frames 1 and 2; one after frame 3 would make 4.
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 3 {
+			t.Errorf("published %d snapshots, want 3: two checkpoints, none after the last frame, and the result", n)
+		}
+		if n := checkpointFiles(t, st); n != 0 {
+			t.Errorf("%d files left under checkpoints/, want 0: the result supersedes them", n)
+		}
+	})
+
+	t.Run("frame longer than the period", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("waits out a one-second period; skipped in -short")
+		}
+		// One DRAM read of frame 0 stalls past the period, so the boundary
+		// after frame 0 checkpoints; frames 1 and 2 end well within the
+		// next period, and frame 2 is the last.
+		plan := fault.New(1).With(fault.SiteDRAMRead,
+			fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Latency}, Latency: checkpointPeriod + 100*time.Millisecond})
+		got, st := run(t, WithFault(plan))
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 2 {
+			t.Errorf("published %d snapshots, want 2: one checkpoint and the result", n)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Error("result differs from the same job checkpointed at every boundary")
+		}
+	})
 }
 
 // TestCrashRecoveryDropsFailedJobs: a terminal failure closes the recovery
@@ -327,7 +394,7 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 	}
 	specs := chaosSpecs(t)
 
-	base := NewPool(WithWorkers(4), WithCheckpointInterval(1))
+	base := NewPool(WithWorkers(4), withCheckpointPeriod(0))
 	want := runSuite(t, base, specs)
 	base.Close(context.Background())
 	wantByKey := make(map[string]gpusim.Result)
@@ -344,7 +411,7 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 				With(fault.SiteStoreRename, fault.Site{Prob: 0.2})
 			dir := t.TempDir()
 			st := openTestStore(t, dir, plan)
-			p := NewPool(WithWorkers(4), WithCheckpointInterval(1), WithStore(st), WithLogger(quietLogger()))
+			p := NewPool(WithWorkers(4), withCheckpointPeriod(0), WithStore(st), WithLogger(quietLogger()))
 			got := runSuite(t, p, specs)
 			for i := range specs {
 				if !reflect.DeepEqual(got[i], want[i]) {

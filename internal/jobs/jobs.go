@@ -599,7 +599,6 @@ func (p *Pool) execute(j *Job) {
 	p.metrics.Running.Add(1)
 	defer p.metrics.Running.Add(-1) // deferred: must decrement when a panic unwinds
 	j.state.Store(int32(Running))
-	p.recordStarted(j)
 
 	start := time.Now()
 	res, err := p.runWithRetry(j.call.ctx, j)
@@ -637,8 +636,8 @@ func (p *Pool) execute(j *Job) {
 // runWithRetry executes the job with a per-attempt timeout and retry with
 // exponential backoff. Transient failures, injected faults, contained panics
 // and per-attempt timeouts all retry (while the job's own context is still
-// alive); with checkpointing enabled each retry resumes from the job's last
-// completed checkpoint rather than frame 0.
+// alive); each retry resumes from the job's last checkpoint, when an
+// earlier attempt took one, rather than frame 0.
 func (p *Pool) runWithRetry(ctx context.Context, j *Job) (gpusim.Result, error) {
 	observe := func(stage string, d time.Duration) { p.metrics.ObserveStage(stage, d.Seconds()) }
 	backoff := p.opts.Backoff

@@ -568,7 +568,7 @@ func TestFinishedJobReleasesCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	p := NewPool(WithWorkers(1), WithCheckpointInterval(1))
+	p := NewPool(WithWorkers(1), withCheckpointPeriod(0))
 	defer p.Close(context.Background())
 
 	j, err := p.Submit(Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE})

@@ -14,19 +14,20 @@ import (
 // options is a Pool's resolved configuration; each field is documented on
 // the With* option that sets it.
 type options struct {
-	Workers            int
-	QueueDepth         int
-	CacheSize          int
-	Timeout            time.Duration
-	Retries            int
-	Backoff            time.Duration
-	Run                RunFunc
-	Logger             *slog.Logger
-	CheckpointInterval int
-	Fault              *fault.Plan
-	Journal            *obs.Journal
-	Store              *store.Store
-	TileWorkers        int
+	Workers     int
+	QueueDepth  int
+	CacheSize   int
+	Timeout     time.Duration
+	Retries     int
+	Backoff     time.Duration
+	Run         RunFunc
+	Logger      *slog.Logger
+	Fault       *fault.Plan
+	Journal     *obs.Journal
+	Store       *store.Store
+	TileWorkers int
+	// CheckpointPeriod is checkpointPeriod; only tests set another value.
+	CheckpointPeriod time.Duration
 }
 
 // effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
@@ -49,7 +50,7 @@ type Option func(*options)
 // configuration is usable: NewPool() sizes itself from GOMAXPROCS, and every
 // option left unset takes the default its With* function documents.
 func NewPool(opts ...Option) *Pool {
-	var o options
+	o := options{CheckpointPeriod: checkpointPeriod}
 	for _, fn := range opts {
 		if fn != nil {
 			fn(&o)
@@ -138,25 +139,19 @@ func WithRun(fn RunFunc) Option { return func(o *options) { o.Run = fn } }
 // slog.Default().
 func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l } }
 
-// WithCheckpointInterval makes the built-in runner snapshot the simulator
-// every n completed frames, so a retried attempt (transient failure, panic,
-// or per-attempt timeout) resumes from the last checkpoint instead of frame
-// 0. Zero disables checkpointing. Ignored when a custom Run is set.
-func WithCheckpointInterval(n int) Option { return func(o *options) { o.CheckpointInterval = n } }
-
 // WithFault injects deterministic faults at the pool's sites
 // (fault.SiteWorker before each attempt, fault.SiteTraceDecode before
 // decoding uploads) and threads the plan into each simulation's config
 // (dram.read / dram.write). Nil costs nothing.
 func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
-// WithStore makes job state durable: leader submissions, starts,
-// frame-boundary checkpoints, completions and terminal failures are logged
-// to the store's WAL, and the new pool replays the store's recovery set —
-// completed results re-enter the result cache and interrupted jobs are
-// resubmitted from their last persisted checkpoint. Nil keeps the pool
-// memory-only. The caller owns the store's lifecycle and must close it
-// after the pool.
+// WithStore makes job state durable: leader submissions, completions and
+// terminal failures are logged to the store's WAL, frame-boundary
+// checkpoints are published beside it, and the new pool replays the
+// store's recovery set — completed results re-enter the result cache and
+// interrupted jobs are resubmitted from their last persisted checkpoint.
+// Nil keeps the pool memory-only. The caller owns the store's lifecycle
+// and must close it after the pool.
 func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }
 
 // WithJournal routes notable job-lifecycle events (accepted, eliminated,

@@ -104,16 +104,6 @@ func (p *Pool) recordSubmitted(j *Job) {
 	j.walled = true
 }
 
-// recordStarted appends the started record for a WAL-tracked job.
-func (p *Pool) recordStarted(j *Job) {
-	if !j.walled {
-		return
-	}
-	if err := p.opts.Store.RecordStarted(j.Key.String()); err != nil {
-		p.log.Warn("store: started record failed", "id", j.ID, "err", err)
-	}
-}
-
 // persistCheckpoint writes the job's freshly-taken frame-boundary checkpoint
 // (j.resume) to the store, so a restarted process resumes from it.
 func (p *Pool) persistCheckpoint(j *Job) {

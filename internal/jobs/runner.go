@@ -14,14 +14,22 @@ import (
 	"rendelim/internal/workload"
 )
 
+// checkpointPeriod is the simulate time between two frame-boundary
+// checkpoints of one attempt. Only a retry or a process death reads a
+// checkpoint, yet each costs a sizeable share of a frame (encoding the
+// simulator state, then two fsyncs), so a job that ends within one period
+// writes none, and a process death loses at most a period plus a frame.
+const checkpointPeriod = time.Second
+
 // runResumable is the pool's built-in executor: like DefaultRun it builds
 // the trace and simulates with cancellation honored at frame boundaries, but
-// it also threads the pool's fault plan into the simulation and — when
-// WithCheckpointInterval is set — snapshots the simulator at frame
-// boundaries into the job. A later attempt of the same job (after a
-// transient failure, a contained or worker-level panic, or a per-attempt
-// timeout) resumes from the last checkpoint instead of frame 0, so the total
-// frames simulated across all attempts stays close to the trace length.
+// it also threads the pool's fault plan into the simulation and snapshots
+// the simulator into the job at the first frame boundary reached at least
+// one checkpoint period after the attempt began or after its previous
+// checkpoint, never after the last frame. A later attempt of the same job
+// (after a transient failure, a contained or worker-level panic, or a
+// per-attempt timeout) resumes from the last checkpoint instead of frame 0,
+// so each failed attempt re-simulates at most a period plus a frame.
 func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
 	tr, err := specTrace(j.spec, p.opts.Fault)
@@ -64,7 +72,7 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 		}
 	}
 
-	ival := p.opts.CheckpointInterval
+	lastCkpt := simStart
 	for i := start; i < len(tr.Frames); i++ {
 		if cerr := ctx.Err(); cerr != nil {
 			return res, cerr
@@ -73,9 +81,9 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 		res.Frames = append(res.Frames, fs)
 		res.Total.Add(fs)
 		p.metrics.FramesSimulated.Add(1)
-		// Checkpoint at the boundary — but not after the last frame, where
-		// there is nothing left to resume into.
-		if ival > 0 && (i+1)%ival == 0 && i+1 < len(tr.Frames) {
+		// Checkpoint at the boundary once a period has passed — but not
+		// after the last frame, where there is nothing left to resume into.
+		if i+1 < len(tr.Frames) && time.Since(lastCkpt) >= p.opts.CheckpointPeriod {
 			j.resume = &resume{
 				cp:     sim.Checkpoint(),
 				frames: append([]gpusim.Stats(nil), res.Frames...),
@@ -83,6 +91,7 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 			// Durably persist the boundary so recovery after a process
 			// death resumes here, not at frame 0.
 			p.persistCheckpoint(j)
+			lastCkpt = time.Now()
 		}
 	}
 	res.FBCRC = sim.FrameBufferCRC()

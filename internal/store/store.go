@@ -47,13 +47,14 @@ import (
 // Record types, in lifecycle order.
 const (
 	RecSubmitted = "submitted"
-	RecStarted   = "started"
 	RecCompleted = "completed"
 	RecFailed    = "failed"
 
-	// RecCheckpointed is no longer written: a checkpoint's snapshot file is
-	// its only record. Replaying an older WAL treats it like RecStarted,
-	// and its "frame" key is ignored.
+	// RecStarted and RecCheckpointed are no longer written: a submitted
+	// record already makes a key pending, and a checkpoint's snapshot file
+	// is its only record. Replaying an older WAL keeps the key pending on
+	// either; a checkpointed record's "frame" key is ignored.
+	RecStarted      = "started"
 	RecCheckpointed = "checkpointed"
 )
 
@@ -82,8 +83,7 @@ type JobSpec struct {
 }
 
 // PendingJob is an interrupted job recovered from the WAL: it was submitted
-// (and possibly started) but neither completed nor failed before the
-// process died.
+// but neither completed nor failed before the process died.
 type PendingJob struct {
 	Key  string
 	Spec JobSpec
@@ -302,11 +302,6 @@ func (s *Store) appendRecord(rec Record) error {
 // the serializable spec recovery needs to re-run it.
 func (s *Store) RecordSubmitted(key string, spec JobSpec) error {
 	return s.appendRecord(Record{Type: RecSubmitted, Key: key, Spec: &spec})
-}
-
-// RecordStarted logs that a worker picked key up.
-func (s *Store) RecordStarted(key string) error {
-	return s.appendRecord(Record{Type: RecStarted, Key: key})
 }
 
 // RecordFailed logs key's terminal failure, closing its recovery window.

@@ -19,6 +19,15 @@ func quietOpts() Options {
 	return Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
 }
 
+// appendRaw appends payload to s's WAL as one record, the way an older
+// store wrote the record types this one no longer does.
+func appendRaw(t *testing.T, s *Store, payload string) {
+	t.Helper()
+	if err := s.wal.append([]byte(payload)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func testResult(n int) gpusim.Result {
 	res := gpusim.Result{Technique: gpusim.RE, Name: fmt.Sprintf("res-%d", n), FBCRC: uint32(n) * 0x9e37}
 	for i := 0; i < 3; i++ {
@@ -49,9 +58,6 @@ func testRecoveryLifecycle(t *testing.T) {
 	specA := JobSpec{Alias: "ccs", Width: 64, Height: 48, Frames: 4, Seed: 1, Tech: "re"}
 	resA := testResult(1)
 	if err := s.RecordSubmitted("aaaa0001-bbbb0001", specA); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RecordStarted("aaaa0001-bbbb0001"); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SaveResult("aaaa0001-bbbb0001", resA); err != nil {
@@ -138,7 +144,7 @@ func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	frames := []gpusim.Stats{{Frames: 1, TilesTotal: 1}, {Frames: 1, TilesTotal: 2}, {Frames: 1, TilesTotal: 3}}
 	ckpt := []byte("frame-3-checkpoint")
 	s.RecordSubmitted(key, spec)
-	s.RecordStarted(key)
+	appendRaw(t, s, fmt.Sprintf(`{"t":"started","key":%q}`, key))
 	body, err := checkpointBody(frames, ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +173,10 @@ func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	}
 }
 
-// A WAL written by an older store, with a checkpointed record per
-// checkpoint, recovers the same pending set: the records count as started
-// and their frame field is ignored in favour of the file.
+// A WAL written by an older store, with a started record per job and a
+// checkpointed record per checkpoint, recovers the same pending set: both
+// keep the key pending, and a checkpointed record's frame field is ignored
+// in favour of the file.
 func testRecoveryLegacyCheckpointedRecords(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -178,10 +185,7 @@ func testRecoveryLegacyCheckpointedRecords(t *testing.T) {
 	}
 	legacy := func(key string, frame int) {
 		t.Helper()
-		payload := fmt.Sprintf(`{"t":"checkpointed","key":%q,"frame":%d}`, key, frame)
-		if err := s.wal.append([]byte(payload)); err != nil {
-			t.Fatal(err)
-		}
+		appendRaw(t, s, fmt.Sprintf(`{"t":"checkpointed","key":%q,"frame":%d}`, key, frame))
 	}
 	stats := func(n int) []gpusim.Stats {
 		out := make([]gpusim.Stats, n)
@@ -194,7 +198,7 @@ func testRecoveryLegacyCheckpointedRecords(t *testing.T) {
 	running := "1e9a0001-1e9a0001"
 	spec := JobSpec{Alias: "mot", Width: 32, Height: 32, Frames: 5, Seed: 7, Tech: "te"}
 	s.RecordSubmitted(running, spec)
-	s.RecordStarted(running)
+	appendRaw(t, s, fmt.Sprintf(`{"t":"started","key":%q}`, running))
 	for f := 1; f <= 2; f++ {
 		if err := s.SaveCheckpoint(running, stats(f), []byte(fmt.Sprintf("frame-%d", f))); err != nil {
 			t.Fatal(err)
@@ -250,7 +254,6 @@ func testRecoveryNoCheckpointFile(t *testing.T) {
 	key := "0ff10001-0ff10002"
 	spec := JobSpec{Alias: "ccs", Width: 32, Height: 32, Frames: 3, Seed: 8, Tech: "re"}
 	s.RecordSubmitted(key, spec)
-	s.RecordStarted(key)
 	s.Close()
 
 	var logs bytes.Buffer
