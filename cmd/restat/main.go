@@ -1,8 +1,10 @@
 // Command restat is a live terminal dashboard for a resvc fleet: it polls
-// /v1/metrics and /debug/vars on every node, reassembles the Prometheus
-// histograms client-side, and renders per-node queue depth, peer health and
-// request-latency quantiles next to the cluster-wide job-elimination and
-// tile-skip ratios — the service's two Rendering Elimination numbers, live.
+// every node's /v1/metrics (and /v1/healthz for its status line),
+// reassembles the Prometheus histograms client-side, and renders per-node
+// queue depth, cache size, peer health and request-latency quantiles next
+// to the cluster-wide job-elimination and tile-skip ratios — the service's
+// two Rendering Elimination numbers, live. Every number comes from
+// /v1/metrics, the one place a node publishes its state.
 //
 // Usage:
 //
@@ -217,13 +219,6 @@ func scrapeNode(client *http.Client, node string) NodeStat {
 	if h, ok := m.Histogram("resvc_http_request_duration_seconds", nil); ok {
 		ns.P50, ns.P95, ns.P99 = h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99)
 	}
-	// /debug/vars is the cross-check source: its cache gauge reads the pool
-	// directly, so a divergence from the /v1/metrics value flags a stale scrape.
-	if vars, err := fetchVars(client, node); err == nil {
-		if v, ok := vars["resvc_cache_entries"].(float64); ok {
-			ns.CacheEntries = int64(v)
-		}
-	}
 	return ns
 }
 
@@ -251,22 +246,6 @@ func fetchHealth(client *http.Client, node string) (*apihttp.HealthResponse, err
 		return nil, fmt.Errorf("%s %s: %v", node, apihttp.PathHealthz, err)
 	}
 	return &h, nil
-}
-
-func fetchVars(client *http.Client, node string) (map[string]any, error) {
-	resp, err := client.Get("http://" + node + "/debug/vars")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("%s /debug/vars: %s", node, resp.Status)
-	}
-	var vars map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		return nil, err
-	}
-	return vars, nil
 }
 
 // render draws the fleet table.

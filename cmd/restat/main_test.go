@@ -148,6 +148,50 @@ func TestRestatOnceJSONAgainstCluster(t *testing.T) {
 	}
 }
 
+// Each node's cache column must be that node's own
+// resvc_result_cache_entries: after one job exactly the owner caches a
+// result, whichever node the ring picked.
+func TestRestatCacheEntriesPerNode(t *testing.T) {
+	addrs := startNodes(t, 3)
+	body := `{"alias": "ccs", "tech": "re", "width": 96, "height": 64, "frames": 2}`
+	resp, err := http.Post("http://"+addrs[0]+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+
+	args := []string{"-once", "-json"}
+	for _, addr := range addrs {
+		args = append(args, "-node", addr)
+	}
+	var out bytes.Buffer
+	if err := run(args, &out); err != nil {
+		t.Fatalf("restat: %v\n%s", err, out.String())
+	}
+	var snap Snapshot
+	if err := json.Unmarshal(out.Bytes(), &snap); err != nil {
+		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
+	}
+	var total int64
+	for _, ns := range snap.Nodes {
+		m, err := fetchMetrics(http.DefaultClient, ns.Node)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := m.Value("resvc_result_cache_entries", nil)
+		if ns.CacheEntries != int64(want) {
+			t.Errorf("node %s: restat cache entries = %d, its /v1/metrics says %v", ns.Node, ns.CacheEntries, want)
+		}
+		total += ns.CacheEntries
+	}
+	if total != 1 {
+		t.Errorf("fleet caches %d results after one job, want 1 (on the owner)", total)
+	}
+}
+
 // TestRestatReportsStoreRecovery: a node that recovered durable state on
 // boot must surface the resvc_store_* counters in both the -json document
 // and the rendered table's store sub-line.

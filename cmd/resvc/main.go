@@ -9,7 +9,7 @@
 //	      [-timeout 10m] [-retries 2] [-max-body 64MiB] [-drain 30s]
 //	      [-inject PLAN] [-inject-seed 1] [-log-level info] [-log-format text]
 //	      [-cluster-addr host:port] [-peer host:port]... [-health-interval 2s]
-//	      [-result-ttl 30s] [-tracefile out.json] [-journal 256] [-data-dir DIR]
+//	      [-result-ttl 30s] [-tracefile out.json] [-data-dir DIR]
 //
 // Durability: with -data-dir the node journals job lifecycle to a
 // CRC-protected write-ahead log and snapshots completed results under that
@@ -48,8 +48,10 @@
 //	GET  /v1/metrics    Prometheus text: submissions, eliminations, latencies,
 //	                    per-pipeline-stage simulated cycles, tile classes
 //	GET  /debug/pprof   runtime profiling (CPU, heap, goroutines, ...)
-//	GET  /debug/vars    expvar: build info, queue depth, cache size
-//	GET  /debug/events  flight recorder: recent job/cluster events as JSON
+//	GET  /debug/vars    expvar: build info and Go runtime vars (node state
+//	                    is in /v1/metrics only)
+//	GET  /debug/events  flight recorder: the last 256 records the node
+//	                    logged, at its -log-level, as JSON
 //
 // Every request runs under a W3C trace context: an inbound traceparent
 // header is honored (forwarded hops re-propagate it), otherwise a fresh
@@ -111,7 +113,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	resultTTL := fs.Duration("result-ttl", 30*time.Second, "how long a non-owner serves a remote result locally (read-through cache; negative = off)")
 	dataDir := fs.String("data-dir", "", "durable state directory: WAL + result/checkpoint snapshots; replayed on startup so results and in-flight jobs survive restarts (empty = memory-only)")
 	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON (HTTP request and cluster forward spans) here on shutdown")
-	journalSize := fs.Int("journal", obs.DefaultJournalSize, "event-journal ring size served at /debug/events")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -120,6 +121,10 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	if err != nil {
 		return err
 	}
+	// Every record the node logs is also kept for /debug/events.
+	journal := obs.NewJournal(log.Handler())
+	log = slog.New(journal)
+	slog.SetDefault(log)
 
 	plan, err := fault.Parse(*injectSeed, *inject)
 	if err != nil {
@@ -140,7 +145,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		}
 		tracer.SetProcess(os.Getpid(), procName)
 	}
-	journal := obs.NewJournal(*journalSize)
 
 	// Cluster configuration is validated before anything listens: duplicate
 	// peers or self-peering would silently skew ring ownership, so they are
@@ -157,7 +161,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 			ResultTTL:      *resultTTL,
 			Logger:         log,
 			Tracer:         tracer,
-			Journal:        journal,
 		})
 		if err != nil {
 			return err
@@ -193,7 +196,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		jobs.WithLogger(log),
 		jobs.WithTileWorkers(*tileWorkers),
 		jobs.WithFault(plan),
-		jobs.WithJournal(journal),
 		jobs.WithStore(st),
 	)
 	srv := server.New(pool, server.Limits{MaxBodyBytes: *maxBody})

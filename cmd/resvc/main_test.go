@@ -74,6 +74,26 @@ func TestDaemonEndToEnd(t *testing.T) {
 		t.Errorf("metrics missing dedup count:\n%s", raw)
 	}
 
+	// /debug/events holds what the daemon logged at its default info
+	// level: the listening record, and none of the per-job debug records.
+	eresp, err := http.Get(base + "/debug/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []struct{ Level, Msg string }
+	err = json.NewDecoder(eresp.Body).Decode(&events)
+	eresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	msgs := map[string]bool{}
+	for _, ev := range events {
+		msgs[ev.Msg] = true
+	}
+	if !msgs["listening"] || msgs["job eliminated"] {
+		t.Errorf("/debug/events = %+v, want the info records the daemon logged and no debug ones", events)
+	}
+
 	sigs <- syscall.SIGTERM
 	select {
 	case err := <-done:

@@ -1,32 +1,30 @@
 // Package metricconv enforces the Prometheus naming conventions of the
-// hand-rolled /metrics surface, so restat and the strict promtext parser
-// keep working against every node.
+// /v1/metrics surface, so restat and the strict promtext parser keep
+// working against every node.
 //
-// The repo does not use the Prometheus client library; names, HELP/TYPE
-// headers and label sets are assembled by hand in several packages (jobs,
-// store, cluster, server). The conventions that keep that surface coherent
-// and PromQL-friendly:
+// Every family is written through one encoder, promtext.Writer, so the
+// analyzer checks the arguments of its methods: Counter, Gauge, Family and
+// Histogram. The conventions that keep the surface coherent and
+// PromQL-friendly:
 //
 //   - every metric is named resvc_* with [a-z0-9_] words (no camelCase, no
-//     double underscores, nothing trailing)
+//     double underscores, nothing trailing), given as a constant
 //   - counters end in _total (rate() semantics)
 //   - gauges do not end in _total
 //   - histograms end in a unit suffix: _seconds (latencies) or _ratio
 //     (the per-frame elimination distribution)
-//   - label names come from the fixed vocabulary restat knows how to
-//     aggregate: benchmark, stage, class, peer, route, status, le
+//   - label keys are a []string literal drawn from the fixed vocabulary
+//     restat knows how to aggregate: benchmark, stage, class, peer, route,
+//     status, le
 //
-// The analyzer recognizes the repo's three emission idioms: local
-// counter/gauge*/histogram helper closures taking the name as their first
-// argument; fmt.Fprintf formats containing `# TYPE <name> <kind>` headers
-// (with the name inline or as a constant %s argument); and
-// Histogram.WritePrometheus(w, name, labels) calls. Deliberate exceptions
-// carry `//lint:ignore metricconv <why>`.
+// Node state is published there and nowhere else: expvar.Publish of a
+// resvc_* name is reported too. Deliberate exceptions carry
+// `//lint:ignore metricconv <why>`.
 package metricconv
 
 import (
 	"go/ast"
-	"go/token"
+	"go/types"
 	"regexp"
 	"strings"
 
@@ -46,34 +44,13 @@ var allowedLabels = map[string]bool{
 	"peer": true, "route": true, "status": true, "le": true,
 }
 
-var (
-	nameRE     = regexp.MustCompile(`^resvc_[a-z0-9]+(_[a-z0-9]+)*$`)
-	typeLineRE = regexp.MustCompile(`# TYPE (\S+) (counter|gauge|histogram|summary|untyped)`)
-	// labelRE matches one label assignment inside a sample or format
-	// fragment: peer=%q, status="%d", stage="shade".
-	labelRE = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)=(?:%q|")`)
-	// sampleRE finds labeled sample names in literals: resvc_foo{bar=...
-	sampleRE = regexp.MustCompile(`(resvc_[A-Za-z0-9_]*)\{([^}]*)`)
-)
-
-// helperKinds maps the local emission-helper names to the metric kind they
-// declare.
-var helperKinds = map[string]string{
-	"counter": "counter", "counterF": "counter",
-	"gauge": "gauge", "gaugeF": "gauge", "gaugeI": "gauge", "gaugeU": "gauge",
-	"histogram": "histogram",
-}
+var nameRE = regexp.MustCompile(`^resvc_[a-z0-9]+(_[a-z0-9]+)*$`)
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkCall(pass, n)
-			case *ast.BasicLit:
-				if n.Kind == token.STRING {
-					checkLiteral(pass, n)
-				}
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkCall(pass, call)
 			}
 			return true
 		})
@@ -82,123 +59,87 @@ func run(pass *analysis.Pass) error {
 }
 
 func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
-	// counter("resvc_x_total", help, v) helper-closure idiom.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if kind, isHelper := helperKinds[id.Name]; isHelper && len(call.Args) >= 1 {
-			if name, ok := analysis.ConstString(pass.TypesInfo, call.Args[0]); ok && strings.HasPrefix(name, "resvc_") {
-				checkName(pass, call.Args[0].Pos(), name, kind)
-			}
+	if pkg, fn, ok := analysis.PkgFunc(pass.TypesInfo, call); ok && pkg == "expvar" && fn == "Publish" && len(call.Args) >= 1 {
+		if name, ok := analysis.ConstString(pass.TypesInfo, call.Args[0]); ok && strings.HasPrefix(name, "resvc_") {
+			pass.Reportf(call.Args[0].Pos(), "expvar %q publishes node state outside /v1/metrics; write it through promtext.Writer", name)
 		}
 		return
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || !isWriterMethod(pass.TypesInfo, sel) {
+		return
+	}
+	args := call.Args
+	switch sel.Sel.Name {
+	case "Counter":
+		checkName(pass, args[0], "counter")
+	case "Gauge":
+		checkName(pass, args[0], "gauge")
+	case "Family": // Family(typ, name, help, keys, series)
+		typ, ok := analysis.ConstString(pass.TypesInfo, args[0])
+		switch {
+		case !ok:
+			pass.Reportf(args[0].Pos(), "family type must be a constant")
+		case typ == "histogram":
+			pass.Reportf(args[0].Pos(), "Family writes counters and gauges; write histograms with Histogram")
+		default:
+			checkName(pass, args[1], typ)
+		}
+		checkKeys(pass, args[3])
+	case "Histogram": // Histogram(name, help, keys, series...)
+		checkName(pass, args[0], "histogram")
+		checkKeys(pass, args[2])
+	}
+}
+
+// isWriterMethod reports whether sel selects a method of promtext.Writer.
+func isWriterMethod(info *types.Info, sel *ast.SelectorExpr) bool {
+	s, ok := info.Selections[sel]
+	if !ok || s.Kind() != types.MethodVal {
+		return false
+	}
+	recv := s.Recv()
+	if p, ok := recv.(*types.Pointer); ok {
+		recv = p.Elem()
+	}
+	named, ok := recv.(*types.Named)
 	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "Writer" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "/promtext")
+}
+
+// checkKeys validates a label-key argument: nil, or a []string literal of
+// constant keys from the vocabulary.
+func checkKeys(pass *analysis.Pass, arg ast.Expr) {
+	if id, ok := arg.(*ast.Ident); ok && id.Name == "nil" {
 		return
 	}
-	// hist.WritePrometheus(w, name, labels): histogram by construction.
-	if sel.Sel.Name == "WritePrometheus" && len(call.Args) == 3 {
-		if name, ok := analysis.ConstString(pass.TypesInfo, call.Args[1]); ok && strings.HasPrefix(name, "resvc_") {
-			checkName(pass, call.Args[1].Pos(), name, "histogram")
-		}
-		checkLabelArg(pass, call.Args[2])
+	lit, ok := arg.(*ast.CompositeLit)
+	if !ok {
+		pass.Reportf(arg.Pos(), "label keys must be a []string literal so they can be checked")
 		return
 	}
-	// expvar.Publish("resvc_x", ...): name charset only (kind unknown).
-	if pkg, fn, ok := analysis.PkgFunc(pass.TypesInfo, call); ok && pkg == "expvar" && fn == "Publish" && len(call.Args) >= 1 {
-		if name, ok := analysis.ConstString(pass.TypesInfo, call.Args[0]); ok && strings.HasPrefix(name, "resvc_") {
-			checkName(pass, call.Args[0].Pos(), name, "")
-		}
-		return
-	}
-	// fmt.Fprintf(w, "...# TYPE %s counter...", args): resolve %s names.
-	if pkg, fn, ok := analysis.PkgFunc(pass.TypesInfo, call); ok && pkg == "fmt" && strings.HasPrefix(fn, "Fprint") && len(call.Args) >= 2 {
-		format, ok := analysis.ConstString(pass.TypesInfo, call.Args[1])
+	for _, el := range lit.Elts {
+		key, ok := analysis.ConstString(pass.TypesInfo, el)
 		if !ok {
-			return
+			pass.Reportf(el.Pos(), "label key must be a constant")
+			continue
 		}
-		for _, m := range typeLineRE.FindAllStringSubmatchIndex(format, -1) {
-			name := format[m[2]:m[3]]
-			kind := format[m[4]:m[5]]
-			pos := call.Args[1].Pos()
-			if name == "%s" {
-				// The name is a format argument: count the verbs before
-				// this %s to find which one.
-				idx := verbIndex(format[:m[2]])
-				if idx < 0 || 2+idx >= len(call.Args) {
-					continue
-				}
-				resolved, ok := analysis.ConstString(pass.TypesInfo, call.Args[2+idx])
-				if !ok {
-					continue
-				}
-				name = resolved
-				pos = call.Args[2+idx].Pos()
-			}
-			if strings.HasPrefix(name, "resvc_") {
-				checkName(pass, pos, name, kind)
-			}
+		if !allowedLabels[key] {
+			pass.Reportf(el.Pos(), "label %q is outside the restat vocabulary (benchmark, stage, class, peer, route, status, le)", key)
 		}
 	}
 }
 
-// verbIndex counts the format verbs in prefix, returning the argument index
-// of the verb that immediately follows it.
-func verbIndex(prefix string) int {
-	n := 0
-	for i := 0; i < len(prefix); i++ {
-		if prefix[i] != '%' {
-			continue
-		}
-		if i+1 < len(prefix) && prefix[i+1] == '%' {
-			i++
-			continue
-		}
-		n++
-	}
-	return n
-}
-
-// checkLiteral validates labeled sample fragments appearing directly in
-// string literals, e.g. "resvc_cluster_peer_up{peer=%q} %d\n".
-func checkLiteral(pass *analysis.Pass, lit *ast.BasicLit) {
-	val, ok := analysis.ConstString(pass.TypesInfo, lit)
+func checkName(pass *analysis.Pass, arg ast.Expr, kind string) {
+	pos := arg.Pos()
+	name, ok := analysis.ConstString(pass.TypesInfo, arg)
 	if !ok {
+		pass.Reportf(pos, "metric name must be a constant")
 		return
 	}
-	for _, m := range sampleRE.FindAllStringSubmatch(val, -1) {
-		name, labels := m[1], m[2]
-		if !nameRE.MatchString(strings.TrimSuffix(strings.TrimSuffix(name, "_bucket"), "_sum")) {
-			pass.Reportf(lit.Pos(), "metric name %q does not match resvc_[a-z0-9_]+", name)
-		}
-		checkLabels(pass, lit.Pos(), labels)
-	}
-}
-
-// checkLabelArg validates the label argument of WritePrometheus: either a
-// constant string or a fmt.Sprintf call whose format is constant.
-func checkLabelArg(pass *analysis.Pass, arg ast.Expr) {
-	if s, ok := analysis.ConstString(pass.TypesInfo, arg); ok {
-		checkLabels(pass, arg.Pos(), s)
-		return
-	}
-	if call, ok := arg.(*ast.CallExpr); ok {
-		if pkg, fn, ok := analysis.PkgFunc(pass.TypesInfo, call); ok && pkg == "fmt" && fn == "Sprintf" && len(call.Args) >= 1 {
-			if s, ok := analysis.ConstString(pass.TypesInfo, call.Args[0]); ok {
-				checkLabels(pass, call.Args[0].Pos(), s)
-			}
-		}
-	}
-}
-
-func checkLabels(pass *analysis.Pass, pos token.Pos, fragment string) {
-	for _, m := range labelRE.FindAllStringSubmatch(fragment, -1) {
-		if !allowedLabels[m[1]] {
-			pass.Reportf(pos, "label %q is outside the restat vocabulary (benchmark, stage, class, peer, route, status, le)", m[1])
-		}
-	}
-}
-
-func checkName(pass *analysis.Pass, pos token.Pos, name, kind string) {
 	if !nameRE.MatchString(name) {
 		pass.Reportf(pos, "metric name %q does not match resvc_[a-z0-9_]+ (lowercase words, single underscores)", name)
 		return
@@ -216,7 +157,7 @@ func checkName(pass *analysis.Pass, pos token.Pos, name, kind string) {
 		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_ratio") {
 			pass.Reportf(pos, "histogram %q must carry a unit suffix (_seconds or _ratio)", name)
 		}
-	case "summary", "untyped":
+	default:
 		pass.Reportf(pos, "metric %q declared %s: the resvc surface only emits counters, gauges and histograms", name, kind)
 	}
 }

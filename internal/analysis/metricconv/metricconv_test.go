@@ -7,10 +7,9 @@ import (
 	"rendelim/internal/analysis/metricconv"
 )
 
-// TestConventions covers all three emission idioms (helper closures,
-// # TYPE headers with inline and %s-resolved names, WritePrometheus),
-// the suffix and charset rules, the label vocabulary, directive
-// suppression, and out-of-scope non-resvc names.
+// TestConventions covers every promtext.Writer method: the charset,
+// suffix and constant-name rules, the label vocabulary and literal keys,
+// the family types, directive suppression, and resvc_* expvars.
 func TestConventions(t *testing.T) {
 	analysistest.Run(t, metricconv.Analyzer, analysistest.Dir("metrics"))
 }

@@ -1,74 +1,59 @@
-// Package metrics is metricconv testdata covering the repo's three
-// emission idioms: helper closures, fmt.Fprintf # TYPE headers, and
-// Histogram.WritePrometheus calls.
+// Package metrics is metricconv testdata: every promtext.Writer method with
+// conforming calls, a bad name, a wrong suffix and (where the method takes
+// labels) an out-of-vocabulary label, plus the expvar rule.
 package metrics
 
 import (
 	"expvar"
-	"fmt"
-	"io"
+
+	"rendelim/internal/promtext"
+	"rendelim/internal/stats"
 )
 
-type histogram struct{}
+func counters(w *promtext.Writer, frames uint64) {
+	w.Counter("resvc_sim_frames_total", "frames simulated", frames)
+	w.Counter("resvc_simFrames_total", "bad charset", frames) // want `metric name "resvc_simFrames_total" does not match`
+	w.Counter("resvc_sim_frames", "frames simulated", frames) // want `counter "resvc_sim_frames" must end in _total`
 
-func (histogram) WritePrometheus(w io.Writer, name, labels string) {}
-
-// helperClosures is the jobs/store idiom: local closures taking the
-// metric name first.
-func helperClosures(w io.Writer, frames uint64, depth float64) {
-	counter := func(name, help string, v uint64) {}
-	gaugeF := func(name, help string, v float64) {}
-
-	counter("resvc_sim_frames_total", "frames simulated", frames)
-	counter("resvc_sim_frames", "frames simulated", frames) // want `counter "resvc_sim_frames" must end in _total`
-	gaugeF("resvc_queue_depth", "queued jobs", depth)
-	gaugeF("resvc_queue_depth_total", "queued jobs", depth) // want `gauge "resvc_queue_depth_total" must not end in _total`
-	counter("resvc_simFrames_total", "bad charset", frames) // want `metric name "resvc_simFrames_total" does not match`
+	name := "resvc_sim_frames_total"
+	w.Counter(name, "not a constant", frames) // want `metric name must be a constant`
 
 	//lint:ignore metricconv legacy dashboard name kept until the dashboards migrate
-	counter("resvc_sim_Legacy_frames", "legacy", frames)
+	w.Counter("resvc_sim_Legacy_frames", "legacy", frames)
 }
 
-// typeHeaders is the server idiom: hand-written # TYPE lines, with the
-// name inline or resolved through a %s verb.
-func typeHeaders(w io.Writer, n uint64) {
-	fmt.Fprintf(w, "# TYPE resvc_jobs_inflight gauge\nresvc_jobs_inflight %d\n", n)
-	fmt.Fprintf(w, "# TYPE resvc_jobs_done counter\nresvc_jobs_done %d\n", n) // want `counter "resvc_jobs_done" must end in _total`
-
-	const good = "resvc_wal_fsync_seconds"
-	fmt.Fprintf(w, "# TYPE %s histogram\n", good)
-	const bad = "resvc_wal_fsync"
-	fmt.Fprintf(w, "# TYPE %s histogram\n", bad) // want `histogram "resvc_wal_fsync" must carry a unit suffix`
-
-	fmt.Fprintf(w, "# TYPE resvc_latency_quantiles summary\n") // want `declared summary`
+func gauges(w *promtext.Writer, depth float64) {
+	const queue = "resvc_queue_depth"
+	w.Gauge(queue, "queued jobs", depth)
+	w.Gauge("resvc_queue__depth", "double underscore", depth)       // want `metric name "resvc_queue__depth" does not match`
+	w.Gauge("resvc_queue_depth_total", "queued jobs", depth)        // want `gauge "resvc_queue_depth_total" must not end in _total`
+	w.Gauge("internal_scratch_depth", "outside the surface", depth) // want `metric name "internal_scratch_depth" does not match`
 }
 
-// samples exercises labeled sample fragments in plain literals.
-func samples(w io.Writer, peer string, up int) {
-	fmt.Fprintf(w, "resvc_cluster_peer_up{peer=%q} %d\n", peer, up)
-	fmt.Fprintf(w, "resvc_cluster_peer_up{host=%q} %d\n", peer, up) // want `label "host" is outside the restat vocabulary`
-	fmt.Fprintf(w, "resvc_peer__up{peer=%q} %d\n", peer, up)        // want `metric name "resvc_peer__up" does not match`
+func families(w *promtext.Writer, s []promtext.Series) {
+	w.Family(promtext.CounterType, "resvc_sim_stage_cycles_total", "cycles", []string{"stage"}, s)
+	w.Family(promtext.GaugeType, "resvc_cluster_peer_up", "liveness", []string{"peer"}, s)
+	w.Family(promtext.GaugeType, "resvc_clusterPeerUp", "bad charset", []string{"peer"}, s)  // want `metric name "resvc_clusterPeerUp" does not match`
+	w.Family(promtext.CounterType, "resvc_sim_stage_cycles", "cycles", []string{"stage"}, s) // want `counter "resvc_sim_stage_cycles" must end in _total`
+	w.Family(promtext.GaugeType, "resvc_cluster_peer_up", "liveness", []string{"host"}, s)   // want `label "host" is outside the restat vocabulary`
+	w.Family(promtext.HistogramType, "resvc_x_seconds", "buckets", nil, s)                   // want `write histograms with Histogram`
+	w.Family("summary", "resvc_latency_quantiles", "quantiles", nil, s)                      // want `declared summary`
+
+	keys := []string{"stage"}
+	w.Family(promtext.CounterType, "resvc_sim_stage_cycles_total", "cycles", keys, s) // want `label keys must be a \[\]string literal`
 }
 
-// writePrometheus is the telemetry idiom: the histogram type writes its
-// own buckets; name and label set are checked at the call.
-func writePrometheus(w io.Writer, b string) {
-	var h histogram
-	h.WritePrometheus(w, "resvc_shade_latency_seconds", `stage="shade"`)
-	h.WritePrometheus(w, "resvc_shade_latency", `stage="shade"`) // want `histogram "resvc_shade_latency" must carry a unit suffix`
-	h.WritePrometheus(w, "resvc_sim_frame_eliminated_ratio", fmt.Sprintf("benchmark=%q", b))
-	h.WritePrometheus(w, "resvc_sim_frame_eliminated_ratio", fmt.Sprintf("bench=%q", b)) // want `label "bench" is outside the restat vocabulary`
+func histograms(w *promtext.Writer, h *stats.Histogram) {
+	w.Histogram("resvc_shade_latency_seconds", "latency", []string{"stage"}, promtext.HistSeries{Labels: []string{"shade"}, Hist: h})
+	w.Histogram("resvc_sim_frame_eliminated_ratio", "ratio", nil, promtext.HistSeries{Hist: h})
+	w.Histogram("resvc_shade-latency_seconds", "bad charset", nil)              // want `metric name "resvc_shade-latency_seconds" does not match`
+	w.Histogram("resvc_shade_latency", "latency", nil)                          // want `histogram "resvc_shade_latency" must carry a unit suffix`
+	w.Histogram("resvc_sim_frame_eliminated_ratio", "ratio", []string{"bench"}) // want `label "bench" is outside the restat vocabulary`
 }
 
-// publish covers the expvar surface: charset only, kind unknown.
+// publish covers expvar: node state under a resvc_ name belongs in
+// /v1/metrics; other names (build info, runtime vars) are fine.
 func publish(v expvar.Var) {
-	expvar.Publish("resvc_cluster_ring", v)
-	expvar.Publish("resvc_clusterRing", v) // want `metric name "resvc_clusterRing" does not match`
-}
-
-// nonMetric literals and helpers with non-resvc names are out of scope.
-func nonMetric(w io.Writer) {
-	counter := func(name string, v int) {}
-	counter("internal_scratch_count", 1)
-	fmt.Fprintf(w, "plain {braces=%q} text\n", "x")
+	expvar.Publish("resvc_cache_entries", v) // want `expvar "resvc_cache_entries" publishes node state outside /v1/metrics`
+	expvar.Publish("rendelim_build_info", v)
 }

@@ -6,6 +6,7 @@ import (
 
 	"rendelim/internal/geom"
 	"rendelim/internal/shader"
+	"rendelim/internal/wire"
 )
 
 // State is the pipeline state machine: the effect of every non-draw command
@@ -140,3 +141,50 @@ func (d Draw) Vertex(v int) []geom.Vec4 {
 
 // VertexBytes returns the per-vertex attribute footprint in bytes.
 func (d Draw) VertexBytes() int { return d.NumAttrs * 16 }
+
+// --- Shared binary codec --------------------------------------------------
+//
+// The trace format (internal/trace) and simulator checkpoints
+// (internal/gpusim) both store vec4s and bound pipeline state; they encode
+// them through this one pair each, so the two formats cannot drift apart.
+
+// AppendVec4 appends v as four little-endian float32 bit patterns.
+func AppendVec4(b []byte, v geom.Vec4) []byte {
+	b = wire.AppendF32(b, v.X)
+	b = wire.AppendF32(b, v.Y)
+	b = wire.AppendF32(b, v.Z)
+	return wire.AppendF32(b, v.W)
+}
+
+// ReadVec4 decodes what AppendVec4 wrote.
+func ReadVec4(r *wire.Reader) geom.Vec4 {
+	return geom.Vec4{X: r.F32(), Y: r.F32(), Z: r.F32(), W: r.F32()}
+}
+
+// AppendPipeline appends p as one byte per field: programs, texture
+// bindings, blend mode, then the depth and cull flags.
+func AppendPipeline(b []byte, p SetPipeline) []byte {
+	b = append(b, byte(p.VS), byte(p.FS))
+	for _, t := range p.Tex {
+		b = append(b, byte(t))
+	}
+	b = append(b, byte(p.Blend))
+	b = wire.AppendBool(b, p.DepthTest)
+	b = wire.AppendBool(b, p.DepthWrite)
+	return wire.AppendBool(b, p.CullBack)
+}
+
+// ReadPipeline decodes what AppendPipeline wrote.
+func ReadPipeline(r *wire.Reader) SetPipeline {
+	var p SetPipeline
+	p.VS = ProgramID(r.U8())
+	p.FS = ProgramID(r.U8())
+	for i := range p.Tex {
+		p.Tex[i] = TextureID(r.U8())
+	}
+	p.Blend = BlendMode(r.U8())
+	p.DepthTest = r.Bool()
+	p.DepthWrite = r.Bool()
+	p.CullBack = r.Bool()
+	return p
+}

@@ -14,6 +14,7 @@ import (
 
 	"rendelim/internal/apihttp"
 	"rendelim/internal/jobs"
+	"rendelim/internal/lru"
 	"rendelim/internal/obs"
 )
 
@@ -151,9 +152,11 @@ func isJSON(ct string) bool {
 // ---------------------------------------------------------------------------
 // Read-through result cache
 
+// readThroughSize caps the read-through cache's entries.
+const readThroughSize = 256
+
 // rtEntry is one cached completed-job reply.
 type rtEntry struct {
-	key     jobs.Key
 	reply   *Reply
 	expires time.Time
 }
@@ -164,27 +167,25 @@ type rtEntry struct {
 // owner remains the source of truth; this is a bounded staleness window,
 // the cluster analogue of the simulator's refresh interval.
 type readThrough struct {
-	mu    sync.Mutex
-	cap   int
-	ttl   time.Duration
-	order []jobs.Key // FIFO eviction order; cheap and good enough at this size
-	index map[jobs.Key]*rtEntry
+	mu      sync.Mutex
+	ttl     time.Duration
+	entries *lru.Cache[jobs.Key, rtEntry]
 }
 
 func newReadThrough(capacity int, ttl time.Duration) *readThrough {
-	return &readThrough{cap: capacity, ttl: ttl, index: make(map[jobs.Key]*rtEntry, capacity)}
+	return &readThrough{ttl: ttl, entries: lru.New[jobs.Key, rtEntry](capacity)}
 }
 
-// get returns a fresh cached reply, or nil.
+// get returns a fresh cached reply, or nil. An expired entry is dropped.
 func (r *readThrough) get(key jobs.Key) *Reply {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e, ok := r.index[key]
+	e, ok := r.entries.Get(key)
 	if !ok {
 		return nil
 	}
 	if time.Now().After(e.expires) {
-		delete(r.index, key)
+		r.entries.Remove(key)
 		return nil
 	}
 	return e.reply
@@ -194,23 +195,13 @@ func (r *readThrough) get(key jobs.Key) *Reply {
 func (r *readThrough) put(key jobs.Key, reply *Reply) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, ok := r.index[key]; !ok {
-		r.order = append(r.order, key)
-		for len(r.index) >= r.cap && len(r.order) > 0 {
-			old := r.order[0]
-			r.order = r.order[1:]
-			if old != key {
-				delete(r.index, old)
-			}
-		}
-	}
-	r.index[key] = &rtEntry{key: key, reply: reply, expires: time.Now().Add(r.ttl)}
+	r.entries.Put(key, rtEntry{reply: reply, expires: time.Now().Add(r.ttl)})
 }
 
 func (r *readThrough) len() int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.index)
+	return r.entries.Len()
 }
 
 // CachedResult returns a fresh read-through reply for key, or nil when
@@ -235,7 +226,7 @@ func (c *Cluster) StoreResult(key jobs.Key, rep *Reply) {
 	c.rt.put(key, rep)
 }
 
-// ReadThroughLen reports the read-through cache size, for /debug/vars.
+// ReadThroughLen reports the read-through cache size.
 func (c *Cluster) ReadThroughLen() int {
 	if c.rt == nil {
 		return 0

@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,30 +35,21 @@ type Options struct {
 	// matter (the ring sorts); duplicates and Self are rejected.
 	Peers []string
 
-	// Replicas is the virtual-node count per member; default 128.
-	Replicas int
-
 	// HealthInterval is the gap between /v1/healthz probes of each peer;
 	// default 2s. HealthTimeout bounds one probe; default 1s.
 	HealthInterval time.Duration
 	HealthTimeout  time.Duration
 
 	// ResultTTL bounds how long a non-owner serves a completed result it
-	// fetched from the owner without re-asking (the read-through cache).
-	// Default 30s; 0 selects the default, negative disables read-through.
+	// fetched from the owner without re-asking (the read-through cache of
+	// readThroughSize entries). Default 30s; 0 selects the default,
+	// negative disables read-through.
 	ResultTTL time.Duration
-
-	// ReadThroughSize caps the read-through cache entries; default 256.
-	ReadThroughSize int
 
 	// ForwardTimeout bounds one forwarded submit/status round trip,
 	// *excluding* any ?wait deadline the client asked for (the owner holds
 	// the request while the job runs). Default 15 minutes.
 	ForwardTimeout time.Duration
-
-	// Client issues forwarded requests and health probes; default: a
-	// dedicated client with sane connection pooling.
-	Client *http.Client
 
 	// Logger receives membership transitions; default slog.Default.
 	Logger *slog.Logger
@@ -68,10 +58,6 @@ type Options struct {
 	// ("cluster.forward" / "cluster.status") so remote time is visible in
 	// the same Chrome-trace timeline as the simulator's pipeline spans.
 	Tracer *obs.Tracer
-
-	// Journal, when non-nil, receives peer up/down transitions for the
-	// /debug/events flight recorder. Nil-safe throughout.
-	Journal *obs.Journal
 }
 
 // peerState is one peer's health record.
@@ -92,7 +78,6 @@ type Cluster struct {
 	rt      *readThrough
 	tracer  *obs.Tracer
 	spans   *obs.SpanPool
-	journal *obs.Journal
 
 	healthInterval time.Duration
 	healthTimeout  time.Duration
@@ -170,28 +155,18 @@ func New(opts Options) (*Cluster, error) {
 	if ttl == 0 {
 		ttl = 30 * time.Second
 	}
-	if opts.ReadThroughSize <= 0 {
-		opts.ReadThroughSize = 256
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 16,
-			IdleConnTimeout:     90 * time.Second,
-		}}
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
 	c := &Cluster{
 		self:           self,
-		ring:           newRing(append([]string{self}, peers...), opts.Replicas),
+		ring:           newRing(append([]string{self}, peers...), defaultReplicas),
 		peers:          make(map[string]*peerState, len(peers)),
-		client:         opts.Client,
+		client:         &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 16, IdleConnTimeout: 90 * time.Second}},
 		log:            opts.Logger,
 		metrics:        newMetrics(),
 		tracer:         opts.Tracer,
 		spans:          obs.NewSpanPool(opts.Tracer, "cluster-hop"),
-		journal:        opts.Journal,
 		healthInterval: opts.HealthInterval,
 		healthTimeout:  opts.HealthTimeout,
 		forwardTimeout: opts.ForwardTimeout,
@@ -199,7 +174,7 @@ func New(opts Options) (*Cluster, error) {
 		done:           make(chan struct{}),
 	}
 	if ttl > 0 {
-		c.rt = newReadThrough(opts.ReadThroughSize, ttl)
+		c.rt = newReadThrough(readThroughSize, ttl)
 	}
 	for _, p := range peers {
 		ps := &peerState{addr: p}
@@ -243,47 +218,6 @@ func (c *Cluster) peerAlive(addr string) bool {
 	return ok && ps.up.Load()
 }
 
-// MemberOwnership describes one ring member in the /debug/vars dump: its
-// circle fraction plus current liveness.
-type MemberOwnership struct {
-	Member   string  `json:"member"`
-	Fraction float64 `json:"fraction"`
-	Up       bool    `json:"up"`
-	Self     bool    `json:"self"`
-}
-
-// OwnershipView describes the ring for /debug/vars. Members are sorted by
-// address so the serialized view is byte-stable by construction: the
-// previous map[string]any shape had no schema and left ordering to
-// whatever the encoder chose, so nothing pinned stability — any consumer
-// ranging over it (a non-JSON renderer, a test) inherited Go's randomized
-// map iteration.
-type OwnershipView struct {
-	Self     string            `json:"self"`
-	Replicas int               `json:"replicas"`
-	Members  []MemberOwnership `json:"members"`
-}
-
-// Ownership returns the ring dump for /debug/vars.
-func (c *Cluster) Ownership() OwnershipView {
-	frac := c.ring.ownership()
-	v := OwnershipView{
-		Self:     c.self,
-		Replicas: c.ring.replicas,
-		Members:  make([]MemberOwnership, 0, len(frac)),
-	}
-	for m, f := range frac {
-		v.Members = append(v.Members, MemberOwnership{
-			Member:   m,
-			Fraction: f,
-			Up:       c.peerAlive(m),
-			Self:     m == c.self,
-		})
-	}
-	sort.Slice(v.Members, func(i, j int) bool { return v.Members[i].Member < v.Members[j].Member })
-	return v
-}
-
 // Start launches the health-check loop. Every peer is probed once
 // immediately, then every HealthInterval.
 func (c *Cluster) Start() {
@@ -321,10 +255,8 @@ func (c *Cluster) checkAll() {
 			if ps.up.Swap(up) != up {
 				if up {
 					c.log.Info("peer up", "peer", ps.addr)
-					c.journal.Record("peer.up", "peer passed a health probe", "peer", ps.addr)
 				} else {
 					c.log.Warn("peer down", "peer", ps.addr)
-					c.journal.Record("peer.down", "peer failed a health probe (or is draining)", "peer", ps.addr)
 				}
 			}
 		}(ps)

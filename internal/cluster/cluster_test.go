@@ -3,11 +3,10 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -15,6 +14,7 @@ import (
 
 	"rendelim/internal/apihttp"
 	"rendelim/internal/obs"
+	"rendelim/internal/promtext"
 )
 
 func TestNormalizeAddr(t *testing.T) {
@@ -235,7 +235,7 @@ func TestReadThroughTTLAndBounds(t *testing.T) {
 	k1, k2, k3 := testKey(1), testKey(2), testKey(3)
 	rt.put(k1, &Reply{StatusCode: 200})
 	rt.put(k2, &Reply{StatusCode: 200})
-	rt.put(k3, &Reply{StatusCode: 200}) // evicts k1 (FIFO)
+	rt.put(k3, &Reply{StatusCode: 200}) // evicts k1, the least recently used
 	if rt.get(k1) != nil {
 		t.Error("k1 survived past capacity")
 	}
@@ -248,6 +248,43 @@ func TestReadThroughTTLAndBounds(t *testing.T) {
 	time.Sleep(40 * time.Millisecond)
 	if rt.get(k3) != nil {
 		t.Error("k3 survived past TTL")
+	}
+}
+
+// An expired entry must leave the read-through cache entirely. Keys that
+// expire and come back must not pile up behind the live entries, and must
+// not make the cache evict a key that came back in place of an older one.
+func TestReadThroughExpiryLeavesNoTrace(t *testing.T) {
+	churn := newReadThrough(2, time.Microsecond)
+	k := testKey(1)
+	for i := 0; i < 1000; i++ {
+		churn.put(k, &Reply{StatusCode: 200})
+		time.Sleep(2 * time.Microsecond)
+		if churn.get(k) != nil {
+			t.Fatal("entry survived past its TTL")
+		}
+	}
+	if n := churn.entries.Len(); n != 0 {
+		t.Errorf("%d entries held after 1000 expired puts of one key, want 0", n)
+	}
+
+	const ttl = 200 * time.Millisecond
+	rt := newReadThrough(2, ttl)
+	a, b, c := testKey(1), testKey(2), testKey(3)
+	rt.put(a, &Reply{StatusCode: 200})
+	time.Sleep(ttl * 3 / 5)
+	rt.put(b, &Reply{StatusCode: 200})
+	time.Sleep(ttl * 3 / 5) // a has expired, b has not
+	if rt.get(a) != nil {
+		t.Fatal("a survived past its TTL")
+	}
+	rt.put(a, &Reply{StatusCode: 200}) // a is back, newer than b
+	rt.put(c, &Reply{StatusCode: 200}) // evicts b, the least recently used
+	if rt.get(a) == nil {
+		t.Error("the re-put key was evicted in place of an older one")
+	}
+	if rt.get(b) != nil {
+		t.Error("the least recently used key survived an eviction")
 	}
 }
 
@@ -273,53 +310,46 @@ func TestCachedResultCounters(t *testing.T) {
 	}
 }
 
-// Ownership exposes every member, sorted by address, with self marked.
+// The ring_share gauge exposes every member, self included, sorted by
+// address, with shares summing to one; peer_up lists the peers only. Two
+// scrapes render byte-identically: the family is written in ring order,
+// never in map order.
 func TestOwnershipView(t *testing.T) {
 	c, err := New(Options{Self: "127.0.0.1:1", Peers: []string{"127.0.0.1:3", "127.0.0.1:2"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := c.Ownership()
-	if len(v.Members) != 3 {
-		t.Fatalf("members = %#v, want 3 entries", v.Members)
+	var first, second bytes.Buffer
+	c.WritePrometheus(promtext.NewWriter(&first))
+	c.WritePrometheus(promtext.NewWriter(&second))
+	if !bytes.Equal(first.Bytes(), second.Bytes()) {
+		t.Fatalf("two renders differ:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
 	}
-	if !sort.SliceIsSorted(v.Members, func(i, j int) bool { return v.Members[i].Member < v.Members[j].Member }) {
-		t.Errorf("members not sorted by address: %#v", v.Members)
+	m, err := promtext.Parse(&first)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v.Self != "127.0.0.1:1" || v.Replicas != 128 {
-		t.Errorf("self=%q replicas=%d, want 127.0.0.1:1 / 128", v.Self, v.Replicas)
+	if f := m.Families["resvc_cluster_ring_share"]; f.Type != "gauge" {
+		t.Errorf("ring share family = %+v, want a gauge", f)
 	}
+	var members, peers []string
 	var total float64
-	for _, m := range v.Members {
-		if m.Self != (m.Member == "127.0.0.1:1") {
-			t.Errorf("member %s: self=%v", m.Member, m.Self)
+	for _, s := range m.Samples {
+		switch s.Name {
+		case "resvc_cluster_ring_share":
+			members = append(members, s.Label("peer"))
+			total += s.Value
+		case "resvc_cluster_peer_up":
+			peers = append(peers, s.Label("peer"))
 		}
-		total += m.Fraction
+	}
+	if want := []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}; !reflect.DeepEqual(members, want) {
+		t.Errorf("ring share members = %v, want %v", members, want)
+	}
+	if want := []string{"127.0.0.1:2", "127.0.0.1:3"}; !reflect.DeepEqual(peers, want) {
+		t.Errorf("peer_up peers = %v, want %v", peers, want)
 	}
 	if total < 0.999 || total > 1.001 {
-		t.Errorf("fractions sum to %v, want 1", total)
-	}
-}
-
-// TestOwnershipViewByteStable guards the /debug/vars dump against map-order
-// nondeterminism regressing: the serialized view must be byte-identical
-// across repeated renders (the old map[string]any view was not).
-func TestOwnershipViewByteStable(t *testing.T) {
-	c, err := New(Options{Self: "127.0.0.1:1", Peers: []string{"127.0.0.1:2", "127.0.0.1:3", "127.0.0.1:4"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := json.Marshal(c.Ownership())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 32; i++ {
-		got, err := json.Marshal(c.Ownership())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, first) {
-			t.Fatalf("render %d differs:\n%s\nvs\n%s", i, got, first)
-		}
+		t.Errorf("shares sum to %v, want 1", total)
 	}
 }

@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"fmt"
-	"io"
-	"sort"
 	"sync/atomic"
 
+	"rendelim/internal/promtext"
 	"rendelim/internal/stats"
 )
 
@@ -35,37 +33,36 @@ func newMetrics() *Metrics {
 	return &Metrics{ForwardSeconds: stats.NewHistogram(forwardBuckets...)}
 }
 
-// WritePrometheus renders the cluster metrics in the Prometheus text
-// exposition format, matching the hand-rolled style of jobs.Metrics.
-func (c *Cluster) WritePrometheus(w io.Writer) {
+// WritePrometheus writes the cluster metrics through w. Peer liveness,
+// ring shares and the read-through size are read live at scrape time.
+func (c *Cluster) WritePrometheus(w *promtext.Writer) {
 	m := c.metrics
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("resvc_cluster_forwarded_total", "Job submissions forwarded to their ring owner.", m.Forwarded.Load())
-	counter("resvc_cluster_status_forwarded_total", "Job status lookups forwarded to their ring owner.", m.StatusForwarded.Load())
-	counter("resvc_cluster_remote_hits_total", "Jobs eliminated by a result another node had already computed.", m.RemoteHits.Load())
-	counter("resvc_cluster_readthrough_hits_total", "Remote hits served from the local read-through cache without a hop.", m.ReadThroughHits.Load())
-	counter("resvc_cluster_forward_errors_total", "Forwarded hops that failed at the transport level.", m.ForwardErrors.Load())
-	counter("resvc_cluster_degraded_total", "Submissions simulated locally because their owner was unreachable.", m.Degraded.Load())
-	counter("resvc_cluster_health_checks_total", "Completed peer health-check sweeps.", m.HealthChecks.Load())
+	w.Counter("resvc_cluster_forwarded_total", "Job submissions forwarded to their ring owner.", m.Forwarded.Load())
+	w.Counter("resvc_cluster_status_forwarded_total", "Job status lookups forwarded to their ring owner.", m.StatusForwarded.Load())
+	w.Counter("resvc_cluster_remote_hits_total", "Jobs eliminated by a result another node had already computed.", m.RemoteHits.Load())
+	w.Counter("resvc_cluster_readthrough_hits_total", "Remote hits served from the local read-through cache without a hop.", m.ReadThroughHits.Load())
+	w.Counter("resvc_cluster_forward_errors_total", "Forwarded hops that failed at the transport level.", m.ForwardErrors.Load())
+	w.Counter("resvc_cluster_degraded_total", "Submissions simulated locally because their owner was unreachable.", m.Degraded.Load())
+	w.Counter("resvc_cluster_health_checks_total", "Completed peer health-check sweeps.", m.HealthChecks.Load())
+	w.Histogram("resvc_cluster_forward_seconds", "Forwarded-hop round-trip time (submit and status hops, including failures).",
+		nil, promtext.HistSeries{Hist: m.ForwardSeconds})
 
-	fmt.Fprintf(w, "# HELP resvc_cluster_forward_seconds Forwarded-hop round-trip time (submit and status hops, including failures).\n# TYPE resvc_cluster_forward_seconds histogram\n")
-	m.ForwardSeconds.WritePrometheus(w, "resvc_cluster_forward_seconds", "")
-
-	fmt.Fprintf(w, "# HELP resvc_cluster_peer_up Peer liveness as of the last health check (1 up, 0 down).\n# TYPE resvc_cluster_peer_up gauge\n")
-	addrs := make([]string, 0, len(c.peers))
-	for a := range c.peers {
-		addrs = append(addrs, a)
-	}
-	sort.Strings(addrs)
-	for _, a := range addrs {
-		v := 0
-		if c.peers[a].up.Load() {
-			v = 1
+	var up, share []promtext.Series
+	shares := c.ring.ownership()
+	for _, a := range c.ring.members { // sorted
+		share = append(share, promtext.Series{Labels: []string{a}, Value: shares[a]})
+		if ps, ok := c.peers[a]; ok {
+			v := 0.0
+			if ps.up.Load() {
+				v = 1
+			}
+			up = append(up, promtext.Series{Labels: []string{a}, Value: v})
 		}
-		fmt.Fprintf(w, "resvc_cluster_peer_up{peer=%q} %d\n", a, v)
 	}
-	fmt.Fprintf(w, "# HELP resvc_cluster_members Ring members (static membership), self included.\n# TYPE resvc_cluster_members gauge\nresvc_cluster_members %d\n", len(c.ring.members))
-	fmt.Fprintf(w, "# HELP resvc_cluster_readthrough_entries Read-through cache entries held locally.\n# TYPE resvc_cluster_readthrough_entries gauge\nresvc_cluster_readthrough_entries %d\n", c.ReadThroughLen())
+	w.Family(promtext.GaugeType, "resvc_cluster_peer_up", "Peer liveness as of the last health check (1 up, 0 down).",
+		[]string{"peer"}, up)
+	w.Family(promtext.GaugeType, "resvc_cluster_ring_share", "Fraction of the signature ring each member owns, self included, with every member up.",
+		[]string{"peer"}, share)
+	w.Gauge("resvc_cluster_members", "Ring members (static membership), self included.", float64(len(c.ring.members)))
+	w.Gauge("resvc_cluster_readthrough_entries", "Read-through cache entries held locally.", float64(c.ReadThroughLen()))
 }

@@ -33,9 +33,8 @@ const defaultReplicas = 128
 // member point at or clockwise-after the key's hash. Rebuilt only when
 // membership changes (never at steady state), so reads need no lock.
 type ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
-	members  []string    // sorted, deduplicated
+	points  []ringPoint // sorted by hash
+	members []string    // sorted, deduplicated
 }
 
 type ringPoint struct {
@@ -50,9 +49,8 @@ func newRing(members []string, replicas int) *ring {
 		replicas = defaultReplicas
 	}
 	r := &ring{
-		replicas: replicas,
-		members:  append([]string(nil), members...),
-		points:   make([]ringPoint, 0, len(members)*replicas),
+		members: append([]string(nil), members...),
+		points:  make([]ringPoint, 0, len(members)*replicas),
 	}
 	sort.Strings(r.members)
 	for _, m := range r.members {
@@ -104,8 +102,8 @@ func (r *ring) owner(key jobs.Key, alive func(string) bool) string {
 	return ""
 }
 
-// ownership returns each member's fraction of the hash circle — the
-// /debug/vars view of how keys would distribute with every member alive.
+// ownership returns each member's fraction of the hash circle — how keys
+// would distribute with every member alive (resvc_cluster_ring_share).
 func (r *ring) ownership() map[string]float64 {
 	out := make(map[string]float64, len(r.members))
 	if len(r.points) == 0 {

@@ -120,11 +120,6 @@ func (c *Controller) BaselineMatch(tile int) (match, valid bool) {
 	return c.unit.Buffer().Match(tile)
 }
 
-// GeometryOverheadCycles returns the SU stall cycles accumulated so far.
-func (c *Controller) GeometryOverheadCycles() uint64 {
-	return c.unit.Stats.StallCycles
-}
-
 // EndFrame commits the frame's signatures and advances the frame counter.
 func (c *Controller) EndFrame() {
 	c.unit.EndFrame()

@@ -150,7 +150,7 @@ func TestGeometryOverheadExposed(t *testing.T) {
 		tiles[i] = i
 	}
 	c.OnPrimitive(make([]byte, 144), tiles, 40)
-	if c.GeometryOverheadCycles() == 0 {
+	if c.Unit().Stats.StallCycles == 0 {
 		t.Fatal("full-screen primitive should stall the OT queue")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"rendelim/internal/cache"
 	"rendelim/internal/crc"
 	"rendelim/internal/dram"
-	"rendelim/internal/geom"
 	"rendelim/internal/sig"
 	"rendelim/internal/wire"
 )
@@ -54,9 +53,9 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 	b = wire.AppendU32s(b, cp.fbuf.Bufs[1])
 
 	// API state.
-	b = appendPipeline(b, cp.stateVal.Pipeline)
+	b = api.AppendPipeline(b, cp.stateVal.Pipeline)
 	for _, v := range cp.stateVal.Uniforms {
-		b = appendVec4(b, v)
+		b = api.AppendVec4(b, v)
 	}
 	b = wire.AppendI64(b, int64(cp.stateVal.RenderTargets))
 	b = wire.AppendBool(b, cp.stateVal.UploadsThisFrame)
@@ -79,7 +78,7 @@ func (cp *Checkpoint) EncodeBinary() []byte {
 		b = wire.AppendU32(b, uint32(len(entries)))
 		for _, e := range entries {
 			b = wire.AppendU32(b, e.H)
-			b = appendVec4(b, e.C)
+			b = api.AppendVec4(b, e.C)
 		}
 	}
 	b = wire.AppendU64(b, cp.memoLookups)
@@ -153,9 +152,9 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 	cp.fbuf.Bufs[0] = r.U32s()
 	cp.fbuf.Bufs[1] = r.U32s()
 
-	cp.stateVal.Pipeline = decodePipeline(r)
+	cp.stateVal.Pipeline = api.ReadPipeline(r)
 	for i := range cp.stateVal.Uniforms {
-		cp.stateVal.Uniforms[i] = decodeVec4(r)
+		cp.stateVal.Uniforms[i] = api.ReadVec4(r)
 	}
 	cp.stateVal.RenderTargets = int(r.I64())
 	cp.stateVal.UploadsThisFrame = r.Bool()
@@ -180,7 +179,7 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 			entries := make([]memoEntry, m)
 			for j := range entries {
 				entries[j].H = r.U32()
-				entries[j].C = decodeVec4(r)
+				entries[j].C = api.ReadVec4(r)
 			}
 			cp.memoPrev[i] = entries
 		}
@@ -208,43 +207,6 @@ func DecodeCheckpoint(b []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCheckpointFormat, r.Len())
 	}
 	return cp, nil
-}
-
-func appendVec4(b []byte, v geom.Vec4) []byte {
-	b = wire.AppendF32(b, v.X)
-	b = wire.AppendF32(b, v.Y)
-	b = wire.AppendF32(b, v.Z)
-	return wire.AppendF32(b, v.W)
-}
-
-func decodeVec4(r *wire.Reader) geom.Vec4 {
-	return geom.Vec4{X: r.F32(), Y: r.F32(), Z: r.F32(), W: r.F32()}
-}
-
-func appendPipeline(b []byte, p api.SetPipeline) []byte {
-	b = wire.AppendU8(b, uint8(p.VS))
-	b = wire.AppendU8(b, uint8(p.FS))
-	for _, t := range p.Tex {
-		b = wire.AppendU8(b, uint8(t))
-	}
-	b = wire.AppendU8(b, uint8(p.Blend))
-	b = wire.AppendBool(b, p.DepthTest)
-	b = wire.AppendBool(b, p.DepthWrite)
-	return wire.AppendBool(b, p.CullBack)
-}
-
-func decodePipeline(r *wire.Reader) api.SetPipeline {
-	var p api.SetPipeline
-	p.VS = api.ProgramID(r.U8())
-	p.FS = api.ProgramID(r.U8())
-	for i := range p.Tex {
-		p.Tex[i] = api.TextureID(r.U8())
-	}
-	p.Blend = api.BlendMode(r.U8())
-	p.DepthTest = r.Bool()
-	p.DepthWrite = r.Bool()
-	p.CullBack = r.Bool()
-	return p
 }
 
 func appendUnitStats(b []byte, s crc.UnitStats) []byte {

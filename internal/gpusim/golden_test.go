@@ -15,7 +15,7 @@ import (
 	"rendelim/internal/workload"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.json from this tree (only for a declared behaviour change)")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from this tree (only for a declared behaviour or format change)")
 
 // goldenPath holds the exact simulated outcome of the suite at golden scale.
 var goldenPath = filepath.Join("testdata", "golden.json")

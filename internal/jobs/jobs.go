@@ -25,7 +25,7 @@ import (
 	"rendelim/internal/energy"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
-	"rendelim/internal/obs"
+	"rendelim/internal/lru"
 	"rendelim/internal/rerr"
 	"rendelim/internal/wire"
 	"rendelim/internal/workload"
@@ -264,7 +264,6 @@ type Pool struct {
 	opts    options
 	metrics *Metrics
 	log     *slog.Logger
-	journal *obs.Journal // nil-safe; see WithJournal
 
 	queue    chan *Job
 	draining chan struct{} // closed when Close or Kill begins; aborts retry backoffs
@@ -275,8 +274,8 @@ type Pool struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu       sync.Mutex // guards cache, registry, ids, closed; ordered before flight.mu
-	cache    *lru
+	mu       sync.Mutex                     // guards cache, registry, ids, closed; ordered before flight.mu
+	cache    *lru.Cache[Key, gpusim.Result] // the job-level Signature Buffer: a hit eliminates the whole simulation
 	flight   *flight
 	reg      map[string]*Job
 	regOrder []string
@@ -302,7 +301,7 @@ func (p *Pool) Metrics() *Metrics { return p.metrics }
 func (p *Pool) CacheLen() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.cache.len()
+	return p.cache.Len()
 }
 
 // Get returns a previously submitted job by ID.
@@ -350,7 +349,7 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	p.nextID++
 
 	// Level-1 elimination: the result cache (the "previous frame").
-	if res, ok := p.cache.get(key); ok {
+	if res, ok := p.cache.Get(key); ok {
 		c := newCall(nil, nil)
 		c.finish(res, nil)
 		j.call = c
@@ -360,7 +359,6 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		p.metrics.Deduped.Add(1)
 		p.metrics.CacheHits.Add(1)
 		p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "cache")
-		p.journal.Record("job.eliminated", "served from result cache", "id", j.ID, "key", key.String(), "via", "cache")
 		return j, nil
 	}
 
@@ -376,7 +374,6 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		p.metrics.Deduped.Add(1)
 		p.metrics.Joins.Add(1)
 		p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "inflight-join")
-		p.journal.Record("job.eliminated", "joined identical in-flight job", "id", j.ID, "key", key.String(), "via", "inflight-join")
 		return j, nil
 	}
 
@@ -421,13 +418,11 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 			cancel()
 			c.finish(gpusim.Result{}, ErrOverloaded)
 			p.log.Warn("job shed", "id", j.ID, "key", key.String(), "queue_depth", p.opts.QueueDepth)
-			p.journal.Record("job.shed", "queue full; submission rejected", "id", j.ID, "key", key.String())
 			return nil, ErrOverloaded
 		}
 	}
 	p.sendMu.RUnlock()
 	p.log.Debug("job queued", "id", j.ID, "key", key.String(), "alias", spec.Alias, "tech", spec.Tech.String())
-	p.journal.Record("job.accepted", "queued for execution", "id", j.ID, "key", key.String(), "alias", spec.Alias)
 	return j, nil
 }
 
@@ -542,12 +537,11 @@ func (p *Pool) worker() {
 func (p *Pool) handleWorkerPanic(j *Job, r any) {
 	err := panicError(r)
 	p.metrics.Panics.Add(1)
-	p.log.Error("worker panicked; replaced", "err", err, "stack", string(debug.Stack()))
 	if j == nil {
-		p.journal.Record("job.panicked", "worker panicked between jobs; replaced")
+		p.log.Error("worker panicked between jobs; replaced", "err", err, "stack", string(debug.Stack()))
 		return
 	}
-	p.journal.Record("job.panicked", "worker panicked; replaced", "id", j.ID, "key", j.Key.String())
+	p.log.Error("worker panicked; replaced", "id", j.ID, "key", j.Key.String(), "err", err, "stack", string(debug.Stack()))
 	if int(j.panics.Add(1)) <= p.opts.Retries && p.requeue(j) {
 		p.metrics.Retries.Add(1)
 		return
@@ -609,7 +603,7 @@ func (p *Pool) execute(j *Job) {
 
 	p.mu.Lock()
 	if err == nil {
-		p.cache.put(j.Key, res)
+		p.cache.Put(j.Key, res)
 	}
 	p.flight.forget(j.Key)
 	p.mu.Unlock()

@@ -13,7 +13,9 @@ import (
 
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
+	"rendelim/internal/lru"
 	"rendelim/internal/obs"
+	"rendelim/internal/promtext"
 	"rendelim/internal/workload"
 )
 
@@ -442,20 +444,20 @@ func TestRegistryPrunesPastLiveJob(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := newLRU(2)
+	c := lru.New[Key, gpusim.Result](2)
 	k := func(i uint32) Key { return Key{TraceSig: i} }
-	c.put(k(1), gpusim.Result{Name: "1"})
-	c.put(k(2), gpusim.Result{Name: "2"})
-	c.get(k(1)) // refresh 1; 2 becomes LRU
-	c.put(k(3), gpusim.Result{Name: "3"})
-	if _, ok := c.get(k(2)); ok {
+	c.Put(k(1), gpusim.Result{Name: "1"})
+	c.Put(k(2), gpusim.Result{Name: "2"})
+	c.Get(k(1)) // refresh 1; 2 becomes LRU
+	c.Put(k(3), gpusim.Result{Name: "3"})
+	if _, ok := c.Get(k(2)); ok {
 		t.Error("LRU entry not evicted")
 	}
-	if _, ok := c.get(k(1)); !ok {
+	if _, ok := c.Get(k(1)); !ok {
 		t.Error("recently used entry evicted")
 	}
-	if c.len() != 2 {
-		t.Errorf("len = %d, want 2", c.len())
+	if c.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.Len())
 	}
 }
 
@@ -469,7 +471,7 @@ func TestMetricsPrometheusFormat(t *testing.T) {
 	j2.Wait(context.Background())
 
 	var sb strings.Builder
-	p.Metrics().WritePrometheus(&sb)
+	p.Metrics().WritePrometheus(promtext.NewWriter(&sb))
 	out := sb.String()
 	for _, want := range []string{
 		"resvc_jobs_submitted_total 2",
@@ -514,7 +516,7 @@ func TestSingleflightInflightGauge(t *testing.T) {
 		t.Errorf("InflightKeys while running = %d, want 1", got)
 	}
 	var sb strings.Builder
-	p.Metrics().WritePrometheus(&sb)
+	p.Metrics().WritePrometheus(promtext.NewWriter(&sb))
 	if !strings.Contains(sb.String(), "resvc_singleflight_inflight 1") {
 		t.Errorf("metrics missing resvc_singleflight_inflight 1:\n%s", sb.String())
 	}

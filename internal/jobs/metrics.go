@@ -1,13 +1,12 @@
 package jobs
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"rendelim/internal/gpusim"
+	"rendelim/internal/promtext"
 	"rendelim/internal/stats"
 )
 
@@ -98,10 +97,6 @@ func (m *Metrics) ObserveResult(res gpusim.Result) {
 	}
 }
 
-// FrameEliminationHist exposes the per-frame tile-elimination distribution
-// (for restat and tests).
-func (m *Metrics) FrameEliminationHist() *stats.Histogram { return m.frameElim }
-
 // SimTotals returns a snapshot of the accumulated simulator counters.
 func (m *Metrics) SimTotals() gpusim.Stats {
 	m.simMu.Lock()
@@ -142,81 +137,56 @@ func (m *Metrics) InflightKeys() int {
 	return m.inflightFn()
 }
 
-// WritePrometheus renders every metric in the Prometheus text exposition
-// format (hand-rolled; the repo is stdlib-only).
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	gaugeF := func(name, help string, v float64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
-	}
-	gaugeI := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
-	}
-
-	counter("resvc_jobs_submitted_total", "Jobs submitted to the pool.", m.Submitted.Load())
-	counter("resvc_jobs_deduped_total", "Jobs eliminated by signature match (cache hit or in-flight join).", m.Deduped.Load())
-	counter("resvc_jobs_completed_total", "Job executions that produced a result.", m.Completed.Load())
-	counter("resvc_jobs_failed_total", "Job executions that failed permanently.", m.Failed.Load())
-	counter("resvc_jobs_cache_hits_total", "Jobs served straight from the LRU result cache.", m.CacheHits.Load())
-	counter("resvc_jobs_inflight_joins_total", "Jobs attached to an identical in-flight execution.", m.Joins.Load())
-	counter("resvc_jobs_retries_total", "Transient-failure re-executions.", m.Retries.Load())
-	counter("resvc_jobs_timeouts_total", "Job attempts that hit the per-attempt deadline.", m.Timeouts.Load())
-	counter("resvc_jobs_panics_total", "Panics contained (in-run recover or worker replacement).", m.Panics.Load())
-	counter("resvc_jobs_resumed_total", "Job attempts resumed from a frame-boundary checkpoint.", m.Resumed.Load())
-	counter("resvc_load_shed_total", "Submissions rejected because the queue was full.", m.LoadShed.Load())
-	counter("resvc_sim_frames_executed_total", "Frames actually executed by the built-in runner (checkpoint-resumed frames are not re-executed).", m.FramesSimulated.Load())
-	gaugeF("resvc_job_elimination_ratio", "Fraction of submitted jobs eliminated without simulating (cf. tile skip fraction).", m.EliminationRatio())
-	gaugeF("resvc_cache_hit_ratio", "LRU result cache hit ratio (hits / lookups).", m.CacheHitRatio())
-	gaugeI("resvc_queue_depth", "Jobs submitted but not yet executing.", m.QueueDepth())
-	gaugeI("resvc_jobs_running", "Jobs currently executing.", m.Running.Load())
-	gaugeI("resvc_singleflight_inflight", "Distinct job signatures currently holding a singleflight leader.", int64(m.InflightKeys()))
+// WritePrometheus writes every pool metric through w.
+func (m *Metrics) WritePrometheus(w *promtext.Writer) {
+	w.Counter("resvc_jobs_submitted_total", "Jobs submitted to the pool.", m.Submitted.Load())
+	w.Counter("resvc_jobs_deduped_total", "Jobs eliminated by signature match (cache hit or in-flight join).", m.Deduped.Load())
+	w.Counter("resvc_jobs_completed_total", "Job executions that produced a result.", m.Completed.Load())
+	w.Counter("resvc_jobs_failed_total", "Job executions that failed permanently.", m.Failed.Load())
+	w.Counter("resvc_jobs_cache_hits_total", "Jobs served straight from the LRU result cache.", m.CacheHits.Load())
+	w.Counter("resvc_jobs_inflight_joins_total", "Jobs attached to an identical in-flight execution.", m.Joins.Load())
+	w.Counter("resvc_jobs_retries_total", "Transient-failure re-executions.", m.Retries.Load())
+	w.Counter("resvc_jobs_timeouts_total", "Job attempts that hit the per-attempt deadline.", m.Timeouts.Load())
+	w.Counter("resvc_jobs_panics_total", "Panics contained (in-run recover or worker replacement).", m.Panics.Load())
+	w.Counter("resvc_jobs_resumed_total", "Job attempts resumed from a frame-boundary checkpoint.", m.Resumed.Load())
+	w.Counter("resvc_load_shed_total", "Submissions rejected because the queue was full.", m.LoadShed.Load())
+	w.Counter("resvc_sim_frames_executed_total", "Frames actually executed by the built-in runner (checkpoint-resumed frames are not re-executed).", m.FramesSimulated.Load())
+	w.Gauge("resvc_job_elimination_ratio", "Fraction of submitted jobs eliminated without simulating (cf. tile skip fraction).", m.EliminationRatio())
+	w.Gauge("resvc_cache_hit_ratio", "LRU result cache hit ratio (hits / lookups).", m.CacheHitRatio())
+	w.Gauge("resvc_queue_depth", "Jobs submitted but not yet executing.", float64(m.QueueDepth()))
+	w.Gauge("resvc_jobs_running", "Jobs currently executing.", float64(m.Running.Load()))
+	w.Gauge("resvc_singleflight_inflight", "Distinct job signatures currently holding a singleflight leader.", float64(m.InflightKeys()))
 
 	// Simulator-side totals across all completed runs: per-pipeline-stage
 	// simulated cycles and the Figure 15a tile classification.
 	sim := m.SimTotals()
-	counter("resvc_sim_frames_total", "Frames simulated across all completed jobs.", sim.Frames)
-	counter("resvc_sim_tiles_total", "Tiles processed across all completed jobs.", sim.TilesTotal)
-	counter("resvc_sim_tiles_skipped_total", "Tiles eliminated by RE across all completed jobs.", sim.TilesSkipped)
-	const scname = "resvc_sim_stage_cycles_total"
-	fmt.Fprintf(w, "# HELP %s Simulated cycles attributed to each pipeline stage.\n# TYPE %s counter\n", scname, scname)
-	for st := gpusim.PipeStage(0); st < gpusim.NumPipeStages; st++ {
-		fmt.Fprintf(w, "%s{stage=%q} %d\n", scname, st.String(), sim.StageCycles[st])
+	w.Counter("resvc_sim_frames_total", "Frames simulated across all completed jobs.", sim.Frames)
+	w.Counter("resvc_sim_tiles_total", "Tiles processed across all completed jobs.", sim.TilesTotal)
+	w.Counter("resvc_sim_tiles_skipped_total", "Tiles eliminated by RE across all completed jobs.", sim.TilesSkipped)
+	cycles := make([]promtext.Series, gpusim.NumPipeStages)
+	for st := range cycles {
+		cycles[st] = promtext.Series{Labels: []string{gpusim.PipeStage(st).String()}, Value: float64(sim.StageCycles[st])}
 	}
-	const tcname = "resvc_sim_tile_class_total"
-	fmt.Fprintf(w, "# HELP %s Tiles per Figure 15a class (vs the frame two swaps back).\n# TYPE %s counter\n", tcname, tcname)
-	for c := gpusim.TileClass(0); c < gpusim.NumTileClasses; c++ {
-		fmt.Fprintf(w, "%s{class=%q} %d\n", tcname, c.String(), sim.TileClasses[c])
+	w.Family(promtext.CounterType, "resvc_sim_stage_cycles_total", "Simulated cycles attributed to each pipeline stage.",
+		[]string{"stage"}, cycles)
+	classes := make([]promtext.Series, gpusim.NumTileClasses)
+	for c := range classes {
+		classes[c] = promtext.Series{Labels: []string{gpusim.TileClass(c).String()}, Value: float64(sim.TileClasses[c])}
 	}
+	w.Family(promtext.CounterType, "resvc_sim_tile_class_total", "Tiles per Figure 15a class (vs the frame two swaps back).",
+		[]string{"class"}, classes)
 
 	// Per-frame tile-elimination ratio distribution (Figure 15a, live).
-	const fename = "resvc_sim_frame_eliminated_ratio"
-	fmt.Fprintf(w, "# HELP %s Per-frame fraction of tiles eliminated by RE across completed jobs.\n# TYPE %s histogram\n", fename, fename)
-	m.frameElim.WritePrometheus(w, fename, "")
+	w.Histogram("resvc_sim_frame_eliminated_ratio", "Per-frame fraction of tiles eliminated by RE across completed jobs.",
+		nil, promtext.HistSeries{Hist: m.frameElim})
 
 	m.mu.Lock()
-	names := make([]string, 0, len(m.hists))
-	for name := range m.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	hists := make([]*stats.Histogram, len(names))
-	for i, name := range names {
-		hists[i] = m.hists[name]
+	stages := make([]promtext.HistSeries, 0, len(m.hists))
+	for name, h := range m.hists {
+		stages = append(stages, promtext.HistSeries{Labels: []string{name}, Hist: h})
 	}
 	m.mu.Unlock()
-	const hname = "resvc_stage_latency_seconds"
-	fmt.Fprintf(w, "# HELP %s Per-stage job latency (queue wait, trace build, simulation run).\n# TYPE %s histogram\n", hname, hname)
-	for i, name := range names {
-		hists[i].WritePrometheus(w, hname, fmt.Sprintf("stage=%q", name))
-	}
-}
-
-// StageHist returns the named per-stage latency histogram, or nil if that
-// stage has not been observed yet.
-func (m *Metrics) StageHist(stage string) *stats.Histogram {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.hists[stage]
+	sort.Slice(stages, func(i, j int) bool { return stages[i].Labels[0] < stages[j].Labels[0] })
+	w.Histogram("resvc_stage_latency_seconds", "Per-stage job latency (queue wait, trace build, simulation run).",
+		[]string{"stage"}, stages...)
 }

@@ -7,7 +7,8 @@ import (
 	"time"
 
 	"rendelim/internal/fault"
-	"rendelim/internal/obs"
+	"rendelim/internal/gpusim"
+	"rendelim/internal/lru"
 	"rendelim/internal/store"
 )
 
@@ -23,7 +24,6 @@ type options struct {
 	Run         RunFunc
 	Logger      *slog.Logger
 	Fault       *fault.Plan
-	Journal     *obs.Journal
 	Store       *store.Store
 	TileWorkers int
 	// CheckpointPeriod is checkpointPeriod; only tests set another value.
@@ -81,12 +81,11 @@ func NewPool(opts ...Option) *Pool {
 		opts:       o,
 		metrics:    newMetrics(),
 		log:        o.Logger,
-		journal:    o.Journal,
 		queue:      make(chan *Job, o.QueueDepth),
 		draining:   make(chan struct{}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
-		cache:      newLRU(o.CacheSize),
+		cache:      lru.New[Key, gpusim.Result](o.CacheSize),
 		flight:     newFlight(),
 		reg:        make(map[string]*Job),
 	}
@@ -153,8 +152,3 @@ func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 // Nil keeps the pool memory-only. The caller owns the store's lifecycle
 // and must close it after the pool.
 func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }
-
-// WithJournal routes notable job-lifecycle events (accepted, eliminated,
-// shed, panicked, recovered from the store) to the /debug/events flight
-// recorder. Nil costs nothing.
-func WithJournal(j *obs.Journal) Option { return func(o *options) { o.Journal = j } }

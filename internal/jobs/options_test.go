@@ -27,7 +27,7 @@ func TestNewPoolDefaults(t *testing.T) {
 		o.Backoff != 50*time.Millisecond || o.Logger != slog.Default() ||
 		o.CheckpointPeriod != time.Second ||
 		o.Timeout != 0 || o.Retries != 0 || o.TileWorkers != 0 ||
-		o.Run != nil || o.Fault != nil || o.Journal != nil || o.Store != nil {
+		o.Run != nil || o.Fault != nil || o.Store != nil {
 		t.Errorf("NewPool() defaults = %+v, want Workers=%d QueueDepth=1024 CacheSize=512 Backoff=50ms "+
 			"Logger=slog.Default() CheckpointPeriod=1s and everything else zero", o, wantWorkers)
 	}

@@ -164,12 +164,11 @@ func (p *Pool) recoverFromStore() {
 			continue
 		}
 		p.mu.Lock()
-		p.cache.put(k, rec.Results[ks])
+		p.cache.Put(k, rec.Results[ks])
 		p.mu.Unlock()
 	}
 	if len(rec.Results) > 0 {
 		p.log.Info("store: results recovered into cache", "count", len(rec.Results))
-		p.journal.Record("store.recovered", "results restored into cache", "count", fmt.Sprint(len(rec.Results)))
 	}
 
 	for _, pj := range rec.Pending {
@@ -203,6 +202,5 @@ func (p *Pool) recoverFromStore() {
 			continue
 		}
 		p.log.Info("store: interrupted job resubmitted", "key", pj.Key, "id", j.ID, "from_frame", pj.Frame)
-		p.journal.Record("store.resubmitted", "interrupted job recovered from WAL", "key", pj.Key, "id", j.ID)
 	}
 }

@@ -1,7 +1,8 @@
 // Package obs is the observability spine of the repo: a process-wide
 // structured logger on log/slog, a low-overhead span tracer that emits
-// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing), and
-// helpers for runtime introspection (expvar build info). Every command and
+// Chrome trace-event JSON (loadable in Perfetto or chrome://tracing), a
+// Journal that keeps a service's recent log records for /debug/events, and
+// expvar build info. Every command and
 // service layer logs through here, and the simulator's pipeline stages are
 // traced through here — the same per-stage attribution lens the paper's
 // evaluation (Figure 15) applies to tiles and traffic.

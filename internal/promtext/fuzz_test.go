@@ -1,4 +1,4 @@
-package promtext
+package promtext_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rendelim/internal/jobs"
+	"rendelim/internal/promtext"
 	"rendelim/internal/server"
 	"rendelim/internal/stats"
 )
@@ -35,7 +36,7 @@ func metricsBody(f *testing.F) string {
 	return rec.Body.String()
 }
 
-// FuzzParse feeds arbitrary text to Parse. No input may panic, and on an
+// FuzzParse feeds arbitrary text to promtext.Parse. No input may panic, and on an
 // accepted exposition every sample is found again by its own name and
 // labels, and Sum and Histogram(...).Quantile over every sample name run
 // without panicking. Seeds are this package's test inputs and a real
@@ -46,13 +47,13 @@ func FuzzParse(f *testing.F) {
 	for _, v := range []float64{0.05, 0.3, 0.7, 2, 9} {
 		h.Observe(v)
 	}
-	hist.WriteString("# HELP d latency\n# TYPE d histogram\n")
-	h.WritePrometheus(&hist, "d", `route="/jobs"`)
+	promtext.NewWriter(&hist).Histogram("d", "latency", []string{"route"},
+		promtext.HistSeries{Labels: []string{"/jobs"}, Hist: h})
 	for _, seed := range append([]string{sample, hist.String(), escaped, metricsBody(f)}, malformed...) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		m, err := Parse(strings.NewReader(text))
+		m, err := promtext.Parse(strings.NewReader(text))
 		if err != nil {
 			return
 		}

@@ -1,10 +1,10 @@
-// Package promtext parses the Prometheus text exposition format — the
-// inverse of the hand-rolled WritePrometheus emitters across the repo — so
-// cmd/restat can scrape /metrics off live nodes and aggregate the results
-// without any client library. It covers the subset the repo emits: HELP and
-// TYPE comment lines, and series lines with optional quoted labels. It does
-// not handle exemplars, timestamps, escaped newlines inside HELP text, or
-// the OpenMetrics extensions.
+// Package promtext writes and parses the Prometheus text exposition format
+// without any client library. Writer is the one encoder every /v1/metrics
+// family goes through; Parse is its inverse, which cmd/restat and perfbench
+// use to scrape live nodes. Both cover the subset the repo emits: HELP and
+// TYPE comment lines, and series lines with optional quoted labels. Parse
+// does not handle exemplars, timestamps, escaped newlines inside HELP text,
+// or the OpenMetrics extensions.
 package promtext
 
 import (

@@ -1,4 +1,4 @@
-package promtext
+package promtext_test
 
 import (
 	"bytes"
@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"rendelim/internal/promtext"
 	"rendelim/internal/stats"
 )
 
@@ -20,7 +21,7 @@ resvc_cluster_peer_up{peer="127.0.0.1:8002"} 0
 `
 
 func TestParseCountersAndGauges(t *testing.T) {
-	m, err := Parse(strings.NewReader(sample))
+	m, err := promtext.Parse(strings.NewReader(sample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +42,9 @@ func TestParseCountersAndGauges(t *testing.T) {
 	}
 }
 
-// A histogram written by stats.Histogram.WritePrometheus must round-trip
-// through Parse + Metrics.Histogram into an equivalent snapshot, including
-// across multiple label sets (summed), so restat's quantiles match the
-// node's own.
+// A histogram family written by Writer.Histogram must round-trip through
+// promtext.Parse + Metrics.Histogram into an equivalent snapshot, including across
+// multiple label sets (summed), so restat's quantiles match the node's own.
 func TestHistogramRoundTrip(t *testing.T) {
 	h1 := stats.NewHistogram(0.1, 0.5, 1, 5)
 	h2 := stats.NewHistogram(0.1, 0.5, 1, 5)
@@ -55,11 +55,11 @@ func TestHistogramRoundTrip(t *testing.T) {
 		h2.Observe(v)
 	}
 	var buf bytes.Buffer
-	buf.WriteString("# HELP d latency\n# TYPE d histogram\n")
-	h1.WritePrometheus(&buf, "d", `route="/jobs"`)
-	h2.WritePrometheus(&buf, "d", `route="/healthz"`)
+	promtext.NewWriter(&buf).Histogram("d", "latency", []string{"route"},
+		promtext.HistSeries{Labels: []string{"/jobs"}, Hist: h1},
+		promtext.HistSeries{Labels: []string{"/healthz"}, Hist: h2})
 
-	m, err := Parse(&buf)
+	m, err := promtext.Parse(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestHistogramRoundTrip(t *testing.T) {
 	}
 }
 
-// malformed are expositions Parse must reject.
+// malformed are expositions promtext.Parse must reject.
 var malformed = []string{
 	"name_without_value\n",
 	`m{key} 1` + "\n",
@@ -100,8 +100,8 @@ var malformed = []string{
 
 func TestParseRejectsMalformed(t *testing.T) {
 	for _, bad := range malformed {
-		if _, err := Parse(strings.NewReader(bad)); err == nil {
-			t.Errorf("Parse(%q) accepted malformed input", bad)
+		if _, err := promtext.Parse(strings.NewReader(bad)); err == nil {
+			t.Errorf("promtext.Parse(%q) accepted malformed input", bad)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestParseRejectsMalformed(t *testing.T) {
 const escaped = `m{k="a\"b\\c"} 3` + "\n"
 
 func TestParseEscapedLabels(t *testing.T) {
-	m, err := Parse(strings.NewReader(escaped))
+	m, err := promtext.Parse(strings.NewReader(escaped))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
@@ -22,9 +23,9 @@ import (
 )
 
 // clusterNode is one in-process resvc node: its own pool, server, listener
-// and cluster view, plus the node's telemetry plane (tracer, journal, and a
-// captured debug-level request log) so tests can follow a request across
-// the fleet.
+// and cluster view, plus the node's telemetry plane (tracer, and a captured
+// debug-level log whose records the journal keeps) so tests can follow a
+// request across the fleet.
 type clusterNode struct {
 	pool    *jobs.Pool
 	srv     *Server
@@ -33,6 +34,7 @@ type clusterNode struct {
 	addr    string
 	tracer  *obs.Tracer
 	journal *obs.Journal
+	logger  *slog.Logger // debug level, through journal into logs
 	logs    *syncBuf
 }
 
@@ -57,21 +59,23 @@ func (b *syncBuf) String() string {
 // startCluster boots n fully-meshed nodes over real loopback listeners.
 // Health loops only start when healthInterval > 0; otherwise every peer
 // stays in its optimistic initial "up" state, which makes routing
-// deterministic for the elimination tests.
-func startCluster(t *testing.T, n int, healthInterval, resultTTL time.Duration) []*clusterNode {
+// deterministic for the elimination tests. Each node's pool also takes the
+// option every poolOpts function returns for it.
+func startCluster(t *testing.T, n int, healthInterval, resultTTL time.Duration, poolOpts ...func(*testing.T) jobs.Option) []*clusterNode {
 	t.Helper()
 	nodes := make([]*clusterNode, n)
 	for i := range nodes {
 		tracer := obs.NewTracer()
-		journal := obs.NewJournal(0)
 		logs := &syncBuf{}
-		pool := jobs.NewPool(
-			jobs.WithWorkers(2),
-			jobs.WithJournal(journal),
-			jobs.WithLogger(slog.New(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug}))),
-		)
+		journal := obs.NewJournal(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+		logger := slog.New(journal)
+		opts := []jobs.Option{jobs.WithWorkers(2), jobs.WithLogger(logger)}
+		for _, o := range poolOpts {
+			opts = append(opts, o(t))
+		}
+		pool := jobs.NewPool(opts...)
 		srv := New(pool, Limits{})
-		srv.SetLogger(slog.New(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: slog.LevelDebug})))
+		srv.SetLogger(logger)
 		srv.SetTracer(tracer)
 		srv.SetJournal(journal)
 		ts := httptest.NewServer(srv.Handler())
@@ -86,6 +90,7 @@ func startCluster(t *testing.T, n int, healthInterval, resultTTL time.Duration) 
 			addr:    addr,
 			tracer:  tracer,
 			journal: journal,
+			logger:  logger,
 			logs:    logs,
 		}
 	}
@@ -103,8 +108,8 @@ func startCluster(t *testing.T, n int, healthInterval, resultTTL time.Duration) 
 			HealthTimeout:  time.Second,
 			ResultTTL:      resultTTL,
 			ForwardTimeout: 30 * time.Second,
+			Logger:         nd.logger,
 			Tracer:         nd.tracer,
-			Journal:        nd.journal,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -140,14 +145,14 @@ func clusterSpec() (string, jobs.Key) {
 }
 
 // postJob submits body to node and decodes the response.
-func postJob(t *testing.T, node *clusterNode, body string) (int, JobResponse) {
+func postJob(t *testing.T, node *clusterNode, body string) (int, apihttp.JobResponse) {
 	t.Helper()
 	resp, err := http.Post(node.ts.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr JobResponse
+	var jr apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 		t.Fatalf("decoding job response: %v", err)
 	}
@@ -181,7 +186,7 @@ func totalFramesExecuted(nodes []*clusterNode) uint64 {
 func (n *clusterNode) nodeFrames() uint64 { return n.pool.Metrics().FramesSimulated.Load() }
 
 // resultJSON canonicalizes the result payload for byte-identity comparison.
-func resultJSON(t *testing.T, jr JobResponse) string {
+func resultJSON(t *testing.T, jr apihttp.JobResponse) string {
 	t.Helper()
 	if jr.Result == nil {
 		t.Fatalf("job response carries no result: %+v", jr)
@@ -269,7 +274,7 @@ func TestClusterCrossNodeElimination(t *testing.T) {
 
 	// Results are byte-identical no matter which node the client reached.
 	want := resultJSON(t, first)
-	for i, jr := range []JobResponse{second, third} {
+	for i, jr := range []apihttp.JobResponse{second, third} {
 		if got := resultJSON(t, jr); got != want {
 			t.Errorf("submission %d result differs:\n got %s\nwant %s", i+2, got, want)
 		}
@@ -285,7 +290,7 @@ func TestClusterCrossNodeElimination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var status JobResponse
+	var status apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&status); err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,12 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
+
+	"rendelim/internal/jobs"
+	"rendelim/internal/promtext"
 )
 
 var seriesLine = regexp.MustCompile(`^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})? [^ ]+$`)
@@ -172,8 +176,8 @@ func TestMetricsWellFormed(t *testing.T) {
 	}
 }
 
-// TestDebugEndpoints covers the runtime-introspection satellite: expvar at
-// /debug/vars (with build info, queue depth, cache size) and pprof.
+// TestDebugEndpoints covers runtime introspection: expvar at /debug/vars
+// (build info and Go's runtime vars, no node state) and pprof.
 func TestDebugEndpoints(t *testing.T) {
 	srv, _ := newTestServer(t)
 
@@ -189,9 +193,15 @@ func TestDebugEndpoints(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
 		t.Fatalf("/debug/vars not JSON: %v", err)
 	}
-	for _, key := range []string{"rendelim_build_info", "resvc_queue_depth", "resvc_cache_entries", "memstats"} {
+	for _, key := range []string{"rendelim_build_info", "memstats"} {
 		if _, ok := vars[key]; !ok {
 			t.Errorf("/debug/vars missing %q", key)
+		}
+	}
+	// Node state lives in /v1/metrics only.
+	for key := range vars {
+		if strings.HasPrefix(key, "resvc_") {
+			t.Errorf("/debug/vars mirrors %q; read it from /v1/metrics", key)
 		}
 	}
 	var build map[string]string
@@ -211,6 +221,143 @@ func TestDebugEndpoints(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Errorf("GET %s: %d", path, resp.StatusCode)
+		}
+	}
+}
+
+// familySet reads every family the expositions declare and returns each
+// one's type and the label keys its samples carry, as "type{k1,k2}".
+func familySet(t *testing.T, bodies ...string) map[string]string {
+	t.Helper()
+	types := map[string]string{}
+	keys := map[string]map[string]bool{}
+	for _, body := range bodies {
+		m, err := promtext.Parse(strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, f := range m.Families {
+			types[name] = f.Type
+			if keys[name] == nil {
+				keys[name] = map[string]bool{}
+			}
+		}
+		for _, s := range m.Samples {
+			family := s.Name
+			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+				if base := strings.TrimSuffix(s.Name, suffix); base != s.Name && m.Families[base].Type == "histogram" {
+					family = base
+				}
+			}
+			if keys[family] == nil {
+				t.Fatalf("sample %s belongs to no declared family", s.Name)
+			}
+			for k := range s.Labels {
+				keys[family][k] = true
+			}
+		}
+	}
+	out := make(map[string]string, len(types))
+	for name, typ := range types {
+		var ks []string
+		for k := range keys[name] {
+			ks = append(ks, k)
+		}
+		sort.Strings(ks)
+		out[name] = typ + "{" + strings.Join(ks, ",") + "}"
+	}
+	return out
+}
+
+// TestMetricsFamilySet pins every /v1/metrics family, with its type and
+// label keys, that a store-backed three-node cluster exposes after one
+// forwarded job, over all three nodes. restat, perfbench and dashboards
+// address families by these names, types and labels.
+func TestMetricsFamilySet(t *testing.T) {
+	nodes := startCluster(t, 3, 0, 0, func(t *testing.T) jobs.Option {
+		st := openRecoveryStore(t, t.TempDir())
+		t.Cleanup(func() { st.Close() })
+		return jobs.WithStore(st)
+	})
+	body, key := clusterSpec()
+	sender := nodes[0]
+	if sender.clus.IsSelf(sender.clus.Owner(key)) {
+		sender = nodes[1]
+	}
+	if code, jr := postJob(t, sender, body); code != http.StatusOK || jr.State != "done" {
+		t.Fatalf("forwarded submit: status %d, %+v", code, jr)
+	}
+	var bodies []string
+	for _, nd := range nodes {
+		bodies = append(bodies, scrape(t, nd))
+	}
+	got := familySet(t, bodies...)
+	want := map[string]string{
+		"resvc_cache_hit_ratio":                "gauge{}",
+		"resvc_cluster_degraded_total":         "counter{}",
+		"resvc_cluster_forward_errors_total":   "counter{}",
+		"resvc_cluster_forward_seconds":        "histogram{le}",
+		"resvc_cluster_forwarded_total":        "counter{}",
+		"resvc_cluster_health_checks_total":    "counter{}",
+		"resvc_cluster_members":                "gauge{}",
+		"resvc_cluster_peer_up":                "gauge{peer}",
+		"resvc_cluster_readthrough_entries":    "gauge{}",
+		"resvc_cluster_readthrough_hits_total": "counter{}",
+		"resvc_cluster_remote_hits_total":      "counter{}",
+		// Ring ownership, which /debug/vars used to carry.
+		"resvc_cluster_ring_share":                "gauge{peer}",
+		"resvc_cluster_status_forwarded_total":    "counter{}",
+		"resvc_http_request_duration_seconds":     "histogram{le,route,status}",
+		"resvc_http_requests_total":               "counter{}",
+		"resvc_job_elimination_ratio":             "gauge{}",
+		"resvc_jobs_cache_hits_total":             "counter{}",
+		"resvc_jobs_completed_total":              "counter{}",
+		"resvc_jobs_deduped_total":                "counter{}",
+		"resvc_jobs_failed_total":                 "counter{}",
+		"resvc_jobs_inflight_joins_total":         "counter{}",
+		"resvc_jobs_panics_total":                 "counter{}",
+		"resvc_jobs_resumed_total":                "counter{}",
+		"resvc_jobs_retries_total":                "counter{}",
+		"resvc_jobs_running":                      "gauge{}",
+		"resvc_jobs_submitted_total":              "counter{}",
+		"resvc_jobs_timeouts_total":               "counter{}",
+		"resvc_load_shed_total":                   "counter{}",
+		"resvc_queue_depth":                       "gauge{}",
+		"resvc_result_cache_entries":              "gauge{}",
+		"resvc_sim_frame_eliminated_ratio":        "histogram{le}",
+		"resvc_sim_frames_executed_total":         "counter{}",
+		"resvc_sim_frames_total":                  "counter{}",
+		"resvc_sim_stage_cycles_total":            "counter{stage}",
+		"resvc_sim_tile_class_total":              "counter{class}",
+		"resvc_sim_tiles_skipped_total":           "counter{}",
+		"resvc_sim_tiles_total":                   "counter{}",
+		"resvc_singleflight_inflight":             "gauge{}",
+		"resvc_stage_latency_seconds":             "histogram{le,stage}",
+		"resvc_store_checkpoints_recovered_total": "counter{}",
+		"resvc_store_jobs_recovered_total":        "counter{}",
+		"resvc_store_jobs_resumed_total":          "counter{}",
+		"resvc_store_records_appended_total":      "counter{}",
+		"resvc_store_records_replayed_total":      "counter{}",
+		"resvc_store_records_unparseable_total":   "counter{}",
+		"resvc_store_rename_errors_total":         "counter{}",
+		"resvc_store_results_recovered_total":     "counter{}",
+		"resvc_store_snapshots_quarantined_total": "counter{}",
+		"resvc_store_snapshots_written_total":     "counter{}",
+		"resvc_store_sync_errors_total":           "counter{}",
+		"resvc_store_torn_tail_bytes_total":       "counter{}",
+		"resvc_store_torn_tail_truncations_total": "counter{}",
+		"resvc_store_write_errors_total":          "counter{}",
+	}
+	for name, w := range want {
+		if g, ok := got[name]; !ok {
+			t.Errorf("family %s (%s) is gone", name, w)
+		} else if g != w {
+			t.Errorf("family %s is %s, want %s", name, g, w)
+		}
+	}
+	for name, g := range got {
+		if _, ok := want[name]; !ok {
+			t.Errorf("unpinned family %s (%s)", name, g)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/jobs"
 	"rendelim/internal/store"
@@ -62,7 +63,7 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var firstTrace JobResponse
+	var firstTrace apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&firstTrace); err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var againTrace JobResponse
+	var againTrace apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&againTrace); err != nil {
 		t.Fatal(err)
 	}

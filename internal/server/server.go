@@ -35,6 +35,7 @@ import (
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
 	"rendelim/internal/obs"
+	"rendelim/internal/promtext"
 	"rendelim/internal/rerr"
 	"rendelim/internal/stats"
 	"rendelim/internal/trace"
@@ -43,26 +44,15 @@ import (
 
 // Limits bound untrusted inputs.
 type Limits struct {
-	MaxBodyBytes  int64 // trace upload size; default 64 MiB
-	MaxPixels     int   // Width*Height; default 4096*4096
-	MaxFrames     int   // default 1000
-	MaxWaitableMS int64 // cap on ?wait deadline; default 10 minutes
+	MaxBodyBytes int64 // trace upload size; default 64 MiB
 }
 
-func (l *Limits) setDefaults() {
-	if l.MaxBodyBytes <= 0 {
-		l.MaxBodyBytes = 64 << 20
-	}
-	if l.MaxPixels <= 0 {
-		l.MaxPixels = 4096 * 4096
-	}
-	if l.MaxFrames <= 0 {
-		l.MaxFrames = 1000
-	}
-	if l.MaxWaitableMS <= 0 {
-		l.MaxWaitableMS = 10 * 60 * 1000
-	}
-}
+// Fixed bounds on untrusted inputs.
+const (
+	maxPixels = 4096 * 4096      // a job's Width*Height, and an upload's texel budget
+	maxFrames = 1000             // frames per job
+	maxWait   = 10 * time.Minute // cap on a ?wait deadline
+)
 
 // Server routes HTTP requests to a jobs.Pool — and, when clustered, to the
 // ring owner of each job's signature.
@@ -79,8 +69,9 @@ type Server struct {
 	cluster *cluster.Cluster
 
 	// tracer/spans emit one span per HTTP request into the Chrome trace;
-	// journal feeds the /debug/events flight recorder. All nil-safe, set
-	// once at startup (SetTracer / SetJournal), read-only after.
+	// journal is the node logger's record ring, served at /debug/events.
+	// All nil-safe, set once at startup (SetTracer / SetJournal), read-only
+	// after.
 	tracer  *obs.Tracer
 	spans   *obs.SpanPool
 	journal *obs.Journal
@@ -106,46 +97,12 @@ type httpLabel struct {
 // the sub-millisecond buckets, a ?wait=1 submit can hold for a simulation.
 var httpBuckets = []float64{0.0005, 0.001, 0.005, 0.025, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60}
 
-// expvar names are process-global and may only be published once, but tests
-// spin up many Servers; the published Funcs read through this pointer to
-// whichever pool the newest Server wraps.
-var (
-	expvarPool    atomic.Pointer[jobs.Pool]
-	expvarCluster atomic.Pointer[cluster.Cluster]
-	expvarOnce    sync.Once
-)
-
-func publishExpvars() {
-	expvarOnce.Do(func() {
-		obs.PublishBuildInfo()
-		expvar.Publish("resvc_queue_depth", expvar.Func(func() any {
-			if p := expvarPool.Load(); p != nil {
-				return p.Metrics().QueueDepth()
-			}
-			return 0
-		}))
-		expvar.Publish("resvc_cache_entries", expvar.Func(func() any {
-			if p := expvarPool.Load(); p != nil {
-				return p.CacheLen()
-			}
-			return 0
-		}))
-		// Ring ownership: which member owns what fraction of the signature
-		// space, with current liveness — the at-a-glance sharding view.
-		expvar.Publish("resvc_cluster_ring", expvar.Func(func() any {
-			if c := expvarCluster.Load(); c != nil {
-				return c.Ownership()
-			}
-			return nil
-		}))
-	})
-}
-
 // New wraps pool; zero limits select defaults.
 func New(pool *jobs.Pool, limits Limits) *Server {
-	limits.setDefaults()
-	expvarPool.Store(pool)
-	publishExpvars()
+	if limits.MaxBodyBytes <= 0 {
+		limits.MaxBodyBytes = 64 << 20
+	}
+	obs.PublishBuildInfo()
 	return &Server{
 		pool:      pool,
 		limits:    limits,
@@ -165,10 +122,7 @@ func (s *Server) SetLogger(l *slog.Logger) {
 // SetCluster joins the server to a cluster: submissions this node does not
 // own are forwarded to their ring owner, owned submissions run locally.
 // Must be called before the server starts handling requests.
-func (s *Server) SetCluster(c *cluster.Cluster) {
-	s.cluster = c
-	expvarCluster.Store(c)
-}
+func (s *Server) SetCluster(c *cluster.Cluster) { s.cluster = c }
 
 // SetTracer emits one span per HTTP request into t's Chrome trace, tagged
 // with the request's trace id. Must be called before the server starts
@@ -178,9 +132,10 @@ func (s *Server) SetTracer(t *obs.Tracer) {
 	s.spans = obs.NewSpanPool(t, "http")
 }
 
-// SetJournal routes notable request events (forwarded, degraded) to j and
-// serves it at /debug/events. Must be called before the server starts
-// handling requests; nil leaves the journal off.
+// SetJournal serves j's records at /debug/events. j should wrap the
+// handler of the logger the node logs through, so the endpoint shows what
+// that logger emitted. Must be called before the server starts handling
+// requests; nil serves an empty array.
 func (s *Server) SetJournal(j *obs.Journal) { s.journal = j }
 
 // SetFaultPlan arms fault injection at the server.accept site (and nothing
@@ -311,8 +266,9 @@ func (s *Server) observeHTTP(route string, status int, seconds float64) {
 	h.Observe(seconds)
 }
 
-// handleEvents serves the journal ring buffer — the node's flight recorder —
-// as a JSON array, oldest first. Always an array, even with no journal wired.
+// handleEvents serves the journal — the last records the node logged, its
+// flight recorder — as a JSON array, oldest first. Always an array, even
+// with no journal wired.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
@@ -324,14 +280,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, evs)
 }
-
-// SubmitRequest and JobResponse are the wire types of the jobs API. They
-// live in internal/apihttp (shared with the cluster client and restat);
-// the aliases keep this package's exported surface intact.
-type (
-	SubmitRequest = apihttp.SubmitRequest
-	JobResponse   = apihttp.JobResponse
-)
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -384,7 +332,7 @@ func (s *Server) submitLocal(w http.ResponseWriter, r *http.Request, spec jobs.S
 
 	status := http.StatusAccepted
 	if wait := r.URL.Query().Get("wait"); wait != "" && wait != "0" && wait != "false" {
-		ctx, cancel := timeoutCtx(r, s.limits.MaxWaitableMS)
+		ctx, cancel := context.WithTimeout(r.Context(), maxWait)
 		defer cancel()
 		job.Wait(ctx)
 	}
@@ -403,7 +351,7 @@ func (s *Server) specFromJSON(r *http.Request) ([]byte, jobs.Spec, error) {
 	if err != nil {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: read body: %v", rerr.ErrBadConfig, err)
 	}
-	var req SubmitRequest
+	var req apihttp.SubmitRequest
 	if err := json.Unmarshal(body, &req); err != nil {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: bad JSON: %v", rerr.ErrBadConfig, err)
 	}
@@ -433,11 +381,11 @@ func (s *Server) specFromJSON(r *http.Request) ([]byte, jobs.Spec, error) {
 	if req.Seed != 0 {
 		p.Seed = req.Seed
 	}
-	if pixelsLeft(s.limits.MaxPixels, p.Width, p.Height) < 0 {
+	if pixelsLeft(maxPixels, p.Width, p.Height) < 0 {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: resolution %dx%d over limit", rerr.ErrBadConfig, p.Width, p.Height)
 	}
-	if p.Frames > s.limits.MaxFrames {
-		return nil, jobs.Spec{}, fmt.Errorf("%w: frames %d over limit %d", rerr.ErrBadConfig, p.Frames, s.limits.MaxFrames)
+	if p.Frames > maxFrames {
+		return nil, jobs.Spec{}, fmt.Errorf("%w: frames %d over limit %d", rerr.ErrBadConfig, p.Frames, maxFrames)
 	}
 	return body, jobs.Spec{Alias: req.Alias, Params: p, Tech: tech, Tag: req.Tag}, nil
 }
@@ -456,12 +404,12 @@ func (s *Server) specFromTrace(r *http.Request) ([]byte, jobs.Spec, error) {
 	if err != nil {
 		return nil, jobs.Spec{}, err // wraps rerr.ErrBadTrace
 	}
-	if pixelsLeft(s.limits.MaxPixels, tr.Width, tr.Height) < 0 {
+	if pixelsLeft(maxPixels, tr.Width, tr.Height) < 0 {
 		return nil, jobs.Spec{}, fmt.Errorf("%w: trace resolution %dx%d over limit", rerr.ErrBadTrace, tr.Width, tr.Height)
 	}
 	// The simulator builds every texture spec in full, so their texels
 	// share the same budget as the framebuffer's pixels.
-	texels := s.limits.MaxPixels
+	texels := maxPixels
 	for _, spec := range tr.Textures {
 		texels = pixelsLeft(texels, spec.W, spec.H)
 	}
@@ -473,10 +421,10 @@ func (s *Server) specFromTrace(r *http.Request) ([]byte, jobs.Spec, error) {
 		}
 	}
 	if texels < 0 {
-		return nil, jobs.Spec{}, fmt.Errorf("%w: trace textures over the %d-texel limit", rerr.ErrBadTrace, s.limits.MaxPixels)
+		return nil, jobs.Spec{}, fmt.Errorf("%w: trace textures over the %d-texel limit", rerr.ErrBadTrace, maxPixels)
 	}
-	if len(tr.Frames) > s.limits.MaxFrames {
-		return nil, jobs.Spec{}, fmt.Errorf("%w: trace frame count %d over limit %d", rerr.ErrBadTrace, len(tr.Frames), s.limits.MaxFrames)
+	if len(tr.Frames) > maxFrames {
+		return nil, jobs.Spec{}, fmt.Errorf("%w: trace frame count %d over limit %d", rerr.ErrBadTrace, len(tr.Frames), maxFrames)
 	}
 	techStr := r.URL.Query().Get("tech")
 	if techStr == "" {
@@ -518,13 +466,12 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, owner str
 			s.cluster.Metrics().Degraded.Add(1)
 			s.log.Warn("owner unreachable; degrading to local simulation",
 				"owner", owner, "key", key.String(), "err", err)
-			s.journal.Record("job.degraded", "owner unreachable; simulating locally", "owner", owner, "key", key.String())
 			return false
 		}
 		httpError(w, statusForError(err), err.Error())
 		return true
 	}
-	s.journal.Record("job.forwarded", "submission proxied to ring owner", "owner", owner, "key", key.String())
+	s.log.Debug("job forwarded", "owner", owner, "key", key.String())
 	s.relayReply(w, r, rep, key, relayForwarded)
 	return true
 }
@@ -545,7 +492,7 @@ func (s *Server) relayReply(w http.ResponseWriter, r *http.Request, rep *cluster
 	if rep.RetryAfter != "" {
 		w.Header().Set("Retry-After", rep.RetryAfter)
 	}
-	var resp JobResponse
+	var resp apihttp.JobResponse
 	if err := json.Unmarshal(rep.Body, &resp); err != nil || resp.ID == "" {
 		if rep.StatusCode >= 200 && rep.StatusCode < 300 {
 			httpError(w, http.StatusBadGateway, cluster.ErrPeerBadResponse.Error())
@@ -622,15 +569,15 @@ func (s *Server) handleJobByID(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if wait := r.URL.Query().Get("wait"); wait != "" && wait != "0" && wait != "false" {
-		ctx, cancel := timeoutCtx(r, s.limits.MaxWaitableMS)
+		ctx, cancel := context.WithTimeout(r.Context(), maxWait)
 		defer cancel()
 		job.Wait(ctx)
 	}
 	writeJSON(w, http.StatusOK, s.jobResponse(job, traceIDFrom(r.Context())))
 }
 
-// traceIDFrom extracts the request's trace id for response payloads and
-// journal entries; empty when the request is untraced.
+// traceIDFrom extracts the request's trace id for response payloads; empty
+// when the request is untraced.
 func traceIDFrom(ctx context.Context) string {
 	if tc, ok := obs.TraceFromContext(ctx); ok {
 		return tc.TraceIDString()
@@ -638,8 +585,8 @@ func traceIDFrom(ctx context.Context) string {
 	return ""
 }
 
-func (s *Server) jobResponse(j *jobs.Job, traceID string) JobResponse {
-	resp := JobResponse{
+func (s *Server) jobResponse(j *jobs.Job, traceID string) apihttp.JobResponse {
+	resp := apihttp.JobResponse{
 		ID:      j.ID,
 		Key:     j.Key.String(),
 		State:   j.State().String(),
@@ -674,18 +621,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.pool.Metrics().WritePrometheus(w)
+	pw := promtext.NewWriter(w)
+	s.pool.Metrics().WritePrometheus(pw)
 	if st := s.pool.Store(); st != nil {
-		st.Metrics().WritePrometheus(w)
+		st.Metrics().WritePrometheus(pw)
 	}
 	if s.cluster != nil {
-		s.cluster.WritePrometheus(w)
+		s.cluster.WritePrometheus(pw)
 	}
-	fmt.Fprintf(w, "# HELP resvc_http_requests_total HTTP requests served.\n# TYPE resvc_http_requests_total counter\nresvc_http_requests_total %d\n", s.requests.Load())
+	pw.Counter("resvc_http_requests_total", "HTTP requests served.", s.requests.Load())
 	// Per-route/status request latency. Label sets are copied under the lock,
-	// then rendered outside it (WritePrometheus locks each histogram itself).
-	const rdname = "resvc_http_request_duration_seconds"
-	fmt.Fprintf(w, "# HELP %s HTTP request latency by normalized route and status code.\n# TYPE %s histogram\n", rdname, rdname)
+	// then rendered outside it (the writer locks each histogram itself).
 	s.httpMu.Lock()
 	labels := make([]httpLabel, 0, len(s.httpHists))
 	for l := range s.httpHists {
@@ -697,21 +643,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		return labels[i].status < labels[j].status
 	})
-	hists := make([]*stats.Histogram, len(labels))
+	series := make([]promtext.HistSeries, len(labels))
 	for i, l := range labels {
-		hists[i] = s.httpHists[l]
+		series[i] = promtext.HistSeries{Labels: []string{l.route, strconv.Itoa(l.status)}, Hist: s.httpHists[l]}
 	}
 	s.httpMu.Unlock()
-	for i, l := range labels {
-		hists[i].WritePrometheus(w, rdname, fmt.Sprintf("route=%q,status=\"%d\"", l.route, l.status))
-	}
-	fmt.Fprintf(w, "# HELP resvc_result_cache_entries Cached simulation results.\n# TYPE resvc_result_cache_entries gauge\nresvc_result_cache_entries %d\n", s.pool.CacheLen())
-}
-
-// timeoutCtx bounds a ?wait request by the request context and the
-// server-wide cap.
-func timeoutCtx(r *http.Request, maxMS int64) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(r.Context(), time.Duration(maxMS)*time.Millisecond)
+	pw.Histogram("resvc_http_request_duration_seconds", "HTTP request latency by normalized route and status code.",
+		[]string{"route", "status"}, series...)
+	pw.Gauge("resvc_result_cache_entries", "Cached simulation results.", float64(s.pool.CacheLen()))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -13,14 +13,17 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rendelim/internal/api"
+	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
+	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
 	"rendelim/internal/shader"
 	"rendelim/internal/trace"
@@ -36,14 +39,14 @@ func newTestServer(t *testing.T) (*httptest.Server, *jobs.Pool) {
 	return srv, pool
 }
 
-func postJSON(t *testing.T, url string, body string) (int, JobResponse) {
+func postJSON(t *testing.T, url string, body string) (int, apihttp.JobResponse) {
 	t.Helper()
 	resp, err := http.Post(url, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var jr JobResponse
+	var jr apihttp.JobResponse
 	raw, _ := io.ReadAll(resp.Body)
 	if err := json.Unmarshal(raw, &jr); err != nil {
 		t.Fatalf("bad response %s: %v", raw, err)
@@ -139,13 +142,13 @@ func TestTraceUpload(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	post := func() (int, JobResponse) {
+	post := func() (int, apihttp.JobResponse) {
 		resp, err := http.Post(srv.URL+"/v1/jobs?wait=1&tech=re", "application/octet-stream", bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var jr JobResponse
+		var jr apihttp.JobResponse
 		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
 			t.Fatal(err)
 		}
@@ -187,7 +190,7 @@ func TestJobStatusEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got JobResponse
+	var got apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +350,7 @@ func TestAsyncSubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var got JobResponse
+	var got apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
@@ -387,8 +390,7 @@ func TestStatusForError(t *testing.T) {
 // Every spec-validation error must reach the client as a 400 whose body
 // matches a sentinel — the errors.Is sweep of the bugfix satellite.
 func TestSpecErrorsWrapSentinels(t *testing.T) {
-	srv := &Server{limits: Limits{}, log: slog.Default()}
-	srv.limits.setDefaults()
+	srv := New(nil, Limits{})
 
 	jsonCases := []struct {
 		name string
@@ -480,7 +482,7 @@ func TestOverloadSheds429(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var got JobResponse
+		var got apihttp.JobResponse
 		json.NewDecoder(resp.Body).Decode(&got)
 		resp.Body.Close()
 		if got.State == "running" {
@@ -583,4 +585,79 @@ func TestHandlerFaultInjection(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovered healthz: %d, want 200", resp.StatusCode)
 	}
+}
+
+// At the info level a node's /debug/events keeps a warning through any
+// number of cache hits: each elimination is a debug record, which the
+// logger does not emit, so it never reaches the journal's ring.
+func TestEventsKeepWarningsThroughCacheHits(t *testing.T) {
+	block := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(block) }) }
+	run := func(ctx context.Context, spec jobs.Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
+		select {
+		case <-block:
+			return gpusim.Result{Name: spec.Alias}, nil
+		case <-ctx.Done():
+			return gpusim.Result{}, ctx.Err()
+		}
+	}
+	journal := obs.NewJournal(slog.NewTextHandler(io.Discard, nil))
+	logger := slog.New(journal)
+	pool := jobs.NewPool(jobs.WithWorkers(1), jobs.WithQueueDepth(1), jobs.WithRun(run), jobs.WithLogger(logger))
+	t.Cleanup(func() { release(); pool.Close(context.Background()) })
+	srv := New(pool, Limits{})
+	srv.SetLogger(logger)
+	srv.SetJournal(journal)
+	h := srv.Handler()
+	serve := func(method, path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting for %s", what)
+			}
+		}
+	}
+
+	// One job holds the worker, one the queue slot, and the third is shed.
+	if rec := serve(http.MethodPost, "/v1/jobs", `{"alias": "ccs"}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("first submit: %d", rec.Code)
+	}
+	waitFor("the first job to run", func() bool { return pool.Metrics().Running.Load() == 1 })
+	if rec := serve(http.MethodPost, "/v1/jobs", `{"alias": "mst"}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("queue-filling submit: %d", rec.Code)
+	}
+	if rec := serve(http.MethodPost, "/v1/jobs", `{"alias": "hop"}`); rec.Code != http.StatusTooManyRequests {
+		t.Fatalf("overloaded submit: %d, want 429", rec.Code)
+	}
+	release()
+	waitFor("both jobs to finish", func() bool { return pool.Metrics().Completed.Load() == 2 })
+
+	const hits = 1000
+	for i := 0; i < hits; i++ {
+		if rec := serve(http.MethodPost, "/v1/jobs", `{"alias": "ccs"}`); rec.Code != http.StatusOK {
+			t.Fatalf("cache hit %d: %d", i, rec.Code)
+		}
+	}
+	if got := pool.Metrics().CacheHits.Load(); got != hits {
+		t.Fatalf("cache hits = %d, want %d", got, hits)
+	}
+
+	var events []obs.JournalEvent
+	if err := json.Unmarshal(serve(http.MethodGet, "/debug/events", "").Body.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	for _, ev := range events {
+		if ev.Level == "WARN" && ev.Msg == "job shed" {
+			return
+		}
+	}
+	t.Errorf("/debug/events lost the load-shed warning after %d cache hits: %+v", hits, events)
 }

@@ -2,12 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rendelim/internal/apihttp"
 	"rendelim/internal/obs"
 )
 
@@ -62,7 +64,7 @@ func TestClusterTracePropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var follow JobResponse
+	var follow apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&follow); err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +108,20 @@ func TestClusterTracePropagation(t *testing.T) {
 		}
 	}
 
-	// The journals saw the hop from both sides: the sender recorded the
-	// forward, the owner accepted and ran the job.
-	kinds := func(nd *clusterNode) map[string]bool {
+	// The journals saw the hop from both sides: the sender logged the
+	// forward, the owner queued and ran the job.
+	msgs := func(nd *clusterNode) map[string]bool {
 		out := map[string]bool{}
 		for _, ev := range nd.journal.Events() {
-			out[ev.Kind] = true
+			out[ev.Msg] = true
 		}
 		return out
 	}
-	if k := kinds(sender); !k["job.forwarded"] {
-		t.Errorf("sender journal kinds %v missing job.forwarded", k)
+	if m := msgs(sender); !m["job forwarded"] {
+		t.Errorf("sender journal messages %v missing job forwarded", m)
 	}
-	if k := kinds(owner); !k["job.accepted"] {
-		t.Errorf("owner journal kinds %v missing job.accepted", k)
+	if m := msgs(owner); !m["job queued"] {
+		t.Errorf("owner journal messages %v missing job queued", m)
 	}
 
 	// And /debug/events serves the same stream over HTTP.
@@ -128,11 +130,20 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eresp.Body.Close()
+	eraw, err := io.ReadAll(eresp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var events []map[string]any
-	if err := json.NewDecoder(eresp.Body).Decode(&events); err != nil {
+	if err := json.Unmarshal(eraw, &events); err != nil {
 		t.Fatalf("/debug/events not a JSON array: %v", err)
 	}
 	if len(events) == 0 {
 		t.Fatal("/debug/events empty after a forwarded submit")
+	}
+	if dir := os.Getenv("TRACE_ARTIFACT_DIR"); dir != "" {
+		if err := os.WriteFile(filepath.Join(dir, "events.json"), eraw, 0o644); err != nil {
+			t.Logf("writing events artifact: %v", err)
+		}
 	}
 }

@@ -31,7 +31,7 @@ func TestV1Routes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var jr2 JobResponse
+	var jr2 apihttp.JobResponse
 	if err := json.NewDecoder(resp.Body).Decode(&jr2); err != nil {
 		t.Fatal(err)
 	}

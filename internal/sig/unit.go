@@ -247,11 +247,6 @@ func (u *Unit) accumulateCombine(acc, blockSig uint32, shiftAmount int) uint32 {
 	return u.scheme.Accumulate(acc, blockSig, shiftAmount)
 }
 
-// GeometryOverheadCycles returns the extra geometry-pipeline cycles this
-// frame caused by the SU: only the stalls, since signing overlaps the other
-// geometry stages (Section V reports 0.64% on average).
-func (u *Unit) GeometryOverheadCycles() uint64 { return u.Stats.StallCycles }
-
 // CheckTile performs the raster-time comparison for a tile: a Signature
 // Buffer read pair and a 32-bit compare ("a few cycles", Section V). It
 // returns whether the Raster Pipeline can be bypassed.

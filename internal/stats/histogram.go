@@ -1,8 +1,6 @@
 package stats
 
 import (
-	"fmt"
-	"io"
 	"sort"
 	"sync"
 )
@@ -134,27 +132,4 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	}
 	// Quantile falls in the +Inf bucket: clamp to the highest finite bound.
 	return s.Bounds[len(s.Bounds)-1]
-}
-
-// WritePrometheus renders the histogram's child series (_bucket/_sum/_count)
-// under name. labels, when non-empty, is a rendered label body without
-// braces (`stage="queue"`) merged before the le label; the caller emits the
-// family's HELP/TYPE header once.
-func (h *Histogram) WritePrometheus(w io.Writer, name, labels string) {
-	s := h.Snapshot()
-	sep := ""
-	if labels != "" {
-		sep = ","
-	}
-	for i, b := range s.Bounds {
-		fmt.Fprintf(w, "%s_bucket{%s%sle=\"%g\"} %d\n", name, labels, sep, b, s.Counts[i])
-	}
-	fmt.Fprintf(w, "%s_bucket{%s%sle=\"+Inf\"} %d\n", name, labels, sep, s.Count)
-	if labels != "" {
-		fmt.Fprintf(w, "%s_sum{%s} %g\n", name, labels, s.Sum)
-		fmt.Fprintf(w, "%s_count{%s} %d\n", name, labels, s.Count)
-	} else {
-		fmt.Fprintf(w, "%s_sum %g\n", name, s.Sum)
-		fmt.Fprintf(w, "%s_count %d\n", name, s.Count)
-	}
 }

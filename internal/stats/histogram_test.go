@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"sync"
 	"testing"
 )
@@ -105,34 +104,5 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 	s := h.Snapshot()
 	if s.Counts[len(s.Counts)-1] > s.Count {
 		t.Fatalf("cumulative counts exceed total: %v > %d", s.Counts, s.Count)
-	}
-}
-
-func TestHistogramWritePrometheus(t *testing.T) {
-	h := NewHistogram(1, 5)
-	h.Observe(0.5)
-	h.Observe(3)
-	h.Observe(100)
-
-	var plain strings.Builder
-	h.WritePrometheus(&plain, "m", "")
-	for _, want := range []string{
-		`m_bucket{le="1"} 1`, `m_bucket{le="5"} 2`, `m_bucket{le="+Inf"} 3`,
-		"m_sum 103.5", "m_count 3",
-	} {
-		if !strings.Contains(plain.String(), want) {
-			t.Errorf("plain output missing %q:\n%s", want, plain.String())
-		}
-	}
-
-	var labeled strings.Builder
-	h.WritePrometheus(&labeled, "m", `stage="queue"`)
-	for _, want := range []string{
-		`m_bucket{stage="queue",le="1"} 1`, `m_bucket{stage="queue",le="+Inf"} 3`,
-		`m_sum{stage="queue"} 103.5`, `m_count{stage="queue"} 3`,
-	} {
-		if !strings.Contains(labeled.String(), want) {
-			t.Errorf("labeled output missing %q:\n%s", want, labeled.String())
-		}
 	}
 }

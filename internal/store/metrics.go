@@ -1,9 +1,9 @@
 package store
 
 import (
-	"fmt"
-	"io"
 	"sync/atomic"
+
+	"rendelim/internal/promtext"
 )
 
 // Metrics counts what the durability layer did — both the steady-state
@@ -36,24 +36,20 @@ type Metrics struct {
 
 func newMetrics() *Metrics { return &Metrics{} }
 
-// WritePrometheus renders the store counters in the Prometheus text
-// exposition format, matching the hand-rolled style of the jobs metrics.
-func (m *Metrics) WritePrometheus(w io.Writer) {
-	counter := func(name, help string, v uint64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
-	counter("resvc_store_records_appended_total", "Job lifecycle records durably appended to the WAL.", m.RecordsAppended.Load())
-	counter("resvc_store_records_replayed_total", "Intact WAL records replayed at startup.", m.RecordsReplayed.Load())
-	counter("resvc_store_records_unparseable_total", "CRC-valid WAL records whose payload did not parse.", m.RecordsUnparseable.Load())
-	counter("resvc_store_torn_tail_truncations_total", "Startups that found and truncated a torn WAL tail.", m.TornTailTruncations.Load())
-	counter("resvc_store_torn_tail_bytes_total", "Bytes discarded by torn-tail truncation.", m.TornTailBytes.Load())
-	counter("resvc_store_write_errors_total", "Failed durability-layer file writes (injected faults included).", m.WriteErrors.Load())
-	counter("resvc_store_sync_errors_total", "Failed durability-layer fsyncs (injected faults included).", m.SyncErrors.Load())
-	counter("resvc_store_rename_errors_total", "Failed atomic snapshot publishes (injected faults included).", m.RenameErrors.Load())
-	counter("resvc_store_snapshots_written_total", "Snapshot files atomically published.", m.SnapshotsWritten.Load())
-	counter("resvc_store_snapshots_quarantined_total", "Corrupt snapshot files quarantined during recovery.", m.SnapshotsQuarantined.Load())
-	counter("resvc_store_results_recovered_total", "Completed results reloaded into the cache at startup.", m.ResultsRecovered.Load())
-	counter("resvc_store_checkpoints_recovered_total", "Frame-boundary checkpoints reloaded intact at startup.", m.CheckpointsRecovered.Load())
-	counter("resvc_store_jobs_recovered_total", "Interrupted jobs handed back for resubmission at startup.", m.JobsRecovered.Load())
-	counter("resvc_store_jobs_resumed_total", "Recovered jobs that resumed from their persisted checkpoint.", m.JobsResumed.Load())
+// WritePrometheus writes the store counters through w.
+func (m *Metrics) WritePrometheus(w *promtext.Writer) {
+	w.Counter("resvc_store_records_appended_total", "Job lifecycle records durably appended to the WAL.", m.RecordsAppended.Load())
+	w.Counter("resvc_store_records_replayed_total", "Intact WAL records replayed at startup.", m.RecordsReplayed.Load())
+	w.Counter("resvc_store_records_unparseable_total", "CRC-valid WAL records whose payload did not parse.", m.RecordsUnparseable.Load())
+	w.Counter("resvc_store_torn_tail_truncations_total", "Startups that found and truncated a torn WAL tail.", m.TornTailTruncations.Load())
+	w.Counter("resvc_store_torn_tail_bytes_total", "Bytes discarded by torn-tail truncation.", m.TornTailBytes.Load())
+	w.Counter("resvc_store_write_errors_total", "Failed durability-layer file writes (injected faults included).", m.WriteErrors.Load())
+	w.Counter("resvc_store_sync_errors_total", "Failed durability-layer fsyncs (injected faults included).", m.SyncErrors.Load())
+	w.Counter("resvc_store_rename_errors_total", "Failed atomic snapshot publishes (injected faults included).", m.RenameErrors.Load())
+	w.Counter("resvc_store_snapshots_written_total", "Snapshot files atomically published.", m.SnapshotsWritten.Load())
+	w.Counter("resvc_store_snapshots_quarantined_total", "Corrupt snapshot files quarantined during recovery.", m.SnapshotsQuarantined.Load())
+	w.Counter("resvc_store_results_recovered_total", "Completed results reloaded into the cache at startup.", m.ResultsRecovered.Load())
+	w.Counter("resvc_store_checkpoints_recovered_total", "Frame-boundary checkpoints reloaded intact at startup.", m.CheckpointsRecovered.Load())
+	w.Counter("resvc_store_jobs_recovered_total", "Interrupted jobs handed back for resubmission at startup.", m.JobsRecovered.Load())
+	w.Counter("resvc_store_jobs_resumed_total", "Recovered jobs that resumed from their persisted checkpoint.", m.JobsResumed.Load())
 }

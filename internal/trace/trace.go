@@ -64,7 +64,7 @@ func Encode(out io.Writer, tr *api.Trace) error {
 	b = appendStr(b, tr.Name)
 	b = wire.AppendU32(b, uint32(tr.Width))
 	b = wire.AppendU32(b, uint32(tr.Height))
-	b = appendVec4(b, tr.ClearColor)
+	b = api.AppendVec4(b, tr.ClearColor)
 
 	b = wire.AppendU16(b, uint16(len(tr.Programs)))
 	for _, p := range tr.Programs {
@@ -116,7 +116,7 @@ func decode(r *wire.Reader) (*api.Trace, error) {
 	if v := r.U32(); v != Version {
 		return nil, fmt.Errorf("unsupported version %d", v)
 	}
-	tr := &api.Trace{Name: str(r), Width: int(r.U32()), Height: int(r.U32()), ClearColor: vec4(r)}
+	tr := &api.Trace{Name: str(r), Width: int(r.U32()), Height: int(r.U32()), ClearColor: api.ReadVec4(r)}
 
 	if n := r.Count(int(r.U16()), sizeProgram); n > 0 {
 		tr.Programs = make([]*shader.Program, n)
@@ -170,17 +170,6 @@ func appendStr(b []byte, s string) []byte {
 
 func str(r *wire.Reader) string { return string(r.Raw(int(r.U16()))) }
 
-func appendVec4(b []byte, v geom.Vec4) []byte {
-	b = wire.AppendF32(b, v.X)
-	b = wire.AppendF32(b, v.Y)
-	b = wire.AppendF32(b, v.Z)
-	return wire.AppendF32(b, v.W)
-}
-
-func vec4(r *wire.Reader) geom.Vec4 {
-	return geom.Vec4{X: r.F32(), Y: r.F32(), Z: r.F32(), W: r.F32()}
-}
-
 // vec4s decodes n vec4s; a zero count decodes as nil.
 func vec4s(r *wire.Reader, n int) []geom.Vec4 {
 	n = r.Count(n, sizeVec4)
@@ -189,7 +178,7 @@ func vec4s(r *wire.Reader, n int) []geom.Vec4 {
 	}
 	v := make([]geom.Vec4, n)
 	for i := range v {
-		v[i] = vec4(r)
+		v[i] = api.ReadVec4(r)
 	}
 	return v
 }
@@ -236,8 +225,8 @@ func appendTexSpec(b []byte, t api.TextureSpec) []byte {
 	b = wire.AppendU32(b, uint32(t.H))
 	b = wire.AppendU32(b, uint32(t.Cell))
 	b = wire.AppendU64(b, t.Seed)
-	b = appendVec4(b, t.A)
-	b = appendVec4(b, t.B)
+	b = api.AppendVec4(b, t.A)
+	b = api.AppendVec4(b, t.B)
 	b = wire.AppendF32(b, t.Amp)
 	return wire.AppendU8(b, uint8(t.Filter))
 }
@@ -249,8 +238,8 @@ func decodeTexSpec(r *wire.Reader) api.TextureSpec {
 		H:      int(r.U32()),
 		Cell:   int(r.U32()),
 		Seed:   r.U64(),
-		A:      vec4(r),
-		B:      vec4(r),
+		A:      api.ReadVec4(r),
+		B:      api.ReadVec4(r),
 		Amp:    r.F32(),
 		Filter: texture.Filter(r.U8()),
 	}
@@ -259,26 +248,19 @@ func decodeTexSpec(r *wire.Reader) api.TextureSpec {
 func appendCommand(b []byte, cmd api.Command) ([]byte, error) {
 	switch c := cmd.(type) {
 	case api.SetPipeline:
-		b = append(b, tagSetPipeline, uint8(c.VS), uint8(c.FS))
-		for _, t := range c.Tex {
-			b = wire.AppendU8(b, uint8(t))
-		}
-		b = wire.AppendU8(b, uint8(c.Blend))
-		b = wire.AppendBool(b, c.DepthTest)
-		b = wire.AppendBool(b, c.DepthWrite)
-		b = wire.AppendBool(b, c.CullBack)
+		b = api.AppendPipeline(append(b, tagSetPipeline), c)
 	case api.SetUniforms:
 		b = wire.AppendU8(b, tagSetUniforms)
 		b = wire.AppendU16(b, uint16(c.First))
 		b = wire.AppendU16(b, uint16(len(c.Values)))
 		for _, v := range c.Values {
-			b = appendVec4(b, v)
+			b = api.AppendVec4(b, v)
 		}
 	case api.Draw:
 		b = append(b, tagDraw, uint8(c.NumAttrs))
 		b = wire.AppendU32(b, uint32(len(c.Data)))
 		for _, v := range c.Data {
-			b = appendVec4(b, v)
+			b = api.AppendVec4(b, v)
 		}
 		b = wire.AppendU32(b, uint32(len(c.Indices)))
 		for _, ix := range c.Indices {
@@ -304,17 +286,7 @@ func appendCommand(b []byte, cmd api.Command) ([]byte, error) {
 func decodeCommand(r *wire.Reader) (api.Command, error) {
 	switch tag := r.U8(); tag {
 	case tagSetPipeline:
-		var c api.SetPipeline
-		c.VS = api.ProgramID(r.U8())
-		c.FS = api.ProgramID(r.U8())
-		for i := range c.Tex {
-			c.Tex[i] = api.TextureID(r.U8())
-		}
-		c.Blend = api.BlendMode(r.U8())
-		c.DepthTest = r.Bool()
-		c.DepthWrite = r.Bool()
-		c.CullBack = r.Bool()
-		return c, nil
+		return api.ReadPipeline(r), nil
 	case tagSetUniforms:
 		return api.SetUniforms{First: int(r.U16()), Values: vec4s(r, int(r.U16()))}, nil
 	case tagDraw:

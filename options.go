@@ -53,27 +53,6 @@ func WithTracer(t *Tracer) Option {
 	return func(c *gpusim.Config) { c.Tracer = t }
 }
 
-// WithExactBinning switches the Polygon List Builder from bounding-box to
-// exact triangle-tile overlap tests: tighter bins mean fewer polluted tile
-// signatures (fewer RE false negatives) at extra binning cost.
-func WithExactBinning(exact bool) Option {
-	return func(c *gpusim.Config) { c.ExactBinning = exact }
-}
-
-// WithRefreshInterval forces a full render every n-th frame when n > 0, the
-// Frame Buffer refresh guarantee of the paper's Section III-E. Zero (the
-// default) never forces a refresh.
-func WithRefreshInterval(n int) Option {
-	return func(c *gpusim.Config) { c.RefreshInterval = n }
-}
-
-// WithGroundTruth toggles the ground-truth tile classification (equal
-// colors vs. equal inputs, Figure 15a). It is on by default; switching it
-// off skips the per-tile back-buffer comparison.
-func WithGroundTruth(track bool) Option {
-	return func(c *gpusim.Config) { c.TrackGroundTruth = track }
-}
-
 // buildConfig folds opts over the Table I defaults.
 func buildConfig(opts []Option) Config {
 	cfg := gpusim.DefaultConfig()
