@@ -6,18 +6,12 @@
 //
 //	resim -trace traces/ccs.rdlm [-tech base|re|te|memo] [-v]
 //	      [-tracefile out.trace.json] [-cpuprofile cpu.pprof] [-log-level info]
-//	      [-timeout 30s] [-inject PLAN] [-inject-seed 1]
+//	      [-timeout 30s]
 //
 // -tracefile records a per-frame, per-pipeline-stage timeline in Chrome
 // trace-event JSON; open it in Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing. -cpuprofile records a Go CPU profile of the simulator
 // itself for `go tool pprof`.
-//
-// -inject arms deterministic fault injection (fault.Parse syntax, e.g.
-// 'dram.read:panic:0.05:3'); the replay then checkpoints every frame and
-// recovers a mid-frame panic by rebuilding the simulator and resuming from
-// the last frame boundary, so the printed statistics still cover the whole
-// trace and are byte-identical to a fault-free run.
 //
 // Exit codes:
 //
@@ -39,7 +33,6 @@ import (
 
 	"rendelim/internal/api"
 	"rendelim/internal/energy"
-	"rendelim/internal/fault"
 	"rendelim/internal/fb"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/obs"
@@ -76,8 +69,6 @@ func run(args []string, stdout io.Writer) error {
 	dump := fs.String("dump", "", "write rendered frames as PNGs into this directory")
 	tracefile := fs.String("tracefile", "", "write a Chrome trace-event pipeline timeline to this file")
 	cpuprofile := fs.String("cpuprofile", "", "write a Go CPU profile to this file")
-	inject := fs.String("inject", "", "fault-injection plan, e.g. 'dram.read:panic:0.05:3' (replay recovers from checkpoints); store.write/store.sync/store.rename target resvc's durable store")
-	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -109,11 +100,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	cfg.Technique = technique
-	plan, err := fault.Parse(*injectSeed, *inject)
-	if err != nil {
-		return err
-	}
-	cfg.Fault = plan
 
 	var tracer *obs.Tracer
 	if *tracefile != "" {
@@ -150,24 +136,12 @@ func run(args []string, stdout io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	var perFrame func(int, *gpusim.Simulator) error
-	if *dump != "" {
-		perFrame = func(i int, s *gpusim.Simulator) error { return dumpFrame(*dump, i, s, tr) }
-	}
 	var res gpusim.Result
-	switch {
-	case plan != nil:
-		// Fault injection: checkpoint every frame and recover mid-frame
-		// panics by rebuilding the simulator from the last boundary.
-		res, sim, err = replayResilient(ctx, sim, tr, cfg, log, perFrame)
-		if err == nil {
-			log.Info("resilient replay done", "faults_recovered", plan.Fired(fault.SiteDRAMRead)+plan.Fired(fault.SiteDRAMWrite))
-		}
-	case perFrame == nil:
+	if *dump == "" {
 		// Cancellation is checked at frame boundaries; on timeout the
 		// partial result covers the frames that completed.
 		res, err = sim.RunContext(ctx)
-	default:
+	} else {
 		// Frame dumping needs the framebuffer between frames, so replay
 		// manually with the same frame-boundary cancellation.
 		res = gpusim.Result{Technique: cfg.Technique, Name: tr.Name}
@@ -178,7 +152,7 @@ func run(args []string, stdout io.Writer) error {
 			st := sim.RunFrame(&tr.Frames[i])
 			res.Frames = append(res.Frames, st)
 			res.Total.Add(st)
-			if derr := perFrame(i, sim); derr != nil {
+			if derr := dumpFrame(*dump, i, sim, tr); derr != nil {
 				return derr
 			}
 		}
@@ -235,63 +209,6 @@ func run(args []string, stdout io.Writer) error {
 		return errAborted
 	}
 	return nil
-}
-
-// replayResilient replays the trace one frame at a time under a fault plan,
-// taking a checkpoint at every frame boundary. An injected mid-frame panic
-// (e.g. at dram.read) leaves the simulator's internals half-mutated and
-// unusable, so recovery rebuilds a fresh simulator, resumes it from the last
-// checkpoint, and retries the frame — the final statistics and pixels are
-// byte-identical to a fault-free run. Returns the (possibly rebuilt)
-// simulator for the heatmap/dump paths.
-func replayResilient(ctx context.Context, sim *gpusim.Simulator, tr *api.Trace, cfg gpusim.Config, log *slog.Logger, perFrame func(int, *gpusim.Simulator) error) (gpusim.Result, *gpusim.Simulator, error) {
-	const maxRecoveries = 1000 // guard against an unbounded always-panic plan
-	res := gpusim.Result{Technique: cfg.Technique, Name: tr.Name}
-	cp := sim.Checkpoint()
-	recoveries := 0
-	for i := 0; i < len(tr.Frames); {
-		if err := ctx.Err(); err != nil {
-			return res, sim, err
-		}
-		st, err := runFrameRecover(sim, &tr.Frames[i])
-		if err != nil {
-			recoveries++
-			if recoveries > maxRecoveries {
-				return res, sim, fmt.Errorf("resim: gave up after %d fault recoveries: %w", maxRecoveries, err)
-			}
-			log.Warn("frame panicked; resuming from checkpoint", "frame", i, "err", err)
-			ns, nerr := gpusim.New(tr, cfg)
-			if nerr != nil {
-				return res, sim, nerr
-			}
-			if rerr := ns.Resume(cp); rerr != nil {
-				return res, sim, rerr
-			}
-			sim = ns
-			continue // retry frame i on the rebuilt simulator
-		}
-		res.Frames = append(res.Frames, st)
-		res.Total.Add(st)
-		cp = sim.Checkpoint()
-		if perFrame != nil {
-			if err := perFrame(i, sim); err != nil {
-				return res, sim, err
-			}
-		}
-		i++
-	}
-	res.FBCRC = sim.FrameBufferCRC()
-	return res, sim, nil
-}
-
-// runFrameRecover executes one frame with panic containment.
-func runFrameRecover(sim *gpusim.Simulator, f *api.Frame) (st gpusim.Stats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("frame panicked: %v", r)
-		}
-	}()
-	return sim.RunFrame(f), nil
 }
 
 // dumpFrame writes the just-displayed frame as PNG.

@@ -203,33 +203,6 @@ func TestTimeoutAbortReturnsErrAborted(t *testing.T) {
 	}
 }
 
-// Under an always-panic DRAM fault plan, the resilient replay must recover
-// via checkpoints and print statistics byte-identical to a fault-free run.
-func TestInjectResilientReplayByteIdentical(t *testing.T) {
-	in := encodeScene(t, 5)
-	var clean, chaotic bytes.Buffer
-	if err := run([]string{"-trace", in, "-tech", "re"}, &clean); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-trace", in, "-tech", "re", "-v",
-		"-inject", "dram.read:panic:1:3", "-inject-seed", "7"}, &chaotic); err != nil {
-		t.Fatal(err)
-	}
-	// The chaotic run prints per-frame lines too (-v); compare only the
-	// summary block, which both runs share.
-	if !strings.Contains(chaotic.String(), cleanSummary(clean.String())) {
-		t.Fatalf("stats diverge under fault injection:\nclean:\n%s\nchaotic:\n%s", clean.String(), chaotic.String())
-	}
-}
-
-// cleanSummary strips everything before the "trace " headline.
-func cleanSummary(s string) string {
-	if i := strings.Index(s, "trace "); i >= 0 {
-		return s[i:]
-	}
-	return s
-}
-
 // TestRunBadFlags: bad inputs must error, not exit the process.
 func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{}, io.Discard); err == nil {

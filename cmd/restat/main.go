@@ -60,13 +60,11 @@ type NodeStat struct {
 	P99 float64 `json:"p99_seconds"`
 
 	// Durable-store recovery counters (resvc_store_*); all zero on nodes
-	// running without -data-dir. TornTruncations > 0 means the node booted
-	// past a torn WAL tail; Quarantined > 0 means corrupt snapshots were
-	// set aside on replay — both are damage survived, not damage hidden.
+	// running without -data-dir. Quarantined > 0 means corrupt snapshots
+	// were set aside on startup — damage survived, not damage hidden.
 	ResultsRecovered uint64 `json:"store_results_recovered"`
 	JobsRecovered    uint64 `json:"store_jobs_recovered"`
 	JobsResumed      uint64 `json:"store_jobs_resumed"`
-	TornTruncations  uint64 `json:"store_torn_tail_truncations"`
 	Quarantined      uint64 `json:"store_snapshots_quarantined"`
 }
 
@@ -206,7 +204,6 @@ func scrapeNode(client *http.Client, node string) NodeStat {
 	ns.ResultsRecovered = gu("resvc_store_results_recovered_total")
 	ns.JobsRecovered = gu("resvc_store_jobs_recovered_total")
 	ns.JobsResumed = gu("resvc_store_jobs_resumed_total")
-	ns.TornTruncations = gu("resvc_store_torn_tail_truncations_total")
 	ns.Quarantined = gu("resvc_store_snapshots_quarantined_total")
 	for _, s := range m.Samples {
 		if s.Name == "resvc_cluster_peer_up" {
@@ -264,9 +261,9 @@ func render(w io.Writer, snap Snapshot) {
 			ns.P50*1000, ns.P95*1000, ns.P99*1000)
 		// The store sub-line only appears on nodes that actually recovered
 		// or repaired something — quiet fleets keep a quiet dashboard.
-		if ns.ResultsRecovered+ns.JobsRecovered+ns.JobsResumed+ns.TornTruncations+ns.Quarantined > 0 {
-			fmt.Fprintf(w, "%-22s store: %d results + %d jobs recovered (%d resumed), %d torn-tail truncations, %d quarantined\n",
-				"", ns.ResultsRecovered, ns.JobsRecovered, ns.JobsResumed, ns.TornTruncations, ns.Quarantined)
+		if ns.ResultsRecovered+ns.JobsRecovered+ns.JobsResumed+ns.Quarantined > 0 {
+			fmt.Fprintf(w, "%-22s store: %d results + %d jobs recovered (%d resumed), %d quarantined\n",
+				"", ns.ResultsRecovered, ns.JobsRecovered, ns.JobsResumed, ns.Quarantined)
 		}
 	}
 	c := snap.Cluster

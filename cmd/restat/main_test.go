@@ -216,7 +216,6 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 	}
 	ts.Close()
 	pool.Kill()
-	st.Close()
 
 	st2, err := store.Open(dir, store.Options{Logger: quiet})
 	if err != nil {
@@ -227,7 +226,6 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 	t.Cleanup(func() {
 		ts2.Close()
 		pool2.Close(context.Background())
-		st2.Close()
 	})
 	addr := strings.TrimPrefix(ts2.URL, "http://")
 
@@ -243,8 +241,8 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 	if ns.ResultsRecovered != 1 {
 		t.Errorf("store_results_recovered = %d, want 1", ns.ResultsRecovered)
 	}
-	if ns.TornTruncations != 0 || ns.Quarantined != 0 {
-		t.Errorf("clean restart reported damage: torn=%d quarantined=%d", ns.TornTruncations, ns.Quarantined)
+	if ns.Quarantined != 0 {
+		t.Errorf("clean restart reported damage: quarantined=%d", ns.Quarantined)
 	}
 
 	out.Reset()

@@ -11,18 +11,18 @@
 //	      [-cluster-addr host:port] [-peer host:port]... [-health-interval 2s]
 //	      [-result-ttl 30s] [-tracefile out.json] [-data-dir DIR]
 //
-// Durability: with -data-dir the node journals job lifecycle to a
-// CRC-protected write-ahead log and snapshots completed results under that
-// directory, plus a frame-boundary checkpoint of each running job once per
-// second of simulation (a job that ends sooner writes none). On startup the
-// WAL is replayed (a torn tail is truncated, corrupt snapshots are
-// quarantined — never a refusal to boot): completed results re-enter the
-// elimination cache, so identical submissions are deduplicated across
-// restarts, and jobs that were running when the process died resume from
-// their last persisted checkpoint, losing at most a second plus a frame of
-// simulation, instead of starting over. Job keys sign the simulator's
-// model fingerprint, so after an upgrade that changes simulated numbers the
-// stored results no longer match and each job is simulated once more.
+// Durability: with -data-dir the node keeps each job's spec and completed
+// result as CRC-checked snapshot files under that directory, plus a
+// frame-boundary checkpoint of each running job once per second of
+// simulation (a job that ends sooner writes none). On startup the files
+// are scanned (corrupt snapshots are quarantined — never a refusal to
+// boot): completed results re-enter the elimination cache, so identical
+// submissions are deduplicated across restarts, and jobs that were running
+// when the process died resume from their last persisted checkpoint,
+// losing at most a second plus a frame of simulation, instead of starting
+// over. Job keys sign the simulator's model fingerprint, so after an
+// upgrade that changes simulated numbers the stored results no longer
+// match and each job is simulated once more.
 //
 // Clustering: with one or more -peer flags (and -cluster-addr naming this
 // node's own advertised address), the nodes form a static consistent-hash
@@ -111,7 +111,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	fs.Var(&peers, "peer", "peer node host:port; repeat for each member (enables clustering)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "gap between peer /v1/healthz probes")
 	resultTTL := fs.Duration("result-ttl", 30*time.Second, "how long a non-owner serves a remote result locally (read-through cache; negative = off)")
-	dataDir := fs.String("data-dir", "", "durable state directory: WAL + result/checkpoint snapshots; replayed on startup so results and in-flight jobs survive restarts (empty = memory-only)")
+	dataDir := fs.String("data-dir", "", "durable state directory: spec/result/checkpoint snapshots; scanned on startup so results and in-flight jobs survive restarts (empty = memory-only)")
 	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON (HTTP request and cluster forward spans) here on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -169,22 +169,19 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		return fmt.Errorf("-cluster-addr without any -peer flags; nothing to cluster with")
 	}
 
-	// The store opens (and replays its WAL) before the pool exists; the
-	// pool's constructor then consumes the recovery set. Closed after the
-	// pool drains so the last completions still reach the WAL.
+	// The store opens (and scans its files) before the pool exists; the
+	// pool's constructor then consumes the recovery set.
 	var st *store.Store
 	if *dataDir != "" {
 		st, err = store.Open(*dataDir, store.Options{Fault: plan, Logger: log})
 		if err != nil {
 			return err
 		}
-		defer st.Close()
 		sm := st.Metrics()
 		log.Info("durable store open", "dir", st.Dir(),
 			"results_recovered", sm.ResultsRecovered.Load(),
 			"jobs_recovered", sm.JobsRecovered.Load(),
 			"checkpoints_recovered", sm.CheckpointsRecovered.Load(),
-			"torn_tail_truncations", sm.TornTailTruncations.Load(),
 			"snapshots_quarantined", sm.SnapshotsQuarantined.Load())
 	}
 

@@ -29,8 +29,8 @@
 //	server.accept  In the HTTP handler before routing. Transient/Corrupt
 //	               shed the request with 503; Panic exercises handler
 //	               recovery.
-//	store.write    Durability-layer file writes (WAL appends, snapshot
-//	               bodies). Transient models a full or failing disk.
+//	store.write    Durability-layer file writes (snapshot bodies).
+//	               Transient models a full or failing disk.
 //	store.sync     Durability-layer fsync calls. Transient models an fsync
 //	               error — the write may or may not have reached the
 //	               platter.

@@ -38,9 +38,9 @@ func openTestStore(t *testing.T, dir string, plan *fault.Plan) *store.Store {
 	return st
 }
 
-// preserveStoreArtifacts copies the data dir (WAL, snapshots, quarantined
-// files) under $STORE_ARTIFACT_DIR when the test fails, so CI can upload
-// the exact bytes that broke recovery. No-op otherwise.
+// preserveStoreArtifacts copies the data dir (snapshots, quarantined files)
+// under $STORE_ARTIFACT_DIR when the test fails, so CI can upload the exact
+// bytes that broke recovery. No-op otherwise.
 func preserveStoreArtifacts(t *testing.T, dir string) {
 	t.Cleanup(func() {
 		root := os.Getenv("STORE_ARTIFACT_DIR")
@@ -84,12 +84,8 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 	// Kill, not Close: completion must already be durable — there is no
 	// graceful-shutdown flush to rely on.
 	p.Kill()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
 
 	st2 := openTestStore(t, dir, nil)
-	defer st2.Close()
 	p2 := NewPool(WithWorkers(4), WithStore(st2), WithLogger(quietLogger()))
 	defer p2.Close(context.Background())
 
@@ -127,9 +123,9 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 // run that was never interrupted. One job is an uploaded-trace spec, so the
 // content-addressed blob round-trip is on the recovery path too. The other
 // is an ablation spec (memo with a 512-entry LUT): had its config not
-// survived the WAL, the recovered spec would re-sign to another key and
-// recovery would drop it, so resuming it proves the config crossed the
-// restart.
+// survived in the spec file, the recovered spec would re-sign to another
+// key and recovery would drop it, so resuming it proves the config crossed
+// the restart.
 func TestCrashRecoveryResumesFromCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash soak is seconds-long; skipped in -short")
@@ -185,11 +181,9 @@ func crashAndResume(t *testing.T, spec Spec, frames int) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	p.Kill()
-	st.Close()
 
 	// The job must not have completed — the whole point is dying mid-run.
 	st2 := openTestStore(t, dir, nil)
-	defer st2.Close()
 	if n := st2.Metrics().ResultsRecovered.Load(); n != 0 {
 		t.Skip("job completed before Kill; machine too fast for this window")
 	}
@@ -237,7 +231,6 @@ func TestCheckpointPeriod(t *testing.T) {
 	run := func(t *testing.T, opts ...Option) (gpusim.Result, *store.Store) {
 		t.Helper()
 		st := openTestStore(t, t.TempDir(), nil)
-		t.Cleanup(func() { st.Close() })
 		p := NewPool(append([]Option{WithWorkers(1), WithStore(st), WithLogger(quietLogger())}, opts...)...)
 		defer p.Close(context.Background())
 		return runSuite(t, p, []Spec{spec})[0], st
@@ -254,8 +247,8 @@ func TestCheckpointPeriod(t *testing.T) {
 
 	t.Run("default period", func(t *testing.T) {
 		got, st := run(t)
-		if n := st.Metrics().SnapshotsWritten.Load(); n != 1 {
-			t.Errorf("published %d snapshots, want 1: the result, and no checkpoint of a job that ends within a period", n)
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 2 {
+			t.Errorf("published %d snapshots, want 2: the spec and the result, and no checkpoint of a job that ends within a period", n)
 		}
 		if n := checkpointFiles(t, st); n != 0 {
 			t.Errorf("%d files left under checkpoints/, want 0", n)
@@ -267,9 +260,9 @@ func TestCheckpointPeriod(t *testing.T) {
 
 	t.Run("period 0", func(t *testing.T) {
 		_, st := run(t, withCheckpointPeriod(0))
-		// Boundaries after frames 1 and 2; one after frame 3 would make 4.
-		if n := st.Metrics().SnapshotsWritten.Load(); n != 3 {
-			t.Errorf("published %d snapshots, want 3: two checkpoints, none after the last frame, and the result", n)
+		// Boundaries after frames 1 and 2; one after frame 3 would make 5.
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 4 {
+			t.Errorf("published %d snapshots, want 4: the spec, two checkpoints, none after the last frame, and the result", n)
 		}
 		if n := checkpointFiles(t, st); n != 0 {
 			t.Errorf("%d files left under checkpoints/, want 0: the result supersedes them", n)
@@ -286,8 +279,8 @@ func TestCheckpointPeriod(t *testing.T) {
 		plan := fault.New(1).With(fault.SiteDRAMRead,
 			fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Latency}, Latency: checkpointPeriod + 100*time.Millisecond})
 		got, st := run(t, WithFault(plan))
-		if n := st.Metrics().SnapshotsWritten.Load(); n != 2 {
-			t.Errorf("published %d snapshots, want 2: one checkpoint and the result", n)
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 3 {
+			t.Errorf("published %d snapshots, want 3: the spec, one checkpoint and the result", n)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Error("result differs from the same job checkpointed at every boundary")
@@ -309,10 +302,8 @@ func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 		t.Fatal("unknown alias succeeded")
 	}
 	p.Close(context.Background())
-	st.Close()
 
 	st2 := openTestStore(t, dir, nil)
-	defer st2.Close()
 	rec := st2.Recovered()
 	if len(rec.Pending) != 0 || len(rec.Results) != 0 {
 		t.Fatalf("failed job recovered: pending=%d results=%d", len(rec.Pending), len(rec.Results))
@@ -356,10 +347,8 @@ func TestCrashRecoveryRejectsMismatchedCheckpoint(t *testing.T) {
 	if err := st.SaveCheckpoint(key, frames[:1], sim.Checkpoint().EncodeBinary()); err != nil {
 		t.Fatal(err)
 	}
-	st.Close()
 
 	st2 := openTestStore(t, dir, nil)
-	defer st2.Close()
 	if n := st2.Metrics().CheckpointsRecovered.Load(); n != 1 {
 		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
 	}
@@ -423,11 +412,9 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 				t.Fatalf("seed %d injected nothing; soak is vacuous", seed)
 			}
 			p.Kill()
-			st.Close()
 
 			// Restart fault-free: everything that survived must be exact.
 			st2 := openTestStore(t, dir, nil)
-			defer st2.Close()
 			rec := st2.Recovered()
 			for key, res := range rec.Results {
 				wantRes, ok := wantByKey[key]

@@ -34,7 +34,7 @@ import (
 // Spec describes one simulation job. Exactly one input form is used: an
 // uploaded trace binary (TraceBin) or a workload alias resolved through
 // workload.ByAlias and built at Params. A Spec is plain data, so every job
-// can be written to the store's WAL and re-run in a fresh process.
+// can be written to the store and re-run in a fresh process.
 type Spec struct {
 	// Alias names the workload; it is resolved when TraceBin is empty.
 	Alias  string
@@ -185,10 +185,10 @@ type Job struct {
 	// the job (workers never share an in-flight job); released once the
 	// job is done or failed.
 	resume *resume
-	// walled is set once the job's submitted record reached the durable
-	// WAL; only walled jobs append further lifecycle records. Written
-	// before the job is queued, read by the worker that dequeues it.
-	walled bool
+	// recorded is set once the job's spec file reached the store; only
+	// recorded jobs persist checkpoints or a failure. Written before the
+	// job is queued, read by the worker that dequeues it.
+	recorded bool
 	// panics counts worker-level panics while this job was in flight,
 	// bounding how often it is requeued.
 	panics atomic.Int32
@@ -358,7 +358,9 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		p.mu.Unlock()
 		p.metrics.Deduped.Add(1)
 		p.metrics.CacheHits.Add(1)
-		p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "cache")
+		if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
+			p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "cache")
+		}
 		return j, nil
 	}
 
@@ -373,13 +375,15 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		p.mu.Unlock()
 		p.metrics.Deduped.Add(1)
 		p.metrics.Joins.Add(1)
-		p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "inflight-join")
+		if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
+			p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "inflight-join")
+		}
 		return j, nil
 	}
 
 	// This job is the leader: queue it for a worker. With a store, the spec
-	// hits the WAL first — after the fsynced submitted record lands, a crash
-	// at any later point recovers this job.
+	// file is published first — once it lands, a crash at any later point
+	// recovers this job.
 	j.call = c
 	p.register(j)
 	p.mu.Unlock()
@@ -422,7 +426,9 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		}
 	}
 	p.sendMu.RUnlock()
-	p.log.Debug("job queued", "id", j.ID, "key", key.String(), "alias", spec.Alias, "tech", spec.Tech.String())
+	if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
+		p.log.Debug("job queued", "id", j.ID, "key", key.String(), "alias", spec.Alias, "tech", spec.Tech.String())
+	}
 	return j, nil
 }
 
@@ -612,9 +618,11 @@ func (p *Pool) execute(j *Job) {
 		p.metrics.Completed.Add(1)
 		p.metrics.ObserveResult(res)
 		p.persistResult(j, res)
-		p.log.Debug("job done", "id", j.ID, "key", j.Key.String(),
-			"frames", len(res.Frames), "tiles_skipped", res.Total.TilesSkipped,
-			"duration", time.Since(start))
+		if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
+			p.log.Debug("job done", "id", j.ID, "key", j.Key.String(),
+				"frames", len(res.Frames), "tiles_skipped", res.Total.TilesSkipped,
+				"duration", time.Since(start))
+		}
 	} else {
 		p.metrics.Failed.Add(1)
 		p.persistFailure(j, err)

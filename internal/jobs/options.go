@@ -144,11 +144,11 @@ func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l 
 // (dram.read / dram.write). Nil costs nothing.
 func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
-// WithStore makes job state durable: leader submissions, completions and
-// terminal failures are logged to the store's WAL, frame-boundary
-// checkpoints are published beside it, and the new pool replays the
+// WithStore makes job state durable: each leader's spec, its frame-boundary
+// checkpoints and its completed result are published as store files, a
+// terminal failure removes the spec, and the new pool takes over the
 // store's recovery set — completed results re-enter the result cache and
 // interrupted jobs are resubmitted from their last persisted checkpoint.
-// Nil keeps the pool memory-only. The caller owns the store's lifecycle
-// and must close it after the pool.
+// Nil keeps the pool memory-only. The store holds no open files, so it
+// needs no closing.
 func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }

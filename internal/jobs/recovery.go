@@ -11,16 +11,16 @@ import (
 )
 
 // This file is the pool's side of the durability layer: translating specs to
-// and from their serializable store form, appending lifecycle records as
-// jobs move through the pool, and — at construction — replaying what a
-// previous process left behind: recovered results re-enter the LRU cache
-// (so resubmissions are eliminated exactly like same-process duplicates),
-// and interrupted jobs are resubmitted with their last persisted checkpoint
-// attached.
+// and from their serializable store form, publishing each job's spec,
+// checkpoints and result as it moves through the pool, and — at
+// construction — taking over what a previous process left behind:
+// recovered results re-enter the LRU cache (so resubmissions are eliminated
+// exactly like same-process duplicates), and interrupted jobs are
+// resubmitted with their last persisted checkpoint attached.
 //
-// Persistence is best-effort by design: a failed WAL append or snapshot
-// write (a full disk, an injected store.* fault) degrades durability — that
-// job may re-run after a crash — but never the live result or the store's
+// Persistence is best-effort by design: a failed snapshot write or removal
+// (a full disk, an injected store.* fault) degrades durability — that job
+// may re-run after a crash — but never the live result or the store's
 // integrity, so errors here are logged and counted, not propagated to the
 // submitter.
 
@@ -86,9 +86,9 @@ func specFromRecord(st *store.Store, rec store.JobSpec) (Spec, error) {
 	return spec, nil
 }
 
-// recordSubmitted appends the submitted record for a leader job and marks
-// the job WAL-tracked. Called between registration and queueing, so the
-// worker that picks the job up always sees the final walled flag.
+// recordSubmitted publishes a leader job's spec and marks the job
+// recorded. Called between registration and queueing, so the worker that
+// picks the job up always sees the final recorded flag.
 func (p *Pool) recordSubmitted(j *Job) {
 	if p.opts.Store == nil {
 		return
@@ -98,16 +98,16 @@ func (p *Pool) recordSubmitted(j *Job) {
 		return
 	}
 	if err := p.opts.Store.RecordSubmitted(j.Key.String(), rec); err != nil {
-		p.log.Warn("store: submitted record failed; job will not survive a crash", "id", j.ID, "err", err)
+		p.log.Warn("store: spec write failed; job will not survive a crash", "id", j.ID, "err", err)
 		return
 	}
-	j.walled = true
+	j.recorded = true
 }
 
 // persistCheckpoint writes the job's freshly-taken frame-boundary checkpoint
 // (j.resume) to the store, so a restarted process resumes from it.
 func (p *Pool) persistCheckpoint(j *Job) {
-	if !j.walled || j.resume == nil || j.resume.cp == nil {
+	if !j.recorded || j.resume == nil || j.resume.cp == nil {
 		return
 	}
 	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.frames, j.resume.cp.EncodeBinary())
@@ -116,37 +116,29 @@ func (p *Pool) persistCheckpoint(j *Job) {
 	}
 }
 
-// persistResult durably saves a completed result. The signature cache it
-// repopulates is keyed by inputs, so serving it after a restart is exactly
-// as correct as serving it now.
+// persistResult durably saves a completed result, whether or not the
+// job's spec landed: the result file alone is recovered. The signature
+// cache it repopulates is keyed by inputs, so serving it after a restart is
+// exactly as correct as serving it now.
 func (p *Pool) persistResult(j *Job, res gpusim.Result) {
 	if p.opts.Store == nil {
 		return
-	}
-	if !j.walled {
-		// The submitted record failed to land (a store write error), and a
-		// bare result snapshot is unreachable on replay; re-append the spec
-		// first so the completion is linked.
-		p.recordSubmitted(j)
-		if !j.walled {
-			return
-		}
 	}
 	if err := p.opts.Store.SaveResult(j.Key.String(), res); err != nil {
 		p.log.Warn("store: result write failed; job may re-run after a crash", "id", j.ID, "err", err)
 	}
 }
 
-// persistFailure closes a WAL-tracked job's recovery window after a terminal
+// persistFailure closes a recorded job's recovery window after a terminal
 // failure — except when the "failure" is the pool itself going away
 // (shutdown cancellation), which is precisely the interruption recovery
 // exists for.
 func (p *Pool) persistFailure(j *Job, err error) {
-	if !j.walled || errors.Is(err, context.Canceled) || errors.Is(err, ErrClosed) {
+	if !j.recorded || errors.Is(err, context.Canceled) || errors.Is(err, ErrClosed) {
 		return
 	}
-	if werr := p.opts.Store.RecordFailed(j.Key.String(), err.Error()); werr != nil {
-		p.log.Warn("store: failed record failed; job may re-run after a crash", "id", j.ID, "err", werr)
+	if werr := p.opts.Store.RecordFailed(j.Key.String()); werr != nil {
+		p.log.Warn("store: spec removal failed; job may re-run after a crash", "id", j.ID, "err", werr)
 	}
 }
 
@@ -187,11 +179,11 @@ func (p *Pool) recoverFromStore() {
 			switch {
 			case derr != nil:
 				p.log.Warn("store: recovered checkpoint undecodable; restarting job from frame 0", "key", pj.Key, "err", derr)
-			case cp.Frame() != pj.Frame:
+			case cp.Frame() != len(pj.Frames):
 				// Resuming would splice the file's stats onto the wrong
 				// frame and publish a result of the wrong length.
 				p.log.Warn("store: recovered checkpoint disagrees with its frame stats; restarting job from frame 0",
-					"key", pj.Key, "checkpoint_frame", cp.Frame(), "stats_frames", pj.Frame)
+					"key", pj.Key, "checkpoint_frame", cp.Frame(), "stats_frames", len(pj.Frames))
 			default:
 				rs = &resume{cp: cp, frames: append([]gpusim.Stats(nil), pj.Frames...), recovered: true}
 			}
@@ -201,6 +193,6 @@ func (p *Pool) recoverFromStore() {
 			p.log.Warn("store: interrupted job resubmission failed", "key", pj.Key, "err", err)
 			continue
 		}
-		p.log.Info("store: interrupted job resubmitted", "key", pj.Key, "id", j.ID, "from_frame", pj.Frame)
+		p.log.Info("store: interrupted job resubmitted", "key", pj.Key, "id", j.ID, "from_frame", len(pj.Frames))
 	}
 }

@@ -275,9 +275,7 @@ func familySet(t *testing.T, bodies ...string) map[string]string {
 // address families by these names, types and labels.
 func TestMetricsFamilySet(t *testing.T) {
 	nodes := startCluster(t, 3, 0, 0, func(t *testing.T) jobs.Option {
-		st := openRecoveryStore(t, t.TempDir())
-		t.Cleanup(func() { st.Close() })
-		return jobs.WithStore(st)
+		return jobs.WithStore(openRecoveryStore(t, t.TempDir()))
 	})
 	body, key := clusterSpec()
 	sender := nodes[0]
@@ -336,16 +334,11 @@ func TestMetricsFamilySet(t *testing.T) {
 		"resvc_store_checkpoints_recovered_total": "counter{}",
 		"resvc_store_jobs_recovered_total":        "counter{}",
 		"resvc_store_jobs_resumed_total":          "counter{}",
-		"resvc_store_records_appended_total":      "counter{}",
-		"resvc_store_records_replayed_total":      "counter{}",
-		"resvc_store_records_unparseable_total":   "counter{}",
 		"resvc_store_rename_errors_total":         "counter{}",
 		"resvc_store_results_recovered_total":     "counter{}",
 		"resvc_store_snapshots_quarantined_total": "counter{}",
 		"resvc_store_snapshots_written_total":     "counter{}",
 		"resvc_store_sync_errors_total":           "counter{}",
-		"resvc_store_torn_tail_bytes_total":       "counter{}",
-		"resvc_store_torn_tail_truncations_total": "counter{}",
 		"resvc_store_write_errors_total":          "counter{}",
 	}
 	for name, w := range want {

@@ -73,11 +73,9 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	}
 	ts.Close()
 	pool.Kill()
-	st.Close()
 
 	// Process two: same data dir, fresh everything else.
 	st2 := openRecoveryStore(t, dir)
-	defer st2.Close()
 	pool2 := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st2), jobs.WithLogger(quietSlog()))
 	defer pool2.Close(context.Background())
 	ts2 := httptest.NewServer(New(pool2, Limits{}).Handler())
@@ -120,9 +118,6 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	if v := metricValue(t, ts2.URL, "resvc_store_results_recovered_total"); v != 2 {
 		t.Fatalf("resvc_store_results_recovered_total = %v, want 2", v)
 	}
-	if v := metricValue(t, ts2.URL, "resvc_store_records_replayed_total"); v < 4 {
-		t.Fatalf("resvc_store_records_replayed_total = %v, want >= 4", v)
-	}
 }
 
 // TestClusterServesRecoveredResultsRemotely: a result recovered from disk
@@ -146,12 +141,10 @@ func TestClusterServesRecoveredResultsRemotely(t *testing.T) {
 	}
 	ts.Close()
 	pool.Kill()
-	st.Close()
 
 	// Phase 2: the node restarts on its data dir as one member of a
 	// two-node cluster.
 	st2 := openRecoveryStore(t, dir)
-	defer st2.Close()
 	pool0 := jobs.NewPool(jobs.WithWorkers(2), jobs.WithStore(st2), jobs.WithLogger(quietSlog()))
 	defer pool0.Close(context.Background())
 	srv0 := New(pool0, Limits{})

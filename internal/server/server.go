@@ -222,9 +222,11 @@ func (s *Server) Handler() http.Handler {
 				th.End()
 				s.spans.Put(th)
 			}
-			s.log.Debug("http request", "method", r.Method, "path", r.URL.Path,
-				"status", sw.status, "duration", time.Since(start), "remote", r.RemoteAddr,
-				"trace_id", tc.TraceIDString(), "span_id", tc.SpanIDString())
+			if s.log.Enabled(r.Context(), slog.LevelDebug) {
+				s.log.Debug("http request", "method", r.Method, "path", r.URL.Path,
+					"status", sw.status, "duration", time.Since(start), "remote", r.RemoteAddr,
+					"trace_id", tc.TraceIDString(), "span_id", tc.SpanIDString())
+			}
 		}()
 		// Injected accept-path fault: Latency sleeps inside Check, Panic
 		// unwinds into the recover above, Transient/Corrupt shed the request.
@@ -471,7 +473,9 @@ func (s *Server) forwardSubmit(w http.ResponseWriter, r *http.Request, owner str
 		httpError(w, statusForError(err), err.Error())
 		return true
 	}
-	s.log.Debug("job forwarded", "owner", owner, "key", key.String())
+	if s.log.Enabled(r.Context(), slog.LevelDebug) {
+		s.log.Debug("job forwarded", "owner", owner, "key", key.String())
+	}
 	s.relayReply(w, r, rep, key, relayForwarded)
 	return true
 }

@@ -3,37 +3,13 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"rendelim/internal/gpusim"
 )
-
-// walFile returns the bytes of a WAL holding payloads, written through the
-// real appender.
-func walFile(f *testing.F, payloads ...[]byte) []byte {
-	f.Helper()
-	path := filepath.Join(f.TempDir(), walName)
-	w, err := openWAL(path, nil, newMetrics(), func([]byte) {})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, p := range payloads {
-		if err := w.append(p); err != nil {
-			f.Fatal(err)
-		}
-	}
-	w.close()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	return data
-}
 
 // ablationSpec is a config-bearing job spec, as an ablation run records.
 func ablationSpec() JobSpec {
@@ -44,72 +20,84 @@ func ablationSpec() JobSpec {
 	return JobSpec{Alias: "ccs", Width: 96, Height: 64, Frames: 3, Seed: 1, Tech: "memo", Config: &cfg}
 }
 
-// FuzzOpenWAL replays arbitrary bytes as wal.log. Open must never panic,
-// and the log must stay usable: a record appended after Open — a
-// config-bearing submitted record — is recovered, spec intact, by the next
-// Open. Seeds are the damage cases of the WAL tests plus a valid log that
-// holds a config-bearing submitted record.
-func FuzzOpenWAL(f *testing.F) {
-	spec := ablationSpec()
-	submitted, err := json.Marshal(Record{Type: RecSubmitted, Key: "00000001-00000002", Spec: &spec})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add([]byte{})
-	f.Add(walFile(f, submitted, []byte(`{"t":"started","key":"00000001-00000002"}`)))
-	f.Add(append(walFile(f, []byte("one"), []byte("two")), 0x40, 0x00, 0x00, 0x00, 0xde, 0xad))
-	flipped := walFile(f, []byte("keep-me"), []byte("flip-me"))
-	flipped[len(flipped)-2] ^= 0x04
-	f.Add(flipped)
-	f.Add(append(walFile(f, []byte("good")), 0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0))
+// flipped returns a copy of raw with byte i XORed by mask.
+func flipped(raw []byte, i int, mask byte) []byte {
+	raw = bytes.Clone(raw)
+	raw[i] ^= mask
+	return raw
+}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+// FuzzOpenStore writes arbitrary bytes as one job's spec file and result
+// file. Open must never panic, and the store must stay usable: a
+// config-bearing spec recorded after Open comes back, intact, from the
+// next Open. Seeds are real files, a flipped result byte, an empty result,
+// a CRC-valid spec whose body is not JSON, and two empty files.
+func FuzzOpenStore(f *testing.F) {
+	spec, result, _ := snapshotFiles(f)
+	f.Add(spec, result)
+	f.Add(spec, flipped(result, len(result)/2, 0x20))
+	f.Add(spec, []byte{})
+	f.Add(append(snapHeader([]byte("not json")), "not json"...), []byte{})
+	f.Add([]byte{}, []byte{})
+
+	f.Fuzz(func(t *testing.T, spec, result []byte) {
 		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, walName), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
 		st, err := Open(dir, quietOpts())
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		const key = "fuzz-appended"
-		want := ablationSpec()
-		if err := st.RecordSubmitted(key, want); err != nil {
-			t.Fatalf("append after Open: %v", err)
+		const key = "00000001-00000002"
+		if err := os.WriteFile(st.specPath(key), spec, 0o644); err != nil {
+			t.Fatal(err)
 		}
-		st.Close()
+		if err := os.WriteFile(st.resultPath(key), result, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err = Open(dir, quietOpts())
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		const recorded = "fuzz-recorded"
+		want := ablationSpec()
+		if err := st.RecordSubmitted(recorded, want); err != nil {
+			t.Fatalf("record after Open: %v", err)
+		}
 
-		st2, err := Open(dir, quietOpts())
+		st, err = Open(dir, quietOpts())
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		defer st2.Close()
-		for _, pj := range st2.Recovered().Pending {
-			if pj.Key == key {
+		for _, pj := range st.Recovered().Pending {
+			if pj.Key == recorded {
 				if !reflect.DeepEqual(pj.Spec, want) {
 					t.Fatalf("recovered spec %+v, want %+v", pj.Spec, want)
 				}
 				return
 			}
 		}
-		t.Fatal("record appended after Open was not recovered")
+		t.Fatal("spec recorded after Open was not recovered")
 	})
 }
 
-// snapshotFiles returns a result and a checkpoint snapshot written through
-// the real store.
-func snapshotFiles(f *testing.F) (result, checkpoint []byte) {
+// snapshotFiles returns a spec, a result and a checkpoint snapshot written
+// through the real store.
+func snapshotFiles(f *testing.F) (spec, result, checkpoint []byte) {
 	f.Helper()
 	s, err := Open(f.TempDir(), quietOpts())
 	if err != nil {
 		f.Fatal(err)
 	}
-	defer s.Close()
 	const key = "dead0001-beef0001"
+	if err := s.RecordSubmitted(key, ablationSpec()); err != nil {
+		f.Fatal(err)
+	}
 	if err := s.SaveResult(key, testResult(2)); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("encoded")); err != nil {
+		f.Fatal(err)
+	}
+	if spec, err = os.ReadFile(s.specPath(key)); err != nil {
 		f.Fatal(err)
 	}
 	if result, err = os.ReadFile(s.resultPath(key)); err != nil {
@@ -118,7 +106,7 @@ func snapshotFiles(f *testing.F) (result, checkpoint []byte) {
 	if checkpoint, err = os.ReadFile(s.checkpointPath(key)); err != nil {
 		f.Fatal(err)
 	}
-	return result, checkpoint
+	return spec, result, checkpoint
 }
 
 // FuzzParseSnapshot feeds arbitrary bytes to the snapshot envelope parser.
@@ -128,18 +116,13 @@ func snapshotFiles(f *testing.F) (result, checkpoint []byte) {
 // and the quarantine tests' damage: a flipped body byte, a flipped last
 // byte, plus truncation, a wrong magic and a wrong version.
 func FuzzParseSnapshot(f *testing.F) {
-	result, checkpoint := snapshotFiles(f)
+	_, result, checkpoint := snapshotFiles(f)
 	f.Add(result)
 	f.Add(checkpoint)
-	flip := func(raw []byte, i int, mask byte) []byte {
-		raw = bytes.Clone(raw)
-		raw[i] ^= mask
-		return raw
-	}
-	f.Add(flip(result, len(result)/2, 0x20))
-	f.Add(flip(checkpoint, len(checkpoint)-1, 0xff))
-	f.Add(flip(result, 0, 0x01))
-	f.Add(flip(result, 4, 0x03))
+	f.Add(flipped(result, len(result)/2, 0x20))
+	f.Add(flipped(checkpoint, len(checkpoint)-1, 0xff))
+	f.Add(flipped(result, 0, 0x01))
+	f.Add(flipped(result, 4, 0x03))
 	f.Add(result[:snapHdrLen-1])
 	f.Add(result[:snapHdrLen])
 	f.Add([]byte{})

@@ -11,12 +11,12 @@ import (
 	"rendelim/internal/wire"
 )
 
-// Snapshot files (completed results, frame-boundary checkpoints, trace
-// upload blobs) are published atomically: the body is written to a temp file
-// in the same directory, fsynced, renamed over the final name, and the
-// directory fsynced — so a reader (including a recovering process) only
-// ever sees absent or complete files, never partial ones. Each file is
-// self-checking:
+// Snapshot files (job specs, completed results, frame-boundary
+// checkpoints, trace upload blobs) are published atomically: the body is
+// written to a temp file in the same directory, fsynced, renamed over the
+// final name, and the directory fsynced — so a reader (including a
+// recovering process) only ever sees absent or complete files, never
+// partial ones. Each file is self-checking:
 //
 //	"RESN" | u16 version | u32 CRC32(body) | body
 //

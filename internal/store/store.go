@@ -1,21 +1,20 @@
-// Package store is the durability layer under the resvc job service: a
-// CRC-protected, length-prefixed write-ahead log of job lifecycle records
-// plus an on-disk snapshot store for completed results, frame-boundary
-// simulator checkpoints, and uploaded trace blobs — all written with
-// temp-file + fsync + atomic-rename discipline.
+// Package store is the durability layer under the resvc job service. Each
+// fact about a job is one self-checking snapshot file — its spec, its
+// completed result, its last frame-boundary checkpoint, an uploaded trace
+// blob — written with temp-file + fsync + atomic-rename discipline, so there
+// is no log to replay and no second copy of a job to reconcile.
 //
 // The point is that Rendering Elimination's memoization survives kill -9:
-// on startup the WAL is replayed (truncating a torn tail at the first bad
-// CRC instead of refusing to boot, and quarantining corrupt snapshot files
-// instead of aborting), completed results re-populate the jobs result cache
-// so cross-restart submissions are eliminated as cache hits, and jobs that
-// were mid-flight when the process died are handed back with their last
-// persisted checkpoint so they resume from that frame boundary rather than
-// frame 0.
+// on startup Open scans the result and spec files (quarantining corrupt
+// ones instead of refusing to boot), completed results re-populate the jobs
+// result cache so cross-restart submissions are eliminated as cache hits,
+// and jobs that were mid-flight when the process died are handed back with
+// their last persisted checkpoint so they resume from that frame boundary
+// rather than frame 0.
 //
 // Directory layout under the data dir:
 //
-//	wal.log                  job lifecycle records (appended, fsynced)
+//	specs/<key>.snap         submitted JobSpec (JSON body); kept after completion
 //	results/<key>.snap       completed gpusim.Result (JSON body)
 //	checkpoints/<key>.snap   per-frame stats (JSON) + encoded checkpoint
 //	traces/<crc32>.snap      content-addressed uploaded trace binaries
@@ -36,7 +35,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
+	"time"
 
 	"rendelim/internal/crc"
 	"rendelim/internal/fault"
@@ -44,32 +43,15 @@ import (
 	"rendelim/internal/wire"
 )
 
-// Record types, in lifecycle order.
-const (
-	RecSubmitted = "submitted"
-	RecCompleted = "completed"
-	RecFailed    = "failed"
-
-	// RecStarted and RecCheckpointed are no longer written: a submitted
-	// record already makes a key pending, and a checkpoint's snapshot file
-	// is its only record. Replaying an older WAL keeps the key pending on
-	// either; a checkpointed record's "frame" key is ignored.
-	RecStarted      = "started"
-	RecCheckpointed = "checkpointed"
-)
-
-// Record is one WAL entry (JSON payload inside the CRC'd frame).
-type Record struct {
-	Type string   `json:"t"`
-	Key  string   `json:"key"`
-	Spec *JobSpec `json:"spec,omitempty"` // on submitted
-	Err  string   `json:"err,omitempty"`  // on failed
-}
+// legacyWAL is the write-ahead log that older versions kept beside the
+// snapshot directories. Open ignores it: its results are files under
+// results/ already, and its pending jobs are not resumed.
+const legacyWAL = "wal.log"
 
 // JobSpec is the serializable identity of a job — enough to rebuild and
 // re-run it in a fresh process. Trace uploads are referenced by the CRC32 of
 // their bytes (the content address of the blob in traces/), never inlined.
-// A nil Config means the default config and is left out of the record.
+// A nil Config means the default config and is left out of the spec file.
 type JobSpec struct {
 	Alias    string         `json:"alias,omitempty"`
 	Width    int            `json:"width,omitempty"`
@@ -82,16 +64,15 @@ type JobSpec struct {
 	Config   *gpusim.Config `json:"config,omitempty"`
 }
 
-// PendingJob is an interrupted job recovered from the WAL: it was submitted
-// but neither completed nor failed before the process died.
+// PendingJob is an interrupted job: its spec file survived and no readable
+// result did.
 type PendingJob struct {
 	Key  string
 	Spec JobSpec
-	// Frame is the frame boundary of the job's checkpoint file, the number
-	// of per-frame stats it holds (0 = no readable checkpoint: the job
-	// starts over); Frames carries those stats and Checkpoint the encoded
-	// gpusim checkpoint blob.
-	Frame      int
+	// Frames holds the per-frame stats of the job's checkpoint file, whose
+	// count is the checkpoint's frame boundary, and Checkpoint the encoded
+	// gpusim checkpoint blob. Both are nil when there is no readable
+	// checkpoint: the job starts over.
 	Frames     []gpusim.Stats
 	Checkpoint []byte
 }
@@ -101,10 +82,10 @@ type Recovery struct {
 	// Results maps job keys to their recovered completed results, for
 	// re-populating the jobs LRU cache.
 	Results map[string]gpusim.Result
-	// ResultOrder lists Results' keys oldest-completion-first (WAL order),
-	// so cache re-population preserves LRU recency.
+	// ResultOrder lists Results' keys oldest first, so cache
+	// re-population preserves LRU recency.
 	ResultOrder []string
-	// Pending lists interrupted jobs to resubmit, in WAL submission order.
+	// Pending lists interrupted jobs to resubmit, oldest submission first.
 	Pending []PendingJob
 }
 
@@ -117,136 +98,71 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// Store is the durability layer. All methods are safe for concurrent use.
+// Store is the durability layer. All methods are safe for concurrent use:
+// every write publishes or removes whole files.
 type Store struct {
 	dir     string
 	fault   *fault.Plan
 	log     *slog.Logger
 	metrics *Metrics
 
-	mu  sync.Mutex // serializes WAL appends and close
-	wal *wal
-
 	recovered Recovery
 }
 
-// Open opens (creating if needed) the data directory, replays the WAL,
-// loads and verifies result/checkpoint snapshots, and returns the store
-// ready for appends. Damage is absorbed, quantified in Metrics, and logged —
-// a torn WAL tail is truncated, corrupt snapshots are quarantined, and a
-// completed job whose result snapshot is unreadable is downgraded to a
-// pending job (re-simulated) when its spec survives.
+// Open opens (creating if needed) the data directory, loads and verifies
+// the result, spec and checkpoint snapshots, and returns the store ready
+// for writes. A readable result is a completed job; a spec without one is
+// a pending job, with its checkpoint when there is a readable one. Damage
+// is absorbed, counted in Metrics and logged: corrupt snapshots are
+// quarantined, so a job whose result is unreadable is re-run from its spec.
 func Open(dir string, opts Options) (*Store, error) {
 	log := opts.Logger
 	if log == nil {
 		log = slog.Default()
 	}
-	for _, d := range []string{dir, filepath.Join(dir, "results"), filepath.Join(dir, "checkpoints"), filepath.Join(dir, "traces")} {
+	for _, d := range []string{dir, filepath.Join(dir, "specs"), filepath.Join(dir, "results"), filepath.Join(dir, "checkpoints"), filepath.Join(dir, "traces")} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
 			return nil, fmt.Errorf("store: mkdir %s: %w", d, err)
 		}
 	}
 	s := &Store{dir: dir, fault: opts.Fault, log: log, metrics: newMetrics()}
-
-	// Replay: fold lifecycle records into a per-key state machine. Replay
-	// order is authoritative — the last record for a key wins.
-	type keyState struct {
-		last    string
-		spec    *JobSpec
-		seenAt  int // record index of last transition, for stable ordering
-		doneAt  int
-		pending bool
+	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err == nil {
+		log.Warn("store: ignoring an older version's write-ahead log; its results recover from results/, its pending jobs do not resume",
+			"path", filepath.Join(dir, legacyWAL))
 	}
-	states := make(map[string]*keyState)
-	idx := 0
-	w, err := openWAL(filepath.Join(dir, walName), opts.Fault, s.metrics, func(payload []byte) {
-		idx++
-		var rec Record
-		if err := json.Unmarshal(payload, &rec); err != nil || rec.Key == "" {
-			// A CRC-valid but semantically broken record would take a
-			// serializer bug; count it and move on.
-			s.metrics.RecordsUnparseable.Add(1)
-			return
-		}
-		st := states[rec.Key]
-		if st == nil {
-			st = &keyState{}
-			states[rec.Key] = st
-		}
-		st.last = rec.Type
-		st.seenAt = idx
-		switch rec.Type {
-		case RecSubmitted:
-			st.spec = rec.Spec
-			st.pending = true
-		case RecStarted, RecCheckpointed:
-			st.pending = true
-		case RecCompleted:
-			st.pending = false
-			st.doneAt = idx
-		case RecFailed:
-			st.pending = false
-			st.doneAt = 0
-		}
-	})
+
+	resultKeys, err := s.keysByAge("results")
 	if err != nil {
 		return nil, err
 	}
-	s.wal = w
-
-	// Load completed results (oldest first, preserving LRU recency) and
-	// assemble the pending set.
-	s.recovered.Results = make(map[string]gpusim.Result)
-	type done struct {
-		key string
-		at  int
-	}
-	var dones []done
-	var pendings []*keyState
-	pendingKey := make(map[*keyState]string)
-	for key, st := range states {
-		switch {
-		case st.last == RecCompleted:
-			dones = append(dones, done{key, st.doneAt})
-		case st.pending:
-			pendings = append(pendings, st)
-			pendingKey[st] = key
-		}
-	}
-	sort.Slice(dones, func(i, j int) bool { return dones[i].at < dones[j].at })
-	sort.Slice(pendings, func(i, j int) bool { return pendings[i].seenAt < pendings[j].seenAt })
-
-	for _, d := range dones {
-		res, err := s.loadResult(d.key)
-		if err != nil {
-			st := states[d.key]
-			if st.spec != nil {
-				// The WAL says done but the proof is gone: fall back to
-				// re-running the job rather than silently forgetting it.
-				s.log.Warn("store: completed result unreadable; will re-run", "key", d.key, "err", err)
-				pendings = append(pendings, st)
-				pendingKey[st] = d.key
-			} else {
-				s.log.Warn("store: completed result unreadable and spec unknown; dropped", "key", d.key, "err", err)
-			}
+	s.recovered.Results = make(map[string]gpusim.Result, len(resultKeys))
+	for _, key := range resultKeys {
+		var res gpusim.Result
+		if err := s.loadJSON(s.resultPath(key), &res); err != nil {
+			s.log.Warn("store: result unreadable; the job re-runs if its spec survives", "key", key, "err", err)
 			continue
 		}
-		s.recovered.Results[d.key] = res
-		s.recovered.ResultOrder = append(s.recovered.ResultOrder, d.key)
+		s.recovered.Results[key] = res
+		s.recovered.ResultOrder = append(s.recovered.ResultOrder, key)
 		s.metrics.ResultsRecovered.Add(1)
 	}
 
-	for _, st := range pendings {
-		key := pendingKey[st]
-		if st.spec == nil {
-			s.log.Warn("store: interrupted job has no recorded spec; dropped", "key", key)
+	specKeys, err := s.keysByAge("specs")
+	if err != nil {
+		return nil, err
+	}
+	for _, key := range specKeys {
+		if _, done := s.recovered.Results[key]; done {
 			continue
 		}
-		pj := PendingJob{Key: key, Spec: *st.spec}
-		// The checkpoint file, when there is one, is the job's only
-		// checkpoint record. A file left by an earlier run of the same key
-		// is as good as a fresh one: the key signs trace, config and model,
-		// and Resume re-checks the blob.
+		pj := PendingJob{Key: key}
+		if err := s.loadJSON(s.specPath(key), &pj.Spec); err != nil {
+			s.log.Warn("store: interrupted job's spec unreadable; dropped", "key", key, "err", err)
+			continue
+		}
+		// A checkpoint file left by an earlier run of the same key is as
+		// good as a fresh one: the key signs trace, config and model, and
+		// Resume re-checks the blob.
 		frames, blob, err := s.loadCheckpoint(key)
 		switch {
 		case errors.Is(err, fs.ErrNotExist):
@@ -254,7 +170,6 @@ func Open(dir string, opts Options) (*Store, error) {
 		case err != nil:
 			s.log.Warn("store: checkpoint unreadable; resuming from frame 0", "key", key, "err", err)
 		default:
-			pj.Frame = len(frames)
 			pj.Frames = frames
 			pj.Checkpoint = blob
 			s.metrics.CheckpointsRecovered.Add(1)
@@ -263,6 +178,43 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.metrics.JobsRecovered.Add(1)
 	}
 	return s, nil
+}
+
+// keysByAge lists the keys of the snapshot files under sub, oldest first
+// by modification time. File times are coarse, so ties — files written
+// within one clock tick — fall back to key order.
+func (s *Store) keysByAge(sub string) ([]string, error) {
+	entries, err := os.ReadDir(filepath.Join(s.dir, sub))
+	if err != nil {
+		return nil, fmt.Errorf("store: list %s: %w", sub, err)
+	}
+	type file struct {
+		key string
+		mod time.Time
+	}
+	files := make([]file, 0, len(entries))
+	for _, e := range entries {
+		key, ok := strings.CutSuffix(e.Name(), ".snap")
+		if !ok || !e.Type().IsRegular() {
+			continue // temp and quarantined files
+		}
+		info, err := e.Info()
+		if err != nil {
+			return nil, fmt.Errorf("store: stat %s: %w", e.Name(), err)
+		}
+		files = append(files, file{key, info.ModTime()})
+	}
+	sort.Slice(files, func(i, j int) bool {
+		if !files[i].mod.Equal(files[j].mod) {
+			return files[i].mod.Before(files[j].mod)
+		}
+		return files[i].key < files[j].key
+	})
+	keys := make([]string, len(files))
+	for i, f := range files {
+		keys[i] = f.key
+	}
+	return keys, nil
 }
 
 // Dir returns the data directory the store was opened on.
@@ -275,77 +227,73 @@ func (s *Store) Metrics() *Metrics { return s.metrics }
 // the store never mutates it after Open.
 func (s *Store) Recovered() Recovery { return s.recovered }
 
-// Close releases the WAL handle. Every append was already fsynced.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	err := s.wal.close()
-	s.wal = nil
-	return err
-}
-
-// appendRecord marshals and appends one WAL record.
-func (s *Store) appendRecord(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: marshal record: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.wal == nil {
-		return fmt.Errorf("store: closed")
-	}
-	return s.wal.append(payload)
-}
-
-// RecordSubmitted logs that key's leader execution was accepted, carrying
-// the serializable spec recovery needs to re-run it.
+// RecordSubmitted publishes key's spec, which recovery needs to re-run the
+// job. The file outlives the job's completion, so a result that later
+// fails its CRC is re-run from it.
 func (s *Store) RecordSubmitted(key string, spec JobSpec) error {
-	return s.appendRecord(Record{Type: RecSubmitted, Key: key, Spec: &spec})
+	return s.saveJSON(s.specPath(key), spec)
 }
 
-// RecordFailed logs key's terminal failure, closing its recovery window.
-func (s *Store) RecordFailed(key string, cause string) error {
-	return s.appendRecord(Record{Type: RecFailed, Key: key, Err: cause})
+// RecordFailed closes key's recovery window after a terminal failure: it
+// removes the job's checkpoint and spec, and returns once the spec's
+// removal is durable.
+func (s *Store) RecordFailed(key string) error {
+	if err := s.remove(s.checkpointPath(key)); err != nil {
+		return err
+	}
+	return s.remove(s.specPath(key))
 }
 
-// SaveResult atomically persists a completed result, then logs the
-// completion — in that order, so a crash between the two re-runs the job
-// instead of trusting a completion record with no result behind it. The
-// job's checkpoint snapshot, now superseded, is removed.
+// SaveResult atomically publishes a completed result; the file alone marks
+// the job complete. The job's checkpoint, now superseded, is removed.
 func (s *Store) SaveResult(key string, res gpusim.Result) error {
-	body, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: marshal result: %w", err)
-	}
-	if err := s.writeSnapshot(s.resultPath(key), body); err != nil {
+	if err := s.saveJSON(s.resultPath(key), res); err != nil {
 		return err
 	}
-	if err := s.appendRecord(Record{Type: RecCompleted, Key: key}); err != nil {
-		return err
-	}
-	os.Remove(s.checkpointPath(key))
+	// Best effort: a checkpoint left behind is resumed only if the result
+	// is later quarantined, and the key signs everything it resumes.
+	_ = s.remove(s.checkpointPath(key))
 	return nil
 }
 
-// loadResult reads and verifies a completed result snapshot.
-func (s *Store) loadResult(key string) (gpusim.Result, error) {
-	body, err := s.readSnapshot(s.resultPath(key))
+// saveJSON publishes v's JSON encoding as the snapshot at path.
+func (s *Store) saveJSON(path string, v any) error {
+	body, err := json.Marshal(v)
 	if err != nil {
-		return gpusim.Result{}, err
+		return fmt.Errorf("store: marshal %s: %w", filepath.Base(path), err)
 	}
-	var res gpusim.Result
-	if err := json.Unmarshal(body, &res); err != nil {
-		s.quarantineResultJSON(key, err)
-		return gpusim.Result{}, fmt.Errorf("store: result decode: %w", err)
-	}
-	return res, nil
+	return s.writeSnapshot(path, body)
 }
 
-// quarantineResultJSON handles the CRC-valid-but-unparseable case the same
-// way as CRC damage: move the file aside.
-func (s *Store) quarantineResultJSON(key string, cause error) {
-	s.quarantine(s.resultPath(key), cause)
+// loadJSON reads the snapshot at path and decodes its JSON body into v. A
+// body that passes its CRC but does not decode is quarantined like CRC
+// damage.
+func (s *Store) loadJSON(path string, v any) error {
+	body, err := s.readSnapshot(path)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(body, v); err != nil {
+		s.quarantine(path, err)
+		return fmt.Errorf("store: decode %s: %w", filepath.Base(path), err)
+	}
+	return nil
+}
+
+// remove deletes the file at path and fsyncs its directory, so the removal
+// survives power loss. A missing file is already removed.
+func (s *Store) remove(path string) error {
+	if err := os.Remove(path); err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil
+		}
+		return fmt.Errorf("store: remove: %w", err)
+	}
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		s.metrics.SyncErrors.Add(1)
+		return err
+	}
+	return nil
 }
 
 // checkpointBody frames the checkpoint snapshot body: JSON meta (per-frame
@@ -363,9 +311,7 @@ func checkpointBody(frames []gpusim.Stats, ckpt []byte) ([]byte, error) {
 
 // SaveCheckpoint atomically persists key's frame-boundary checkpoint: the
 // encoded simulator state plus the stats of every frame completed before
-// it, whose count is the checkpoint's frame. The published file is the
-// checkpoint's only record; no WAL record is appended, and Open finds the
-// file by key.
+// it, whose count is the checkpoint's frame. Open finds the file by key.
 func (s *Store) SaveCheckpoint(key string, frames []gpusim.Stats, ckpt []byte) error {
 	body, err := checkpointBody(frames, ckpt)
 	if err != nil {
@@ -438,6 +384,10 @@ func (s *Store) QuarantinedFiles() []string {
 	})
 	sort.Strings(out)
 	return out
+}
+
+func (s *Store) specPath(key string) string {
+	return filepath.Join(s.dir, "specs", sanitizeKey(key)+".snap")
 }
 
 func (s *Store) resultPath(key string) string {

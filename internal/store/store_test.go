@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -11,21 +12,14 @@ import (
 	"strings"
 	"testing"
 
+	"rendelim/internal/crc"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
+	"rendelim/internal/wire"
 )
 
 func quietOpts() Options {
 	return Options{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
-}
-
-// appendRaw appends payload to s's WAL as one record, the way an older
-// store wrote the record types this one no longer does.
-func appendRaw(t *testing.T, s *Store, payload string) {
-	t.Helper()
-	if err := s.wal.append([]byte(payload)); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func testResult(n int) gpusim.Result {
@@ -40,11 +34,10 @@ func testResult(n int) gpusim.Result {
 // The headline contract: a store reopened on the same directory hands back
 // completed results verbatim, interrupted jobs with their checkpoints, and
 // nothing for failed jobs. A pending job's checkpoint is its checkpoint
-// file, found by key; the WAL holds no record of it.
+// file, found by key.
 func TestStoreRecovery(t *testing.T) {
 	t.Run("lifecycle", testRecoveryLifecycle)
 	t.Run("checkpoint file without a record", testRecoveryCheckpointWithoutRecord)
-	t.Run("legacy checkpointed records", testRecoveryLegacyCheckpointedRecords)
 	t.Run("no checkpoint file", testRecoveryNoCheckpointFile)
 }
 
@@ -70,18 +63,14 @@ func testRecoveryLifecycle(t *testing.T) {
 	if err := s.RecordSubmitted("aaaa0002-bbbb0002", specB); err != nil {
 		t.Fatal(err)
 	}
-	appended := s.Metrics().RecordsAppended.Load()
 	if err := s.SaveCheckpoint("aaaa0002-bbbb0002", framesB, ckptB); err != nil {
 		t.Fatal(err)
-	}
-	if n := s.Metrics().RecordsAppended.Load() - appended; n != 0 {
-		t.Fatalf("SaveCheckpoint appended %d WAL records, want 0", n)
 	}
 
 	if err := s.RecordSubmitted("aaaa0003-bbbb0003", JobSpec{Alias: "ccs", Tech: "re"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RecordFailed("aaaa0003-bbbb0003", "boom"); err != nil {
+	if err := s.RecordFailed("aaaa0003-bbbb0003"); err != nil {
 		t.Fatal(err)
 	}
 
@@ -89,13 +78,11 @@ func testRecoveryLifecycle(t *testing.T) {
 	if err := s.RecordSubmitted("aaaa0004-bbbb0004", specD); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	r, err := Open(dir, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 
 	if got, ok := rec.Results["aaaa0001-bbbb0001"]; !ok {
@@ -109,13 +96,13 @@ func testRecoveryLifecycle(t *testing.T) {
 	if len(rec.Pending) != 2 {
 		t.Fatalf("recovered %d pending jobs, want 2 (checkpointed B + submitted-only D): %+v", len(rec.Pending), rec.Pending)
 	}
-	// WAL submission order: B before D.
+	// Submission order: B before D.
 	b, d := rec.Pending[0], rec.Pending[1]
-	if b.Key != "aaaa0002-bbbb0002" || b.Spec != specB || b.Frame != 2 ||
+	if b.Key != "aaaa0002-bbbb0002" || b.Spec != specB || len(b.Frames) != 2 ||
 		!reflect.DeepEqual(b.Frames, framesB) || string(b.Checkpoint) != string(ckptB) {
 		t.Fatalf("pending B = %+v", b)
 	}
-	if d.Key != "aaaa0004-bbbb0004" || d.Spec != specD || d.Frame != 0 || d.Checkpoint != nil {
+	if d.Key != "aaaa0004-bbbb0004" || d.Spec != specD || len(d.Frames) != 0 || d.Checkpoint != nil {
 		t.Fatalf("pending D = %+v", d)
 	}
 
@@ -124,15 +111,14 @@ func testRecoveryLifecycle(t *testing.T) {
 		t.Fatalf("recovery metrics: results=%d ckpts=%d jobs=%d",
 			m.ResultsRecovered.Load(), m.CheckpointsRecovered.Load(), m.JobsRecovered.Load())
 	}
-	if m.TornTailTruncations.Load() != 0 || m.SnapshotsQuarantined.Load() != 0 {
+	if m.SnapshotsQuarantined.Load() != 0 {
 		t.Fatal("clean recovery reported damage")
 	}
 }
 
-// A checkpoint snapshot that no WAL record mentions is recovered, and its
-// frame is the number of per-frame stats it holds. An older store left
-// exactly this when it died between publishing the file and appending its
-// checkpointed record.
+// A checkpoint snapshot published straight to its path beside a spec is
+// recovered with it, and its frame is the number of per-frame stats it
+// holds.
 func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -144,7 +130,6 @@ func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	frames := []gpusim.Stats{{Frames: 1, TilesTotal: 1}, {Frames: 1, TilesTotal: 2}, {Frames: 1, TilesTotal: 3}}
 	ckpt := []byte("frame-3-checkpoint")
 	s.RecordSubmitted(key, spec)
-	appendRaw(t, s, fmt.Sprintf(`{"t":"started","key":%q}`, key))
 	body, err := checkpointBody(frames, ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -152,94 +137,22 @@ func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	if err := s.writeSnapshot(s.checkpointPath(key), body); err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
 
 	r, err := Open(dir, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Pending) != 1 {
 		t.Fatalf("pending = %+v", rec.Pending)
 	}
 	p := rec.Pending[0]
-	if p.Key != key || p.Spec != spec || p.Frame != len(frames) ||
+	if p.Key != key || p.Spec != spec || len(p.Frames) != len(frames) ||
 		!reflect.DeepEqual(p.Frames, frames) || string(p.Checkpoint) != string(ckpt) {
 		t.Fatalf("pending = %+v, want frame %d with its stats and blob", p, len(frames))
 	}
 	if n := r.Metrics().CheckpointsRecovered.Load(); n != 1 {
 		t.Fatalf("CheckpointsRecovered = %d, want 1", n)
-	}
-}
-
-// A WAL written by an older store, with a started record per job and a
-// checkpointed record per checkpoint, recovers the same pending set: both
-// keep the key pending, and a checkpointed record's frame field is ignored
-// in favour of the file.
-func testRecoveryLegacyCheckpointedRecords(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, quietOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := func(key string, frame int) {
-		t.Helper()
-		appendRaw(t, s, fmt.Sprintf(`{"t":"checkpointed","key":%q,"frame":%d}`, key, frame))
-	}
-	stats := func(n int) []gpusim.Stats {
-		out := make([]gpusim.Stats, n)
-		for i := range out {
-			out[i] = gpusim.Stats{Frames: 1, TilesTotal: uint64(10 + i)}
-		}
-		return out
-	}
-	// Interrupted after two checkpoints.
-	running := "1e9a0001-1e9a0001"
-	spec := JobSpec{Alias: "mot", Width: 32, Height: 32, Frames: 5, Seed: 7, Tech: "te"}
-	s.RecordSubmitted(running, spec)
-	appendRaw(t, s, fmt.Sprintf(`{"t":"started","key":%q}`, running))
-	for f := 1; f <= 2; f++ {
-		if err := s.SaveCheckpoint(running, stats(f), []byte(fmt.Sprintf("frame-%d", f))); err != nil {
-			t.Fatal(err)
-		}
-		legacy(running, f)
-	}
-	// Checkpointed, then completed: its result wins and its file is gone.
-	done := "1e9a0002-1e9a0002"
-	s.RecordSubmitted(done, JobSpec{Alias: "ccs", Tech: "re"})
-	s.SaveCheckpoint(done, stats(1), []byte("frame-1"))
-	legacy(done, 1)
-	if err := s.SaveResult(done, testResult(4)); err != nil {
-		t.Fatal(err)
-	}
-	// Checkpointed, then failed: its recovery window is closed.
-	failed := "1e9a0003-1e9a0003"
-	s.RecordSubmitted(failed, JobSpec{Alias: "fly", Tech: "memo"})
-	s.SaveCheckpoint(failed, stats(1), []byte("frame-1"))
-	legacy(failed, 1)
-	s.RecordFailed(failed, "boom")
-	s.Close()
-
-	r, err := Open(dir, quietOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	rec := r.Recovered()
-	if n := r.Metrics().RecordsUnparseable.Load(); n != 0 {
-		t.Fatalf("%d legacy records unparseable", n)
-	}
-	if len(rec.Pending) != 1 {
-		t.Fatalf("pending = %+v, want only %s", rec.Pending, running)
-	}
-	p := rec.Pending[0]
-	if p.Key != running || p.Spec != spec || p.Frame != 2 ||
-		!reflect.DeepEqual(p.Frames, stats(2)) || string(p.Checkpoint) != "frame-2" {
-		t.Fatalf("pending = %+v, want %s at frame 2", p, running)
-	}
-	if _, ok := rec.Results[done]; !ok || len(rec.Results) != 1 {
-		t.Fatalf("results = %v, want only %s", rec.ResultOrder, done)
 	}
 }
 
@@ -254,19 +167,17 @@ func testRecoveryNoCheckpointFile(t *testing.T) {
 	key := "0ff10001-0ff10002"
 	spec := JobSpec{Alias: "ccs", Width: 32, Height: 32, Frames: 3, Seed: 8, Tech: "re"}
 	s.RecordSubmitted(key, spec)
-	s.Close()
 
 	var logs bytes.Buffer
 	r, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Pending) != 1 {
 		t.Fatalf("pending = %+v", rec.Pending)
 	}
-	if p := rec.Pending[0]; p.Key != key || p.Spec != spec || p.Frame != 0 || p.Frames != nil || p.Checkpoint != nil {
+	if p := rec.Pending[0]; p.Key != key || p.Spec != spec || p.Frames != nil || p.Checkpoint != nil {
 		t.Fatalf("pending = %+v, want frame 0 with no checkpoint", p)
 	}
 	if logs.Len() != 0 {
@@ -279,8 +190,8 @@ func testRecoveryNoCheckpointFile(t *testing.T) {
 	}
 }
 
-// SaveResult removes the superseded checkpoint, and a completed job beats
-// its stale checkpoint record on replay.
+// SaveResult removes the superseded checkpoint, and a completed job is not
+// recovered as pending.
 func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -296,13 +207,11 @@ func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	if _, err := os.Stat(s.checkpointPath(key)); !os.IsNotExist(err) {
 		t.Fatal("checkpoint snapshot not removed after completion")
 	}
-	s.Close()
 
 	r, err := Open(dir, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Pending) != 0 {
 		t.Fatalf("completed job recovered as pending: %+v", rec.Pending)
@@ -312,8 +221,76 @@ func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	}
 }
 
-// A corrupt result snapshot is quarantined and — because the WAL still
-// holds the spec — the job is downgraded to pending rather than forgotten.
+// A published result is a completed job with nothing written after it. A
+// crash right after SaveResult's snapshot leaves exactly this, and the job
+// must not be simulated again.
+func TestStoreResultFileAloneCompletesJob(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "0001beef-0002beef"
+	if err := s.RecordSubmitted(key, JobSpec{Alias: "ccs", Width: 32, Height: 32, Frames: 3, Tech: "re"}); err != nil {
+		t.Fatal(err)
+	}
+	want := testResult(5)
+	body, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.writeSnapshot(s.resultPath(key), body); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Recovered()
+	if got, ok := rec.Results[key]; !ok || len(rec.Pending) != 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("results=%v pending=%d, want %s completed and nothing pending", rec.ResultOrder, len(rec.Pending), key)
+	}
+}
+
+// A wal.log left by an older version is ignored with one warning: results
+// recover from their files, and a job pending only in the log is not
+// resumed.
+func TestStoreIgnoresLegacyWAL(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir, quietOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := "1e9a0002-1e9a0002"
+	s.RecordSubmitted(done, JobSpec{Alias: "ccs", Tech: "re"})
+	if err := s.SaveResult(done, testResult(4)); err != nil {
+		t.Fatal(err)
+	}
+	// The older format: u32 length | u32 CRC32 | JSON record.
+	record := []byte(`{"t":"submitted","key":"1e9a0001-1e9a0001","spec":{"alias":"mot","tech":"te"}}`)
+	wal := wire.AppendU32(wire.AppendU32(nil, uint32(len(record))), crc.Checksum(record))
+	if err := os.WriteFile(filepath.Join(dir, legacyWAL), append(wal, record...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	var logs bytes.Buffer
+	r, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := r.Recovered()
+	if _, ok := rec.Results[done]; !ok || len(rec.Results) != 1 || len(rec.Pending) != 0 {
+		t.Fatalf("results=%v pending=%+v, want only %s completed", rec.ResultOrder, rec.Pending, done)
+	}
+	if n := strings.Count(logs.String(), "level=WARN"); n != 1 || !strings.Contains(logs.String(), legacyWAL) {
+		t.Fatalf("want one warning naming %s, got:\n%s", legacyWAL, logs.String())
+	}
+}
+
+// A corrupt result snapshot is quarantined and — because the spec file
+// survives completion — the job is downgraded to pending rather than
+// forgotten.
 func TestStoreQuarantineDowngradesToPending(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -325,7 +302,6 @@ func TestStoreQuarantineDowngradesToPending(t *testing.T) {
 	s.RecordSubmitted(key, spec)
 	s.SaveResult(key, testResult(2))
 	path := s.resultPath(key)
-	s.Close()
 
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -340,12 +316,11 @@ func TestStoreQuarantineDowngradesToPending(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Results) != 0 {
 		t.Fatalf("corrupt result served anyway: %+v", rec.Results)
 	}
-	if len(rec.Pending) != 1 || rec.Pending[0].Key != key || rec.Pending[0].Spec != spec || rec.Pending[0].Frame != 0 {
+	if len(rec.Pending) != 1 || rec.Pending[0].Key != key || rec.Pending[0].Spec != spec || len(rec.Pending[0].Frames) != 0 {
 		t.Fatalf("job not downgraded to pending: %+v", rec.Pending)
 	}
 	if n := r.Metrics().SnapshotsQuarantined.Load(); n != 1 {
@@ -373,7 +348,6 @@ func TestStoreCorruptCheckpointFallsBackToFrameZero(t *testing.T) {
 	s.RecordSubmitted(key, spec)
 	s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("encoded"))
 	path := s.checkpointPath(key)
-	s.Close()
 
 	raw, _ := os.ReadFile(path)
 	raw[len(raw)-1] ^= 0xff
@@ -383,13 +357,12 @@ func TestStoreCorruptCheckpointFallsBackToFrameZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
 	rec := r.Recovered()
 	if len(rec.Pending) != 1 {
 		t.Fatalf("pending = %+v", rec.Pending)
 	}
 	p := rec.Pending[0]
-	if p.Key != key || p.Spec != spec || p.Frame != 0 || p.Checkpoint != nil {
+	if p.Key != key || p.Spec != spec || len(p.Frames) != 0 || p.Checkpoint != nil {
 		t.Fatalf("corrupt checkpoint not degraded to frame 0: %+v", p)
 	}
 	if r.Metrics().CheckpointsRecovered.Load() != 0 || r.Metrics().SnapshotsQuarantined.Load() != 1 {
@@ -404,7 +377,6 @@ func TestStoreTraceBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	bin := []byte("not really a trace but content is content")
 	sum, err := s.SaveTrace(bin)
 	if err != nil {
@@ -447,9 +419,8 @@ func TestStoreFaultInjectionNeverCorruptsState(t *testing.T) {
 			for i := 0; i < n; i++ {
 				key := fmt.Sprintf("%08x-%08x", i, i*3)
 				res := testResult(i)
-				// Lifecycle appends may fail under injection; only a
-				// successful SaveResult (snapshot + completed record)
-				// promises recovery.
+				// Spec and checkpoint writes may fail under injection;
+				// only a successful SaveResult promises recovery.
 				s.RecordSubmitted(key, JobSpec{Alias: "ccs", Tech: "re", Seed: int64(i)})
 				if i%3 == 0 {
 					s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("ck"))
@@ -462,13 +433,11 @@ func TestStoreFaultInjectionNeverCorruptsState(t *testing.T) {
 			if injected == 0 {
 				t.Fatalf("seed %d injected no faults; test is vacuous", seed)
 			}
-			s.Close()
 
 			r, err := Open(dir, quietOpts())
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer r.Close()
 			rec := r.Recovered()
 			for key, res := range want {
 				got, ok := rec.Results[key]
@@ -501,7 +470,6 @@ func TestStoreSanitizesHostileKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	for _, key := range []string{"../../etc/passwd", "a/b", "", "nul\x00byte"} {
 		p := s.resultPath(key)
 		if rel, err := filepath.Rel(filepath.Join(s.Dir(), "results"), p); err != nil || strings.Contains(rel, "..") || strings.ContainsRune(rel, os.PathSeparator) {
