@@ -188,3 +188,24 @@ func ReadPipeline(r *wire.Reader) SetPipeline {
 	p.CullBack = r.Bool()
 	return p
 }
+
+// AppendState appends the bound pipeline, every uniform register, the
+// render-target count and the upload flag, for simulator checkpoints.
+func (s *State) AppendState(b []byte) []byte {
+	b = AppendPipeline(b, s.Pipeline)
+	for _, v := range s.Uniforms {
+		b = AppendVec4(b, v)
+	}
+	b = wire.AppendI64(b, int64(s.RenderTargets))
+	return wire.AppendBool(b, s.UploadsThisFrame)
+}
+
+// ReadState reads what AppendState wrote into s.
+func (s *State) ReadState(r *wire.Reader) {
+	s.Pipeline = ReadPipeline(r)
+	for i := range s.Uniforms {
+		s.Uniforms[i] = ReadVec4(r)
+	}
+	s.RenderTargets = int(r.I64())
+	s.UploadsThisFrame = r.Bool()
+}

@@ -221,75 +221,40 @@ func (c *Cache) Flush() int {
 // ResetStats zeroes the counters while keeping cache contents.
 func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
-// Snapshot captures the cache's full replacement state — every line's tag,
-// validity, dirtiness and LRU stamp, plus the LRU clock and counters — so a
-// restored cache produces the same hit/miss/writeback stream (and therefore
-// the same simulated timing) as the original.
-type Snapshot struct {
-	Lines   []line // flattened sets, cfg.Ways entries per set
-	LRUTick uint32
-	Stats   Stats
-}
-
-// Snapshot copies the cache state.
-func (c *Cache) Snapshot() Snapshot {
-	lines := make([]line, 0, len(c.sets)*c.cfg.Ways)
+// AppendState appends the cache's full replacement state for a simulator
+// checkpoint — every line's tag, validity, dirtiness and LRU stamp, set by
+// set, then the LRU clock and the counters — so a cache read back from it
+// produces the same hit/miss/writeback stream (and therefore the same
+// simulated timing) as the original.
+func (c *Cache) AppendState(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(len(c.sets)*c.cfg.Ways))
 	for _, set := range c.sets {
-		lines = append(lines, set...)
+		for _, ln := range set {
+			b = wire.AppendU64(b, ln.tag)
+			b = wire.AppendBool(b, ln.valid)
+			b = wire.AppendBool(b, ln.dirty)
+			b = wire.AppendU32(b, ln.lru)
+		}
 	}
-	return Snapshot{Lines: lines, LRUTick: c.lruTick, Stats: c.Stats}
+	b = wire.AppendU32(b, c.lruTick)
+	b = wire.AppendU64(b, c.Stats.Accesses)
+	b = wire.AppendU64(b, c.Stats.Hits)
+	b = wire.AppendU64(b, c.Stats.Misses)
+	b = wire.AppendU64(b, c.Stats.Writebacks)
+	b = wire.AppendU64(b, c.Stats.ReadBytes)
+	return wire.AppendU64(b, c.Stats.WriteBytes)
 }
 
-// Restore overwrites the cache state with a snapshot from an identically
-// configured cache; it panics on a geometry mismatch.
-func (c *Cache) Restore(s Snapshot) {
-	if len(s.Lines) != len(c.sets)*c.cfg.Ways {
-		panic(fmt.Sprintf("cache %s: restore geometry mismatch: %d lines != %d", c.cfg.Name, len(s.Lines), len(c.sets)*c.cfg.Ways))
+// ReadState reads what AppendState wrote into the cache's own lines; a line
+// count other than the cache's geometry latches wire.ErrCorrupt on r.
+func (c *Cache) ReadState(r *wire.Reader) {
+	r.Length(len(c.sets) * c.cfg.Ways)
+	for _, set := range c.sets {
+		for i := range set {
+			set[i] = line{tag: r.U64(), valid: r.Bool(), dirty: r.Bool(), lru: r.U32()}
+		}
 	}
-	for i, set := range c.sets {
-		copy(set, s.Lines[i*c.cfg.Ways:(i+1)*c.cfg.Ways])
-	}
-	c.lruTick = s.LRUTick
-	c.Stats = s.Stats
-}
-
-// AppendBinary serializes the snapshot in the durability layer's wire
-// format: every line's replacement state followed by the LRU clock and
-// counters.
-func (s Snapshot) AppendBinary(b []byte) []byte {
-	b = wire.AppendU32(b, uint32(len(s.Lines)))
-	for _, ln := range s.Lines {
-		b = wire.AppendU64(b, ln.tag)
-		b = wire.AppendBool(b, ln.valid)
-		b = wire.AppendBool(b, ln.dirty)
-		b = wire.AppendU32(b, ln.lru)
-	}
-	b = wire.AppendU32(b, s.LRUTick)
-	b = wire.AppendU64(b, s.Stats.Accesses)
-	b = wire.AppendU64(b, s.Stats.Hits)
-	b = wire.AppendU64(b, s.Stats.Misses)
-	b = wire.AppendU64(b, s.Stats.Writebacks)
-	b = wire.AppendU64(b, s.Stats.ReadBytes)
-	b = wire.AppendU64(b, s.Stats.WriteBytes)
-	return b
-}
-
-// DecodeSnapshot is the inverse of AppendBinary; errors are latched on r.
-func DecodeSnapshot(r *wire.Reader) Snapshot {
-	var s Snapshot
-	s.Lines = make([]line, r.Count(int(r.U32()), 14))
-	for i := range s.Lines {
-		s.Lines[i].tag = r.U64()
-		s.Lines[i].valid = r.Bool()
-		s.Lines[i].dirty = r.Bool()
-		s.Lines[i].lru = r.U32()
-	}
-	s.LRUTick = r.U32()
-	s.Stats.Accesses = r.U64()
-	s.Stats.Hits = r.U64()
-	s.Stats.Misses = r.U64()
-	s.Stats.Writebacks = r.U64()
-	s.Stats.ReadBytes = r.U64()
-	s.Stats.WriteBytes = r.U64()
-	return s
+	c.lruTick = r.U32()
+	c.Stats = Stats{Accesses: r.U64(), Hits: r.U64(), Misses: r.U64(),
+		Writebacks: r.U64(), ReadBytes: r.U64(), WriteBytes: r.U64()}
 }

@@ -1,10 +1,10 @@
 package cache
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -248,25 +248,31 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-// A snapshot round-trips through its wire form, and a line count the input
-// cannot hold is latched as corruption instead of decoding to no lines.
-func TestDecodeSnapshotRejectsBadCount(t *testing.T) {
+// A cache's state round-trips through ReadState into a fresh cache of the
+// same geometry, and a line count other than that geometry is latched as
+// corruption.
+func TestReadStateRejectsBadCount(t *testing.T) {
 	c := small(&recorder{})
 	for addr := uint64(0); addr < 4096; addr += 96 {
 		c.Access(addr, 4, addr%192 == 0)
 	}
-	want := c.Snapshot()
-	blob := want.AppendBinary(nil)
+	blob := c.AppendState(nil)
 
+	got := small(&recorder{})
 	r := wire.NewReader(blob)
-	if got := DecodeSnapshot(r); r.Err() != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip: err %v, equal %v", r.Err(), reflect.DeepEqual(got, want))
+	got.ReadState(r)
+	if r.Err() != nil || r.Len() != 0 || !bytes.Equal(got.AppendState(nil), blob) {
+		t.Fatalf("round trip: err %v, %d bytes left, state equal %v", r.Err(), r.Len(), bytes.Equal(got.AppendState(nil), blob))
 	}
 
-	bad := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint32(bad, 1<<30)
-	r = wire.NewReader(bad)
-	if got := DecodeSnapshot(r); !errors.Is(r.Err(), wire.ErrCorrupt) || len(got.Lines) != 0 {
-		t.Fatalf("line count 2^30 decoded to %d lines with err %v, want wire.ErrCorrupt", len(got.Lines), r.Err())
+	lines := c.Config().Sets() * c.Config().Ways
+	for _, n := range []uint32{1 << 30, uint32(lines - 1)} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad, n)
+		r := wire.NewReader(bad)
+		small(&recorder{}).ReadState(r)
+		if !errors.Is(r.Err(), wire.ErrCorrupt) {
+			t.Errorf("line count %d for a %d-line cache: err %v, want wire.ErrCorrupt", n, lines, r.Err())
+		}
 	}
 }

@@ -28,6 +28,7 @@ package core
 
 import (
 	"rendelim/internal/sig"
+	"rendelim/internal/wire"
 )
 
 // Config parameterizes the controller.
@@ -126,37 +127,26 @@ func (c *Controller) EndFrame() {
 	c.frameIdx++
 }
 
-// Snapshot captures the controller's cross-frame state: the Signature Unit
-// (buffer contents, datapath counters), the frame counter that drives the
-// periodic-refresh policy, and the decision counters.
-type Snapshot struct {
-	Unit         sig.UnitSnapshot
-	FrameIdx     int
-	Disabled     bool
-	Refresh      bool
-	TilesChecked uint64
-	TilesSkipped uint64
+// AppendState appends the controller's cross-frame state for a simulator
+// checkpoint: the Signature Unit, the frame counter that drives the
+// periodic-refresh policy, the frame's disable flags and the decision
+// counters.
+func (c *Controller) AppendState(b []byte) []byte {
+	b = c.unit.AppendState(b)
+	b = wire.AppendI64(b, int64(c.frameIdx))
+	b = wire.AppendBool(b, c.disabled)
+	b = wire.AppendBool(b, c.refresh)
+	b = wire.AppendU64(b, c.TilesChecked)
+	return wire.AppendU64(b, c.TilesSkipped)
 }
 
-// Snapshot deep-copies the controller state.
-func (c *Controller) Snapshot() Snapshot {
-	return Snapshot{
-		Unit:         c.unit.Snapshot(),
-		FrameIdx:     c.frameIdx,
-		Disabled:     c.disabled,
-		Refresh:      c.refresh,
-		TilesChecked: c.TilesChecked,
-		TilesSkipped: c.TilesSkipped,
-	}
-}
-
-// Restore overwrites the controller with a snapshot from an identically
-// sized controller.
-func (c *Controller) Restore(s Snapshot) {
-	c.unit.Restore(s.Unit)
-	c.frameIdx = s.FrameIdx
-	c.disabled = s.Disabled
-	c.refresh = s.Refresh
-	c.TilesChecked = s.TilesChecked
-	c.TilesSkipped = s.TilesSkipped
+// ReadState reads what AppendState wrote into the controller; a length or
+// index that does not fit latches wire.ErrCorrupt on r.
+func (c *Controller) ReadState(r *wire.Reader) {
+	c.unit.ReadState(r)
+	c.frameIdx = int(r.I64())
+	c.disabled = r.Bool()
+	c.refresh = r.Bool()
+	c.TilesChecked = r.U64()
+	c.TilesSkipped = r.U64()
 }

@@ -178,67 +178,36 @@ func (d *DRAM) MinTransferCycles(n uint64) uint64 {
 // ResetStats zeroes the counters while keeping row-buffer state.
 func (d *DRAM) ResetStats() { d.Stats = Stats{} }
 
-// Snapshot captures the open-row state of every bank plus the counters, so
-// a restored model reproduces the same row hit/miss (and therefore latency)
-// sequence as the original.
-type Snapshot struct {
-	Banks []bank // flattened channels, BanksPerChannel entries per channel
-	Stats Stats
-}
-
-// Snapshot copies the model's state.
-func (d *DRAM) Snapshot() Snapshot {
-	banks := make([]bank, 0, d.cfg.Channels*d.cfg.BanksPerChannel)
+// AppendState appends the open-row state of every bank, channel by
+// channel, then the counters, for simulator checkpoints: a model read back
+// from it reproduces the same row hit/miss (and therefore latency) sequence
+// as the original.
+func (d *DRAM) AppendState(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(d.cfg.Channels*d.cfg.BanksPerChannel))
 	for _, ch := range d.banks {
-		banks = append(banks, ch...)
+		for _, bk := range ch {
+			b = wire.AppendU64(b, bk.openRow)
+			b = wire.AppendBool(b, bk.valid)
+		}
 	}
-	return Snapshot{Banks: banks, Stats: d.Stats}
+	b = wire.AppendU64(b, d.Stats.Reads)
+	b = wire.AppendU64(b, d.Stats.Writes)
+	b = wire.AppendU64(b, d.Stats.ReadBytes)
+	b = wire.AppendU64(b, d.Stats.WriteBytes)
+	b = wire.AppendU64(b, d.Stats.RowHits)
+	b = wire.AppendU64(b, d.Stats.RowMisses)
+	return wire.AppendU64(b, d.Stats.BusBusyCycles)
 }
 
-// Restore overwrites the model's state with a snapshot from an identically
-// configured model; it panics on a geometry mismatch.
-func (d *DRAM) Restore(s Snapshot) {
-	if len(s.Banks) != d.cfg.Channels*d.cfg.BanksPerChannel {
-		panic(fmt.Sprintf("dram: restore geometry mismatch: %d banks != %d", len(s.Banks), d.cfg.Channels*d.cfg.BanksPerChannel))
+// ReadState reads what AppendState wrote into the model's own banks; a bank
+// count other than the configured geometry latches wire.ErrCorrupt on r.
+func (d *DRAM) ReadState(r *wire.Reader) {
+	r.Length(d.cfg.Channels * d.cfg.BanksPerChannel)
+	for _, ch := range d.banks {
+		for i := range ch {
+			ch[i] = bank{openRow: r.U64(), valid: r.Bool()}
+		}
 	}
-	for i, ch := range d.banks {
-		copy(ch, s.Banks[i*d.cfg.BanksPerChannel:(i+1)*d.cfg.BanksPerChannel])
-	}
-	d.Stats = s.Stats
-}
-
-// AppendBinary serializes the snapshot in the durability layer's wire
-// format: bank open-row state followed by the counters.
-func (s Snapshot) AppendBinary(b []byte) []byte {
-	b = wire.AppendU32(b, uint32(len(s.Banks)))
-	for _, bk := range s.Banks {
-		b = wire.AppendU64(b, bk.openRow)
-		b = wire.AppendBool(b, bk.valid)
-	}
-	b = wire.AppendU64(b, s.Stats.Reads)
-	b = wire.AppendU64(b, s.Stats.Writes)
-	b = wire.AppendU64(b, s.Stats.ReadBytes)
-	b = wire.AppendU64(b, s.Stats.WriteBytes)
-	b = wire.AppendU64(b, s.Stats.RowHits)
-	b = wire.AppendU64(b, s.Stats.RowMisses)
-	b = wire.AppendU64(b, s.Stats.BusBusyCycles)
-	return b
-}
-
-// DecodeSnapshot is the inverse of AppendBinary; errors are latched on r.
-func DecodeSnapshot(r *wire.Reader) Snapshot {
-	var s Snapshot
-	s.Banks = make([]bank, r.Count(int(r.U32()), 9))
-	for i := range s.Banks {
-		s.Banks[i].openRow = r.U64()
-		s.Banks[i].valid = r.Bool()
-	}
-	s.Stats.Reads = r.U64()
-	s.Stats.Writes = r.U64()
-	s.Stats.ReadBytes = r.U64()
-	s.Stats.WriteBytes = r.U64()
-	s.Stats.RowHits = r.U64()
-	s.Stats.RowMisses = r.U64()
-	s.Stats.BusBusyCycles = r.U64()
-	return s
+	d.Stats = Stats{Reads: r.U64(), Writes: r.U64(), ReadBytes: r.U64(), WriteBytes: r.U64(),
+		RowHits: r.U64(), RowMisses: r.U64(), BusBusyCycles: r.U64()}
 }

@@ -1,9 +1,9 @@
 package dram
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -157,25 +157,31 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
-// A snapshot round-trips through its wire form, and a bank count the input
-// cannot hold is latched as corruption instead of decoding to no banks.
-func TestDecodeSnapshotRejectsBadCount(t *testing.T) {
+// A model's state round-trips through ReadState into a fresh model of the
+// same geometry, and a bank count other than that geometry is latched as
+// corruption.
+func TestReadStateRejectsBadCount(t *testing.T) {
 	d := New(Default())
 	for addr := uint64(0); addr < 1<<20; addr += 4096 + 64 {
 		d.Read(addr, 64)
 	}
-	want := d.Snapshot()
-	blob := want.AppendBinary(nil)
+	blob := d.AppendState(nil)
 
+	got := New(Default())
 	r := wire.NewReader(blob)
-	if got := DecodeSnapshot(r); r.Err() != nil || !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip: err %v, equal %v", r.Err(), reflect.DeepEqual(got, want))
+	got.ReadState(r)
+	if r.Err() != nil || r.Len() != 0 || !bytes.Equal(got.AppendState(nil), blob) {
+		t.Fatalf("round trip: err %v, %d bytes left, state equal %v", r.Err(), r.Len(), bytes.Equal(got.AppendState(nil), blob))
 	}
 
-	bad := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint32(bad, 1<<30)
-	r = wire.NewReader(bad)
-	if got := DecodeSnapshot(r); !errors.Is(r.Err(), wire.ErrCorrupt) || len(got.Banks) != 0 {
-		t.Fatalf("bank count 2^30 decoded to %d banks with err %v, want wire.ErrCorrupt", len(got.Banks), r.Err())
+	banks := d.Config().Channels * d.Config().BanksPerChannel
+	for _, n := range []uint32{1 << 30, uint32(banks - 1)} {
+		bad := append([]byte(nil), blob...)
+		binary.LittleEndian.PutUint32(bad, n)
+		r := wire.NewReader(bad)
+		New(Default()).ReadState(r)
+		if !errors.Is(r.Err(), wire.ErrCorrupt) {
+			t.Errorf("bank count %d for %d banks: err %v, want wire.ErrCorrupt", n, banks, r.Err())
+		}
 	}
 }

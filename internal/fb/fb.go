@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"rendelim/internal/geom"
+	"rendelim/internal/wire"
 )
 
 // TileSize is the tile edge in pixels (Table I: 16x16).
@@ -131,34 +132,21 @@ func (f *FrameBuffer) FlushTile(tile int, tb *TileBuffer) int {
 	return r.Area() * 4
 }
 
-// Snapshot captures both buffers and the display orientation, for
-// frame-boundary checkpointing.
-type Snapshot struct {
-	Bufs  [2][]uint32
-	Front int
+// AppendState appends the display orientation and both buffers, for
+// simulator checkpoints.
+func (f *FrameBuffer) AppendState(b []byte) []byte {
+	b = wire.AppendI64(b, int64(f.front))
+	b = wire.AppendU32s(b, f.bufs[0])
+	return wire.AppendU32s(b, f.bufs[1])
 }
 
-// Snapshot deep-copies the framebuffer state.
-func (f *FrameBuffer) Snapshot() Snapshot {
-	var s Snapshot
-	for i := range f.bufs {
-		s.Bufs[i] = append([]uint32(nil), f.bufs[i]...)
-	}
-	s.Front = f.front
-	return s
-}
-
-// Restore overwrites the framebuffer with a snapshot taken from an
-// identically sized framebuffer; it panics on a size mismatch (checkpoint
-// compatibility is the caller's contract).
-func (f *FrameBuffer) Restore(s Snapshot) {
-	for i := range f.bufs {
-		if len(s.Bufs[i]) != len(f.bufs[i]) {
-			panic(fmt.Sprintf("fb: restore size mismatch: %d != %d", len(s.Bufs[i]), len(f.bufs[i])))
-		}
-		copy(f.bufs[i], s.Bufs[i])
-	}
-	f.front = s.Front
+// ReadState reads what AppendState wrote into the framebuffer's own
+// buffers. A buffer length other than W×H, or a front index other than 0 or
+// 1, latches wire.ErrCorrupt on r.
+func (f *FrameBuffer) ReadState(r *wire.Reader) {
+	f.front = r.Index(len(f.bufs))
+	r.ReadU32s(f.bufs[0])
+	r.ReadU32s(f.bufs[1])
 }
 
 // TileColors copies the back buffer contents of a tile into dst (row-major

@@ -140,10 +140,10 @@ func TestAllocsFrameBufferCRC(t *testing.T) {
 	}
 }
 
-// TestAllocsCheckpointEncode: EncodeBinary sizes its buffer from the
-// checkpoint's contents, so persisting a frame-boundary checkpoint makes
-// one allocation, the blob itself.
-func TestAllocsCheckpointEncode(t *testing.T) {
+// TestAllocsCheckpoint: every component appends its state straight into
+// one buffer that Checkpoint sizes from the simulator's contents, so taking
+// a frame-boundary checkpoint makes one allocation, the blob itself.
+func TestAllocsCheckpoint(t *testing.T) {
 	b, err := workload.ByAlias("ccs")
 	if err != nil {
 		t.Fatal(err)
@@ -160,15 +160,14 @@ func TestAllocsCheckpointEncode(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				sim.RunFrame(&tr.Frames[i])
 			}
-			cp := sim.Checkpoint()
 			var blob []byte
-			if avg := testing.AllocsPerRun(10, func() { blob = cp.EncodeBinary() }); avg != 1 {
-				t.Errorf("EncodeBinary: %.1f allocs, want 1", avg)
+			if avg := testing.AllocsPerRun(10, func() { blob = sim.Checkpoint() }); avg != 1 {
+				t.Errorf("Checkpoint: %.1f allocs, want 1", avg)
 			}
-			if hint := cp.encodedSizeHint(); hint < len(blob) {
-				t.Errorf("size hint %d B < blob %d B", hint, len(blob))
+			if bound := sim.checkpointBound(); bound < len(blob) {
+				t.Errorf("size bound %d B < blob %d B", bound, len(blob))
 			}
-			t.Logf("size hint %d B for a %d B blob", cp.encodedSizeHint(), len(blob))
+			t.Logf("size bound %d B for a %d B blob", sim.checkpointBound(), len(blob))
 		})
 	}
 }

@@ -3,25 +3,41 @@ package gpusim
 import (
 	"fmt"
 
-	"rendelim/internal/api"
 	"rendelim/internal/cache"
-	"rendelim/internal/core"
 	"rendelim/internal/crc"
-	"rendelim/internal/dram"
-	"rendelim/internal/fb"
-	"rendelim/internal/shader"
-	"rendelim/internal/sig"
+	"rendelim/internal/wire"
 )
 
-// Checkpoint is a frame-boundary snapshot of the cross-frame simulator state
-// that the trace cannot rebuild: the double-buffered framebuffer, the RE
-// controller with its Signature Buffer, the TE signature buffer and CRC
-// counters, the memoization baselines, the DRAM row-buffer state, all cache
-// tag/LRU arrays, the API state, and the counters. A run restored from a
-// checkpoint is byte-identical — same per-frame stats, same pixels — to one
-// that ran straight through, because frame statistics are computed as deltas
-// of these counters and every timing-relevant structure (cache LRU clocks,
-// DRAM open rows, signature parity) is captured.
+// Checkpoint wire format. The magic and version lead the blob so Resume can
+// reject foreign files and future formats before touching anything else; a
+// trailing CRC32 over everything prior catches torn writes and bit rot
+// independently of whatever integrity the store layer adds. Version bumps
+// are append-only history: Resume must refuse any other version (see
+// TestCheckpointCodecVersionRejected), never misparse it.
+//
+// Version 2 dropped the program and texture tables that version 1 carried:
+// Resume rebuilds them from the trace. A v1 blob is rejected, which recovery
+// treats like any unreadable checkpoint — the job restarts from frame 0.
+const (
+	ckptMagic   = "RECK"
+	ckptVersion = uint16(2)
+)
+
+// ErrCheckpointFormat is wrapped by every Resume failure except a
+// checkpoint of another trace or technique: bad magic, unknown version, CRC
+// mismatch, a frame outside the trace, or truncated or malformed contents.
+var ErrCheckpointFormat = fmt.Errorf("gpusim: bad checkpoint format")
+
+// Checkpoint encodes the simulator at a frame boundary into one
+// self-contained blob: the cross-frame state the trace cannot rebuild — the
+// double-buffered framebuffer, the API state, the RE controller with its
+// Signature Buffer, the TE signature buffer and CRC counters, the
+// memoization baselines, the DRAM row-buffer state, all cache tag/LRU
+// arrays, and the counters — each component appending its own state. A run
+// resumed from the blob is byte-identical — same per-frame stats, same
+// pixels — to one that ran straight through, because frame statistics are
+// computed as deltas of these counters and every timing-relevant structure
+// (cache LRU clocks, DRAM open rows, signature parity) is captured.
 //
 // The upload-mutable program and texture tables are not captured: they are
 // a function of the trace and the frame index, so Resume rebuilds them from
@@ -32,171 +48,137 @@ import (
 // RE's comparison point: RunFrame never leaves state half-committed
 // (RunContext documents this), so a checkpoint taken between frames is
 // always consistent. Per-frame scratch (binner, draw/triangle lists, tile
-// results) is rebuilt from zero each frame and needs no capture.
-//
-// Checkpoints are restorable onto the simulator they came from (rewind) or
-// onto a fresh Simulator built from the same trace and config (the job
-// pool's recovery path — a mid-frame panic leaves the original simulator's
-// internals unusable, so recovery always rebuilds).
-type Checkpoint struct {
-	frameIdx  int
-	width     int
-	height    int
-	technique Technique
-	traceSig  uint32 // guards against restoring across different traces
+// results) is rebuilt from zero each frame and needs no capture. Calling
+// Checkpoint mid-frame (from inside RunFrame) is not supported. It makes
+// one allocation, the blob.
+func (s *Simulator) Checkpoint() []byte {
+	b := make([]byte, 0, s.checkpointBound())
+	b = append(b, ckptMagic...)
+	b = wire.AppendU16(b, ckptVersion)
+	b = wire.AppendI64(b, int64(s.frameIdx))
+	b = wire.AppendI64(b, int64(s.trace.Width))
+	b = wire.AppendI64(b, int64(s.trace.Height))
+	b = wire.AppendU8(b, uint8(s.cfg.Technique))
+	b = wire.AppendU32(b, s.traceSig)
 
-	fbuf     fb.Snapshot
-	stateVal api.State // value copy; api.State holds no reference types
-	re       core.Snapshot
-	teBuf    sig.BufferSnapshot
-	teCRC    crc.UnitStats
-
-	// memoPrev is a compact deep copy of the per-tile memoization
-	// baselines. The live tables are pooled and mutated again on later
-	// frames (memoState swaps their roles), so the checkpoint extracts the
-	// entries rather than sharing the tables.
-	memoPrev    [][]memoEntry
-	memoLookups uint64
-	memoHits    uint64
-
-	dram   dram.Snapshot
-	caches []cache.Snapshot // vcache, tcache[0..3], tilecache, l2
-
-	vsCounts   shader.Counts
-	skipCounts []uint32
-}
-
-// Frame returns the number of completed frames the checkpoint covers:
-// resuming replays the trace from frame index Frame().
-func (cp *Checkpoint) Frame() int { return cp.frameIdx }
-
-// traceIdentity signs what checkpoint compatibility depends on.
-func (s *Simulator) traceIdentity() uint32 {
-	return crc.Checksum([]byte(fmt.Sprintf("%s/%dx%d/%d/%s",
-		s.trace.Name, s.trace.Width, s.trace.Height, len(s.trace.Frames), s.cfg.Technique)))
-}
-
-// Checkpoint snapshots the simulator at a frame boundary. Calling it
-// mid-frame (from inside RunFrame) is not supported.
-func (s *Simulator) Checkpoint() *Checkpoint {
-	cp := &Checkpoint{
-		frameIdx:  s.frameIdx,
-		width:     s.trace.Width,
-		height:    s.trace.Height,
-		technique: s.cfg.Technique,
-		traceSig:  s.traceIdentity(),
-
-		fbuf:  s.fbuf.Snapshot(),
-		re:    s.re.Snapshot(),
-		teBuf: s.teBuf.Snapshot(),
-		teCRC: s.teCRC.Stats,
-
-		memoPrev:    s.memo.snapshotPrev(),
-		memoLookups: s.memo.Lookups,
-		memoHits:    s.memo.Hits,
-
-		dram: s.dram.Snapshot(),
-
-		vsCounts:   s.vs.Counts,
-		skipCounts: append([]uint32(nil), s.skipCounts...),
+	b = s.fbuf.AppendState(b)
+	b = s.state.AppendState(b)
+	b = s.re.AppendState(b)
+	b = s.teBuf.AppendState(b)
+	b = s.teCRC.Stats.AppendState(b)
+	b = s.memo.appendPrev(b)
+	b = s.dram.AppendState(b)
+	caches := s.checkpointCaches()
+	b = wire.AppendU32(b, uint32(len(caches)))
+	for _, c := range caches {
+		b = c.AppendState(b)
 	}
+	b = wire.AppendU64(b, s.vs.Counts.Instructions)
+	b = wire.AppendU64(b, s.vs.Counts.TexSamples)
+	b = wire.AppendU64(b, s.vs.Counts.Invocations)
+	b = wire.AppendU32s(b, s.skipCounts)
+
+	// Integrity seal over everything prior.
+	return wire.AppendU32(b, crc.Checksum(b))
+}
+
+// checkpointBound bounds the blob size from above, so Checkpoint allocates
+// once: it counts the element bytes of every variable-length part and
+// allows 4 KiB for the fixed-size fields and length prefixes (about
+// 1.4 KiB). The framebuffers dominate.
+func (s *Simulator) checkpointBound() int {
+	tiles := s.fbuf.NumTiles()
+	// Per tile: two signature buffers of three signatures and two validity
+	// bytes each, the RE bitmap byte, a skip counter and a memo count.
+	n := 4096 + 8*s.trace.Width*s.trace.Height + (2*14+1+4+4)*tiles
+	for _, t := range s.memo.prev {
+		if t != nil {
+			n += 20 * t.n
+		}
+	}
+	n += 9 * s.cfg.DRAM.Channels * s.cfg.DRAM.BanksPerChannel
 	for _, c := range s.checkpointCaches() {
-		cp.caches = append(cp.caches, c.Snapshot())
+		n += 14 * c.Config().Sets() * c.Config().Ways
 	}
-	cp.stateVal = *s.state
-	return cp
+	return n
 }
 
-// Resume restores the simulator to the checkpointed frame boundary, rebuilding
-// the program and texture tables from the trace. The checkpoint must come
-// from a simulator over the same trace and technique (same dimensions, frame
-// count and cache geometry); otherwise an error is returned and the simulator
-// is left untouched. A checkpoint whose contents do not fit this simulator —
-// possible only for a blob that crossed a process boundary and passed its
-// CRC — is rejected with an error wrapping ErrCheckpointFormat, before
-// anything is written. After a successful Resume,
-// RunFrame(&trace.Frames[cp.Frame()]) continues the run exactly where the
+// Resume restores the simulator to the frame boundary a Checkpoint blob
+// records, reading each component's state into its own storage and
+// rebuilding the program and texture tables from the trace. The blob must
+// come from a simulator over the same trace and technique (same dimensions,
+// frame count and cache geometry).
+//
+// Resume checks the header first — magic, CRC, version, trace identity and
+// frame range — and a header rejection leaves the simulator untouched. A
+// blob that passes its CRC yet does not fit the simulator (possible only for
+// bytes that crossed a process boundary) is rejected with an error wrapping
+// ErrCheckpointFormat by the component that reads the bad count or index,
+// never a panic; by then earlier components hold the blob's state, so the
+// simulator must be rebuilt before it runs. After a successful Resume,
+// RunFrame(&trace.Frames[s.Frame()]) continues the run exactly where the
 // checkpoint left off.
-func (s *Simulator) Resume(cp *Checkpoint) error {
-	if cp == nil {
-		return fmt.Errorf("gpusim: nil checkpoint")
+func (s *Simulator) Resume(blob []byte) error {
+	if len(blob) < len(ckptMagic)+2+4 {
+		return fmt.Errorf("%w: %d bytes is too short", ErrCheckpointFormat, len(blob))
 	}
-	if cp.traceSig != s.traceIdentity() {
-		return fmt.Errorf("gpusim: checkpoint mismatch: snapshot of a %dx%d %s run cannot restore this simulator",
-			cp.width, cp.height, cp.technique)
+	body := blob[:len(blob)-4]
+	r := wire.NewReader(body)
+	if magic := r.Raw(len(ckptMagic)); string(magic) != ckptMagic {
+		return fmt.Errorf("%w: bad magic %q", ErrCheckpointFormat, magic)
 	}
-	if err := s.checkShape(cp); err != nil {
+	if got, want := crc.Checksum(body), wire.NewReader(blob[len(body):]).U32(); got != want {
+		return fmt.Errorf("%w: CRC mismatch: computed %08x, stored %08x", ErrCheckpointFormat, got, want)
+	}
+	if v := r.U16(); v != ckptVersion {
+		return fmt.Errorf("%w: unknown version %d (this build reads version %d)", ErrCheckpointFormat, v, ckptVersion)
+	}
+	frame, width, height, tech, sig := r.I64(), r.I64(), r.I64(), Technique(r.U8()), r.U32()
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointFormat, err)
 	}
-	s.fbuf.Restore(cp.fbuf)
-	s.re.Restore(cp.re)
-	s.teBuf.Restore(cp.teBuf)
-	s.teCRC.Stats = cp.teCRC
-
-	s.memo.restorePrev(cp.memoPrev)
-	s.memo.Lookups = cp.memoLookups
-	s.memo.Hits = cp.memoHits
-
-	s.dram.Restore(cp.dram)
-	for i, c := range s.checkpointCaches() {
-		c.Restore(cp.caches[i])
+	if sig != s.traceSig {
+		return fmt.Errorf("gpusim: checkpoint mismatch: checkpoint of a %dx%d %s run cannot restore this simulator",
+			width, height, tech)
+	}
+	if frame < 0 || frame > int64(len(s.trace.Frames)) {
+		return fmt.Errorf("%w: frame %d outside a %d-frame trace", ErrCheckpointFormat, frame, len(s.trace.Frames))
 	}
 
-	s.loadUploadTables(s.trace.Frames[:cp.frameIdx])
+	s.fbuf.ReadState(r)
+	s.state.ReadState(r)
+	s.re.ReadState(r)
+	s.teBuf.ReadState(r)
+	s.teCRC.Stats.ReadState(r)
+	s.memo.readPrev(r)
+	s.dram.ReadState(r)
+	caches := s.checkpointCaches()
+	r.Length(len(caches))
+	for _, c := range caches {
+		c.ReadState(r)
+	}
+	s.vs.Counts.Instructions = r.U64()
+	s.vs.Counts.TexSamples = r.U64()
+	s.vs.Counts.Invocations = r.U64()
+	r.ReadU32s(s.skipCounts)
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("%w: %v", ErrCheckpointFormat, err)
+	}
+	if r.Len() != 0 {
+		return fmt.Errorf("%w: %d trailing bytes", ErrCheckpointFormat, r.Len())
+	}
 
-	s.vs.Counts = cp.vsCounts
-	copy(s.skipCounts, cp.skipCounts)
-	*s.state = cp.stateVal
-	s.frameIdx = cp.frameIdx
+	s.loadUploadTables(s.trace.Frames[:frame])
+	s.frameIdx = int(frame)
 	return nil
 }
 
-// checkShape verifies that every length and index in cp fits this
-// simulator, so the Restore calls that follow can neither panic nor copy
-// short. The simulator's own snapshots always fit; the check guards decoded
-// blobs, whose CRC proves only that they are the bytes that were written.
-func (s *Simulator) checkShape(cp *Checkpoint) error {
-	if cp.frameIdx < 0 || cp.frameIdx > len(s.trace.Frames) {
-		return fmt.Errorf("frame %d outside a %d-frame trace", cp.frameIdx, len(s.trace.Frames))
-	}
-	re, te := cp.re.Unit.Buf, cp.teBuf
-	// The front buffer and both signature parities index two-entry arrays.
-	for _, i := range []int{cp.fbuf.Front, re.Parity, te.Parity} {
-		if i != 0 && i != 1 {
-			return fmt.Errorf("buffer index %d, want 0 or 1", i)
-		}
-	}
-	var err error
-	want := func(what string, got, n int) {
-		if err == nil && got != n {
-			err = fmt.Errorf("%s: %d, simulator has %d", what, got, n)
-		}
-	}
-	tiles, pixels := s.fbuf.NumTiles(), s.trace.Width*s.trace.Height
-	want("framebuffer 0 pixels", len(cp.fbuf.Bufs[0]), pixels)
-	want("framebuffer 1 pixels", len(cp.fbuf.Bufs[1]), pixels)
-	for _, b := range []sig.BufferSnapshot{re, te} {
-		for _, n := range []int{len(b.Building), len(b.Prev[0]), len(b.Prev[1]), len(b.Valid[0]), len(b.Valid[1])} {
-			want("signature buffer tiles", n, tiles)
-		}
-	}
-	want("RE bitmap tiles", len(cp.re.Unit.Bitmap), tiles)
-	want("memo tiles", len(cp.memoPrev), tiles)
-	want("skip counters", len(cp.skipCounts), tiles)
-	want("DRAM banks", len(cp.dram.Banks), s.cfg.DRAM.Channels*s.cfg.DRAM.BanksPerChannel)
-	caches := s.checkpointCaches()
-	want("cache snapshots", len(cp.caches), len(caches))
-	if err == nil {
-		for i, c := range caches {
-			cc := c.Config()
-			want("cache "+cc.Name+" lines", len(cp.caches[i].Lines), cc.Sets()*cc.Ways)
-		}
-	}
-	return err
-}
+// Frame returns the number of frames the simulator has completed, counting
+// those a Resume restored: the index of the frame RunFrame runs next.
+func (s *Simulator) Frame() int { return s.frameIdx }
 
 // checkpointCaches lists every cache in a fixed order shared by Checkpoint
 // and Resume.
-func (s *Simulator) checkpointCaches() []*cache.Cache {
-	return []*cache.Cache{s.vcache, s.tcache[0], s.tcache[1], s.tcache[2], s.tcache[3], s.tilecache, s.l2}
+func (s *Simulator) checkpointCaches() [7]*cache.Cache {
+	return [7]*cache.Cache{s.vcache, s.tcache[0], s.tcache[1], s.tcache[2], s.tcache[3], s.tilecache, s.l2}
 }

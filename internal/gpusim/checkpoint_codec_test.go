@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"rendelim/internal/crc"
@@ -12,7 +16,7 @@ import (
 )
 
 // The crash-recovery contract: a checkpoint that crosses a process boundary
-// (encode → bytes → decode, with no shared memory) must restore a fresh
+// (bytes → file → bytes, with no shared memory) must restore a fresh
 // simulator so exactly that the continued run is byte-identical — per-frame
 // stats and final pixels — to one that never stopped. The fresh simulator
 // here stands in for the restarted process: it shares nothing with the one
@@ -28,12 +32,13 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 				tr := in.build()
 				ref, cp, refStats := runToCheckpoint(t, tr, cfg, k)
 
-				dec, err := DecodeCheckpoint(cp.EncodeBinary())
-				if err != nil {
-					t.Fatalf("DecodeCheckpoint: %v", err)
+				path := filepath.Join(t.TempDir(), "ckpt")
+				if err := os.WriteFile(path, cp, 0o600); err != nil {
+					t.Fatal(err)
 				}
-				if dec.Frame() != k {
-					t.Fatalf("decoded checkpoint frame = %d, want %d", dec.Frame(), k)
+				blob, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
 				}
 
 				// The "restarted process": a simulator built from scratch.
@@ -41,12 +46,15 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := res.Resume(dec); err != nil {
-					t.Fatalf("Resume(decoded): %v", err)
+				if err := res.Resume(blob); err != nil {
+					t.Fatalf("Resume(blob read back): %v", err)
+				}
+				if res.Frame() != k {
+					t.Fatalf("resumed frame = %d, want %d", res.Frame(), k)
 				}
 				checkTail(t, res, tr, k, refStats, ref.FrameBufferSnapshot())
 				if got, want := res.FrameBufferCRC(), ref.FrameBufferCRC(); got != want {
-					t.Fatalf("framebuffer CRC after decoded resume = %08x, want %08x", got, want)
+					t.Fatalf("framebuffer CRC after resume = %08x, want %08x", got, want)
 				}
 			})
 		}
@@ -64,49 +72,46 @@ func TestCheckpointCodecVersionRejected(t *testing.T) {
 		// re-seal the CRC so only the version differs from a valid blob.
 		mut := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint16(mut[len(ckptMagic):], v)
-		if _, err := DecodeCheckpoint(reseal(mut)); !errors.Is(err, ErrCheckpointFormat) {
-			t.Fatalf("version %d decoded: err = %v, want ErrCheckpointFormat", v, err)
+		if err := testCheckpointSim(t).Resume(reseal(mut)); !errors.Is(err, ErrCheckpointFormat) {
+			t.Fatalf("version %d resumed: err = %v, want ErrCheckpointFormat", v, err)
 		}
 	}
 }
 
 func TestCheckpointCodecRejectsDamage(t *testing.T) {
 	blob := testCheckpointBlob(t)
+	sim := testCheckpointSim(t)
 
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), blob...)
 		mut[0] ^= 0xff
-		if _, err := DecodeCheckpoint(mut); !errors.Is(err, ErrCheckpointFormat) {
+		if err := sim.Resume(mut); !errors.Is(err, ErrCheckpointFormat) {
 			t.Fatalf("err = %v, want ErrCheckpointFormat", err)
 		}
 	})
 	t.Run("bit flip", func(t *testing.T) {
 		mut := append([]byte(nil), blob...)
 		mut[len(mut)/2] ^= 0x10
-		if _, err := DecodeCheckpoint(mut); !errors.Is(err, ErrCheckpointFormat) {
+		if err := sim.Resume(mut); !errors.Is(err, ErrCheckpointFormat) {
 			t.Fatalf("err = %v, want ErrCheckpointFormat", err)
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := DecodeCheckpoint(blob[:len(blob)*2/3]); !errors.Is(err, ErrCheckpointFormat) {
+		if err := sim.Resume(blob[:len(blob)*2/3]); !errors.Is(err, ErrCheckpointFormat) {
 			t.Fatalf("err = %v, want ErrCheckpointFormat", err)
 		}
 	})
 	t.Run("empty", func(t *testing.T) {
-		if _, err := DecodeCheckpoint(nil); !errors.Is(err, ErrCheckpointFormat) {
+		if err := sim.Resume(nil); !errors.Is(err, ErrCheckpointFormat) {
 			t.Fatalf("err = %v, want ErrCheckpointFormat", err)
 		}
 	})
 }
 
-// A decoded checkpoint from one trace must not restore a simulator built
-// over a different one.
+// A checkpoint from one trace must not restore a simulator built over a
+// different one.
 func TestCheckpointCodecTraceMismatch(t *testing.T) {
 	blob := testCheckpointBlob(t)
-	cp, err := DecodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
 	b, err := workload.ByAlias("ccs")
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +120,7 @@ func TestCheckpointCodecTraceMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := other.Resume(cp); err == nil {
+	if err := other.Resume(blob); err == nil {
 		t.Fatal("Resume accepted a checkpoint from a different trace")
 	}
 }
@@ -133,7 +138,7 @@ func TestCheckpointLengthIndependentOfWorkload(t *testing.T) {
 			t.Fatal(err)
 		}
 		sim.RunFrame(&sim.trace.Frames[0])
-		n := len(sim.Checkpoint().EncodeBinary())
+		n := len(sim.Checkpoint())
 		if want < 0 {
 			want = n
 		}
@@ -143,60 +148,117 @@ func TestCheckpointLengthIndependentOfWorkload(t *testing.T) {
 	}
 }
 
+// ckptHeaderLen is the length of the header Resume checks before it writes
+// anything: magic, version, frame, width, height, technique and trace
+// identity.
+const ckptHeaderLen = len(ckptMagic) + 2 + 3*8 + 1 + 4
+
 // A blob that passes its CRC but does not fit the simulator must be
-// rejected with ErrCheckpointFormat before Resume writes anything — never
-// panic inside a Restore, never restore a short copy.
+// rejected with ErrCheckpointFormat, never panic in a state reader or read a
+// short copy. Each case overwrites one count or index and re-seals the
+// blob; the error must name that field by its offset and the value the
+// simulator needs. A frame outside the trace is a header rejection, so it
+// must leave the simulator untouched.
 func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		damage func(cp *Checkpoint)
-	}{
-		{"short back buffer", func(cp *Checkpoint) { cp.fbuf.Bufs[1-cp.fbuf.Front] = make([]uint32, 10) }},
-		{"short front buffer", func(cp *Checkpoint) { cp.fbuf.Bufs[cp.fbuf.Front] = make([]uint32, 10) }},
-		{"front index", func(cp *Checkpoint) { cp.fbuf.Front = 2 }},
-		{"frame past trace end", func(cp *Checkpoint) { cp.frameIdx = 99 }},
-		{"negative frame", func(cp *Checkpoint) { cp.frameIdx = -1 }},
-		{"short RE building set", func(cp *Checkpoint) { cp.re.Unit.Buf.Building = cp.re.Unit.Buf.Building[:1] }},
-		{"short RE baseline", func(cp *Checkpoint) { cp.re.Unit.Buf.Prev[1] = nil }},
-		{"short RE validity", func(cp *Checkpoint) { cp.re.Unit.Buf.Valid[0] = cp.re.Unit.Buf.Valid[0][:3] }},
-		{"RE parity", func(cp *Checkpoint) { cp.re.Unit.Buf.Parity = 7 }},
-		{"short RE bitmap", func(cp *Checkpoint) { cp.re.Unit.Bitmap = nil }},
-		{"short TE buffer", func(cp *Checkpoint) { cp.teBuf.Prev[0] = cp.teBuf.Prev[0][:2] }},
-		{"short memo tiles", func(cp *Checkpoint) { cp.memoPrev = cp.memoPrev[:1] }},
-		{"short cache lines", func(cp *Checkpoint) { cp.caches[3].Lines = cp.caches[3].Lines[:5] }},
-		{"missing cache", func(cp *Checkpoint) { cp.caches = cp.caches[:2] }},
-		{"short DRAM banks", func(cp *Checkpoint) { cp.dram.Banks = cp.dram.Banks[:1] }},
-		{"short skip counters", func(cp *Checkpoint) { cp.skipCounts = cp.skipCounts[:4] }},
+	src := testCheckpointSim(t)
+	src.RunFrame(&src.trace.Frames[0])
+	src.RunFrame(&src.trace.Frames[1])
+	blob := src.Checkpoint()
+
+	// Where each component's state starts, from its AppendState length.
+	at := ckptHeaderLen
+	section := func(state []byte) int {
+		off := at
+		at += len(state)
+		return off
+	}
+	fbOff := section(src.fbuf.AppendState(nil))
+	section(src.state.AppendState(nil))
+	reOff := section(src.re.AppendState(nil))
+	teOff := section(src.teBuf.AppendState(nil))
+	section(src.teCRC.Stats.AppendState(nil))
+	memoOff := section(src.memo.appendPrev(nil))
+	dramOff := section(src.dram.AppendState(nil))
+	cachesOff := at
+	caches := src.checkpointCaches()
+	cache3Off := cachesOff + 4
+	for _, c := range caches[:3] {
+		cache3Off += len(c.AppendState(nil))
+	}
+
+	tiles, pixels := src.NumTiles(), src.trace.Width*src.trace.Height
+	// A signature buffer holds three length-prefixed signature sets, then
+	// two validity sets, then the parity.
+	sigSet, validSet := 4+4*tiles, 4+tiles
+	front := int(binary.LittleEndian.Uint64(blob[fbOff:]))
+	pixelsOff := [2]int{fbOff + 8, fbOff + 8 + 4 + 4*pixels}
+	// The RE bitmap follows the RE signature buffer, the compute and
+	// accumulate counters, the constants register, its shift and its flag.
+	bitmapOff := reOff + len(src.teBuf.AppendState(nil)) + 2*len(src.teCRC.Stats.AppendState(nil)) + 4 + 8 + 1
+	lines := caches[3].Config().Sets() * caches[3].Config().Ways
+	banks := src.cfg.DRAM.Channels * src.cfg.DRAM.BanksPerChannel
+
+	type damage struct {
+		name string
+		off  int
+		i64  bool // the field is an i64; otherwise a u32 count
+		val  int64
+		want string // what the error must name
+	}
+	count := func(name string, off, val, want int) damage {
+		return damage{name, off, false, int64(val), fmt.Sprintf("length %d at offset %d, want %d", val, off, want)}
+	}
+	index := func(name string, off int, val int64) damage {
+		return damage{name, off, true, val, fmt.Sprintf("index %d at offset %d outside [0, 2)", val, off)}
+	}
+	frame := func(name string, val int64) damage {
+		return damage{name, len(ckptMagic) + 2, true, val,
+			fmt.Sprintf("frame %d outside a %d-frame trace", val, len(src.trace.Frames))}
+	}
+	for _, tc := range []damage{
+		count("short back buffer", pixelsOff[1-front], 10, pixels),
+		count("short front buffer", pixelsOff[front], 10, pixels),
+		index("front index", fbOff, 2),
+		frame("frame past trace end", 99),
+		frame("negative frame", -1),
+		count("short RE building set", reOff, 1, tiles),
+		count("short RE baseline", reOff+2*sigSet, 0, tiles),
+		count("short RE validity", reOff+3*sigSet, 3, tiles),
+		index("RE parity", reOff+3*sigSet+2*validSet, 7),
+		count("short RE bitmap", bitmapOff, 0, tiles),
+		count("short TE buffer", teOff+sigSet, 2, tiles),
+		count("short memo tiles", memoOff, 1, tiles),
+		count("short cache lines", cache3Off, 5, lines),
+		count("missing cache", cachesOff, 2, len(caches)),
+		count("short DRAM banks", dramOff, 1, banks),
+		count("short skip counters", len(blob)-4-sigSet, 4, tiles),
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp, err := DecodeCheckpoint(testCheckpointBlob(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			tc.damage(cp)
-			// Re-encoding seals the damage under a valid CRC.
-			dec, err := DecodeCheckpoint(cp.EncodeBinary())
-			if err != nil {
-				t.Fatalf("CRC-valid damaged blob did not decode: %v", err)
+			mut := append([]byte(nil), blob...)
+			if tc.i64 {
+				binary.LittleEndian.PutUint64(mut[tc.off:], uint64(tc.val))
+			} else {
+				binary.LittleEndian.PutUint32(mut[tc.off:], uint32(tc.val))
 			}
 			sim := testCheckpointSim(t)
-			before := sim.Checkpoint().EncodeBinary()
-			if err := sim.Resume(dec); !errors.Is(err, ErrCheckpointFormat) {
-				t.Fatalf("Resume: err = %v, want ErrCheckpointFormat", err)
+			before := sim.Checkpoint()
+			err := sim.Resume(reseal(mut))
+			if !errors.Is(err, ErrCheckpointFormat) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Resume: err = %v, want ErrCheckpointFormat naming %q", err, tc.want)
 			}
-			if !bytes.Equal(sim.Checkpoint().EncodeBinary(), before) {
+			if tc.off < ckptHeaderLen && !bytes.Equal(sim.Checkpoint(), before) {
 				t.Fatal("rejected Resume modified the simulator")
 			}
 		})
 	}
 }
 
-// FuzzDecodeCheckpoint: whatever bytes arrive, decoding fails with
-// ErrCheckpointFormat or yields a checkpoint that resumes onto a fresh
-// simulator or is rejected — it never panics. Each input's CRC is re-sealed
-// first, so mutations reach the field decoders and Resume's shape checks
-// instead of stopping at the seal.
-func FuzzDecodeCheckpoint(f *testing.F) {
+// FuzzResumeCheckpoint: whatever bytes arrive, Resume onto a fresh
+// simulator succeeds, or fails with ErrCheckpointFormat or a trace
+// mismatch — it never panics. Each input's CRC is re-sealed first, so
+// mutations reach the header checks and the state readers instead of
+// stopping at the seal.
+func FuzzResumeCheckpoint(f *testing.F) {
 	blob := testCheckpointBlob(f)
 	f.Add(blob)
 	f.Add(blob[:len(blob)*2/3])
@@ -208,19 +270,15 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		cp, err := DecodeCheckpoint(reseal(b))
-		if err != nil {
-			if !errors.Is(err, ErrCheckpointFormat) {
-				t.Fatalf("decode error does not wrap ErrCheckpointFormat: %v", err)
-			}
-			return
+		err := testCheckpointSim(t).Resume(reseal(b))
+		if err != nil && !errors.Is(err, ErrCheckpointFormat) && !strings.Contains(err.Error(), "checkpoint mismatch") {
+			t.Fatalf("Resume error is neither ErrCheckpointFormat nor a trace mismatch: %v", err)
 		}
-		_ = testCheckpointSim(t).Resume(cp)
 	})
 }
 
 // reseal replaces b's trailing CRC with the checksum of everything before
-// it, as EncodeBinary would have written it.
+// it, as Checkpoint would have written it.
 func reseal(b []byte) []byte {
 	if len(b) < 4 {
 		return b
@@ -247,11 +305,11 @@ func testCheckpointSim(tb testing.TB) *Simulator {
 }
 
 // testCheckpointBlob runs two frames of testCheckpointSim and returns the
-// encoded frame-2 checkpoint.
+// frame-2 checkpoint.
 func testCheckpointBlob(tb testing.TB) []byte {
 	tb.Helper()
 	sim := testCheckpointSim(tb)
 	sim.RunFrame(&sim.trace.Frames[0])
 	sim.RunFrame(&sim.trace.Frames[1])
-	return sim.Checkpoint().EncodeBinary()
+	return sim.Checkpoint()
 }

@@ -44,7 +44,7 @@ func TestCheckpointGolden(t *testing.T) {
 			for i := range tr.Frames {
 				sim.RunFrame(&tr.Frames[i])
 			}
-			blob := sim.Checkpoint().EncodeBinary()
+			blob := sim.Checkpoint()
 			got[b.Alias+"/"+tech.String()] = goldenCheckpoint{Len: len(blob), CRC: crc.Checksum(blob[:len(blob)-4])}
 		}
 	}

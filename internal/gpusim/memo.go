@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"math"
 
+	"rendelim/internal/api"
 	"rendelim/internal/crc"
 	"rendelim/internal/geom"
 	"rendelim/internal/rast"
+	"rendelim/internal/wire"
 )
 
 // Fragment Memoization (Arnau et al. [17]) as configured in Section V-A: a
@@ -119,22 +121,6 @@ func (t *memoTable) grow() {
 	}
 }
 
-// entries appends the live (hash, color) pairs to dst, for checkpoints.
-func (t *memoTable) entries(dst []memoEntry) []memoEntry {
-	for i, e := range t.epochs {
-		if e == t.epoch {
-			dst = append(dst, memoEntry{H: t.keys[i], C: t.vals[i]})
-		}
-	}
-	return dst
-}
-
-// memoEntry is one checkpointed hash→color pair.
-type memoEntry struct {
-	H uint32
-	C geom.Vec4
-}
-
 // memoState is the PFR-synchronized memoization model. The current tile's
 // hash→color table is handed out explicitly (tileTable) and passed back at
 // commit, so that concurrent tile renders never share mutable state:
@@ -210,25 +196,36 @@ func (m *memoState) hasRoom(cur *memoTable, pending int) bool {
 	return cur.n+pending < m.cap
 }
 
-// snapshotPrev deep-copies the per-tile baselines for a checkpoint. The
-// pooled tables are mutated again two frames later (their roles swap), so —
-// unlike the old per-frame maps — sharing them with a checkpoint is not
-// safe; the compact entry list is the stable form.
-func (m *memoState) snapshotPrev() [][]memoEntry {
-	out := make([][]memoEntry, len(m.prev))
-	for i, t := range m.prev {
-		if t != nil && t.n > 0 {
-			out[i] = t.entries(make([]memoEntry, 0, t.n))
+// appendPrev appends the per-tile baselines for a checkpoint — per tile,
+// the count and the live (hash, color) pairs in slot order — then the
+// lookup and hit counters.
+func (m *memoState) appendPrev(b []byte) []byte {
+	b = wire.AppendU32(b, uint32(len(m.prev)))
+	for _, t := range m.prev {
+		if t == nil {
+			b = wire.AppendU32(b, 0)
+			continue
+		}
+		b = wire.AppendU32(b, uint32(t.n))
+		for i, e := range t.epochs {
+			if e == t.epoch {
+				b = wire.AppendU32(b, t.keys[i])
+				b = api.AppendVec4(b, t.vals[i])
+			}
 		}
 	}
-	return out
+	b = wire.AppendU64(b, m.Lookups)
+	return wire.AppendU64(b, m.Hits)
 }
 
-// restorePrev rebuilds the per-tile baselines from a checkpoint. Entry order
-// within a tile is irrelevant: tables are probed by key only.
-func (m *memoState) restorePrev(prev [][]memoEntry) {
+// readPrev reads what appendPrev wrote into the per-tile baseline tables; a
+// tile count other than the screen's latches wire.ErrCorrupt on r. Entry
+// order within a tile is irrelevant: tables are probed by key only.
+func (m *memoState) readPrev(r *wire.Reader) {
+	r.Length(len(m.prev))
 	for i := range m.prev {
-		if len(prev[i]) == 0 {
+		n := r.Count(int(r.U32()), 20)
+		if n == 0 {
 			m.prev[i] = nil
 			continue
 		}
@@ -238,78 +235,12 @@ func (m *memoState) restorePrev(prev [][]memoEntry) {
 			m.prev[i] = t
 		}
 		t.reset()
-		for _, e := range prev[i] {
-			t.insert(e.H, e.C)
+		for ; n > 0; n-- {
+			t.insert(r.U32(), api.ReadVec4(r))
 		}
 	}
-}
-
-// memoLUT is the plain global LUT (no PFR tile synchronization) used by the
-// ablation harness to show why [17] needs PFR: with whole-frame reuse
-// distances a 2048-entry LUT thrashes and inter-frame hits vanish.
-type memoLUT struct {
-	sets int
-	ways int
-	tag  []uint32
-	val  []geom.Vec4
-	ok   []bool
-	age  []uint32
-	tick uint32
-
-	Lookups uint64
-	Hits    uint64
-}
-
-func newMemoLUT(entries, ways int) *memoLUT {
-	sets := entries / ways
-	return &memoLUT{
-		sets: sets,
-		ways: ways,
-		tag:  make([]uint32, entries),
-		val:  make([]geom.Vec4, entries),
-		ok:   make([]bool, entries),
-		age:  make([]uint32, entries),
-	}
-}
-
-// lookup returns the memoized color for hash h, if present.
-func (m *memoLUT) lookup(h uint32) (geom.Vec4, bool) {
-	m.Lookups++
-	base := int(h) % m.sets * m.ways
-	for w := 0; w < m.ways; w++ {
-		if m.ok[base+w] && m.tag[base+w] == h {
-			m.tick++
-			m.age[base+w] = m.tick
-			m.Hits++
-			return m.val[base+w], true
-		}
-	}
-	return geom.Vec4{}, false
-}
-
-// insert memoizes a color under hash h with LRU replacement.
-func (m *memoLUT) insert(h uint32, color geom.Vec4) {
-	base := int(h) % m.sets * m.ways
-	victim := base
-	for w := 0; w < m.ways; w++ {
-		i := base + w
-		if m.ok[i] && m.tag[i] == h {
-			victim = i
-			break
-		}
-		if !m.ok[i] {
-			victim = i
-			break
-		}
-		if m.age[i] < m.age[victim] {
-			victim = i
-		}
-	}
-	m.tick++
-	m.tag[victim] = h
-	m.val[victim] = color
-	m.ok[victim] = true
-	m.age[victim] = m.tick
+	m.Lookups = r.U64()
+	m.Hits = r.U64()
 }
 
 // fragmentHasher builds the 32-bit memoization key from the inputs the

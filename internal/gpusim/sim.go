@@ -64,6 +64,9 @@ func (p dramPort) Write(addr uint64, size int) int {
 type Simulator struct {
 	cfg   Config
 	trace *api.Trace
+	// traceSig signs what checkpoint compatibility depends on: the trace's
+	// name, size and frame count, and the technique.
+	traceSig uint32
 
 	fbuf      *fb.FrameBuffer
 	state     *api.State
@@ -119,6 +122,8 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 		return nil, fmt.Errorf("gpusim: %w: %v", rerr.ErrBadTrace, err)
 	}
 	s := &Simulator{cfg: cfg, trace: trace}
+	s.traceSig = crc.Checksum(fmt.Appendf(nil, "%s/%dx%d/%d/%s",
+		trace.Name, trace.Width, trace.Height, len(trace.Frames), cfg.Technique))
 	s.dram = dram.New(cfg.DRAM)
 	// DRAM accesses happen only on serial phases (geometry and raster
 	// commit), never inside parallel render workers, so injected panics

@@ -288,6 +288,49 @@ func TestCheckpointPeriod(t *testing.T) {
 	})
 }
 
+// TestCrashRecoveryKeepsSpecFile: a recovered job's spec file is already on
+// disk, so recovery resubmits the job without publishing it again — no
+// snapshot write, and the file's modification time, which orders the next
+// boot's recovery, stays where it was.
+func TestCrashRecoveryKeepsSpecFile(t *testing.T) {
+	dir := t.TempDir()
+	params := workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}
+	spec := Spec{Alias: "ccs", Params: params, Tech: gpusim.RE}
+	key := spec.Key().String()
+	st := openTestStore(t, dir, nil)
+	rec := store.JobSpec{Alias: spec.Alias, Width: params.Width, Height: params.Height,
+		Frames: params.Frames, Seed: params.Seed, Tech: spec.Tech.String()}
+	if err := st.RecordSubmitted(key, rec); err != nil {
+		t.Fatal(err)
+	}
+	// Backdate the spec so a republish cannot land on the same mtime.
+	path := filepath.Join(dir, "specs", key+".snap")
+	mtime := time.Now().Add(-time.Hour).Truncate(time.Second)
+	if err := os.Chtimes(path, mtime, mtime); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir, nil)
+	started, release := make(chan struct{}), make(chan struct{})
+	run := func(context.Context, Spec, func(string, time.Duration)) (gpusim.Result, error) {
+		close(started)
+		<-release
+		return gpusim.Result{}, nil
+	}
+	p := NewPool(WithWorkers(1), WithStore(st2), WithRun(run), WithLogger(quietLogger()))
+	defer p.Close(context.Background())
+	<-started
+	if n := st2.Metrics().SnapshotsWritten.Load(); n != 0 {
+		t.Errorf("recovery published %d snapshots before the job ran, want 0", n)
+	}
+	if fi, err := os.Stat(path); err != nil {
+		t.Error(err)
+	} else if !fi.ModTime().Equal(mtime) {
+		t.Errorf("spec mtime moved from %v to %v", mtime, fi.ModTime())
+	}
+	close(release)
+}
+
 // TestCrashRecoveryDropsFailedJobs: a terminal failure closes the recovery
 // window — failed jobs are neither re-run nor served after a restart.
 func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
@@ -344,7 +387,7 @@ func TestCrashRecoveryRejectsMismatchedCheckpoint(t *testing.T) {
 	if err := st.RecordSubmitted(key, rec); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveCheckpoint(key, frames[:1], sim.Checkpoint().EncodeBinary()); err != nil {
+	if err := st.SaveCheckpoint(key, frames[:1], sim.Checkpoint()); err != nil {
 		t.Fatal(err)
 	}
 

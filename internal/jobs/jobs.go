@@ -194,11 +194,12 @@ type Job struct {
 	panics atomic.Int32
 }
 
-// resume is a job's recovery state: the last frame-boundary checkpoint and
-// the stats of every frame completed before it. recovered marks state that
-// crossed a process restart through the store (for the resumed-jobs metric).
+// resume is a job's recovery state: the last frame-boundary checkpoint
+// blob, nil when there is none, and the stats of every frame completed
+// before it. recovered marks state that crossed a process restart through
+// the store (for the resumed-jobs metric).
 type resume struct {
-	cp        *gpusim.Checkpoint
+	cp        []byte
 	frames    []gpusim.Stats
 	recovered bool
 }
@@ -328,8 +329,9 @@ func (p *Pool) TrySubmit(spec Spec) (*Job, error) {
 }
 
 // submit is the shared submission path. rs, non-nil only for store-recovered
-// jobs, attaches a cross-restart checkpoint before any worker can dequeue
-// the job.
+// jobs, attaches the job's recovery state before any worker can dequeue the
+// job; such a job's spec file is already on disk, so a leader is marked
+// recorded instead of publishing it again.
 func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	p.metrics.Submitted.Add(1)
 	key := spec.Key()
@@ -387,7 +389,11 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	j.call = c
 	p.register(j)
 	p.mu.Unlock()
-	p.recordSubmitted(j)
+	if rs != nil {
+		j.recorded = true
+	} else {
+		p.recordSubmitted(j)
+	}
 	p.metrics.queueLen.Add(1)
 
 	p.sendMu.RLock()

@@ -584,7 +584,7 @@ func TestFinishedJobReleasesCheckpoint(t *testing.T) {
 		t.Fatalf("simulated %d frames, want 3 (two checkpointed boundaries)", got)
 	}
 	if j.resume != nil {
-		t.Errorf("completed job still holds its frame-%d checkpoint", j.resume.cp.Frame())
+		t.Errorf("completed job still holds a %d-byte checkpoint after %d frames", len(j.resume.cp), len(j.resume.frames))
 	}
 }
 

@@ -110,7 +110,7 @@ func (p *Pool) persistCheckpoint(j *Job) {
 	if !j.recorded || j.resume == nil || j.resume.cp == nil {
 		return
 	}
-	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.frames, j.resume.cp.EncodeBinary())
+	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.frames, j.resume.cp)
 	if err != nil {
 		p.log.Warn("store: checkpoint write failed; crash recovery falls back to an earlier frame", "id", j.ID, "err", err)
 	}
@@ -144,7 +144,7 @@ func (p *Pool) persistFailure(j *Job, err error) {
 
 // recoverFromStore replays the store's recovery set into the live pool:
 // results into the LRU cache (oldest completion first, preserving recency),
-// then interrupted jobs back onto the queue with their decoded checkpoints.
+// then interrupted jobs back onto the queue with their checkpoints.
 // Called from New after workers have started.
 func (p *Pool) recoverFromStore() {
 	st := p.opts.Store
@@ -173,21 +173,9 @@ func (p *Pool) recoverFromStore() {
 			p.log.Warn("store: recovered spec signature mismatch; dropped", "key", pj.Key, "resigned", got)
 			continue
 		}
-		var rs *resume
-		if len(pj.Checkpoint) > 0 {
-			cp, derr := gpusim.DecodeCheckpoint(pj.Checkpoint)
-			switch {
-			case derr != nil:
-				p.log.Warn("store: recovered checkpoint undecodable; restarting job from frame 0", "key", pj.Key, "err", derr)
-			case cp.Frame() != len(pj.Frames):
-				// Resuming would splice the file's stats onto the wrong
-				// frame and publish a result of the wrong length.
-				p.log.Warn("store: recovered checkpoint disagrees with its frame stats; restarting job from frame 0",
-					"key", pj.Key, "checkpoint_frame", cp.Frame(), "stats_frames", len(pj.Frames))
-			default:
-				rs = &resume{cp: cp, frames: append([]gpusim.Stats(nil), pj.Frames...), recovered: true}
-			}
-		}
+		// The runner checks the checkpoint, if any, when it resumes: a bad
+		// blob restarts the job from frame 0 there.
+		rs := &resume{cp: pj.Checkpoint, frames: pj.Frames, recovered: true}
 		j, err := p.submit(spec, true, rs)
 		if err != nil {
 			p.log.Warn("store: interrupted job resubmission failed", "key", pj.Key, "err", err)

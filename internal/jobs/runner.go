@@ -51,24 +51,37 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 
 	// Resume from this job's last checkpoint, replaying the already-counted
 	// per-frame stats so the final Result is indistinguishable from a
-	// straight run.
+	// straight run. A checkpoint that Resume rejects, or whose frame
+	// disagrees with its stats, is dropped and the job starts over on a
+	// fresh simulator: a rejection past the blob's header may have read
+	// part of it into sim.
 	start := 0
-	if j.resume != nil && j.resume.cp != nil {
-		if rerr := sim.Resume(j.resume.cp); rerr == nil {
-			start = j.resume.cp.Frame()
-			for _, fs := range j.resume.frames {
+	if rs := j.resume; rs != nil && len(rs.cp) > 0 {
+		rerr := sim.Resume(rs.cp)
+		if rerr == nil && sim.Frame() != len(rs.frames) {
+			// Resuming would splice the stats onto the wrong frame and
+			// publish a result of the wrong length.
+			rerr = fmt.Errorf("checkpoint at frame %d disagrees with its %d frames of stats", sim.Frame(), len(rs.frames))
+		}
+		if rerr == nil {
+			start = sim.Frame()
+			for _, fs := range rs.frames {
 				res.Frames = append(res.Frames, fs)
 				res.Total.Add(fs)
 			}
 			p.metrics.Resumed.Add(1)
-			if j.resume.recovered {
+			if rs.recovered {
 				// The checkpoint crossed a process restart via the store.
-				j.resume.recovered = false
+				rs.recovered = false
 				p.opts.Store.Metrics().JobsResumed.Add(1)
 			}
 			p.log.Info("job resumed from checkpoint", "id", j.ID, "frame", start)
 		} else {
 			p.log.Warn("checkpoint rejected; restarting from frame 0", "id", j.ID, "err", rerr)
+			j.resume = nil
+			if sim, err = gpusim.New(tr, cfg); err != nil {
+				return gpusim.Result{}, err
+			}
 		}
 	}
 

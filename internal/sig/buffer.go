@@ -5,6 +5,8 @@
 // behaviour, and the per-drawcall constants CRC with its tile bitmap.
 package sig
 
+import "rendelim/internal/wire"
+
 // Buffer is the Signature Buffer. Because the memory system double-buffers
 // the Frame Buffer (Section IV-C), a tile rendered in frame N reuses the
 // Back Buffer contents of frame N-2, so its signature must be compared
@@ -101,46 +103,31 @@ func (b *Buffer) InvalidateTile(tile int) {
 	}
 }
 
-// BufferSnapshot captures the Signature Buffer's cross-frame state: both
-// committed signature sets with their validity bits, the parity, and the
-// access counters. The building set is per-frame scratch but is included so
-// mid-frame restores are at least well-defined.
-type BufferSnapshot struct {
-	Building []uint32
-	Prev     [2][]uint32
-	Valid    [2][]bool
-	Parity   int
-	Reads    uint64
-	Writes   uint64
+// AppendState appends the buffer's state for a simulator checkpoint: the
+// building set (per-frame scratch, but part of the checkpoint format), both
+// committed signature sets with their validity bits, the parity and the
+// access counters.
+func (b *Buffer) AppendState(dst []byte) []byte {
+	dst = wire.AppendU32s(dst, b.building)
+	dst = wire.AppendU32s(dst, b.prev[0])
+	dst = wire.AppendU32s(dst, b.prev[1])
+	dst = wire.AppendBools(dst, b.valid[0])
+	dst = wire.AppendBools(dst, b.valid[1])
+	dst = wire.AppendI64(dst, int64(b.parity))
+	dst = wire.AppendU64(dst, b.Reads)
+	return wire.AppendU64(dst, b.Writes)
 }
 
-// Snapshot deep-copies the buffer state.
-func (b *Buffer) Snapshot() BufferSnapshot {
-	s := BufferSnapshot{
-		Building: append([]uint32(nil), b.building...),
-		Parity:   b.parity,
-		Reads:    b.Reads,
-		Writes:   b.Writes,
-	}
-	for i := range b.prev {
-		s.Prev[i] = append([]uint32(nil), b.prev[i]...)
-		s.Valid[i] = append([]bool(nil), b.valid[i]...)
-	}
-	return s
-}
-
-// Restore overwrites the buffer with a snapshot taken from a buffer of the
-// same tile count; it panics on a size mismatch.
-func (b *Buffer) Restore(s BufferSnapshot) {
-	if len(s.Building) != b.numTiles {
-		panic("sig: buffer restore size mismatch")
-	}
-	copy(b.building, s.Building)
-	for i := range b.prev {
-		copy(b.prev[i], s.Prev[i])
-		copy(b.valid[i], s.Valid[i])
-	}
-	b.parity = s.Parity
-	b.Reads = s.Reads
-	b.Writes = s.Writes
+// ReadState reads what AppendState wrote into the buffer's own storage. A
+// set length other than the buffer's tile count, or a parity other than 0
+// or 1, latches wire.ErrCorrupt on r.
+func (b *Buffer) ReadState(r *wire.Reader) {
+	r.ReadU32s(b.building)
+	r.ReadU32s(b.prev[0])
+	r.ReadU32s(b.prev[1])
+	r.ReadBools(b.valid[0])
+	r.ReadBools(b.valid[1])
+	b.parity = r.Index(len(b.prev))
+	b.Reads = r.U64()
+	b.Writes = r.U64()
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"rendelim/internal/crc"
+	"rendelim/internal/wire"
 )
 
 // Config parameterizes the Signature Unit hardware.
@@ -268,49 +269,54 @@ func (u *Unit) SyncStats() {
 	u.Stats.Accumulate = u.accumulate.Stats
 }
 
-// UnitSnapshot captures the Signature Unit's state: the buffer, the CRC
-// datapath counters, the constants register/bitmap and queue clocks (per-
-// frame scratch, included for completeness), and the aggregate stats.
-type UnitSnapshot struct {
-	Buf        BufferSnapshot
-	Compute    crc.UnitStats
-	Accumulate crc.UnitStats
-	ConstSig   uint32
-	ConstShift int
-	HaveConst  bool
-	Bitmap     []bool
-	PLBClock   uint64
-	SUClock    uint64
-	Stats      Stats
+// AppendState appends the unit's state for a simulator checkpoint: the
+// Signature Buffer, the CRC datapath counters, the constants register,
+// bitmap and queue clocks (per-frame scratch, but part of the checkpoint
+// format), and the aggregate stats.
+func (u *Unit) AppendState(b []byte) []byte {
+	b = u.buf.AppendState(b)
+	b = u.compute.Stats.AppendState(b)
+	b = u.accumulate.Stats.AppendState(b)
+	b = wire.AppendU32(b, u.constSig)
+	b = wire.AppendI64(b, int64(u.constShift))
+	b = wire.AppendBool(b, u.haveConst)
+	b = wire.AppendBools(b, u.bitmap)
+	b = wire.AppendU64(b, u.plbClock)
+	b = wire.AppendU64(b, u.suClock)
+	st := &u.Stats
+	b = wire.AppendU64(b, st.StallCycles)
+	b = wire.AppendU64(b, st.BusyCycles)
+	b = wire.AppendU64(b, st.CompareCycles)
+	b = st.Compute.AppendState(b)
+	b = st.Accumulate.AppendState(b)
+	b = wire.AppendU64(b, st.BitmapReads)
+	b = wire.AppendU64(b, st.BitmapWrites)
+	b = wire.AppendU64(b, st.PrimBlocks)
+	b = wire.AppendU64(b, st.ConstBlocks)
+	return wire.AppendU64(b, st.TileUpdates)
 }
 
-// Snapshot deep-copies the unit state.
-func (u *Unit) Snapshot() UnitSnapshot {
-	return UnitSnapshot{
-		Buf:        u.buf.Snapshot(),
-		Compute:    u.compute.Stats,
-		Accumulate: u.accumulate.Stats,
-		ConstSig:   u.constSig,
-		ConstShift: u.constShift,
-		HaveConst:  u.haveConst,
-		Bitmap:     append([]bool(nil), u.bitmap...),
-		PLBClock:   u.plbClock,
-		SUClock:    u.suClock,
-		Stats:      u.Stats,
-	}
-}
-
-// Restore overwrites the unit with a snapshot from an identically sized
-// unit.
-func (u *Unit) Restore(s UnitSnapshot) {
-	u.buf.Restore(s.Buf)
-	u.compute.Stats = s.Compute
-	u.accumulate.Stats = s.Accumulate
-	u.constSig = s.ConstSig
-	u.constShift = s.ConstShift
-	u.haveConst = s.HaveConst
-	copy(u.bitmap, s.Bitmap)
-	u.plbClock = s.PLBClock
-	u.suClock = s.SUClock
-	u.Stats = s.Stats
+// ReadState reads what AppendState wrote into the unit's own storage; a
+// length or index that does not fit latches wire.ErrCorrupt on r.
+func (u *Unit) ReadState(r *wire.Reader) {
+	u.buf.ReadState(r)
+	u.compute.Stats.ReadState(r)
+	u.accumulate.Stats.ReadState(r)
+	u.constSig = r.U32()
+	u.constShift = int(r.I64())
+	u.haveConst = r.Bool()
+	r.ReadBools(u.bitmap)
+	u.plbClock = r.U64()
+	u.suClock = r.U64()
+	st := &u.Stats
+	st.StallCycles = r.U64()
+	st.BusyCycles = r.U64()
+	st.CompareCycles = r.U64()
+	st.Compute.ReadState(r)
+	st.Accumulate.ReadState(r)
+	st.BitmapReads = r.U64()
+	st.BitmapWrites = r.U64()
+	st.PrimBlocks = r.U64()
+	st.ConstBlocks = r.U64()
+	st.TileUpdates = r.U64()
 }

@@ -42,7 +42,6 @@ func (t *Table) AddAverage() {
 	if len(t.Rows) == 0 {
 		return
 	}
-	n := len(t.Rows)
 	width := 0
 	for _, r := range t.Rows {
 		if len(r.Values) > width {
@@ -62,7 +61,6 @@ func (t *Table) AddAverage() {
 			avg[i] /= float64(counts[i])
 		}
 	}
-	_ = n
 	t.Rows = append(t.Rows, Row{Label: "AVG", Values: avg})
 }
 

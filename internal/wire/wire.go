@@ -1,10 +1,10 @@
 // Package wire provides the repo's one set of length-checked little-endian
-// binary primitives: the trace format (internal/trace), checkpoint snapshots
-// (internal/gpusim), their per-subsystem sub-codecs (internal/dram,
-// internal/cache) and the on-disk store framing (internal/store) all encode
-// through the same Append* helpers and decode through the same error-latching
-// Reader, so torn, corrupted or hostile bytes surface as a typed error instead
-// of a panic or a multi-gigabyte allocation.
+// binary primitives: the trace format (internal/trace), simulator
+// checkpoints (internal/gpusim and the AppendState/ReadState methods of the
+// components it holds) and the on-disk store framing (internal/store) all
+// encode through the same Append* helpers and decode through the same
+// error-latching Reader, so torn, corrupted or hostile bytes surface as a
+// typed error instead of a panic or a multi-gigabyte allocation.
 package wire
 
 import (
@@ -195,28 +195,47 @@ func (r *Reader) String() string {
 	return string(v)
 }
 
-// U32s reads a u32-length-prefixed []uint32.
-func (r *Reader) U32s() []uint32 {
-	n := r.Count(int(r.U32()), 4)
-	if r.err != nil || n == 0 {
-		return nil
+// Length reads a u32 length prefix that must equal want, the length of the
+// live storage it is read into; any other value latches ErrCorrupt. It is
+// Count's counterpart for decoders that fill storage sized by their own
+// configuration instead of allocating from the input.
+func (r *Reader) Length(want int) {
+	off := r.off
+	if n := r.U32(); r.err == nil && int64(n) != int64(want) {
+		r.fail(fmt.Errorf("%w: length %d at offset %d, want %d", ErrCorrupt, n, off, want))
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = r.U32()
-	}
-	return out
 }
 
-// Bools reads a u32-length-prefixed []bool.
-func (r *Reader) Bools() []bool {
-	n := r.Count(int(r.U32()), 1)
-	if r.err != nil || n == 0 {
-		return nil
+// Index reads an i64 index into storage of n entries. A value outside
+// [0, n) latches ErrCorrupt and reads as 0.
+func (r *Reader) Index(n int) int {
+	off := r.off
+	v := r.I64()
+	if r.err == nil && (v < 0 || v >= int64(n)) {
+		r.fail(fmt.Errorf("%w: index %d at offset %d outside [0, %d)", ErrCorrupt, v, off, n))
+		return 0
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = r.Bool()
+	return int(v)
+}
+
+// ReadU32s reads a u32-length-prefixed []uint32 into dst; the prefix must
+// equal len(dst).
+func (r *Reader) ReadU32s(dst []uint32) {
+	r.Length(len(dst))
+	if v := r.take(4 * len(dst)); v != nil {
+		for i := range dst {
+			dst[i] = binary.LittleEndian.Uint32(v[4*i:])
+		}
 	}
-	return out
+}
+
+// ReadBools reads a u32-length-prefixed []bool into dst; the prefix must
+// equal len(dst).
+func (r *Reader) ReadBools(dst []bool) {
+	r.Length(len(dst))
+	if v := r.take(len(dst)); v != nil {
+		for i, x := range v {
+			dst[i] = x != 0
+		}
+	}
 }

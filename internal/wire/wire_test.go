@@ -3,6 +3,7 @@ package wire
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -49,11 +50,13 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.String(); v != "name" {
 		t.Errorf("String = %q", v)
 	}
-	if v := r.U32s(); len(v) != 3 || v[0] != 1 || v[2] != 3 {
-		t.Errorf("U32s = %v", v)
+	u32s := make([]uint32, 3)
+	if r.ReadU32s(u32s); u32s[0] != 1 || u32s[2] != 3 {
+		t.Errorf("ReadU32s = %v", u32s)
 	}
-	if v := r.Bools(); len(v) != 3 || !v[0] || v[1] {
-		t.Errorf("Bools = %v", v)
+	bools := make([]bool, 3)
+	if r.ReadBools(bools); !bools[0] || bools[1] {
+		t.Errorf("ReadBools = %v", bools)
 	}
 	if err := r.Err(); err != nil {
 		t.Fatalf("Err = %v", err)
@@ -83,15 +86,50 @@ func TestTruncation(t *testing.T) {
 
 func TestHostileLength(t *testing.T) {
 	// A length field claiming 1 GiB of uint32s with 4 bytes of payload must
-	// fail with ErrCorrupt, not allocate.
+	// fail with ErrCorrupt and leave the destination as it was.
 	b := AppendU32(nil, 1<<28)
 	b = AppendU32(b, 7)
 	r := NewReader(b)
-	if v := r.U32s(); v != nil {
-		t.Errorf("hostile U32s = %v", v)
+	dst := []uint32{42}
+	if r.ReadU32s(dst); dst[0] != 42 {
+		t.Errorf("hostile ReadU32s wrote %v", dst)
 	}
 	if !errors.Is(r.Err(), ErrCorrupt) {
 		t.Fatalf("Err = %v, want ErrCorrupt", r.Err())
+	}
+}
+
+// Length and Index accept exactly the values that fit, and name the offset
+// of one that does not.
+func TestLengthAndIndex(t *testing.T) {
+	b := AppendU32(nil, 3)
+	b = AppendI64(b, 1)
+	r := NewReader(b)
+	r.Length(3)
+	if i := r.Index(2); i != 1 || r.Err() != nil {
+		t.Fatalf("Index = %d, Err = %v", i, r.Err())
+	}
+
+	for _, tc := range []struct {
+		name string
+		read func(r *Reader)
+		want string
+	}{
+		{"length short", func(r *Reader) { r.Length(4) }, "length 3 at offset 0, want 4"},
+		{"length long", func(r *Reader) { r.Length(2) }, "length 3 at offset 0, want 2"},
+		{"index at n", func(r *Reader) { r.U32(); r.Index(1) }, "index 1 at offset 4 outside [0, 1)"},
+	} {
+		r := NewReader(b)
+		tc.read(r)
+		if !errors.Is(r.Err(), ErrCorrupt) || !strings.Contains(r.Err().Error(), tc.want) {
+			t.Errorf("%s: Err = %v, want ErrCorrupt naming %q", tc.name, r.Err(), tc.want)
+		}
+	}
+
+	b = AppendI64(nil, -1)
+	r = NewReader(b)
+	if i := r.Index(2); i != 0 || !errors.Is(r.Err(), ErrCorrupt) {
+		t.Errorf("Index(-1) = %d, Err = %v; want 0 and ErrCorrupt", i, r.Err())
 	}
 }
 
