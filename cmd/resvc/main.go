@@ -6,7 +6,7 @@
 // Usage:
 //
 //	resvc [-addr :8080] [-workers N] [-tile-workers 0] [-cache 512]
-//	      [-timeout 10m] [-retries 2] [-max-body 64MiB] [-drain 30s]
+//	      [-timeout 30m] [-max-body 64MiB] [-drain 30s]
 //	      [-inject PLAN] [-inject-seed 1] [-log-level info] [-log-format text]
 //	      [-cluster-addr host:port] [-peer host:port]... [-health-interval 2s]
 //	      [-result-ttl 30s] [-tracefile out.json] [-data-dir DIR]
@@ -34,9 +34,11 @@
 //
 // Overload and failure handling: the submission queue is bounded — when it
 // is full, POST /v1/jobs sheds load with 429 + Retry-After instead of queueing
-// unboundedly. Transient failures retry with backoff (-retries), resuming
-// from the last checkpoint; a job that exhausts its attempts fails alone,
-// never blocking others. On SIGTERM/SIGINT
+// unboundedly. A job runs once: one that errors, panics or outlives -timeout
+// fails alone, never blocking others, and is not retried — a re-run of the
+// same inputs panics at the same frame, and more time is what -timeout
+// sets. Only a process restart resumes a job, from the checkpoint it
+// persisted under -data-dir. On SIGTERM/SIGINT
 // the service drains gracefully: /v1/healthz flips to 503 {"status":"draining"},
 // the listener closes, and in-flight jobs get -drain to finish.
 //
@@ -82,6 +84,9 @@ import (
 	"rendelim/internal/store"
 )
 
+// injectExample is the -inject plan the flag's help suggests.
+const injectExample = "dram.read:panic:0.01:4,server.accept:latency:0.1,store.write:transient:0.05"
+
 func main() {
 	if err := run(os.Args[1:], nil, make(chan os.Signal, 1), true); err != nil {
 		fmt.Fprintln(os.Stderr, "resvc:", err)
@@ -98,11 +103,10 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	workers := fs.Int("workers", 0, "concurrent simulation workers (0 = host CPUs / tile-workers)")
 	tileWorkers := fs.Int("tile-workers", 0, "raster-phase goroutines per simulation (0/1 = serial, -1 = one per CPU); never changes results")
 	cacheSize := fs.Int("cache", 512, "LRU result cache entries")
-	timeout := fs.Duration("timeout", 10*time.Minute, "per-attempt deadline (0 = none)")
-	retries := fs.Int("retries", 2, "transient-failure retries per job")
+	timeout := fs.Duration("timeout", 30*time.Minute, "job deadline (0 = none)")
 	maxBody := fs.Int64("max-body", 64<<20, "max trace upload bytes")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	inject := fs.String("inject", "", "fault-injection plan, e.g. 'dram.read:panic:0.01:4,server.accept:latency:0.1,store.write:error:0.05'; store.write/store.sync/store.rename exercise the durability layer (chaos testing; empty = off)")
+	inject := fs.String("inject", "", "fault-injection plan, e.g. '"+injectExample+"'; store.write/store.sync/store.rename exercise the durability layer (chaos testing; empty = off)")
 	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
 	logFormat := fs.String("log-format", "", "log format: text or json (default text; env "+obs.EnvLogFormat+")")
@@ -189,7 +193,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		jobs.WithWorkers(*workers),
 		jobs.WithCacheSize(*cacheSize),
 		jobs.WithTimeout(*timeout),
-		jobs.WithRetries(*retries),
 		jobs.WithLogger(log),
 		jobs.WithTileWorkers(*tileWorkers),
 		jobs.WithFault(plan),

@@ -9,7 +9,18 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"rendelim/internal/fault"
 )
+
+// The -inject example in the flag's help must be a plan resvc accepts, so
+// pasting it starts the daemon.
+func TestInjectExampleParses(t *testing.T) {
+	p, err := fault.Parse(1, injectExample)
+	if err != nil || p == nil {
+		t.Fatalf("fault.Parse(%q) = %v, %v; want a plan", injectExample, p, err)
+	}
+}
 
 // End-to-end over a real loopback listener: start the daemon, submit the
 // same job twice, assert the second is eliminated by the signature cache,

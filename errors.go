@@ -20,8 +20,8 @@ var (
 	// refresh interval).
 	ErrBadConfig = rerr.ErrBadConfig
 
-	// ErrWorkerPanic marks a job failure caused by a panic recovered in a
-	// pool worker (after retry/resume budgets were exhausted). Matched with
-	// errors.Is on a failed job's error.
+	// ErrWorkerPanic marks a job failure caused by a panic recovered from
+	// the job's run: the job fails once, and the worker carries on. Matched
+	// with errors.Is on a failed job's error.
 	ErrWorkerPanic = rerr.ErrWorkerPanic
 )

@@ -20,15 +20,8 @@
 //	               fault; Latency = saturated memory controller (host time
 //	               only, never changes simulated results).
 //	dram.write     DRAM model write path; same kinds as dram.read.
-//	trace.decode   Before a job decodes an uploaded trace binary. Corrupt
-//	               additionally runs a deterministically mangled copy
-//	               through the decoder, which must fail gracefully.
-//	jobs.worker    In the job pool between dequeue and execution. Panic
-//	               escapes per-attempt recovery and exercises worker
-//	               replacement.
-//	server.accept  In the HTTP handler before routing. Transient/Corrupt
-//	               shed the request with 503; Panic exercises handler
-//	               recovery.
+//	server.accept  In the HTTP handler before routing. Transient sheds the
+//	               request with 503; Panic exercises handler recovery.
 //	store.write    Durability-layer file writes (snapshot bodies).
 //	               Transient models a full or failing disk.
 //	store.sync     Durability-layer fsync calls. Transient models an fsync
@@ -58,13 +51,6 @@ const (
 	// never change simulated results).
 	SiteDRAMRead  = "dram.read"
 	SiteDRAMWrite = "dram.write"
-	// SiteTraceDecode fires before a job decodes an uploaded trace binary;
-	// the Corrupt kind hands the decoder deterministically mangled bytes.
-	SiteTraceDecode = "trace.decode"
-	// SiteWorker fires in the job pool between dequeue and execution; the
-	// Panic kind escapes per-attempt recovery and exercises worker
-	// replacement.
-	SiteWorker = "jobs.worker"
 	// SiteServerAccept fires in the HTTP handler before routing.
 	SiteServerAccept = "server.accept"
 	// SiteStoreWrite / SiteStoreSync / SiteStoreRename fire in the
@@ -82,10 +68,9 @@ type Kind uint8
 
 // Fault kinds.
 const (
-	Transient Kind = iota // an error worth retrying
+	Transient Kind = iota // an error returned from the site
 	Panic                 // a panic thrown from the site
 	Latency               // a host-time sleep (triggers deadlines, changes no results)
-	Corrupt               // deterministically mangled bytes (see Error.Mangle)
 )
 
 // String implements fmt.Stringer.
@@ -97,8 +82,6 @@ func (k Kind) String() string {
 		return "panic"
 	case Latency:
 		return "latency"
-	case Corrupt:
-		return "corrupt"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
@@ -112,10 +95,8 @@ func ParseKind(s string) (Kind, error) {
 		return Panic, nil
 	case "latency":
 		return Latency, nil
-	case "corrupt":
-		return Corrupt, nil
 	}
-	return Transient, fmt.Errorf("fault: unknown kind %q (want transient, panic, latency or corrupt)", s)
+	return Transient, fmt.Errorf("fault: unknown kind %q (want transient, panic or latency)", s)
 }
 
 // Site configures injection at one site.
@@ -126,14 +107,14 @@ type Site struct {
 	// uniformly. Empty defaults to Transient only.
 	Kinds []Kind
 	// Limit bounds how many faults the site may inject in total; 0 means
-	// unlimited. Chaos tests use it to keep retry budgets sufficient.
+	// unlimited. Chaos tests use it to bound how many jobs a plan fails.
 	Limit int
 	// Latency is the sleep duration for Latency-kind faults; default 1ms.
 	Latency time.Duration
 }
 
 // ErrInjected is the sentinel every injected fault error matches with
-// errors.Is, so retry policies can treat injections as transient.
+// errors.Is, so callers can tell injections from real failures.
 var ErrInjected = errors.New("fault: injected")
 
 // Error is one injected fault. Its fields identify the injection
@@ -151,22 +132,6 @@ func (e *Error) Error() string {
 
 // Is matches ErrInjected.
 func (e *Error) Is(target error) bool { return target == ErrInjected }
-
-// Mangle returns a corrupted copy of b, deterministic in the error's
-// identity: a handful of byte positions XORed with non-zero values. The
-// input is never modified.
-func (e *Error) Mangle(b []byte) []byte {
-	out := append([]byte(nil), b...)
-	if len(out) == 0 {
-		return out
-	}
-	rng := rand.New(rand.NewSource(int64(e.Seq)*7919 + int64(len(b))))
-	n := 1 + rng.Intn(8)
-	for i := 0; i < n; i++ {
-		out[rng.Intn(len(out))] ^= byte(1 + rng.Intn(255))
-	}
-	return out
-}
 
 // siteState is one registered site's mutable state.
 type siteState struct {
@@ -219,8 +184,8 @@ func (p *Plan) With(name string, s Site) *Plan {
 // Check draws once at the named site. It returns nil on a nil plan, an
 // unregistered site, an exhausted budget, or a no-fault draw. Otherwise it
 // injects: Panic panics with a *Error, Latency sleeps and returns nil, and
-// Transient/Corrupt return a *Error (matching ErrInjected) for the caller
-// to surface.
+// Transient returns a *Error (matching ErrInjected) for the caller to
+// surface.
 func (p *Plan) Check(site string) error {
 	if p == nil {
 		return nil
@@ -270,7 +235,7 @@ func (p *Plan) Fired(site string) int {
 // Parse builds a plan from a comma-separated flag value of
 // site:kind:prob[:limit[:latency]] entries, e.g.
 //
-//	dram.read:panic:0.001:2,jobs.worker:transient:0.3,server.accept:latency:0.1:0:50ms
+//	dram.read:panic:0.001:2,store.write:transient:0.3,server.accept:latency:0.1:0:50ms
 //
 // An empty spec returns a nil (disabled) plan.
 func Parse(seed int64, spec string) (*Plan, error) {

@@ -1,8 +1,8 @@
 package fault
 
 import (
-	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 )
@@ -13,16 +13,15 @@ func TestDeterministicAcrossInterleavings(t *testing.T) {
 	build := func() *Plan {
 		return New(42).
 			With("a", Site{Prob: 0.3, Kinds: []Kind{Transient}}).
-			With("b", Site{Prob: 0.5, Kinds: []Kind{Transient, Corrupt}})
+			With("b", Site{Prob: 0.5, Kinds: []Kind{Transient, Latency}})
 	}
+	// Each draw records its error and the site's fired count, so a latency
+	// fault, which returns nil, still shows.
 	draw := func(p *Plan, site string, n int) []string {
 		var out []string
 		for i := 0; i < n; i++ {
-			if err := p.Check(site); err != nil {
-				out = append(out, err.Error())
-			} else {
-				out = append(out, "")
-			}
+			err := p.Check(site)
+			out = append(out, fmt.Sprintf("%v #%d", err, p.Fired(site)))
 		}
 		return out
 	}
@@ -96,24 +95,8 @@ func TestLatencyKindSleepsAndReturnsNil(t *testing.T) {
 	}
 }
 
-func TestMangleDeterministicAndNonIdentity(t *testing.T) {
-	e := &Error{Site: "trace.decode", Kind: Corrupt, Seq: 1}
-	in := bytes.Repeat([]byte{0xAB}, 256)
-	m1 := e.Mangle(in)
-	m2 := e.Mangle(in)
-	if !bytes.Equal(m1, m2) {
-		t.Fatal("Mangle is not deterministic")
-	}
-	if bytes.Equal(m1, in) {
-		t.Fatal("Mangle returned identical bytes")
-	}
-	if !bytes.Equal(in, bytes.Repeat([]byte{0xAB}, 256)) {
-		t.Fatal("Mangle modified its input")
-	}
-}
-
 func TestParse(t *testing.T) {
-	p, err := Parse(7, "dram.read:panic:0.5:2,jobs.worker:latency:1:0:5ms")
+	p, err := Parse(7, "dram.read:panic:0.5:2,server.accept:latency:1:0:5ms")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,13 +104,13 @@ func TestParse(t *testing.T) {
 		t.Fatal("nil plan for non-empty spec")
 	}
 	p.mu.Lock()
-	dr, jw := p.sites["dram.read"], p.sites["jobs.worker"]
+	dr, sa := p.sites["dram.read"], p.sites["server.accept"]
 	p.mu.Unlock()
 	if dr == nil || dr.Prob != 0.5 || dr.Limit != 2 || dr.Kinds[0] != Panic {
 		t.Fatalf("dram.read site = %+v", dr)
 	}
-	if jw == nil || jw.Kinds[0] != Latency || jw.Latency != 5*time.Millisecond {
-		t.Fatalf("jobs.worker site = %+v", jw)
+	if sa == nil || sa.Kinds[0] != Latency || sa.Latency != 5*time.Millisecond {
+		t.Fatalf("server.accept site = %+v", sa)
 	}
 
 	if p, err := Parse(1, ""); err != nil || p != nil {

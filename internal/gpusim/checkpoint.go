@@ -3,6 +3,7 @@ package gpusim
 import (
 	"fmt"
 
+	"rendelim/internal/api"
 	"rendelim/internal/cache"
 	"rendelim/internal/crc"
 	"rendelim/internal/wire"
@@ -113,9 +114,11 @@ func (s *Simulator) checkpointBound() int {
 // frame range — and a header rejection leaves the simulator untouched. A
 // blob that passes its CRC yet does not fit the simulator (possible only for
 // bytes that crossed a process boundary) is rejected with an error wrapping
-// ErrCheckpointFormat by the component that reads the bad count or index,
-// never a panic; by then earlier components hold the blob's state, so the
-// simulator must be rebuilt before it runs. After a successful Resume,
+// ErrCheckpointFormat, never a panic: by the component that reads the bad
+// count or index, or, after the tables are rebuilt, for a bound program or
+// texture they lack, which the next RunFrame would index past. By then
+// earlier components hold the blob's state, so the simulator must be
+// rebuilt before it runs. After a successful Resume,
 // RunFrame(&trace.Frames[s.Frame()]) continues the run exactly where the
 // checkpoint left off.
 func (s *Simulator) Resume(blob []byte) error {
@@ -169,7 +172,32 @@ func (s *Simulator) Resume(blob []byte) error {
 	}
 
 	s.loadUploadTables(s.trace.Frames[:frame])
+	if err := s.checkBindings(); err != nil {
+		return err
+	}
 	s.frameIdx = int(frame)
+	return nil
+}
+
+// checkBindings rejects restored API state that binds a program or texture
+// the rebuilt tables lack: the next draw would index past them. The
+// reset-time binding is exempt, since a run from frame 0 holds it too until
+// its first SetPipeline, whose ids trace validation checks.
+func (s *Simulator) checkBindings() error {
+	p := s.state.Pipeline
+	if p == api.NewState().Pipeline {
+		return nil
+	}
+	for _, id := range [...]api.ProgramID{p.VS, p.FS} {
+		if int(id) >= len(s.programs) || s.programs[id] == nil {
+			return fmt.Errorf("%w: bound program %d outside the %d-program table", ErrCheckpointFormat, id, len(s.programs))
+		}
+	}
+	for _, id := range p.Tex {
+		if int(id) >= len(s.textures) || s.textures[id] == nil {
+			return fmt.Errorf("%w: bound texture %d outside the %d-texture table", ErrCheckpointFormat, id, len(s.textures))
+		}
+	}
 	return nil
 }
 

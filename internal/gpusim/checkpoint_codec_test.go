@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"rendelim/internal/api"
 	"rendelim/internal/crc"
 	"rendelim/internal/wire"
 	"rendelim/internal/workload"
@@ -251,13 +252,74 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 			}
 		})
 	}
+
+	// A binding outside the rebuilt tables. Frame 1 of drawFirstTrace draws
+	// with the bindings frame 0 left, so RunFrame would index the tables
+	// with the id the blob carries; Resume must reject it first. An intact
+	// blob resumes and runs that frame, even where the tables are empty and
+	// the state holds the reset-time binding, as a fresh run's does.
+	for _, tc := range []struct {
+		name  string
+		build func() *api.Trace
+		off   int // pipeline byte set to 200 (VS, FS, then Tex[0..3]); -1 for none
+		want  string
+	}{
+		{"intact bindings", drawFirstTrace, -1, ""},
+		{"reset bindings, empty tables", clearOnlyTrace, -1, ""},
+		{"bound VS", drawFirstTrace, 0, "bound program 200 outside the 3-program table"},
+		{"bound FS", drawFirstTrace, 1, "bound program 200 outside the 3-program table"},
+		{"bound Tex[0]", drawFirstTrace, 2, "bound texture 200 outside the 1-texture table"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			newSim := func() *Simulator {
+				sim, err := New(tc.build(), DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				return sim
+			}
+			src := newSim()
+			src.RunFrame(&src.trace.Frames[0])
+			mut := src.Checkpoint()
+			if tc.off >= 0 {
+				mut[ckptHeaderLen+len(src.fbuf.AppendState(nil))+tc.off] = 200
+			}
+			sim := newSim()
+			err := sim.Resume(reseal(mut))
+			if tc.want == "" {
+				if err != nil {
+					t.Fatalf("Resume: %v", err)
+				}
+				sim.RunFrame(&sim.trace.Frames[1])
+				return
+			}
+			if !errors.Is(err, ErrCheckpointFormat) || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Resume: err = %v, want ErrCheckpointFormat naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// drawFirstTrace is unsetTrace with frame 1 cut down to its first draw, so
+// that frame draws before it binds anything.
+func drawFirstTrace() *api.Trace {
+	tr := unsetTrace()
+	tr.Frames[1].Commands = []api.Command{tr.Frames[1].Commands[3]}
+	return tr
+}
+
+// clearOnlyTrace registers no program or texture and draws nothing: its
+// simulator's tables stay empty, and its API state keeps the reset-time
+// binding.
+func clearOnlyTrace() *api.Trace {
+	return &api.Trace{Name: "clear-only", Width: 32, Height: 32, Frames: make([]api.Frame, 2)}
 }
 
 // FuzzResumeCheckpoint: whatever bytes arrive, Resume onto a fresh
 // simulator succeeds, or fails with ErrCheckpointFormat or a trace
-// mismatch — it never panics. Each input's CRC is re-sealed first, so
-// mutations reach the header checks and the state readers instead of
-// stopping at the seal.
+// mismatch — it never panics, and after a successful Resume neither does
+// the next frame. Each input's CRC is re-sealed first, so mutations reach
+// the header checks and the state readers instead of stopping at the seal.
 func FuzzResumeCheckpoint(f *testing.F) {
 	blob := testCheckpointBlob(f)
 	f.Add(blob)
@@ -270,9 +332,13 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		f.Add(mut)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		err := testCheckpointSim(t).Resume(reseal(b))
+		sim := testCheckpointSim(t)
+		err := sim.Resume(reseal(b))
 		if err != nil && !errors.Is(err, ErrCheckpointFormat) && !strings.Contains(err.Error(), "checkpoint mismatch") {
 			t.Fatalf("Resume error is neither ErrCheckpointFormat nor a trace mismatch: %v", err)
+		}
+		if err == nil && sim.Frame() < len(sim.trace.Frames) {
+			sim.RunFrame(&sim.trace.Frames[sim.Frame()])
 		}
 	})
 }

@@ -104,15 +104,10 @@ type Config struct {
 	// signatures (fewer RE false negatives) at extra binning cost.
 	ExactBinning bool
 
-	// Fragment Memoization parameters (Section V-A: 2048-entry 4-way LUT,
-	// 32-bit hash discarding screen coordinates, 2 frames in parallel).
+	// MemoLUTEntries caps each tile's Fragment Memoization table (Section
+	// V-A's LUT holds 2048 entries; the hash discards screen coordinates
+	// and 2 frames render in parallel).
 	MemoLUTEntries int
-	MemoLUTWays    int
-
-	// EnableEqualInputDiffColorCheck controls the (expensive) invariant
-	// assertion that a signature match never pairs with a color change;
-	// only meaningful for Baseline runs, where everything renders.
-	TrackGroundTruth bool
 
 	// Tracer, when non-nil, records a Chrome trace-event timeline of the
 	// run: one span per frame with nested per-stage spans and instant
@@ -156,11 +151,9 @@ func DefaultConfig() Config {
 		L2Cache: cache.Config{
 			Name: "l2", LineBytes: 64, Ways: 8, SizeBytes: 256 << 10, Banks: 8, Latency: 2,
 		},
-		Sig:              sig.DefaultConfig(),
-		RefreshInterval:  0,
-		MemoLUTEntries:   2048,
-		MemoLUTWays:      4,
-		TrackGroundTruth: true,
+		Sig:             sig.DefaultConfig(),
+		RefreshInterval: 0,
+		MemoLUTEntries:  2048,
 	}
 }
 
@@ -175,8 +168,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("gpusim: %w: %v", rerr.ErrBadConfig, err)
 		}
 	}
-	if c.MemoLUTEntries <= 0 || c.MemoLUTWays <= 0 || c.MemoLUTEntries%c.MemoLUTWays != 0 {
-		return fmt.Errorf("gpusim: %w: bad memo LUT geometry %d/%d", rerr.ErrBadConfig, c.MemoLUTEntries, c.MemoLUTWays)
+	if c.MemoLUTEntries <= 0 {
+		return fmt.Errorf("gpusim: %w: bad memo LUT size %d", rerr.ErrBadConfig, c.MemoLUTEntries)
 	}
 	if c.RefreshInterval < 0 {
 		return fmt.Errorf("gpusim: %w: negative refresh interval", rerr.ErrBadConfig)
@@ -231,9 +224,7 @@ func (c *Config) AppendSigned(b []byte) []byte {
 
 	b = wire.AppendI64(b, int64(c.RefreshInterval))
 	b = wire.AppendBool(b, c.ExactBinning)
-	b = wire.AppendI64(b, int64(c.MemoLUTEntries))
-	b = wire.AppendI64(b, int64(c.MemoLUTWays))
-	return wire.AppendBool(b, c.TrackGroundTruth)
+	return wire.AppendI64(b, int64(c.MemoLUTEntries))
 }
 
 // Simulated address map: disjoint regions so traffic classes never alias.

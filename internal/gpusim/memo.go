@@ -13,7 +13,9 @@ import (
 
 // Fragment Memoization (Arnau et al. [17]) as configured in Section V-A: a
 // 32-bit hash of all fragment-shader inputs with screen coordinates
-// discarded, a 2048-entry 4-way LUT, on top of Parallel Frame Rendering.
+// discarded, a 2048-entry LUT, on top of Parallel Frame Rendering. The LUT's
+// sets and ways are not modelled: each tile keeps one table, capped at
+// Config.MemoLUTEntries.
 //
 // PFR renders two consecutive frames in parallel with tiles kept
 // synchronized, so frame 2k+1's tile T is shaded immediately after frame

@@ -373,9 +373,7 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 
 	// Ground-truth classification reads the back buffer, which only commit
 	// mutates — and only a tile's own commit touches its rect, after this.
-	if s.cfg.TrackGroundTruth {
-		res.eqColor = s.fbuf.TileEqualsBack(tile, &res.tb)
-	}
+	res.eqColor = s.fbuf.TileEqualsBack(tile, &res.tb)
 
 	// Transaction Elimination: sign the rendered colors with the worker's
 	// private CRC unit; commit merges the stats delta and does store/match.
@@ -499,19 +497,17 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	s.memo.Hits += sh.memoHits
 
 	// Ground-truth classification against the frame two swaps back.
-	if s.cfg.TrackGroundTruth {
-		if match, valid := s.re.BaselineMatch(tile); valid {
-			st.TilesClassified++
-			switch {
-			case res.eqColor && match:
-				st.TileClasses[TileEqColorEqInput]++
-			case res.eqColor && !match:
-				st.TileClasses[TileEqColorDiffInput]++
-			case !res.eqColor && match:
-				st.TileClasses[TileEqInputDiffColor]++ // CRC collision
-			default:
-				st.TileClasses[TileDiffColor]++
-			}
+	if match, valid := s.re.BaselineMatch(tile); valid {
+		st.TilesClassified++
+		switch {
+		case res.eqColor && match:
+			st.TileClasses[TileEqColorEqInput]++
+		case res.eqColor && !match:
+			st.TileClasses[TileEqColorDiffInput]++
+		case !res.eqColor && match:
+			st.TileClasses[TileEqInputDiffColor]++ // CRC collision
+		default:
+			st.TileClasses[TileDiffColor]++
 		}
 	}
 

@@ -115,8 +115,8 @@ type Stats struct {
 	TilesSkipped uint64 // RE bypassed the Raster Pipeline
 	TileClasses  [NumTileClasses]uint64
 	// TilesClassified counts tiles with both ground truth and signature
-	// available (rendered tiles in TrackGroundTruth runs plus RE-skipped
-	// tiles, which are equal-by-invariant).
+	// available (rendered tiles plus RE-skipped tiles, which are
+	// equal-by-invariant).
 	TilesClassified uint64
 
 	// Fragment accounting.

@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -23,7 +22,6 @@ import (
 
 	"rendelim/internal/crc"
 	"rendelim/internal/energy"
-	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/lru"
 	"rendelim/internal/rerr"
@@ -100,31 +98,6 @@ func (s *Spec) config() gpusim.Config {
 	return cfg
 }
 
-// transientError marks failures worth retrying.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// Transient wraps err so the pool retries it with backoff.
-func Transient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientError{err: err}
-}
-
-// IsTransient reports whether err is retryable. Worker panics and injected
-// faults count: a panic is isolated to one attempt (the next attempt resumes
-// from the job's last checkpoint), and fault injections model transient
-// infrastructure failures by construction.
-func IsTransient(err error) bool {
-	var t *transientError
-	return errors.As(err, &t) ||
-		errors.Is(err, rerr.ErrWorkerPanic) ||
-		errors.Is(err, fault.ErrInjected)
-}
-
 // ErrClosed is returned by Submit after Close has begun draining.
 var ErrClosed = errors.New("jobs: pool closed")
 
@@ -179,29 +152,22 @@ type Job struct {
 	call  *call
 	state atomic.Int32 // mirrors call completion; Running set by worker
 
-	// resume carries checkpoint state across retry attempts and worker
-	// panics, so recovery continues from the last completed frame instead
-	// of recomputing from frame 0. Owned by the single worker executing
-	// the job (workers never share an in-flight job); released once the
-	// job is done or failed.
+	// resume is the persisted checkpoint a job recovered from the store
+	// resumes from, so it continues from the last checkpointed frame
+	// instead of frame 0. Only recoverFromStore sets it, before the job is
+	// queued; released once the job is done or failed.
 	resume *resume
 	// recorded is set once the job's spec file reached the store; only
-	// recorded jobs persist checkpoints or a failure. Written before the
-	// job is queued, read by the worker that dequeues it.
+	// recorded jobs take checkpoints or persist a failure. Written before
+	// the job is queued, read by the worker that dequeues it.
 	recorded bool
-	// panics counts worker-level panics while this job was in flight,
-	// bounding how often it is requeued.
-	panics atomic.Int32
 }
 
-// resume is a job's recovery state: the last frame-boundary checkpoint
-// blob, nil when there is none, and the stats of every frame completed
-// before it. recovered marks state that crossed a process restart through
-// the store (for the resumed-jobs metric).
+// resume is a recovered job's last frame-boundary checkpoint blob, nil when
+// there is none, and the stats of every frame completed before it.
 type resume struct {
-	cp        []byte
-	frames    []gpusim.Stats
-	recovered bool
+	cp     []byte
+	frames []gpusim.Stats
 }
 
 // Wait blocks until the job completes (or ctx expires — which abandons the
@@ -266,11 +232,9 @@ type Pool struct {
 	metrics *Metrics
 	log     *slog.Logger
 
-	queue    chan *Job
-	draining chan struct{} // closed when Close or Kill begins; aborts retry backoffs
-	sendMu   sync.RWMutex  // Submit sends under RLock; Close closes queue under Lock
-	wg       sync.WaitGroup
-	live     atomic.Int64 // currently-running worker goroutines; never shrinks below Workers
+	queue  chan *Job
+	sendMu sync.RWMutex // Submit sends under RLock; Close closes queue under Lock
+	wg     sync.WaitGroup
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -289,11 +253,6 @@ const registryLimit = 4096
 
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.opts.Workers }
-
-// WorkerCount returns the number of live worker goroutines. It never drops
-// below Workers() for more than the instant between a worker panicking and
-// its replacement starting: the panic guard respawns before unwinding.
-func (p *Pool) WorkerCount() int { return int(p.live.Load()) }
 
 // Metrics exposes the pool counters.
 func (p *Pool) Metrics() *Metrics { return p.metrics }
@@ -471,7 +430,6 @@ func (p *Pool) Close(ctx context.Context) error {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	close(p.draining)
 	p.sendMu.Lock()
 	close(p.queue)
 	p.sendMu.Unlock()
@@ -494,7 +452,7 @@ func (p *Pool) Close(ctx context.Context) error {
 // Kill hard-stops the pool without draining — the in-process equivalent of
 // kill -9 for crash-recovery tests: queued and running jobs are cancelled
 // mid-flight and their waiters released with context.Canceled. Because
-// shutdown cancellation never appends a failed record, a store-backed pool
+// shutdown cancellation never removes a job's spec file, a store-backed pool
 // reopened on the same data dir recovers those jobs and resumes them from
 // their last persisted checkpoint. Kill returns once every worker has
 // stopped; the pool is unusable afterwards.
@@ -506,7 +464,6 @@ func (p *Pool) Kill() {
 	}
 	p.closed = true
 	p.mu.Unlock()
-	close(p.draining)
 	p.baseCancel() // cancel first: running frames stop at the next boundary
 	p.sendMu.Lock()
 	close(p.queue)
@@ -514,88 +471,12 @@ func (p *Pool) Kill() {
 	p.wg.Wait()
 }
 
-// worker drains the queue. It is panic-isolated: any panic that escapes a
-// job's execution path (including injected fault.SiteWorker panics that fire
-// outside runOnce's recover) is recovered here, the job is requeued or
-// failed, and a replacement goroutine is started before this one unwinds —
-// the pool's worker count never decreases.
+// worker drains the queue until Close or Kill closes it. runOnce contains
+// a panicking run, so a worker outlives every job it executes.
 func (p *Pool) worker() {
-	p.live.Add(1)
-	var cur *Job
 	defer p.wg.Done()
-	defer func() {
-		if r := recover(); r == nil {
-			p.live.Add(-1) // clean exit: queue closed
-		} else {
-			// Respawn first (wg.Add before the deferred wg.Done runs) so
-			// Close's Wait can't slip through a zero-count window, then
-			// account for this goroutine's death and handle the job.
-			p.wg.Add(1)
-			go p.worker()
-			p.live.Add(-1)
-			p.handleWorkerPanic(cur, r)
-		}
-	}()
 	for j := range p.queue {
-		cur = j
 		p.execute(j)
-		cur = nil
-	}
-}
-
-// handleWorkerPanic disposes of the job a dying worker was holding: requeue
-// it (bounded by Retries) so the replacement worker resumes it from its last
-// checkpoint, or fail it terminally.
-func (p *Pool) handleWorkerPanic(j *Job, r any) {
-	err := panicError(r)
-	p.metrics.Panics.Add(1)
-	if j == nil {
-		p.log.Error("worker panicked between jobs; replaced", "err", err, "stack", string(debug.Stack()))
-		return
-	}
-	p.log.Error("worker panicked; replaced", "id", j.ID, "key", j.Key.String(), "err", err, "stack", string(debug.Stack()))
-	if int(j.panics.Add(1)) <= p.opts.Retries && p.requeue(j) {
-		p.metrics.Retries.Add(1)
-		return
-	}
-	p.finishFailed(j, err)
-}
-
-// requeue puts a panic-interrupted job back on the queue. Returns false if
-// the pool is draining or the queue is full (blocking here would deadlock a
-// goroutine that is mid-unwind).
-func (p *Pool) requeue(j *Job) bool {
-	p.sendMu.RLock()
-	defer p.sendMu.RUnlock()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
-		return false
-	}
-	j.state.Store(int32(Queued))
-	p.metrics.queueLen.Add(1)
-	select {
-	case p.queue <- j:
-		return true
-	default:
-		p.metrics.queueLen.Add(-1)
-		j.state.Store(int32(Running))
-		return false
-	}
-}
-
-// finishFailed terminally fails a job outside the normal execute path.
-func (p *Pool) finishFailed(j *Job, err error) {
-	j.resume = nil // as in execute: a failed job is never resumed
-	p.mu.Lock()
-	p.flight.forget(j.Key)
-	p.mu.Unlock()
-	p.metrics.Failed.Add(1)
-	p.persistFailure(j, err)
-	j.call.finish(gpusim.Result{}, err)
-	if j.call.cancel != nil {
-		j.call.cancel()
 	}
 }
 
@@ -603,14 +484,14 @@ func (p *Pool) execute(j *Job) {
 	p.metrics.queueLen.Add(-1)
 	p.metrics.ObserveStage(StageQueue, time.Since(j.Created).Seconds())
 	p.metrics.Running.Add(1)
-	defer p.metrics.Running.Add(-1) // deferred: must decrement when a panic unwinds
 	j.state.Store(int32(Running))
 
 	start := time.Now()
-	res, err := p.runWithRetry(j.call.ctx, j)
-	// Done or failed, nothing resumes this job again: release its checkpoint
-	// (framebuffers, cache arrays, memo baselines) instead of keeping it
-	// alive for as long as the registry remembers the job.
+	res, err := p.runOnce(j)
+	p.metrics.Running.Add(-1)
+	// Done or failed, nothing resumes this job again: release a recovered
+	// checkpoint (framebuffers, cache arrays, memo baselines) instead of
+	// keeping it alive for as long as the registry remembers the job.
 	j.resume = nil
 
 	p.mu.Lock()
@@ -630,6 +511,11 @@ func (p *Pool) execute(j *Job) {
 				"duration", time.Since(start))
 		}
 	} else {
+		// A deadline that the job's own context did not cause is the
+		// pool's timeout.
+		if errors.Is(err, context.DeadlineExceeded) && j.call.ctx.Err() == nil {
+			p.metrics.Timeouts.Add(1)
+		}
 		p.metrics.Failed.Add(1)
 		p.persistFailure(j, err)
 		p.log.Warn("job failed", "id", j.ID, "key", j.Key.String(),
@@ -641,62 +527,16 @@ func (p *Pool) execute(j *Job) {
 	}
 }
 
-// runWithRetry executes the job with a per-attempt timeout and retry with
-// exponential backoff. Transient failures, injected faults, contained panics
-// and per-attempt timeouts all retry (while the job's own context is still
-// alive); each retry resumes from the job's last checkpoint, when an
-// earlier attempt took one, rather than frame 0.
-func (p *Pool) runWithRetry(ctx context.Context, j *Job) (gpusim.Result, error) {
-	observe := func(stage string, d time.Duration) { p.metrics.ObserveStage(stage, d.Seconds()) }
-	backoff := p.opts.Backoff
-	var res gpusim.Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		// Injected worker fault: a Panic kind escapes to the worker guard
-		// (exercising requeue/respawn); a Transient kind fails this attempt.
-		if ferr := p.opts.Fault.Check(fault.SiteWorker); ferr != nil {
-			err = Transient(ferr)
-		} else {
-			res, err = func() (gpusim.Result, error) {
-				actx := ctx
-				if p.opts.Timeout > 0 {
-					var cancel context.CancelFunc
-					actx, cancel = context.WithTimeout(ctx, p.opts.Timeout)
-					defer cancel()
-				}
-				return p.runOnce(actx, j, observe)
-			}()
-		}
-		// A deadline that the job's own context did not cause is a
-		// per-attempt timeout: count it, and retry (resuming from the last
-		// checkpoint) if budget remains.
-		timedOut := errors.Is(err, context.DeadlineExceeded) && ctx.Err() == nil
-		if timedOut {
-			p.metrics.Timeouts.Add(1)
-		}
-		if err == nil || attempt >= p.opts.Retries || ctx.Err() != nil || !(IsTransient(err) || timedOut) {
-			return res, err
-		}
-		p.metrics.Retries.Add(1)
-		p.log.Warn("job retrying", "id", j.ID, "attempt", attempt+1, "backoff", backoff, "err", err)
-		// Jitter the wait to ±50% so retry storms decorrelate, and abort it
-		// when the job is cancelled or the pool starts draining — a job
-		// sitting out a backoff must not stall shutdown for the full delay.
-		select {
-		case <-time.After(backoff/2 + time.Duration(rand.Int63n(int64(backoff)))):
-		case <-ctx.Done():
-			return res, ctx.Err()
-		case <-p.draining:
-			return res, err
-		}
-		backoff *= 2
+// runOnce executes the job once, under the pool's deadline, with panic
+// containment: a panicking run fails its own job with an error wrapping
+// rerr.ErrWorkerPanic, never the worker.
+func (p *Pool) runOnce(j *Job) (res gpusim.Result, err error) {
+	ctx := j.call.ctx
+	if p.opts.Timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, p.opts.Timeout)
+		defer cancel()
 	}
-}
-
-// runOnce executes one attempt with panic containment: a panicking
-// simulation fails its attempt (retryably — the error wraps
-// rerr.ErrWorkerPanic), never the worker.
-func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Duration)) (res gpusim.Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			p.metrics.Panics.Add(1)
@@ -704,6 +544,7 @@ func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Du
 			p.log.Error("run panicked; contained", "id", j.ID, "err", err, "stack", string(debug.Stack()))
 		}
 	}()
+	observe := func(stage string, d time.Duration) { p.metrics.ObserveStage(stage, d.Seconds()) }
 	if p.opts.Run != nil {
 		return p.opts.Run(ctx, j.spec, observe)
 	}
@@ -716,7 +557,7 @@ func (p *Pool) runOnce(ctx context.Context, j *Job, observe func(string, time.Du
 // without the pool: no checkpoints, no fault plan of its own.
 func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
-	tr, err := specTrace(spec, nil)
+	tr, err := specTrace(spec)
 	if err != nil {
 		return gpusim.Result{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,6 +18,7 @@ import (
 	"rendelim/internal/lru"
 	"rendelim/internal/obs"
 	"rendelim/internal/promtext"
+	"rendelim/internal/rerr"
 	"rendelim/internal/workload"
 )
 
@@ -252,57 +255,27 @@ func TestCancel(t *testing.T) {
 	}
 }
 
-func TestRetryThenSucceed(t *testing.T) {
-	var attempts atomic.Int64
-	run := func(ctx context.Context, spec Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
-		if attempts.Add(1) < 3 {
-			return gpusim.Result{}, Transient(fmt.Errorf("flaky backend"))
-		}
-		return gpusim.Result{Name: spec.Alias}, nil
-	}
-	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
-	defer p.Close(context.Background())
-
-	j, err := p.Submit(spec("abi"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := j.Wait(context.Background())
-	if err != nil {
-		t.Fatalf("want success after retries, got %v", err)
-	}
-	if res.Name != "abi" {
-		t.Errorf("wrong result %q", res.Name)
-	}
-	if got := attempts.Load(); got != 3 {
-		t.Errorf("attempts = %d, want 3", got)
-	}
-	if got := p.Metrics().Retries.Load(); got != 2 {
-		t.Errorf("retries metric = %d, want 2", got)
-	}
-}
-
-// Permanent (non-transient) failures must not be retried.
-func TestPermanentFailureNoRetry(t *testing.T) {
+// A failing job runs once: the pool never re-runs it.
+func TestFailureRunsOnce(t *testing.T) {
 	var attempts atomic.Int64
 	run := func(ctx context.Context, spec Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
 		attempts.Add(1)
 		return gpusim.Result{}, fmt.Errorf("bad trace")
 	}
-	p := NewPool(WithWorkers(1), WithRetries(3), WithBackoff(time.Millisecond), WithRun(run))
+	p := NewPool(WithWorkers(1), WithRun(run))
 	defer p.Close(context.Background())
 
 	j, _ := p.Submit(spec("tib"))
 	_, err := j.Wait(context.Background())
 	if err == nil || attempts.Load() != 1 {
-		t.Fatalf("attempts = %d (err %v), want 1 permanent failure", attempts.Load(), err)
+		t.Fatalf("attempts = %d (err %v), want 1 failed run", attempts.Load(), err)
 	}
 	if got := p.Metrics().Failed.Load(); got != 1 {
 		t.Errorf("failed = %d, want 1", got)
 	}
 }
 
-// A panicking run must fail its job without killing the worker.
+// A panicking run must fail its own job, once, without killing the worker.
 func TestPanicContained(t *testing.T) {
 	calls := atomic.Int64{}
 	run := func(ctx context.Context, spec Spec, observe func(string, time.Duration)) (gpusim.Result, error) {
@@ -311,16 +284,23 @@ func TestPanicContained(t *testing.T) {
 		}
 		return gpusim.Result{Name: spec.Alias}, nil
 	}
-	p := NewPool(WithWorkers(1), WithRun(run))
+	p := NewPool(WithWorkers(1), WithRun(run), WithLogger(quietLogger()))
 	defer p.Close(context.Background())
 
 	j1, _ := p.Submit(spec("hop"))
-	if _, err := j1.Wait(context.Background()); err == nil || !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("want panic error, got %v", err)
+	_, err := j1.Wait(context.Background())
+	if !errors.Is(err, rerr.ErrWorkerPanic) || !strings.Contains(err.Error(), "simulator bug") {
+		t.Fatalf("want an error wrapping ErrWorkerPanic with the panic value, got %v", err)
+	}
+	if got := calls.Load(); got != 1 {
+		t.Errorf("panicking job ran %d times, want 1", got)
 	}
 	j2, _ := p.Submit(spec("csn"))
 	if _, err := j2.Wait(context.Background()); err != nil {
 		t.Fatalf("worker died after panic: %v", err)
+	}
+	if got := p.Metrics().Panics.Load(); got != 1 {
+		t.Errorf("resvc_jobs_panics_total = %d, want 1", got)
 	}
 }
 
@@ -564,27 +544,51 @@ func TestDefaultRunRealWorkload(t *testing.T) {
 }
 
 // A finished job holds no resume state: the registry keeps finished jobs
-// addressable, and their last checkpoint (framebuffers, cache arrays, memo
-// baselines) must not live on with them.
+// addressable, and the checkpoint a recovered job resumed from
+// (framebuffers, cache arrays, memo baselines) must not live on with it.
 func TestFinishedJobReleasesCheckpoint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation in -short mode")
 	}
-	p := NewPool(WithWorkers(1), withCheckpointPeriod(0))
-	defer p.Close(context.Background())
-
-	j, err := p.Submit(Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE})
+	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 8, Seed: 1}, Tech: gpusim.RE}
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	p := NewPool(WithWorkers(1), withCheckpointPeriod(0), WithStore(st), WithLogger(quietLogger()))
+	j, err := p.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := j.Wait(context.Background()); err != nil {
+	// Kill once the first checkpoint is published, six frames and as many
+	// checkpoints before the job could finish.
+	ckpt := filepath.Join(st.Dir(), "checkpoints", spec.Key().String()+".snap")
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		if _, err := os.Stat(ckpt); err == nil {
+			break
+		}
+		if _, err, done := j.Result(); done || time.Now().After(deadline) {
+			t.Fatalf("no checkpoint seen before the job ended (done %v, err %v) or within 30s", done, err)
+		}
+	}
+	p.Kill()
+
+	st2 := openTestStore(t, dir, nil)
+	if st2.Metrics().ResultsRecovered.Load() != 0 {
+		t.Skip("job completed before Kill; machine too fast for this window")
+	}
+	p2 := NewPool(WithWorkers(1), withCheckpointPeriod(0), WithStore(st2), WithLogger(quietLogger()))
+	defer p2.Close(context.Background())
+	rj, ok := p2.Get("j-000000")
+	if !ok {
+		t.Fatal("recovered job not registered")
+	}
+	if _, err := rj.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Metrics().FramesSimulated.Load(); got != 3 {
-		t.Fatalf("simulated %d frames, want 3 (two checkpointed boundaries)", got)
+	if n := st2.Metrics().JobsResumed.Load(); n != 1 {
+		t.Fatalf("JobsResumed = %d, want 1", n)
 	}
-	if j.resume != nil {
-		t.Errorf("completed job still holds a %d-byte checkpoint after %d frames", len(j.resume.cp), len(j.resume.frames))
+	if rj.resume != nil {
+		t.Errorf("completed job still holds a %d-byte checkpoint after %d frames", len(rj.resume.cp), len(rj.resume.frames))
 	}
 }
 

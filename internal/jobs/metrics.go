@@ -32,16 +32,14 @@ type Metrics struct {
 	Submitted atomic.Uint64 // every Submit call
 	Deduped   atomic.Uint64 // eliminated jobs: cache hits + in-flight joins
 	Completed atomic.Uint64 // executions that produced a result
-	Failed    atomic.Uint64 // executions that exhausted retries or timed out
+	Failed    atomic.Uint64 // executions that ended in an error, a panic or the deadline
 	CacheHits atomic.Uint64 // result served straight from the LRU
 	Joins     atomic.Uint64 // attached to an in-flight identical job
-	Retries   atomic.Uint64 // transient-failure re-executions
-	Timeouts  atomic.Uint64 // per-attempt deadline expiries
+	Timeouts  atomic.Uint64 // job deadline expiries
 	Running   atomic.Int64  // jobs currently executing
 	queueLen  atomic.Int64  // jobs submitted but not yet picked up
 
-	Panics          atomic.Uint64 // contained run panics + worker-level panics
-	Resumed         atomic.Uint64 // attempts that resumed from a checkpoint
+	Panics          atomic.Uint64 // contained run panics
 	LoadShed        atomic.Uint64 // TrySubmit rejections on a full queue
 	FramesSimulated atomic.Uint64 // frames actually executed (resume skips don't count)
 
@@ -142,13 +140,11 @@ func (m *Metrics) WritePrometheus(w *promtext.Writer) {
 	w.Counter("resvc_jobs_submitted_total", "Jobs submitted to the pool.", m.Submitted.Load())
 	w.Counter("resvc_jobs_deduped_total", "Jobs eliminated by signature match (cache hit or in-flight join).", m.Deduped.Load())
 	w.Counter("resvc_jobs_completed_total", "Job executions that produced a result.", m.Completed.Load())
-	w.Counter("resvc_jobs_failed_total", "Job executions that failed permanently.", m.Failed.Load())
+	w.Counter("resvc_jobs_failed_total", "Job executions that failed; a job runs once.", m.Failed.Load())
 	w.Counter("resvc_jobs_cache_hits_total", "Jobs served straight from the LRU result cache.", m.CacheHits.Load())
 	w.Counter("resvc_jobs_inflight_joins_total", "Jobs attached to an identical in-flight execution.", m.Joins.Load())
-	w.Counter("resvc_jobs_retries_total", "Transient-failure re-executions.", m.Retries.Load())
-	w.Counter("resvc_jobs_timeouts_total", "Job attempts that hit the per-attempt deadline.", m.Timeouts.Load())
-	w.Counter("resvc_jobs_panics_total", "Panics contained (in-run recover or worker replacement).", m.Panics.Load())
-	w.Counter("resvc_jobs_resumed_total", "Job attempts resumed from a frame-boundary checkpoint.", m.Resumed.Load())
+	w.Counter("resvc_jobs_timeouts_total", "Jobs that hit the job deadline.", m.Timeouts.Load())
+	w.Counter("resvc_jobs_panics_total", "Job runs whose panic was contained, failing the job.", m.Panics.Load())
 	w.Counter("resvc_load_shed_total", "Submissions rejected because the queue was full.", m.LoadShed.Load())
 	w.Counter("resvc_sim_frames_executed_total", "Frames actually executed by the built-in runner (checkpoint-resumed frames are not re-executed).", m.FramesSimulated.Load())
 	w.Gauge("resvc_job_elimination_ratio", "Fraction of submitted jobs eliminated without simulating (cf. tile skip fraction).", m.EliminationRatio())

@@ -19,8 +19,6 @@ type options struct {
 	QueueDepth  int
 	CacheSize   int
 	Timeout     time.Duration
-	Retries     int
-	Backoff     time.Duration
 	Run         RunFunc
 	Logger      *slog.Logger
 	Fault       *fault.Plan
@@ -70,9 +68,6 @@ func NewPool(opts ...Option) *Pool {
 	if o.CacheSize <= 0 {
 		o.CacheSize = 512
 	}
-	if o.Backoff <= 0 {
-		o.Backoff = 50 * time.Millisecond
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -82,7 +77,6 @@ func NewPool(opts ...Option) *Pool {
 		metrics:    newMetrics(),
 		log:        o.Logger,
 		queue:      make(chan *Job, o.QueueDepth),
-		draining:   make(chan struct{}),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		cache:      lru.New[Key, gpusim.Result](o.CacheSize),
@@ -119,29 +113,20 @@ func WithQueueDepth(n int) Option { return func(o *options) { o.QueueDepth = n }
 // WithCacheSize sets the LRU result-cache capacity in entries. Default 512.
 func WithCacheSize(n int) Option { return func(o *options) { o.CacheSize = n } }
 
-// WithTimeout sets the per-attempt deadline. Zero means no deadline.
+// WithTimeout sets each job's deadline: a run still going when it expires
+// fails. Zero means no deadline.
 func WithTimeout(d time.Duration) Option { return func(o *options) { o.Timeout = d } }
 
-// WithRetries sets how many times a transient failure or per-attempt
-// timeout is retried. Default 0.
-func WithRetries(n int) Option { return func(o *options) { o.Retries = n } }
-
-// WithBackoff sets the initial retry backoff, which doubles per attempt.
-// Default 50ms.
-func WithBackoff(d time.Duration) Option { return func(o *options) { o.Backoff = d } }
-
-// WithRun replaces the built-in resumable runner with a custom job
-// executor.
+// WithRun replaces the built-in runner with a custom job executor.
 func WithRun(fn RunFunc) Option { return func(o *options) { o.Run = fn } }
 
 // WithLogger sets the structured job-lifecycle logger. Default
 // slog.Default().
 func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l } }
 
-// WithFault injects deterministic faults at the pool's sites
-// (fault.SiteWorker before each attempt, fault.SiteTraceDecode before
-// decoding uploads) and threads the plan into each simulation's config
-// (dram.read / dram.write). Nil costs nothing.
+// WithFault threads a deterministic fault plan into each simulation's
+// config, where the DRAM model checks its dram.read and dram.write sites.
+// Nil costs nothing.
 func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
 // WithStore makes job state durable: each leader's spec, its frame-boundary

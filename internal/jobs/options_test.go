@@ -9,8 +9,8 @@ import (
 )
 
 // withCheckpointPeriod overrides the runner's checkpoint period. Period 0
-// checkpoints at every frame boundary but the last, so a test can place a
-// crash, a timeout or a panic right after a known checkpoint.
+// checkpoints a recorded job at every frame boundary but the last, so a test
+// can place a crash right after a known checkpoint.
 func withCheckpointPeriod(d time.Duration) Option {
 	return func(o *options) { o.CheckpointPeriod = d }
 }
@@ -24,11 +24,10 @@ func TestNewPoolDefaults(t *testing.T) {
 	o := p.opts
 	wantWorkers := runtime.GOMAXPROCS(0)
 	if o.Workers != wantWorkers || o.QueueDepth != 1024 || o.CacheSize != 512 ||
-		o.Backoff != 50*time.Millisecond || o.Logger != slog.Default() ||
-		o.CheckpointPeriod != time.Second ||
-		o.Timeout != 0 || o.Retries != 0 || o.TileWorkers != 0 ||
+		o.Logger != slog.Default() || o.CheckpointPeriod != time.Second ||
+		o.Timeout != 0 || o.TileWorkers != 0 ||
 		o.Run != nil || o.Fault != nil || o.Store != nil {
-		t.Errorf("NewPool() defaults = %+v, want Workers=%d QueueDepth=1024 CacheSize=512 Backoff=50ms "+
+		t.Errorf("NewPool() defaults = %+v, want Workers=%d QueueDepth=1024 CacheSize=512 "+
 			"Logger=slog.Default() CheckpointPeriod=1s and everything else zero", o, wantWorkers)
 	}
 }

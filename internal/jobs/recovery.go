@@ -104,14 +104,11 @@ func (p *Pool) recordSubmitted(j *Job) {
 	j.recorded = true
 }
 
-// persistCheckpoint writes the job's freshly-taken frame-boundary checkpoint
-// (j.resume) to the store, so a restarted process resumes from it.
-func (p *Pool) persistCheckpoint(j *Job) {
-	if !j.recorded || j.resume == nil || j.resume.cp == nil {
-		return
-	}
-	err := p.opts.Store.SaveCheckpoint(j.Key.String(), j.resume.frames, j.resume.cp)
-	if err != nil {
+// persistCheckpoint writes a recorded job's freshly-taken frame-boundary
+// checkpoint blob, with the stats of the frames before it, to the store, so
+// a restarted process resumes from it.
+func (p *Pool) persistCheckpoint(j *Job, frames []gpusim.Stats, blob []byte) {
+	if err := p.opts.Store.SaveCheckpoint(j.Key.String(), frames, blob); err != nil {
 		p.log.Warn("store: checkpoint write failed; crash recovery falls back to an earlier frame", "id", j.ID, "err", err)
 	}
 }
@@ -175,7 +172,7 @@ func (p *Pool) recoverFromStore() {
 		}
 		// The runner checks the checkpoint, if any, when it resumes: a bad
 		// blob restarts the job from frame 0 there.
-		rs := &resume{cp: pj.Checkpoint, frames: pj.Frames, recovered: true}
+		rs := &resume{cp: pj.Checkpoint, frames: pj.Frames}
 		j, err := p.submit(spec, true, rs)
 		if err != nil {
 			p.log.Warn("store: interrupted job resubmission failed", "key", pj.Key, "err", err)

@@ -21,8 +21,8 @@ var (
 	// validation.
 	ErrBadConfig = errors.New("bad config")
 
-	// ErrWorkerPanic reports a panic recovered inside a job-pool worker.
-	// The jobs package treats it as transient: the panicking attempt is
-	// retried (resuming from the job's last checkpoint when one exists).
+	// ErrWorkerPanic reports a panic recovered from a job's run. The jobs
+	// package fails that job with it, once, and never re-runs it: the same
+	// inputs would panic again at the same frame.
 	ErrWorkerPanic = errors.New("worker panic")
 )

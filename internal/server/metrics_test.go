@@ -156,9 +156,9 @@ func TestMetricsWellFormed(t *testing.T) {
 	for _, name := range []string{
 		"resvc_sim_frames_total", "resvc_sim_tiles_total", "resvc_sim_tiles_skipped_total",
 		"resvc_http_requests_total",
-		// Failure-model counters: panics contained, checkpoint resumes,
-		// load shedding, frames actually executed.
-		"resvc_jobs_panics_total", "resvc_jobs_resumed_total",
+		// Failure-model counters: panics contained, load shedding, frames
+		// actually executed.
+		"resvc_jobs_panics_total",
 		"resvc_load_shed_total",
 		"resvc_sim_frames_executed_total",
 	} {
@@ -314,8 +314,6 @@ func TestMetricsFamilySet(t *testing.T) {
 		"resvc_jobs_failed_total":                 "counter{}",
 		"resvc_jobs_inflight_joins_total":         "counter{}",
 		"resvc_jobs_panics_total":                 "counter{}",
-		"resvc_jobs_resumed_total":                "counter{}",
-		"resvc_jobs_retries_total":                "counter{}",
 		"resvc_jobs_running":                      "gauge{}",
 		"resvc_jobs_submitted_total":              "counter{}",
 		"resvc_jobs_timeouts_total":               "counter{}",

@@ -229,7 +229,7 @@ func (s *Server) Handler() http.Handler {
 			}
 		}()
 		// Injected accept-path fault: Latency sleeps inside Check, Panic
-		// unwinds into the recover above, Transient/Corrupt shed the request.
+		// unwinds into the recover above, Transient sheds the request.
 		if err := s.fplan.Load().Check(fault.SiteServerAccept); err != nil {
 			w.Header().Set("Retry-After", "1")
 			httpError(sw, http.StatusServiceUnavailable, "injected fault: "+err.Error())
