@@ -59,13 +59,13 @@ type NodeStat struct {
 	P95 float64 `json:"p95_seconds"`
 	P99 float64 `json:"p99_seconds"`
 
-	// Durable-store recovery counters (resvc_store_*); all zero on nodes
-	// running without -data-dir. Quarantined > 0 means corrupt snapshots
-	// were set aside on startup — damage survived, not damage hidden.
-	ResultsRecovered uint64 `json:"store_results_recovered"`
-	JobsRecovered    uint64 `json:"store_jobs_recovered"`
-	JobsResumed      uint64 `json:"store_jobs_resumed"`
-	Quarantined      uint64 `json:"store_snapshots_quarantined"`
+	// Durable-store counters (resvc_store_*); all zero on nodes running
+	// without -data-dir. Quarantined > 0 means corrupt snapshots were set
+	// aside — damage survived, not damage hidden.
+	ResultsLoaded uint64 `json:"store_results_loaded"`
+	JobsRecovered uint64 `json:"store_jobs_recovered"`
+	JobsResumed   uint64 `json:"store_jobs_resumed"`
+	Quarantined   uint64 `json:"store_snapshots_quarantined"`
 }
 
 // ClusterStat aggregates the fleet: ratios are computed over summed
@@ -201,7 +201,7 @@ func scrapeNode(client *http.Client, node string) NodeStat {
 	ns.TilesTotal = gu("resvc_sim_tiles_total")
 	ns.TilesSkipped = gu("resvc_sim_tiles_skipped_total")
 	ns.CacheEntries = gi("resvc_result_cache_entries")
-	ns.ResultsRecovered = gu("resvc_store_results_recovered_total")
+	ns.ResultsLoaded = gu("resvc_store_results_loaded_total")
 	ns.JobsRecovered = gu("resvc_store_jobs_recovered_total")
 	ns.JobsResumed = gu("resvc_store_jobs_resumed_total")
 	ns.Quarantined = gu("resvc_store_snapshots_quarantined_total")
@@ -259,11 +259,11 @@ func render(w io.Writer, snap Snapshot) {
 			ns.Node, "up", ns.QueueDepth, ns.Running, ns.Submitted, ns.ElimRatio*100,
 			ns.PeersUp, ns.Peers, ns.CacheEntries,
 			ns.P50*1000, ns.P95*1000, ns.P99*1000)
-		// The store sub-line only appears on nodes that actually recovered
-		// or repaired something — quiet fleets keep a quiet dashboard.
-		if ns.ResultsRecovered+ns.JobsRecovered+ns.JobsResumed+ns.Quarantined > 0 {
-			fmt.Fprintf(w, "%-22s store: %d results + %d jobs recovered (%d resumed), %d quarantined\n",
-				"", ns.ResultsRecovered, ns.JobsRecovered, ns.JobsResumed, ns.Quarantined)
+		// The store sub-line only appears on nodes whose store did
+		// something — quiet fleets keep a quiet dashboard.
+		if ns.ResultsLoaded+ns.JobsRecovered+ns.JobsResumed+ns.Quarantined > 0 {
+			fmt.Fprintf(w, "%-22s store: %d results loaded, %d jobs recovered (%d resumed), %d quarantined\n",
+				"", ns.ResultsLoaded, ns.JobsRecovered, ns.JobsResumed, ns.Quarantined)
 		}
 	}
 	c := snap.Cluster

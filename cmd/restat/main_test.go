@@ -192,9 +192,10 @@ func TestRestatCacheEntriesPerNode(t *testing.T) {
 	}
 }
 
-// TestRestatReportsStoreRecovery: a node that recovered durable state on
-// boot must surface the resvc_store_* counters in both the -json document
-// and the rendered table's store sub-line.
+// TestRestatReportsStoreRecovery: a node that serves durable state after a
+// restart must surface the resvc_store_* counters in both the -json
+// document and the rendered table's store sub-line. The node reads the
+// stored result on the resubmission after its restart.
 func TestRestatReportsStoreRecovery(t *testing.T) {
 	dir := t.TempDir()
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -228,6 +229,14 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 		pool2.Close(context.Background())
 	})
 	addr := strings.TrimPrefix(ts2.URL, "http://")
+	resp, err = http.Post(ts2.URL+"/v1/jobs?wait=1", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("resubmit: status %d", resp.StatusCode)
+	}
 
 	var out bytes.Buffer
 	if err := run([]string{"-once", "-json", "-node", addr}, &out); err != nil {
@@ -238,8 +247,8 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 		t.Fatalf("invalid JSON: %v\n%s", err, out.String())
 	}
 	ns := snap.Nodes[0]
-	if ns.ResultsRecovered != 1 {
-		t.Errorf("store_results_recovered = %d, want 1", ns.ResultsRecovered)
+	if ns.ResultsLoaded != 1 {
+		t.Errorf("store_results_loaded = %d, want 1", ns.ResultsLoaded)
 	}
 	if ns.Quarantined != 0 {
 		t.Errorf("clean restart reported damage: quarantined=%d", ns.Quarantined)
@@ -249,7 +258,7 @@ func TestRestatReportsStoreRecovery(t *testing.T) {
 	if err := run([]string{"-once", "-node", addr}, &out); err != nil {
 		t.Fatalf("restat table: %v", err)
 	}
-	if !strings.Contains(out.String(), "store: 1 results") {
+	if !strings.Contains(out.String(), "store: 1 results loaded, 0 jobs recovered") {
 		t.Errorf("table missing store recovery sub-line:\n%s", out.String())
 	}
 }

@@ -14,15 +14,16 @@
 // Durability: with -data-dir the node keeps each job's spec and completed
 // result as CRC-checked snapshot files under that directory, plus a
 // frame-boundary checkpoint of each running job once per second of
-// simulation (a job that ends sooner writes none). On startup the files
-// are scanned (corrupt snapshots are quarantined — never a refusal to
-// boot): completed results re-enter the elimination cache, so identical
-// submissions are deduplicated across restarts, and jobs that were running
-// when the process died resume from their last persisted checkpoint,
-// losing at most a second plus a frame of simulation, instead of starting
-// over. Job keys sign the simulator's model fingerprint, so after an
-// upgrade that changes simulated numbers the stored results no longer
-// match and each job is simulated once more.
+// simulation (a job that ends sooner writes none). A spec lives until its
+// job ends, so on startup the node reads only the jobs that were running
+// when the process died (corrupt snapshots are quarantined — never a
+// refusal to boot), and each resumes from its last persisted checkpoint,
+// losing at most a second plus a frame of simulation. A submission that
+// misses the elimination cache reads its key's result file, so identical
+// submissions are deduplicated across restarts and cache evictions. Job
+// keys sign the simulator's model fingerprint, so after an upgrade that
+// changes simulated numbers the stored results no longer match and each
+// job is simulated once more.
 //
 // Clustering: with one or more -peer flags (and -cluster-addr naming this
 // node's own advertised address), the nodes form a static consistent-hash
@@ -115,7 +116,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	fs.Var(&peers, "peer", "peer node host:port; repeat for each member (enables clustering)")
 	healthInterval := fs.Duration("health-interval", 2*time.Second, "gap between peer /v1/healthz probes")
 	resultTTL := fs.Duration("result-ttl", 30*time.Second, "how long a non-owner serves a remote result locally (read-through cache; negative = off)")
-	dataDir := fs.String("data-dir", "", "durable state directory: spec/result/checkpoint snapshots; scanned on startup so results and in-flight jobs survive restarts (empty = memory-only)")
+	dataDir := fs.String("data-dir", "", "durable state directory: spec/result/checkpoint snapshots; interrupted jobs resume from it after a restart, and a result-cache miss reads its stored result (empty = memory-only)")
 	traceFile := fs.String("tracefile", "", "write a Chrome trace-event JSON (HTTP request and cluster forward spans) here on shutdown")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -173,8 +174,8 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		return fmt.Errorf("-cluster-addr without any -peer flags; nothing to cluster with")
 	}
 
-	// The store opens (and scans its files) before the pool exists; the
-	// pool's constructor then consumes the recovery set.
+	// The store opens (and reads its pending jobs) before the pool exists;
+	// the pool's constructor then resubmits them.
 	var st *store.Store
 	if *dataDir != "" {
 		st, err = store.Open(*dataDir, store.Options{Fault: plan, Logger: log})
@@ -183,7 +184,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		}
 		sm := st.Metrics()
 		log.Info("durable store open", "dir", st.Dir(),
-			"results_recovered", sm.ResultsRecovered.Load(),
 			"jobs_recovered", sm.JobsRecovered.Load(),
 			"checkpoints_recovered", sm.CheckpointsRecovered.Load(),
 			"snapshots_quarantined", sm.SnapshotsQuarantined.Load())

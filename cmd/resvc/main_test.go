@@ -185,8 +185,8 @@ func TestDaemonDataDirSurvivesRestart(t *testing.T) {
 	}
 	raw, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if !strings.Contains(string(raw), "resvc_store_results_recovered_total 1") {
-		t.Errorf("metrics missing store recovery count:\n%s", raw)
+	if !strings.Contains(string(raw), "resvc_store_results_loaded_total 1") {
+		t.Errorf("metrics missing the stored-result read:\n%s", raw)
 	}
 	stop(sigs, done)
 }

@@ -224,7 +224,10 @@ type Trace struct {
 	Frames     []Frame
 }
 
-// Validate checks the whole trace for referential integrity.
+// Validate checks the whole trace for referential integrity. A draw may
+// bind only programs and textures that the simulator's tables hold at that
+// command: the registries, plus every upload before it. The binding starts
+// as the reset-time one, every id 0, and persists across frames.
 func (t *Trace) Validate() error {
 	if t.Width <= 0 || t.Height <= 0 {
 		return fmt.Errorf("trace %q: bad dimensions %dx%d", t.Name, t.Width, t.Height)
@@ -239,6 +242,17 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace %q texture %d: %w", t.Name, i, err)
 		}
 	}
+	// The tables so far, indexed by the uint8 ids.
+	var progs [256]*shader.Program
+	var texs [256]bool
+	copy(progs[:], t.Programs)
+	for i := 0; i < len(t.Textures) && i < len(texs); i++ {
+		texs[i] = true
+	}
+	// The binding, and whether a draw has checked it since it or the
+	// tables last changed.
+	var bound SetPipeline
+	checked := false
 	for fi, f := range t.Frames {
 		for ci, cmd := range f.Commands {
 			switch c := cmd.(type) {
@@ -251,9 +265,16 @@ func (t *Trace) Validate() error {
 						return fmt.Errorf("trace %q frame %d cmd %d: texture id %d out of range", t.Name, fi, ci, tex)
 					}
 				}
+				bound, checked = c, false
 			case Draw:
 				if err := c.Validate(); err != nil {
 					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
+				}
+				if !checked {
+					if err := bound.check(&progs, &texs); err != nil {
+						return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
+					}
+					checked = true
 				}
 			case SetUniforms:
 				if c.First < 0 || c.First+len(c.Values) > shader.MaxConsts {
@@ -268,11 +289,35 @@ func (t *Trace) Validate() error {
 				if err := validateProgram(c.Program); err != nil {
 					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
 				}
+				progs[c.ID], checked = c.Program, false
 			case UploadTexture:
 				if err := c.Spec.validate(); err != nil {
 					return fmt.Errorf("trace %q frame %d cmd %d: %w", t.Name, fi, ci, err)
 				}
+				texs[c.ID], checked = true, false
 			}
+		}
+	}
+	return nil
+}
+
+// check rejects a binding that a draw cannot run under: a program or
+// texture id absent from the tables, or a vertex program that samples,
+// since vertex shading has no texture sampler.
+func (p SetPipeline) check(progs *[256]*shader.Program, texs *[256]bool) error {
+	for _, id := range [...]ProgramID{p.VS, p.FS} {
+		if progs[id] == nil {
+			return fmt.Errorf("draw binds program %d, which no registry or earlier upload defines", id)
+		}
+	}
+	for _, in := range progs[p.VS].Instrs {
+		if in.Op == shader.OpTex {
+			return fmt.Errorf("draw binds program %d, which samples a texture, as its vertex shader", p.VS)
+		}
+	}
+	for _, id := range p.Tex {
+		if !texs[id] {
+			return fmt.Errorf("draw binds texture %d, which no registry or earlier upload defines", id)
 		}
 	}
 	return nil

@@ -3,6 +3,7 @@ package api
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"rendelim/internal/geom"
@@ -220,5 +221,79 @@ func TestTraceValidate(t *testing.T) {
 	badUploadTex.Frames = []Frame{{Commands: []Command{UploadTexture{ID: 0, Spec: TextureSpec{Kind: TexChecker, W: 4, H: -1}}}}}
 	if badUploadTex.Validate() == nil {
 		t.Fatal("negative-height uploaded texture accepted")
+	}
+}
+
+// drawBeforeBindTrace registers two programs and no texture, and its one
+// frame draws a full-screen quad before any SetPipeline, so the draw holds
+// the reset-time binding: texture 0 on every unit.
+func drawBeforeBindTrace() *Trace {
+	quad := []geom.Vec4{
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {},
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {}, geom.V4(-1, 1, 0, 1), {}, {},
+	}
+	return &Trace{
+		Name: "repro", Width: 32, Height: 32,
+		Programs: []*shader.Program{shader.TransformVS(2), shader.FlatFS()},
+		Frames: []Frame{{Commands: []Command{
+			SetUniforms{First: 0, Values: []geom.Vec4{geom.V4(1, 0, 0, 0), geom.V4(0, 1, 0, 0), geom.V4(0, 0, 1, 0), geom.V4(0, 0, 0, 1)}},
+			SetUniforms{First: 4, Values: []geom.Vec4{geom.V4(1, 0.5, 0, 1)}},
+			Draw{NumAttrs: 3, Data: quad},
+		}}},
+	}
+}
+
+// A draw must bind only ids that the tables hold at that command: the
+// registries plus earlier uploads, under a binding that starts at zeros and
+// persists across frames.
+func TestTraceValidateDrawBindings(t *testing.T) {
+	err := drawBeforeBindTrace().Validate()
+	if err == nil || !strings.Contains(err.Error(), `trace "repro" frame 0 cmd 2: draw binds texture 0`) {
+		t.Fatalf("Validate = %v, want the draw at frame 0 cmd 2 rejected for texture 0", err)
+	}
+
+	tex := UploadTexture{ID: 0, Spec: TextureSpec{Kind: TexChecker, W: 4, H: 4, Cell: 2}}
+	uploaded := drawBeforeBindTrace()
+	uploaded.Frames[0].Commands = append([]Command{tex}, uploaded.Frames[0].Commands...)
+	if err := uploaded.Validate(); err != nil {
+		t.Fatalf("upload before the draw: %v", err)
+	}
+
+	late := drawBeforeBindTrace()
+	late.Frames[0].Commands = append(late.Frames[0].Commands, tex)
+	if late.Validate() == nil {
+		t.Fatal("upload after the draw accepted")
+	}
+
+	// A later frame's draw keeps the binding and the uploads before it.
+	persists := drawBeforeBindTrace()
+	persists.Textures = []TextureSpec{tex.Spec}
+	persists.Frames[0].Commands = append([]Command{SetPipeline{VS: 0, FS: 1}}, persists.Frames[0].Commands...)
+	persists.Frames = append(persists.Frames, Frame{Commands: persists.Frames[0].Commands[3:]})
+	if err := persists.Validate(); err != nil {
+		t.Fatalf("draw under an earlier frame's binding: %v", err)
+	}
+
+	noProgram := &Trace{
+		Name: "no-program", Width: 32, Height: 32,
+		Textures: []TextureSpec{tex.Spec},
+		Frames:   []Frame{{Commands: []Command{Draw{NumAttrs: 1, Data: make([]geom.Vec4, 3)}}}},
+	}
+	if err := noProgram.Validate(); err == nil || !strings.Contains(err.Error(), "draw binds program 0") {
+		t.Fatalf("Validate = %v, want program 0 rejected", err)
+	}
+
+	// Vertex shading has no sampler.
+	texVS := drawBeforeBindTrace()
+	texVS.Textures = []TextureSpec{tex.Spec}
+	texVS.Programs = append(texVS.Programs, shader.TexturedFS())
+	texVS.Frames[0].Commands = append([]Command{SetPipeline{VS: 2, FS: 1}}, texVS.Frames[0].Commands...)
+	if err := texVS.Validate(); err == nil || !strings.Contains(err.Error(), "frame 0 cmd 3: draw binds program 2, which samples a texture, as its vertex shader") {
+		t.Fatalf("Validate = %v, want the sampling vertex program rejected", err)
+	}
+
+	clearOnly := &Trace{Name: "clear-only", Width: 32, Height: 32, Frames: make([]Frame, 2)}
+	if err := clearOnly.Validate(); err != nil {
+		t.Fatalf("clear-only trace: %v", err)
 	}
 }

@@ -1,0 +1,130 @@
+package gpusim
+
+import (
+	"bytes"
+	"testing"
+
+	"rendelim/internal/api"
+	"rendelim/internal/geom"
+	"rendelim/internal/shader"
+	"rendelim/internal/trace"
+	"rendelim/internal/workload"
+)
+
+// drawBeforeBindTrace registers two programs and no texture, and its one
+// frame draws a full-screen quad before any SetPipeline, under the
+// reset-time binding: texture 0 on every unit. trace.Decode must reject it.
+func drawBeforeBindTrace() *api.Trace {
+	quad := []geom.Vec4{
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {},
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {}, geom.V4(-1, 1, 0, 1), {}, {},
+	}
+	return &api.Trace{
+		Name: "repro", Width: 32, Height: 32,
+		Programs: []*shader.Program{shader.TransformVS(2), shader.FlatFS()},
+		Frames: []api.Frame{{Commands: []api.Command{
+			api.SetUniforms{First: 0, Values: []geom.Vec4{geom.V4(1, 0, 0, 0), geom.V4(0, 1, 0, 0), geom.V4(0, 0, 1, 0), geom.V4(0, 0, 0, 1)}},
+			api.SetUniforms{First: 4, Values: []geom.Vec4{geom.V4(1, 0.5, 0, 1)}},
+			api.Draw{NumAttrs: 3, Data: quad},
+		}}},
+	}
+}
+
+// Bounds on the traces FuzzAcceptedTraceRuns simulates, so that one input
+// costs milliseconds: the framebuffer, the frame count, the texels that the
+// registry and the uploads build, and the fragments that the draws could
+// cover (triangles × framebuffer pixels).
+const (
+	fuzzMaxSide      = 64
+	fuzzMaxFrames    = 4
+	fuzzMaxTexels    = 1 << 14
+	fuzzMaxFragments = 1 << 20
+)
+
+// fuzzSmall reports whether tr is within the bounds above.
+func fuzzSmall(tr *api.Trace) bool {
+	if tr.Width > fuzzMaxSide || tr.Height > fuzzMaxSide || len(tr.Frames) > fuzzMaxFrames {
+		return false
+	}
+	texels, tris := 0, 0
+	addTex := func(s api.TextureSpec) {
+		texels += min(s.W, fuzzMaxTexels+1) * min(s.H, fuzzMaxTexels+1)
+	}
+	for _, s := range tr.Textures {
+		addTex(s)
+	}
+	for _, f := range tr.Frames {
+		for _, cmd := range f.Commands {
+			switch c := cmd.(type) {
+			case api.UploadTexture:
+				addTex(c.Spec)
+			case api.Draw:
+				tris += c.TriangleCount()
+			}
+		}
+	}
+	return texels <= fuzzMaxTexels && tris*tr.Width*tr.Height <= fuzzMaxFragments
+}
+
+// fuzzSeed is b's trace at fuzz scale: 32×32, two frames, and every
+// texture at most 32×32 texels.
+func fuzzSeed(b workload.Benchmark) *api.Trace {
+	tr := b.Build(workload.Params{Width: 32, Height: 32, Frames: 2, Seed: 1})
+	shrink := func(s *api.TextureSpec) {
+		s.W, s.H = min(s.W, 32), min(s.H, 32)
+	}
+	for i := range tr.Textures {
+		shrink(&tr.Textures[i])
+	}
+	for _, f := range tr.Frames {
+		for i, cmd := range f.Commands {
+			if up, ok := cmd.(api.UploadTexture); ok {
+				shrink(&up.Spec)
+				f.Commands[i] = up
+			}
+		}
+	}
+	return tr
+}
+
+// FuzzAcceptedTraceRuns: every trace that trace.Decode accepts runs. A
+// small accepted trace runs every frame under all four techniques, serially
+// and on two tile workers, and any panic fails. Seeds are the suite at
+// small scale and a trace that draws before it binds a texture it never
+// defines, which Decode rejects.
+func FuzzAcceptedTraceRuns(f *testing.F) {
+	encode := func(tr *api.Trace) []byte {
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, b := range workload.Suite() {
+		tr := fuzzSeed(b)
+		if !fuzzSmall(tr) {
+			f.Fatalf("seed %s is outside the fuzz bounds", b.Alias)
+		}
+		f.Add(encode(tr))
+	}
+	f.Add(encode(drawBeforeBindTrace()))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := trace.Decode(bytes.NewReader(data))
+		if err != nil || !fuzzSmall(tr) {
+			return
+		}
+		for _, tech := range []Technique{Baseline, RE, TE, Memo} {
+			for _, workers := range []int{1, 2} {
+				cfg := DefaultConfig()
+				cfg.Technique = tech
+				cfg.TileWorkers = workers
+				sim, err := New(tr, cfg)
+				if err != nil {
+					t.Fatalf("New rejected a decoded trace: %v", err)
+				}
+				sim.Run()
+			}
+		}
+	})
+}

@@ -121,6 +121,10 @@ type rasterWorker struct {
 	// tr is the worker's own trace track ("raster worker N"); lazily opened
 	// so untraced runs pay nothing.
 	tr *obs.Thread
+
+	// panicked holds what the worker's goroutine recovered in this frame's
+	// render stage, for rasterPhase to raise again on its caller.
+	panicked any
 }
 
 // workerSampler adapts the texture store to the shader VM, recording each
@@ -556,7 +560,8 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 // through a single tile result; with more, decisions are made up front,
 // tiles render concurrently on the worker pool into one result each, and
 // commits replay in tile order — simulated results are byte-identical
-// either way.
+// either way. A worker's panic is raised again on the caller once every
+// worker has stopped, so the caller's recover sees it at any worker count.
 func (s *Simulator) rasterPhase(st *Stats) {
 	n := s.fbuf.NumTiles()
 
@@ -589,6 +594,12 @@ func (s *Simulator) rasterPhase(st *Stats) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					w.panicked = r
+					next.Store(int64(n)) // the other workers claim no more tiles
+				}
+			}()
 			tr := w.thread()
 			for {
 				tile := int(next.Add(1)) - 1
@@ -603,6 +614,16 @@ func (s *Simulator) rasterPhase(st *Stats) {
 		}()
 	}
 	wg.Wait()
+	var panicked any
+	for _, w := range s.workers[:nw] {
+		if panicked == nil {
+			panicked = w.panicked
+		}
+		w.panicked = nil
+	}
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	for tile := 0; tile < n; tile++ {
 		s.commitTile(tile, &tiles[tile], st)

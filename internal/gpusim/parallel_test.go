@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"rendelim/internal/obs"
@@ -187,5 +188,36 @@ func benchRunFrame(b *testing.B, workers int) {
 func BenchmarkRunFrame(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) { benchRunFrame(b, w) })
+	}
+}
+
+// A panic in a raster worker goroutine reaches RunFrame's caller, where a
+// recover contains it; one that escaped the goroutine would end the
+// process. Emptying the texture table after New makes the first rendered
+// tile's texture binding index past it.
+func TestRasterParallelWorkerPanicReachesCaller(t *testing.T) {
+	b, err := workload.ByAlias("ccs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.TileWorkers = 2
+	sim, err := New(b.Build(workload.Params{Width: 64, Height: 48, Frames: 1, Seed: 1}), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.textures = sim.textures[:0]
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		sim.RunFrame(&sim.trace.Frames[0])
+	}()
+	if err, ok := got.(error); !ok || !strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("recovered %v, want the worker's index-out-of-range panic", got)
+	}
+	for i, w := range sim.workers {
+		if w.panicked != nil {
+			t.Errorf("worker %d still holds %v", i, w.panicked)
+		}
 	}
 }

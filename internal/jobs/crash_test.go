@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -72,8 +73,10 @@ func preserveStoreArtifacts(t *testing.T, dir string) {
 }
 
 // TestCrashRecoveryServesCompletedJobs is the cross-restart elimination
-// contract: results computed before a crash are served as cache hits by the
-// restarted process, byte-identical, with zero frames re-simulated.
+// contract: results computed before a crash are served from the store by
+// the restarted process, byte-identical, with zero frames re-simulated. A
+// completed job leaves nothing pending, and each result is read once, on
+// its first request.
 func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 	dir := t.TempDir()
 	specs := chaosSpecs(t)
@@ -89,8 +92,8 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 	p2 := NewPool(WithWorkers(4), WithStore(st2), WithLogger(quietLogger()))
 	defer p2.Close(context.Background())
 
-	if n := st2.Metrics().ResultsRecovered.Load(); n != uint64(len(specs)) {
-		t.Fatalf("ResultsRecovered = %d, want %d", n, len(specs))
+	if pending := st2.Pending(); len(pending) != 0 {
+		t.Fatalf("completed jobs recovered as pending: %+v", pending)
 	}
 	for i, s := range specs {
 		j, err := p2.Submit(s)
@@ -98,7 +101,7 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 			t.Fatalf("resubmit %d: %v", i, err)
 		}
 		if !j.Deduped {
-			t.Fatalf("job %d not eliminated by recovered cache", i)
+			t.Fatalf("job %d not eliminated by its stored result", i)
 		}
 		got, err := j.Wait(context.Background())
 		if err != nil {
@@ -112,7 +115,190 @@ func TestCrashRecoveryServesCompletedJobs(t *testing.T) {
 		}
 	}
 	if n := p2.Metrics().FramesSimulated.Load(); n != 0 {
-		t.Fatalf("restarted pool re-simulated %d frames for recovered results", n)
+		t.Fatalf("restarted pool re-simulated %d frames for stored results", n)
+	}
+	if n := st2.Metrics().ResultsLoaded.Load(); n != uint64(len(specs)) {
+		t.Fatalf("ResultsLoaded = %d, want %d", n, len(specs))
+	}
+}
+
+// TestCrashRecoveryFinishesCompletion: a crash between publishing a result
+// and removing the spec leaves both files. The next Open finishes the
+// completion — nothing pending, no spec or checkpoint left — and the next
+// submission of the key is served from disk without simulating.
+func TestCrashRecoveryFinishesCompletion(t *testing.T) {
+	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}, Tech: gpusim.RE}
+	key := spec.Key().String()
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
+	want := runSuite(t, p, []Spec{spec})[0]
+	p.Kill()
+	rec := store.JobSpec{Alias: spec.Alias, Width: spec.Params.Width, Height: spec.Params.Height,
+		Frames: spec.Params.Frames, Seed: spec.Params.Seed, Tech: spec.Tech.String()}
+	if err := st.RecordSubmitted(key, rec); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.SaveCheckpoint(key, want.Frames[:1], []byte("ckpt")); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir, nil)
+	if pending := st2.Pending(); len(pending) != 0 {
+		t.Fatalf("pending = %+v, want nothing: the result completes the job", pending)
+	}
+	for _, sub := range []string{"specs", "checkpoints"} {
+		if _, err := os.Stat(filepath.Join(dir, sub, key+".snap")); !os.IsNotExist(err) {
+			t.Errorf("%s/%s.snap survived Open (err %v)", sub, key, err)
+		}
+	}
+	p2 := NewPool(WithWorkers(1), WithStore(st2), WithLogger(quietLogger()))
+	defer p2.Close(context.Background())
+	j, err := p2.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.Deduped || !reflect.DeepEqual(got, want) {
+		t.Fatalf("deduped %v, result equal %v; want the stored result", j.Deduped, reflect.DeepEqual(got, want))
+	}
+	if n := p2.Metrics().FramesSimulated.Load(); n != 0 {
+		t.Fatalf("simulated %d frames for a stored result", n)
+	}
+	if n := st2.Metrics().ResultsLoaded.Load(); n != 1 {
+		t.Fatalf("ResultsLoaded = %d, want 1", n)
+	}
+}
+
+// TestEvictedResultServedFromStore: a result the LRU cache evicted is read
+// back from the store, not simulated again. With one cache entry, A then B
+// evicts A; A's second submission is eliminated from disk.
+func TestEvictedResultServedFromStore(t *testing.T) {
+	params := workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}
+	a := Spec{Alias: "ccs", Params: params, Tech: gpusim.RE}
+	b := Spec{Alias: "ctr", Params: params, Tech: gpusim.RE}
+	st := openTestStore(t, t.TempDir(), nil)
+	p := NewPool(WithWorkers(1), WithCacheSize(1), WithStore(st), WithLogger(quietLogger()))
+	defer p.Close(context.Background())
+	want := runSuite(t, p, []Spec{a, b})
+	frames := p.Metrics().FramesSimulated.Load()
+
+	j, err := p.Submit(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := j.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !j.Deduped {
+		t.Error("evicted key simulated again; its stored result was not read")
+	}
+	if !reflect.DeepEqual(got, want[0]) {
+		t.Error("stored result differs from the simulated one")
+	}
+	if n := p.Metrics().FramesSimulated.Load(); n != frames {
+		t.Errorf("FramesSimulated %d -> %d, want no change", frames, n)
+	}
+	if n := st.Metrics().ResultsLoaded.Load(); n != 1 {
+		t.Errorf("ResultsLoaded = %d, want 1", n)
+	}
+}
+
+// TestConcurrentSubmissionsReadStoreOnce: concurrent submissions of a key
+// whose result only the store holds read the file once — the leader reads
+// it, the others join the leader or hit the LRU — and simulate nothing.
+func TestConcurrentSubmissionsReadStoreOnce(t *testing.T) {
+	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}, Tech: gpusim.RE}
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
+	want := runSuite(t, p, []Spec{spec})[0]
+	p.Kill()
+
+	st2 := openTestStore(t, dir, nil)
+	p2 := NewPool(WithWorkers(2), WithStore(st2), WithLogger(quietLogger()))
+	defer p2.Close(context.Background())
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			j, err := p2.Submit(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got, err := j.Wait(context.Background())
+			if err != nil || !j.Deduped || !reflect.DeepEqual(got, want) {
+				t.Errorf("deduped %v, err %v, result equal %v", j.Deduped, err, reflect.DeepEqual(got, want))
+			}
+		}()
+	}
+	wg.Wait()
+	if n := st2.Metrics().ResultsLoaded.Load(); n != 1 {
+		t.Errorf("ResultsLoaded = %d, want 1", n)
+	}
+	if n := p2.Metrics().FramesSimulated.Load(); n != 0 {
+		t.Errorf("simulated %d frames", n)
+	}
+}
+
+// TestDamagedStoredResultSimulates: a stored result that fails its CRC is
+// quarantined on its first read and the job simulates, to the same result,
+// which replaces the file; the next request is an LRU hit.
+func TestDamagedStoredResultSimulates(t *testing.T) {
+	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}, Tech: gpusim.RE}
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	p := NewPool(WithWorkers(1), WithStore(st), WithLogger(quietLogger()))
+	want := runSuite(t, p, []Spec{spec})[0]
+	p.Kill()
+	path := filepath.Join(dir, "results", spec.Key().String()+".snap")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x20
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir, nil)
+	if n := st2.Metrics().SnapshotsQuarantined.Load(); n != 0 {
+		t.Fatalf("Open quarantined %d files; it reads no result", n)
+	}
+	p2 := NewPool(WithWorkers(1), WithStore(st2), WithLogger(quietLogger()))
+	defer p2.Close(context.Background())
+	for i, wantDeduped := range []bool{false, true} {
+		j, err := p2.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := j.Wait(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Deduped != wantDeduped || !reflect.DeepEqual(got, want) {
+			t.Fatalf("submission %d: deduped %v (want %v), result equal %v", i, j.Deduped, wantDeduped, reflect.DeepEqual(got, want))
+		}
+	}
+	m := p2.Metrics()
+	if m.FramesSimulated.Load() != uint64(len(want.Frames)) || m.CacheHits.Load() != 1 {
+		t.Fatalf("frames simulated %d, cache hits %d; want %d and 1", m.FramesSimulated.Load(), m.CacheHits.Load(), len(want.Frames))
+	}
+	if n := st2.Metrics().SnapshotsQuarantined.Load(); n != 1 {
+		t.Fatalf("SnapshotsQuarantined = %d, want 1", n)
+	}
+	if n := st2.Metrics().ResultsLoaded.Load(); n != 0 {
+		t.Fatalf("ResultsLoaded = %d, want 0", n)
+	}
+	if got, ok := st2.LoadResult(spec.Key().String()); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatal("the new result did not replace the damaged file")
 	}
 }
 
@@ -184,7 +370,7 @@ func crashAndResume(t *testing.T, spec Spec, frames int) {
 
 	// The job must not have completed — the whole point is dying mid-run.
 	st2 := openTestStore(t, dir, nil)
-	if n := st2.Metrics().ResultsRecovered.Load(); n != 0 {
+	if _, err := os.Stat(st.Dir() + "/results/" + spec.Key().String() + ".snap"); err == nil {
 		t.Skip("job completed before Kill; machine too fast for this window")
 	}
 	if n := st2.Metrics().JobsRecovered.Load(); n != 1 {
@@ -347,9 +533,11 @@ func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 	p.Close(context.Background())
 
 	st2 := openTestStore(t, dir, nil)
-	rec := st2.Recovered()
-	if len(rec.Pending) != 0 || len(rec.Results) != 0 {
-		t.Fatalf("failed job recovered: pending=%d results=%d", len(rec.Pending), len(rec.Results))
+	if pending := st2.Pending(); len(pending) != 0 {
+		t.Fatalf("failed job recovered: pending=%+v", pending)
+	}
+	if _, ok := st2.LoadResult(j.Key.String()); ok {
+		t.Fatal("failed job has a stored result")
 	}
 }
 
@@ -458,14 +646,14 @@ func TestCrashSoakWithStoreFaults(t *testing.T) {
 
 			// Restart fault-free: everything that survived must be exact.
 			st2 := openTestStore(t, dir, nil)
-			rec := st2.Recovered()
-			for key, res := range rec.Results {
-				wantRes, ok := wantByKey[key]
-				if !ok {
-					t.Fatalf("recovered unknown key %s", key)
+			for key, wantRes := range wantByKey {
+				if res, ok := st2.LoadResult(key); ok && !reflect.DeepEqual(res, wantRes) {
+					t.Fatalf("stored result %s corrupted by store faults", key)
 				}
-				if !reflect.DeepEqual(res, wantRes) {
-					t.Fatalf("recovered result %s corrupted by store faults", key)
+			}
+			for _, pj := range st2.Pending() {
+				if _, ok := wantByKey[pj.Key]; !ok {
+					t.Fatalf("recovered unknown key %s", pj.Key)
 				}
 			}
 			if n := st2.Metrics().SnapshotsQuarantined.Load(); n != 0 {

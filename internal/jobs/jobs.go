@@ -3,8 +3,8 @@
 // up — every job is keyed by a CRC32 signature of its *inputs* (the trace
 // bytes or workload spec, plus the simulation config and the model that
 // runs it), and a key match eliminates the whole run, either from the LRU
-// result cache (the previous "frame") or by joining an identical in-flight
-// execution (singleflight).
+// result cache (the previous "frame"), by joining an identical in-flight
+// execution (singleflight), or from the result a durable store kept.
 // The same pool schedules both the resvc HTTP service and the reexp batch
 // harness, so the service is a live demonstration of the paper's idea:
 // redundant work is discarded before it enters the pipeline.
@@ -317,11 +317,7 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		j.Deduped = true
 		p.register(j)
 		p.mu.Unlock()
-		p.metrics.Deduped.Add(1)
-		p.metrics.CacheHits.Add(1)
-		if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
-			p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "cache")
-		}
+		p.eliminated(j, "cache", &p.metrics.CacheHits)
 		return j, nil
 	}
 
@@ -334,20 +330,31 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		j.Deduped = true
 		p.register(j)
 		p.mu.Unlock()
-		p.metrics.Deduped.Add(1)
-		p.metrics.Joins.Add(1)
-		if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
-			p.log.Debug("job eliminated", "id", j.ID, "key", key.String(), "via", "inflight-join")
-		}
+		p.eliminated(j, "inflight-join", &p.metrics.Joins)
 		return j, nil
 	}
 
-	// This job is the leader: queue it for a worker. With a store, the spec
-	// file is published first — once it lands, a crash at any later point
-	// recovers this job.
+	// This job is the leader. A result that the store holds for its key
+	// eliminates it like a cache hit; the followers that joined meanwhile
+	// get that result too.
 	j.call = c
-	p.register(j)
 	p.mu.Unlock()
+	if res, ok := p.loadResult(key); ok {
+		j.Deduped = true
+		p.mu.Lock()
+		p.cache.Put(key, res)
+		p.flight.forget(key)
+		p.register(j)
+		p.mu.Unlock()
+		cancel()
+		c.finish(res, nil)
+		p.eliminated(j, "store", &p.metrics.CacheHits)
+		return j, nil
+	}
+
+	// Otherwise queue it for a worker. With a store, the spec file is
+	// published first — once it lands, a crash at any later point recovers
+	// this job.
 	if rs != nil {
 		j.recorded = true
 	} else {
@@ -358,10 +365,11 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 	p.sendMu.RLock()
 	p.mu.Lock()
 	closed := p.closed
+	p.register(j)
 	p.mu.Unlock()
 	if closed {
-		// Raced with Close after registering as leader: fail the call so
-		// any follower that joined it is released too.
+		// Raced with Close after becoming the leader: fail the call so any
+		// follower that joined it is released too.
 		p.sendMu.RUnlock()
 		p.metrics.queueLen.Add(-1)
 		p.mu.Lock()
@@ -395,6 +403,16 @@ func (p *Pool) submit(spec Spec, block bool, rs *resume) (*Job, error) {
 		p.log.Debug("job queued", "id", j.ID, "key", key.String(), "alias", spec.Alias, "tech", spec.Tech.String())
 	}
 	return j, nil
+}
+
+// eliminated counts a job that a key match eliminated, via the result
+// cache, the store or an in-flight job, in Deduped and in hits.
+func (p *Pool) eliminated(j *Job, via string, hits *atomic.Uint64) {
+	p.metrics.Deduped.Add(1)
+	hits.Add(1)
+	if p.log.Enabled(p.baseCtx, slog.LevelDebug) {
+		p.log.Debug("job eliminated", "id", j.ID, "key", j.Key.String(), "via", via)
+	}
 }
 
 // register indexes the job by ID and drops the oldest finished jobs past

@@ -572,7 +572,7 @@ func TestFinishedJobReleasesCheckpoint(t *testing.T) {
 	p.Kill()
 
 	st2 := openTestStore(t, dir, nil)
-	if st2.Metrics().ResultsRecovered.Load() != 0 {
+	if len(st2.Pending()) == 0 {
 		t.Skip("job completed before Kill; machine too fast for this window")
 	}
 	p2 := NewPool(WithWorkers(1), withCheckpointPeriod(0), WithStore(st2), WithLogger(quietLogger()))

@@ -130,10 +130,10 @@ func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l 
 func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
 // WithStore makes job state durable: each leader's spec, its frame-boundary
-// checkpoints and its completed result are published as store files, a
-// terminal failure removes the spec, and the new pool takes over the
-// store's recovery set — completed results re-enter the result cache and
-// interrupted jobs are resubmitted from their last persisted checkpoint.
-// Nil keeps the pool memory-only. The store holds no open files, so it
-// needs no closing.
+// checkpoints and its completed result are published as store files, the
+// job's end removes the spec, a leader that misses the result cache reads
+// its key's stored result before it simulates, and the new pool resubmits
+// the store's interrupted jobs from their last persisted checkpoint. Nil
+// keeps the pool memory-only. The store holds no open files, so it needs
+// no closing.
 func WithStore(st *store.Store) Option { return func(o *options) { o.Store = st } }

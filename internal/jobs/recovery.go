@@ -12,26 +12,17 @@ import (
 
 // This file is the pool's side of the durability layer: translating specs to
 // and from their serializable store form, publishing each job's spec,
-// checkpoints and result as it moves through the pool, and — at
-// construction — taking over what a previous process left behind:
-// recovered results re-enter the LRU cache (so resubmissions are eliminated
-// exactly like same-process duplicates), and interrupted jobs are
-// resubmitted with their last persisted checkpoint attached.
+// checkpoints and result as it moves through the pool, reading a stored
+// result when the LRU cache misses (so a key computed by an earlier process,
+// or evicted since, is eliminated exactly like a same-process duplicate),
+// and — at construction — resubmitting the jobs a previous process left
+// interrupted, with their last persisted checkpoint attached.
 //
 // Persistence is best-effort by design: a failed snapshot write or removal
 // (a full disk, an injected store.* fault) degrades durability — that job
 // may re-run after a crash — but never the live result or the store's
 // integrity, so errors here are logged and counted, not propagated to the
 // submitter.
-
-// ParseKey parses the Key.String() form ("%08x-%08x").
-func ParseKey(s string) (Key, error) {
-	var k Key
-	if _, err := fmt.Sscanf(s, "%08x-%08x", &k.TraceSig, &k.CfgHash); err != nil {
-		return Key{}, fmt.Errorf("jobs: bad key %q: %w", s, err)
-	}
-	return k, nil
-}
 
 // Store returns the pool's durability layer, nil when the pool is
 // memory-only.
@@ -113,10 +104,19 @@ func (p *Pool) persistCheckpoint(j *Job, frames []gpusim.Stats, blob []byte) {
 	}
 }
 
+// loadResult reads key's stored result, if the pool has a store and the
+// store has one. The key signs every input of the result, so serving it is
+// exactly as correct as serving a result computed now.
+func (p *Pool) loadResult(key Key) (gpusim.Result, bool) {
+	if p.opts.Store == nil {
+		return gpusim.Result{}, false
+	}
+	return p.opts.Store.LoadResult(key.String())
+}
+
 // persistResult durably saves a completed result, whether or not the
-// job's spec landed: the result file alone is recovered. The signature
-// cache it repopulates is keyed by inputs, so serving it after a restart is
-// exactly as correct as serving it now.
+// job's spec landed: the result file alone completes the job, and the next
+// LRU miss on its key reads it.
 func (p *Pool) persistResult(j *Job, res gpusim.Result) {
 	if p.opts.Store == nil {
 		return
@@ -139,28 +139,12 @@ func (p *Pool) persistFailure(j *Job, err error) {
 	}
 }
 
-// recoverFromStore replays the store's recovery set into the live pool:
-// results into the LRU cache (oldest completion first, preserving recency),
-// then interrupted jobs back onto the queue with their checkpoints.
-// Called from New after workers have started.
+// recoverFromStore resubmits the interrupted jobs the store found, oldest
+// first, each with its last persisted checkpoint. Called from New after
+// workers have started.
 func (p *Pool) recoverFromStore() {
 	st := p.opts.Store
-	rec := st.Recovered()
-	for _, ks := range rec.ResultOrder {
-		k, err := ParseKey(ks)
-		if err != nil {
-			p.log.Warn("store: recovered result has bad key; dropped", "key", ks, "err", err)
-			continue
-		}
-		p.mu.Lock()
-		p.cache.Put(k, rec.Results[ks])
-		p.mu.Unlock()
-	}
-	if len(rec.Results) > 0 {
-		p.log.Info("store: results recovered into cache", "count", len(rec.Results))
-	}
-
-	for _, pj := range rec.Pending {
+	for _, pj := range st.Pending() {
 		spec, err := specFromRecord(st, pj.Spec)
 		if err != nil {
 			p.log.Warn("store: interrupted job not recoverable; dropped", "key", pj.Key, "err", err)

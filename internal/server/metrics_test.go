@@ -333,7 +333,7 @@ func TestMetricsFamilySet(t *testing.T) {
 		"resvc_store_jobs_recovered_total":        "counter{}",
 		"resvc_store_jobs_resumed_total":          "counter{}",
 		"resvc_store_rename_errors_total":         "counter{}",
-		"resvc_store_results_recovered_total":     "counter{}",
+		"resvc_store_results_loaded_total":        "counter{}",
 		"resvc_store_snapshots_quarantined_total": "counter{}",
 		"resvc_store_snapshots_written_total":     "counter{}",
 		"resvc_store_sync_errors_total":           "counter{}",

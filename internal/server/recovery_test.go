@@ -115,8 +115,8 @@ func TestRestartRecoveryOverHTTP(t *testing.T) {
 	if n := pool2.Metrics().FramesSimulated.Load(); n != 0 {
 		t.Fatalf("restarted process re-simulated %d frames", n)
 	}
-	if v := metricValue(t, ts2.URL, "resvc_store_results_recovered_total"); v != 2 {
-		t.Fatalf("resvc_store_results_recovered_total = %v, want 2", v)
+	if v := metricValue(t, ts2.URL, "resvc_store_results_loaded_total"); v != 2 {
+		t.Fatalf("resvc_store_results_loaded_total = %v, want 2", v)
 	}
 }
 

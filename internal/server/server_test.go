@@ -21,6 +21,7 @@ import (
 	"rendelim/internal/apihttp"
 	"rendelim/internal/cluster"
 	"rendelim/internal/fault"
+	"rendelim/internal/geom"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/jobs"
 	"rendelim/internal/obs"
@@ -334,6 +335,53 @@ func TestUnrunnableInputsRejected(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", tc.name, resp.StatusCode, raw)
 		}
+	}
+}
+
+// TestDrawBeforeBindRejected: a trace that draws under the reset-time
+// binding while it defines no texture is refused at upload with a 400, and
+// the node stays up. Such a trace used to reach the simulator, where its
+// first rendered tile indexed an empty texture table inside a raster
+// worker goroutine and ended the process.
+func TestDrawBeforeBindRejected(t *testing.T) {
+	pool := jobs.NewPool(jobs.WithWorkers(1), jobs.WithTileWorkers(2))
+	t.Cleanup(func() { pool.Close(context.Background()) })
+	srv := httptest.NewServer(New(pool, Limits{}).Handler())
+	t.Cleanup(srv.Close)
+
+	quad := []geom.Vec4{
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {},
+		geom.V4(-1, -1, 0, 1), {}, {}, geom.V4(1, 1, 0, 1), {}, {}, geom.V4(-1, 1, 0, 1), {}, {},
+	}
+	tr := &api.Trace{
+		Name: "repro", Width: 32, Height: 32,
+		Programs: []*shader.Program{shader.TransformVS(2), shader.FlatFS()},
+		Frames: []api.Frame{{Commands: []api.Command{
+			api.SetUniforms{First: 0, Values: []geom.Vec4{geom.V4(1, 0, 0, 0), geom.V4(0, 1, 0, 0), geom.V4(0, 0, 1, 0), geom.V4(0, 0, 0, 1)}},
+			api.SetUniforms{First: 4, Values: []geom.Vec4{geom.V4(1, 0.5, 0, 1)}},
+			api.Draw{NumAttrs: 3, Data: quad},
+		}}},
+	}
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/v1/jobs?wait=1&tech=re", "application/octet-stream", &buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), "draw binds texture 0") {
+		t.Fatalf("status %d (%s), want 400 naming texture 0", resp.StatusCode, raw)
+	}
+	resp, err = http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz status %d after the upload", resp.StatusCode)
 	}
 }
 

@@ -27,11 +27,13 @@ func flipped(raw []byte, i int, mask byte) []byte {
 	return raw
 }
 
-// FuzzOpenStore writes arbitrary bytes as one job's spec file and result
-// file. Open must never panic, and the store must stay usable: a
-// config-bearing spec recorded after Open comes back, intact, from the
-// next Open. Seeds are real files, a flipped result byte, an empty result,
-// a CRC-valid spec whose body is not JSON, and two empty files.
+// FuzzOpenStore writes arbitrary bytes as a spec file and a result file.
+// Open reads the spec, LoadResult the result: neither may panic,
+// LoadResult either misses or returns a result, and the store must stay
+// usable: a config-bearing spec recorded after Open comes back, intact,
+// from the next Open. Seeds are real files, a flipped result byte, an
+// empty result, a CRC-valid spec whose body is not JSON, and two empty
+// files.
 func FuzzOpenStore(f *testing.F) {
 	spec, result, _ := snapshotFiles(f)
 	f.Add(spec, result)
@@ -46,16 +48,21 @@ func FuzzOpenStore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}
-		const key = "00000001-00000002"
-		if err := os.WriteFile(st.specPath(key), spec, 0o644); err != nil {
+		// Two keys: Open never reads a spec that sits beside a result of
+		// its key.
+		const specKey, resultKey = "00000001-00000002", "00000003-00000004"
+		if err := os.WriteFile(st.specPath(specKey), spec, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(st.resultPath(key), result, 0o644); err != nil {
+		if err := os.WriteFile(st.resultPath(resultKey), result, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		st, err = Open(dir, quietOpts())
 		if err != nil {
 			t.Fatalf("Open: %v", err)
+		}
+		if res, ok := st.LoadResult(resultKey); !ok && !reflect.DeepEqual(res, gpusim.Result{}) {
+			t.Fatalf("LoadResult missed but returned %+v", res)
 		}
 		const recorded = "fuzz-recorded"
 		want := ablationSpec()
@@ -67,7 +74,7 @@ func FuzzOpenStore(f *testing.F) {
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		for _, pj := range st.Recovered().Pending {
+		for _, pj := range st.Pending() {
 			if pj.Key == recorded {
 				if !reflect.DeepEqual(pj.Spec, want) {
 					t.Fatalf("recovered spec %+v, want %+v", pj.Spec, want)
@@ -91,13 +98,14 @@ func snapshotFiles(f *testing.F) (spec, result, checkpoint []byte) {
 	if err := s.RecordSubmitted(key, ablationSpec()); err != nil {
 		f.Fatal(err)
 	}
+	// Read the spec before SaveResult, which removes it.
+	if spec, err = os.ReadFile(s.specPath(key)); err != nil {
+		f.Fatal(err)
+	}
 	if err := s.SaveResult(key, testResult(2)); err != nil {
 		f.Fatal(err)
 	}
 	if err := s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("encoded")); err != nil {
-		f.Fatal(err)
-	}
-	if spec, err = os.ReadFile(s.specPath(key)); err != nil {
 		f.Fatal(err)
 	}
 	if result, err = os.ReadFile(s.resultPath(key)); err != nil {

@@ -4,17 +4,19 @@
 // blob — written with temp-file + fsync + atomic-rename discipline, so there
 // is no log to replay and no second copy of a job to reconcile.
 //
-// The point is that Rendering Elimination's memoization survives kill -9:
-// on startup Open scans the result and spec files (quarantining corrupt
-// ones instead of refusing to boot), completed results re-populate the jobs
-// result cache so cross-restart submissions are eliminated as cache hits,
-// and jobs that were mid-flight when the process died are handed back with
-// their last persisted checkpoint so they resume from that frame boundary
-// rather than frame 0.
+// The point is that Rendering Elimination's memoization survives kill -9.
+// specs/ holds exactly the pending jobs: on startup Open reads only those
+// and their checkpoints (quarantining corrupt ones instead of refusing to
+// boot), and jobs that were mid-flight when the process died are handed
+// back with their last persisted checkpoint, so they resume from that frame
+// boundary rather than frame 0. results/ is a cache tier under the jobs
+// result cache: a job key signs everything its result depends on, so Open
+// never reads a result, and LoadResult reads one when the in-memory cache
+// misses.
 //
 // Directory layout under the data dir:
 //
-//	specs/<key>.snap         submitted JobSpec (JSON body); kept after completion
+//	specs/<key>.snap         submitted JobSpec (JSON body); removed when the job ends
 //	results/<key>.snap       completed gpusim.Result (JSON body)
 //	checkpoints/<key>.snap   per-frame stats (JSON) + encoded checkpoint
 //	traces/<crc32>.snap      content-addressed uploaded trace binaries
@@ -43,11 +45,6 @@ import (
 	"rendelim/internal/wire"
 )
 
-// legacyWAL is the write-ahead log that older versions kept beside the
-// snapshot directories. Open ignores it: its results are files under
-// results/ already, and its pending jobs are not resumed.
-const legacyWAL = "wal.log"
-
 // JobSpec is the serializable identity of a job — enough to rebuild and
 // re-run it in a fresh process. Trace uploads are referenced by the CRC32 of
 // their bytes (the content address of the blob in traces/), never inlined.
@@ -64,8 +61,8 @@ type JobSpec struct {
 	Config   *gpusim.Config `json:"config,omitempty"`
 }
 
-// PendingJob is an interrupted job: its spec file survived and no readable
-// result did.
+// PendingJob is an interrupted job: its spec file survived and no result
+// file has its key.
 type PendingJob struct {
 	Key  string
 	Spec JobSpec
@@ -75,18 +72,6 @@ type PendingJob struct {
 	// checkpoint: the job starts over.
 	Frames     []gpusim.Stats
 	Checkpoint []byte
-}
-
-// Recovery is everything Open reconstructed from disk.
-type Recovery struct {
-	// Results maps job keys to their recovered completed results, for
-	// re-populating the jobs LRU cache.
-	Results map[string]gpusim.Result
-	// ResultOrder lists Results' keys oldest first, so cache
-	// re-population preserves LRU recency.
-	ResultOrder []string
-	// Pending lists interrupted jobs to resubmit, oldest submission first.
-	Pending []PendingJob
 }
 
 // Options configures Open.
@@ -106,15 +91,16 @@ type Store struct {
 	log     *slog.Logger
 	metrics *Metrics
 
-	recovered Recovery
+	pending []PendingJob
 }
 
-// Open opens (creating if needed) the data directory, loads and verifies
-// the result, spec and checkpoint snapshots, and returns the store ready
-// for writes. A readable result is a completed job; a spec without one is
-// a pending job, with its checkpoint when there is a readable one. Damage
-// is absorbed, counted in Metrics and logged: corrupt snapshots are
-// quarantined, so a job whose result is unreadable is re-run from its spec.
+// Open opens (creating if needed) the data directory and loads the
+// pending jobs: each spec, with its checkpoint when there is a readable
+// one. A spec beside a result file of its key is a completion that a crash
+// interrupted: Open finishes it, removing the spec and the checkpoint, and
+// hands nothing back. Open reads no result. Damage is absorbed, counted in
+// Metrics and logged: a corrupt spec is quarantined and its job dropped, a
+// corrupt checkpoint quarantined and its job resumed from frame 0.
 func Open(dir string, opts Options) (*Store, error) {
 	log := opts.Logger
 	if log == nil {
@@ -126,33 +112,14 @@ func Open(dir string, opts Options) (*Store, error) {
 		}
 	}
 	s := &Store{dir: dir, fault: opts.Fault, log: log, metrics: newMetrics()}
-	if _, err := os.Stat(filepath.Join(dir, legacyWAL)); err == nil {
-		log.Warn("store: ignoring an older version's write-ahead log; its results recover from results/, its pending jobs do not resume",
-			"path", filepath.Join(dir, legacyWAL))
-	}
-
-	resultKeys, err := s.keysByAge("results")
-	if err != nil {
-		return nil, err
-	}
-	s.recovered.Results = make(map[string]gpusim.Result, len(resultKeys))
-	for _, key := range resultKeys {
-		var res gpusim.Result
-		if err := s.loadJSON(s.resultPath(key), &res); err != nil {
-			s.log.Warn("store: result unreadable; the job re-runs if its spec survives", "key", key, "err", err)
-			continue
-		}
-		s.recovered.Results[key] = res
-		s.recovered.ResultOrder = append(s.recovered.ResultOrder, key)
-		s.metrics.ResultsRecovered.Add(1)
-	}
 
 	specKeys, err := s.keysByAge("specs")
 	if err != nil {
 		return nil, err
 	}
 	for _, key := range specKeys {
-		if _, done := s.recovered.Results[key]; done {
+		if _, err := os.Stat(s.resultPath(key)); err == nil {
+			s.discard(key)
 			continue
 		}
 		pj := PendingJob{Key: key}
@@ -174,7 +141,7 @@ func Open(dir string, opts Options) (*Store, error) {
 			pj.Checkpoint = blob
 			s.metrics.CheckpointsRecovered.Add(1)
 		}
-		s.recovered.Pending = append(s.recovered.Pending, pj)
+		s.pending = append(s.pending, pj)
 		s.metrics.JobsRecovered.Add(1)
 	}
 	return s, nil
@@ -223,13 +190,13 @@ func (s *Store) Dir() string { return s.dir }
 // Metrics exposes the store counters.
 func (s *Store) Metrics() *Metrics { return s.metrics }
 
-// Recovered returns what Open reconstructed. The caller owns the value;
-// the store never mutates it after Open.
-func (s *Store) Recovered() Recovery { return s.recovered }
+// Pending returns the interrupted jobs Open found, oldest submission
+// first. The caller owns the slice; the store never mutates it after Open.
+func (s *Store) Pending() []PendingJob { return s.pending }
 
 // RecordSubmitted publishes key's spec, which recovery needs to re-run the
-// job. The file outlives the job's completion, so a result that later
-// fails its CRC is re-run from it.
+// job. The file lives until the job ends: SaveResult and RecordFailed
+// remove it, so specs/ holds exactly the pending jobs.
 func (s *Store) RecordSubmitted(key string, spec JobSpec) error {
 	return s.saveJSON(s.specPath(key), spec)
 }
@@ -245,15 +212,37 @@ func (s *Store) RecordFailed(key string) error {
 }
 
 // SaveResult atomically publishes a completed result; the file alone marks
-// the job complete. The job's checkpoint, now superseded, is removed.
+// the job complete. The job's checkpoint and spec, now superseded, are
+// removed.
 func (s *Store) SaveResult(key string, res gpusim.Result) error {
 	if err := s.saveJSON(s.resultPath(key), res); err != nil {
 		return err
 	}
-	// Best effort: a checkpoint left behind is resumed only if the result
-	// is later quarantined, and the key signs everything it resumes.
-	_ = s.remove(s.checkpointPath(key))
+	s.discard(key)
 	return nil
+}
+
+// discard removes a completed job's checkpoint, then its spec. The
+// removals need not be durable, nor even succeed: Open repeats them for
+// every spec that sits beside a result file of its key.
+func (s *Store) discard(key string) {
+	_ = os.Remove(s.checkpointPath(key))
+	_ = os.Remove(s.specPath(key))
+}
+
+// LoadResult reads key's stored result. A missing file is a silent miss.
+// A damaged one is quarantined, logged and also a miss: the job simulates,
+// and its new result replaces the file.
+func (s *Store) LoadResult(key string) (gpusim.Result, bool) {
+	var res gpusim.Result
+	if err := s.loadJSON(s.resultPath(key), &res); err != nil {
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.log.Warn("store: stored result unreadable; the job simulates", "key", key, "err", err)
+		}
+		return gpusim.Result{}, false
+	}
+	s.metrics.ResultsLoaded.Add(1)
+	return res, true
 }
 
 // saveJSON publishes v's JSON encoding as the snapshot at path.

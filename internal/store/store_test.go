@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"log/slog"
@@ -12,10 +11,8 @@ import (
 	"strings"
 	"testing"
 
-	"rendelim/internal/crc"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
-	"rendelim/internal/wire"
 )
 
 func quietOpts() Options {
@@ -32,9 +29,9 @@ func testResult(n int) gpusim.Result {
 }
 
 // The headline contract: a store reopened on the same directory hands back
-// completed results verbatim, interrupted jobs with their checkpoints, and
-// nothing for failed jobs. A pending job's checkpoint is its checkpoint
-// file, found by key.
+// interrupted jobs with their checkpoints and nothing for completed or
+// failed jobs, and serves completed results verbatim from LoadResult. A
+// pending job's checkpoint is its checkpoint file, found by key.
 func TestStoreRecovery(t *testing.T) {
 	t.Run("lifecycle", testRecoveryLifecycle)
 	t.Run("checkpoint file without a record", testRecoveryCheckpointWithoutRecord)
@@ -83,21 +80,12 @@ func testRecoveryLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-
-	if got, ok := rec.Results["aaaa0001-bbbb0001"]; !ok {
-		t.Fatal("completed result not recovered")
-	} else if !reflect.DeepEqual(got, resA) {
-		t.Fatalf("recovered result differs:\n got %+v\nwant %+v", got, resA)
-	}
-	if len(rec.ResultOrder) != 1 || rec.ResultOrder[0] != "aaaa0001-bbbb0001" {
-		t.Fatalf("ResultOrder = %v", rec.ResultOrder)
-	}
-	if len(rec.Pending) != 2 {
-		t.Fatalf("recovered %d pending jobs, want 2 (checkpointed B + submitted-only D): %+v", len(rec.Pending), rec.Pending)
+	pending := r.Pending()
+	if len(pending) != 2 {
+		t.Fatalf("recovered %d pending jobs, want 2 (checkpointed B + submitted-only D): %+v", len(pending), pending)
 	}
 	// Submission order: B before D.
-	b, d := rec.Pending[0], rec.Pending[1]
+	b, d := pending[0], pending[1]
 	if b.Key != "aaaa0002-bbbb0002" || b.Spec != specB || len(b.Frames) != 2 ||
 		!reflect.DeepEqual(b.Frames, framesB) || string(b.Checkpoint) != string(ckptB) {
 		t.Fatalf("pending B = %+v", b)
@@ -107,9 +95,20 @@ func testRecoveryLifecycle(t *testing.T) {
 	}
 
 	m := r.Metrics()
-	if m.ResultsRecovered.Load() != 1 || m.CheckpointsRecovered.Load() != 1 || m.JobsRecovered.Load() != 2 {
+	if m.ResultsLoaded.Load() != 0 || m.CheckpointsRecovered.Load() != 1 || m.JobsRecovered.Load() != 2 {
 		t.Fatalf("recovery metrics: results=%d ckpts=%d jobs=%d",
-			m.ResultsRecovered.Load(), m.CheckpointsRecovered.Load(), m.JobsRecovered.Load())
+			m.ResultsLoaded.Load(), m.CheckpointsRecovered.Load(), m.JobsRecovered.Load())
+	}
+	if got, ok := r.LoadResult("aaaa0001-bbbb0001"); !ok {
+		t.Fatal("completed result not stored")
+	} else if !reflect.DeepEqual(got, resA) {
+		t.Fatalf("stored result differs:\n got %+v\nwant %+v", got, resA)
+	}
+	if n := m.ResultsLoaded.Load(); n != 1 {
+		t.Fatalf("ResultsLoaded = %d, want 1", n)
+	}
+	if _, ok := r.LoadResult("aaaa0004-bbbb0004"); ok {
+		t.Fatal("pending job has a stored result")
 	}
 	if m.SnapshotsQuarantined.Load() != 0 {
 		t.Fatal("clean recovery reported damage")
@@ -142,11 +141,11 @@ func testRecoveryCheckpointWithoutRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if len(rec.Pending) != 1 {
-		t.Fatalf("pending = %+v", rec.Pending)
+	pending := r.Pending()
+	if len(pending) != 1 {
+		t.Fatalf("pending = %+v", pending)
 	}
-	p := rec.Pending[0]
+	p := pending[0]
 	if p.Key != key || p.Spec != spec || len(p.Frames) != len(frames) ||
 		!reflect.DeepEqual(p.Frames, frames) || string(p.Checkpoint) != string(ckpt) {
 		t.Fatalf("pending = %+v, want frame %d with its stats and blob", p, len(frames))
@@ -173,11 +172,11 @@ func testRecoveryNoCheckpointFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if len(rec.Pending) != 1 {
-		t.Fatalf("pending = %+v", rec.Pending)
+	pending := r.Pending()
+	if len(pending) != 1 {
+		t.Fatalf("pending = %+v", pending)
 	}
-	if p := rec.Pending[0]; p.Key != key || p.Spec != spec || p.Frames != nil || p.Checkpoint != nil {
+	if p := pending[0]; p.Key != key || p.Spec != spec || p.Frames != nil || p.Checkpoint != nil {
 		t.Fatalf("pending = %+v, want frame 0 with no checkpoint", p)
 	}
 	if logs.Len() != 0 {
@@ -190,8 +189,8 @@ func testRecoveryNoCheckpointFile(t *testing.T) {
 	}
 }
 
-// SaveResult removes the superseded checkpoint, and a completed job is not
-// recovered as pending.
+// SaveResult removes the superseded checkpoint and the spec, and a
+// completed job is not recovered as pending.
 func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -207,23 +206,27 @@ func TestStoreCompletionSupersedesCheckpoint(t *testing.T) {
 	if _, err := os.Stat(s.checkpointPath(key)); !os.IsNotExist(err) {
 		t.Fatal("checkpoint snapshot not removed after completion")
 	}
+	if _, err := os.Stat(s.specPath(key)); !os.IsNotExist(err) {
+		t.Fatal("spec snapshot not removed after completion")
+	}
 
 	r, err := Open(dir, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if len(rec.Pending) != 0 {
-		t.Fatalf("completed job recovered as pending: %+v", rec.Pending)
+	if pending := r.Pending(); len(pending) != 0 {
+		t.Fatalf("completed job recovered as pending: %+v", pending)
 	}
-	if _, ok := rec.Results[key]; !ok {
+	if _, ok := r.LoadResult(key); !ok {
 		t.Fatal("completed result missing")
 	}
 }
 
-// A published result is a completed job with nothing written after it. A
-// crash right after SaveResult's snapshot leaves exactly this, and the job
-// must not be simulated again.
+// A published result completes its job, with or without the removals
+// after it. A crash between SaveResult's publish and its removal of the
+// spec leaves a spec, a checkpoint and a result of one key: Open finishes
+// the completion — it removes the spec and the checkpoint and hands
+// nothing back — and the result is served from disk.
 func TestStoreResultFileAloneCompletesJob(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, quietOpts())
@@ -234,12 +237,11 @@ func TestStoreResultFileAloneCompletesJob(t *testing.T) {
 	if err := s.RecordSubmitted(key, JobSpec{Alias: "ccs", Width: 32, Height: 32, Frames: 3, Tech: "re"}); err != nil {
 		t.Fatal(err)
 	}
-	want := testResult(5)
-	body, err := json.Marshal(want)
-	if err != nil {
+	if err := s.SaveCheckpoint(key, []gpusim.Stats{{Frames: 1}}, []byte("ckpt")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.writeSnapshot(s.resultPath(key), body); err != nil {
+	want := testResult(5)
+	if err := s.saveJSON(s.resultPath(key), want); err != nil {
 		t.Fatal(err)
 	}
 
@@ -247,91 +249,95 @@ func TestStoreResultFileAloneCompletesJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if got, ok := rec.Results[key]; !ok || len(rec.Pending) != 0 || !reflect.DeepEqual(got, want) {
-		t.Fatalf("results=%v pending=%d, want %s completed and nothing pending", rec.ResultOrder, len(rec.Pending), key)
+	if pending := r.Pending(); len(pending) != 0 {
+		t.Fatalf("pending = %+v, want nothing: the result completes the job", pending)
+	}
+	for _, path := range []string{r.specPath(key), r.checkpointPath(key)} {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s survived Open (err %v)", path, err)
+		}
+	}
+	if n := r.Metrics().JobsRecovered.Load(); n != 0 {
+		t.Errorf("JobsRecovered = %d, want 0", n)
+	}
+	if got, ok := r.LoadResult(key); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadResult = %+v, %v; want the published result", got, ok)
 	}
 }
 
-// A wal.log left by an older version is ignored with one warning: results
-// recover from their files, and a job pending only in the log is not
-// resumed.
-func TestStoreIgnoresLegacyWAL(t *testing.T) {
+// Open reads no result file: a data dir full of damaged results and no
+// specs opens with nothing quarantined and nothing pending, however many
+// results it holds.
+func TestStoreOpenReadsNoResult(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, quietOpts())
+	if _, err := Open(dir, quietOpts()); err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	for i := 0; i < n; i++ {
+		path := filepath.Join(dir, "results", fmt.Sprintf("%08x-%08x.snap", i, i))
+		if err := os.WriteFile(path, []byte("RESN damaged"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r, err := Open(dir, quietOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := "1e9a0002-1e9a0002"
-	s.RecordSubmitted(done, JobSpec{Alias: "ccs", Tech: "re"})
-	if err := s.SaveResult(done, testResult(4)); err != nil {
-		t.Fatal(err)
+	if q := r.Metrics().SnapshotsQuarantined.Load(); q != 0 {
+		t.Fatalf("Open quarantined %d result files; it must read none", q)
 	}
-	// The older format: u32 length | u32 CRC32 | JSON record.
-	record := []byte(`{"t":"submitted","key":"1e9a0001-1e9a0001","spec":{"alias":"mot","tech":"te"}}`)
-	wal := wire.AppendU32(wire.AppendU32(nil, uint32(len(record))), crc.Checksum(record))
-	if err := os.WriteFile(filepath.Join(dir, legacyWAL), append(wal, record...), 0o644); err != nil {
-		t.Fatal(err)
+	if pending := r.Pending(); len(pending) != 0 {
+		t.Fatalf("pending = %d jobs, want 0", len(pending))
 	}
+}
 
+// LoadResult: a missing file is a silent miss; a damaged one is
+// quarantined, logged and a miss; an intact one is served and counted.
+func TestStoreLoadResult(t *testing.T) {
 	var logs bytes.Buffer
-	r, err := Open(dir, Options{Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
+	s, err := Open(t.TempDir(), Options{Logger: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelWarn}))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if _, ok := rec.Results[done]; !ok || len(rec.Results) != 1 || len(rec.Pending) != 0 {
-		t.Fatalf("results=%v pending=%+v, want only %s completed", rec.ResultOrder, rec.Pending, done)
+	const key = "dead0001-beef0001"
+	if _, ok := s.LoadResult(key); ok || logs.Len() != 0 {
+		t.Fatalf("missing result: ok %v, logs %q; want a silent miss", ok, logs.String())
 	}
-	if n := strings.Count(logs.String(), "level=WARN"); n != 1 || !strings.Contains(logs.String(), legacyWAL) {
-		t.Fatalf("want one warning naming %s, got:\n%s", legacyWAL, logs.String())
-	}
-}
 
-// A corrupt result snapshot is quarantined and — because the spec file
-// survives completion — the job is downgraded to pending rather than
-// forgotten.
-func TestStoreQuarantineDowngradesToPending(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir, quietOpts())
-	if err != nil {
+	if err := s.SaveResult(key, testResult(2)); err != nil {
 		t.Fatal(err)
 	}
-	key := "dead0001-beef0001"
-	spec := JobSpec{Alias: "ccs", Width: 48, Height: 32, Frames: 3, Seed: 5, Tech: "re"}
-	s.RecordSubmitted(key, spec)
-	s.SaveResult(key, testResult(2))
 	path := s.resultPath(key)
-
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[len(raw)/2] ^= 0x20
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
+	if err := os.WriteFile(path, flipped(raw, len(raw)/2, 0x20), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	r, err := Open(dir, quietOpts())
-	if err != nil {
-		t.Fatal(err)
+	if _, ok := s.LoadResult(key); ok {
+		t.Fatal("damaged result served")
 	}
-	rec := r.Recovered()
-	if len(rec.Results) != 0 {
-		t.Fatalf("corrupt result served anyway: %+v", rec.Results)
-	}
-	if len(rec.Pending) != 1 || rec.Pending[0].Key != key || rec.Pending[0].Spec != spec || len(rec.Pending[0].Frames) != 0 {
-		t.Fatalf("job not downgraded to pending: %+v", rec.Pending)
-	}
-	if n := r.Metrics().SnapshotsQuarantined.Load(); n != 1 {
+	if n := s.Metrics().SnapshotsQuarantined.Load(); n != 1 {
 		t.Fatalf("SnapshotsQuarantined = %d, want 1", n)
 	}
-	q := r.QuarantinedFiles()
-	if len(q) != 1 || !strings.HasSuffix(q[0], QuarantineSuffix) {
+	if q := s.QuarantinedFiles(); len(q) != 1 || q[0] != path+QuarantineSuffix {
 		t.Fatalf("QuarantinedFiles = %v", q)
 	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt snapshot left in place")
+	if !strings.Contains(logs.String(), key) {
+		t.Fatalf("damaged result not logged: %q", logs.String())
+	}
+
+	want := testResult(3)
+	if err := s.SaveResult(key, want); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.LoadResult(key); !ok || !reflect.DeepEqual(got, want) {
+		t.Fatalf("LoadResult = %+v, %v; want the replacement", got, ok)
+	}
+	if n := s.Metrics().ResultsLoaded.Load(); n != 1 {
+		t.Fatalf("ResultsLoaded = %d, want 1", n)
 	}
 }
 
@@ -357,11 +363,11 @@ func TestStoreCorruptCheckpointFallsBackToFrameZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := r.Recovered()
-	if len(rec.Pending) != 1 {
-		t.Fatalf("pending = %+v", rec.Pending)
+	pending := r.Pending()
+	if len(pending) != 1 {
+		t.Fatalf("pending = %+v", pending)
 	}
-	p := rec.Pending[0]
+	p := pending[0]
 	if p.Key != key || p.Spec != spec || len(p.Frames) != 0 || p.Checkpoint != nil {
 		t.Fatalf("corrupt checkpoint not degraded to frame 0: %+v", p)
 	}
@@ -397,7 +403,8 @@ func TestStoreTraceBlobs(t *testing.T) {
 
 // Seeded store.* faults make writes fail, but failed writes must never
 // corrupt what a later open recovers: every successfully-saved result comes
-// back verbatim, every failed save is absent, nothing in between.
+// back verbatim, every failed save is absent, nothing in between, and no
+// completed job is pending.
 func TestStoreFaultInjectionNeverCorruptsState(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42} {
 		seed := seed
@@ -438,19 +445,22 @@ func TestStoreFaultInjectionNeverCorruptsState(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := r.Recovered()
-			for key, res := range want {
-				got, ok := rec.Results[key]
-				if !ok {
+			for i := 0; i < n; i++ {
+				key := fmt.Sprintf("%08x-%08x", i, i*3)
+				got, ok := r.LoadResult(key)
+				res, saved := want[key]
+				switch {
+				case saved && !ok:
 					t.Fatalf("successfully saved result %s lost", key)
-				}
-				if !reflect.DeepEqual(got, res) {
-					t.Fatalf("recovered result %s differs", key)
+				case saved && !reflect.DeepEqual(got, res):
+					t.Fatalf("stored result %s differs", key)
+				case !saved && ok:
+					t.Fatalf("stored result %s was never successfully saved", key)
 				}
 			}
-			for key := range rec.Results {
-				if _, ok := want[key]; !ok {
-					t.Fatalf("recovered result %s was never successfully saved", key)
+			for _, pj := range r.Pending() {
+				if _, saved := want[pj.Key]; saved {
+					t.Fatalf("completed job %s recovered as pending", pj.Key)
 				}
 			}
 			// Failed writes never leave damage for recovery to quarantine —
