@@ -43,6 +43,12 @@
 // the service drains gracefully: /v1/healthz flips to 503 {"status":"draining"},
 // the listener closes, and in-flight jobs get -drain to finish.
 //
+// Fault injection: -inject arms a seeded plan (-inject-seed) of
+// site:kind:prob[:limit] entries, with kind transient or panic, at the
+// process boundary only: server.accept, before a request is routed, and
+// store.write, store.sync and store.rename, the steps of a snapshot
+// publish. An entry naming any other site fails startup.
+//
 // Endpoints:
 //
 //	POST /v1/jobs       submit a workload spec (JSON) or a trace binary; ?wait=1 blocks
@@ -86,7 +92,7 @@ import (
 )
 
 // injectExample is the -inject plan the flag's help suggests.
-const injectExample = "dram.read:panic:0.01:4,server.accept:latency:0.1,store.write:transient:0.05"
+const injectExample = "server.accept:panic:0.01:4,store.write:transient:0.05"
 
 func main() {
 	if err := run(os.Args[1:], nil, make(chan os.Signal, 1), true); err != nil {
@@ -107,7 +113,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	timeout := fs.Duration("timeout", 30*time.Minute, "job deadline (0 = none)")
 	maxBody := fs.Int64("max-body", 64<<20, "max trace upload bytes")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	inject := fs.String("inject", "", "fault-injection plan, e.g. '"+injectExample+"'; store.write/store.sync/store.rename exercise the durability layer (chaos testing; empty = off)")
+	inject := fs.String("inject", "", "fault-injection plan of site:kind:prob[:limit] entries, e.g. '"+injectExample+"'; sites server.accept, store.write, store.sync, store.rename; kinds transient, panic (chaos testing; empty = off)")
 	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
 	logFormat := fs.String("log-format", "", "log format: text or json (default text; env "+obs.EnvLogFormat+")")
@@ -195,7 +201,6 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 		jobs.WithTimeout(*timeout),
 		jobs.WithLogger(log),
 		jobs.WithTileWorkers(*tileWorkers),
-		jobs.WithFault(plan),
 		jobs.WithStore(st),
 	)
 	srv := server.New(pool, server.Limits{MaxBodyBytes: *maxBody})

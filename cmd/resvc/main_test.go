@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -19,6 +20,33 @@ func TestInjectExampleParses(t *testing.T) {
 	p, err := fault.Parse(1, injectExample)
 	if err != nil || p == nil {
 		t.Fatalf("fault.Parse(%q) = %v, %v; want a plan", injectExample, p, err)
+	}
+}
+
+// An -inject plan that names a site no code checks, a kind that does not
+// exist or a fifth field fails startup with an error naming the entry,
+// before the daemon listens.
+func TestRunRejectsBadInjectPlan(t *testing.T) {
+	for _, bad := range []string{
+		"dram.read:panic:0.1",
+		"store.wirte:transient:0.5",
+		"server.accept:latency:0.1",
+		"server.accept:transient:0.1:0:5ms",
+	} {
+		ready := make(chan string, 1)
+		sigs := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-inject", bad}, ready, sigs, false) }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+				t.Errorf("-inject %q: run = %v, want an error naming the entry", bad, err)
+			}
+		case addr := <-ready:
+			t.Errorf("-inject %q: daemon listening on %s, want a startup error", bad, addr)
+			sigs <- syscall.SIGTERM
+			<-done
+		}
 	}
 }
 

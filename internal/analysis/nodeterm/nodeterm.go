@@ -10,8 +10,10 @@
 // the 10-minute determinism soaks; this analyzer surfaces them at lint
 // time.
 //
-// Rules, in the deterministic packages (gpusim, trace, sig, crc, geom,
-// rast, tiling, texture):
+// Rules, in the deterministic packages — every package whose output feeds a
+// simulated number, a trace or a checkpoint: gpusim, trace, sig, crc, geom,
+// rast, tiling, texture, dram, cache, core, fb, shader, timing, energy, api,
+// wire and workload:
 //
 //   - no wall-clock or timer calls (time.Now, time.Since, time.Until,
 //     time.Tick, time.After, ...). time.Duration arithmetic is fine.
@@ -49,10 +51,13 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // deterministicPkgs name the packages whose every output feeds signatures,
-// CRCs or stats; the full rule set applies there.
+// CRCs, stats, traces or checkpoints; the full rule set applies there.
 var deterministicPkgs = map[string]bool{
 	"gpusim": true, "trace": true, "sig": true, "crc": true,
 	"geom": true, "rast": true, "tiling": true, "texture": true,
+	"dram": true, "cache": true, "core": true, "fb": true,
+	"shader": true, "timing": true, "energy": true, "api": true,
+	"wire": true, "workload": true,
 }
 
 // wallClock are the time package functions that read or schedule off the

@@ -9,7 +9,6 @@ package dram
 import (
 	"fmt"
 
-	"rendelim/internal/fault"
 	"rendelim/internal/wire"
 )
 
@@ -87,14 +86,6 @@ type DRAM struct {
 	cfg   Config
 	banks [][]bank
 	Stats Stats
-
-	// Fault, when non-nil, injects faults on every access (sites
-	// fault.SiteDRAMRead / SiteDRAMWrite). Transient and Panic kinds both
-	// panic with the fault error — the cache.NextLevel interface has no
-	// error channel, so an injected fault models an uncorrectable memory
-	// fault and surfaces through the job pool's panic isolation. Latency
-	// kinds sleep host time only and never change simulated results.
-	Fault *fault.Plan
 }
 
 // New builds the DRAM model; it panics on invalid configuration.
@@ -116,15 +107,6 @@ func (d *DRAM) Config() Config { return d.cfg }
 func (d *DRAM) access(addr uint64, size int, write bool) int {
 	if size <= 0 {
 		return 0
-	}
-	if d.Fault != nil {
-		site := fault.SiteDRAMRead
-		if write {
-			site = fault.SiteDRAMWrite
-		}
-		if err := d.Fault.Check(site); err != nil {
-			panic(err)
-		}
 	}
 	// Address mapping: channel-interleaved at row granularity so that
 	// streaming fills spread across channels, then bank, then row.

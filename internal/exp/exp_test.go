@@ -14,7 +14,7 @@ import (
 // scale (small screen, few frames), which is what a reproduction must
 // preserve even when absolute numbers differ.
 
-var testRunner = NewRunner(workload.Params{Width: 256, Height: 160, Frames: 12, Seed: 1})
+var testRunner = NewRunner(workload.Params{Width: 256, Height: 160, Frames: 12, Seed: 1}, 0, 0)
 
 func value(t *testing.T, tb *stats.Table, row string, col int) float64 {
 	t.Helper()
@@ -44,7 +44,7 @@ func TestSuiteAliasesOrder(t *testing.T) {
 }
 
 func TestResultCaching(t *testing.T) {
-	r := NewRunner(workload.Params{Width: 96, Height: 64, Frames: 4, Seed: 1})
+	r := NewRunner(workload.Params{Width: 96, Height: 64, Frames: 4, Seed: 1}, 0, 0)
 	a := r.Result("ccs", gpusim.Baseline)
 	b := r.Result("ccs", gpusim.Baseline)
 	if a.Total.TotalCycles() != b.Total.TotalCycles() {
@@ -222,6 +222,27 @@ func TestHashAblationShape(t *testing.T) {
 	}
 }
 
+// Exact binning gives each primitive a subset of its bounding-box tiles, so
+// a tile's signature can only lose inputs: every tile that bbox binning
+// eliminates stays eliminated, and the polluted ones can join them.
+func TestBinningAblationShape(t *testing.T) {
+	tb := testRunner.BinningAblation()
+	if len(tb.Rows) == 0 {
+		t.Fatal("binning ablation has no rows")
+	}
+	gained := false
+	for _, r := range tb.Rows {
+		bbox, exact := r.Values[0], r.Values[1]
+		if exact < bbox {
+			t.Errorf("%s: exact binning skips %.3f of tiles, bbox %.3f; want exact >= bbox", r.Label, exact, bbox)
+		}
+		gained = gained || exact > bbox
+	}
+	if !gained {
+		t.Error("exact binning skips no more tiles than bbox on any row; want a gain somewhere")
+	}
+}
+
 func TestTablesRender(t *testing.T) {
 	if !strings.Contains(testRunner.TableI(), "Tile size") {
 		t.Error("Table I missing content")
@@ -254,7 +275,7 @@ func TestFig01Shape(t *testing.T) {
 }
 
 func TestAblationTablesNonEmpty(t *testing.T) {
-	small := NewRunner(workload.Params{Width: 128, Height: 96, Frames: 6, Seed: 1})
+	small := NewRunner(workload.Params{Width: 128, Height: 96, Frames: 6, Seed: 1}, 0, 0)
 	for _, tb := range []*stats.Table{
 		small.OTQueueAblation(),
 		small.MemoLUTAblation(),

@@ -1,10 +1,11 @@
 // Package fault is a seeded, deterministic fault-injection framework for
-// chaos-testing the simulation stack. A Plan maps instrumented sites (by
-// name) to a probability, a bounded budget, and a set of fault kinds; each
-// site draws from its own PRNG seeded from (plan seed, site name), so the
-// decision sequence at one site never depends on how often other sites are
-// exercised or on goroutine interleaving — the totals a chaos test observes
-// are reproducible from the seed alone.
+// chaos-testing the service where the process meets the outside world. A
+// Plan maps instrumented sites (by name) to a probability, a bounded
+// budget, and a set of fault kinds; each site draws from its own PRNG
+// seeded from (plan seed, site name), so the decision sequence at one site
+// never depends on how often other sites are exercised or on goroutine
+// interleaving — the totals a chaos test observes are reproducible from the
+// seed alone.
 //
 // The disabled path is free: a nil *Plan is a valid receiver and Check
 // returns immediately without allocating (benchmarked at 0 allocs/op, like
@@ -13,13 +14,11 @@
 //
 // # Instrumented sites
 //
-// These are every built-in hook in the stack, usable in -inject specs
-// (site:kind:prob[:limit[:latency]]):
+// These are every built-in hook, and the only sites -inject specs
+// (site:kind:prob[:limit]) may name. The simulator and the job pool have
+// none: a job's own failure is a panic in its run, which the pool contains
+// whatever raised it.
 //
-//	dram.read      DRAM model read path. Panic = uncorrectable memory
-//	               fault; Latency = saturated memory controller (host time
-//	               only, never changes simulated results).
-//	dram.write     DRAM model write path; same kinds as dram.read.
 //	server.accept  In the HTTP handler before routing. Transient sheds the
 //	               request with 503; Panic exercises handler recovery.
 //	store.write    Durability-layer file writes (snapshot bodies).
@@ -39,18 +38,11 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // Instrumented site names. Sites are just strings — these constants cover
-// the stack's built-in hooks.
+// the stack's built-in hooks, which are the sites Parse accepts.
 const (
-	// SiteDRAMRead / SiteDRAMWrite fire inside the DRAM model's access
-	// path. Injected panics model uncorrectable memory faults; latency
-	// spikes model a saturated memory controller (host-time only — they
-	// never change simulated results).
-	SiteDRAMRead  = "dram.read"
-	SiteDRAMWrite = "dram.write"
 	// SiteServerAccept fires in the HTTP handler before routing.
 	SiteServerAccept = "server.accept"
 	// SiteStoreWrite / SiteStoreSync / SiteStoreRename fire in the
@@ -70,7 +62,6 @@ type Kind uint8
 const (
 	Transient Kind = iota // an error returned from the site
 	Panic                 // a panic thrown from the site
-	Latency               // a host-time sleep (triggers deadlines, changes no results)
 )
 
 // String implements fmt.Stringer.
@@ -80,23 +71,8 @@ func (k Kind) String() string {
 		return "transient"
 	case Panic:
 		return "panic"
-	case Latency:
-		return "latency"
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
-}
-
-// ParseKind is the inverse of String, for flag values.
-func ParseKind(s string) (Kind, error) {
-	switch s {
-	case "transient":
-		return Transient, nil
-	case "panic":
-		return Panic, nil
-	case "latency":
-		return Latency, nil
-	}
-	return Transient, fmt.Errorf("fault: unknown kind %q (want transient, panic or latency)", s)
 }
 
 // Site configures injection at one site.
@@ -109,8 +85,6 @@ type Site struct {
 	// Limit bounds how many faults the site may inject in total; 0 means
 	// unlimited. Chaos tests use it to bound how many jobs a plan fails.
 	Limit int
-	// Latency is the sleep duration for Latency-kind faults; default 1ms.
-	Latency time.Duration
 }
 
 // ErrInjected is the sentinel every injected fault error matches with
@@ -154,18 +128,11 @@ func New(seed int64) *Plan {
 	return &Plan{seed: seed, sites: make(map[string]*siteState)}
 }
 
-// Seed returns the plan's seed, for logging reproduction instructions.
-func (p *Plan) Seed() int64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
-}
-
 // With registers (or replaces) a site and returns the plan for chaining.
-// The site's PRNG is seeded from the plan seed and the site name, so
-// registration order and cross-site interleaving never change a site's
-// decision sequence.
+// It takes any name, so a test can arm a site of its own; Parse takes only
+// the built-in ones. The site's PRNG is seeded from the plan seed and the
+// site name, so registration order and cross-site interleaving never
+// change a site's decision sequence.
 func (p *Plan) With(name string, s Site) *Plan {
 	if len(s.Kinds) == 0 {
 		s.Kinds = []Kind{Transient}
@@ -183,9 +150,8 @@ func (p *Plan) With(name string, s Site) *Plan {
 
 // Check draws once at the named site. It returns nil on a nil plan, an
 // unregistered site, an exhausted budget, or a no-fault draw. Otherwise it
-// injects: Panic panics with a *Error, Latency sleeps and returns nil, and
-// Transient returns a *Error (matching ErrInjected) for the caller to
-// surface.
+// injects: Panic panics with a *Error, and Transient returns a *Error
+// (matching ErrInjected) for the caller to surface.
 func (p *Plan) Check(site string) error {
 	if p == nil {
 		return nil
@@ -202,24 +168,15 @@ func (p *Plan) Check(site string) error {
 	}
 	st.fired++
 	e := &Error{Site: site, Kind: st.Kinds[st.rng.Intn(len(st.Kinds))], Seq: st.fired}
-	lat := st.Latency
 	p.mu.Unlock()
 
-	switch e.Kind {
-	case Latency:
-		if lat <= 0 {
-			lat = time.Millisecond
-		}
-		time.Sleep(lat)
-		return nil
-	case Panic:
+	if e.Kind == Panic {
 		panic(e)
 	}
 	return e
 }
 
-// Fired returns how many faults the named site has injected so far
-// (latency spikes included).
+// Fired returns how many faults the named site has injected so far.
 func (p *Plan) Fired(site string) int {
 	if p == nil {
 		return 0
@@ -233,11 +190,13 @@ func (p *Plan) Fired(site string) int {
 }
 
 // Parse builds a plan from a comma-separated flag value of
-// site:kind:prob[:limit[:latency]] entries, e.g.
+// site:kind:prob[:limit] entries, e.g.
 //
-//	dram.read:panic:0.001:2,store.write:transient:0.3,server.accept:latency:0.1:0:50ms
+//	server.accept:panic:0.01:4,store.write:transient:0.3
 //
-// An empty spec returns a nil (disabled) plan.
+// Each site must be a built-in one (server.accept, store.write, store.sync
+// or store.rename), so a misspelled site is an error rather than a plan that
+// never fires. An empty spec returns a nil (disabled) plan.
 func Parse(seed int64, spec string) (*Plan, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" {
@@ -246,26 +205,32 @@ func Parse(seed int64, spec string) (*Plan, error) {
 	p := New(seed)
 	for _, entry := range strings.Split(spec, ",") {
 		parts := strings.Split(strings.TrimSpace(entry), ":")
-		if len(parts) < 3 || len(parts) > 5 {
-			return nil, fmt.Errorf("fault: bad spec entry %q (want site:kind:prob[:limit[:latency]])", entry)
+		if len(parts) < 3 || len(parts) > 4 {
+			return nil, fmt.Errorf("fault: bad spec entry %q (want site:kind:prob[:limit])", entry)
 		}
-		kind, err := ParseKind(parts[1])
-		if err != nil {
-			return nil, err
+		switch parts[0] {
+		case SiteServerAccept, SiteStoreWrite, SiteStoreSync, SiteStoreRename:
+		default:
+			return nil, fmt.Errorf("fault: unknown site %q in %q (want %s, %s, %s or %s)",
+				parts[0], entry, SiteServerAccept, SiteStoreWrite, SiteStoreSync, SiteStoreRename)
+		}
+		var kind Kind
+		switch parts[1] {
+		case "transient":
+			kind = Transient
+		case "panic":
+			kind = Panic
+		default:
+			return nil, fmt.Errorf("fault: unknown kind %q in %q (want transient or panic)", parts[1], entry)
 		}
 		prob, err := strconv.ParseFloat(parts[2], 64)
 		if err != nil || prob < 0 || prob > 1 {
 			return nil, fmt.Errorf("fault: bad probability %q in %q", parts[2], entry)
 		}
 		s := Site{Prob: prob, Kinds: []Kind{kind}}
-		if len(parts) >= 4 {
+		if len(parts) == 4 {
 			if s.Limit, err = strconv.Atoi(parts[3]); err != nil || s.Limit < 0 {
 				return nil, fmt.Errorf("fault: bad limit %q in %q", parts[3], entry)
-			}
-		}
-		if len(parts) == 5 {
-			if s.Latency, err = time.ParseDuration(parts[4]); err != nil {
-				return nil, fmt.Errorf("fault: bad latency %q in %q", parts[4], entry)
 			}
 		}
 		p.With(parts[0], s)

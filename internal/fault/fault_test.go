@@ -3,8 +3,8 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
-	"time"
 )
 
 // Two plans with the same seed must make identical decisions at every site,
@@ -13,15 +13,22 @@ func TestDeterministicAcrossInterleavings(t *testing.T) {
 	build := func() *Plan {
 		return New(42).
 			With("a", Site{Prob: 0.3, Kinds: []Kind{Transient}}).
-			With("b", Site{Prob: 0.5, Kinds: []Kind{Transient, Latency}})
+			With("b", Site{Prob: 0.5, Kinds: []Kind{Transient, Panic}})
 	}
-	// Each draw records its error and the site's fired count, so a latency
-	// fault, which returns nil, still shows.
+	// Each draw records what Check injected, a returned error or a
+	// recovered panic, so the kind each fault drew shows too.
+	check := func(p *Plan, site string) (got any) {
+		defer func() {
+			if r := recover(); r != nil {
+				got = r
+			}
+		}()
+		return p.Check(site)
+	}
 	draw := func(p *Plan, site string, n int) []string {
 		var out []string
 		for i := 0; i < n; i++ {
-			err := p.Check(site)
-			out = append(out, fmt.Sprintf("%v #%d", err, p.Fired(site)))
+			out = append(out, fmt.Sprint(check(p, site)))
 		}
 		return out
 	}
@@ -84,19 +91,8 @@ func TestPanicKind(t *testing.T) {
 	t.Fatal("Check did not panic")
 }
 
-func TestLatencyKindSleepsAndReturnsNil(t *testing.T) {
-	p := New(1).With("s", Site{Prob: 1, Limit: 1, Kinds: []Kind{Latency}, Latency: 20 * time.Millisecond})
-	start := time.Now()
-	if err := p.Check("s"); err != nil {
-		t.Fatalf("latency fault returned error %v", err)
-	}
-	if d := time.Since(start); d < 20*time.Millisecond {
-		t.Fatalf("slept only %v, want >= 20ms", d)
-	}
-}
-
 func TestParse(t *testing.T) {
-	p, err := Parse(7, "dram.read:panic:0.5:2,server.accept:latency:1:0:5ms")
+	p, err := Parse(7, "server.accept:panic:0.5:2,store.write:transient:1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,21 +100,37 @@ func TestParse(t *testing.T) {
 		t.Fatal("nil plan for non-empty spec")
 	}
 	p.mu.Lock()
-	dr, sa := p.sites["dram.read"], p.sites["server.accept"]
+	sa, sw := p.sites[SiteServerAccept], p.sites[SiteStoreWrite]
 	p.mu.Unlock()
-	if dr == nil || dr.Prob != 0.5 || dr.Limit != 2 || dr.Kinds[0] != Panic {
-		t.Fatalf("dram.read site = %+v", dr)
-	}
-	if sa == nil || sa.Kinds[0] != Latency || sa.Latency != 5*time.Millisecond {
+	if sa == nil || sa.Prob != 0.5 || sa.Limit != 2 || sa.Kinds[0] != Panic {
 		t.Fatalf("server.accept site = %+v", sa)
+	}
+	if sw == nil || sw.Prob != 1 || sw.Limit != 0 || sw.Kinds[0] != Transient {
+		t.Fatalf("store.write site = %+v", sw)
 	}
 
 	if p, err := Parse(1, ""); err != nil || p != nil {
 		t.Fatalf("empty spec: plan %v err %v, want nil/nil", p, err)
 	}
-	for _, bad := range []string{"x", "a:b:c", "s:transient:2", "s:panic:0.1:-1", "s:panic:0.1:0:zz"} {
-		if _, err := Parse(1, bad); err == nil {
+	for _, bad := range []string{
+		"x",
+		"a:b:c",
+		"store.sync:transient:2",
+		"store.sync:panic:0.1:-1",
+		"dram.read:panic:0.1",                // a site no code checks
+		"store.wirte:transient:0.5",          // a misspelled site
+		"server.accept:latency:0.1",          // no such kind
+		"server.accept:transient:0.1:0:5ms",  // no fifth field
+		"store.rename:transient:0.1,y:z:0.1", // one bad entry spoils the plan
+	} {
+		_, err := Parse(1, bad)
+		if err == nil {
 			t.Errorf("Parse(%q) succeeded, want error", bad)
+			continue
+		}
+		entry := bad[strings.LastIndex(bad, ",")+1:]
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", entry)) {
+			t.Errorf("Parse(%q) = %v, want an error naming %q", bad, err, entry)
 		}
 	}
 }
@@ -128,7 +140,7 @@ func TestParse(t *testing.T) {
 func TestDisabledZeroAlloc(t *testing.T) {
 	var p *Plan
 	if n := testing.AllocsPerRun(1000, func() {
-		if p.Check(SiteDRAMRead) != nil {
+		if p.Check(SiteServerAccept) != nil {
 			t.Fatal("nil plan injected")
 		}
 	}); n != 0 {
@@ -137,7 +149,7 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	// A live plan with the site unregistered must not allocate either.
 	live := New(1).With("other", Site{Prob: 1})
 	if n := testing.AllocsPerRun(1000, func() {
-		if live.Check(SiteDRAMRead) != nil {
+		if live.Check(SiteStoreWrite) != nil {
 			t.Fatal("unregistered site injected")
 		}
 	}); n != 0 {
@@ -149,7 +161,7 @@ func BenchmarkCheckDisabled(b *testing.B) {
 	var p *Plan
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if p.Check(SiteDRAMRead) != nil {
+		if p.Check(SiteServerAccept) != nil {
 			b.Fatal("nil plan injected")
 		}
 	}

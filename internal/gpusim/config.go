@@ -10,11 +10,11 @@ package gpusim
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"rendelim/internal/cache"
 	"rendelim/internal/crc"
 	"rendelim/internal/dram"
-	"rendelim/internal/fault"
 	"rendelim/internal/obs"
 	"rendelim/internal/rerr"
 	"rendelim/internal/sig"
@@ -116,13 +116,6 @@ type Config struct {
 	// changes results.
 	Tracer *obs.Tracer `json:"-"`
 
-	// Fault, when non-nil, threads a fault-injection plan into the
-	// simulator (currently the DRAM model's dram.read / dram.write sites).
-	// Injection is host-level chaos: a run that completes despite faults
-	// is byte-identical to a fault-free run, so — like Tracer and
-	// TileWorkers — the plan is excluded from the job signature.
-	Fault *fault.Plan `json:"-"`
-
 	// TileWorkers sets how many host goroutines render tiles concurrently
 	// during the raster phase: 0 or 1 runs serially, n > 1 uses exactly n
 	// workers, and a negative value uses one worker per host CPU
@@ -131,6 +124,16 @@ type Config struct {
 	// worker count (see parallel.go) — so it is excluded from the job
 	// signature, like Tracer.
 	TileWorkers int `json:"-"`
+}
+
+// TileWorkerCount resolves a TileWorkers value to the number of raster
+// goroutines it runs: negative means one per host CPU, and anything below
+// 1 means 1 (serial).
+func TileWorkerCount(n int) int {
+	if n < 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	return max(n, 1)
 }
 
 // DefaultConfig returns the Table I configuration.
@@ -190,8 +193,7 @@ const ModelFingerprint uint32 = 0x1e1973fc
 // AppendSigned appends the canonical encoding of everything in c that can
 // change a simulated result: ModelFingerprint, then every field not tagged
 // json:"-", in declaration order. Job keys sign these bytes; the host-only
-// fields (Tracer, Fault, TileWorkers) never change a result and are left
-// out.
+// fields (Tracer, TileWorkers) never change a result and are left out.
 func (c *Config) AppendSigned(b []byte) []byte {
 	b = wire.AppendU32(b, ModelFingerprint)
 	b = wire.AppendU8(b, uint8(c.Technique))

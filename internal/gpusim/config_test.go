@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"rendelim/internal/fault"
 	"rendelim/internal/obs"
 )
 
@@ -76,9 +75,8 @@ func TestAppendSignedCoversEveryField(t *testing.T) {
 	// The host-only fields never change a result, so they are not signed.
 	host := DefaultConfig()
 	host.Tracer = obs.NewTracer()
-	host.Fault = fault.New(1)
 	host.TileWorkers = 4
 	if !bytes.Equal(host.AppendSigned(nil), want) {
-		t.Error("Tracer, Fault or TileWorkers moved the signed bytes")
+		t.Error("Tracer or TileWorkers moved the signed bytes")
 	}
 }

@@ -3,7 +3,6 @@ package gpusim
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"rendelim/internal/api"
 	"rendelim/internal/cache"
@@ -125,10 +124,6 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.traceSig = crc.Checksum(fmt.Appendf(nil, "%s/%dx%d/%d/%s",
 		trace.Name, trace.Width, trace.Height, len(trace.Frames), cfg.Technique))
 	s.dram = dram.New(cfg.DRAM)
-	// DRAM accesses happen only on serial phases (geometry and raster
-	// commit), never inside parallel render workers, so injected panics
-	// always unwind through RunFrame on the calling goroutine.
-	s.dram.Fault = cfg.Fault
 	port := dramPort{s}
 	s.l2 = cache.New(cfg.L2Cache, port)
 	s.vcache = cache.New(cfg.VertexCache, s.l2)
@@ -151,17 +146,9 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.clearColor = texture.PackColor(trace.ClearColor)
 	s.skipCounts = make([]uint32, s.fbuf.NumTiles())
 
-	// Resolve the tile-worker count: <0 means one worker per host CPU, 0 and
-	// 1 mean serial. Worker state persists across frames.
-	nw := cfg.TileWorkers
-	if nw < 0 {
-		nw = runtime.GOMAXPROCS(0)
-	}
-	if nw < 1 {
-		nw = 1
-	}
-	s.tileWorkers = nw
-	s.workers = make([]*rasterWorker, nw)
+	// Worker state persists across frames.
+	s.tileWorkers = TileWorkerCount(cfg.TileWorkers)
+	s.workers = make([]*rasterWorker, s.tileWorkers)
 	for i := range s.workers {
 		s.workers[i] = newRasterWorker(s, i)
 	}

@@ -63,13 +63,22 @@ func runSuite(t *testing.T, p *Pool, specs []Spec) []gpusim.Result {
 	return results
 }
 
-// TestChaosSoak runs the suite under seeded DRAM panics, the fault the
-// simulation itself raises mid-frame, and asserts the failure model: a job
-// runs once, so each fired panic fails exactly the job it hit, with an error
-// wrapping rerr.ErrWorkerPanic, and every other job's result is
-// byte-identical to a fault-free run (per-frame stats and framebuffer CRC).
-// The workers survive their jobs' panics: once the plan is spent, the pool
-// runs a failed job's resubmission to the fault-free result.
+// chaosSite is TestChaosSoak's own fault site, which its runner checks at
+// every frame boundary inside a run.
+const chaosSite = "chaos.frame"
+
+// TestChaosSoak runs the suite through a runner that panics at seeded frame
+// boundaries mid-run, and asserts the failure model: a job runs once, so
+// each fired panic fails exactly the job it hit, with an error wrapping
+// rerr.ErrWorkerPanic, and every other job's result is byte-identical to
+// the built-in runner's fault-free run (per-frame stats and framebuffer
+// CRC). The workers survive their jobs' panics: once the plan is spent, the
+// pool runs a failed job's resubmission to the fault-free result.
+//
+// The site's draws form one seeded sequence whatever the interleaving, and
+// its third fault is draw 19 of it: the 33 boundaries of the 11 jobs give
+// at least 29 draws before that fault (two failed jobs skip at most four),
+// so exactly three jobs fail on every run.
 func TestChaosSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak is seconds-long; skipped in -short")
@@ -82,8 +91,30 @@ func TestChaosSoak(t *testing.T) {
 
 	const limit = 3
 	plan := fault.New(42).
-		With(fault.SiteDRAMRead, fault.Site{Prob: 0.002, Limit: limit, Kinds: []fault.Kind{fault.Panic}})
-	chaos := NewPool(WithWorkers(4), WithFault(plan), WithLogger(quietLogger()))
+		With(chaosSite, fault.Site{Prob: 0.1, Limit: limit, Kinds: []fault.Kind{fault.Panic}})
+	run := func(_ context.Context, spec Spec, _ func(string, time.Duration)) (gpusim.Result, error) {
+		tr, err := specTrace(spec)
+		if err != nil {
+			return gpusim.Result{}, err
+		}
+		cfg := spec.config()
+		sim, err := gpusim.New(tr, cfg)
+		if err != nil {
+			return gpusim.Result{}, err
+		}
+		res := gpusim.Result{Technique: cfg.Technique, Name: tr.Name}
+		for i := range tr.Frames {
+			if i > 0 {
+				plan.Check(chaosSite) // a panic-only site: it panics or returns nil
+			}
+			fs := sim.RunFrame(&tr.Frames[i])
+			res.Frames = append(res.Frames, fs)
+			res.Total.Add(fs)
+		}
+		res.FBCRC = sim.FrameBufferCRC()
+		return res, nil
+	}
+	chaos := NewPool(WithWorkers(4), WithRun(run), WithLogger(quietLogger()))
 	defer chaos.Close(context.Background())
 
 	js := make([]*Job, len(specs))
@@ -100,7 +131,7 @@ func TestChaosSoak(t *testing.T) {
 		switch {
 		case err == nil:
 			if !reflect.DeepEqual(got, want[i]) {
-				t.Errorf("spec %d (%s): result diverges under fault injection", i, specs[i].Alias)
+				t.Errorf("spec %d (%s): result diverges from the fault-free run", i, specs[i].Alias)
 			}
 		case errors.Is(err, rerr.ErrWorkerPanic) && errors.Is(err, fault.ErrInjected):
 			failed = append(failed, i)
@@ -109,7 +140,7 @@ func TestChaosSoak(t *testing.T) {
 		}
 	}
 
-	fired := plan.Fired(fault.SiteDRAMRead)
+	fired := plan.Fired(chaosSite)
 	t.Logf("%d of %d jobs failed by injected panics", len(failed), len(specs))
 	if len(failed) == 0 || len(failed) != fired {
 		t.Fatalf("%d jobs failed and %d faults fired, want equal counts above 0", len(failed), fired)

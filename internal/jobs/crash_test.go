@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"rendelim/internal/api"
 	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/store"
@@ -414,7 +415,7 @@ func crashAndResume(t *testing.T, spec Spec, frames int) {
 // changes the result. Each case runs one 3-frame job on its own store.
 func TestCheckpointPeriod(t *testing.T) {
 	spec := Spec{Alias: "ccs", Params: workload.Params{Width: 96, Height: 64, Frames: 3, Seed: 1}, Tech: gpusim.RE}
-	run := func(t *testing.T, opts ...Option) (gpusim.Result, *store.Store) {
+	run := func(t *testing.T, spec Spec, opts ...Option) (gpusim.Result, *store.Store) {
 		t.Helper()
 		st := openTestStore(t, t.TempDir(), nil)
 		p := NewPool(append([]Option{WithWorkers(1), WithStore(st), WithLogger(quietLogger())}, opts...)...)
@@ -429,10 +430,10 @@ func TestCheckpointPeriod(t *testing.T) {
 		}
 		return len(files)
 	}
-	want, _ := run(t, withCheckpointPeriod(0))
+	want, _ := run(t, spec, withCheckpointPeriod(0))
 
 	t.Run("default period", func(t *testing.T) {
-		got, st := run(t)
+		got, st := run(t, spec)
 		if n := st.Metrics().SnapshotsWritten.Load(); n != 2 {
 			t.Errorf("published %d snapshots, want 2: the spec and the result, and no checkpoint of a job that ends within a period", n)
 		}
@@ -445,7 +446,7 @@ func TestCheckpointPeriod(t *testing.T) {
 	})
 
 	t.Run("period 0", func(t *testing.T) {
-		_, st := run(t, withCheckpointPeriod(0))
+		_, st := run(t, spec, withCheckpointPeriod(0))
 		// Boundaries after frames 1 and 2; one after frame 3 would make 5.
 		if n := st.Metrics().SnapshotsWritten.Load(); n != 4 {
 			t.Errorf("published %d snapshots, want 4: the spec, two checkpoints, none after the last frame, and the result", n)
@@ -456,17 +457,31 @@ func TestCheckpointPeriod(t *testing.T) {
 	})
 
 	t.Run("frame longer than the period", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("waits out a one-second period; skipped in -short")
+		// An upload whose frame 0 replays its own commands 16 times runs
+		// far past a 10 ms period, so the boundary after it checkpoints;
+		// frames 1 and 2 draw nothing and end well within the next period,
+		// and frame 2 is the last.
+		b, err := workload.ByAlias("ccs")
+		if err != nil {
+			t.Fatal(err)
 		}
-		// One DRAM read of frame 0 stalls past the period, so the boundary
-		// after frame 0 checkpoints; frames 1 and 2 end well within the
-		// next period, and frame 2 is the last.
-		plan := fault.New(1).With(fault.SiteDRAMRead,
-			fault.Site{Prob: 1, Limit: 1, Kinds: []fault.Kind{fault.Latency}, Latency: checkpointPeriod + 100*time.Millisecond})
-		got, st := run(t, WithFault(plan))
-		if n := st.Metrics().SnapshotsWritten.Load(); n != 3 {
-			t.Errorf("published %d snapshots, want 3: the spec, one checkpoint and the result", n)
+		tr := b.Build(workload.Params{Width: 128, Height: 96, Frames: 3, Seed: 1})
+		var heavy []api.Command
+		for i := 0; i < 16; i++ {
+			heavy = append(heavy, tr.Frames[0].Commands...)
+		}
+		tr.Frames[0].Commands = heavy
+		tr.Frames[1].Commands, tr.Frames[2].Commands = nil, nil
+		var buf bytes.Buffer
+		if err := trace.Encode(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		upload := Spec{TraceBin: buf.Bytes(), Tech: gpusim.RE}
+
+		want, _ := run(t, upload, withCheckpointPeriod(0))
+		got, st := run(t, upload, withCheckpointPeriod(10*time.Millisecond))
+		if n := st.Metrics().SnapshotsWritten.Load(); n != 4 {
+			t.Errorf("published %d snapshots, want 4: the trace blob, the spec, one checkpoint and the result", n)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Error("result differs from the same job checkpointed at every boundary")

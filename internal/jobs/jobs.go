@@ -570,9 +570,9 @@ func (p *Pool) runOnce(j *Job) (res gpusim.Result, err error) {
 }
 
 // DefaultRun builds the trace (decode the upload or build the alias), then
-// simulates serially with cancellation honored at frame boundaries, so
-// timeouts and cancellation interrupt long runs. It is the pool's runner
-// without the pool: no checkpoints, no fault plan of its own.
+// simulates with cancellation honored at frame boundaries, so timeouts and
+// cancellation interrupt long runs. It is the pool's runner without the
+// pool: it takes no checkpoints and keeps the spec config's TileWorkers.
 func DefaultRun(ctx context.Context, spec Spec, observe func(stage string, d time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
 	tr, err := specTrace(spec)

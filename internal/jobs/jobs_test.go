@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/lru"
 	"rendelim/internal/obs"
@@ -79,12 +78,11 @@ func TestKeyDiscriminates(t *testing.T) {
 	host := gpusim.DefaultConfig()
 	host.Tracer = obs.NewTracer()
 	host.TileWorkers = 4
-	host.Fault = fault.New(1)
 	host.Technique = gpusim.Memo
 	g := spec("ccs")
 	g.Config = &host
 	if a.Key() != g.Key() {
-		t.Error("Tracer, TileWorkers, Fault or Config.Technique moved the key")
+		t.Error("Tracer, TileWorkers or Config.Technique moved the key")
 	}
 	lut512, lut2048 := gpusim.DefaultConfig(), gpusim.DefaultConfig()
 	lut512.MemoLUTEntries = 512

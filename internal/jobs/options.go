@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"time"
 
-	"rendelim/internal/fault"
 	"rendelim/internal/gpusim"
 	"rendelim/internal/lru"
 	"rendelim/internal/store"
@@ -21,23 +20,10 @@ type options struct {
 	Timeout     time.Duration
 	Run         RunFunc
 	Logger      *slog.Logger
-	Fault       *fault.Plan
 	Store       *store.Store
 	TileWorkers int
 	// CheckpointPeriod is checkpointPeriod; only tests set another value.
 	CheckpointPeriod time.Duration
-}
-
-// effectiveTileWorkers resolves the TileWorkers option the way gpusim does.
-func (o options) effectiveTileWorkers() int {
-	tw := o.TileWorkers
-	if tw < 0 {
-		tw = runtime.GOMAXPROCS(0)
-	}
-	if tw < 1 {
-		tw = 1
-	}
-	return tw
 }
 
 // Option configures a Pool built with NewPool. Options compose left to
@@ -57,7 +43,7 @@ func NewPool(opts ...Option) *Pool {
 	if o.Workers <= 0 {
 		// Share the host between the job pool and each job's tile workers:
 		// Workers * TileWorkers ≈ GOMAXPROCS.
-		o.Workers = runtime.GOMAXPROCS(0) / o.effectiveTileWorkers()
+		o.Workers = runtime.GOMAXPROCS(0) / gpusim.TileWorkerCount(o.TileWorkers)
 		if o.Workers < 1 {
 			o.Workers = 1
 		}
@@ -123,11 +109,6 @@ func WithRun(fn RunFunc) Option { return func(o *options) { o.Run = fn } }
 // WithLogger sets the structured job-lifecycle logger. Default
 // slog.Default().
 func WithLogger(l *slog.Logger) Option { return func(o *options) { o.Logger = l } }
-
-// WithFault threads a deterministic fault plan into each simulation's
-// config, where the DRAM model checks its dram.read and dram.write sites.
-// Nil costs nothing.
-func WithFault(p *fault.Plan) Option { return func(o *options) { o.Fault = p } }
 
 // WithStore makes job state durable: each leader's spec, its frame-boundary
 // checkpoints and its completed result are published as store files, the

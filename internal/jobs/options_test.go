@@ -26,7 +26,7 @@ func TestNewPoolDefaults(t *testing.T) {
 	if o.Workers != wantWorkers || o.QueueDepth != 1024 || o.CacheSize != 512 ||
 		o.Logger != slog.Default() || o.CheckpointPeriod != time.Second ||
 		o.Timeout != 0 || o.TileWorkers != 0 ||
-		o.Run != nil || o.Fault != nil || o.Store != nil {
+		o.Run != nil || o.Store != nil {
 		t.Errorf("NewPool() defaults = %+v, want Workers=%d QueueDepth=1024 CacheSize=512 "+
 			"Logger=slog.Default() CheckpointPeriod=1s and everything else zero", o, wantWorkers)
 	}

@@ -21,11 +21,11 @@ const checkpointPeriod = time.Second
 
 // runResumable is the pool's built-in executor: like DefaultRun it builds
 // the trace and simulates with cancellation honored at frame boundaries, but
-// it also threads the pool's fault plan into the simulation, resumes a job
-// recovered from the store from its persisted checkpoint, and, for a job
-// whose spec reached the store, persists a checkpoint at the first frame
-// boundary reached at least one checkpoint period after the run began or
-// after its previous checkpoint, never after the last frame.
+// it also sets the pool's tile workers, resumes a job recovered from the
+// store from its persisted checkpoint, and, for a job whose spec reached
+// the store, persists a checkpoint at the first frame boundary reached at
+// least one checkpoint period after the run began or after its previous
+// checkpoint, never after the last frame.
 func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, time.Duration)) (gpusim.Result, error) {
 	buildStart := time.Now()
 	tr, err := specTrace(j.spec)
@@ -34,7 +34,6 @@ func (p *Pool) runResumable(ctx context.Context, j *Job, observe func(string, ti
 	}
 	cfg := j.spec.config()
 	cfg.TileWorkers = p.opts.TileWorkers
-	cfg.Fault = p.opts.Fault
 	sim, err := gpusim.New(tr, cfg)
 	if err != nil {
 		return gpusim.Result{}, err

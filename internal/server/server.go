@@ -138,9 +138,9 @@ func (s *Server) SetTracer(t *obs.Tracer) {
 // requests; nil serves an empty array.
 func (s *Server) SetJournal(j *obs.Journal) { s.journal = j }
 
-// SetFaultPlan arms fault injection at the server.accept site (and nothing
-// else — the pool carries its own plan). Safe to call concurrently with
-// request serving; nil disarms.
+// SetFaultPlan arms fault injection at the server.accept site, the only
+// one the server checks. Safe to call concurrently with request serving;
+// nil disarms.
 func (s *Server) SetFaultPlan(p *fault.Plan) { s.fplan.Store(p) }
 
 // StartDraining flips /v1/healthz to 503 {"status":"draining"} so load
@@ -228,8 +228,8 @@ func (s *Server) Handler() http.Handler {
 					"trace_id", tc.TraceIDString(), "span_id", tc.SpanIDString())
 			}
 		}()
-		// Injected accept-path fault: Latency sleeps inside Check, Panic
-		// unwinds into the recover above, Transient sheds the request.
+		// Injected accept-path fault: Panic unwinds into the recover above,
+		// Transient sheds the request.
 		if err := s.fplan.Load().Check(fault.SiteServerAccept); err != nil {
 			w.Header().Set("Retry-After", "1")
 			httpError(sw, http.StatusServiceUnavailable, "injected fault: "+err.Error())
