@@ -4,6 +4,7 @@ import (
 	"rendelim/internal/api"
 	"rendelim/internal/geom"
 	"rendelim/internal/shader"
+	"rendelim/internal/workload"
 )
 
 // Command-stream surface: everything needed to author custom traces against
@@ -82,24 +83,16 @@ func MVPUniforms(m Mat4) SetUniforms {
 // Standard shader programs (the registry the synthetic suite uses):
 // index 0 is the transform vertex shader, the rest are fragment shaders.
 const (
-	ProgTransformVS = 0
-	ProgFlatFS      = 1
-	ProgVColorFS    = 2
-	ProgTexFS       = 3
-	ProgLambertFS   = 4
+	ProgTransformVS = workload.ProgTransformVS
+	ProgFlatFS      = workload.ProgFlatFS
+	ProgVColorFS    = workload.ProgVColorFS
+	ProgTexFS       = workload.ProgTexFS
+	ProgLambertFS   = workload.ProgLambertFS
 )
 
 // StandardPrograms returns fresh copies of the standard program registry for
 // embedding in a custom trace.
-func StandardPrograms() []*Program {
-	return []*Program{
-		shader.TransformVS(2),
-		shader.FlatFS(),
-		shader.VertexColorFS(),
-		shader.TexturedFS(),
-		shader.LambertTexFS(),
-	}
-}
+func StandardPrograms() []*Program { return workload.StandardPrograms() }
 
 // QuadVerts appends the two triangles of an axis-aligned quad to data,
 // using the standard 3-attribute layout (position, color, uv), and returns

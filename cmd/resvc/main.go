@@ -47,7 +47,8 @@
 // site:kind:prob[:limit] entries, with kind transient or panic, at the
 // process boundary only: server.accept, before a request is routed, and
 // store.write, store.sync and store.rename, the steps of a snapshot
-// publish. An entry naming any other site fails startup.
+// publish. An entry naming any other site, or a store.* site without
+// -data-dir, fails startup.
 //
 // Endpoints:
 //
@@ -113,7 +114,7 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	timeout := fs.Duration("timeout", 30*time.Minute, "job deadline (0 = none)")
 	maxBody := fs.Int64("max-body", 64<<20, "max trace upload bytes")
 	drain := fs.Duration("drain", 30*time.Second, "graceful shutdown budget")
-	inject := fs.String("inject", "", "fault-injection plan of site:kind:prob[:limit] entries, e.g. '"+injectExample+"'; sites server.accept, store.write, store.sync, store.rename; kinds transient, panic (chaos testing; empty = off)")
+	inject := fs.String("inject", "", "fault-injection plan of site:kind:prob[:limit] entries, e.g. '"+injectExample+"'; sites server.accept, store.write, store.sync, store.rename (store.* need -data-dir); kinds transient, panic (chaos testing; empty = off)")
 	injectSeed := fs.Int64("inject-seed", 1, "fault-injection PRNG seed")
 	logLevel := fs.String("log-level", "", "log level: debug, info, warn, error (default info; env "+obs.EnvLogLevel+")")
 	logFormat := fs.String("log-format", "", "log format: text or json (default text; env "+obs.EnvLogFormat+")")
@@ -140,6 +141,16 @@ func run(args []string, ready chan<- string, sigs chan os.Signal, installSignals
 	plan, err := fault.Parse(*injectSeed, *inject)
 	if err != nil {
 		return err
+	}
+	if plan != nil && *dataDir == "" {
+		// Only the store checks the store.* sites, and it opens only with
+		// -data-dir: without one such an entry would never fire.
+		for _, entry := range strings.Split(*inject, ",") {
+			entry = strings.TrimSpace(entry)
+			if strings.HasPrefix(entry, "store.") {
+				return fmt.Errorf("-inject entry %q needs -data-dir: only the store checks its site", entry)
+			}
+		}
 	}
 	if plan != nil {
 		log.Warn("fault injection armed", "plan", *inject, "seed", *injectSeed)

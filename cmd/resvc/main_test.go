@@ -15,7 +15,7 @@ import (
 )
 
 // The -inject example in the flag's help must be a plan resvc accepts, so
-// pasting it starts the daemon.
+// pasting it starts the daemon (with -data-dir, for its store entry).
 func TestInjectExampleParses(t *testing.T) {
 	p, err := fault.Parse(1, injectExample)
 	if err != nil || p == nil {
@@ -25,22 +25,26 @@ func TestInjectExampleParses(t *testing.T) {
 
 // An -inject plan that names a site no code checks, a kind that does not
 // exist or a fifth field fails startup with an error naming the entry,
-// before the daemon listens.
+// before the daemon listens. So does a store.* site without -data-dir: no
+// store runs to check it.
 func TestRunRejectsBadInjectPlan(t *testing.T) {
-	for _, bad := range []string{
-		"dram.read:panic:0.1",
-		"store.wirte:transient:0.5",
-		"server.accept:latency:0.1",
-		"server.accept:transient:0.1:0:5ms",
+	for _, tc := range []struct{ bad, entry string }{
+		{"dram.read:panic:0.1", "dram.read:panic:0.1"},
+		{"store.wirte:transient:0.5", "store.wirte:transient:0.5"},
+		{"server.accept:latency:0.1", "server.accept:latency:0.1"},
+		{"server.accept:transient:0.1:0:5ms", "server.accept:transient:0.1:0:5ms"},
+		{"store.write:transient:1", "store.write:transient:1"},
+		{"server.accept:panic:0.1, store.sync:transient:1", "store.sync:transient:1"},
 	} {
+		bad := tc.bad
 		ready := make(chan string, 1)
 		sigs := make(chan os.Signal, 1)
 		done := make(chan error, 1)
 		go func() { done <- run([]string{"-addr", "127.0.0.1:0", "-inject", bad}, ready, sigs, false) }()
 		select {
 		case err := <-done:
-			if err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
-				t.Errorf("-inject %q: run = %v, want an error naming the entry", bad, err)
+			if err == nil || !strings.Contains(err.Error(), strconv.Quote(tc.entry)) {
+				t.Errorf("-inject %q: run = %v, want an error naming %q", bad, err, tc.entry)
 			}
 		case addr := <-ready:
 			t.Errorf("-inject %q: daemon listening on %s, want a startup error", bad, addr)

@@ -12,8 +12,8 @@
 //
 // Rules, in the deterministic packages — every package whose output feeds a
 // simulated number, a trace or a checkpoint: gpusim, trace, sig, crc, geom,
-// rast, tiling, texture, dram, cache, core, fb, shader, timing, energy, api,
-// wire and workload:
+// rast, tiling, texture, dram, cache, fb, shader, timing, energy, api, wire
+// and workload:
 //
 //   - no wall-clock or timer calls (time.Now, time.Since, time.Until,
 //     time.Tick, time.After, ...). time.Duration arithmetic is fine.
@@ -55,7 +55,7 @@ var Analyzer = &analysis.Analyzer{
 var deterministicPkgs = map[string]bool{
 	"gpusim": true, "trace": true, "sig": true, "crc": true,
 	"geom": true, "rast": true, "tiling": true, "texture": true,
-	"dram": true, "cache": true, "core": true, "fb": true,
+	"dram": true, "cache": true, "fb": true,
 	"shader": true, "timing": true, "energy": true, "api": true,
 	"wire": true, "workload": true,
 }

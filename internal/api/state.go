@@ -115,10 +115,6 @@ func b2b(v bool) byte {
 	return 0
 }
 
-// PrimitiveBytes returns the size in bytes of one primitive's attribute
-// block for a drawcall with numAttrs attributes per vertex.
-func PrimitiveBytes(numAttrs int) int { return 3 * numAttrs * 16 }
-
 // AppendPrimitive appends triangle tri of drawcall d to dst: the attributes
 // of its three (possibly indexed) vertices, in submission order. Indexed and
 // flat submissions of the same geometry therefore sign identically.

@@ -56,14 +56,6 @@ type Stats struct {
 	WriteBytes uint64 // bytes written back to the next level
 }
 
-// HitRate returns hits/accesses, or 0 for an idle cache.
-func (s Stats) HitRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Accesses)
-}
-
 // Add accumulates o into s.
 func (s *Stats) Add(o Stats) {
 	s.Accesses += o.Accesses
@@ -198,28 +190,6 @@ func (c *Cache) Read(addr uint64, size int) int { return c.Access(addr, size, fa
 
 // Write is the NextLevel write adapter.
 func (c *Cache) Write(addr uint64, size int) int { return c.Access(addr, size, true) }
-
-// Flush writes back every dirty line and invalidates the cache, returning
-// the number of lines written back. Used between frames when required.
-func (c *Cache) Flush() int {
-	wb := 0
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
-				wb++
-				c.Stats.Writebacks++
-				c.Stats.WriteBytes += uint64(c.cfg.LineBytes)
-				c.next.Write(c.lineBase(l.tag, uint64(si)), c.cfg.LineBytes)
-			}
-			*l = line{}
-		}
-	}
-	return wb
-}
-
-// ResetStats zeroes the counters while keeping cache contents.
-func (c *Cache) ResetStats() { c.Stats = Stats{} }
 
 // AppendState appends the cache's full replacement state for a simulator
 // checkpoint — every line's tag, validity, dirtiness and LRU stamp, set by

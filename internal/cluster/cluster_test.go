@@ -154,8 +154,8 @@ func TestForwardSubmitPeerUnavailable(t *testing.T) {
 	if c.Metrics().ForwardErrors.Load() != 1 {
 		t.Errorf("ForwardErrors = %d, want 1", c.Metrics().ForwardErrors.Load())
 	}
-	if c.Metrics().ForwardSeconds.Count() != 1 {
-		t.Errorf("ForwardSeconds count = %d, want 1 (failed hops are observed too)", c.Metrics().ForwardSeconds.Count())
+	if c.Metrics().ForwardSeconds.Snapshot().Count != 1 {
+		t.Errorf("ForwardSeconds count = %d, want 1 (failed hops are observed too)", c.Metrics().ForwardSeconds.Snapshot().Count)
 	}
 }
 

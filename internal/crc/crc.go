@@ -13,7 +13,8 @@
 //     GF(2) matrix squaring (O(log n)), and the hardware LUT subunits of
 //     Figures 10 and 11 (see parallel.go);
 //
-//   - Combine, the submessage combination step of Algorithm 1.
+//   - the signature schemes of scheme.go, whose CRC32 Accumulate is the
+//     submessage combination step of Algorithm 1.
 //
 // The reflected IEEE polynomial 0xEDB88320 is used, so the raw CRC is
 // hash/crc32's IEEE CRC without its conditioning: hash/crc32 complements
@@ -83,13 +84,6 @@ func ShiftZeros(crc uint32, n int) uint32 {
 		crc = byteTable[byte(crc)] ^ (crc >> 8)
 	}
 	return crc
-}
-
-// Combine implements one loop iteration of Algorithm 1: given the CRC of a
-// prefix A and the CRC of a submessage B of lenB bytes, it returns the CRC of
-// the concatenation A ‖ B.
-func Combine(crcA, crcB uint32, lenB int) uint32 {
-	return ShiftZerosFast(crcA, lenB) ^ crcB
 }
 
 // --- GF(2) matrix fast path -------------------------------------------------

@@ -61,17 +61,6 @@ type Stats struct {
 	BusBusyCycles uint64 // channel-cycles spent bursting
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Reads += o.Reads
-	s.Writes += o.Writes
-	s.ReadBytes += o.ReadBytes
-	s.WriteBytes += o.WriteBytes
-	s.RowHits += o.RowHits
-	s.RowMisses += o.RowMisses
-	s.BusBusyCycles += o.BusBusyCycles
-}
-
 // TotalBytes returns the total traffic.
 func (s Stats) TotalBytes() uint64 { return s.ReadBytes + s.WriteBytes }
 
@@ -99,9 +88,6 @@ func New(cfg Config) *DRAM {
 	}
 	return &DRAM{cfg: cfg, banks: banks}
 }
-
-// Config returns the model's configuration.
-func (d *DRAM) Config() Config { return d.cfg }
 
 // access serves one request and returns its latency in GPU cycles.
 func (d *DRAM) access(addr uint64, size int, write bool) int {
@@ -148,17 +134,6 @@ func (d *DRAM) Write(addr uint64, size int) int {
 	d.access(addr, size, true)
 	return 0
 }
-
-// MinTransferCycles returns the minimum number of GPU cycles needed to move
-// n bytes given the aggregate bandwidth — the bandwidth wall the timing
-// model enforces on each pipeline phase.
-func (d *DRAM) MinTransferCycles(n uint64) uint64 {
-	agg := uint64(d.cfg.Channels * d.cfg.BytesPerCycle)
-	return (n + agg - 1) / agg
-}
-
-// ResetStats zeroes the counters while keeping row-buffer state.
-func (d *DRAM) ResetStats() { d.Stats = Stats{} }
 
 // AppendState appends the open-row state of every bank, channel by
 // channel, then the counters, for simulator checkpoints: a model read back

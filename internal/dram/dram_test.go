@@ -53,7 +53,7 @@ func TestRowBufferTracking(t *testing.T) {
 	if d.Stats.RowMisses != 1 || d.Stats.RowHits != 2 {
 		t.Fatalf("row stats: %+v", d.Stats)
 	}
-	d.Read(uint64(d.Config().RowBytes)*16, 64) // same channel? different row regardless
+	d.Read(uint64(Default().RowBytes)*16, 64) // same channel? different row regardless
 	if d.Stats.RowMisses < 2 {
 		t.Fatalf("expected a second activation: %+v", d.Stats)
 	}
@@ -63,7 +63,7 @@ func TestChannelInterleavingSpreadsRows(t *testing.T) {
 	d := New(Default())
 	// Consecutive rows land on alternating channels, so both get opened.
 	d.Read(0, 64)
-	d.Read(uint64(d.Config().RowBytes), 64)
+	d.Read(uint64(Default().RowBytes), 64)
 	if d.Stats.RowMisses != 2 {
 		t.Fatalf("adjacent rows should open banks on both channels: %+v", d.Stats)
 	}
@@ -88,16 +88,6 @@ func TestZeroSizeFree(t *testing.T) {
 	d := New(Default())
 	if d.Read(0, 0) != 0 || d.Stats.Reads != 0 {
 		t.Fatal("zero-size access should be free")
-	}
-}
-
-func TestMinTransferCycles(t *testing.T) {
-	d := New(Default()) // aggregate 4 B/cycle
-	cases := map[uint64]uint64{0: 0, 1: 1, 4: 1, 5: 2, 4096: 1024}
-	for n, want := range cases {
-		if got := d.MinTransferCycles(n); got != want {
-			t.Fatalf("MinTransferCycles(%d) = %d, want %d", n, got, want)
-		}
 	}
 }
 
@@ -132,31 +122,6 @@ func TestQuickLatencyBounds(t *testing.T) {
 	}
 }
 
-func TestStatsAddAndTotal(t *testing.T) {
-	a := Stats{Reads: 1, Writes: 2, ReadBytes: 3, WriteBytes: 4, RowHits: 5, RowMisses: 6, BusBusyCycles: 7}
-	a.Add(a)
-	if a.TotalBytes() != 14 {
-		t.Fatalf("total = %d", a.TotalBytes())
-	}
-	if a.Reads != 2 || a.BusBusyCycles != 14 {
-		t.Fatalf("add = %+v", a)
-	}
-}
-
-func TestResetStats(t *testing.T) {
-	d := New(Default())
-	d.Read(0, 64)
-	d.ResetStats()
-	if d.Stats != (Stats{}) {
-		t.Fatal("stats not reset")
-	}
-	// Row buffer survives reset.
-	d.Read(64, 64)
-	if d.Stats.RowHits != 1 {
-		t.Fatal("row state should survive ResetStats")
-	}
-}
-
 // A model's state round-trips through ReadState into a fresh model of the
 // same geometry, and a bank count other than that geometry is latched as
 // corruption.
@@ -174,7 +139,7 @@ func TestReadStateRejectsBadCount(t *testing.T) {
 		t.Fatalf("round trip: err %v, %d bytes left, state equal %v", r.Err(), r.Len(), bytes.Equal(got.AppendState(nil), blob))
 	}
 
-	banks := d.Config().Channels * d.Config().BanksPerChannel
+	banks := Default().Channels * Default().BanksPerChannel
 	for _, n := range []uint32{1 << 30, uint32(banks - 1)} {
 		bad := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint32(bad, n)

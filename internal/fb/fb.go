@@ -74,11 +74,6 @@ func (f *FrameBuffer) TileRect(tile int) geom.Rect {
 	return r.Intersect(geom.Rect{X0: 0, Y0: 0, X1: f.W, Y1: f.H})
 }
 
-// TileAt returns the tile id containing pixel (x,y).
-func (f *FrameBuffer) TileAt(x, y int) int {
-	return (y/TileSize)*f.TilesX() + x/TileSize
-}
-
 // Back returns the buffer the GPU is currently rendering into.
 func (f *FrameBuffer) Back() []uint32 { return f.bufs[1-f.front] }
 
@@ -147,21 +142,4 @@ func (f *FrameBuffer) ReadState(r *wire.Reader) {
 	f.front = r.Index(len(f.bufs))
 	r.ReadU32s(f.bufs[0])
 	r.ReadU32s(f.bufs[1])
-}
-
-// TileColors copies the back buffer contents of a tile into dst (row-major
-// within the tile rect) and returns the pixel count; used by Transaction
-// Elimination to sign rendered colors.
-func (f *FrameBuffer) TileColors(tile int, dst []uint32) int {
-	r := f.TileRect(tile)
-	back := f.Back()
-	n := 0
-	for y := r.Y0; y < r.Y1; y++ {
-		row := y * f.W
-		for x := r.X0; x < r.X1; x++ {
-			dst[n] = back[row+x]
-			n++
-		}
-	}
-	return n
 }

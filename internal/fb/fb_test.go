@@ -36,19 +36,6 @@ func TestTileGeometry(t *testing.T) {
 	}
 }
 
-func TestTileAtInverseOfTileRect(t *testing.T) {
-	f := NewFrameBuffer(80, 48, 0)
-	for tile := 0; tile < f.NumTiles(); tile++ {
-		r := f.TileRect(tile)
-		if got := f.TileAt(r.X0, r.Y0); got != tile {
-			t.Fatalf("TileAt(%d,%d) = %d, want %d", r.X0, r.Y0, got, tile)
-		}
-		if got := f.TileAt(r.X1-1, r.Y1-1); got != tile {
-			t.Fatalf("TileAt corner = %d, want %d", got, tile)
-		}
-	}
-}
-
 func TestSwapAlternatesBuffers(t *testing.T) {
 	f := NewFrameBuffer(16, 16, 0)
 	back := f.Back()
@@ -102,21 +89,22 @@ func TestFlushPartialTile(t *testing.T) {
 	}
 }
 
+// A flushed tile's colours land row-major in its rect of the back buffer.
 func TestTileColorsRoundTrip(t *testing.T) {
 	f := NewFrameBuffer(32, 16, 0)
 	var tb TileBuffer
 	for i := range tb.Color {
 		tb.Color[i] = uint32(i) * 2654435761
 	}
-	f.FlushTile(1, &tb)
-	buf := make([]uint32, TileSize*TileSize)
-	n := f.TileColors(1, buf)
-	if n != 256 {
-		t.Fatalf("tile colors count = %d", n)
+	if n := f.FlushTile(1, &tb); n != 4*TileSize*TileSize {
+		t.Fatalf("flush bytes = %d", n)
 	}
-	for i := 0; i < n; i++ {
-		if buf[i] != tb.Color[i] {
-			t.Fatalf("color %d mismatch", i)
+	r, back := f.TileRect(1), f.Back()
+	for y := r.Y0; y < r.Y1; y++ {
+		for x := r.X0; x < r.X1; x++ {
+			if got, want := back[y*f.W+x], tb.Color[Idx(x-r.X0, y-r.Y0)]; got != want {
+				t.Fatalf("pixel (%d,%d) = %08x, want %08x", x, y, got, want)
+			}
 		}
 	}
 }

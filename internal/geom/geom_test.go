@@ -77,34 +77,13 @@ func TestMat4IdentityMulVec(t *testing.T) {
 
 func TestMat4MulAssociativeWithVec(t *testing.T) {
 	// (A*B)*v == A*(B*v) up to float tolerance.
-	a := Translate(V3(1, 2, 3)).Mul(RotateY(0.7))
-	b := Scale(V3(2, 2, 2)).Mul(RotateZ(-0.3))
+	a := Perspective(1.0, 1.5, 1, 100)
+	b := LookAt(V3(5, 3, 8), V3(0, 0, 0), V3(0, 1, 0))
 	v := V4(0.5, -1, 4, 1)
 	lhs := a.Mul(b).MulVec(v)
 	rhs := a.MulVec(b.MulVec(v))
 	if !vecApprox(lhs, rhs, 1e-4) {
 		t.Fatalf("(AB)v = %v, A(Bv) = %v", lhs, rhs)
-	}
-}
-
-func TestTranslatePoint(t *testing.T) {
-	m := Translate(V3(10, 20, 30))
-	got := m.MulVec(V4(1, 1, 1, 1))
-	if !vecApprox(got, V4(11, 21, 31, 1), 1e-6) {
-		t.Fatalf("translate = %v", got)
-	}
-	// Direction vectors (w=0) are unaffected by translation.
-	dir := m.MulVec(V4(1, 0, 0, 0))
-	if !vecApprox(dir, V4(1, 0, 0, 0), 1e-6) {
-		t.Fatalf("translated direction = %v", dir)
-	}
-}
-
-func TestRotateZQuarterTurn(t *testing.T) {
-	m := RotateZ(float32(math.Pi / 2))
-	got := m.MulVec(V4(1, 0, 0, 1))
-	if !vecApprox(got, V4(0, 1, 0, 1), 1e-6) {
-		t.Fatalf("rotZ(90)*(1,0,0) = %v", got)
 	}
 }
 
@@ -168,12 +147,16 @@ func TestRectIntersectArea(t *testing.T) {
 
 // Property: matrix-vector multiplication distributes over vector addition.
 func TestQuickMulVecDistributes(t *testing.T) {
-	f := func(tx, ty, tz, ang float32, v1, v2 [4]float32) bool {
-		if anyNaN(tx, ty, tz, ang) || anyNaN(v1[:]...) || anyNaN(v2[:]...) {
+	f := func(mv [16]float32, v1, v2 [4]float32) bool {
+		if anyNaN(mv[:]...) || anyNaN(v1[:]...) || anyNaN(v2[:]...) {
 			return true
 		}
-		// Bound magnitudes so float error stays proportional.
-		m := Translate(V3(bound(tx), bound(ty), bound(tz))).Mul(RotateY(bound(ang)))
+		// Bound magnitudes so float error stays proportional: matrix
+		// entries in [-1, 1], vector components in [-100, 100].
+		var m Mat4
+		for i, x := range mv {
+			m[i] = bound(x) / 100
+		}
 		a := V4(bound(v1[0]), bound(v1[1]), bound(v1[2]), bound(v1[3]))
 		b := V4(bound(v2[0]), bound(v2[1]), bound(v2[2]), bound(v2[3]))
 		lhs := m.MulVec(a.Add(b))
@@ -185,23 +168,7 @@ func TestQuickMulVecDistributes(t *testing.T) {
 	}
 }
 
-// Property: rotations preserve vector length.
-func TestQuickRotationPreservesLength(t *testing.T) {
-	f := func(ang float32, x, y, z float32) bool {
-		if anyNaN(ang, x, y, z) {
-			return true
-		}
-		v := V3(bound(x), bound(y), bound(z))
-		r := RotateX(bound(ang)).Mul(RotateY(bound(2 * ang))).MulVec(v.Vec4(0))
-		return approx(r.XYZ().Len(), v.Len(), v.Len()*1e-4+1e-4)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// bound squashes any float32 (including NaN and ±Inf, which arithmetic on
-// quick-generated values can produce, e.g. 2*ang overflowing) into [-100,100].
+// bound squashes any float32 (including NaN and ±Inf) into [-100,100].
 func bound(v float32) float32 {
 	if v != v || math.IsInf(float64(v), 0) {
 		return 0

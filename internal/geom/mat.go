@@ -48,56 +48,6 @@ func (m Mat4) MulVec(v Vec4) Vec4 {
 	}
 }
 
-// Translate returns a translation matrix.
-func Translate(t Vec3) Mat4 {
-	m := Identity()
-	m[3] = t.X
-	m[7] = t.Y
-	m[11] = t.Z
-	return m
-}
-
-// Scale returns a scaling matrix.
-func Scale(s Vec3) Mat4 {
-	m := Identity()
-	m[0] = s.X
-	m[5] = s.Y
-	m[10] = s.Z
-	return m
-}
-
-// RotateX returns a rotation of a radians about the X axis.
-func RotateX(a float32) Mat4 {
-	s, c := sincos(a)
-	m := Identity()
-	m[5], m[6] = c, -s
-	m[9], m[10] = s, c
-	return m
-}
-
-// RotateY returns a rotation of a radians about the Y axis.
-func RotateY(a float32) Mat4 {
-	s, c := sincos(a)
-	m := Identity()
-	m[0], m[2] = c, s
-	m[8], m[10] = -s, c
-	return m
-}
-
-// RotateZ returns a rotation of a radians about the Z axis.
-func RotateZ(a float32) Mat4 {
-	s, c := sincos(a)
-	m := Identity()
-	m[0], m[1] = c, -s
-	m[4], m[5] = s, c
-	return m
-}
-
-func sincos(a float32) (sin, cos float32) {
-	s, c := math.Sincos(float64(a))
-	return float32(s), float32(c)
-}
-
 // Perspective returns a right-handed perspective projection with the given
 // vertical field of view (radians), aspect ratio and near/far planes, mapping
 // depth into [-1,1] clip space like OpenGL.

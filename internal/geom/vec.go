@@ -8,9 +8,6 @@ package geom
 
 import "math"
 
-// Vec2 is a two-component float32 vector.
-type Vec2 struct{ X, Y float32 }
-
 // Vec3 is a three-component float32 vector.
 type Vec3 struct{ X, Y, Z float32 }
 
@@ -18,23 +15,11 @@ type Vec3 struct{ X, Y, Z float32 }
 // the shader VM and as the unit of a vertex attribute (16 bytes).
 type Vec4 struct{ X, Y, Z, W float32 }
 
-// V2 constructs a Vec2.
-func V2(x, y float32) Vec2 { return Vec2{x, y} }
-
 // V3 constructs a Vec3.
 func V3(x, y, z float32) Vec3 { return Vec3{x, y, z} }
 
 // V4 constructs a Vec4.
 func V4(x, y, z, w float32) Vec4 { return Vec4{x, y, z, w} }
-
-// Add returns a+b.
-func (a Vec2) Add(b Vec2) Vec2 { return Vec2{a.X + b.X, a.Y + b.Y} }
-
-// Sub returns a-b.
-func (a Vec2) Sub(b Vec2) Vec2 { return Vec2{a.X - b.X, a.Y - b.Y} }
-
-// Scale returns a*s.
-func (a Vec2) Scale(s float32) Vec2 { return Vec2{a.X * s, a.Y * s} }
 
 // Add returns a+b.
 func (a Vec3) Add(b Vec3) Vec3 { return Vec3{a.X + b.X, a.Y + b.Y, a.Z + b.Z} }

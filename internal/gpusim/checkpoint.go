@@ -17,11 +17,15 @@ import (
 // TestCheckpointCodecVersionRejected), never misparse it.
 //
 // Version 2 dropped the program and texture tables that version 1 carried:
-// Resume rebuilds them from the trace. A v1 blob is rejected, which recovery
-// treats like any unreadable checkpoint — the job restarts from frame 0.
+// Resume rebuilds them from the trace. Version 3 dropped RE state that
+// version 2 held twice or never read: a second frame counter, the per-frame
+// disable flags (recomputed at each frame start), two decision counters, and
+// a copy of the Signature Unit's CRC counters. An older blob is rejected,
+// which recovery treats like any unreadable checkpoint — the job restarts
+// from frame 0.
 const (
 	ckptMagic   = "RECK"
-	ckptVersion = uint16(2)
+	ckptVersion = uint16(3)
 )
 
 // ErrCheckpointFormat is wrapped by every Resume failure except a
@@ -31,7 +35,7 @@ var ErrCheckpointFormat = fmt.Errorf("gpusim: bad checkpoint format")
 
 // Checkpoint encodes the simulator at a frame boundary into one
 // self-contained blob: the cross-frame state the trace cannot rebuild — the
-// double-buffered framebuffer, the API state, the RE controller with its
+// double-buffered framebuffer, the API state, the Signature Unit with its
 // Signature Buffer, the TE signature buffer and CRC counters, the
 // memoization baselines, the DRAM row-buffer state, all cache tag/LRU
 // arrays, and the counters — each component appending its own state. A run
@@ -64,7 +68,7 @@ func (s *Simulator) Checkpoint() []byte {
 
 	b = s.fbuf.AppendState(b)
 	b = s.state.AppendState(b)
-	b = s.re.AppendState(b)
+	b = s.su.AppendState(b)
 	b = s.teBuf.AppendState(b)
 	b = s.teCRC.Stats.AppendState(b)
 	b = s.memo.appendPrev(b)
@@ -150,7 +154,7 @@ func (s *Simulator) Resume(blob []byte) error {
 
 	s.fbuf.ReadState(r)
 	s.state.ReadState(r)
-	s.re.ReadState(r)
+	s.su.ReadState(r)
 	s.teBuf.ReadState(r)
 	s.teCRC.Stats.ReadState(r)
 	s.memo.readPrev(r)

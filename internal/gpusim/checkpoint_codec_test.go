@@ -63,12 +63,13 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 }
 
 // An unknown version tag must be rejected outright: decoding a future blob
-// with this version's field layout would corrupt a recovery silently, and a
-// v1 blob still carries the program and texture tables v2 dropped, so
-// recovery must restart that job from frame 0 instead.
+// with this version's field layout would corrupt a recovery silently, and an
+// older blob still carries what a later version dropped (v1 the program and
+// texture tables, v2 the duplicated RE state), so recovery must restart that
+// job from frame 0 instead.
 func TestCheckpointCodecVersionRejected(t *testing.T) {
 	blob := testCheckpointBlob(t)
-	for _, v := range []uint16{1, ckptVersion + 1} {
+	for _, v := range []uint16{1, 2, ckptVersion + 1} {
 		// Overwrite the version field (right after the 4-byte magic) and
 		// re-seal the CRC so only the version differs from a valid blob.
 		mut := append([]byte(nil), blob...)
@@ -175,7 +176,7 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 	}
 	fbOff := section(src.fbuf.AppendState(nil))
 	section(src.state.AppendState(nil))
-	reOff := section(src.re.AppendState(nil))
+	reOff := section(src.su.AppendState(nil))
 	teOff := section(src.teBuf.AppendState(nil))
 	section(src.teCRC.Stats.AppendState(nil))
 	memoOff := section(src.memo.appendPrev(nil))

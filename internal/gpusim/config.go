@@ -5,6 +5,17 @@
 // (internal/energy), under one of four techniques — the Baseline GPU,
 // Rendering Elimination (the paper's contribution), Transaction Elimination,
 // and PFR-aided Fragment Memoization.
+//
+// RE rests on a tile's colours being a pure function of its inputs: the
+// attributes of every primitive that overlaps it and the constants of their
+// drawcalls. The simulator wires the Signature Unit (internal/sig) the way
+// Figure 5 shows. The geometry phase feeds it constants blocks and binned
+// primitives, which build one CRC32 per tile in the Signature Buffer. At
+// raster scheduling each tile's signature is compared once with the one of
+// the frame two swaps back, whose colours the Back Buffer holds (Section
+// IV-C). An equal signature bypasses the tile's whole Raster Pipeline. The
+// driver-level disable rules of Section III-E are two per-frame flags of
+// the Simulator.
 package gpusim
 
 import (

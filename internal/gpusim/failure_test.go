@@ -131,13 +131,13 @@ func TestSignatureFaultForcesRender(t *testing.T) {
 		t.Fatal("expected skips on ccs")
 	}
 	// The public API deliberately offers no way to corrupt the buffer; use
-	// a fresh run with InvalidateTile through the controller to model the
+	// a fresh run with InvalidateTile on the Signature Buffer to model the
 	// ECC-style response: invalid baseline -> render.
 	sim2, _ := New(tr, cfg)
 	for f := range tr.Frames {
 		if f == 3 {
 			for tile := 0; tile < sim2.NumTiles(); tile++ {
-				sim2.re.Unit().Buffer().InvalidateTile(tile)
+				sim2.su.Buffer().InvalidateTile(tile)
 			}
 		}
 		sim2.RunFrame(&tr.Frames[f])

@@ -234,12 +234,13 @@ func newRasterWorker(s *Simulator, id int) *rasterWorker {
 //re:hotpath
 func (s *Simulator) decideTile(tile int, res *tileResult) {
 	res.reset()
-	if s.cfg.Technique == RE && !s.re.Disabled() {
+	if s.cfg.Technique == RE && !s.reDisabled {
 		res.tw.CompareCycles = 4
 		if s.tr != nil {
 			s.tr.BeginArg("re-check", "tile", int64(tile))
 		}
-		res.skipped = s.re.ShouldSkip(tile)
+		// A refresh frame still compares (and pays for) every tile.
+		res.skipped = s.su.CheckTile(tile) && !s.refresh
 		if s.tr != nil {
 			s.tr.End() // re-check
 		}
@@ -501,7 +502,7 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	s.memo.Hits += sh.memoHits
 
 	// Ground-truth classification against the frame two swaps back.
-	if match, valid := s.re.BaselineMatch(tile); valid {
+	if match, valid := s.su.Buffer().Match(tile); valid {
 		st.TilesClassified++
 		switch {
 		case res.eqColor && match:

@@ -6,7 +6,6 @@ import (
 
 	"rendelim/internal/api"
 	"rendelim/internal/cache"
-	"rendelim/internal/core"
 	"rendelim/internal/crc"
 	"rendelim/internal/dram"
 	"rendelim/internal/fb"
@@ -67,10 +66,13 @@ type Simulator struct {
 	// name, size and frame count, and the technique.
 	traceSig uint32
 
-	fbuf      *fb.FrameBuffer
-	state     *api.State
-	binner    *tiling.Binner
-	re        *core.Controller
+	fbuf   *fb.FrameBuffer
+	state  *api.State
+	binner *tiling.Binner
+	// su is RE's Signature Unit with its Signature Buffer. The geometry
+	// phase signs into it under every technique, because the Figure 15a
+	// classifier compares its signatures; only RE checks it to skip tiles.
+	su        *sig.Unit
 	teBuf     *sig.Buffer
 	teCRC     crc.ComputeUnit
 	memo      *memoState
@@ -102,6 +104,14 @@ type Simulator struct {
 	skipCounts []uint32
 	signedPipe api.SetPipeline
 	pipeSigned bool
+
+	// RE's disable rules (Section III-E), recomputed at each frame start.
+	// reDisabled marks a frame that uploads a shader or texture or binds
+	// multiple render targets: it compares no tile and renders normally.
+	// refresh marks every RefreshInterval-th frame, which bounds how long a
+	// tile may go unrendered: it compares every tile and skips none.
+	reDisabled bool
+	refresh    bool
 
 	// tracer is the shared sink worker threads register tracks on; tr is the
 	// pipeline-stage tracing track. Both are nil when tracing is off, and
@@ -138,7 +148,7 @@ func New(trace *api.Trace, cfg Config) (*Simulator, error) {
 	s.state = api.NewState()
 	s.binner = tiling.NewBinner(trace.Width, trace.Height, addrParamBase)
 	s.binner.SetExact(cfg.ExactBinning)
-	s.re = core.New(core.Config{Sig: cfg.Sig, RefreshInterval: cfg.RefreshInterval}, s.fbuf.NumTiles())
+	s.su = sig.NewUnit(cfg.Sig, sig.NewBuffer(s.fbuf.NumTiles()))
 	s.teBuf = sig.NewBuffer(s.fbuf.NumTiles())
 	s.memo = newMemoState(s.fbuf.NumTiles(), cfg.MemoLUTEntries)
 
@@ -208,16 +218,6 @@ func (s *Simulator) setTexture(id int, spec api.TextureSpec) {
 	t := spec.Build(id)
 	t.Base = addrTexBase + uint64(id)<<24
 	s.textures[id] = t
-}
-
-// SetTracer (re)binds the simulator to a trace sink, opening a new track.
-// A nil tracer disables tracing.
-func (s *Simulator) SetTracer(t *obs.Tracer) {
-	s.tracer = t
-	s.tr = t.Thread("sim " + s.trace.Name + " [" + s.cfg.Technique.String() + "]")
-	for _, w := range s.workers {
-		w.tr = nil // re-register lazily on the new sink
-	}
 }
 
 // SkipCounts returns how many times each tile was bypassed so far, indexed
@@ -314,8 +314,9 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 
 	// Snapshot cumulative counters to diff at frame end.
 	dramBefore := s.dram.Stats
-	suBefore := s.re.Unit().Stats
-	sbBefore := s.re.Unit().Buffer().Reads + s.re.Unit().Buffer().Writes
+	suBefore := s.su.Stats
+	sbBefore := s.su.Buffer().Reads + s.su.Buffer().Writes
+	computeBefore, accumulateBefore := s.su.CRCStats()
 	teCRCBefore := s.teCRC.Stats
 	teBufBefore := s.teBuf.Reads + s.teBuf.Writes
 	vsBefore := s.vs.Counts
@@ -326,7 +327,9 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	}
 
 	s.state.BeginFrame()
-	s.re.BeginFrame()
+	s.su.BeginFrame()
+	s.reDisabled = false
+	s.refresh = s.cfg.RefreshInterval > 0 && s.frameIdx > 0 && s.frameIdx%s.cfg.RefreshInterval == 0
 	s.binner.Reset()
 	s.pipeSigned = false // sign the first bound pipeline of each frame
 
@@ -358,18 +361,21 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		}
 	}
 
-	// RE disable rules (Section III-E): shader/texture uploads invalidate
-	// stale baselines and render normally; MRT frames render normally.
+	// RE disable rules (Section III-E). An upload changes state that the
+	// signature does not cover, so "same signature" no longer implies "same
+	// colours" across it: every stored baseline goes. An MRT frame keeps
+	// them.
 	if s.state.UploadsThisFrame {
-		s.re.OnGlobalStateChange()
+		s.reDisabled = true
+		s.su.Buffer().InvalidateAll()
 	}
 	if mrt {
-		s.re.DisableFrame()
+		s.reDisabled = true
 	}
 
 	geo.PBWriteBytes = s.binner.WrittenBytes()
 	if s.cfg.Technique == RE {
-		geo.SUStallCycles = s.re.Unit().Stats.StallCycles - suBefore.StallCycles
+		geo.SUStallCycles = s.su.Stats.StallCycles - suBefore.StallCycles
 		st.SUStallCycles = geo.SUStallCycles
 	}
 	st.GeometryCycles = s.cfg.Timing.GeometryCycles(geo)
@@ -387,7 +393,7 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		s.tr.End() // raster
 	}
 
-	s.re.EndFrame()
+	s.su.EndFrame()
 	if s.cfg.Technique == TE {
 		s.teBuf.EndFrame()
 	}
@@ -414,14 +420,13 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 
 	switch s.cfg.Technique {
 	case RE:
-		su := s.re.Unit()
-		su.SyncStats()
-		a.SigBufferAccesses = su.Buffer().Reads + su.Buffer().Writes - sbBefore
-		a.CRCLUTAccesses = (su.Stats.Compute.LUTAccesses + su.Stats.Accumulate.LUTAccesses) -
-			(suBefore.Compute.LUTAccesses + suBefore.Accumulate.LUTAccesses)
-		a.BitmapAccesses = (su.Stats.BitmapReads + su.Stats.BitmapWrites) -
+		compute, accumulate := s.su.CRCStats()
+		a.SigBufferAccesses = s.su.Buffer().Reads + s.su.Buffer().Writes - sbBefore
+		a.CRCLUTAccesses = (compute.LUTAccesses + accumulate.LUTAccesses) -
+			(computeBefore.LUTAccesses + accumulateBefore.LUTAccesses)
+		a.BitmapAccesses = (s.su.Stats.BitmapReads + s.su.Stats.BitmapWrites) -
 			(suBefore.BitmapReads + suBefore.BitmapWrites)
-		a.OTQueueAccesses = su.Stats.TileUpdates - suBefore.TileUpdates
+		a.OTQueueAccesses = s.su.Stats.TileUpdates - suBefore.TileUpdates
 	case TE:
 		a.SigBufferAccesses = s.teBuf.Reads + s.teBuf.Writes - teBufBefore
 		a.CRCLUTAccesses = s.teCRC.Stats.LUTAccesses - teCRCBefore.LUTAccesses
@@ -498,7 +503,7 @@ func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork)
 	// A pending uniform or state update opens a new constants epoch in the
 	// Signature Unit.
 	if len(s.arena.pendingConsts) > 0 {
-		s.re.OnConstants(s.arena.pendingConsts)
+		s.su.SetConstants(s.arena.pendingConsts)
 		s.arena.pendingConsts = s.arena.pendingConsts[:0]
 	}
 
@@ -581,7 +586,7 @@ func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork)
 
 			// Sign the primitive's submitted attributes (Section III-E).
 			s.arena.primScratch = api.AppendPrimitive(s.arena.primScratch[:0], d, tri)
-			s.re.OnPrimitive(s.arena.primScratch, tiles, producer)
+			s.su.AddPrimitive(s.arena.primScratch, tiles, producer)
 		}
 	}
 	if s.tr != nil {

@@ -363,6 +363,79 @@ func TestRefreshIntervalForcesRender(t *testing.T) {
 	}
 }
 
+func TestRefreshInterval(t *testing.T) {
+	tr := staticTrace(9)
+	cfg := DefaultConfig()
+	cfg.Technique = RE
+	cfg.RefreshInterval = 3
+	sim, _ := New(tr, cfg)
+	// Frames 0 and 1 have no baseline, and frames 3 and 6 are refreshes;
+	// every other frame of the static scene skips every tile.
+	for f, skips := range []bool{false, false, true, false, true, true, false, true, true} {
+		st := sim.RunFrame(&tr.Frames[f])
+		want := uint64(0)
+		if skips {
+			want = st.TilesTotal
+		}
+		if st.TilesSkipped != want {
+			t.Errorf("frame %d: skipped %d of %d tiles, want %d", f, st.TilesSkipped, st.TilesTotal, want)
+		}
+	}
+}
+
+// RE compares each tile's signature once per frame, for 4 cycles and two
+// Signature Buffer reads, and a refresh frame still pays for the compares
+// it ignores; an upload or MRT frame compares nothing. StageSigCheck holds
+// those cycles plus the OT queue's stalls. The Figure 15a classifier reads
+// the same signatures under every technique, and charges no cycles.
+func TestRECompareAccounting(t *testing.T) {
+	tr := staticTrace(8)
+	up := api.UploadTexture{ID: 9, Spec: api.TextureSpec{
+		Kind: api.TexChecker, W: 8, H: 8, Cell: 2,
+		A: geom.V4(1, 0, 0, 1), B: geom.V4(0, 0, 1, 1), Filter: texture.Nearest},
+	}
+	tr.Frames[4].Commands = append([]api.Command{up}, tr.Frames[4].Commands...)
+	tr.Frames[7].Commands = append([]api.Command{api.SetRenderTargets{N: 2}}, tr.Frames[7].Commands...)
+	cfg := DefaultConfig()
+	cfg.Technique = RE
+	cfg.RefreshInterval = 3 // frames 3 and 6
+	sim, err := New(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := sim.Run()
+	// Every frame signs the same geometry, so among the frames that render
+	// every tile, only the compares set their Signature Buffer accesses
+	// apart. Frame 0 compares and renders every tile.
+	full := res.Frames[0].Activity.SigBufferAccesses
+	for f, fs := range res.Frames {
+		compares := fs.TilesTotal
+		if f == 4 || f == 7 {
+			compares = 0
+		}
+		if got := fs.StageCycles[StageSigCheck] - fs.SUStallCycles; got != 4*compares {
+			t.Errorf("frame %d: compare cycles %d, want %d", f, got, 4*compares)
+		}
+		want := full - 2*(fs.TilesTotal-compares)
+		if got := fs.Activity.SigBufferAccesses; fs.TilesSkipped == 0 && got != want {
+			t.Errorf("frame %d: %d Signature Buffer accesses, want %d", f, got, want)
+		}
+	}
+	for _, f := range []int{3, 6} {
+		if res.Frames[f].TilesSkipped != 0 {
+			t.Errorf("refresh frame %d skipped %d tiles", f, res.Frames[f].TilesSkipped)
+		}
+	}
+
+	base := runTrace(t, tr, Baseline)
+	if base.Total.TilesClassified == 0 {
+		t.Fatal("baseline run classified no tile")
+	}
+	if c := base.Total.StageCycles[StageSigCheck]; c != 0 {
+		t.Fatalf("baseline run charged %d signature-check cycles", c)
+	}
+}
+
 func TestTrafficClassification(t *testing.T) {
 	b, _ := workload.ByAlias("ccs")
 	res := runTrace(t, b.Build(smallParams()), Baseline)

@@ -177,9 +177,6 @@ func (j *Job) Wait(ctx context.Context) (gpusim.Result, error) {
 	return res, err
 }
 
-// Done exposes the completion channel for select loops.
-func (j *Job) Done() <-chan struct{} { return j.call.done }
-
 // State returns the job's current lifecycle state.
 func (j *Job) State() State {
 	select {
@@ -193,16 +190,6 @@ func (j *Job) State() State {
 	}
 }
 
-// Err returns the terminal error, if the job has failed.
-func (j *Job) Err() error {
-	select {
-	case <-j.call.done:
-		return j.call.err
-	default:
-		return nil
-	}
-}
-
 // Result returns the outcome without blocking; ok is false while the job is
 // still pending.
 func (j *Job) Result() (res gpusim.Result, err error, ok bool) {
@@ -211,13 +198,6 @@ func (j *Job) Result() (res gpusim.Result, err error, ok bool) {
 		return j.call.result, j.call.err, true
 	default:
 		return gpusim.Result{}, nil, false
-	}
-}
-
-// Cancel aborts the job's execution (and that of every follower sharing it).
-func (j *Job) Cancel() {
-	if j.call.cancel != nil {
-		j.call.cancel()
 	}
 }
 

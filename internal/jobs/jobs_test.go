@@ -233,24 +233,7 @@ func TestTimeoutFires(t *testing.T) {
 	if j2.Deduped {
 		t.Error("resubmission of failed job was served from cache")
 	}
-	j2.Cancel()
-	j2.Wait(context.Background())
-}
-
-func TestCancel(t *testing.T) {
-	var runs atomic.Int64
-	p := NewPool(WithWorkers(1), WithRun(fakeRun(&runs, 5*time.Second)))
-	defer p.Close(context.Background())
-
-	j, err := p.Submit(spec("ter"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Cancel()
-	_, err = j.Wait(context.Background())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("want Canceled, got %v", err)
-	}
+	j2.Wait(context.Background()) // it times out too
 }
 
 // A failing job runs once: the pool never re-runs it.

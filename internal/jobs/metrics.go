@@ -102,8 +102,8 @@ func (m *Metrics) SimTotals() gpusim.Stats {
 	return m.sim
 }
 
-// EliminationRatio is deduped/submitted — the job-level analogue of the
-// tile SkipFraction internal/core reports.
+// EliminationRatio is deduped/submitted — the job-level analogue of a
+// frame's tile SkipFraction (gpusim.Stats).
 func (m *Metrics) EliminationRatio() float64 {
 	sub := m.Submitted.Load()
 	if sub == 0 {

@@ -82,7 +82,7 @@ func TestHistogramRoundTrip(t *testing.T) {
 	if all.Count != 7 {
 		t.Errorf("merged count = %d, want 7", all.Count)
 	}
-	if math.Abs(all.Sum-(want.Sum+h2.Sum())) > 1e-9 {
+	if math.Abs(all.Sum-(want.Sum+h2.Snapshot().Sum)) > 1e-9 {
 		t.Errorf("merged sum = %v", all.Sum)
 	}
 	if _, ok := m.Histogram("missing", nil); ok {

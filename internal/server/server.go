@@ -149,9 +149,6 @@ func (s *Server) SetFaultPlan(p *fault.Plan) { s.fplan.Store(p) }
 // shutdown-ordering (Shutdown, then Pool.Close) does the real work.
 func (s *Server) StartDraining() { s.draining.Store(true) }
 
-// Draining reports whether StartDraining has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // statusWriter captures the response code for the request log, and whether
 // anything was written (so the panic recovery knows a 500 can still be sent).
 type statusWriter struct {

@@ -563,11 +563,17 @@ func TestHealthzDraining(t *testing.T) {
 	srv := httptest.NewServer(s.Handler())
 	t.Cleanup(srv.Close)
 
-	s.StartDraining()
-	if !s.Draining() {
-		t.Fatal("Draining() false after StartDraining")
-	}
 	resp, err := http.Get(srv.URL + "/v1/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz before draining: %d, want 200", resp.StatusCode)
+	}
+
+	s.StartDraining()
+	resp, err = http.Get(srv.URL + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

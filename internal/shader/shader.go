@@ -232,13 +232,6 @@ type Counts struct {
 	Invocations  uint64
 }
 
-// Add accumulates o into c.
-func (c *Counts) Add(o Counts) {
-	c.Instructions += o.Instructions
-	c.TexSamples += o.TexSamples
-	c.Invocations += o.Invocations
-}
-
 func minf(a, b float32) float32 {
 	if a < b {
 		return a

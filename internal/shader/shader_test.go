@@ -283,7 +283,10 @@ func TestValidateRejectsBadPrograms(t *testing.T) {
 }
 
 func TestStdProgramsValidateAndCount(t *testing.T) {
-	for _, p := range StdPrograms() {
+	for _, p := range []*Program{
+		TransformVS(0), TransformVS(1), TransformVS(2),
+		FlatFS(), VertexColorFS(), TexturedFS(), LambertTexFS(),
+	} {
 		if err := p.Validate(); err != nil {
 			t.Errorf("%s: %v", p.Name, err)
 		}
@@ -294,7 +297,8 @@ func TestStdProgramsValidateAndCount(t *testing.T) {
 }
 
 func TestTransformVSTransformsPosition(t *testing.T) {
-	mvp := geom.Translate(geom.V3(10, 20, 30))
+	mvp := geom.Identity() // a translation by (10, 20, 30)
+	mvp[3], mvp[7], mvp[11] = 10, 20, 30
 	p := TransformVS(2)
 	e := run(t, p, func(e *Exec) {
 		e.Consts = []geom.Vec4{mvp.Row(0), mvp.Row(1), mvp.Row(2), mvp.Row(3)}

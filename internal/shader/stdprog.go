@@ -68,12 +68,3 @@ func LambertTexFS() *Program {
 		{Op: OpSat, Dst: OD(0), Src: [3]Src{R(0)}},
 	}}
 }
-
-// StdPrograms returns every standard program, for registry-style lookup by
-// the trace format and for validation sweeps in tests.
-func StdPrograms() []*Program {
-	return []*Program{
-		TransformVS(0), TransformVS(1), TransformVS(2),
-		FlatFS(), VertexColorFS(), TexturedFS(), LambertTexFS(),
-	}
-}

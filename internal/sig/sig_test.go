@@ -240,6 +240,27 @@ func TestChangedPrimitiveBreaksRedundancy(t *testing.T) {
 	}
 }
 
+// A tile whose primitives are unchanged but whose drawcall's constants
+// block changed is not redundant.
+func TestChangedConstantsBreakRedundancy(t *testing.T) {
+	u := NewUnit(DefaultConfig(), NewBuffer(2))
+	frame := func(consts string) {
+		u.BeginFrame()
+		u.SetConstants([]byte(consts))
+		u.AddPrimitive([]byte("stable-primitive-data-xx"), []int{0, 1}, 40)
+	}
+	for f := 0; f < 2; f++ {
+		frame("consts-0")
+		u.EndFrame()
+	}
+	frame("consts-X")
+	for tile := 0; tile < 2; tile++ {
+		if u.CheckTile(tile) {
+			t.Fatalf("tile %d redundant despite changed constants", tile)
+		}
+	}
+}
+
 func TestOTQueueStallsOnHugePrimitive(t *testing.T) {
 	// A primitive covering many tiles overruns the 16-entry OT queue and
 	// stalls the PLB (Section V: "primitives that cover a large amount of
@@ -285,16 +306,16 @@ func TestCheckTileCostAccounting(t *testing.T) {
 	}
 }
 
-func TestSyncStatsExposesCRCActivity(t *testing.T) {
+func TestCRCStatsExposeActivity(t *testing.T) {
 	u := NewUnit(DefaultConfig(), NewBuffer(2))
 	u.BeginFrame()
 	u.SetConstants(make([]byte, 64))
 	u.AddPrimitive(make([]byte, 144), []int{0, 1}, 40)
-	u.SyncStats()
-	if u.Stats.Compute.Cycles != 8+18 {
-		t.Fatalf("compute cycles = %d, want 26", u.Stats.Compute.Cycles)
+	compute, accumulate := u.CRCStats()
+	if compute.Cycles != 8+18 {
+		t.Fatalf("compute cycles = %d, want 26", compute.Cycles)
 	}
-	if u.Stats.Accumulate.Subblocks == 0 {
+	if accumulate.Subblocks == 0 {
 		t.Fatal("accumulate activity missing")
 	}
 	if u.Stats.ConstBlocks != 1 || u.Stats.PrimBlocks != 1 || u.Stats.TileUpdates != 2 {
@@ -319,15 +340,6 @@ func TestAlternativeSchemesDetectIdenticalFrames(t *testing.T) {
 			}
 			u.EndFrame()
 		}
-	}
-}
-
-func TestStatsAdd(t *testing.T) {
-	a := Stats{StallCycles: 1, BusyCycles: 2, CompareCycles: 3, BitmapReads: 4,
-		BitmapWrites: 5, PrimBlocks: 6, ConstBlocks: 7, TileUpdates: 8}
-	a.Add(a)
-	if a.StallCycles != 2 || a.TileUpdates != 16 {
-		t.Fatalf("add = %+v", a)
 	}
 }
 

@@ -31,7 +31,8 @@ func DefaultConfig() Config {
 	return Config{OTQueueDepth: 16, AccumCyclesPerTile: 1, Scheme: crc.CRC32Scheme{}.Name()}
 }
 
-// Stats aggregates the Signature Unit's activity for timing and energy.
+// Stats aggregates the Signature Unit's activity for timing and energy. The
+// CRC datapath's own counters are read with Unit.CRCStats.
 type Stats struct {
 	// StallCycles is geometry-pipeline back-pressure from OT queue
 	// overflow (the only execution-time overhead RE adds; ~0.64% in the
@@ -43,27 +44,11 @@ type Stats struct {
 	// CompareCycles is the per-tile signature comparison work at raster
 	// scheduling time.
 	CompareCycles uint64
-	Compute       crc.UnitStats
-	Accumulate    crc.UnitStats
 	BitmapReads   uint64
 	BitmapWrites  uint64
 	PrimBlocks    uint64
 	ConstBlocks   uint64
 	TileUpdates   uint64
-}
-
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.StallCycles += o.StallCycles
-	s.BusyCycles += o.BusyCycles
-	s.CompareCycles += o.CompareCycles
-	s.Compute.Add(o.Compute)
-	s.Accumulate.Add(o.Accumulate)
-	s.BitmapReads += o.BitmapReads
-	s.BitmapWrites += o.BitmapWrites
-	s.PrimBlocks += o.PrimBlocks
-	s.ConstBlocks += o.ConstBlocks
-	s.TileUpdates += o.TileUpdates
 }
 
 // Unit is the Signature Unit of Figure 7. During the geometry phase the
@@ -262,11 +247,10 @@ func (u *Unit) CheckTile(tile int) (redundant bool) {
 // shots nothing else; stats accumulate across frames until read.
 func (u *Unit) EndFrame() { u.buf.EndFrame() }
 
-// SyncStats folds the CRC unit counters into the exported stats snapshot.
-// Call before reading Stats for reporting.
-func (u *Unit) SyncStats() {
-	u.Stats.Compute = u.compute.Stats
-	u.Stats.Accumulate = u.accumulate.Stats
+// CRCStats returns the cumulative counters of the Compute CRC and Accumulate
+// CRC units.
+func (u *Unit) CRCStats() (compute, accumulate crc.UnitStats) {
+	return u.compute.Stats, u.accumulate.Stats
 }
 
 // AppendState appends the unit's state for a simulator checkpoint: the
@@ -287,8 +271,6 @@ func (u *Unit) AppendState(b []byte) []byte {
 	b = wire.AppendU64(b, st.StallCycles)
 	b = wire.AppendU64(b, st.BusyCycles)
 	b = wire.AppendU64(b, st.CompareCycles)
-	b = st.Compute.AppendState(b)
-	b = st.Accumulate.AppendState(b)
 	b = wire.AppendU64(b, st.BitmapReads)
 	b = wire.AppendU64(b, st.BitmapWrites)
 	b = wire.AppendU64(b, st.PrimBlocks)
@@ -312,8 +294,6 @@ func (u *Unit) ReadState(r *wire.Reader) {
 	st.StallCycles = r.U64()
 	st.BusyCycles = r.U64()
 	st.CompareCycles = r.U64()
-	st.Compute.ReadState(r)
-	st.Accumulate.ReadState(r)
 	st.BitmapReads = r.U64()
 	st.BitmapWrites = r.U64()
 	st.PrimBlocks = r.U64()

@@ -36,36 +36,6 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Bounds returns the finite upper bounds. The slice is immutable after
-// NewHistogram, so it is returned without copying.
-func (h *Histogram) Bounds() []float64 { return h.bounds }
-
-// Cumulative returns the cumulative count of observations <= the i-th bound;
-// i == len(Bounds()) yields the +Inf bucket (== Count()).
-func (h *Histogram) Cumulative(i int) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	var c uint64
-	for j := 0; j <= i && j < len(h.counts); j++ {
-		c += h.counts[j]
-	}
-	return c
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
 // HistSnapshot is a consistent point-in-time copy of a histogram, safe to
 // read without further locking. Counts are cumulative per bound, Prometheus
 // style; the implicit +Inf bucket equals Count.
@@ -95,16 +65,11 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	return s
 }
 
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear interpolation
-// within the bucket containing it — the same estimator PromQL's
-// histogram_quantile applies. Observations in the +Inf bucket clamp to the
-// highest finite bound. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	return h.Snapshot().Quantile(q)
-}
-
-// Quantile implements the PromQL histogram_quantile estimator over a
-// snapshot (or any cumulative bucket set, e.g. one scraped off /metrics).
+// Quantile estimates the q-th quantile (0 <= q <= 1) of a snapshot (or any
+// cumulative bucket set, e.g. one scraped off /metrics) by linear
+// interpolation within the bucket containing it — the same estimator
+// PromQL's histogram_quantile applies. Observations in the +Inf bucket clamp
+// to the highest finite bound. Returns 0 on an empty histogram.
 func (s HistSnapshot) Quantile(q float64) float64 {
 	if s.Count == 0 || len(s.Bounds) == 0 {
 		return 0

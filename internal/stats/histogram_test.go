@@ -11,21 +11,20 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 3, 7, 100} {
 		h.Observe(v)
 	}
-	if got := h.Count(); got != 5 {
-		t.Fatalf("Count = %d, want 5", got)
+	s := h.Snapshot()
+	// The implicit +Inf bucket is Count.
+	if s.Count != 5 {
+		t.Fatalf("Count = %d, want 5", s.Count)
 	}
-	if got := h.Sum(); got != 111.5 {
-		t.Errorf("Sum = %g, want 111.5", got)
+	if s.Sum != 111.5 {
+		t.Errorf("Sum = %g, want 111.5", s.Sum)
 	}
 	// le=1 counts 0.5 and 1 (bounds are inclusive); le=5 adds 3; le=10 adds 7.
 	wantCum := []uint64{2, 3, 4}
 	for i, want := range wantCum {
-		if got := h.Cumulative(i); got != want {
-			t.Errorf("Cumulative(%d) = %d, want %d", i, got, want)
+		if got := s.Counts[i]; got != want {
+			t.Errorf("Counts[%d] = %d, want %d", i, got, want)
 		}
-	}
-	if got := h.Cumulative(3); got != 5 {
-		t.Errorf("+Inf bucket = %d, want 5", got)
 	}
 }
 
@@ -57,20 +56,20 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	// The interpolated median of a single fully-populated bucket is its
 	// midpoint.
-	if got := h.Quantile(0.5); math.Abs(got-0.15) > 1e-9 {
+	if got := h.Snapshot().Quantile(0.5); math.Abs(got-0.15) > 1e-9 {
 		t.Errorf("Quantile(0.5) = %g, want 0.15", got)
 	}
-	if got := h.Quantile(1); math.Abs(got-0.2) > 1e-9 {
+	if got := h.Snapshot().Quantile(1); math.Abs(got-0.2) > 1e-9 {
 		t.Errorf("Quantile(1) = %g, want 0.2", got)
 	}
 	// Values beyond the last bound clamp to it.
 	h2 := NewHistogram(1, 2)
 	h2.Observe(50)
-	if got := h2.Quantile(0.99); got != 2 {
+	if got := h2.Snapshot().Quantile(0.99); got != 2 {
 		t.Errorf("overflow Quantile = %g, want clamp to 2", got)
 	}
 	var empty Histogram
-	if got := empty.Quantile(0.5); got != 0 {
+	if got := empty.Snapshot().Quantile(0.5); got != 0 {
 		t.Errorf("empty Quantile = %g, want 0", got)
 	}
 }
@@ -90,18 +89,16 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				h.Observe(float64(g*perG+i) / float64(goroutines*perG) * 20)
 				if i%64 == 0 {
-					_ = h.Snapshot()
-					_ = h.Quantile(0.95)
-					_ = h.Cumulative(2)
+					_ = h.Snapshot().Quantile(0.95)
 				}
 			}
 		}(g)
 	}
 	wg.Wait()
-	if got := h.Count(); got != goroutines*perG {
-		t.Fatalf("Count = %d, want %d (lost updates)", got, goroutines*perG)
-	}
 	s := h.Snapshot()
+	if s.Count != goroutines*perG {
+		t.Fatalf("Count = %d, want %d (lost updates)", s.Count, goroutines*perG)
+	}
 	if s.Counts[len(s.Counts)-1] > s.Count {
 		t.Fatalf("cumulative counts exceed total: %v > %d", s.Counts, s.Count)
 	}

@@ -176,11 +176,3 @@ func GeoMean(vs []float64) float64 {
 	}
 	return math.Exp(s / float64(len(vs)))
 }
-
-// Ratio returns a/b, or NaN when b is zero (rendered as "-").
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return math.NaN()
-	}
-	return a / b
-}

@@ -72,9 +72,6 @@ func NewBinner(w, h int, pbBase uint64) *Binner {
 // `reexp -figs binning` quantifies the effect on RE.
 func (b *Binner) SetExact(on bool) { b.exact = on }
 
-// NumTiles returns the tile count.
-func (b *Binner) NumTiles() int { return len(b.bins) }
-
 // Reset clears the bins and Parameter Buffer cursor for a new frame.
 func (b *Binner) Reset() {
 	for i := range b.bins {

@@ -123,17 +123,24 @@ func TestSequentialPBAddresses(t *testing.T) {
 	}
 }
 
+// A screen whose size is not a multiple of the tile size ends in partial
+// tiles: 100x40 is 7x3 tiles, and a triangle in the bottom-right corner
+// bins into the last of them.
 func TestNumTilesPartialScreen(t *testing.T) {
 	b := NewBinner(100, 40, 0)
-	if b.NumTiles() != 7*3 {
-		t.Fatalf("tiles = %d", b.NumTiles())
+	st := tri(t, 100, 40, [3][2]float32{{97, 37}, {99, 37}, {97, 39}})
+	if tiles := b.Insert(&st, PrimRef{}, 3, 144); len(tiles) != 1 || tiles[0] != 7*3-1 {
+		t.Fatalf("corner triangle binned into %v, want [%d]", tiles, 7*3-1)
+	}
+	if n := len(b.Bin(7*3 - 1)); n != 1 {
+		t.Fatalf("last tile's bin holds %d entries, want 1", n)
 	}
 }
 
 func TestPtrAddrDistinct(t *testing.T) {
 	b := NewBinner(64, 64, 0)
 	seen := map[uint64]bool{}
-	for tile := 0; tile < b.NumTiles(); tile++ {
+	for tile := 0; tile < 4*4; tile++ {
 		a := b.PtrAddr(tile)
 		if seen[a] {
 			t.Fatalf("duplicate pointer list address %#x", a)

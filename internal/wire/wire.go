@@ -188,13 +188,6 @@ func (r *Reader) Bytes() []byte {
 	return append([]byte(nil), v...)
 }
 
-// String reads a u32-length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Count(int(r.U32()), 1)
-	v := r.take(n)
-	return string(v)
-}
-
 // Length reads a u32 length prefix that must equal want, the length of the
 // live storage it is read into; any other value latches ErrCorrupt. It is
 // Count's counterpart for decoders that fill storage sized by their own

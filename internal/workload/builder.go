@@ -53,11 +53,6 @@ func (b *frameBuilder) emit(i0, i1, i2 uint16) {
 	b.index = append(b.index, i0, i1, i2)
 }
 
-// tri appends one free-standing triangle.
-func (b *frameBuilder) tri(p0, p1, p2 geom.Vec4, cn geom.Vec4, uv0, uv1, uv2 geom.Vec4) {
-	b.emit(b.vertex(p0, cn, uv0), b.vertex(p1, cn, uv1), b.vertex(p2, cn, uv2))
-}
-
 // quad emits an indexed quad (4 shared vertices, 2 triangles) from explicit
 // corners — how sprite batchers actually submit geometry.
 func (b *frameBuilder) quad(p00, p10, p11, p01 geom.Vec4, cn geom.Vec4, uv00, uv10, uv11, uv01 geom.Vec4) {
@@ -150,7 +145,7 @@ func (b *frameBuilder) groundPlane(y, half float32, uvRepeat float32) {
 
 func pipe2D(fs api.ProgramID, tex api.TextureID, blend api.BlendMode) api.SetPipeline {
 	return api.SetPipeline{
-		VS: pidVS, FS: fs,
+		VS: ProgTransformVS, FS: fs,
 		Tex:       [api.MaxTexUnits]api.TextureID{tex},
 		Blend:     blend,
 		DepthTest: false, DepthWrite: false, CullBack: false,
@@ -159,7 +154,7 @@ func pipe2D(fs api.ProgramID, tex api.TextureID, blend api.BlendMode) api.SetPip
 
 func pipe3D(fs api.ProgramID, tex api.TextureID) api.SetPipeline {
 	return api.SetPipeline{
-		VS: pidVS, FS: fs,
+		VS: ProgTransformVS, FS: fs,
 		Tex:       [api.MaxTexUnits]api.TextureID{tex},
 		Blend:     api.BlendNone,
 		DepthTest: true, DepthWrite: true, CullBack: false,

@@ -96,7 +96,7 @@ func TestFlushBatchesAndResets(t *testing.T) {
 func TestSetPipelineFlushesPending(t *testing.T) {
 	b := newFrame()
 	b.quad2D(0, 0, 1, 1, 0, geom.V4(1, 1, 1, 1))
-	b.setPipeline(pipe2D(pidFlat, 0, api.BlendNone))
+	b.setPipeline(pipe2D(ProgFlatFS, 0, api.BlendNone))
 	f := b.done()
 	// The draw must precede the pipeline switch.
 	var order []string
@@ -126,11 +126,11 @@ func TestOrtho2DMapsPixels(t *testing.T) {
 }
 
 func TestPipePresets(t *testing.T) {
-	p2 := pipe2D(pidTex, 3, api.BlendAlpha)
+	p2 := pipe2D(ProgTexFS, 3, api.BlendAlpha)
 	if p2.DepthTest || p2.DepthWrite || p2.Blend != api.BlendAlpha || p2.Tex[0] != 3 {
 		t.Fatalf("pipe2D = %+v", p2)
 	}
-	p3 := pipe3D(pidLambert, 1)
+	p3 := pipe3D(ProgLambertFS, 1)
 	if !p3.DepthTest || !p3.DepthWrite || p3.Blend != api.BlendNone {
 		t.Fatalf("pipe3D = %+v", p3)
 	}

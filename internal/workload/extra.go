@@ -26,9 +26,9 @@ func buildDesktop(p Params) *api.Trace {
 		if f < 2 {
 			b.setMVP(ortho2D(p.Width, p.Height))
 			b.setUniforms(4, geom.V4(1, 1, 1, 1))
-			b.setPipeline(pipe2D(pidTex, 0, api.BlendNone))
+			b.setPipeline(pipe2D(ProgTexFS, 0, api.BlendNone))
 			b.quad2D(0, 0, W, H, 0, geom.V4(1, 1, 1, 1))
-			b.setPipeline(pipe2D(pidTex, 1, api.BlendAlpha))
+			b.setPipeline(pipe2D(ProgTexFS, 1, api.BlendAlpha))
 			for j := 0; j < 4; j++ {
 				for i := 0; i < 5; i++ {
 					b.quad2D(W*(0.1+0.18*float32(i)), H*(0.15+0.2*float32(j)), 24, 24, 0, candyColors[(i+j)%len(candyColors)])
@@ -54,7 +54,7 @@ func buildAntutu(p Params) *api.Trace {
 		eye := geom.V3(9*cosf(t/20), 4+1.5*sinf(t/11), 9*sinf(t/20))
 		cam := perspCam(p.Width, p.Height, eye, geom.V3(0, 1, 0))
 		b := newFrame()
-		b.setPipeline(pipe3D(pidLambert, 0))
+		b.setPipeline(pipe3D(ProgLambertFS, 0))
 		object(b, cam, geom.V4(1, 1, 1, 1), light, func(b *frameBuilder) {
 			b.groundPlane(0, 18, 10)
 		})
@@ -66,7 +66,7 @@ func buildAntutu(p Params) *api.Trace {
 				b.box3D(geom.V3(0, y, 0), geom.V3(14, 0.2, 14))
 			})
 		}
-		b.setPipeline(pipe3D(pidLambert, 1))
+		b.setPipeline(pipe3D(ProgLambertFS, 1))
 		for i := 0; i < 56; i++ {
 			ang := float64(i)/56*2*math.Pi + t/9
 			r := 2.5 + float32(i%6)

@@ -53,16 +53,20 @@ type Benchmark struct {
 	Build func(Params) *api.Trace
 }
 
-// Shared shader program registry (every trace carries the same table).
+// The standard shader program registry: every suite and extra trace carries
+// this table, and the root package re-exports it for custom traces. Index 0
+// is the transform vertex shader, the rest are fragment shaders.
 const (
-	pidVS      = 0 // TransformVS(2)
-	pidFlat    = 1
-	pidVColor  = 2
-	pidTex     = 3
-	pidLambert = 4
+	ProgTransformVS = 0 // TransformVS(2)
+	ProgFlatFS      = 1
+	ProgVColorFS    = 2
+	ProgTexFS       = 3
+	ProgLambertFS   = 4
 )
 
-func standardPrograms() []*shader.Program {
+// StandardPrograms returns fresh copies of the registry, indexed by the
+// Prog* ids.
+func StandardPrograms() []*shader.Program {
 	return []*shader.Program{
 		shader.TransformVS(2),
 		shader.FlatFS(),

@@ -195,7 +195,7 @@ func TestStepPathQuantizedAndPeriodic(t *testing.T) {
 }
 
 func TestStandardProgramsValidate(t *testing.T) {
-	for _, p := range standardPrograms() {
+	for _, p := range StandardPrograms() {
 		if err := p.Validate(); err != nil {
 			t.Fatal(err)
 		}
