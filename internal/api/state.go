@@ -1,9 +1,6 @@
 package api
 
 import (
-	"encoding/binary"
-	"math"
-
 	"rendelim/internal/geom"
 	"rendelim/internal/shader"
 	"rendelim/internal/wire"
@@ -70,23 +67,12 @@ func (s *State) SignedConstants() []geom.Vec4 {
 // bit patterns so the encoding is total and deterministic (distinct bit
 // patterns stay distinct, including -0 vs +0 and NaN payloads).
 
-func putVec4(dst []byte, v geom.Vec4) {
-	binary.LittleEndian.PutUint32(dst[0:], math.Float32bits(v.X))
-	binary.LittleEndian.PutUint32(dst[4:], math.Float32bits(v.Y))
-	binary.LittleEndian.PutUint32(dst[8:], math.Float32bits(v.Z))
-	binary.LittleEndian.PutUint32(dst[12:], math.Float32bits(v.W))
-}
-
 // AppendUniformRecord appends one SetUniforms record to the constants block.
 func AppendUniformRecord(dst []byte, c SetUniforms) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(c.First))
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(c.Values)))
-	dst = append(dst, hdr[:]...)
-	var buf [16]byte
+	dst = wire.AppendU32(dst, uint32(c.First))
+	dst = wire.AppendU32(dst, uint32(len(c.Values)))
 	for _, v := range c.Values {
-		putVec4(buf[:], v)
-		dst = append(dst, buf[:]...)
+		dst = AppendVec4(dst, v)
 	}
 	return dst
 }
@@ -97,34 +83,19 @@ func AppendUniformRecord(dst []byte, c SetUniforms) []byte {
 // bound state as well closes the false-positive hole when an application
 // rebinds an already-uploaded program, texture, blend or depth mode between
 // frames — those are Command Processor outputs and genuine Raster Pipeline
-// inputs.
+// inputs. The 0xFF 0xEE marker keeps the record distinct from uniform
+// headers.
 func AppendPipelineRecord(dst []byte, p SetPipeline) []byte {
-	rec := [12]byte{
-		0xFF, 0xEE, // record marker, distinct from uniform headers
-		byte(p.VS), byte(p.FS),
-		byte(p.Tex[0]), byte(p.Tex[1]), byte(p.Tex[2]), byte(p.Tex[3]),
-		byte(p.Blend), b2b(p.DepthTest), b2b(p.DepthWrite), b2b(p.CullBack),
-	}
-	return append(dst, rec[:]...)
-}
-
-func b2b(v bool) byte {
-	if v {
-		return 1
-	}
-	return 0
+	return AppendPipeline(append(dst, 0xFF, 0xEE), p)
 }
 
 // AppendPrimitive appends triangle tri of drawcall d to dst: the attributes
 // of its three (possibly indexed) vertices, in submission order. Indexed and
 // flat submissions of the same geometry therefore sign identically.
 func AppendPrimitive(dst []byte, d Draw, tri int) []byte {
-	var buf [16]byte
 	for k := 0; k < 3; k++ {
-		v := d.TriVertexIndex(tri, k)
-		for a := 0; a < d.NumAttrs; a++ {
-			putVec4(buf[:], d.Data[v*d.NumAttrs+a])
-			dst = append(dst, buf[:]...)
+		for _, a := range d.Vertex(d.TriVertexIndex(tri, k)) {
+			dst = AppendVec4(dst, a)
 		}
 	}
 	return dst
@@ -140,9 +111,10 @@ func (d Draw) VertexBytes() int { return d.NumAttrs * 16 }
 
 // --- Shared binary codec --------------------------------------------------
 //
-// The trace format (internal/trace) and simulator checkpoints
-// (internal/gpusim) both store vec4s and bound pipeline state; they encode
-// them through this one pair each, so the two formats cannot drift apart.
+// The trace format (internal/trace), simulator checkpoints
+// (internal/gpusim) and the signature bitstream above all store vec4s and
+// bound pipeline state; they encode them through this one pair each, so
+// the formats cannot drift apart.
 
 // AppendVec4 appends v as four little-endian float32 bit patterns.
 func AppendVec4(b []byte, v geom.Vec4) []byte {
@@ -185,15 +157,15 @@ func ReadPipeline(r *wire.Reader) SetPipeline {
 	return p
 }
 
-// AppendState appends the bound pipeline, every uniform register, the
-// render-target count and the upload flag, for simulator checkpoints.
+// AppendState appends the bound pipeline, every uniform register and the
+// render-target count, for simulator checkpoints. The upload flag is not
+// part of it: BeginFrame clears it.
 func (s *State) AppendState(b []byte) []byte {
 	b = AppendPipeline(b, s.Pipeline)
 	for _, v := range s.Uniforms {
 		b = AppendVec4(b, v)
 	}
-	b = wire.AppendI64(b, int64(s.RenderTargets))
-	return wire.AppendBool(b, s.UploadsThisFrame)
+	return wire.AppendI64(b, int64(s.RenderTargets))
 }
 
 // ReadState reads what AppendState wrote into s.
@@ -203,5 +175,4 @@ func (s *State) ReadState(r *wire.Reader) {
 		s.Uniforms[i] = ReadVec4(r)
 	}
 	s.RenderTargets = int(r.I64())
-	s.UploadsThisFrame = r.Bool()
 }

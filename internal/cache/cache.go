@@ -56,16 +56,6 @@ type Stats struct {
 	WriteBytes uint64 // bytes written back to the next level
 }
 
-// Add accumulates o into s.
-func (s *Stats) Add(o Stats) {
-	s.Accesses += o.Accesses
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Writebacks += o.Writebacks
-	s.ReadBytes += o.ReadBytes
-	s.WriteBytes += o.WriteBytes
-}
-
 // NextLevel receives the miss/writeback traffic of a cache: either another
 // cache or the DRAM model.
 type NextLevel interface {
@@ -191,11 +181,11 @@ func (c *Cache) Read(addr uint64, size int) int { return c.Access(addr, size, fa
 // Write is the NextLevel write adapter.
 func (c *Cache) Write(addr uint64, size int) int { return c.Access(addr, size, true) }
 
-// AppendState appends the cache's full replacement state for a simulator
+// AppendState appends the cache's replacement state for a simulator
 // checkpoint — every line's tag, validity, dirtiness and LRU stamp, set by
-// set, then the LRU clock and the counters — so a cache read back from it
-// produces the same hit/miss/writeback stream (and therefore the same
-// simulated timing) as the original.
+// set, then the LRU clock — so a cache read back from it produces the same
+// hit/miss/writeback stream (and therefore the same simulated timing) as
+// the original. The simulator reads Stats only as in-frame differences.
 func (c *Cache) AppendState(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(len(c.sets)*c.cfg.Ways))
 	for _, set := range c.sets {
@@ -206,13 +196,7 @@ func (c *Cache) AppendState(b []byte) []byte {
 			b = wire.AppendU32(b, ln.lru)
 		}
 	}
-	b = wire.AppendU32(b, c.lruTick)
-	b = wire.AppendU64(b, c.Stats.Accesses)
-	b = wire.AppendU64(b, c.Stats.Hits)
-	b = wire.AppendU64(b, c.Stats.Misses)
-	b = wire.AppendU64(b, c.Stats.Writebacks)
-	b = wire.AppendU64(b, c.Stats.ReadBytes)
-	return wire.AppendU64(b, c.Stats.WriteBytes)
+	return wire.AppendU32(b, c.lruTick)
 }
 
 // ReadState reads what AppendState wrote into the cache's own lines; a line
@@ -225,6 +209,4 @@ func (c *Cache) ReadState(r *wire.Reader) {
 		}
 	}
 	c.lruTick = r.U32()
-	c.Stats = Stats{Accesses: r.U64(), Hits: r.U64(), Misses: r.U64(),
-		Writebacks: r.U64(), ReadBytes: r.U64(), WriteBytes: r.U64()}
 }

@@ -154,14 +154,6 @@ func TestCacheStacking(t *testing.T) {
 	}
 }
 
-func TestStatsAdd(t *testing.T) {
-	a := Stats{Accesses: 1, Hits: 2, Misses: 3, Writebacks: 4, ReadBytes: 5, WriteBytes: 6}
-	a.Add(a)
-	if a != (Stats{Accesses: 2, Hits: 4, Misses: 6, Writebacks: 8, ReadBytes: 10, WriteBytes: 12}) {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
 // Property: hits + misses == accesses, and a second identical access stream
 // on a warmed cache can only raise the hit rate.
 func TestQuickConservationAndWarmth(t *testing.T) {

@@ -208,14 +208,6 @@ func TestHardwarePathEndToEnd(t *testing.T) {
 	}
 }
 
-func TestUnitStatsAdd(t *testing.T) {
-	a := UnitStats{Cycles: 1, LUTAccesses: 2, Subblocks: 3}
-	a.Add(UnitStats{Cycles: 10, LUTAccesses: 20, Subblocks: 30})
-	if a != (UnitStats{Cycles: 11, LUTAccesses: 22, Subblocks: 33}) {
-		t.Fatalf("Add = %+v", a)
-	}
-}
-
 func TestPaddedLen(t *testing.T) {
 	cases := map[int]int{0: 0, 1: 8, 7: 8, 8: 8, 9: 16, 64: 64, 65: 72}
 	for n, want := range cases {

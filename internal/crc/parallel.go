@@ -1,7 +1,5 @@
 package crc
 
-import "rendelim/internal/wire"
-
 // This file models the table-based hardware of Section III-D and Figures
 // 8-11: the Sign subunit (eight 1 KB LUTs signing one 64-bit subblock per
 // cycle), the Shift subunit (advancing a 32-bit CRC state across one 64-bit
@@ -46,25 +44,6 @@ type UnitStats struct {
 	Cycles      uint64 // occupancy in cycles (1 per subblock / iteration)
 	LUTAccesses uint64 // individual 1 KB LUT reads
 	Subblocks   uint64 // 64-bit subblocks processed
-}
-
-// Add accumulates o into s.
-func (s *UnitStats) Add(o UnitStats) {
-	s.Cycles += o.Cycles
-	s.LUTAccesses += o.LUTAccesses
-	s.Subblocks += o.Subblocks
-}
-
-// AppendState appends the counters, for simulator checkpoints.
-func (s *UnitStats) AppendState(b []byte) []byte {
-	b = wire.AppendU64(b, s.Cycles)
-	b = wire.AppendU64(b, s.LUTAccesses)
-	return wire.AppendU64(b, s.Subblocks)
-}
-
-// ReadState reads what AppendState wrote into s.
-func (s *UnitStats) ReadState(r *wire.Reader) {
-	*s = UnitStats{Cycles: r.U64(), LUTAccesses: r.U64(), Subblocks: r.U64()}
 }
 
 // signSubblock signs one full 64-bit subblock with the eight sign LUTs.

@@ -136,9 +136,9 @@ func (d *DRAM) Write(addr uint64, size int) int {
 }
 
 // AppendState appends the open-row state of every bank, channel by
-// channel, then the counters, for simulator checkpoints: a model read back
-// from it reproduces the same row hit/miss (and therefore latency) sequence
-// as the original.
+// channel, for simulator checkpoints: a model read back from it reproduces
+// the same row hit/miss (and therefore latency) sequence as the original.
+// The simulator reads Stats only as in-frame differences.
 func (d *DRAM) AppendState(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(d.cfg.Channels*d.cfg.BanksPerChannel))
 	for _, ch := range d.banks {
@@ -147,13 +147,7 @@ func (d *DRAM) AppendState(b []byte) []byte {
 			b = wire.AppendBool(b, bk.valid)
 		}
 	}
-	b = wire.AppendU64(b, d.Stats.Reads)
-	b = wire.AppendU64(b, d.Stats.Writes)
-	b = wire.AppendU64(b, d.Stats.ReadBytes)
-	b = wire.AppendU64(b, d.Stats.WriteBytes)
-	b = wire.AppendU64(b, d.Stats.RowHits)
-	b = wire.AppendU64(b, d.Stats.RowMisses)
-	return wire.AppendU64(b, d.Stats.BusBusyCycles)
+	return b
 }
 
 // ReadState reads what AppendState wrote into the model's own banks; a bank
@@ -165,6 +159,4 @@ func (d *DRAM) ReadState(r *wire.Reader) {
 			ch[i] = bank{openRow: r.U64(), valid: r.Bool()}
 		}
 	}
-	d.Stats = Stats{Reads: r.U64(), Writes: r.U64(), ReadBytes: r.U64(), WriteBytes: r.U64(),
-		RowHits: r.U64(), RowMisses: r.U64(), BusBusyCycles: r.U64()}
 }

@@ -234,7 +234,8 @@ func (r *Runner) Fig17b() *stats.Table {
 }
 
 // Overhead reproduces the Section V overhead discussion: SU stall cycles as
-// a percentage of geometry cycles (paper: 0.64% avg), the compare cost as a
+// a percentage of geometry cycles (paper: 0.64% avg), the compare cycles
+// charged (the signature-check stage less the SU stalls it also holds) as a
 // percentage of total cycles, and the RE energy overhead share.
 func (r *Runner) Overhead() *stats.Table {
 	t := stats.NewTable("Section V: RE overheads",
@@ -246,7 +247,7 @@ func (r *Runner) Overhead() *stats.Table {
 		if geom == 0 {
 			geom = 1
 		}
-		cmp := float64(re.TilesTotal) * 4
+		cmp := float64(re.StageCycles[gpusim.StageSigCheck] - re.SUStallCycles)
 		eb := em.Compute(re.Activity)
 		t.Add(a,
 			float64(re.SUStallCycles)/geom*100,

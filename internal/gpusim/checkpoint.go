@@ -20,12 +20,14 @@ import (
 // Resume rebuilds them from the trace. Version 3 dropped RE state that
 // version 2 held twice or never read: a second frame counter, the per-frame
 // disable flags (recomputed at each frame start), two decision counters, and
-// a copy of the Signature Unit's CRC counters. An older blob is rejected,
-// which recovery treats like any unreadable checkpoint — the job restarts
-// from frame 0.
+// a copy of the Signature Unit's CRC counters. Version 4 dropped what no
+// later frame reads: every activity counter (RunFrame reads them only as
+// in-frame differences), the per-frame scratch that BeginFrame resets, and
+// the memo lookup and hit counts. An older blob is rejected, which recovery
+// treats like any unreadable checkpoint — the job restarts from frame 0.
 const (
 	ckptMagic   = "RECK"
-	ckptVersion = uint16(3)
+	ckptVersion = uint16(4)
 )
 
 // ErrCheckpointFormat is wrapped by every Resume failure except a
@@ -34,15 +36,15 @@ const (
 var ErrCheckpointFormat = fmt.Errorf("gpusim: bad checkpoint format")
 
 // Checkpoint encodes the simulator at a frame boundary into one
-// self-contained blob: the cross-frame state the trace cannot rebuild — the
-// double-buffered framebuffer, the API state, the Signature Unit with its
-// Signature Buffer, the TE signature buffer and CRC counters, the
-// memoization baselines, the DRAM row-buffer state, all cache tag/LRU
-// arrays, and the counters — each component appending its own state. A run
-// resumed from the blob is byte-identical — same per-frame stats, same
-// pixels — to one that ran straight through, because frame statistics are
-// computed as deltas of these counters and every timing-relevant structure
-// (cache LRU clocks, DRAM open rows, signature parity) is captured.
+// self-contained blob of what a later frame reads and the trace cannot
+// rebuild: the double-buffered framebuffer, the API state, RE's and TE's
+// committed signature sets, the memoization baselines, the DRAM open rows,
+// every cache's lines and LRU clock, and the skip counters — each
+// component appending its own state. A run resumed from the blob is
+// byte-identical — same per-frame stats, same pixels — to one that ran
+// straight through: frame statistics are in-frame differences of activity
+// counters, which the blob therefore omits, and every timing-relevant
+// structure (cache LRU clocks, DRAM open rows, signature parity) is in it.
 //
 // The upload-mutable program and texture tables are not captured: they are
 // a function of the trace and the frame index, so Resume rebuilds them from
@@ -53,9 +55,10 @@ var ErrCheckpointFormat = fmt.Errorf("gpusim: bad checkpoint format")
 // RE's comparison point: RunFrame never leaves state half-committed
 // (RunContext documents this), so a checkpoint taken between frames is
 // always consistent. Per-frame scratch (binner, draw/triangle lists, tile
-// results) is rebuilt from zero each frame and needs no capture. Calling
-// Checkpoint mid-frame (from inside RunFrame) is not supported. It makes
-// one allocation, the blob.
+// results, the Signature Unit's building sets, constants register, bitmap
+// and queue clocks) is rebuilt from zero each frame and needs no capture.
+// Calling Checkpoint mid-frame (from inside RunFrame) is not supported. It
+// makes one allocation, the blob.
 func (s *Simulator) Checkpoint() []byte {
 	b := make([]byte, 0, s.checkpointBound())
 	b = append(b, ckptMagic...)
@@ -68,9 +71,8 @@ func (s *Simulator) Checkpoint() []byte {
 
 	b = s.fbuf.AppendState(b)
 	b = s.state.AppendState(b)
-	b = s.su.AppendState(b)
+	b = s.su.Buffer().AppendState(b)
 	b = s.teBuf.AppendState(b)
-	b = s.teCRC.Stats.AppendState(b)
 	b = s.memo.appendPrev(b)
 	b = s.dram.AppendState(b)
 	caches := s.checkpointCaches()
@@ -78,9 +80,6 @@ func (s *Simulator) Checkpoint() []byte {
 	for _, c := range caches {
 		b = c.AppendState(b)
 	}
-	b = wire.AppendU64(b, s.vs.Counts.Instructions)
-	b = wire.AppendU64(b, s.vs.Counts.TexSamples)
-	b = wire.AppendU64(b, s.vs.Counts.Invocations)
 	b = wire.AppendU32s(b, s.skipCounts)
 
 	// Integrity seal over everything prior.
@@ -89,13 +88,13 @@ func (s *Simulator) Checkpoint() []byte {
 
 // checkpointBound bounds the blob size from above, so Checkpoint allocates
 // once: it counts the element bytes of every variable-length part and
-// allows 4 KiB for the fixed-size fields and length prefixes (about
-// 1.4 KiB). The framebuffers dominate.
+// allows 4 KiB for the fixed-size fields and length prefixes (706 bytes,
+// over half of them the uniform registers). The framebuffers dominate.
 func (s *Simulator) checkpointBound() int {
 	tiles := s.fbuf.NumTiles()
-	// Per tile: two signature buffers of three signatures and two validity
-	// bytes each, the RE bitmap byte, a skip counter and a memo count.
-	n := 4096 + 8*s.trace.Width*s.trace.Height + (2*14+1+4+4)*tiles
+	// Per tile: two signature buffers of two committed signatures and two
+	// validity bytes each, a skip counter and a memo count.
+	n := 4096 + 8*s.trace.Width*s.trace.Height + (2*10+4+4)*tiles
 	for _, t := range s.memo.prev {
 		if t != nil {
 			n += 20 * t.n
@@ -154,9 +153,8 @@ func (s *Simulator) Resume(blob []byte) error {
 
 	s.fbuf.ReadState(r)
 	s.state.ReadState(r)
-	s.su.ReadState(r)
+	s.su.Buffer().ReadState(r)
 	s.teBuf.ReadState(r)
-	s.teCRC.Stats.ReadState(r)
 	s.memo.readPrev(r)
 	s.dram.ReadState(r)
 	caches := s.checkpointCaches()
@@ -164,9 +162,6 @@ func (s *Simulator) Resume(blob []byte) error {
 	for _, c := range caches {
 		c.ReadState(r)
 	}
-	s.vs.Counts.Instructions = r.U64()
-	s.vs.Counts.TexSamples = r.U64()
-	s.vs.Counts.Invocations = r.U64()
 	r.ReadU32s(s.skipCounts)
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("%w: %v", ErrCheckpointFormat, err)

@@ -65,24 +65,25 @@ func TestCheckpointCodecRoundTrip(t *testing.T) {
 // An unknown version tag must be rejected outright: decoding a future blob
 // with this version's field layout would corrupt a recovery silently, and an
 // older blob still carries what a later version dropped (v1 the program and
-// texture tables, v2 the duplicated RE state), so recovery must restart that
-// job from frame 0 instead.
+// texture tables, v2 the duplicated RE state, v3 the activity counters and
+// per-frame scratch), so recovery must restart that job from frame 0
+// instead.
 func TestCheckpointCodecVersionRejected(t *testing.T) {
-	blob := testCheckpointBlob(t)
-	for _, v := range []uint16{1, 2, ckptVersion + 1} {
+	blob := testCheckpointBlob(t, RE)
+	for _, v := range []uint16{1, 2, 3, ckptVersion + 1} {
 		// Overwrite the version field (right after the 4-byte magic) and
 		// re-seal the CRC so only the version differs from a valid blob.
 		mut := append([]byte(nil), blob...)
 		binary.LittleEndian.PutUint16(mut[len(ckptMagic):], v)
-		if err := testCheckpointSim(t).Resume(reseal(mut)); !errors.Is(err, ErrCheckpointFormat) {
+		if err := testCheckpointSim(t, RE).Resume(reseal(mut)); !errors.Is(err, ErrCheckpointFormat) {
 			t.Fatalf("version %d resumed: err = %v, want ErrCheckpointFormat", v, err)
 		}
 	}
 }
 
 func TestCheckpointCodecRejectsDamage(t *testing.T) {
-	blob := testCheckpointBlob(t)
-	sim := testCheckpointSim(t)
+	blob := testCheckpointBlob(t, RE)
+	sim := testCheckpointSim(t, RE)
 
 	t.Run("bad magic", func(t *testing.T) {
 		mut := append([]byte(nil), blob...)
@@ -113,7 +114,7 @@ func TestCheckpointCodecRejectsDamage(t *testing.T) {
 // A checkpoint from one trace must not restore a simulator built over a
 // different one.
 func TestCheckpointCodecTraceMismatch(t *testing.T) {
-	blob := testCheckpointBlob(t)
+	blob := testCheckpointBlob(t, RE)
 	b, err := workload.ByAlias("ccs")
 	if err != nil {
 		t.Fatal(err)
@@ -150,6 +151,44 @@ func TestCheckpointLengthIndependentOfWorkload(t *testing.T) {
 	}
 }
 
+// A checkpoint holds only what a later frame reads. Frame statistics are
+// in-frame differences of the activity counters, and BeginFrame resets the
+// per-frame scratch, so changing any of them at a frame boundary must leave
+// the blob's bytes as they were.
+func TestCheckpointOmitsCountersAndScratch(t *testing.T) {
+	sim := testCheckpointSim(t, RE)
+	sim.RunFrame(&sim.trace.Frames[0])
+	sim.RunFrame(&sim.trace.Frames[1])
+	for _, tc := range []struct {
+		name   string
+		change func()
+	}{
+		{"DRAM counters", func() { sim.dram.Stats.RowMisses++ }},
+		{"cache counters", func() {
+			for _, c := range sim.checkpointCaches() {
+				c.Stats.Hits++
+			}
+		}},
+		{"Signature Unit stats", func() { sim.su.Stats.StallCycles++ }},
+		{"Signature Buffer access counts", func() {
+			sim.su.Buffer().Reads++
+			sim.teBuf.Writes++
+		}},
+		{"VS counts", func() { sim.vs.Counts.Instructions++ }},
+		// A constants block moves the CRC counters, the constants register
+		// and the bitmap.
+		{"Signature Unit scratch", func() { sim.su.SetConstants([]byte{1}) }},
+		{"building set", func() { sim.su.Buffer().Store(0, 7) }},
+		{"upload flag", func() { sim.state.UploadsThisFrame = true }},
+	} {
+		want := sim.Checkpoint()
+		tc.change()
+		if !bytes.Equal(sim.Checkpoint(), want) {
+			t.Errorf("changing the %s changed the checkpoint", tc.name)
+		}
+	}
+}
+
 // ckptHeaderLen is the length of the header Resume checks before it writes
 // anything: magic, version, frame, width, height, technique and trace
 // identity.
@@ -162,7 +201,7 @@ const ckptHeaderLen = len(ckptMagic) + 2 + 3*8 + 1 + 4
 // simulator needs. A frame outside the trace is a header rejection, so it
 // must leave the simulator untouched.
 func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
-	src := testCheckpointSim(t)
+	src := testCheckpointSim(t, RE)
 	src.RunFrame(&src.trace.Frames[0])
 	src.RunFrame(&src.trace.Frames[1])
 	blob := src.Checkpoint()
@@ -176,9 +215,8 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 	}
 	fbOff := section(src.fbuf.AppendState(nil))
 	section(src.state.AppendState(nil))
-	reOff := section(src.su.AppendState(nil))
+	reOff := section(src.su.Buffer().AppendState(nil))
 	teOff := section(src.teBuf.AppendState(nil))
-	section(src.teCRC.Stats.AppendState(nil))
 	memoOff := section(src.memo.appendPrev(nil))
 	dramOff := section(src.dram.AppendState(nil))
 	cachesOff := at
@@ -189,14 +227,11 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 	}
 
 	tiles, pixels := src.NumTiles(), src.trace.Width*src.trace.Height
-	// A signature buffer holds three length-prefixed signature sets, then
+	// A signature buffer holds two length-prefixed signature sets, then
 	// two validity sets, then the parity.
 	sigSet, validSet := 4+4*tiles, 4+tiles
 	front := int(binary.LittleEndian.Uint64(blob[fbOff:]))
 	pixelsOff := [2]int{fbOff + 8, fbOff + 8 + 4 + 4*pixels}
-	// The RE bitmap follows the RE signature buffer, the compute and
-	// accumulate counters, the constants register, its shift and its flag.
-	bitmapOff := reOff + len(src.teBuf.AppendState(nil)) + 2*len(src.teCRC.Stats.AppendState(nil)) + 4 + 8 + 1
 	lines := caches[3].Config().Sets() * caches[3].Config().Ways
 	banks := src.cfg.DRAM.Channels * src.cfg.DRAM.BanksPerChannel
 
@@ -223,11 +258,9 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 		index("front index", fbOff, 2),
 		frame("frame past trace end", 99),
 		frame("negative frame", -1),
-		count("short RE building set", reOff, 1, tiles),
-		count("short RE baseline", reOff+2*sigSet, 0, tiles),
-		count("short RE validity", reOff+3*sigSet, 3, tiles),
-		index("RE parity", reOff+3*sigSet+2*validSet, 7),
-		count("short RE bitmap", bitmapOff, 0, tiles),
+		count("short RE baseline", reOff+sigSet, 0, tiles),
+		count("short RE validity", reOff+2*sigSet, 3, tiles),
+		index("RE parity", reOff+2*sigSet+2*validSet, 7),
 		count("short TE buffer", teOff+sigSet, 2, tiles),
 		count("short memo tiles", memoOff, 1, tiles),
 		count("short cache lines", cache3Off, 5, lines),
@@ -242,7 +275,7 @@ func TestResumeRejectsMalformedCheckpoint(t *testing.T) {
 			} else {
 				binary.LittleEndian.PutUint32(mut[tc.off:], uint32(tc.val))
 			}
-			sim := testCheckpointSim(t)
+			sim := testCheckpointSim(t, RE)
 			before := sim.Checkpoint()
 			err := sim.Resume(reseal(mut))
 			if !errors.Is(err, ErrCheckpointFormat) || !strings.Contains(err.Error(), tc.want) {
@@ -317,12 +350,15 @@ func clearOnlyTrace() *api.Trace {
 }
 
 // FuzzResumeCheckpoint: whatever bytes arrive, Resume onto a fresh
-// simulator succeeds, or fails with ErrCheckpointFormat or a trace
-// mismatch — it never panics, and after a successful Resume neither does
-// the next frame. Each input's CRC is re-sealed first, so mutations reach
-// the header checks and the state readers instead of stopping at the seal.
+// simulator of the technique the header names succeeds, or fails with
+// ErrCheckpointFormat or a trace mismatch — it never panics, and after a
+// successful Resume neither does the next frame. Each input's CRC is
+// re-sealed first, so mutations reach the header checks and the state
+// readers instead of stopping at the seal. There is one intact seed per
+// technique: only a Memo blob holds baseline tables, and only a TE blob
+// valid TE signatures.
 func FuzzResumeCheckpoint(f *testing.F) {
-	blob := testCheckpointBlob(f)
+	blob := testCheckpointBlob(f, RE)
 	f.Add(blob)
 	f.Add(blob[:len(blob)*2/3])
 	f.Add(blob[:len(ckptMagic)+2+4])
@@ -332,8 +368,19 @@ func FuzzResumeCheckpoint(f *testing.F) {
 		mut[off] ^= 0x10
 		f.Add(mut)
 	}
+	// Taken after one frame: on ccs every fragment of the second frame
+	// reuses the first's colours, so after two the Memo baselines are empty.
+	for _, tech := range []Technique{Baseline, TE, Memo} {
+		sim := testCheckpointSim(f, tech)
+		sim.RunFrame(&sim.trace.Frames[0])
+		f.Add(sim.Checkpoint())
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		sim := testCheckpointSim(t)
+		tech := RE // the technique byte follows magic, version, frame and size
+		if off := len(ckptMagic) + 2 + 3*8; len(b) > off && Technique(b[off]) <= Memo {
+			tech = Technique(b[off])
+		}
+		sim := testCheckpointSim(t, tech)
 		err := sim.Resume(reseal(b))
 		if err != nil && !errors.Is(err, ErrCheckpointFormat) && !strings.Contains(err.Error(), "checkpoint mismatch") {
 			t.Fatalf("Resume error is neither ErrCheckpointFormat nor a trace mismatch: %v", err)
@@ -354,16 +401,17 @@ func reseal(b []byte) []byte {
 	return wire.AppendU32(body[:len(body):len(body)], crc.Checksum(body))
 }
 
-// testCheckpointSim builds a fresh RE simulator over four frames of the
-// suite's ccs workload — the trace and config testCheckpointBlob encodes.
-func testCheckpointSim(tb testing.TB) *Simulator {
+// testCheckpointSim builds a fresh simulator of tech over four frames of
+// the suite's ccs workload — the trace and config testCheckpointBlob
+// encodes.
+func testCheckpointSim(tb testing.TB, tech Technique) *Simulator {
 	tb.Helper()
 	b, err := workload.ByAlias("ccs")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Technique = RE
+	cfg.Technique = tech
 	sim, err := New(b.Build(workload.Params{Width: 96, Height: 64, Frames: 4, Seed: 1}), cfg)
 	if err != nil {
 		tb.Fatal(err)
@@ -373,9 +421,9 @@ func testCheckpointSim(tb testing.TB) *Simulator {
 
 // testCheckpointBlob runs two frames of testCheckpointSim and returns the
 // frame-2 checkpoint.
-func testCheckpointBlob(tb testing.TB) []byte {
+func testCheckpointBlob(tb testing.TB, tech Technique) []byte {
 	tb.Helper()
-	sim := testCheckpointSim(tb)
+	sim := testCheckpointSim(tb, tech)
 	sim.RunFrame(&sim.trace.Frames[0])
 	sim.RunFrame(&sim.trace.Frames[1])
 	return sim.Checkpoint()

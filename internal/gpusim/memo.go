@@ -130,15 +130,11 @@ func (t *memoTable) grow() {
 // keeps them safely per-tile-disjoint under parallel raster execution. Each
 // tile owns two pooled tables whose roles swap every frame — the frame
 // being rendered inserts into one while reading the other (previous frame's
-// entries). The Lookups/Hits counters are folded in by the commit stage
-// from per-tile shards.
+// entries).
 type memoState struct {
 	cap  int
 	cur  []*memoTable // per tile: table for the frame being rendered
 	prev []*memoTable // per tile: entries committed by the previous frame
-
-	Lookups uint64
-	Hits    uint64
 }
 
 func newMemoState(tiles, lutEntries int) *memoState {
@@ -198,9 +194,8 @@ func (m *memoState) hasRoom(cur *memoTable, pending int) bool {
 	return cur.n+pending < m.cap
 }
 
-// appendPrev appends the per-tile baselines for a checkpoint — per tile,
-// the count and the live (hash, color) pairs in slot order — then the
-// lookup and hit counters.
+// appendPrev appends the per-tile baselines for a checkpoint: per tile, the
+// count and the live (hash, color) pairs in slot order.
 func (m *memoState) appendPrev(b []byte) []byte {
 	b = wire.AppendU32(b, uint32(len(m.prev)))
 	for _, t := range m.prev {
@@ -216,8 +211,7 @@ func (m *memoState) appendPrev(b []byte) []byte {
 			}
 		}
 	}
-	b = wire.AppendU64(b, m.Lookups)
-	return wire.AppendU64(b, m.Hits)
+	return b
 }
 
 // readPrev reads what appendPrev wrote into the per-tile baseline tables; a
@@ -241,8 +235,6 @@ func (m *memoState) readPrev(r *wire.Reader) {
 			t.insert(r.U32(), api.ReadVec4(r))
 		}
 	}
-	m.Lookups = r.U64()
-	m.Hits = r.U64()
 }
 
 // fragmentHasher builds the 32-bit memoization key from the inputs the

@@ -64,8 +64,6 @@ type tileShard struct {
 	fragsMemoReused uint64
 	depthBufAcc     uint64
 	colorBufAcc     uint64
-	memoLookups     uint64
-	memoHits        uint64
 }
 
 // tileResult carries everything one tile's render produced that commit
@@ -79,8 +77,8 @@ type tileResult struct {
 	tb       fb.TileBuffer
 	eqColor  bool // ground-truth color compare against the back buffer
 
-	teSig      uint32
-	teCRCStats crc.UnitStats
+	teSig         uint32
+	teLUTAccesses uint64 // CRC LUT reads of signing the tile's colours
 }
 
 // reset prepares the entry for a new frame, keeping allocated capacity.
@@ -93,7 +91,7 @@ func (r *tileResult) reset() {
 	r.accesses = r.accesses[:0]
 	r.eqColor = false
 	r.teSig = 0
-	r.teCRCStats = crc.UnitStats{}
+	r.teLUTAccesses = 0
 }
 
 // rasterWorker is the private mutable state one raster goroutine needs: a
@@ -227,6 +225,10 @@ func newRasterWorker(s *Simulator, id int) *rasterWorker {
 	return w
 }
 
+// compareCycles is the cost of one RE signature check: a Signature Buffer
+// read pair and a 32-bit compare, "a few cycles" (Section V).
+const compareCycles = 4
+
 // decideTile is the serial pre-raster stage: the RE signature check for one
 // tile, charging Signature Unit costs in tile order exactly like the
 // hardware's raster scheduler.
@@ -235,7 +237,7 @@ func newRasterWorker(s *Simulator, id int) *rasterWorker {
 func (s *Simulator) decideTile(tile int, res *tileResult) {
 	res.reset()
 	if s.cfg.Technique == RE && !s.reDisabled {
-		res.tw.CompareCycles = 4
+		res.tw.CompareCycles = compareCycles
 		if s.tr != nil {
 			s.tr.BeginArg("re-check", "tile", int64(tile))
 		}
@@ -341,15 +343,12 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 				var h uint32
 				if memoCur != nil {
 					h = w.hasher.hash(&f.Var)
-					st.memoLookups++
 					if lane, ok := w.pend.lookup(h); ok {
-						st.memoHits++
 						st.fragsMemoReused++
 						w.enqueue(idx, lane)
 						return
 					}
 					if c, ok := s.memo.lookup(memoCur, tile, h, crossFrame); ok {
-						st.memoHits++
 						st.fragsMemoReused++
 						blendPixel(res, idx, c, blend)
 						return
@@ -381,19 +380,16 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	res.eqColor = s.fbuf.TileEqualsBack(tile, &res.tb)
 
 	// Transaction Elimination: sign the rendered colors with the worker's
-	// private CRC unit; commit merges the stats delta and does store/match.
+	// private CRC unit; commit charges its LUT reads and does store/match.
 	if s.cfg.Technique == TE {
 		tilew := rect.X1 - rect.X0
 		npx := rect.Area()
 		for i := 0; i < npx; i++ {
 			binary.LittleEndian.PutUint32(w.teByteBuf[i*4:], res.tb.Color[fb.Idx(i%tilew, i/tilew)])
 		}
-		before := w.teCRC.Stats
+		before := w.teCRC.Stats.LUTAccesses
 		res.teSig, _ = w.teCRC.Sign(w.teByteBuf[:npx*4])
-		res.teCRCStats = w.teCRC.Stats
-		res.teCRCStats.Cycles -= before.Cycles
-		res.teCRCStats.LUTAccesses -= before.LUTAccesses
-		res.teCRCStats.Subblocks -= before.Subblocks
+		res.teLUTAccesses = w.teCRC.Stats.LUTAccesses - before
 	}
 	if tr != nil {
 		tr.End() // raster-tile
@@ -498,8 +494,6 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	st.Activity.DepthBufferAccesses += sh.depthBufAcc
 	st.Activity.ColorBufferAccesses += sh.colorBufAcc
 	st.Activity.FSInstructions += tw.FSInstructions
-	s.memo.Lookups += sh.memoLookups
-	s.memo.Hits += sh.memoHits
 
 	// Ground-truth classification against the frame two swaps back.
 	if match, valid := s.su.Buffer().Match(tile); valid {
@@ -520,7 +514,7 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	// when it matches the Back Buffer's previous contents (Section IV-C).
 	doFlush := true
 	if s.cfg.Technique == TE {
-		s.teCRC.Stats.Add(res.teCRCStats)
+		st.Activity.CRCLUTAccesses += res.teLUTAccesses
 		s.teBuf.Store(tile, res.teSig)
 		if match, valid := s.teBuf.Match(tile); valid && match {
 			doFlush = false

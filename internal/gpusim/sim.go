@@ -74,7 +74,6 @@ type Simulator struct {
 	// classifier compares its signatures; only RE checks it to skip tiles.
 	su        *sig.Unit
 	teBuf     *sig.Buffer
-	teCRC     crc.ComputeUnit
 	memo      *memoState
 	dram      *dram.DRAM
 	vcache    *cache.Cache
@@ -106,8 +105,9 @@ type Simulator struct {
 	pipeSigned bool
 
 	// RE's disable rules (Section III-E), recomputed at each frame start.
-	// reDisabled marks a frame that uploads a shader or texture or binds
-	// multiple render targets: it compares no tile and renders normally.
+	// reDisabled marks a frame that uploads a shader or texture or draws
+	// with multiple render targets bound: it compares no tile and renders
+	// normally.
 	// refresh marks every RefreshInterval-th frame, which bounds how long a
 	// tile may go unrendered: it compares every tile and skips none.
 	reDisabled bool
@@ -317,14 +317,9 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	suBefore := s.su.Stats
 	sbBefore := s.su.Buffer().Reads + s.su.Buffer().Writes
 	computeBefore, accumulateBefore := s.su.CRCStats()
-	teCRCBefore := s.teCRC.Stats
 	teBufBefore := s.teBuf.Reads + s.teBuf.Writes
 	vsBefore := s.vs.Counts
-	cacheBefore := [4]cache.Stats{s.vcache.Stats, s.tcache[0].Stats, s.tilecache.Stats, s.l2.Stats}
-	var tcacheBefore cache.Stats
-	for _, tc := range s.tcache {
-		tcacheBefore.Add(tc.Stats)
-	}
+	cacheBefore := s.cacheAccesses()
 
 	s.state.BeginFrame()
 	s.su.BeginFrame()
@@ -334,7 +329,6 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	s.pipeSigned = false // sign the first bound pipeline of each frame
 
 	var geo timing.GeometryWork
-	mrt := false
 	if s.tr != nil {
 		s.tr.Begin("geometry")
 	}
@@ -348,11 +342,6 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		case api.UploadTexture:
 			s.state.Apply(cmd)
 			s.setTexture(int(c.ID), c.Spec)
-		case api.SetRenderTargets:
-			s.state.Apply(cmd)
-			if c.N > 1 {
-				mrt = true
-			}
 		case api.SetUniforms:
 			s.state.Apply(cmd)
 			s.arena.pendingConsts = api.AppendUniformRecord(s.arena.pendingConsts, c)
@@ -363,14 +352,11 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 
 	// RE disable rules (Section III-E). An upload changes state that the
 	// signature does not cover, so "same signature" no longer implies "same
-	// colours" across it: every stored baseline goes. An MRT frame keeps
-	// them.
+	// colours" across it: every stored baseline goes. An MRT frame
+	// (processDraw) keeps them.
 	if s.state.UploadsThisFrame {
 		s.reDisabled = true
 		s.su.Buffer().InvalidateAll()
-	}
-	if mrt {
-		s.reDisabled = true
 	}
 
 	geo.PBWriteBytes = s.binner.WrittenBytes()
@@ -405,14 +391,11 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	// cumulative counter to diff.)
 	a := &st.Activity
 	a.VSInstructions = s.vs.Counts.Instructions - vsBefore.Instructions
-	a.VertexCacheAccesses = s.vcache.Stats.Accesses - cacheBefore[0].Accesses
-	var tcacheNow cache.Stats
-	for _, tc := range s.tcache {
-		tcacheNow.Add(tc.Stats)
-	}
-	a.TextureCacheAccesses = tcacheNow.Accesses - tcacheBefore.Accesses
-	a.TileCacheAccesses = s.tilecache.Stats.Accesses - cacheBefore[2].Accesses
-	a.L2Accesses = s.l2.Stats.Accesses - cacheBefore[3].Accesses
+	cacheNow := s.cacheAccesses()
+	a.VertexCacheAccesses = cacheNow[0] - cacheBefore[0]
+	a.TextureCacheAccesses = cacheNow[1] - cacheBefore[1]
+	a.TileCacheAccesses = cacheNow[2] - cacheBefore[2]
+	a.L2Accesses = cacheNow[3] - cacheBefore[3]
 	a.VerticesFetched = st.Vertices
 	a.TrianglesSetup = st.Triangles
 	a.QuadsTested = st.QuadsTested
@@ -428,8 +411,8 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 			(suBefore.BitmapReads + suBefore.BitmapWrites)
 		a.OTQueueAccesses = s.su.Stats.TileUpdates - suBefore.TileUpdates
 	case TE:
+		// commitTile charges the TE signing's CRCLUTAccesses per tile.
 		a.SigBufferAccesses = s.teBuf.Reads + s.teBuf.Writes - teBufBefore
-		a.CRCLUTAccesses = s.teCRC.Stats.LUTAccesses - teCRCBefore.LUTAccesses
 	}
 
 	dNow := s.dram.Stats
@@ -449,6 +432,16 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	s.frameIdx++
 	s.frame = nil
 	return *st
+}
+
+// cacheAccesses returns the access counts of the vertex cache, the four
+// texture caches together, the tile cache and the L2.
+func (s *Simulator) cacheAccesses() [4]uint64 {
+	n := [4]uint64{s.vcache.Stats.Accesses, 0, s.tilecache.Stats.Accesses, s.l2.Stats.Accesses}
+	for _, tc := range s.tcache {
+		n[1] += tc.Stats.Accesses
+	}
+	return n
 }
 
 // accessExtra performs a cache access and returns the latency beyond the
@@ -479,6 +472,11 @@ func (s *Simulator) accessExtra(c *cache.Cache, addr uint64, size int, write boo
 func (s *Simulator) processDraw(d api.Draw, st *Stats, geo *timing.GeometryWork) {
 	if d.Validate() != nil || d.TriangleCount() == 0 {
 		return
+	}
+	// RE disable rule (Section III-E): drawing with multiple render targets
+	// bound, whichever frame bound them, makes this an MRT frame.
+	if s.state.RenderTargets > 1 {
+		s.reDisabled = true
 	}
 	// The record is built in place in the arena (not in a local first):
 	// rec.uniforms[:] is later handed to the vertex-shader VM, and a slice

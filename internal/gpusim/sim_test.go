@@ -345,6 +345,32 @@ func TestMRTDisablesRE(t *testing.T) {
 	}
 }
 
+// The MRT rule reads the bound render-target count when the frame draws,
+// not the frame's own commands: frames that keep two targets bound from an
+// earlier frame compare no tile either, and RE resumes once one target is
+// bound again. A frame that binds two targets, draws, and binds one again
+// before it ends has used two.
+func TestMRTBindingDisablesLaterFrames(t *testing.T) {
+	tr := staticTrace(9)
+	tr.Frames[3].Commands = append([]api.Command{api.SetRenderTargets{N: 2}}, tr.Frames[3].Commands...)
+	tr.Frames[6].Commands = append([]api.Command{api.SetRenderTargets{N: 1}}, tr.Frames[6].Commands...)
+	tr.Frames[7].Commands = append(append([]api.Command{api.SetRenderTargets{N: 2}}, tr.Frames[7].Commands...),
+		api.SetRenderTargets{N: 1})
+	res := runTrace(t, tr, RE)
+	for f, fs := range res.Frames[2:] {
+		f += 2
+		disabled := f == 3 || f == 4 || f == 5 || f == 7
+		wantSkipped, wantCmp := fs.TilesTotal, compareCycles*fs.TilesTotal
+		if disabled {
+			wantSkipped, wantCmp = 0, 0
+		}
+		if cmp := fs.StageCycles[StageSigCheck] - fs.SUStallCycles; fs.TilesSkipped != wantSkipped || cmp != wantCmp {
+			t.Errorf("frame %d: skipped %d tiles, %d compare cycles; want %d and %d",
+				f, fs.TilesSkipped, cmp, wantSkipped, wantCmp)
+		}
+	}
+}
+
 func TestRefreshIntervalForcesRender(t *testing.T) {
 	tr := staticTrace(9)
 	cfg := DefaultConfig()

@@ -103,31 +103,25 @@ func (b *Buffer) InvalidateTile(tile int) {
 	}
 }
 
-// AppendState appends the buffer's state for a simulator checkpoint: the
-// building set (per-frame scratch, but part of the checkpoint format), both
-// committed signature sets with their validity bits, the parity and the
-// access counters.
+// AppendState appends what a later frame reads of the buffer, for a
+// simulator checkpoint: both committed signature sets with their validity
+// bits, and the parity. The building set starts over each frame, and the
+// access counters are read only as in-frame differences.
 func (b *Buffer) AppendState(dst []byte) []byte {
-	dst = wire.AppendU32s(dst, b.building)
 	dst = wire.AppendU32s(dst, b.prev[0])
 	dst = wire.AppendU32s(dst, b.prev[1])
 	dst = wire.AppendBools(dst, b.valid[0])
 	dst = wire.AppendBools(dst, b.valid[1])
-	dst = wire.AppendI64(dst, int64(b.parity))
-	dst = wire.AppendU64(dst, b.Reads)
-	return wire.AppendU64(dst, b.Writes)
+	return wire.AppendI64(dst, int64(b.parity))
 }
 
 // ReadState reads what AppendState wrote into the buffer's own storage. A
 // set length other than the buffer's tile count, or a parity other than 0
 // or 1, latches wire.ErrCorrupt on r.
 func (b *Buffer) ReadState(r *wire.Reader) {
-	r.ReadU32s(b.building)
 	r.ReadU32s(b.prev[0])
 	r.ReadU32s(b.prev[1])
 	r.ReadBools(b.valid[0])
 	r.ReadBools(b.valid[1])
 	b.parity = r.Index(len(b.prev))
-	b.Reads = r.U64()
-	b.Writes = r.U64()
 }

@@ -296,13 +296,15 @@ func TestSmallPrimitivesDontStall(t *testing.T) {
 	}
 }
 
+// Each compare reads the tile's building and committed signatures: two
+// Signature Buffer reads, charged to RE's energy.
 func TestCheckTileCostAccounting(t *testing.T) {
 	u := NewUnit(DefaultConfig(), NewBuffer(4))
 	u.BeginFrame()
 	u.CheckTile(0)
 	u.CheckTile(1)
-	if u.Stats.CompareCycles != 8 {
-		t.Fatalf("compare cycles = %d", u.Stats.CompareCycles)
+	if r, w := u.Buffer().Reads, u.Buffer().Writes; r != 4 || w != 0 {
+		t.Fatalf("two compares: %d Signature Buffer reads and %d writes, want 4 and 0", r, w)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rendelim/internal/crc"
-	"rendelim/internal/wire"
 )
 
 // Config parameterizes the Signature Unit hardware.
@@ -40,15 +39,12 @@ type Stats struct {
 	StallCycles uint64
 	// BusyCycles is total SU occupancy (overlapped with other geometry
 	// stages unless the queue fills).
-	BusyCycles uint64
-	// CompareCycles is the per-tile signature comparison work at raster
-	// scheduling time.
-	CompareCycles uint64
-	BitmapReads   uint64
-	BitmapWrites  uint64
-	PrimBlocks    uint64
-	ConstBlocks   uint64
-	TileUpdates   uint64
+	BusyCycles   uint64
+	BitmapReads  uint64
+	BitmapWrites uint64
+	PrimBlocks   uint64
+	ConstBlocks  uint64
+	TileUpdates  uint64
 }
 
 // Unit is the Signature Unit of Figure 7. During the geometry phase the
@@ -234,69 +230,20 @@ func (u *Unit) accumulateCombine(acc, blockSig uint32, shiftAmount int) uint32 {
 }
 
 // CheckTile performs the raster-time comparison for a tile: a Signature
-// Buffer read pair and a 32-bit compare ("a few cycles", Section V). It
-// returns whether the Raster Pipeline can be bypassed.
+// Buffer read pair and a 32-bit compare, whose cycles the simulator's
+// raster scheduler charges. It returns whether the Raster Pipeline can be
+// bypassed.
 func (u *Unit) CheckTile(tile int) (redundant bool) {
-	const compareCost = 4
-	u.Stats.CompareCycles += compareCost
 	match, ok := u.buf.Match(tile)
 	return ok && match
 }
 
-// EndFrame commits the frame's signatures (see Buffer.EndFrame) and snap-
-// shots nothing else; stats accumulate across frames until read.
+// EndFrame commits the frame's signatures (see Buffer.EndFrame); stats
+// accumulate across frames, and the simulator reads their differences.
 func (u *Unit) EndFrame() { u.buf.EndFrame() }
 
 // CRCStats returns the cumulative counters of the Compute CRC and Accumulate
 // CRC units.
 func (u *Unit) CRCStats() (compute, accumulate crc.UnitStats) {
 	return u.compute.Stats, u.accumulate.Stats
-}
-
-// AppendState appends the unit's state for a simulator checkpoint: the
-// Signature Buffer, the CRC datapath counters, the constants register,
-// bitmap and queue clocks (per-frame scratch, but part of the checkpoint
-// format), and the aggregate stats.
-func (u *Unit) AppendState(b []byte) []byte {
-	b = u.buf.AppendState(b)
-	b = u.compute.Stats.AppendState(b)
-	b = u.accumulate.Stats.AppendState(b)
-	b = wire.AppendU32(b, u.constSig)
-	b = wire.AppendI64(b, int64(u.constShift))
-	b = wire.AppendBool(b, u.haveConst)
-	b = wire.AppendBools(b, u.bitmap)
-	b = wire.AppendU64(b, u.plbClock)
-	b = wire.AppendU64(b, u.suClock)
-	st := &u.Stats
-	b = wire.AppendU64(b, st.StallCycles)
-	b = wire.AppendU64(b, st.BusyCycles)
-	b = wire.AppendU64(b, st.CompareCycles)
-	b = wire.AppendU64(b, st.BitmapReads)
-	b = wire.AppendU64(b, st.BitmapWrites)
-	b = wire.AppendU64(b, st.PrimBlocks)
-	b = wire.AppendU64(b, st.ConstBlocks)
-	return wire.AppendU64(b, st.TileUpdates)
-}
-
-// ReadState reads what AppendState wrote into the unit's own storage; a
-// length or index that does not fit latches wire.ErrCorrupt on r.
-func (u *Unit) ReadState(r *wire.Reader) {
-	u.buf.ReadState(r)
-	u.compute.Stats.ReadState(r)
-	u.accumulate.Stats.ReadState(r)
-	u.constSig = r.U32()
-	u.constShift = int(r.I64())
-	u.haveConst = r.Bool()
-	r.ReadBools(u.bitmap)
-	u.plbClock = r.U64()
-	u.suClock = r.U64()
-	st := &u.Stats
-	st.StallCycles = r.U64()
-	st.BusyCycles = r.U64()
-	st.CompareCycles = r.U64()
-	st.BitmapReads = r.U64()
-	st.BitmapWrites = r.U64()
-	st.PrimBlocks = r.U64()
-	st.ConstBlocks = r.U64()
-	st.TileUpdates = r.U64()
 }
