@@ -79,8 +79,9 @@ type Cache struct {
 	cfg      Config
 	next     NextLevel
 	sets     [][]line
-	setShift uint
+	setShift uint // log2 of the line size: address to line address
 	setMask  uint64
+	tagShift uint // log2 of the set count: line address to tag
 	lruTick  uint32
 	Stats    Stats
 }
@@ -102,6 +103,7 @@ func New(cfg Config, next NextLevel) *Cache {
 		sets:     sets,
 		setShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
 		setMask:  uint64(cfg.Sets() - 1),
+		tagShift: uint(bits.TrailingZeros(uint(cfg.Sets()))),
 	}
 }
 
@@ -122,18 +124,39 @@ func (c *Cache) Access(addr uint64, size int, write bool) int {
 		if chunk > size {
 			chunk = size
 		}
-		total += c.accessLine(addr, write)
+		lat, _ := c.accessLine(addr, write)
+		total += lat
 		addr += uint64(chunk)
 		size -= chunk
 	}
 	return total
 }
 
-func (c *Cache) accessLine(addr uint64, write bool) int {
+// ReadRun performs n reads of the size bytes at addr and returns the
+// latency of the first. The n−1 repeats hit the line that the first read
+// left most recently used, so ReadRun counts them and advances the LRU
+// clock exactly as n−1 further Access calls would, each at the hit latency.
+// A run of more than one read must lie within one line.
+func (c *Cache) ReadRun(addr uint64, size, n int) int {
+	if n <= 1 {
+		return c.Access(addr, size, false)
+	}
+	lat, ln := c.accessLine(addr, false)
+	k := uint64(n - 1)
+	c.Stats.Accesses += k
+	c.Stats.Hits += k
+	c.lruTick += uint32(k)
+	ln.lru = c.lruTick
+	return lat
+}
+
+// accessLine performs one access within the line holding addr and returns
+// its latency and the line, which it leaves most recently used.
+func (c *Cache) accessLine(addr uint64, write bool) (int, *line) {
 	c.Stats.Accesses++
 	lineAddr := addr >> c.setShift
 	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> uint(bits.TrailingZeros(uint(c.cfg.Sets())))
+	tag := lineAddr >> c.tagShift
 
 	c.lruTick++
 	for i := range set {
@@ -143,7 +166,7 @@ func (c *Cache) accessLine(addr uint64, write bool) int {
 			if write {
 				set[i].dirty = true
 			}
-			return c.cfg.Latency
+			return c.cfg.Latency, &set[i]
 		}
 	}
 	// Miss: pick the LRU victim.
@@ -168,11 +191,11 @@ func (c *Cache) accessLine(addr uint64, write bool) int {
 	c.Stats.ReadBytes += uint64(c.cfg.LineBytes)
 	lat += c.next.Read(addr&^uint64(c.cfg.LineBytes-1), c.cfg.LineBytes)
 	set[victim] = line{tag: tag, valid: true, dirty: write, lru: c.lruTick}
-	return lat
+	return lat, &set[victim]
 }
 
 func (c *Cache) lineBase(tag, setIdx uint64) uint64 {
-	return (tag<<uint(bits.TrailingZeros(uint(c.cfg.Sets())))|setIdx)<<c.setShift | 0
+	return (tag<<c.tagShift | setIdx) << c.setShift
 }
 
 // Read is a NextLevel adapter so caches can stack (e.g. tile cache -> L2).

@@ -116,6 +116,43 @@ func TestStraddlingAccessSplits(t *testing.T) {
 	}
 }
 
+// ReadRun(addr, size, n) leaves the cache, its counters and the next
+// level exactly as n Access calls leave them, and returns the first call's
+// latency; the others return the hit latency.
+func TestReadRunMatchesRepeatedAccess(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	rr, ra := &recorder{latRead: 30, latWrite: 5}, &recorder{latRead: 30, latWrite: 5}
+	run, acc := small(rr), small(ra)
+	for i := 0; i < 2000; i++ {
+		addr := uint64(rng.Intn(1024)) * 2 // some reads straddle two lines
+		size, n := 4, 1+rng.Intn(5)
+		if addr%64+uint64(size) > 64 {
+			n = 1 // a run of more than one read lies within one line
+		}
+		if rng.Intn(4) == 0 {
+			acc.Access(addr, size, true)
+			run.Access(addr, size, true)
+			continue
+		}
+		got := run.ReadRun(addr, size, n)
+		want := acc.Access(addr, size, false)
+		for k := 1; k < n; k++ {
+			if lat := acc.Access(addr, size, false); lat != acc.Config().Latency {
+				t.Fatalf("read %d of a run: latency %d, want a hit", k, lat)
+			}
+		}
+		if got != want {
+			t.Fatalf("ReadRun(%#x, %d, %d) = %d, want %d", addr, size, n, got, want)
+		}
+	}
+	if run.Stats != acc.Stats || *rr != *ra {
+		t.Fatalf("ReadRun: stats %+v, next level %+v\nAccess: stats %+v, next level %+v", run.Stats, *rr, acc.Stats, *ra)
+	}
+	if !bytes.Equal(run.AppendState(nil), acc.AppendState(nil)) {
+		t.Fatal("ReadRun left other lines, LRU stamps or clock than Access")
+	}
+}
+
 func TestZeroSizeAccessIsFree(t *testing.T) {
 	c := small(&recorder{})
 	if c.Access(0, 0, false) != 0 || c.Stats.Accesses != 0 {

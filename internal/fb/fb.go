@@ -16,17 +16,17 @@ import (
 // TileSize is the tile edge in pixels (Table I: 16x16).
 const TileSize = 16
 
-// TileBuffer is the on-chip color+depth store for one tile in flight.
+// TileBuffer is the on-chip Color Buffer of one tile in flight. The depth
+// buffer is the renderer's own scratch: nothing after a tile's render reads
+// it.
 type TileBuffer struct {
 	Color [TileSize * TileSize]uint32
-	Depth [TileSize * TileSize]float32
 }
 
-// Clear resets the tile to the clear color and maximum depth.
+// Clear resets the tile to the clear color.
 func (t *TileBuffer) Clear(color uint32) {
 	for i := range t.Color {
 		t.Color[i] = color
-		t.Depth[i] = 1
 	}
 }
 

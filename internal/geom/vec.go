@@ -57,6 +57,15 @@ func (a Vec3) Normalize() Vec3 {
 // Vec4 returns the homogeneous extension of a with the given w.
 func (a Vec3) Vec4(w float32) Vec4 { return Vec4{a.X, a.Y, a.Z, w} }
 
+// Identical reports whether a and b are equal bit for bit: unlike ==, it
+// tells +0 from −0, and NaNs match only with the same payload.
+func (a Vec4) Identical(b Vec4) bool {
+	return math.Float32bits(a.X) == math.Float32bits(b.X) &&
+		math.Float32bits(a.Y) == math.Float32bits(b.Y) &&
+		math.Float32bits(a.Z) == math.Float32bits(b.Z) &&
+		math.Float32bits(a.W) == math.Float32bits(b.W)
+}
+
 // Add returns a+b.
 func (a Vec4) Add(b Vec4) Vec4 { return Vec4{a.X + b.X, a.Y + b.Y, a.Z + b.Z, a.W + b.W} }
 

@@ -38,7 +38,7 @@ const (
 	fuzzMaxSide      = 64
 	fuzzMaxFrames    = 4
 	fuzzMaxTexels    = 1 << 14
-	fuzzMaxFragments = 1 << 20
+	fuzzMaxFragments = 1 << 21
 )
 
 // fuzzSmall reports whether tr is within the bounds above.
@@ -66,10 +66,11 @@ func fuzzSmall(tr *api.Trace) bool {
 	return texels <= fuzzMaxTexels && tris*tr.Width*tr.Height <= fuzzMaxFragments
 }
 
-// fuzzSeed is b's trace at fuzz scale: 32×32, two frames, and every
+// fuzzSeed is b's trace at fuzz scale: 32×32, fuzzMaxFrames frames, so
+// that RE and tile reuse have earlier frames to compare against, and every
 // texture at most 32×32 texels.
 func fuzzSeed(b workload.Benchmark) *api.Trace {
-	tr := b.Build(workload.Params{Width: 32, Height: 32, Frames: 2, Seed: 1})
+	tr := b.Build(workload.Params{Width: 32, Height: 32, Frames: fuzzMaxFrames, Seed: 1})
 	shrink := func(s *api.TextureSpec) {
 		s.W, s.H = min(s.W, 32), min(s.H, 32)
 	}
@@ -87,11 +88,21 @@ func fuzzSeed(b workload.Benchmark) *api.Trace {
 	return tr
 }
 
-// FuzzAcceptedTraceRuns: every trace that trace.Decode accepts runs. A
-// small accepted trace runs every frame under all four techniques, serially
-// and on two tile workers, and any panic fails. Seeds are the suite at
-// small scale and a trace that draws before it binds a texture it never
-// defines, which Decode rejects.
+// FuzzAcceptedTraceRuns: every trace that trace.Decode accepts runs, and
+// runs right. A small accepted trace runs every frame under all four
+// techniques: serially, on two tile workers, and serially with its kept
+// tiles forgotten before every frame. Any panic fails, and so does any
+// frame where
+//   - two tile workers or forgotten tiles change the Stats or the displayed
+//     pixels of the serial run;
+//   - TE's or Memo's pixels differ from Baseline's;
+//   - Baseline classifies a tile as equal inputs, different colours.
+//
+// RE's pixels are not compared: RE signs only each constants block's
+// delta, so it can skip a tile whose draws read a register that an earlier
+// block set to another value (ROADMAP item 1). Seeds are the suite at small
+// scale and a trace that draws before it binds a texture it never defines,
+// which Decode rejects.
 func FuzzAcceptedTraceRuns(f *testing.F) {
 	encode := func(tr *api.Trace) []byte {
 		var buf bytes.Buffer
@@ -114,16 +125,34 @@ func FuzzAcceptedTraceRuns(f *testing.F) {
 		if err != nil || !fuzzSmall(tr) {
 			return
 		}
+		runs := map[Technique]reuseRun{}
 		for _, tech := range []Technique{Baseline, RE, TE, Memo} {
-			for _, workers := range []int{1, 2} {
-				cfg := DefaultConfig()
-				cfg.Technique = tech
-				cfg.TileWorkers = workers
-				sim, err := New(tr, cfg)
-				if err != nil {
-					t.Fatalf("New rejected a decoded trace: %v", err)
+			serial := runReuse(t, tr, tech, 1, false)
+			for _, v := range []struct {
+				name string
+				run  reuseRun
+			}{
+				{"2 tile workers", runReuse(t, tr, tech, 2, false)},
+				{"tiles forgotten", runReuse(t, tr, tech, 1, true)},
+			} {
+				for f := range tr.Frames {
+					if v.run.stats[f] != serial.stats[f] || v.run.crcs[f] != serial.crcs[f] {
+						t.Fatalf("%s, %s, frame %d: Stats or pixels differ from the serial run's:\n got %+v, CRC %08x\nwant %+v, CRC %08x",
+							tech, v.name, f, v.run.stats[f], v.run.crcs[f], serial.stats[f], serial.crcs[f])
+					}
 				}
-				sim.Run()
+			}
+			runs[tech] = serial
+		}
+		base := runs[Baseline]
+		for f := range tr.Frames {
+			if n := base.stats[f].TileClasses[TileEqInputDiffColor]; n != 0 {
+				t.Fatalf("frame %d: Baseline has %d tiles of equal inputs and different colours", f, n)
+			}
+			for _, tech := range []Technique{TE, Memo} {
+				if got := runs[tech].crcs[f]; got != base.crcs[f] {
+					t.Fatalf("frame %d: %s's framebuffer CRC %08x, Baseline's %08x", f, tech, got, base.crcs[f])
+				}
 			}
 		}
 	})

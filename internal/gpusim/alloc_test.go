@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"testing"
 
 	"rendelim/internal/api"
@@ -66,12 +67,15 @@ func TestAllocsPerTileDecideRender(t *testing.T) {
 			s, _ := warmSim(t, tech, 1)
 			n := s.fbuf.NumTiles()
 			w := s.workers[0]
+			// The loop decides the last frame's tiles again, which a frame
+			// never does: nothing may be reused, and every tile renders.
+			s.reuse = false
 			pass := func() {
 				tiles := s.arena.tiles(n)
 				for tile := 0; tile < n; tile++ {
 					res := &tiles[tile]
 					s.decideTile(tile, res)
-					if !res.skipped {
+					if res.renders() {
 						w.renderTile(tile, res, nil)
 					}
 				}
@@ -113,18 +117,22 @@ func TestAllocsPerFrameSerial(t *testing.T) {
 // worker goroutine spawns and the coordination state they capture, which is
 // O(workers) and independent of tile count or scene complexity.
 func TestAllocsPerFrameParallel(t *testing.T) {
-	const workers = 4
-	for _, tech := range []Technique{Baseline, RE} {
+	for _, tech := range []Technique{Baseline, RE, TE, Memo} {
 		t.Run(tech.String(), func(t *testing.T) {
-			s, frames := warmSim(t, tech, workers)
-			avg := testing.AllocsPerRun(8, func() {
-				s.RunFrame(frames.next())
-			})
-			// goroutine + closure per worker, plus the shared WaitGroup and
-			// work counter; generous slack for runtime bookkeeping.
-			budget := float64(2*workers + 4)
-			if avg > budget {
-				t.Errorf("RunFrame(workers=%d): %.1f allocs/frame, budget %.0f", workers, avg, budget)
+			for _, workers := range []int{2, 4} {
+				t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+					s, frames := warmSim(t, tech, workers)
+					avg := testing.AllocsPerRun(8, func() {
+						s.RunFrame(frames.next())
+					})
+					// goroutine + closure per worker, plus the shared
+					// WaitGroup and work counter; generous slack for
+					// runtime bookkeeping.
+					budget := float64(2*workers + 4)
+					if avg > budget {
+						t.Errorf("RunFrame(workers=%d): %.1f allocs/frame, budget %.0f", workers, avg, budget)
+					}
+				})
 			}
 		})
 	}

@@ -171,6 +171,7 @@ func (s *Simulator) Resume(blob []byte) error {
 	}
 
 	s.loadUploadTables(s.trace.Frames[:frame])
+	s.forgetTiles()
 	if err := s.checkBindings(); err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package gpusim
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -24,35 +25,61 @@ import (
 //
 //  1. decide (serial, tile order): the RE signature check. It mutates shared
 //     Signature Unit counters, so it runs exactly where the hardware would
-//     perform it — before any tile is scheduled.
-//  2. render (parallel): the expensive functional work — Parameter Buffer
-//     walk, rasterization, early-Z, fragment shading, blending, memoization,
-//     TE color signing and the ground-truth color compare — using only
-//     per-worker and per-tile state. Instead of touching the shared
-//     (stateful, order-sensitive) cache and DRAM models, a worker records
-//     every simulated memory access into the tile's access log.
-//  3. commit (serial, tile order): replays each tile's access log through
-//     the shared tile/texture/L2/DRAM hierarchy — the LRU stacks and DRAM
-//     row buffers therefore observe exactly the access order of a serial
-//     run — then performs the TE store/match, flushes the tile to the Frame
-//     Buffer, and folds the tile's stats shard into the frame's Stats.
+//     perform it — before any tile is scheduled. Under Baseline and TE,
+//     decide instead marks a tile reused when the frame uploads nothing and
+//     the tile's bin repeats its bin of the previous frame bit for bit:
+//     entry by entry, the same triangle, draw record and Parameter Buffer
+//     extent. A reused tile is not rendered again; its last render stands.
+//  2. render (parallel): the expensive functional work — rasterization,
+//     early-Z, fragment shading, blending, memoization and TE color signing
+//     — using only per-worker and per-tile state. Instead of touching the
+//     shared (stateful, order-sensitive) texture caches, a worker records
+//     every texel read into the tile's log, as runs of consecutive reads of
+//     one cache line through one unit.
+//  3. commit (serial, tile order): replays the tile's Parameter Buffer
+//     fetches, which it takes from the tile's current bin, and then its
+//     texel log through the shared tile/texture/L2/DRAM hierarchy — the LRU
+//     stacks and DRAM row buffers therefore observe exactly the access
+//     order of a serial run — then compares the colours against the back
+//     buffer (the Figure 15a classes), performs the TE store/match, flushes
+//     the tile to the Frame Buffer, and folds the tile's stats shard into
+//     the frame's Stats.
 //
 // Functional results are independent of the memory models (caches are
 // address-domain only; texel values come from the texture store), so the
 // render stage needs no memory-system state, and the commit replay
-// reproduces timing, traffic and energy activity bit-for-bit. With
-// TileWorkers <= 1 the three stages run inline per tile, which is the
-// pre-existing serial execution order.
+// reproduces timing, traffic and energy activity bit-for-bit. A tile's
+// colours, stats shard, render work, texel reads and TE signature depend
+// only on its bin and on the program and texture tables, which only an
+// upload changes, so committing a reused tile's kept render again is exact.
+// Its Parameter Buffer addresses are not kept: they move when earlier
+// geometry changes. With TileWorkers <= 1 the three stages run inline per
+// tile, which is the pre-existing serial execution order.
 
-// tileAccess is one recorded simulated memory access of the render stage.
-type tileAccess struct {
-	addr uint64
-	size int32
-	unit int8 // texUnitPB for a Parameter Buffer read, else the texture unit
-}
+// texRun is a run of consecutive texel reads through one texture unit that
+// fall in one texture-cache line, packed into 8 bytes: the first read's
+// address from bit runAddrShift up, the unit in the runUnitBits below it,
+// and the count of reads after the first in the low bits. Commit replays a
+// run as one cache access followed by that many hits (cache.ReadRun).
+type texRun uint64
 
-// texUnitPB marks an access to the Parameter Buffer through the Tile Cache.
-const texUnitPB int8 = -1
+const (
+	runUnitShift  = 16
+	runUnitBits   = 2
+	runAddrShift  = runUnitShift + runUnitBits
+	runMaxRepeats = 1<<runUnitShift - 1
+
+	// texelBytes is the size of one texel read.
+	texelBytes = 4
+)
+
+// Every texture unit fits in a run's unit bits (a negative constant does
+// not compile).
+const _ = uint(1<<runUnitBits - api.MaxTexUnits)
+
+func (r texRun) addr() uint64 { return uint64(r) >> runAddrShift }
+func (r texRun) unit() int    { return int(r>>runUnitShift) & (1<<runUnitBits - 1) }
+func (r texRun) reads() int   { return int(r&runMaxRepeats) + 1 }
 
 // tileShard is the per-tile slice of frame statistics the render stage
 // produces; commit folds it into the frame's Stats in tile order.
@@ -67,32 +94,47 @@ type tileShard struct {
 }
 
 // tileResult carries everything one tile's render produced that commit
-// needs. Entries are reused across frames; access logs keep their capacity.
+// needs. Entries are reused across frames; logs keep their capacity. Under
+// Baseline and TE each tile keeps an entry of its own, so a reused tile
+// commits what its last render left there.
 type tileResult struct {
 	skipped bool // RE bypassed the tile; nothing was rendered
+	reused  bool // the bin repeats the previous frame's; the last render stands
 
-	tw       timing.TileWork
-	shard    tileShard
-	accesses []tileAccess
-	tb       fb.TileBuffer
-	eqColor  bool // ground-truth color compare against the back buffer
+	// tw holds the work of decide and render; commit adds its own to a copy.
+	tw     timing.TileWork
+	shard  tileShard
+	texels []texRun
+	tb     fb.TileBuffer
 
 	teSig         uint32
 	teLUTAccesses uint64 // CRC LUT reads of signing the tile's colours
+
+	// bin is the tile's bin as the last decide saw it (Baseline and TE).
+	bin []binRef
 }
 
-// reset prepares the entry for a new frame, keeping allocated capacity.
+// binRef is one entry of a kept bin: its triangle and draw, as indices
+// into that frame's lists, and its Parameter Buffer extent.
+type binRef struct {
+	tri, draw       int32
+	bytes, numAttrs int32
+}
+
+// reset prepares the entry for a new render, keeping allocated capacity.
 //
 //re:hotpath
 func (r *tileResult) reset() {
-	r.skipped = false
+	r.skipped, r.reused = false, false
 	r.tw = timing.TileWork{}
 	r.shard = tileShard{}
-	r.accesses = r.accesses[:0]
-	r.eqColor = false
+	r.texels = r.texels[:0]
 	r.teSig = 0
 	r.teLUTAccesses = 0
 }
+
+// renders reports whether the tile is rendered this frame.
+func (r *tileResult) renders() bool { return !r.skipped && !r.reused }
 
 // rasterWorker is the private mutable state one raster goroutine needs: a
 // fragment-shader VM, a recording texture sampler, the memo hasher and a
@@ -107,6 +149,8 @@ type rasterWorker struct {
 	frag      rast.Fragment // rasterizer fragment scratch (RasterizeInto)
 	teCRC     crc.ComputeUnit
 	teByteBuf [fb.TileSize * fb.TileSize * 4]byte
+	// depth is the tile's depth buffer: nothing after the render reads it.
+	depth [fb.TileSize * fb.TileSize]float32
 
 	// The open batch's fragments that wait for a shaded colour, in
 	// fragment order. A triangle covers a pixel at most once, so a bin
@@ -126,16 +170,22 @@ type rasterWorker struct {
 }
 
 // workerSampler adapts the texture store to the shader VM, recording each
-// texel address into the current tile's access log instead of charging the
+// texel address into the current tile's texel log instead of charging the
 // shared texture caches (commit replays the log).
 type workerSampler struct {
 	res *tileResult
 	tex [api.MaxTexUnits]*texture.Texture
+
+	// runMask selects the bits in which a read must equal a run to extend
+	// it: the unit and the line address. runCap bounds the reads after a
+	// run's first; it is 0 when a texel read can straddle two lines, so
+	// that every run stays one read long.
+	runMask uint64
+	runCap  texRun
 }
 
 // Sample implements shader.Sampler. The address-recording callback is a
-// capture-free closure over the receiver, so it does not allocate per call;
-// the access log append is arena-backed (capacity survives reset).
+// capture-free closure over the receiver, so it does not allocate per call.
 //
 //re:hotpath
 func (ws *workerSampler) Sample(unit int, u, v float32) geom.Vec4 {
@@ -144,10 +194,23 @@ func (ws *workerSampler) Sample(unit int, u, v float32) geom.Vec4 {
 		return geom.Vec4{}
 	}
 	//lint:ignore hotpathalloc the closure captures only ws and unit, both live across the call already; escape analysis keeps it on the stack (alloc tests prove 0/tile)
-	return t.Sample(u, v, func(addr uint64) {
-		//re:arena
-		ws.res.accesses = append(ws.res.accesses, tileAccess{addr: addr, size: 4, unit: int8(unit)})
-	})
+	return t.Sample(u, v, func(addr uint64) { ws.record(addr, unit) })
+}
+
+// record logs a texel read at addr through unit, extending the tile's last
+// run when the read falls in its line and unit. The log is arena-backed
+// (capacity survives reset).
+//
+//re:hotpath
+func (ws *workerSampler) record(addr uint64, unit int) {
+	read := texRun(addr<<runAddrShift | uint64(unit)<<runUnitShift)
+	runs := ws.res.texels
+	if n := len(runs) - 1; n >= 0 && uint64(runs[n]^read)&ws.runMask == 0 && runs[n]&runMaxRepeats < ws.runCap {
+		runs[n]++
+		return
+	}
+	//re:arena
+	ws.res.texels = append(runs, read)
 }
 
 // thread returns the worker's trace track, opening it on first use.
@@ -222,6 +285,12 @@ func (p *pendingKeys) add(h uint32, lane int) {
 func newRasterWorker(s *Simulator, id int) *rasterWorker {
 	w := &rasterWorker{s: s, id: id}
 	w.fs.Sampler = &w.sampler
+	line := s.cfg.TextureCache.LineBytes
+	w.sampler.runMask = ^uint64(0)<<(runAddrShift+bits.TrailingZeros(uint(line))) |
+		(1<<runUnitBits-1)<<runUnitShift
+	if line >= texelBytes {
+		w.sampler.runCap = runMaxRepeats
+	}
 	return w
 }
 
@@ -231,10 +300,14 @@ const compareCycles = 4
 
 // decideTile is the serial pre-raster stage: the RE signature check for one
 // tile, charging Signature Unit costs in tile order exactly like the
-// hardware's raster scheduler.
+// hardware's raster scheduler, or, under Baseline and TE, the reuse check.
 //
 //re:hotpath
 func (s *Simulator) decideTile(tile int, res *tileResult) {
+	if s.keepsTiles() && s.rebin(tile, res) {
+		res.reused = true
+		return
+	}
 	res.reset()
 	if s.cfg.Technique == RE && !s.reDisabled {
 		res.tw.CompareCycles = compareCycles
@@ -249,6 +322,40 @@ func (s *Simulator) decideTile(tile int, res *tileResult) {
 	}
 }
 
+// rebin reports whether tile's bin repeats, entry by entry and bit for bit,
+// the bin that res kept from the previous frame — compared only when this
+// frame may reuse — and then keeps the current bin in its place.
+//
+//re:hotpath
+func (s *Simulator) rebin(tile int, res *tileResult) bool {
+	bin := s.binner.Bin(tile)
+	same := s.reuse && len(bin) == len(res.bin)
+	for i := 0; same && i < len(bin); i++ {
+		same = s.repeats(res.bin[i], &bin[i])
+	}
+	res.bin = res.bin[:0]
+	for _, e := range bin {
+		//re:arena
+		res.bin = append(res.bin, binRef{
+			tri: int32(e.Ref.Tri), draw: int32(e.Ref.Draw),
+			bytes: int32(e.Bytes), numAttrs: int32(e.NumAttrs),
+		})
+	}
+	return same
+}
+
+// repeats reports whether bin entry e repeats r, an entry of the previous
+// frame's bin: the same Parameter Buffer extent, and the same triangle and
+// draw record bit for bit.
+//
+//re:hotpath
+func (s *Simulator) repeats(r binRef, e *tiling.Entry) bool {
+	a := &s.arena
+	return int(r.bytes) == e.Bytes && int(r.numAttrs) == e.NumAttrs &&
+		a.prevTris[r.tri].st.Identical(&a.tris[e.Ref.Tri].st) &&
+		a.prevDraws[r.draw].identical(&a.draws[e.Ref.Draw])
+}
+
 // renderTile is the parallel stage: the whole functional Raster Pipeline for
 // one tile, against per-worker and per-tile state only. tr is the trace
 // track to emit spans on (the worker's own track under parallel execution).
@@ -258,19 +365,12 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	s := w.s
 	rect := s.fbuf.TileRect(tile)
 	res.tb.Clear(s.clearColor)
+	for i := range w.depth {
+		w.depth[i] = 1
+	}
 	bin := s.binner.Bin(tile)
 	if tr != nil {
 		tr.BeginArg("raster-tile", "tile", int64(tile))
-	}
-
-	// Tile Scheduler: record the pointer-list and primitive fetches for the
-	// commit replay through the Tile Cache.
-	for i, e := range bin {
-		//re:arena
-		res.accesses = append(res.accesses,
-			tileAccess{addr: s.binner.PtrAddr(tile) + uint64(i)*tiling.PtrEntryBytes, size: tiling.PtrEntryBytes, unit: texUnitPB},
-			tileAccess{addr: e.Addr, size: int32(e.Bytes), unit: texUnitPB})
-		res.tw.FetchBytes += uint64(e.Bytes) + tiling.PtrEntryBytes
 	}
 
 	fsBefore := w.fs.Counts.Instructions
@@ -326,12 +426,12 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 			func(f *rast.Fragment) {
 				idx := fb.Idx(f.X-rect.X0, f.Y-rect.Y0)
 				if depthTest {
-					if f.Z >= res.tb.Depth[idx] {
+					if f.Z >= w.depth[idx] {
 						st.fragsEarlyZKill++
 						return
 					}
 					if depthWrite {
-						res.tb.Depth[idx] = f.Z
+						w.depth[idx] = f.Z
 					}
 				}
 				st.fragsRasterized++
@@ -374,10 +474,6 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 	if tr != nil {
 		tr.End() // fragment-shading
 	}
-
-	// Ground-truth classification reads the back buffer, which only commit
-	// mutates — and only a tile's own commit touches its rect, after this.
-	res.eqColor = s.fbuf.TileEqualsBack(tile, &res.tb)
 
 	// Transaction Elimination: sign the rendered colors with the worker's
 	// private CRC unit; commit charges its LUT reads and does store/match.
@@ -442,45 +538,53 @@ func blendPixel(res *tileResult, idx int, color geom.Vec4, blend api.BlendMode) 
 	res.shard.colorBufAcc++
 }
 
-// commitTile is the serial post-raster stage: it replays the tile's recorded
-// memory accesses through the shared cache hierarchy (in tile order, i.e.
-// the serial access order), performs the order-sensitive TE and Frame Buffer
-// updates, and folds the tile's shard into the frame's statistics.
+// commitTile is the serial post-raster stage: it replays the tile's
+// Parameter Buffer fetches and recorded texel reads through the shared
+// cache hierarchy (in tile order, i.e. the serial access order), performs
+// the order-sensitive TE and Frame Buffer updates, and folds the tile's
+// shard into the frame's statistics — for a reused tile, from what its last
+// render left.
 //
 //re:hotpath
 func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	st.TilesTotal++
+	tw := res.tw
 
 	if res.skipped {
 		// Rendering Elimination bypass: the whole Raster Pipeline is
 		// skipped and the Frame Buffer keeps the previous colors.
-		res.tw.Skipped = true
+		tw.Skipped = true
 		st.TilesSkipped++
 		s.skipCounts[tile]++
 		st.TileClasses[TileEqColorEqInput]++
 		st.TilesClassified++
-		st.StageCycles[StageSigCheck] += res.tw.CompareCycles
-		st.RasterCycles += s.cfg.Timing.TileCycles(res.tw)
+		st.StageCycles[StageSigCheck] += tw.CompareCycles
+		st.RasterCycles += s.cfg.Timing.TileCycles(tw)
 		if s.tr != nil {
 			s.tr.Instant("tile-eliminated", "tile", int64(tile))
 		}
 		return
 	}
+	if res.reused && s.tr != nil {
+		s.tr.Instant("tile-reused", "tile", int64(tile))
+	}
 
-	tw := &res.tw
+	// Tile Scheduler: the pointer-list and primitive fetches through the
+	// Tile Cache, from the current bin.
+	s.curClass = TrafficPBRead
+	ptr := s.binner.PtrAddr(tile)
+	for i, e := range s.binner.Bin(tile) {
+		tw.FetchMissCycles += s.accessExtra(s.tilecache, ptr+uint64(i)*tiling.PtrEntryBytes, tiling.PtrEntryBytes, false)
+		tw.FetchMissCycles += s.accessExtra(s.tilecache, e.Addr, e.Bytes, false)
+		tw.FetchBytes += uint64(e.Bytes) + tiling.PtrEntryBytes
+	}
 
-	// Replay the render stage's memory accesses through the shared caches.
-	for _, a := range res.accesses {
-		if a.unit == texUnitPB {
-			s.curClass = TrafficPBRead
-			tw.FetchMissCycles += s.accessExtra(s.tilecache, a.addr, int(a.size), false)
-		} else {
-			s.curClass = TrafficTexel
-			c := s.tcache[int(a.unit)%len(s.tcache)]
-			lat := c.Access(a.addr, int(a.size), false)
-			if extra := lat - c.Config().Latency; extra > 0 {
-				tw.TexMissCycles += uint64(extra)
-			}
+	// Then the render's texel reads, in its order.
+	s.curClass = TrafficTexel
+	for _, r := range res.texels {
+		c := s.tcache[r.unit()]
+		if extra := c.ReadRun(r.addr(), texelBytes, r.reads()) - c.Config().Latency; extra > 0 {
+			tw.TexMissCycles += uint64(extra)
 		}
 	}
 
@@ -495,15 +599,17 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	st.Activity.ColorBufferAccesses += sh.colorBufAcc
 	st.Activity.FSInstructions += tw.FSInstructions
 
-	// Ground-truth classification against the frame two swaps back.
+	// Ground-truth classification against the frame two swaps back, which
+	// the back buffer holds until this tile's flush.
 	if match, valid := s.su.Buffer().Match(tile); valid {
+		eqColor := s.fbuf.TileEqualsBack(tile, &res.tb)
 		st.TilesClassified++
 		switch {
-		case res.eqColor && match:
+		case eqColor && match:
 			st.TileClasses[TileEqColorEqInput]++
-		case res.eqColor && !match:
+		case eqColor && !match:
 			st.TileClasses[TileEqColorDiffInput]++
-		case !res.eqColor && match:
+		case !eqColor && match:
 			st.TileClasses[TileEqInputDiffColor]++ // CRC collision
 		default:
 			st.TileClasses[TileDiffColor]++
@@ -542,21 +648,21 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 		st.FlushesSkipped++
 	}
 
-	sigC, rastC, fragC, flushC := s.cfg.Timing.TileStageCycles(*tw)
+	sigC, rastC, fragC, flushC := s.cfg.Timing.TileStageCycles(tw)
 	st.StageCycles[StageSigCheck] += sigC
 	st.StageCycles[StageRaster] += rastC
 	st.StageCycles[StageFragment] += fragC
 	st.StageCycles[StageFlush] += flushC
-	st.RasterCycles += s.cfg.Timing.TileCycles(*tw)
+	st.RasterCycles += s.cfg.Timing.TileCycles(tw)
 }
 
 // rasterPhase executes the frame's raster pipeline over all tiles. With one
-// worker the three stages run inline per tile (the serial execution order)
-// through a single tile result; with more, decisions are made up front,
-// tiles render concurrently on the worker pool into one result each, and
-// commits replay in tile order — simulated results are byte-identical
-// either way. A worker's panic is raised again on the caller once every
-// worker has stopped, so the caller's recover sees it at any worker count.
+// worker the three stages run inline per tile (the serial execution order);
+// with more, decisions are made up front, tiles render concurrently on the
+// worker pool into one result each, and commits replay in tile order —
+// simulated results are byte-identical either way. A worker's panic is
+// raised again on the caller once every worker has stopped, so the caller's
+// recover sees it at any worker count.
 func (s *Simulator) rasterPhase(st *Stats) {
 	n := s.fbuf.NumTiles()
 
@@ -565,11 +671,18 @@ func (s *Simulator) rasterPhase(st *Stats) {
 		nw = n
 	}
 	if nw <= 1 {
+		// RE and Memo render every tile they do not skip, so one result
+		// serves them all; Baseline and TE keep one per tile to reuse.
+		slots := 1
+		if s.keepsTiles() {
+			slots = n
+		}
+		tiles := s.arena.tiles(slots)
 		w := s.workers[0]
-		res := &s.arena.tiles(1)[0]
 		for tile := 0; tile < n; tile++ {
+			res := &tiles[tile%slots]
 			s.decideTile(tile, res)
-			if !res.skipped {
+			if res.renders() {
 				w.renderTile(tile, res, s.tr)
 			}
 			s.commitTile(tile, res, st)
@@ -602,7 +715,7 @@ func (s *Simulator) rasterPhase(st *Stats) {
 					return
 				}
 				res := &tiles[tile]
-				if !res.skipped {
+				if res.renders() {
 					w.renderTile(tile, res, tr)
 				}
 			}

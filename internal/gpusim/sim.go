@@ -29,6 +29,22 @@ type drawRec struct {
 	numAttrs int
 }
 
+// identical reports whether d and o are the same record bit for bit: the
+// uniforms compare as geom.Vec4.Identical compares.
+//
+//re:hotpath
+func (d *drawRec) identical(o *drawRec) bool {
+	if d.pipe != o.pipe || d.numAttrs != o.numAttrs {
+		return false
+	}
+	for i := range d.uniforms {
+		if !d.uniforms[i].Identical(o.uniforms[i]) {
+			return false
+		}
+	}
+	return true
+}
+
 // triRec is one binned screen-space triangle.
 type triRec struct {
 	st   rast.ScreenTri
@@ -112,6 +128,14 @@ type Simulator struct {
 	// tile may go unrendered: it compares every tile and skips none.
 	reDisabled bool
 	refresh    bool
+
+	// Tile reuse (Baseline and TE; parallel.go). tilesKept marks that every
+	// tile result holds the previous RunFrame's render: that frame ran to
+	// its end, and no Resume has come since. reuse, recomputed at each
+	// frame, lets decide reuse a tile: the tiles are kept and the frame
+	// uploads nothing.
+	tilesKept bool
+	reuse     bool
 
 	// tracer is the shared sink worker threads register tracks on; tr is the
 	// pipeline-stage tracing track. Both are nil when tracing is off, and
@@ -220,6 +244,16 @@ func (s *Simulator) setTexture(id int, spec api.TextureSpec) {
 	s.textures[id] = t
 }
 
+// keepsTiles reports whether the technique reuses a tile whose bin repeats
+// the previous frame's. RE skips such tiles itself, and Memo's render reads
+// its memo tables as well as the bin.
+func (s *Simulator) keepsTiles() bool {
+	return s.cfg.Technique == Baseline || s.cfg.Technique == TE
+}
+
+// forgetTiles makes the next frame render every tile.
+func (s *Simulator) forgetTiles() { s.tilesKept = false }
+
 // SkipCounts returns how many times each tile was bypassed so far, indexed
 // by tile id — the data behind skip heat-maps (cmd/resim -heatmap).
 func (s *Simulator) SkipCounts() []uint32 {
@@ -305,7 +339,10 @@ func (s *Simulator) FrameBufferCRC() uint32 {
 //
 //re:hotpath
 func (s *Simulator) RunFrame(frame *api.Frame) Stats {
-	s.arena.beginFrame()
+	// A frame that does not run to its end (a panic) leaves no tile kept.
+	kept := s.tilesKept
+	s.tilesKept = false
+	s.arena.beginFrame(s.keepsTiles())
 	st := &s.arena.stats
 	s.frame = st
 	if s.tr != nil {
@@ -358,6 +395,8 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		s.reDisabled = true
 		s.su.Buffer().InvalidateAll()
 	}
+	// Likewise, a tile's kept render may rest on what an upload replaced.
+	s.reuse = kept && s.keepsTiles() && !s.state.UploadsThisFrame
 
 	geo.PBWriteBytes = s.binner.WrittenBytes()
 	if s.cfg.Technique == RE {
@@ -431,6 +470,7 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	}
 	s.frameIdx++
 	s.frame = nil
+	s.tilesKept = true
 	return *st
 }
 

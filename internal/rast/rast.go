@@ -90,6 +90,22 @@ type ScreenTri struct {
 	Area2 float32
 }
 
+// Identical reports whether t and o are equal bit for bit, every
+// coordinate and varying compared as geom.Vec4.Identical compares.
+func (t *ScreenTri) Identical(o *ScreenTri) bool {
+	for i := 0; i < 3; i++ {
+		if !geom.V4(t.X[i], t.Y[i], t.Z[i], t.InvW[i]).Identical(geom.V4(o.X[i], o.Y[i], o.Z[i], o.InvW[i])) {
+			return false
+		}
+		for v := range t.VarW[i] {
+			if !t.VarW[i][v].Identical(o.VarW[i][v]) {
+				return false
+			}
+		}
+	}
+	return math.Float32bits(t.Area2) == math.Float32bits(o.Area2)
+}
+
 // Setup maps a clipped clip-space triangle to the screen. It returns
 // ok=false for degenerate (zero-area) triangles, or when cullBack is set and
 // the triangle is back-facing (negative signed area).
