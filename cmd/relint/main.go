@@ -2,20 +2,17 @@
 // analyzers that turn the determinism, hot-path, durability, error-mapping
 // and metric-naming invariants into compile-time checks.
 //
-// Standalone (the usual way, and what CI runs):
+// Usage:
 //
 //	go run ./cmd/relint ./...
 //	go run ./cmd/relint -checks nodeterm,fsyncorder ./internal/...
 //
-// Diagnostics print as file:line:col: message (analyzer); the exit status
-// is 1 when anything is flagged. Suppress a deliberate exception with a
-// justified directive on (or directly above) the flagged line:
+// CI runs the first form. Diagnostics print as file:line:col: message
+// (analyzer); the exit status is 1 when anything is flagged. Suppress a
+// deliberate exception with a justified directive on (or directly above)
+// the flagged line:
 //
 //	//lint:ignore fsyncorder quarantine moves already-damaged bytes aside
-//
-// As a vet tool (the unitchecker protocol, one package per invocation):
-//
-//	go vet -vettool=$(go env GOPATH)/bin/relint ./...
 //
 // relint analyzes non-test Go files: the invariants it enforces are about
 // production code (signature determinism, hot-path allocation, fsync
@@ -23,15 +20,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"strings"
 
@@ -52,26 +42,9 @@ var suite = []*analysis.Analyzer{
 	metricconv.Analyzer,
 }
 
-func main() {
-	// go vet probes its -vettool once with -V=full for a cache key.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Println("relint version 1")
-		return
-	}
-	// cmd/go also asks which analyzer flags the tool accepts (a JSON list);
-	// relint exposes none through vet, so the answer is empty.
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		fmt.Println("[]")
-		return
-	}
-	// go vet invokes the tool with a single *.cfg argument per package.
-	if len(os.Args) == 2 && strings.HasSuffix(os.Args[1], ".cfg") {
-		os.Exit(vetMode(os.Args[1]))
-	}
-	os.Exit(standalone())
-}
+func main() { os.Exit(run()) }
 
-func standalone() int {
+func run() int {
 	checks := flag.String("checks", "", "comma-separated analyzer subset to run (default: all)")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
@@ -140,102 +113,4 @@ func selectChecks(csv string) ([]*analysis.Analyzer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// vetConfig is the JSON cmd/go writes for a unitchecker-protocol vet tool.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetMode analyzes one package the way cmd/go asks: type-check the listed
-// files against the export data the build already produced, report plain
-// diagnostics on stderr, and always write the (empty — relint has no facts)
-// vetx output so the action cache stays consistent.
-func vetMode(cfgPath string) int {
-	raw, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "relint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(raw, &cfg); err != nil {
-		fmt.Fprintln(os.Stderr, "relint: parsing vet config:", err)
-		return 2
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "relint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	// Test-variant compilations re-list the production files plus *_test.go;
-	// the base package invocation already covered the production code.
-	if strings.Contains(cfg.ID, ".test") {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "relint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := cfg.ImportMap[path]; ok {
-			path = mapped
-		}
-		f, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	}
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-	}
-	conf := types.Config{Importer: importer.ForCompiler(fset, "gc", lookup)}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "relint:", err)
-		return 2
-	}
-	pkg := analysis.FromTyped(cfg.ImportPath, cfg.Dir, fset, files, tpkg, info)
-	diags, err := analysis.Run(pkg, suite...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "relint:", err)
-		return 2
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s:%d:%d: %s (%s)\n", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

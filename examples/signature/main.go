@@ -73,11 +73,10 @@ func main() {
 	u.EndFrame()
 
 	st := u.Stats
-	compute, accumulate := u.CRCStats()
 	fmt.Printf("\nSignature Unit activity: %d primitive blocks, %d constants blocks,\n",
 		st.PrimBlocks, st.ConstBlocks)
 	fmt.Printf("%d tile updates, %d CRC-LUT reads, %d cycles busy, %d stall cycles\n",
-		st.TileUpdates, compute.LUTAccesses+accumulate.LUTAccesses,
+		st.TileUpdates, st.LUTAccesses,
 		st.BusyCycles, st.StallCycles)
 	fmt.Printf("Signature Buffer: %d bytes of on-chip SRAM for %d tiles\n",
 		u.Buffer().SizeBytes(), u.Buffer().NumTiles())

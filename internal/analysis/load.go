@@ -172,21 +172,6 @@ func LoadDir(dir string) (*Package, error) {
 	return checkParsed(fset, imp, "testdata/"+filepath.Base(dir), dir, parsed)
 }
 
-// FromTyped wraps an already parsed and type-checked package (the vet-tool
-// driver path, where cmd/go supplies files and export data).
-func FromTyped(path, dir string, fset *token.FileSet, files []*ast.File, tpkg *types.Package, info *types.Info) *Package {
-	return &Package{
-		Path:       path,
-		Name:       tpkg.Name(),
-		Dir:        dir,
-		Fset:       fset,
-		Files:      files,
-		Types:      tpkg,
-		Info:       info,
-		directives: parseDirectives(fset, files),
-	}
-}
-
 // exportImporter builds a types.Importer that reads compiler export data
 // from the files `go list -export` reported.
 func exportImporter(fset *token.FileSet, exports map[string]string) types.Importer {

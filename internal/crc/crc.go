@@ -9,12 +9,13 @@
 //     crc(A ‖ B) = crc(A ≪ |B|) ⊕ crc(B)
 //
 //   - ShiftZeros, the "left shift by b zero bits" operator (appending zero
-//     bytes to a message), implemented three ways: byte-table iteration,
-//     GF(2) matrix squaring (O(log n)), and the hardware LUT subunits of
-//     Figures 10 and 11 (see parallel.go);
+//     bytes to a message) by byte-table iteration, which builds the Shift
+//     subunit's LUTs and checks them (see parallel.go);
 //
-//   - the signature schemes of scheme.go, whose CRC32 Accumulate is the
-//     submessage combination step of Algorithm 1.
+//   - the signature schemes of scheme.go. CRC32Scheme is the hardware of
+//     Section III-D: its SignBlock is the Compute CRC unit (Algorithm 2)
+//     and its Accumulate the Accumulate CRC unit, the submessage
+//     combination step of Algorithms 1 and 3.
 //
 // The reflected IEEE polynomial 0xEDB88320 is used, so the raw CRC is
 // hash/crc32's IEEE CRC without its conditioning: hash/crc32 complements
@@ -47,7 +48,6 @@ func init() {
 		}
 		byteTable[i] = c
 	}
-	initMatrices()
 	initSubunitTables()
 }
 
@@ -82,59 +82,6 @@ func Checksum(data []byte) uint32 { return Update(0, data) }
 func ShiftZeros(crc uint32, n int) uint32 {
 	for ; n > 0; n-- {
 		crc = byteTable[byte(crc)] ^ (crc >> 8)
-	}
-	return crc
-}
-
-// --- GF(2) matrix fast path -------------------------------------------------
-
-// gf2Matrix is a 32x32 bit matrix over GF(2); row i is the image of bit i.
-type gf2Matrix [32]uint32
-
-func (m *gf2Matrix) mulVec(v uint32) uint32 {
-	var sum uint32
-	for i := 0; v != 0; i, v = i+1, v>>1 {
-		if v&1 != 0 {
-			sum ^= m[i]
-		}
-	}
-	return sum
-}
-
-func (m *gf2Matrix) mulMat(n *gf2Matrix) gf2Matrix {
-	var out gf2Matrix
-	for i := 0; i < 32; i++ {
-		out[i] = m.mulVec(n[i])
-	}
-	return out
-}
-
-// shiftPow[k] advances a CRC state across 2^k zero bytes.
-var shiftPow [32]gf2Matrix
-
-func initMatrices() {
-	// shiftPow[0]: one zero byte. Column/row i is ShiftZeros(1<<i, 1).
-	var one gf2Matrix
-	for i := 0; i < 32; i++ {
-		one[i] = ShiftZeros(1<<uint(i), 1)
-	}
-	shiftPow[0] = one
-	for k := 1; k < 32; k++ {
-		shiftPow[k] = shiftPow[k-1].mulMat(&shiftPow[k-1])
-	}
-}
-
-// ShiftZerosFast is ShiftZeros computed in O(log n) via matrix powers. It is
-// the software fast path; the hardware model in parallel.go uses the paper's
-// iterative LUT design instead.
-func ShiftZerosFast(crc uint32, n int) uint32 {
-	if n < 0 {
-		panic("crc: negative zero-shift length")
-	}
-	for k := 0; n != 0 && k < 32; k, n = k+1, n>>1 {
-		if n&1 != 0 {
-			crc = shiftPow[k].mulVec(crc)
-		}
 	}
 	return crc
 }

@@ -57,32 +57,12 @@ func TestShiftZerosMatchesUpdate(t *testing.T) {
 	}
 }
 
-func TestShiftZerosFastMatchesSlow(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 200; trial++ {
-		c := rng.Uint32()
-		n := rng.Intn(5000)
-		if got, want := ShiftZerosFast(c, n), ShiftZeros(c, n); got != want {
-			t.Fatalf("fast(%08x,%d)=%08x, want %08x", c, n, got, want)
-		}
-	}
-}
-
-func TestShiftZerosFastNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative length")
-		}
-	}()
-	ShiftZerosFast(1, -1)
-}
-
 // Algorithm 1's combine step: crc(A ‖ B) == crc(A ≪ 8·len(B)) ⊕ crc(B),
 // which CRC32Scheme.Accumulate applies per block.
 func TestCombineAlgorithm1(t *testing.T) {
 	f := func(a, b []byte) bool {
 		whole := Checksum(append(append([]byte{}, a...), b...))
-		return ShiftZerosFast(Checksum(a), len(b))^Checksum(b) == whole
+		return ShiftZeros(Checksum(a), len(b))^Checksum(b) == whole
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -101,7 +81,7 @@ func TestIncrementalChain(t *testing.T) {
 			sub := make([]byte, rng.Intn(40))
 			rng.Read(sub)
 			whole = append(whole, sub...)
-			acc = ShiftZerosFast(acc, len(sub)) ^ Checksum(sub)
+			acc = ShiftZeros(acc, len(sub)) ^ Checksum(sub)
 		}
 		if want := Checksum(whole); acc != want {
 			t.Fatalf("trial %d: incremental %08x, direct %08x", trial, acc, want)
@@ -125,9 +105,10 @@ func TestQuickLinearity(t *testing.T) {
 	}
 }
 
+// The Compute CRC unit (CRC32Scheme.SignBlock) signs a block as the raw CRC
+// of the block zero-padded to whole subblocks.
 func TestComputeUnitMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	var u ComputeUnit
 	for trial := 0; trial < 200; trial++ {
 		n := rng.Intn(100)
 		data := make([]byte, n)
@@ -135,7 +116,7 @@ func TestComputeUnitMatchesDirect(t *testing.T) {
 		padded := make([]byte, PaddedLen(n))
 		copy(padded, data)
 
-		crc, shift := u.Sign(data)
+		crc, shift := CRC32Scheme{}.SignBlock(data)
 		if want := Checksum(padded); crc != want {
 			t.Fatalf("n=%d: unit %08x, direct %08x", n, crc, want)
 		}
@@ -147,39 +128,25 @@ func TestComputeUnitMatchesDirect(t *testing.T) {
 
 func TestComputeUnitLatencyPaperExamples(t *testing.T) {
 	// Section III-G: the average constants command updates 16 values
-	// (64 bytes) => 8 cycles; the average primitive carries 3 attributes of
-	// 48 bytes (144 bytes) => 18 cycles.
-	var u ComputeUnit
-	if _, shift := u.Sign(make([]byte, 64)); shift != 8 {
-		t.Fatalf("constants block shift = %d, want 8", shift)
-	}
-	if u.Stats.Cycles != 8 {
-		t.Fatalf("constants cycles = %d, want 8", u.Stats.Cycles)
-	}
-	u.Stats = UnitStats{}
-	if _, shift := u.Sign(make([]byte, 144)); shift != 18 {
-		t.Fatalf("primitive shift = %d, want 18", shift)
-	}
-	if u.Stats.Cycles != 18 {
-		t.Fatalf("primitive cycles = %d, want 18", u.Stats.Cycles)
-	}
-	if u.Stats.LUTAccesses != 18*(SubblockBytes+4) {
-		t.Fatalf("LUT accesses = %d", u.Stats.LUTAccesses)
+	// (64 bytes) => 8 subblocks, one cycle each; the average primitive
+	// carries 3 attributes of 48 bytes (144 bytes) => 18.
+	for _, c := range []struct{ bytes, subblocks int }{{64, 8}, {144, 18}} {
+		if _, shift := (CRC32Scheme{}).SignBlock(make([]byte, c.bytes)); shift != c.subblocks {
+			t.Fatalf("%d-byte block: %d subblocks, want %d", c.bytes, shift, c.subblocks)
+		}
 	}
 }
 
+// The Accumulate CRC unit (CRC32Scheme.Accumulate) shifts the running CRC
+// across the block's subblocks of zeros before the XOR.
 func TestAccumulateUnitMatchesShiftZeros(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	var u AccumulateUnit
 	for trial := 0; trial < 100; trial++ {
-		c := rng.Uint32()
+		c, blockSig := rng.Uint32(), rng.Uint32()
 		k := rng.Intn(30)
-		if got, want := u.Shift(c, k), ShiftZeros(c, k*SubblockBytes); got != want {
-			t.Fatalf("Shift(%08x,%d)=%08x, want %08x", c, k, got, want)
+		if got, want := (CRC32Scheme{}).Accumulate(c, blockSig, k), ShiftZeros(c, k*SubblockBytes)^blockSig; got != want {
+			t.Fatalf("Accumulate(%08x,%08x,%d)=%08x, want %08x", c, blockSig, k, got, want)
 		}
-	}
-	if u.Stats.LUTAccesses != 4*u.Stats.Subblocks {
-		t.Fatalf("accumulate LUT accounting inconsistent: %+v", u.Stats)
 	}
 }
 
@@ -187,8 +154,7 @@ func TestAccumulateUnitMatchesShiftZeros(t *testing.T) {
 // must reproduce the direct CRC of a concatenated tile-input message.
 func TestHardwarePathEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	var cu ComputeUnit
-	var au AccumulateUnit
+	s := CRC32Scheme{}
 	for trial := 0; trial < 50; trial++ {
 		var whole []byte
 		var tileCRC uint32
@@ -199,8 +165,8 @@ func TestHardwarePathEndToEnd(t *testing.T) {
 			copy(padded, block)
 			whole = append(whole, padded...)
 
-			blockCRC, shift := cu.Sign(block)
-			tileCRC = au.Shift(tileCRC, shift) ^ blockCRC
+			blockCRC, shift := s.SignBlock(block)
+			tileCRC = s.Accumulate(tileCRC, blockCRC, shift)
 		}
 		if want := Checksum(whole); tileCRC != want {
 			t.Fatalf("trial %d: hardware %08x, direct %08x", trial, tileCRC, want)

@@ -20,24 +20,40 @@ type Scheme interface {
 }
 
 // CRC32Scheme is the paper's signature function: raw CRC32 combined with the
-// zero-shift operator of Algorithm 1. It is position- and order-sensitive.
+// zero-shift operator of Algorithm 1, computed by the LUT hardware of
+// parallel.go. It is position- and order-sensitive.
 type CRC32Scheme struct{}
 
 // Name implements Scheme.
 func (CRC32Scheme) Name() string { return "crc32" }
 
-// SignBlock implements Scheme using the fast software path (the hardware LUT
-// path in ComputeUnit produces identical values; tests assert this).
-func (CRC32Scheme) SignBlock(block []byte) (uint32, int) {
-	n := PaddedLen(len(block))
-	sig := Update(0, block)
-	sig = ShiftZerosFast(sig, n-len(block))
-	return sig, n / SubblockBytes
+// SignBlock implements Scheme as the Compute CRC unit of Figure 8
+// (Algorithm 2): one 64-bit subblock per cycle, signed by the sign LUTs and
+// XORed with the running CRC shifted across it. A last partial subblock is
+// zero-padded; the padding is the same in every frame, so signature
+// comparisons are unaffected. The shift amount is the subblock count.
+func (CRC32Scheme) SignBlock(block []byte) (sig uint32, shiftAmount int) {
+	for ; len(block) >= SubblockBytes; block = block[SubblockBytes:] {
+		sig = signSubblock(block) ^ shiftState(sig)
+		shiftAmount++
+	}
+	if len(block) > 0 {
+		var pad [SubblockBytes]byte
+		copy(pad[:], block)
+		sig = signSubblock(pad[:]) ^ shiftState(sig)
+		shiftAmount++
+	}
+	return sig, shiftAmount
 }
 
-// Accumulate implements Scheme: crc(A ‖ B) = crc(A ≪ |B|) ⊕ crc(B).
+// Accumulate implements Scheme as the Accumulate CRC unit of Figure 9
+// (Algorithm 3): acc is shifted across the block one subblock per cycle,
+// then XOR-combined, so crc(A ‖ B) = crc(A ≪ |B|) ⊕ crc(B).
 func (CRC32Scheme) Accumulate(acc, blockSig uint32, shiftAmount int) uint32 {
-	return ShiftZerosFast(acc, shiftAmount*SubblockBytes) ^ blockSig
+	for ; shiftAmount > 0; shiftAmount-- {
+		acc = shiftState(acc)
+	}
+	return acc ^ blockSig
 }
 
 // XORFoldScheme is the weakest comparison point: the XOR of all 32-bit words.

@@ -188,6 +188,10 @@ func (c Config) Validate() error {
 	if c.RefreshInterval < 0 {
 		return fmt.Errorf("gpusim: %w: negative refresh interval", rerr.ErrBadConfig)
 	}
+	if c.Sig.OTQueueDepth <= 0 || c.Sig.AccumCyclesPerTile <= 0 {
+		return fmt.Errorf("gpusim: %w: signature unit needs a positive OT queue depth and per-tile cycles, got %d and %d",
+			rerr.ErrBadConfig, c.Sig.OTQueueDepth, c.Sig.AccumCyclesPerTile)
+	}
 	if _, ok := crc.SchemeByName(c.Sig.Scheme); !ok && c.Sig.Scheme != "" {
 		return fmt.Errorf("gpusim: %w: unknown signature scheme %q", rerr.ErrBadConfig, c.Sig.Scheme)
 	}

@@ -1,9 +1,6 @@
 package gpusim
 
 import (
-	"encoding/binary"
-	"math"
-
 	"rendelim/internal/api"
 	"rendelim/internal/crc"
 	"rendelim/internal/geom"
@@ -256,7 +253,7 @@ func (fh *fragmentHasher) begin(fsID uint8, texIDs [4]uint8, inMask uint16, cons
 	b = append(b, fsID, texIDs[0], texIDs[1], texIDs[2], texIDs[3], 0, 0, 0)
 	for i, u := range uniforms {
 		if constMask&(1<<uint(i)) != 0 {
-			b = appendVec(b, u)
+			b = api.AppendVec4(b, u)
 		}
 	}
 	fh.prefix = crc.Checksum(b)
@@ -269,17 +266,8 @@ func (fh *fragmentHasher) hash(varyings *[rast.MaxVaryings]geom.Vec4) uint32 {
 	for i := range varyings {
 		// Varying v_{i+1} corresponds to rast.Fragment.Var[i].
 		if fh.inMask&(1<<uint(i+1)) != 0 {
-			b = appendVec(b, varyings[i])
+			b = api.AppendVec4(b, varyings[i])
 		}
 	}
 	return crc.Update(fh.prefix, b)
-}
-
-func appendVec(b []byte, v geom.Vec4) []byte {
-	var w [16]byte
-	binary.LittleEndian.PutUint32(w[0:], math.Float32bits(v.X))
-	binary.LittleEndian.PutUint32(w[4:], math.Float32bits(v.Y))
-	binary.LittleEndian.PutUint32(w[8:], math.Float32bits(v.Z))
-	binary.LittleEndian.PutUint32(w[12:], math.Float32bits(v.W))
-	return append(b, w[:]...)
 }

@@ -138,7 +138,7 @@ func (r *tileResult) renders() bool { return !r.skipped && !r.reused }
 
 // rasterWorker is the private mutable state one raster goroutine needs: a
 // fragment-shader VM, a recording texture sampler, the memo hasher and a
-// private CRC unit for TE color signing. Workers persist across frames.
+// byte buffer for TE color signing. Workers persist across frames.
 type rasterWorker struct {
 	s  *Simulator
 	id int
@@ -147,7 +147,6 @@ type rasterWorker struct {
 	sampler   workerSampler
 	hasher    fragmentHasher
 	frag      rast.Fragment // rasterizer fragment scratch (RasterizeInto)
-	teCRC     crc.ComputeUnit
 	teByteBuf [fb.TileSize * fb.TileSize * 4]byte
 	// depth is the tile's depth buffer: nothing after the render reads it.
 	depth [fb.TileSize * fb.TileSize]float32
@@ -475,17 +474,17 @@ func (w *rasterWorker) renderTile(tile int, res *tileResult, tr *obs.Thread) {
 		tr.End() // fragment-shading
 	}
 
-	// Transaction Elimination: sign the rendered colors with the worker's
-	// private CRC unit; commit charges its LUT reads and does store/match.
+	// Transaction Elimination: sign the rendered colors with the Compute
+	// CRC unit; commit charges its LUT reads and does store/match.
 	if s.cfg.Technique == TE {
 		tilew := rect.X1 - rect.X0
 		npx := rect.Area()
 		for i := 0; i < npx; i++ {
 			binary.LittleEndian.PutUint32(w.teByteBuf[i*4:], res.tb.Color[fb.Idx(i%tilew, i/tilew)])
 		}
-		before := w.teCRC.Stats.LUTAccesses
-		res.teSig, _ = w.teCRC.Sign(w.teByteBuf[:npx*4])
-		res.teLUTAccesses = w.teCRC.Stats.LUTAccesses - before
+		var subblocks int
+		res.teSig, subblocks = crc.CRC32Scheme{}.SignBlock(w.teByteBuf[:npx*4])
+		res.teLUTAccesses = uint64(subblocks) * crc.SignLUTReads
 	}
 	if tr != nil {
 		tr.End() // raster-tile
@@ -558,8 +557,9 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 		s.skipCounts[tile]++
 		st.TileClasses[TileEqColorEqInput]++
 		st.TilesClassified++
-		st.StageCycles[StageSigCheck] += tw.CompareCycles
-		st.RasterCycles += s.cfg.Timing.TileCycles(tw)
+		cyc, sigC, _, _, _ := s.cfg.Timing.TileCycles(tw)
+		st.StageCycles[StageSigCheck] += sigC
+		st.RasterCycles += cyc
 		if s.tr != nil {
 			s.tr.Instant("tile-eliminated", "tile", int64(tile))
 		}
@@ -648,12 +648,12 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 		st.FlushesSkipped++
 	}
 
-	sigC, rastC, fragC, flushC := s.cfg.Timing.TileStageCycles(tw)
+	cyc, sigC, rastC, fragC, flushC := s.cfg.Timing.TileCycles(tw)
 	st.StageCycles[StageSigCheck] += sigC
 	st.StageCycles[StageRaster] += rastC
 	st.StageCycles[StageFragment] += fragC
 	st.StageCycles[StageFlush] += flushC
-	st.RasterCycles += s.cfg.Timing.TileCycles(tw)
+	st.RasterCycles += cyc
 }
 
 // rasterPhase executes the frame's raster pipeline over all tiles. With one

@@ -353,7 +353,6 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	dramBefore := s.dram.Stats
 	suBefore := s.su.Stats
 	sbBefore := s.su.Buffer().Reads + s.su.Buffer().Writes
-	computeBefore, accumulateBefore := s.su.CRCStats()
 	teBufBefore := s.teBuf.Reads + s.teBuf.Writes
 	vsBefore := s.vs.Counts
 	cacheBefore := s.cacheAccesses()
@@ -403,8 +402,8 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		geo.SUStallCycles = s.su.Stats.StallCycles - suBefore.StallCycles
 		st.SUStallCycles = geo.SUStallCycles
 	}
-	st.GeometryCycles = s.cfg.Timing.GeometryCycles(geo)
-	vtx, til := s.cfg.Timing.GeometryStageCycles(geo)
+	var vtx, til uint64
+	st.GeometryCycles, vtx, til = s.cfg.Timing.GeometryCycles(geo)
 	st.StageCycles[StageVertex] += vtx
 	st.StageCycles[StageTiling] += til
 	st.StageCycles[StageSigCheck] += geo.SUStallCycles
@@ -442,10 +441,8 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 
 	switch s.cfg.Technique {
 	case RE:
-		compute, accumulate := s.su.CRCStats()
 		a.SigBufferAccesses = s.su.Buffer().Reads + s.su.Buffer().Writes - sbBefore
-		a.CRCLUTAccesses = (compute.LUTAccesses + accumulate.LUTAccesses) -
-			(computeBefore.LUTAccesses + accumulateBefore.LUTAccesses)
+		a.CRCLUTAccesses = s.su.Stats.LUTAccesses - suBefore.LUTAccesses
 		a.BitmapAccesses = (s.su.Stats.BitmapReads + s.su.Stats.BitmapWrites) -
 			(suBefore.BitmapReads + suBefore.BitmapWrites)
 		a.OTQueueAccesses = s.su.Stats.TileUpdates - suBefore.TileUpdates

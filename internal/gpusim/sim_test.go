@@ -100,6 +100,18 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); !errors.Is(err, rerr.ErrBadConfig) {
 		t.Fatalf("unknown signature scheme: err = %v, want ErrBadConfig", err)
 	}
+	// The Signature Unit has no defaults of its own: a zero OT queue or
+	// per-tile cost is refused, not replaced.
+	bad = cfg
+	bad.Sig.OTQueueDepth = 0
+	if err := bad.Validate(); !errors.Is(err, rerr.ErrBadConfig) {
+		t.Fatalf("zero OT queue depth: err = %v, want ErrBadConfig", err)
+	}
+	bad = cfg
+	bad.Sig.AccumCyclesPerTile = 0
+	if err := bad.Validate(); !errors.Is(err, rerr.ErrBadConfig) {
+		t.Fatalf("zero per-tile accumulate cycles: err = %v, want ErrBadConfig", err)
+	}
 }
 
 func TestBaselineRendersDeterministically(t *testing.T) {
@@ -221,6 +233,21 @@ func TestTEPixelExactVsBaseline(t *testing.T) {
 	for i := range fa {
 		if fa[i] != fb[i] {
 			t.Fatalf("pixel %d differs", i)
+		}
+	}
+}
+
+// TE signs each tile's colours, 4 bytes a pixel, through the Compute CRC
+// unit at 12 LUT reads per 8-byte subblock. At 120×90 that is 35 full 16×16
+// tiles at 1,536 reads each, plus the partial edge tiles by their bytes
+// (five 8×16, seven 16×10 and one 8×10): 64,800 a frame, reused tiles
+// included.
+func TestTECRCLUTAccessesPerFrame(t *testing.T) {
+	b, _ := workload.ByAlias("ccs")
+	res := runTrace(t, b.Build(workload.Params{Width: 120, Height: 90, Frames: 3, Seed: 1}), TE)
+	for f, st := range res.Frames {
+		if got := st.Activity.CRCLUTAccesses; got != 64800 {
+			t.Errorf("frame %d: %d CRC LUT reads, want 64800", f, got)
 		}
 	}
 }

@@ -105,9 +105,10 @@ type Stats struct {
 	RasterCycles   uint64
 	SUStallCycles  uint64 // Signature Unit back-pressure included in GeometryCycles
 
-	// StageCycles attributes cycles to individual pipeline stages
-	// (timing.GeometryStageCycles / TileStageCycles). Stages overlap in
-	// the pipeline model, so the array does not sum to TotalCycles.
+	// StageCycles attributes cycles to individual pipeline stages (the
+	// per-stage split timing.GeometryCycles / TileCycles return beside
+	// their totals). Stages overlap in the pipeline model, so the array
+	// does not sum to TotalCycles.
 	StageCycles [NumPipeStages]uint64
 
 	// Tile accounting.

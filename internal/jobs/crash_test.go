@@ -556,6 +556,39 @@ func TestCrashRecoveryDropsFailedJobs(t *testing.T) {
 	}
 }
 
+// TestCrashRecoveryRemovesDroppedSpecs: a pending spec that recovery drops
+// (its trace blob is missing, or it does not re-sign to its key) leaves the
+// store, so the next boot neither reads nor counts it again.
+func TestCrashRecoveryRemovesDroppedSpecs(t *testing.T) {
+	dir := t.TempDir()
+	st := openTestStore(t, dir, nil)
+	params := workload.Params{Width: 64, Height: 48, Frames: 2, Seed: 1}
+	rec := store.JobSpec{Width: params.Width, Height: params.Height, Frames: params.Frames,
+		Seed: params.Seed, Tech: gpusim.RE.String(), TraceCRC: 0xdeadbeef}
+	if err := st.RecordSubmitted("00000001-00000001", rec); err != nil {
+		t.Fatal(err)
+	}
+	rec.Alias, rec.TraceCRC = "ccs", 0
+	if err := st.RecordSubmitted("00000002-00000002", rec); err != nil {
+		t.Fatal(err)
+	}
+
+	st2 := openTestStore(t, dir, nil)
+	if n := len(st2.Pending()); n != 2 {
+		t.Fatalf("%d pending specs before recovery, want 2", n)
+	}
+	p := NewPool(WithWorkers(1), WithStore(st2), WithLogger(quietLogger()))
+	p.Close(context.Background())
+
+	st3 := openTestStore(t, dir, nil)
+	if pending := st3.Pending(); len(pending) != 0 {
+		t.Errorf("dropped jobs pending again: %+v", pending)
+	}
+	if n := st3.Metrics().JobsRecovered.Load(); n != 0 {
+		t.Errorf("JobsRecovered = %d, want 0", n)
+	}
+}
+
 // TestCrashRecoveryRejectsMismatchedCheckpoint: a checkpoint file is the
 // job's only checkpoint record, so its frame stats and its blob must agree.
 // A file holding one frame's stats beside a frame-2 blob is not resumed

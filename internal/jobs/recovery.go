@@ -148,10 +148,12 @@ func (p *Pool) recoverFromStore() {
 		spec, err := specFromRecord(st, pj.Spec)
 		if err != nil {
 			p.log.Warn("store: interrupted job not recoverable; dropped", "key", pj.Key, "err", err)
+			p.dropPending(pj.Key)
 			continue
 		}
 		if got := spec.Key().String(); got != pj.Key {
 			p.log.Warn("store: recovered spec signature mismatch; dropped", "key", pj.Key, "resigned", got)
+			p.dropPending(pj.Key)
 			continue
 		}
 		// The runner checks the checkpoint, if any, when it resumes: a bad
@@ -163,5 +165,15 @@ func (p *Pool) recoverFromStore() {
 			continue
 		}
 		p.log.Info("store: interrupted job resubmitted", "key", pj.Key, "id", j.ID, "from_frame", len(pj.Frames))
+	}
+}
+
+// dropPending removes the files of a pending job that recovery cannot
+// rebuild, so later boots do not read, count and drop it again. A failed
+// resubmission keeps its files: a closing pool causes that, and the next
+// boot recovers the job.
+func (p *Pool) dropPending(key string) {
+	if err := p.opts.Store.RecordFailed(key); err != nil {
+		p.log.Warn("store: dropped job's spec removal failed; the next boot drops it again", "key", key, "err", err)
 	}
 }

@@ -1,8 +1,9 @@
 // Package sig implements the Signature Unit of Section III: the on-chip
 // Signature Buffer holding per-tile input signatures for the frames in
-// flight, the incremental signing datapath built from the Compute CRC and
-// Accumulate CRC units, the Overlapped-Tiles (OT) queue with its stall
-// behaviour, and the per-drawcall constants CRC with its tile bitmap.
+// flight, incremental signing through a crc.Scheme (CRC32 in the paper)
+// with the Compute and Accumulate CRC units' costs, the Overlapped-Tiles
+// (OT) queue with its stall behaviour, and the per-drawcall constants CRC
+// with its tile bitmap.
 package sig
 
 import "rendelim/internal/wire"

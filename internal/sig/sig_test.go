@@ -308,20 +308,57 @@ func TestCheckTileCostAccounting(t *testing.T) {
 	}
 }
 
+// Every scheme runs on the same datapath: it takes the cycles CRC32 takes,
+// and each signed subblock costs 12 LUT reads (8 sign + 4 shift) and each
+// subblock the scheme's own shift amount moves a tile's signature costs 4.
 func TestCRCStatsExposeActivity(t *testing.T) {
-	u := NewUnit(DefaultConfig(), NewBuffer(2))
-	u.BeginFrame()
-	u.SetConstants(make([]byte, 64))
-	u.AddPrimitive(make([]byte, 144), []int{0, 1}, 40)
-	compute, accumulate := u.CRCStats()
-	if compute.Cycles != 8+18 {
-		t.Fatalf("compute cycles = %d, want 26", compute.Cycles)
+	wide := make([]int, 40) // overruns the 16-entry OT queue
+	for i := range wide {
+		wide[i] = i
 	}
-	if accumulate.Subblocks == 0 {
-		t.Fatal("accumulate activity missing")
-	}
-	if u.Stats.ConstBlocks != 1 || u.Stats.PrimBlocks != 1 || u.Stats.TileUpdates != 2 {
-		t.Fatalf("block counts: %+v", u.Stats)
+	consts := make([]byte, 64)
+	prims := []struct {
+		block []byte
+		tiles []int
+	}{{make([]byte, 144), []int{0, 1}}, {make([]byte, 20), []int{1}}, {make([]byte, 144), wide}}
+
+	var crcStats Stats
+	for i, s := range crc.Schemes() {
+		cfg := DefaultConfig()
+		cfg.Scheme = s.Name()
+		u := NewUnit(cfg, NewBuffer(len(wide)))
+		u.BeginFrame()
+		u.SetConstants(consts)
+		_, constShift := s.SignBlock(consts)
+		signed, shifted := uint64(len(consts)/crc.SubblockBytes), uint64(0)
+		combined := map[int]bool{}
+		for _, p := range prims {
+			u.AddPrimitive(p.block, p.tiles, 40)
+			_, shift := s.SignBlock(p.block)
+			signed += uint64(crc.PaddedLen(len(p.block)) / crc.SubblockBytes)
+			for _, tile := range p.tiles {
+				if !combined[tile] { // a tile's first update combines the constants too
+					combined[tile] = true
+					shifted += uint64(constShift)
+				}
+				shifted += uint64(shift)
+			}
+		}
+		if want := 12*signed + 4*shifted; u.Stats.LUTAccesses != want {
+			t.Errorf("%s: %d LUT reads, want 12·%d + 4·%d = %d", s.Name(), u.Stats.LUTAccesses, signed, shifted, want)
+		}
+		if u.Stats.ConstBlocks != 1 || u.Stats.PrimBlocks != 3 || u.Stats.TileUpdates != 43 {
+			t.Errorf("%s: block counts: %+v", s.Name(), u.Stats)
+		}
+		if i == 0 { // crc.Schemes lists CRC32 first
+			crcStats = u.Stats
+			if crcStats.StallCycles == 0 {
+				t.Fatal("crc32: the 40-tile primitive did not stall")
+			}
+		} else if u.Stats.BusyCycles != crcStats.BusyCycles || u.Stats.StallCycles != crcStats.StallCycles {
+			t.Errorf("%s: busy %d, stall %d cycles; crc32 took %d, %d", s.Name(),
+				u.Stats.BusyCycles, u.Stats.StallCycles, crcStats.BusyCycles, crcStats.StallCycles)
+		}
 	}
 }
 

@@ -15,9 +15,8 @@ type Config struct {
 	// accumulate-combine step (Signature Buffer read, shift-combine,
 	// write back). The Shift subunit is a 1-cycle combinational LUT
 	// stage, and distinct tiles are independent, so an interleaved
-	// pipeline sustains one tile every couple of cycles regardless of
-	// the shift amount (Section III-G discusses the latency/storage
-	// trade-off).
+	// pipeline sustains one tile per cycle regardless of the shift
+	// amount (Section III-G discusses the latency/storage trade-off).
 	AccumCyclesPerTile int
 	// Scheme names the signature function (crc.Scheme.Name): "crc32" in
 	// the paper; the hash ablation swaps it. Empty selects CRC32.
@@ -25,13 +24,13 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's configuration: a 16-entry OT queue
-// (matching the Table I queue depths) and the CRC32 scheme.
+// (matching the Table I queue depths), one cycle per tile update and the
+// CRC32 scheme.
 func DefaultConfig() Config {
 	return Config{OTQueueDepth: 16, AccumCyclesPerTile: 1, Scheme: crc.CRC32Scheme{}.Name()}
 }
 
-// Stats aggregates the Signature Unit's activity for timing and energy. The
-// CRC datapath's own counters are read with Unit.CRCStats.
+// Stats aggregates the Signature Unit's activity for timing and energy.
 type Stats struct {
 	// StallCycles is geometry-pipeline back-pressure from OT queue
 	// overflow (the only execution-time overhead RE adds; ~0.64% in the
@@ -45,6 +44,12 @@ type Stats struct {
 	PrimBlocks   uint64
 	ConstBlocks  uint64
 	TileUpdates  uint64
+	// LUTAccesses counts the CRC datapath's 1 KB LUT reads:
+	// crc.SignLUTReads per subblock signed and crc.ShiftLUTReads per
+	// subblock a tile's signature is shifted across. Every scheme is
+	// charged this cost, so the hash ablation isolates hash quality from
+	// hash cost.
+	LUTAccesses uint64
 }
 
 // Unit is the Signature Unit of Figure 7. During the geometry phase the
@@ -55,9 +60,6 @@ type Unit struct {
 	cfg    Config
 	scheme crc.Scheme // cfg.Scheme, resolved once
 	buf    *Buffer
-
-	compute    crc.ComputeUnit
-	accumulate crc.AccumulateUnit
 
 	// Constants CRC register + shift amount (Figure 7) and the per-tile
 	// "constants already combined" bitmap.
@@ -75,15 +77,9 @@ type Unit struct {
 }
 
 // NewUnit builds a Signature Unit over the given buffer. It panics on an
-// unknown scheme name; callers validate configs first (gpusim.Config.Validate
-// rejects one).
+// unknown scheme name; callers validate configs first: gpusim.Config.Validate
+// rejects an unknown scheme and a non-positive queue depth or per-tile cost.
 func NewUnit(cfg Config, buf *Buffer) *Unit {
-	if cfg.OTQueueDepth <= 0 {
-		cfg.OTQueueDepth = 16
-	}
-	if cfg.AccumCyclesPerTile <= 0 {
-		cfg.AccumCyclesPerTile = 2
-	}
 	scheme := crc.Scheme(crc.CRC32Scheme{})
 	if cfg.Scheme != "" {
 		var ok bool
@@ -114,21 +110,13 @@ func (u *Unit) clearBitmap() {
 	u.Stats.BitmapWrites += uint64(len(u.bitmap))
 }
 
-// signBlock signs one block through the Compute CRC unit (or the ablation
-// scheme), charging the hardware cost either way.
+// signBlock signs one block with the scheme and charges the Compute CRC
+// unit's cost: one cycle and SignLUTReads LUT reads per subblock.
 func (u *Unit) signBlock(block []byte) (sigVal uint32, shift int, cycles uint64) {
-	if _, isCRC := u.scheme.(crc.CRC32Scheme); isCRC {
-		sigVal, shift = u.compute.Sign(block)
-	} else {
-		sigVal, shift = u.scheme.SignBlock(block)
-		// Charge the same datapath cost so the ablation isolates hash
-		// quality from hash cost.
-		padded := crc.PaddedLen(len(block)) / crc.SubblockBytes
-		u.compute.Stats.Cycles += uint64(padded)
-		u.compute.Stats.LUTAccesses += uint64(padded) * 12
-		u.compute.Stats.Subblocks += uint64(padded)
-	}
-	return sigVal, shift, uint64(crc.PaddedLen(len(block)) / crc.SubblockBytes)
+	sigVal, shift = u.scheme.SignBlock(block)
+	cycles = uint64(crc.PaddedLen(len(block)) / crc.SubblockBytes)
+	u.Stats.LUTAccesses += cycles * crc.SignLUTReads
+	return sigVal, shift, cycles
 }
 
 // SetConstants signs a new constants block (Command Processor path): the
@@ -216,16 +204,11 @@ func (u *Unit) AddPrimitive(block []byte, tiles []int, producerCycles uint64) {
 	}
 }
 
-// accumulateCombine folds blockSig (of shiftAmount subblocks) into acc via
-// the Accumulate CRC unit (Algorithm 3) for the CRC scheme, or the ablation
-// scheme's combiner otherwise; hardware activity is charged identically.
+// accumulateCombine folds blockSig (of shiftAmount subblocks) into acc with
+// the scheme and charges the Accumulate CRC unit's ShiftLUTReads LUT reads
+// per subblock shifted.
 func (u *Unit) accumulateCombine(acc, blockSig uint32, shiftAmount int) uint32 {
-	if _, isCRC := u.scheme.(crc.CRC32Scheme); isCRC {
-		return u.accumulate.Shift(acc, shiftAmount) ^ blockSig
-	}
-	u.accumulate.Stats.Cycles += uint64(shiftAmount)
-	u.accumulate.Stats.LUTAccesses += 4 * uint64(shiftAmount)
-	u.accumulate.Stats.Subblocks += uint64(shiftAmount)
+	u.Stats.LUTAccesses += uint64(shiftAmount) * crc.ShiftLUTReads
 	return u.scheme.Accumulate(acc, blockSig, shiftAmount)
 }
 
@@ -241,9 +224,3 @@ func (u *Unit) CheckTile(tile int) (redundant bool) {
 // EndFrame commits the frame's signatures (see Buffer.EndFrame); stats
 // accumulate across frames, and the simulator reads their differences.
 func (u *Unit) EndFrame() { u.buf.EndFrame() }
-
-// CRCStats returns the cumulative counters of the Compute CRC and Accumulate
-// CRC units.
-func (u *Unit) CRCStats() (compute, accumulate crc.UnitStats) {
-	return u.compute.Stats, u.accumulate.Stats
-}

@@ -59,15 +59,22 @@ type GeometryWork struct {
 // GeometryCycles returns the geometry-pipeline occupancy for a frame. The
 // pipelined stages run concurrently, so the frame takes as long as its
 // busiest stage plus unhidden memory stalls and SU stalls.
-func (p Params) GeometryCycles(w GeometryWork) uint64 {
+//
+// It also splits the work into per-stage occupancies for attribution
+// (tracing, /metrics): vertex covers the programmable front end (fetch +
+// shading, with unhidden miss stalls), tiling covers primitive assembly,
+// binning and Parameter Buffer writes. The pipeline model overlaps these
+// stages, so the split does not sum to total — it answers "where would
+// time go without overlap".
+func (p Params) GeometryCycles(w GeometryWork) (total, vertex, tiling uint64) {
 	vs := divCeil(w.VSInstructions, uint64(p.VertexProcessors))
 	fetch := divCeil(w.VertexBytes, uint64(p.VFetchBytesPerCycle))
+	stall := uint64(float64(w.VertexMissCycles) * (1 - p.GeomOverlap))
 	pa := divCeil(w.Triangles, uint64(p.TrianglesPerCycle))
 	bin := w.BinTilePairs // 1 tile id per cycle
 	pbBW := divCeil(w.PBWriteBytes, 4)
-	busiest := maxU64(vs, fetch, pa, bin, pbBW)
-	stall := uint64(float64(w.VertexMissCycles) * (1 - p.GeomOverlap))
-	return busiest + stall + w.SUStallCycles
+	front, back := maxU64(vs, fetch), maxU64(pa, bin, pbBW)
+	return maxU64(front, back) + stall + w.SUStallCycles, front + stall, back
 }
 
 // TileWork is one tile's raster-phase activity.
@@ -84,65 +91,29 @@ type TileWork struct {
 	Skipped         bool   // RE bypassed the tile entirely
 }
 
-// TileCycles returns the raster-pipeline occupancy for one tile.
-func (p Params) TileCycles(w TileWork) uint64 {
-	if w.Skipped {
-		return w.CompareCycles
-	}
-	fetch := divCeil(w.FetchBytes, uint64(p.TileFetchBytesPerCycle))
-	setup := divCeil(w.SetupAttrs, uint64(p.RasterAttrsPerCycle))
-	quads := divCeil(w.Quads, uint64(p.QuadsPerCycle))
-	fs := divCeil(w.FSInstructions, uint64(p.FragmentProcessors))
-	blend := divCeil(w.BlendFrags, uint64(p.BlendFragsPerCycle))
-	flush := divCeil(w.FlushBytes, uint64(p.FlushBytesPerCycle))
-	busiest := maxU64(fetch, setup, quads, fs, blend, flush)
-	stall := uint64(float64(w.FetchMissCycles)*(1-p.GeomOverlap) +
-		float64(w.TexMissCycles)*(1-p.FragOverlap))
-	return busiest + stall + w.CompareCycles
-}
-
-// GeometryStageCycles splits a frame's geometry work into per-stage
-// occupancies for attribution (tracing, /metrics): vertex covers the
-// programmable front end (fetch + shading, with unhidden miss stalls),
-// tiling covers primitive assembly, binning and Parameter Buffer writes.
-// The pipeline model overlaps these stages, so the split does not sum to
-// GeometryCycles — it answers "where would time go without overlap".
-func (p Params) GeometryStageCycles(w GeometryWork) (vertex, tiling uint64) {
-	vs := divCeil(w.VSInstructions, uint64(p.VertexProcessors))
-	fetch := divCeil(w.VertexBytes, uint64(p.VFetchBytesPerCycle))
-	stall := uint64(float64(w.VertexMissCycles) * (1 - p.GeomOverlap))
-	vertex = maxU64(vs, fetch) + stall
-
-	pa := divCeil(w.Triangles, uint64(p.TrianglesPerCycle))
-	bin := w.BinTilePairs
-	pbBW := divCeil(w.PBWriteBytes, 4)
-	tiling = maxU64(pa, bin, pbBW)
-	return vertex, tiling
-}
-
-// TileStageCycles splits one tile's raster work into per-stage occupancies:
-// sig is the RE signature compare, raster covers Parameter Buffer fetch,
-// triangle setup and quad traversal (with unhidden fetch stalls), fragment
-// covers shading and blending (with unhidden texture stalls), and flush the
-// Color Buffer writeback. For a skipped tile only sig is non-zero. As with
-// GeometryStageCycles the stages overlap in the pipeline model, so the
-// split attributes rather than sums to TileCycles.
-func (p Params) TileStageCycles(w TileWork) (sig, raster, fragment, flush uint64) {
+// TileCycles returns the raster-pipeline occupancy for one tile and, as
+// GeometryCycles does, its split into stages: sig is the RE signature
+// compare, raster covers Parameter Buffer fetch, triangle setup and quad
+// traversal (with unhidden fetch stalls), fragment covers shading and
+// blending (with unhidden texture stalls), and flush the Color Buffer
+// writeback. A skipped tile costs its compare alone.
+func (p Params) TileCycles(w TileWork) (total, sig, raster, fragment, flush uint64) {
 	sig = w.CompareCycles
 	if w.Skipped {
-		return sig, 0, 0, 0
+		return sig, sig, 0, 0, 0
 	}
 	fetch := divCeil(w.FetchBytes, uint64(p.TileFetchBytesPerCycle))
 	setup := divCeil(w.SetupAttrs, uint64(p.RasterAttrsPerCycle))
 	quads := divCeil(w.Quads, uint64(p.QuadsPerCycle))
-	raster = maxU64(fetch, setup, quads) + uint64(float64(w.FetchMissCycles)*(1-p.GeomOverlap))
-
 	fs := divCeil(w.FSInstructions, uint64(p.FragmentProcessors))
 	blend := divCeil(w.BlendFrags, uint64(p.BlendFragsPerCycle))
-	fragment = maxU64(fs, blend) + uint64(float64(w.TexMissCycles)*(1-p.FragOverlap))
-
 	flush = divCeil(w.FlushBytes, uint64(p.FlushBytesPerCycle))
-	return sig, raster, fragment, flush
+	fetchStall := float64(w.FetchMissCycles) * (1 - p.GeomOverlap)
+	texStall := float64(w.TexMissCycles) * (1 - p.FragOverlap)
+	front, back := maxU64(fetch, setup, quads), maxU64(fs, blend)
+	// The total truncates the stalls' sum once; each stage its own stall.
+	total = maxU64(front, back, flush) + uint64(fetchStall+texStall) + sig
+	return total, sig, front + uint64(fetchStall), back + uint64(texStall), flush
 }
 
 // Seconds converts cycles to wall-clock time at the configured frequency.
