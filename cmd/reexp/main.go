@@ -5,11 +5,19 @@
 // Usage:
 //
 //	reexp [-width 480] [-height 272] [-frames 50] [-seed 1] [-figs all] [-workers N]
+//	      [-csv DIR] [-check DIR]
 //	      [-tracefile out.trace.json] [-cpuprofile cpu.pprof] [-log-level info]
 //
 // -figs takes a comma-separated subset of:
 //
 //	1 2 t1 t2 14a 14b 15a 15b 16 17a 17b overhead hash otq memolut refresh binning subblock
+//
+// -csv writes each figure (every one but the text tables t1 and t2) as
+// DIR/fig<id>.csv. -check compares each regenerated figure with
+// DIR/fig<id>.csv byte for byte, names on stderr every file that differs,
+// with its first differing row, or is missing, and then exits 1:
+//
+//	reexp -check results
 //
 // -tracefile records every distinct simulation of the run (one track per
 // (benchmark, technique) pair) as a Chrome trace-event timeline for
@@ -18,9 +26,13 @@
 package main
 
 import (
+	"bytes"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime/pprof"
 	"strings"
 	"time"
@@ -33,13 +45,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "reexp:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("reexp", flag.ContinueOnError)
 	width := fs.Int("width", 480, "screen width in pixels")
 	height := fs.Int("height", 272, "screen height in pixels")
@@ -47,6 +59,7 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	figs := fs.String("figs", "all", "comma-separated figure list or 'all'")
 	csvDir := fs.String("csv", "", "also write each figure as CSV into this directory")
+	checkDir := fs.String("check", "", "compare each figure's CSV with the one in this directory byte for byte; exit 1 naming each that differs or is missing")
 	workers := fs.Int("workers", 0, "concurrent simulation workers (0 = host CPUs / tile-workers)")
 	tileWorkers := fs.Int("tile-workers", 0, "raster-phase goroutines per simulation (0/1 = serial, -1 = one per CPU); never changes results")
 	tracefile := fs.String("tracefile", "", "write a Chrome trace-event pipeline timeline to this file")
@@ -146,29 +159,42 @@ func run(args []string) error {
 			return err
 		}
 	}
+	var mismatches []string
+	checked := 0
 	for _, fig := range all {
 		if !selected(fig.id) {
 			continue
 		}
 		figStart := time.Now()
 		if fig.text != nil {
-			fmt.Println(fig.text())
+			fmt.Fprintln(stdout, fig.text())
 			log.Info("figure done", "fig", fig.id, "elapsed", time.Since(figStart).Round(time.Millisecond))
 			continue
 		}
 		t := fig.table()
 		log.Info("figure done", "fig", fig.id, "elapsed", time.Since(figStart).Round(time.Millisecond))
-		t.Fprint(os.Stdout, 3)
+		t.Fprint(stdout, 3)
+		if *csvDir == "" && *checkDir == "" {
+			continue
+		}
+		var csv bytes.Buffer
+		if err := t.WriteCSV(&csv); err != nil {
+			return err
+		}
+		name := "fig" + fig.id + ".csv"
 		if *csvDir != "" {
-			f, err := os.Create(fmt.Sprintf("%s/fig%s.csv", *csvDir, fig.id))
-			if err == nil {
-				err = t.WriteCSV(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
-				}
+			if err := os.WriteFile(filepath.Join(*csvDir, name), csv.Bytes(), 0o644); err != nil {
+				return err
 			}
+		}
+		if *checkDir != "" {
+			checked++
+			msg, err := checkCSV(filepath.Join(*checkDir, name), csv.Bytes())
 			if err != nil {
 				return err
+			}
+			if msg != "" {
+				mismatches = append(mismatches, msg)
 			}
 		}
 	}
@@ -187,5 +213,37 @@ func run(args []string) error {
 		"elimination_ratio", fmt.Sprintf("%.3f", m.EliminationRatio()),
 		"simulated", m.Completed.Load())
 	log.Info("done", "elapsed", time.Since(start).Round(time.Millisecond))
+	if len(mismatches) > 0 {
+		return fmt.Errorf("%d of %d figures differ from %s:\n%s", len(mismatches), checked, *checkDir, strings.Join(mismatches, "\n"))
+	}
 	return nil
+}
+
+// checkCSV compares a regenerated figure with the committed file at path.
+// It returns "" when the two are byte-identical, and otherwise a line that
+// names the file and its first differing row (the header is row 1), or says
+// the file is missing.
+func checkCSV(path string, got []byte) (string, error) {
+	want, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return path + ": missing", nil
+	}
+	if err != nil {
+		return "", err
+	}
+	if bytes.Equal(got, want) {
+		return "", nil
+	}
+	gotRows, wantRows := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	row := 0
+	for row < len(gotRows) && row < len(wantRows) && gotRows[row] == wantRows[row] {
+		row++
+	}
+	at := func(rows []string) string {
+		if row < len(rows) {
+			return fmt.Sprintf("%q", rows[row])
+		}
+		return "no row"
+	}
+	return fmt.Sprintf("%s: row %d differs: file has %s, regenerated %s", path, row+1, at(wantRows), at(gotRows)), nil
 }

@@ -33,10 +33,11 @@ func drawBeforeBindTrace() *api.Trace {
 // Bounds on the traces FuzzAcceptedTraceRuns simulates, so that one input
 // costs milliseconds: the framebuffer, the frame count, the texels that the
 // registry and the uploads build, and the fragments that the draws could
-// cover (triangles × framebuffer pixels).
+// cover (triangles × framebuffer pixels). Six frames give Memo, which
+// reuses renders two frames back, two PFR pairs to reuse in.
 const (
 	fuzzMaxSide      = 64
-	fuzzMaxFrames    = 4
+	fuzzMaxFrames    = 6
 	fuzzMaxTexels    = 1 << 14
 	fuzzMaxFragments = 1 << 21
 )
@@ -94,15 +95,19 @@ func fuzzSeed(b workload.Benchmark) *api.Trace {
 // tiles forgotten before every frame. Any panic fails, and so does any
 // frame where
 //   - two tile workers or forgotten tiles change the Stats or the displayed
-//     pixels of the serial run;
+//     pixels of the serial run: forgetting makes Baseline and TE render
+//     what they reuse from the previous frame, and Memo what it reuses
+//     from two frames back;
 //   - TE's or Memo's pixels differ from Baseline's;
 //   - Baseline classifies a tile as equal inputs, different colours.
 //
 // RE's pixels are not compared: RE signs only each constants block's
 // delta, so it can skip a tile whose draws read a register that an earlier
 // block set to another value (ROADMAP item 1). Seeds are the suite at small
-// scale and a trace that draws before it binds a texture it never defines,
-// which Decode rejects.
+// scale, a trace that draws before it binds a texture it never defines,
+// which Decode rejects, and a trace whose right half alternates tints so
+// that Memo's second frame of a pair must render tiles that the pair's
+// first frame rendered (TestTileReuseMemoPairs).
 func FuzzAcceptedTraceRuns(f *testing.F) {
 	encode := func(tr *api.Trace) []byte {
 		var buf bytes.Buffer
@@ -119,6 +124,7 @@ func FuzzAcceptedTraceRuns(f *testing.F) {
 		f.Add(encode(tr))
 	}
 	f.Add(encode(drawBeforeBindTrace()))
+	f.Add(encode(halvesTrace(red, red, blue, red, blue, red)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Decode(bytes.NewReader(data))

@@ -18,40 +18,50 @@ import (
 //   - The arena belongs to the Simulator and is reset — never reallocated —
 //     at the top of RunFrame via beginFrame.
 //   - Everything in it is dead outside the frame that filled it, except
-//     what Baseline and TE keep for the next frame to reuse: the tile
-//     results and the draw and triangle lists their bins index. RunFrame
-//     returns Stats by value; nothing escapes the simulator.
+//     what a later frame may reuse: the tile results and the draw and
+//     triangle lists their bins index, kept one frame under Baseline and TE
+//     and two under Memo. RunFrame returns Stats by value; nothing escapes
+//     the simulator.
 //   - tileRes entries are handed to raster workers one tile each; a worker
 //     touches only its own entry, so the arena needs no locking.
 type frameArena struct {
 	// stats accumulates the frame's statistics; RunFrame returns a copy.
 	stats Stats
 
-	// Raster phase: reusable tile results — one per tile, except on the
-	// serial path of RE and Memo, which needs one; logs keep capacity.
+	// Raster phase: reusable tile results — one per tile and kept frame
+	// (frameTiles), except on RE's serial path, which needs one; logs keep
+	// capacity.
 	tileRes []tileResult
 
-	// Geometry phase scratch. Under Baseline and TE, prevDraws and prevTris
-	// hold the previous frame's lists, which the tiles' kept bins index.
-	draws, prevDraws []drawRec
-	tris, prevTris   []triRec
-	pendingConsts    []byte
-	primScratch      []byte
-	clipScratch      []rast.Triangle
-	shadedScratch    []rast.Vertex
+	// Geometry phase scratch: the frame's own lists, and in past[i] those of
+	// the frame i+1 back, which the tiles' kept bins index.
+	frameLists
+	past          [2]frameLists
+	pendingConsts []byte
+	primScratch   []byte
+	clipScratch   []rast.Triangle
+	shadedScratch []rast.Vertex
 
 	// crcBuf is the byte-serialization scratch for FrameBufferCRC.
 	crcBuf []byte
 }
 
-// beginFrame resets the arena for a new frame, keeping all capacity; with
-// keepPrev, the finished frame's draw and triangle lists become the
-// previous ones.
-func (a *frameArena) beginFrame(keepPrev bool) {
+// frameLists are one frame's draw and triangle lists.
+type frameLists struct {
+	draws []drawRec
+	tris  []triRec
+}
+
+// beginFrame resets the arena for a new frame, keeping all capacity. The
+// lists of the last keep frames rotate through past: the finished frame's
+// become past[0], and the oldest kept become the new frame's scratch.
+func (a *frameArena) beginFrame(keep int) {
 	a.stats = Stats{Frames: 1}
-	if keepPrev {
-		a.prevDraws, a.draws = a.draws, a.prevDraws
-		a.prevTris, a.tris = a.tris, a.prevTris
+	if keep > 0 {
+		done := a.frameLists
+		a.frameLists = a.past[keep-1]
+		copy(a.past[1:keep], a.past[:keep-1])
+		a.past[0] = done
 	}
 	a.draws = a.draws[:0]
 	a.tris = a.tris[:0]

@@ -30,6 +30,12 @@ import (
 //     the tile's bin repeats its bin of the previous frame bit for bit:
 //     entry by entry, the same triangle, draw record and Parameter Buffer
 //     extent. A reused tile is not rendered again; its last render stands.
+//     Memo reuses at a distance of two frames, the same frame of the
+//     previous PFR pair: the bin must repeat its bin of two frames back,
+//     neither this frame nor the previous one may upload, and on a pair's
+//     second frame the tile must have been reused in the first, whose memo
+//     table its render reads. A reused Memo tile keeps the table its render
+//     filled two frames back, which is what the render would fill again.
 //  2. render (parallel): the expensive functional work — rasterization,
 //     early-Z, fragment shading, blending, memoization and TE color signing
 //     — using only per-worker and per-tile state. Instead of touching the
@@ -51,7 +57,8 @@ import (
 // reproduces timing, traffic and energy activity bit-for-bit. A tile's
 // colours, stats shard, render work, texel reads and TE signature depend
 // only on its bin and on the program and texture tables, which only an
-// upload changes, so committing a reused tile's kept render again is exact.
+// upload changes, and under Memo on the memo tables its render reads, so
+// committing a reused tile's kept render again is exact.
 // Its Parameter Buffer addresses are not kept: they move when earlier
 // geometry changes. With TileWorkers <= 1 the three stages run inline per
 // tile, which is the pre-existing serial execution order.
@@ -95,11 +102,12 @@ type tileShard struct {
 
 // tileResult carries everything one tile's render produced that commit
 // needs. Entries are reused across frames; logs keep their capacity. Under
-// Baseline and TE each tile keeps an entry of its own, so a reused tile
-// commits what its last render left there.
+// Baseline and TE each tile keeps an entry of its own, and under Memo one
+// per frame parity, so a reused tile commits what the render it reuses
+// left there.
 type tileResult struct {
 	skipped bool // RE bypassed the tile; nothing was rendered
-	reused  bool // the bin repeats the previous frame's; the last render stands
+	reused  bool // the bin repeats the kept one's; that render stands
 
 	// tw holds the work of decide and render; commit adds its own to a copy.
 	tw     timing.TileWork
@@ -110,7 +118,8 @@ type tileResult struct {
 	teSig         uint32
 	teLUTAccesses uint64 // CRC LUT reads of signing the tile's colours
 
-	// bin is the tile's bin as the last decide saw it (Baseline and TE).
+	// bin is the tile's bin as the decide that filled the entry saw it
+	// (Baseline, TE and Memo).
 	bin []binRef
 }
 
@@ -299,11 +308,12 @@ const compareCycles = 4
 
 // decideTile is the serial pre-raster stage: the RE signature check for one
 // tile, charging Signature Unit costs in tile order exactly like the
-// hardware's raster scheduler, or, under Baseline and TE, the reuse check.
+// hardware's raster scheduler, or, under Baseline, TE and Memo, the reuse
+// check.
 //
 //re:hotpath
 func (s *Simulator) decideTile(tile int, res *tileResult) {
-	if s.keepsTiles() && s.rebin(tile, res) {
+	if s.reuseDistance() > 0 && s.rebin(tile, res) && s.pairKept(tile) {
 		res.reused = true
 		return
 	}
@@ -321,16 +331,27 @@ func (s *Simulator) decideTile(tile int, res *tileResult) {
 	}
 }
 
+// pairKept reports whether a Memo tile whose bin repeats may reuse: on the
+// first frame of a PFR pair always, and on the second only if the tile was
+// reused in the first too, since its render reads the memo table that the
+// first frame filled. Under Baseline and TE it always may.
+//
+//re:hotpath
+func (s *Simulator) pairKept(tile int) bool {
+	return s.cfg.Technique != Memo || s.frameIdx%2 == 0 || s.frameTiles(s.frameIdx - 1)[tile].reused
+}
+
 // rebin reports whether tile's bin repeats, entry by entry and bit for bit,
-// the bin that res kept from the previous frame — compared only when this
-// frame may reuse — and then keeps the current bin in its place.
+// the bin that res kept from the frame a reuse distance back — compared only
+// when this frame may reuse — and then keeps the current bin in its place.
 //
 //re:hotpath
 func (s *Simulator) rebin(tile int, res *tileResult) bool {
 	bin := s.binner.Bin(tile)
 	same := s.reuse && len(bin) == len(res.bin)
+	past := &s.arena.past[s.reuseDistance()-1]
 	for i := 0; same && i < len(bin); i++ {
-		same = s.repeats(res.bin[i], &bin[i])
+		same = s.repeats(past, res.bin[i], &bin[i])
 	}
 	res.bin = res.bin[:0]
 	for _, e := range bin {
@@ -343,16 +364,16 @@ func (s *Simulator) rebin(tile int, res *tileResult) bool {
 	return same
 }
 
-// repeats reports whether bin entry e repeats r, an entry of the previous
-// frame's bin: the same Parameter Buffer extent, and the same triangle and
-// draw record bit for bit.
+// repeats reports whether bin entry e repeats r, an entry of a kept bin
+// that indexes the lists past: the same Parameter Buffer extent, and the
+// same triangle and draw record bit for bit.
 //
 //re:hotpath
-func (s *Simulator) repeats(r binRef, e *tiling.Entry) bool {
+func (s *Simulator) repeats(past *frameLists, r binRef, e *tiling.Entry) bool {
 	a := &s.arena
 	return int(r.bytes) == e.Bytes && int(r.numAttrs) == e.NumAttrs &&
-		a.prevTris[r.tri].st.Identical(&a.tris[e.Ref.Tri].st) &&
-		a.prevDraws[r.draw].identical(&a.draws[e.Ref.Draw])
+		past.tris[r.tri].st.Identical(&a.tris[e.Ref.Tri].st) &&
+		past.draws[r.draw].identical(&a.draws[e.Ref.Draw])
 }
 
 // renderTile is the parallel stage: the whole functional Raster Pipeline for
@@ -565,8 +586,15 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 		}
 		return
 	}
-	if res.reused && s.tr != nil {
-		s.tr.Instant("tile-reused", "tile", int64(tile))
+	if res.reused {
+		if s.tr != nil {
+			s.tr.Instant("tile-reused", "tile", int64(tile))
+		}
+		// The memo table the kept render filled is the one the render would
+		// fill again: it becomes the tile's baseline as it stands.
+		if s.cfg.Technique == Memo {
+			s.memo.commitTile(tile, s.memo.cur[tile])
+		}
 	}
 
 	// Tile Scheduler: the pointer-list and primitive fetches through the
@@ -656,6 +684,21 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 	st.RasterCycles += cyc
 }
 
+// frameTiles returns the tile results that frame fills. A technique that
+// reuses the render d frames back keeps d sets of one result per tile, and
+// frame f fills set f mod d. RE renders every tile it does not skip, so on
+// its serial path one result serves every tile.
+func (s *Simulator) frameTiles(frame int) []tileResult {
+	n, d := s.fbuf.NumTiles(), s.reuseDistance()
+	if d == 0 {
+		if s.tileWorkers <= 1 {
+			n = 1
+		}
+		return s.arena.tiles(n)
+	}
+	return s.arena.tiles(d * n)[frame%d*n:][:n]
+}
+
 // rasterPhase executes the frame's raster pipeline over all tiles. With one
 // worker the three stages run inline per tile (the serial execution order);
 // with more, decisions are made up front, tiles render concurrently on the
@@ -665,22 +708,12 @@ func (s *Simulator) commitTile(tile int, res *tileResult, st *Stats) {
 // recover sees it at any worker count.
 func (s *Simulator) rasterPhase(st *Stats) {
 	n := s.fbuf.NumTiles()
-
-	nw := s.tileWorkers
-	if nw > n {
-		nw = n
-	}
+	nw := min(s.tileWorkers, n)
+	tiles := s.frameTiles(s.frameIdx)
 	if nw <= 1 {
-		// RE and Memo render every tile they do not skip, so one result
-		// serves them all; Baseline and TE keep one per tile to reuse.
-		slots := 1
-		if s.keepsTiles() {
-			slots = n
-		}
-		tiles := s.arena.tiles(slots)
 		w := s.workers[0]
 		for tile := 0; tile < n; tile++ {
-			res := &tiles[tile%slots]
+			res := &tiles[tile%len(tiles)]
 			s.decideTile(tile, res)
 			if res.renders() {
 				w.renderTile(tile, res, s.tr)
@@ -690,7 +723,6 @@ func (s *Simulator) rasterPhase(st *Stats) {
 		return
 	}
 
-	tiles := s.arena.tiles(n)
 	for tile := 0; tile < n; tile++ {
 		s.decideTile(tile, &tiles[tile])
 	}

@@ -161,16 +161,16 @@ func TestRasterParallelTraceBalanced(t *testing.T) {
 	}
 }
 
-// benchRunFrame measures whole-frame Baseline simulation throughput on
-// alias at 480×272, cycling through two frames.
-func benchRunFrame(b *testing.B, alias string, workers int) {
+// benchRunFrame measures whole-frame simulation throughput of tech on alias
+// at 480×272, cycling through the given number of frames.
+func benchRunFrame(b *testing.B, tech Technique, alias string, frames, workers int) {
 	bm, err := workload.ByAlias(alias)
 	if err != nil {
 		b.Fatal(err)
 	}
-	tr := bm.Build(workload.Params{Width: 480, Height: 272, Frames: 2, Seed: 1})
+	tr := bm.Build(workload.Params{Width: 480, Height: 272, Frames: frames, Seed: 1})
 	cfg := DefaultConfig()
-	cfg.Technique = Baseline
+	cfg.Technique = tech
 	cfg.TileWorkers = workers
 	sim, err := New(tr, cfg)
 	if err != nil {
@@ -188,11 +188,18 @@ func benchRunFrame(b *testing.B, alias string, workers int) {
 // renders, the raster phase carries the full load the workers are meant to
 // spread, and tile reuse costs its bin compares alone. ccs is nearly
 // static: 96.6% of its tiles repeat their previous frame's bin and reuse
-// the last render.
+// the last render. The unprefixed cases run Baseline over two frames; the
+// memo/ cases run Memo over three, so that the frame two back, whose renders
+// Memo reuses, is never the same trace frame.
 func BenchmarkRunFrame(b *testing.B) {
 	for _, alias := range []string{"mst", "ccs"} {
 		for _, w := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/workers=%d", alias, w), func(b *testing.B) { benchRunFrame(b, alias, w) })
+			b.Run(fmt.Sprintf("%s/workers=%d", alias, w), func(b *testing.B) { benchRunFrame(b, Baseline, alias, 2, w) })
+		}
+	}
+	for _, alias := range []string{"mst", "ccs"} {
+		for _, w := range []int{1, 2} {
+			b.Run(fmt.Sprintf("memo/%s/workers=%d", alias, w), func(b *testing.B) { benchRunFrame(b, Memo, alias, 3, w) })
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package gpusim
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -84,7 +85,7 @@ func (r *reuseRun) runFrame(sim *Simulator, f int, forget bool) {
 	r.stats = append(r.stats, sim.RunFrame(&sim.trace.Frames[f]))
 	r.crcs = append(r.crcs, sim.FrameBufferCRC())
 	var tiles []int
-	for tile, res := range sim.arena.tileRes {
+	for tile, res := range sim.frameTiles(sim.frameIdx - 1) {
 		if res.reused {
 			tiles = append(tiles, tile)
 		}
@@ -125,30 +126,56 @@ func wantReused(t *testing.T, r reuseRun, f int, tiles ...int) {
 	}
 }
 
-// A tile reuses its last render exactly when its bin repeats: changing one
-// draw's c4 renders the 2 tiles that draw covers, and the run matches one
-// that renders every tile.
-func TestTileReuseRendersOnlyChangedBins(t *testing.T) {
-	tr := halvesTrace(red, red, blue, blue)
-	for _, tech := range []Technique{Baseline, TE} {
+// wantReusedEach fails the test unless each frame f reused exactly
+// tiles[f].
+func wantReusedEach(t *testing.T, r reuseRun, tiles [][]int) {
+	t.Helper()
+	for f := range tiles {
+		wantReused(t, r, f, tiles[f]...)
+	}
+}
+
+// allTiles are the 4 tiles of halvesTrace's screen.
+var allTiles = []int{0, 1, 2, 3}
+
+// forEachReuse runs body as a subtest for each technique that want names
+// and each tile worker count, with that technique's want.
+func forEachReuse[W any](t *testing.T, want map[Technique]W, body func(t *testing.T, tech Technique, workers int, want W)) {
+	for _, tech := range []Technique{Baseline, TE, Memo} {
+		w, ok := want[tech]
+		if !ok {
+			continue
+		}
 		for _, workers := range []int{1, 2} {
-			got := runReuse(t, tr, tech, workers, false)
-			sameFrames(t, got, runReuse(t, tr, tech, workers, true))
-			wantReused(t, got, 0)
-			wantReused(t, got, 1, 0, 1, 2, 3)
-			wantReused(t, got, 2, 0, 2)
-			wantReused(t, got, 3, 0, 1, 2, 3)
-			if got.crcs[2] == got.crcs[1] {
-				t.Errorf("%s workers=%d: frame 2's pixels ignore its new tint", tech, workers)
-			}
+			t.Run(fmt.Sprintf("%s/workers=%d", tech, workers), func(t *testing.T) { body(t, tech, workers, w) })
 		}
 	}
 }
 
-// reuploadTrace is halvesTrace(red ×5) with frame 3 re-uploading texture 0
+// A tile reuses its kept render exactly when its bin repeats: changing one
+// draw's c4 renders the 2 tiles that draw covers, and the run matches one
+// that renders every tile. Memo compares with the frame two back, so its
+// frames 2 and 3 both render the retinted half.
+func TestTileReuseRendersOnlyChangedBins(t *testing.T) {
+	tr := halvesTrace(red, red, blue, blue)
+	forEachReuse(t, map[Technique][][]int{
+		Baseline: {nil, allTiles, {0, 2}, allTiles},
+		TE:       {nil, allTiles, {0, 2}, allTiles},
+		Memo:     {nil, nil, {0, 2}, {0, 2}},
+	}, func(t *testing.T, tech Technique, workers int, want [][]int) {
+		got := runReuse(t, tr, tech, workers, false)
+		sameFrames(t, got, runReuse(t, tr, tech, workers, true))
+		wantReusedEach(t, got, want)
+		if got.crcs[2] == got.crcs[1] {
+			t.Error("frame 2's pixels ignore its new tint")
+		}
+	})
+}
+
+// reuploadTrace is halvesTrace(red ×7) with frame 3 re-uploading texture 0
 // under the same id with other texels.
 func reuploadTrace() *api.Trace {
-	tr := halvesTrace(red, red, red, red, red)
+	tr := halvesTrace(red, red, red, red, red, red, red)
 	spec := tr.Textures[0]
 	spec.A, spec.B = spec.B, geom.V4(0.2, 0.9, 0.3, 1)
 	tr.Frames[3].Commands = append([]api.Command{api.UploadTexture{ID: 0, Spec: spec}}, tr.Frames[3].Commands...)
@@ -156,19 +183,29 @@ func reuploadTrace() *api.Trace {
 }
 
 // A frame that uploads reuses nothing, and its pixels follow the new
-// texels; the next frame reuses the renders it made.
+// texels. Baseline's next frame reuses the renders it made. Memo's next
+// frame reuses nothing, since its kept renders predate the upload, and
+// neither does the one after, whose pair's first frame rendered every tile.
 func TestTileReuseUploadRendersAll(t *testing.T) {
 	tr := reuploadTrace()
-	for _, workers := range []int{1, 2} {
-		got := runReuse(t, tr, Baseline, workers, false)
-		sameFrames(t, got, runReuse(t, tr, Baseline, workers, true))
-		wantReused(t, got, 2, 0, 1, 2, 3)
-		wantReused(t, got, 3)
-		wantReused(t, got, 4, 0, 1, 2, 3)
-		if got.crcs[3] == got.crcs[2] {
-			t.Errorf("workers=%d: the upload frame's pixels ignore the new texels", workers)
+	forEachReuse(t, map[Technique][][]int{
+		Baseline: {nil, allTiles, allTiles, nil, allTiles, allTiles, allTiles},
+		Memo:     {nil, nil, allTiles, nil, nil, nil, allTiles},
+	}, func(t *testing.T, tech Technique, workers int, want [][]int) {
+		got := runReuse(t, tr, tech, workers, false)
+		sameFrames(t, got, runReuse(t, tr, tech, workers, true))
+		wantReusedEach(t, got, want)
+		// Memo's frame 3, the second of a PFR pair, takes frame 2's
+		// memoized colours, because the memo key names texture ids, not
+		// texels; its frame 4 shows the new texels.
+		shows := 3
+		if tech == Memo {
+			shows = 4
 		}
-	}
+		if got.crcs[shows] == got.crcs[2] {
+			t.Errorf("frame %d's pixels ignore the new texels", shows)
+		}
+	})
 }
 
 // Resume forgets every kept tile: a simulator that already ran the whole
@@ -177,20 +214,24 @@ func TestTileReuseUploadRendersAll(t *testing.T) {
 // matches a simulator that resumed fresh.
 func TestTileReuseResumeForgets(t *testing.T) {
 	tr := reuploadTrace()
-	for _, workers := range []int{1, 2} {
-		src := newSim(t, tr, Baseline, workers)
+	forEachReuse(t, map[Technique][][]int{
+		// Frames 2 to 6.
+		Baseline: {nil, nil, allTiles, allTiles, allTiles},
+		Memo:     {nil, nil, nil, nil, allTiles},
+	}, func(t *testing.T, tech Technique, workers int, want [][]int) {
+		src := newSim(t, tr, tech, workers)
 		src.RunFrame(&tr.Frames[0])
 		src.RunFrame(&tr.Frames[1])
 		blob := src.Checkpoint()
 
-		ran := newSim(t, tr, Baseline, workers)
+		ran := newSim(t, tr, tech, workers)
 		ran.Run()
-		fresh := newSim(t, tr, Baseline, workers)
-		var got, want reuseRun
+		fresh := newSim(t, tr, tech, workers)
+		var got, fromFresh reuseRun
 		for _, r := range []struct {
 			sim *Simulator
 			run *reuseRun
-		}{{ran, &got}, {fresh, &want}} {
+		}{{ran, &got}, {fresh, &fromFresh}} {
 			if err := r.sim.Resume(blob); err != nil {
 				t.Fatal(err)
 			}
@@ -198,10 +239,9 @@ func TestTileReuseResumeForgets(t *testing.T) {
 				r.run.runFrame(r.sim, f, false)
 			}
 		}
-		sameFrames(t, got, want)
-		wantReused(t, got, 0)             // frame 2
-		wantReused(t, got, 2, 0, 1, 2, 3) // frame 4
-	}
+		sameFrames(t, got, fromFresh)
+		wantReusedEach(t, got, want)
+	})
 }
 
 // The compare is bit for bit: a uniform register that goes from +0 to −0
@@ -217,57 +257,90 @@ func TestTileReuseNegativeZeroBlocks(t *testing.T) {
 	wantReused(t, got, 2, 0, 2)
 }
 
-// RE skips repeated tiles by its own signature check, and Memo's render
-// reads its memo tables as well as the bin: neither reuses a tile.
-func TestTileReuseNeverUnderREOrMemo(t *testing.T) {
+// RE skips repeated tiles by its own signature check: it reuses none.
+func TestTileReuseNeverUnderRE(t *testing.T) {
 	tr := halvesTrace(red, red, blue, blue)
-	for _, tech := range []Technique{RE, Memo} {
-		for _, workers := range []int{1, 2} {
-			got := runReuse(t, tr, tech, workers, false)
-			for f := range tr.Frames {
-				wantReused(t, got, f)
-			}
+	for _, workers := range []int{1, 2} {
+		got := runReuse(t, tr, RE, workers, false)
+		for f := range tr.Frames {
+			wantReused(t, got, f)
 		}
 	}
 }
 
-// A frame that a raster worker's panic ends leaves no tile to reuse: the
-// next frame renders every tile, and matches a run that forgets its tiles
-// before every frame. Emptying the texture table makes frame 2's first
-// rendered tile panic after clearing its colours, which a reuse would show.
-func TestTileReusePanicFrameKeepsNothing(t *testing.T) {
-	tr := halvesTrace(red, red, blue, blue)
-	run := func(forget bool) reuseRun {
-		sim := newSim(t, tr, Baseline, 2)
-		var r reuseRun
-		r.runFrame(sim, 0, forget)
-		r.runFrame(sim, 1, forget)
-		textures := sim.textures
-		sim.textures = sim.textures[:0]
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("frame 2 did not panic")
-				}
-			}()
-			sim.RunFrame(&tr.Frames[2])
-		}()
-		sim.textures = textures
-		r.runFrame(sim, 3, forget)
-		return r
+// Memo reuses a tile on the second frame of a PFR pair only if it reused
+// it on the first, since the second frame's render reads the memo table the
+// first one filled. Frame 3 repeats frame 1's bins, but the right half's
+// tiles 1 and 3 rendered in frame 2 with another tint, so frame 3 renders
+// them; frame 4 repeats frame 2 whole, so frame 5 reuses every tile of
+// frame 3, whose renders read a table with the same entries.
+func TestTileReuseMemoPairs(t *testing.T) {
+	tr := halvesTrace(red, red, blue, red, blue, red)
+	for _, workers := range []int{1, 2} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			got := runReuse(t, tr, Memo, workers, false)
+			sameFrames(t, got, runReuse(t, tr, Memo, workers, true))
+			wantReusedEach(t, got, [][]int{nil, nil, {0, 2}, {0, 2}, allTiles, allTiles})
+		})
 	}
-	got := run(false) // frames 0, 1 and 3
-	sameFrames(t, got, run(true))
-	wantReused(t, got, 1, 0, 1, 2, 3)
-	wantReused(t, got, 2)
+}
+
+// A frame that a raster worker's panic ends leaves no tile to reuse: the
+// next frame renders every tile (under Memo, the one after it too), and
+// the run matches one that forgets its tiles before every frame. Emptying
+// the texture table makes frame 2's first rendered tile panic after
+// clearing its colours, which a reuse would show; Memo reuses tiles 0 and
+// 2 in that frame before the panic.
+func TestTileReusePanicFrameKeepsNothing(t *testing.T) {
+	tr := halvesTrace(red, red, blue, blue, blue, blue)
+	for _, tc := range []struct {
+		tech Technique
+		want [][]int // frames 0, 1, 3, 4 and 5
+	}{
+		{Baseline, [][]int{nil, allTiles, nil, allTiles, allTiles}},
+		{Memo, [][]int{nil, nil, nil, nil, allTiles}},
+	} {
+		t.Run(tc.tech.String(), func(t *testing.T) {
+			run := func(forget bool) reuseRun {
+				sim := newSim(t, tr, tc.tech, 2)
+				var r reuseRun
+				r.runFrame(sim, 0, forget)
+				r.runFrame(sim, 1, forget)
+				textures := sim.textures
+				sim.textures = sim.textures[:0]
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Fatal("frame 2 did not panic")
+						}
+					}()
+					sim.RunFrame(&tr.Frames[2])
+				}()
+				sim.textures = textures
+				for f := 3; f < len(tr.Frames); f++ {
+					r.runFrame(sim, f, forget)
+				}
+				return r
+			}
+			got := run(false)
+			sameFrames(t, got, run(true))
+			wantReusedEach(t, got, tc.want)
+		})
+	}
 }
 
 // A trace shows why a tile has no raster-tile span: every tile either
 // renders or is reused, with a tile-reused instant on the stage track.
 func TestTileReuseTraced(t *testing.T) {
 	tr := halvesTrace(red, red, blue, blue)
-	for _, workers := range []int{1, 2} {
+	// The tiles rendered and reused over the 4 frames.
+	type counts struct{ rendered, reused int }
+	forEachReuse(t, map[Technique]counts{
+		Baseline: {4 + 2, 4 + 2 + 4},
+		Memo:     {4 + 4 + 2 + 2, 2 + 2},
+	}, func(t *testing.T, tech Technique, workers int, want counts) {
 		cfg := DefaultConfig()
+		cfg.Technique = tech
 		cfg.TileWorkers = workers
 		cfg.Tracer = obs.NewTracer()
 		sim, err := New(tr, cfg)
@@ -284,11 +357,11 @@ func TestTileReuseTraced(t *testing.T) {
 				reused++
 			}
 		}
-		if rendered != 4+2 || reused != 4+2+4 {
-			t.Errorf("workers=%d: %d raster-tile spans and %d tile-reused instants, want 6 and 10", workers, rendered, reused)
+		if rendered != want.rendered || reused != want.reused {
+			t.Errorf("%d raster-tile spans and %d tile-reused instants, want %d and %d", rendered, reused, want.rendered, want.reused)
 		}
 		if uint64(rendered+reused) != res.Total.TilesTotal {
-			t.Errorf("workers=%d: %d tiles rendered or reused of %d", workers, rendered+reused, res.Total.TilesTotal)
+			t.Errorf("%d tiles rendered or reused of %d", rendered+reused, res.Total.TilesTotal)
 		}
-	}
+	})
 }

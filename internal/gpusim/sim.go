@@ -129,13 +129,14 @@ type Simulator struct {
 	reDisabled bool
 	refresh    bool
 
-	// Tile reuse (Baseline and TE; parallel.go). tilesKept marks that every
-	// tile result holds the previous RunFrame's render: that frame ran to
-	// its end, and no Resume has come since. reuse, recomputed at each
-	// frame, lets decide reuse a tile: the tiles are kept and the frame
-	// uploads nothing.
-	tilesKept bool
-	reuse     bool
+	// Tile reuse (Baseline, TE and Memo; parallel.go). framesKept counts
+	// the last RunFrames, at most two, whose renders the tile results hold
+	// for reuse: each ran to its end since the last Resume, and none but
+	// the earliest uploaded. reuse, recomputed at each frame, lets decide
+	// reuse a tile: the frames back to the reuse distance are kept and this
+	// frame uploads nothing.
+	framesKept int
+	reuse      bool
 
 	// tracer is the shared sink worker threads register tracks on; tr is the
 	// pipeline-stage tracing track. Both are nil when tracing is off, and
@@ -244,15 +245,23 @@ func (s *Simulator) setTexture(id int, spec api.TextureSpec) {
 	s.textures[id] = t
 }
 
-// keepsTiles reports whether the technique reuses a tile whose bin repeats
-// the previous frame's. RE skips such tiles itself, and Memo's render reads
-// its memo tables as well as the bin.
-func (s *Simulator) keepsTiles() bool {
-	return s.cfg.Technique == Baseline || s.cfg.Technique == TE
+// reuseDistance is how many frames back lies the render that a tile reuses
+// when its bin repeats that frame's: the previous frame's under Baseline and
+// TE, and under Memo the one two back, the same frame of the previous PFR
+// pair, since a render also reads the memo table of its pair's first frame.
+// It is 0 under RE, which skips such tiles itself.
+func (s *Simulator) reuseDistance() int {
+	switch s.cfg.Technique {
+	case Baseline, TE:
+		return 1
+	case Memo:
+		return 2
+	}
+	return 0
 }
 
-// forgetTiles makes the next frame render every tile.
-func (s *Simulator) forgetTiles() { s.tilesKept = false }
+// forgetTiles makes the next frames render every tile.
+func (s *Simulator) forgetTiles() { s.framesKept = 0 }
 
 // SkipCounts returns how many times each tile was bypassed so far, indexed
 // by tile id — the data behind skip heat-maps (cmd/resim -heatmap).
@@ -340,9 +349,9 @@ func (s *Simulator) FrameBufferCRC() uint32 {
 //re:hotpath
 func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	// A frame that does not run to its end (a panic) leaves no tile kept.
-	kept := s.tilesKept
-	s.tilesKept = false
-	s.arena.beginFrame(s.keepsTiles())
+	kept, dist := s.framesKept, s.reuseDistance()
+	s.framesKept = 0
+	s.arena.beginFrame(dist)
 	st := &s.arena.stats
 	s.frame = st
 	if s.tr != nil {
@@ -395,7 +404,7 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 		s.su.Buffer().InvalidateAll()
 	}
 	// Likewise, a tile's kept render may rest on what an upload replaced.
-	s.reuse = kept && s.keepsTiles() && !s.state.UploadsThisFrame
+	s.reuse = dist > 0 && kept >= dist && !s.state.UploadsThisFrame
 
 	geo.PBWriteBytes = s.binner.WrittenBytes()
 	if s.cfg.Technique == RE {
@@ -467,7 +476,11 @@ func (s *Simulator) RunFrame(frame *api.Frame) Stats {
 	}
 	s.frameIdx++
 	s.frame = nil
-	s.tilesKept = true
+	// After an upload, only this frame's renders rest on the new tables.
+	if s.state.UploadsThisFrame {
+		kept = 0
+	}
+	s.framesKept = min(kept+1, len(s.arena.past))
 	return *st
 }
 
